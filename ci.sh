@@ -94,7 +94,10 @@ echo "== ingest gate =="
 # the same query on a store imported whole at the extent it planned
 # against, for every strategy, with and without faults/corruption.
 cargo test -q $OFFLINE -p pdc-query --test ingest_consistency
-cargo test -q $OFFLINE -p pdc-odms --test persist_negative
+# Every test of the two crates that own the write path — unit tests
+# included (sorted-replica extend ≡ build, maintenance re-queue), plus
+# odms' persist_negative and sorted's property tests.
+cargo test -q $OFFLINE -p pdc-sorted -p pdc-odms
 cargo test -q $OFFLINE -p pdc-histogram --test histogram_props
 # Bench-bin correctness gate (exits non-zero on any divergence from the
 # sealed baselines), then a CLI smoke that appends 10% of the particles

@@ -275,6 +275,44 @@ fn deferred_maintenance_never_changes_selections() {
     }
 }
 
+/// Deferred maintenance merges only the appended elements into the
+/// sorted replica, and what it publishes is the replica a one-shot
+/// import at the same extent builds — so every strategy answers alike on
+/// the maintained and the one-shot store. A damaged base is not merged
+/// into: it is rebuilt from the stored regions and comes out valid.
+#[test]
+fn maintained_sorted_replica_equals_one_shot_import() {
+    let data = gen(PREFIX + APPENDS * CHUNK);
+    let (odms, obj) = sealed_world(&data[..PREFIX]);
+    for k in 0..APPENDS {
+        let lo = PREFIX + k * CHUNK;
+        let hi = PREFIX + (k + 1) * CHUNK;
+        odms.append_array(obj, &TypedVec::Float(data[lo..hi].to_vec())).unwrap();
+        // Every other append, damage the published base first.
+        let damaged = k % 2 == 1;
+        if damaged {
+            let base = odms.meta().sorted_replica(obj).unwrap();
+            odms.meta().set_sorted_replica(obj, base.corrupted_copy(k as u64));
+        }
+        let report = odms.run_deferred_maintenance().unwrap();
+        assert_eq!(report.sorted_replicas_rebuilt, 1, "append {k}");
+        let merged = if damaged { 0 } else { CHUNK as u64 };
+        assert_eq!(report.sorted_elems_merged, merged, "append {k}");
+        let (sealed, sobj) = sealed_world(&data[..hi]);
+        let replica = odms.meta().sorted_replica(obj).unwrap();
+        assert!(replica.self_check(hi as u64), "append {k}");
+        assert_eq!(*replica, *sealed.meta().sorted_replica(sobj).unwrap(), "append {k}");
+    }
+    let (sealed, sobj) = sealed_world(&data);
+    for strategy in ALL_STRATEGIES {
+        let out = engine(&odms, strategy, None).run(&query(obj)).unwrap();
+        let sout = engine(&sealed, strategy, None).run(&query(sobj)).unwrap();
+        assert_eq!(out.selection, sout.selection, "{strategy}");
+        assert_eq!(out.nhits, sout.nhits, "{strategy}");
+        assert_eq!(out.elapsed, sout.elapsed, "{strategy}");
+    }
+}
+
 /// Streaming ingest maintains the region directory and the joint-bounds
 /// grid *incrementally* — the tail region's bounds are updated and each
 /// sealed new region inserted on append, and the joint grid is extended

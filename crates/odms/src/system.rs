@@ -104,8 +104,11 @@ pub struct AppendReport {
 pub struct MaintenanceReport {
     /// Bitmap-index regions rebuilt.
     pub index_regions_rebuilt: u32,
-    /// Sorted replicas rebuilt.
+    /// Sorted replicas brought to their object's current extent.
     pub sorted_replicas_rebuilt: u32,
+    /// Appended elements merged into existing sorted replicas (0 for a
+    /// replica that had to be rebuilt from scratch).
+    pub sorted_elems_merged: u64,
     /// Total bytes written by the rebuilds.
     pub bytes_written: u64,
 }
@@ -499,12 +502,13 @@ impl Odms {
             self.meta.set_index_sizes(object, sizes);
         }
         report.sorted_stale = meta.has_sorted_replica;
-        {
-            let mut pend = self.pending.write();
-            let entry = pend.entry(object).or_default();
-            entry.index_regions.extend(report.pending_index_regions.iter().copied());
-            entry.sorted_stale |= report.sorted_stale;
-        }
+        self.queue_pending(
+            object,
+            PendingAux {
+                index_regions: report.pending_index_regions.iter().copied().collect(),
+                sorted_stale: report.sorted_stale,
+            },
+        );
 
         // 4. Publish the grown extent, then invalidate caches.
         let mut new_meta = (*meta).clone();
@@ -514,27 +518,60 @@ impl Odms {
         Ok(report)
     }
 
+    /// Add stale aux structures of `object` to the deferred-maintenance
+    /// queue.
+    fn queue_pending(&self, object: ObjectId, aux: PendingAux) {
+        let mut pend = self.pending.write();
+        let entry = pend.entry(object).or_default();
+        entry.index_regions.extend(aux.index_regions);
+        entry.sorted_stale |= aux.sorted_stale;
+    }
+
     /// Drain the deferred-maintenance queue: rebuild every stale bitmap
-    /// index region and sorted replica left behind by streaming appends.
-    /// Idempotent with the lazy probe-time rebuilds — a region already
-    /// rebuilt on first touch is simply rebuilt to the same bytes.
+    /// index region, and merge the appended elements into every stale
+    /// sorted replica ([`Self::refresh_sorted_replica`]). Idempotent with
+    /// the lazy probe-time rebuilds — a region already rebuilt on first
+    /// touch is simply rebuilt to the same bytes.
+    ///
+    /// Every queued item is attempted; the ones that fail go back on the
+    /// queue and the first error is returned, so one unreadable region
+    /// never makes the rest of the queue vanish.
     pub fn run_deferred_maintenance(&self) -> PdcResult<MaintenanceReport> {
-        let drained: Vec<(ObjectId, PendingAux)> = {
-            let mut pend = self.pending.write();
-            std::mem::take(&mut *pend).into_iter().collect()
-        };
+        let drained = std::mem::take(&mut *self.pending.write());
         let mut report = MaintenanceReport::default();
+        let mut first_err = None;
         for (object, aux) in drained {
+            let mut failed = PendingAux::default();
             for region in aux.index_regions {
-                report.bytes_written += self.rebuild_index_region(object, region)?;
-                report.index_regions_rebuilt += 1;
+                match self.rebuild_index_region(object, region) {
+                    Ok(bytes) => {
+                        report.bytes_written += bytes;
+                        report.index_regions_rebuilt += 1;
+                    }
+                    Err(e) => {
+                        failed.index_regions.insert(region);
+                        first_err.get_or_insert(e);
+                    }
+                }
             }
             if aux.sorted_stale {
-                report.bytes_written += self.rebuild_sorted_replica(object)?;
-                report.sorted_replicas_rebuilt += 1;
+                match self.refresh_sorted_replica(object) {
+                    Ok((bytes, merged)) => {
+                        report.bytes_written += bytes;
+                        report.sorted_replicas_rebuilt += 1;
+                        report.sorted_elems_merged += merged;
+                    }
+                    Err(e) => {
+                        failed.sorted_stale = true;
+                        first_err.get_or_insert(e);
+                    }
+                }
+            }
+            if !failed.index_regions.is_empty() || failed.sorted_stale {
+                self.queue_pending(object, failed);
             }
         }
-        Ok(report)
+        first_err.map_or(Ok(report), Err)
     }
 
     /// The deferred-maintenance queue as `(object, stale index regions,
@@ -634,12 +671,43 @@ impl Odms {
             let payload = self.read_region(object, r)?;
             payload.append_f64_to(&mut values);
         }
-        let replica = SortedReplica::build(&values, meta.region_elems);
+        Ok(self.publish_sorted_replica(&meta, SortedReplica::build(&values, meta.region_elems)))
+    }
+
+    /// Bring a stale sorted replica to its object's current extent. A
+    /// published replica that is a valid replica of the object's first
+    /// `len()` elements — passes `self_check(len())`, partitioned at the
+    /// object's `region_elems`, no longer than the object — is extended:
+    /// only coordinates `[len(), num_elements)` are read, sorted and
+    /// merged in. Any other base (missing, corrupt, foreign region
+    /// length, longer than the object) is rebuilt from the stored regions,
+    /// so maintenance still heals a damaged replica. Returns the published
+    /// replica's footprint in bytes and the number of elements merged (0
+    /// after a from-scratch rebuild).
+    fn refresh_sorted_replica(&self, object: ObjectId) -> PdcResult<(u64, u64)> {
+        let meta = self.meta.get(object)?;
+        let n = meta.num_elements();
+        let base = match self.meta.sorted_replica(object) {
+            Ok(b) if b.region_len() == meta.region_elems
+                && b.len() <= n
+                && b.self_check(b.len()) =>
+            {
+                b
+            }
+            _ => return Ok((self.rebuild_sorted_replica(object)?, 0)),
+        };
+        let delta = self.read_f64_range(object, base.len(), n)?;
+        Ok((self.publish_sorted_replica(&meta, base.extended(&delta)), delta.len() as u64))
+    }
+
+    /// Publish `replica` as `meta`'s sorted replica; returns its storage
+    /// footprint in bytes.
+    fn publish_sorted_replica(&self, meta: &ObjectMeta, replica: SortedReplica) -> u64 {
         let size = replica.size_bytes(meta.pdc_type.size_bytes());
-        self.meta.set_sorted_replica(object, replica);
+        self.meta.set_sorted_replica(meta.id, replica);
         // Metadata-only mutation (see rebuild_region_histogram).
         self.store.bump_epoch();
-        Ok(size)
+        size
     }
 
     /// Read the f64-widened values at linear coordinates `[lo, hi)` of an
@@ -763,6 +831,15 @@ mod tests {
         (odms, report)
     }
 
+    /// The replica a one-shot import of the concatenated `parts` builds.
+    fn one_shot_replica(parts: &[TypedVec], region_elems: u64) -> SortedReplica {
+        let mut values = Vec::new();
+        for p in parts {
+            p.append_f64_to(&mut values);
+        }
+        SortedReplica::build(&values, region_elems)
+    }
+
     #[test]
     fn import_partitions_and_stores_regions() {
         let opts = ImportOptions { region_bytes: 4096, ..Default::default() }; // 1024 f32
@@ -822,6 +899,22 @@ mod tests {
         let replica = odms.meta().sorted_replica(report.object).unwrap();
         assert_eq!(replica.len(), 5000);
         assert!(replica.keys().windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn import_with_sorted_replica_tolerates_nan() {
+        let mut data: Vec<f32> = (0..5000).map(|i| ((i * 13) % 997) as f32 / 100.0).collect();
+        for i in [0, 1, 77, 2500, 4998, 4999] {
+            data[i] = f32::NAN;
+        }
+        let opts =
+            ImportOptions { region_bytes: 4096, build_sorted: true, ..Default::default() };
+        let odms = Odms::new(8);
+        let c = odms.create_container("test");
+        let report = odms.import_array(c, "energy", TypedVec::Float(data), &opts).unwrap();
+        let replica = odms.meta().sorted_replica(report.object).unwrap();
+        assert!(replica.self_check(5000));
+        assert_eq!(replica.perm()[4994..], [0, 1, 77, 2500, 4998, 4999]);
     }
 
     #[test]
@@ -987,6 +1080,7 @@ mod tests {
         let mr = odms.run_deferred_maintenance().unwrap();
         assert_eq!(mr.index_regions_rebuilt, 3);
         assert_eq!(mr.sorted_replicas_rebuilt, 1);
+        assert_eq!(mr.sorted_elems_merged, 2000, "only the appended elements are merged");
         assert!(mr.bytes_written > 0);
         assert!(odms.pending_maintenance().is_empty());
         // every region's index is readable and covers its current extent
@@ -997,8 +1091,63 @@ mod tests {
             assert_eq!(idx.num_elements(), meta.region_span(r).len, "region {r}");
         }
         let replica = odms.meta().sorted_replica(report.object).unwrap();
-        assert_eq!(replica.len(), 4500);
         assert!(replica.self_check(4500));
+        assert_eq!(*replica, one_shot_replica(&[vpic_like(2500), vpic_like(2000)], 1024));
+    }
+
+    #[test]
+    fn maintenance_rebuilds_an_unusable_sorted_base_from_scratch() {
+        let opts =
+            ImportOptions { region_bytes: 4096, build_sorted: true, ..Default::default() };
+        let expect = one_shot_replica(&[vpic_like(2500), vpic_like(700)], 1024);
+        let good = SortedReplica::build(&vpic_like(2500).to_f64_vec(), 1024);
+        let unusable = [
+            ("corrupt", good.corrupted_copy(5)),
+            ("foreign region length", SortedReplica::build(&vpic_like(2500).to_f64_vec(), 512)),
+            ("longer than the object", SortedReplica::build(&vpic_like(4000).to_f64_vec(), 1024)),
+        ];
+        for (what, base) in unusable {
+            let (odms, report) = system_with_import(2500, &opts);
+            odms.append_array(report.object, &vpic_like(700)).unwrap();
+            odms.meta().set_sorted_replica(report.object, base);
+            let mr = odms.run_deferred_maintenance().unwrap();
+            assert_eq!((mr.sorted_replicas_rebuilt, mr.sorted_elems_merged), (1, 0), "{what}");
+            assert_eq!(*odms.meta().sorted_replica(report.object).unwrap(), expect, "{what}");
+        }
+    }
+
+    #[test]
+    fn failed_maintenance_stays_queued() {
+        let opts = ImportOptions {
+            region_bytes: 4096,
+            build_index: true,
+            build_sorted: true,
+            ..Default::default()
+        };
+        let odms = Odms::new(8);
+        let c = odms.create_container("test");
+        let a = odms.import_array(c, "a", vpic_like(2500), &opts).unwrap().object;
+        let b = odms.import_array(c, "b", vpic_like(2500), &opts).unwrap().object;
+        odms.append_array(a, &vpic_like(2000)).unwrap();
+        odms.append_array(b, &vpic_like(2000)).unwrap();
+        // Lose one appended data region of `a`: its index cannot be
+        // rebuilt and the replica's delta cannot be read.
+        let lost = RegionId::new(a, 3);
+        let payload = odms.read_region(a, 3).unwrap();
+        assert!(odms.store().remove(lost));
+        assert!(odms.run_deferred_maintenance().is_err());
+        assert_eq!(
+            odms.pending_maintenance(),
+            vec![(a, vec![3], true)],
+            "what failed stays queued; everything else — including all of `b` — was done"
+        );
+        assert_eq!(odms.meta().sorted_replica(b).unwrap().len(), 4500);
+        // Once the region is back, the next pass finishes the job.
+        odms.store().put(lost, StoredPayload::Typed(payload), StorageTier::Pfs);
+        let mr = odms.run_deferred_maintenance().unwrap();
+        assert_eq!((mr.index_regions_rebuilt, mr.sorted_elems_merged), (1, 2000));
+        assert!(odms.pending_maintenance().is_empty());
+        assert!(odms.meta().sorted_replica(a).unwrap().self_check(4500));
     }
 
     #[test]

@@ -46,29 +46,83 @@ pub struct SortedLookup {
     pub selection: Selection,
 }
 
+/// Order-preserving **total** sort key of an `f64`: for every pair of
+/// non-NaN values `a < b` ⇔ `total_key(a) < total_key(b)`, `-0.0` and
+/// `+0.0` tie (as they do under `partial_cmp`), and every NaN maps to
+/// `u64::MAX`, after `+∞`. Sorting `(total_key, coord)` pairs is what
+/// makes the replica order — and therefore the delta merge — well
+/// defined on any input.
+fn total_key(v: f64) -> u64 {
+    if v.is_nan() {
+        return u64::MAX;
+    }
+    // `+ 0.0` folds `-0.0` onto `+0.0`; then the usual sign flip maps the
+    // IEEE-754 bit pattern onto an unsigned integer in value order.
+    let bits = (v + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
+}
+
+/// The value a sort key came from, or `None` for the two keys
+/// [`total_key`] folds several bit patterns onto (`±0.0`, the NaNs), whose
+/// value must be read back from the source instead.
+fn key_value(key: u64) -> Option<f64> {
+    const ZERO: u64 = 1 << 63;
+    match key {
+        ZERO | u64::MAX => None,
+        _ if key > ZERO => Some(f64::from_bits(key & !ZERO)),
+        _ => Some(f64::from_bits(!key)),
+    }
+}
+
 impl SortedReplica {
     /// Build a sorted replica of `values`, partitioned into regions of
-    /// `region_len` elements.
+    /// `region_len` elements: the empty replica extended by `values`.
     pub fn build(values: &[f64], region_len: u64) -> SortedReplica {
         assert!(region_len > 0, "region length must be positive");
-        let mut pairs: Vec<(f64, u64)> =
-            values.iter().enumerate().map(|(i, &v)| (v, i as u64)).collect();
-        // Parallel sort by value; ties keep original coordinate order so
-        // the permutation is deterministic.
-        pairs.par_sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
-        });
-        let keys: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-        let perm: Vec<u64> = pairs.iter().map(|p| p.1).collect();
-        let region_ranges = RegionSpec::partition(keys.len() as u64, region_len)
+        let empty =
+            SortedReplica { keys: Vec::new(), perm: Vec::new(), region_len, region_ranges: Vec::new() };
+        empty.extended(values)
+    }
+
+    /// The replica of this replica's object grown by `delta` (appended at
+    /// coordinates `len()..len() + delta.len()`): only the delta is
+    /// sorted, then merged into the existing order in one linear pass.
+    /// Equal values keep existing entries first — appended coordinates
+    /// are always larger — so the result is bit-identical to
+    /// [`Self::build`] over the concatenated values, provided `self`
+    /// passes [`Self::self_check`].
+    pub fn extended(&self, delta: &[f64]) -> SortedReplica {
+        let base = self.len();
+        // Sort by (value, coordinate): ties keep original coordinate
+        // order so the permutation is deterministic.
+        let mut pairs: Vec<(u64, u64)> =
+            delta.iter().enumerate().map(|(i, &v)| (total_key(v), base + i as u64)).collect();
+        pairs.par_sort_unstable();
+
+        let n = self.keys.len() + delta.len();
+        let mut keys = Vec::with_capacity(n);
+        let mut perm = Vec::with_capacity(n);
+        let mut old = 0;
+        for &(key, coord) in &pairs {
+            let run = self.keys[old..].iter().take_while(|&&k| total_key(k) <= key).count();
+            keys.extend_from_slice(&self.keys[old..old + run]);
+            perm.extend_from_slice(&self.perm[old..old + run]);
+            old += run;
+            keys.push(key_value(key).unwrap_or_else(|| delta[(coord - base) as usize]));
+            perm.push(coord);
+        }
+        keys.extend_from_slice(&self.keys[old..]);
+        perm.extend_from_slice(&self.perm[old..]);
+
+        let region_ranges = RegionSpec::partition(n as u64, self.region_len)
             .into_iter()
-            .map(|r| {
-                let lo = keys[r.offset as usize];
-                let hi = keys[(r.end() - 1) as usize];
-                (lo, hi)
-            })
+            .map(|r| (keys[r.offset as usize], keys[(r.end() - 1) as usize]))
             .collect();
-        SortedReplica { keys, perm, region_len, region_ranges }
+        SortedReplica { keys, perm, region_len: self.region_len, region_ranges }
     }
 
     /// Number of elements.
@@ -152,9 +206,9 @@ impl SortedReplica {
     /// Validate the replica against the object it claims to mirror: the
     /// length must match, `perm` must be a permutation of the original
     /// coordinates (no duplicates, none out of range), and the keys must be
-    /// ascending (NaN-tolerant — NaNs sort to a stable position, so only a
-    /// strict descent is evidence of corruption). A replica failing this
-    /// check could silently drop or duplicate hits and must be rebuilt.
+    /// ascending in the replica's total order (NaNs last). A replica
+    /// failing this check could silently drop or duplicate hits and must
+    /// be rebuilt.
     pub fn self_check(&self, expected_len: u64) -> bool {
         if self.len() != expected_len || self.perm.len() != self.keys.len() {
             return false;
@@ -171,9 +225,7 @@ impl SortedReplica {
             }
             *slot = true;
         }
-        self.keys
-            .windows(2)
-            .all(|w| !matches!(w[0].partial_cmp(&w[1]), Some(std::cmp::Ordering::Greater)))
+        self.keys.windows(2).all(|w| total_key(w[0]) <= total_key(w[1]))
     }
 
     /// A deterministically corrupted clone for integrity-injection tests:
@@ -223,6 +275,116 @@ mod tests {
             .filter(|(_, &v)| iv.contains(v))
             .map(|(i, _)| i as u64)
             .collect()
+    }
+
+    /// `build` as it was before the total sort key: a `partial_cmp`
+    /// comparator over `(value, coordinate)` pairs. Kept as the oracle the
+    /// key-sorted build must reproduce bit for bit on NaN-free input (on
+    /// NaN input this comparator is not a total order and may panic).
+    fn build_with_partial_cmp(values: &[f64], region_len: u64) -> SortedReplica {
+        let mut pairs: Vec<(f64, u64)> =
+            values.iter().enumerate().map(|(i, &v)| (v, i as u64)).collect();
+        pairs.sort_unstable_by(|a, b| {
+            a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
+        });
+        let keys: Vec<f64> = pairs.iter().map(|p| p.0).collect();
+        let perm: Vec<u64> = pairs.iter().map(|p| p.1).collect();
+        let region_ranges = RegionSpec::partition(keys.len() as u64, region_len)
+            .into_iter()
+            .map(|r| (keys[r.offset as usize], keys[(r.end() - 1) as usize]))
+            .collect();
+        SortedReplica { keys, perm, region_len, region_ranges }
+    }
+
+    #[test]
+    fn total_key_orders_like_partial_cmp_and_round_trips() {
+        let probes = [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.5,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for &a in &probes {
+            for &b in &probes {
+                assert_eq!(
+                    total_key(a).cmp(&total_key(b)),
+                    a.partial_cmp(&b).unwrap(),
+                    "{a:e} vs {b:e}"
+                );
+            }
+            assert!(total_key(a) < total_key(f64::NAN));
+            match key_value(total_key(a)) {
+                Some(v) => assert_eq!(v.to_bits(), a.to_bits()),
+                None => assert_eq!(a, 0.0),
+            }
+        }
+        assert_eq!(total_key(f64::NAN), total_key(-f64::NAN));
+        assert_eq!(key_value(total_key(f64::NAN)), None);
+    }
+
+    #[test]
+    fn build_is_bit_identical_to_the_partial_cmp_build() {
+        let mut tricky = sample(6000);
+        for (i, v) in tricky.iter_mut().enumerate() {
+            match i % 11 {
+                0 => *v = -*v,
+                3 => *v = 0.0,
+                7 => *v = -0.0,
+                _ => {}
+            }
+        }
+        tricky[17] = f64::INFINITY;
+        tricky[4242] = f64::NEG_INFINITY;
+        for (values, region_len) in [(sample(5000), 512), (tricky, 100), (Vec::new(), 8)] {
+            let (new, old) =
+                (SortedReplica::build(&values, region_len), build_with_partial_cmp(&values, region_len));
+            assert_eq!(new, old);
+            // `==` lets `-0.0` pass for `+0.0`; the bit patterns must agree too.
+            let bits = |r: &SortedReplica| r.keys.iter().map(|k| k.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&new), bits(&old));
+        }
+    }
+
+    #[test]
+    fn nan_input_sorts_last_instead_of_panicking() {
+        let mut values = sample(4000);
+        let nan_at = [0usize, 1, 77, 1999, 2000, 3998, 3999];
+        for &i in &nan_at {
+            values[i] = f64::NAN;
+        }
+        values[500] = -f64::NAN;
+        let r = SortedReplica::build(&values, 256);
+        assert!(r.self_check(values.len() as u64));
+        let finite = values.len() - nan_at.len() - 1;
+        assert!(r.keys()[..finite].windows(2).all(|w| w[0] <= w[1]));
+        assert!(r.keys()[finite..].iter().all(|k| k.is_nan()));
+        let mut nan_coords: Vec<u64> = nan_at.iter().map(|&i| i as u64).collect();
+        nan_coords.push(500);
+        nan_coords.sort_unstable();
+        assert_eq!(r.perm()[finite..], nan_coords[..]);
+        // A bounded lookup binary-searches the finite prefix and never
+        // reaches the NaN tail.
+        let iv = Interval::open(2.0, 5.0);
+        let got = r.lookup(&iv).selection.iter_coords().collect::<Vec<_>>();
+        let finite_hits: Vec<u64> =
+            exact_coords(&values, &iv).into_iter().filter(|&c| !values[c as usize].is_nan()).collect();
+        assert_eq!(got, finite_hits);
+    }
+
+    #[test]
+    fn self_check_rejects_keys_out_of_total_order() {
+        let mut r = SortedReplica::build(&[1.0, 2.0, 3.0, 4.0], 2);
+        assert!(r.self_check(4));
+        r.keys[1] = f64::NAN;
+        assert!(!r.self_check(4), "a NaN before finite keys would break the binary search");
     }
 
     #[test]
