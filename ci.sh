@@ -24,6 +24,14 @@ cargo test -q $OFFLINE
 echo "== fault-tolerance gate =="
 cargo test -q $OFFLINE -- fault
 
+echo "== server-runtime gate =="
+# pdc-server's own tests (pool dispatch, persistent crew, assignment,
+# placement, fault plans): the root package's `cargo test` does not reach
+# them. Once more optimised, because the crew borrows each dispatch's
+# job across threads with `unsafe` and debug builds hide reorderings.
+cargo test -q $OFFLINE -p pdc-server
+cargo test -q $OFFLINE --release -p pdc-server
+
 echo "== integrity gate =="
 cargo test -q $OFFLINE -- integrity
 # Corruption smoke: a run with 5% of regions corrupted must exit 0 and

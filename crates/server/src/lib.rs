@@ -13,11 +13,14 @@
 //! persistent per-server state (its region cache, simulated clock and
 //! counters — state survives across queries, which is what produces the
 //! paper's caching effects over a query series). Logical servers are
-//! multiplexed over real worker threads; because all *times* come from the
-//! deterministic cost model, results are identical regardless of the host
-//! machine's core count.
+//! multiplexed over real worker threads — the dispatching thread plus the
+//! pool's persistent helper crew, which waits between queries as the
+//! paper's servers do instead of being spawned per broadcast; because all
+//! *times* come from the deterministic cost model, results are identical
+//! regardless of the host machine's core count.
 
 pub mod assign;
+mod crew;
 pub mod fault;
 pub mod placement;
 pub mod pool;

@@ -1,7 +1,9 @@
 //! The logical server pool.
 
+use crate::crew::Crew;
 use parking_lot::{Mutex, RwLock};
 use pdc_types::ServerId;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -31,22 +33,25 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// A pool of logical PDC servers with persistent per-server state,
-/// dispatched over real worker threads. The pool is **elastic**: servers
-/// can be added at runtime ([`Self::add_server`]) without disturbing the
-/// existing states — server ids are stable for the pool's lifetime.
+/// dispatched over real worker threads: the dispatching thread plus a
+/// persistent crew of `worker_threads − 1` helpers that the pool starts on
+/// its first multi-worker dispatch and joins when it is dropped. The
+/// pool is **elastic**: servers can be added at runtime
+/// ([`Self::add_server`]) without disturbing the existing states — server
+/// ids are stable for the pool's lifetime.
 pub struct ServerPool<S> {
     states: RwLock<Vec<Arc<Mutex<S>>>>,
-    worker_threads: usize,
+    /// The worker threads besides the dispatching one.
+    crew: Crew,
 }
 
 impl<S: Send> ServerPool<S> {
     /// Create a pool of `num_servers` logical servers, initializing each
     /// server's state with `init`.
     pub fn new(num_servers: u32, init: impl Fn(ServerId) -> S) -> Self {
-        let states =
-            (0..num_servers).map(|i| Arc::new(Mutex::new(init(ServerId(i))))).collect();
+        let states = (0..num_servers).map(|i| Arc::new(Mutex::new(init(ServerId(i))))).collect();
         let worker_threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        Self { states: RwLock::new(states), worker_threads }
+        Self { states: RwLock::new(states), crew: Crew::new(worker_threads - 1) }
     }
 
     /// Number of logical servers.
@@ -65,9 +70,10 @@ impl<S: Send> ServerPool<S> {
     }
 
     /// Override the number of real worker threads (defaults to the host
-    /// parallelism).
+    /// parallelism). The calling thread is one of them, so `1` means no
+    /// helper thread ever starts.
     pub fn with_worker_threads(mut self, n: usize) -> Self {
-        self.worker_threads = n.max(1);
+        self.crew = Crew::new(n.max(1) - 1);
         self
     }
 
@@ -77,47 +83,65 @@ impl<S: Send> ServerPool<S> {
         self.states.read().clone()
     }
 
-    /// Run `handler` once per logical server ("broadcast"), giving it the
-    /// server's id and exclusive access to its persistent state. Results
-    /// are returned indexed by server. Handlers run concurrently across
-    /// worker threads; each logical server runs exactly once. With a
-    /// single worker the dispatch runs inline on the caller's thread —
-    /// spawning an OS thread per broadcast on a 1-core host costs more
-    /// than the whole handler sweep.
-    pub fn broadcast<R, F>(&self, handler: F) -> Vec<R>
+    /// The one dispatch routine: run `handler` once per logical server and
+    /// return each server's outcome, a caught panic payload included, in
+    /// server order.
+    ///
+    /// The job is a claim loop — take the next server index, lock that
+    /// server's state, run the handler, store the outcome — that the
+    /// calling thread and up to `worker_threads − 1` crew helpers run at
+    /// once (none when one worker or one server is all there is). A
+    /// handler panic is caught per server, so the loop goes on to the
+    /// servers queued behind it and never unwinds.
+    fn dispatch<R, F>(&self, handler: F) -> Vec<std::thread::Result<R>>
     where
         R: Send,
         F: Fn(ServerId, &mut S) -> R + Sync,
     {
         let states = self.snapshot();
         let n = states.len();
-        let workers = self.worker_threads.min(n).max(1);
-        if workers == 1 {
-            return states
-                .iter()
-                .enumerate()
-                .map(|(i, s)| handler(ServerId(i as u32), &mut s.lock()))
-                .collect();
-        }
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let results: Vec<Mutex<Option<std::thread::Result<R>>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
+        // `Relaxed`: the counter only hands out indices. What a helper
+        // stored reaches the caller through the crew's slot lock, which the
+        // helper releases on leaving the job and `Crew::run` takes before
+        // it returns.
         let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let mut state = states[i].lock();
-                    let r = handler(ServerId(i as u32), &mut state);
-                    *results[i].lock() = Some(r);
-                });
+        self.crew.run(n.saturating_sub(1), &|| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
             }
+            let r = {
+                let mut state = states[i].lock();
+                catch_unwind(AssertUnwindSafe(|| handler(ServerId(i as u32), &mut state)))
+            };
+            *results[i].lock() = Some(r);
         });
         results
             .into_iter()
             .map(|m| m.into_inner().expect("every server produced a result"))
             .collect()
+    }
+
+    /// Run `handler` once per logical server ("broadcast"), giving it the
+    /// server's id and exclusive access to its persistent state. Results
+    /// are returned indexed by server. Handlers run concurrently across
+    /// worker threads; each logical server runs exactly once. A second
+    /// thread broadcasting on the same pool meanwhile runs its handlers on
+    /// its own thread alone.
+    ///
+    /// # Panics
+    ///
+    /// If a handler panics, every other server still runs, and the panic
+    /// of the lowest-numbered panicking server is then re-raised on the
+    /// calling thread with its original payload. The pool stays usable.
+    pub fn broadcast<R, F>(&self, handler: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(ServerId, &mut S) -> R + Sync,
+    {
+        self.dispatch(handler).into_iter().map(|r| r.unwrap_or_else(|p| resume_unwind(p))).collect()
     }
 
     /// Like [`Self::broadcast`], but fallible per server: a handler that
@@ -135,53 +159,14 @@ impl<S: Send> ServerPool<S> {
         R: Send,
         F: Fn(ServerId, &mut S) -> R + Sync,
     {
-        let states = self.snapshot();
-        let n = states.len();
-        let workers = self.worker_threads.min(n).max(1);
-        if workers == 1 {
-            return states
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let r = {
-                        let mut state = s.lock();
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            handler(ServerId(i as u32), &mut state)
-                        }))
-                    };
-                    r.map_err(|payload| ServerPanic {
-                        server: ServerId(i as u32),
-                        message: panic_message(&*payload),
-                    })
+        (0u32..)
+            .zip(self.dispatch(handler))
+            .map(|(i, r)| {
+                r.map_err(|payload| ServerPanic {
+                    server: ServerId(i),
+                    message: panic_message(&*payload),
                 })
-                .collect();
-        }
-        let results: Vec<Mutex<Option<Result<R, ServerPanic>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = {
-                        let mut state = states[i].lock();
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            handler(ServerId(i as u32), &mut state)
-                        }))
-                    };
-                    *results[i].lock() = Some(r.map_err(|payload| ServerPanic {
-                        server: ServerId(i as u32),
-                        message: panic_message(&*payload),
-                    }));
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| m.into_inner().expect("every server produced a result"))
+            })
             .collect()
     }
 
@@ -359,5 +344,69 @@ mod tests {
         let b: Vec<u32> =
             pool.try_broadcast(|id, _| id.raw() * 2).into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn broadcast_reraises_a_handler_panic_and_the_pool_survives() {
+        let pool = ServerPool::new(512, |_| State::default()).with_worker_threads(3);
+        #[derive(Debug, PartialEq)]
+        struct Payload(u32);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.broadcast(|id, st| {
+                if id.raw() == 200 {
+                    std::panic::panic_any(Payload(200));
+                }
+                st.invocations += 1;
+            })
+        }));
+        let payload = caught.expect_err("the handler panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<Payload>(), Some(&Payload(200)));
+        // The other 511 servers ran, and pool and helpers are still there.
+        pool.for_each_server(|id, st| assert_eq!(st.invocations, u64::from(id.raw() != 200)));
+        assert_eq!(pool.crew.helpers_started(), 2);
+        let again = pool.broadcast(|id, st| {
+            st.invocations += 1;
+            id.raw()
+        });
+        assert_eq!(again, (0..512).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn dropping_the_pool_joins_its_helpers() {
+        let pool = ServerPool::new(16, |_| State::default()).with_worker_threads(3);
+        let crew = pool.crew.shared();
+        assert_eq!(pool.crew.helpers_started(), 0, "helpers start lazily");
+        pool.broadcast(|_, st| st.invocations += 1);
+        assert_eq!(pool.crew.helpers_started(), 2);
+        // Each helper thread holds the crew's shared state; it is released
+        // only once the thread has been joined.
+        assert!(crew.upgrade().is_some());
+        drop(pool);
+        assert!(crew.upgrade().is_none(), "a helper outlived its pool");
+    }
+
+    #[test]
+    fn two_hundred_pools_leave_no_live_crew() {
+        let crews: Vec<_> = (0..200)
+            .map(|_| {
+                let pool = ServerPool::new(4, |_| State::default()).with_worker_threads(2);
+                assert_eq!(pool.broadcast(|id, _| id.raw()), vec![0, 1, 2, 3]);
+                assert_eq!(pool.crew.helpers_started(), 1);
+                pool.crew.shared()
+            })
+            .collect();
+        assert!(crews.iter().all(|crew| crew.upgrade().is_none()));
+    }
+
+    #[test]
+    fn a_single_worker_pool_never_starts_a_helper() {
+        let pool = ServerPool::new(32, |_| State::default()).with_worker_threads(1);
+        pool.broadcast(|_, st| st.invocations += 1);
+        assert!(pool.try_broadcast(|id, _| id.raw()).iter().all(|r| r.is_ok()));
+        assert_eq!(pool.crew.helpers_started(), 0);
+        // Neither does a pool whose only server leaves nothing to share.
+        let pool = ServerPool::new(1, |_| State::default()).with_worker_threads(4);
+        pool.broadcast(|_, st| st.invocations += 1);
+        assert_eq!(pool.crew.helpers_started(), 0);
     }
 }
