@@ -186,11 +186,17 @@ echo "== out-of-core gate =="
 # damage, and a memory-budgeted store must answer every strategy
 # bit-identically to an unbounded one (incl. simulated costs) across
 # faults, corruption, batches, and streaming appends.
-cargo test -q $OFFLINE -p pdc-blockstore
+# pdc-storage's unit tests hold the spill, quarantine and payload-checksum
+# logic. Both crates run in debug and in release: the word-parallel
+# checksum and the plane-gather decode are the loops optimisation levels
+# can break.
+cargo test -q $OFFLINE -p pdc-blockstore -p pdc-storage
+cargo test -q $OFFLINE --release -p pdc-blockstore -p pdc-storage
 cargo test -q $OFFLINE -p pdc-query --test spill_equivalence
-# Bench-bin gate (compression >= 2x, resident high-water <= budget with
-# demotions observed, all strategies identical to unbounded), then a
-# CLI smoke under a budget far below the dataset.
+# Bench-bin gate (compression >= 2x, cold-streamed scan >= 0.5x the
+# resident scan, resident high-water <= budget with demotions observed,
+# all strategies identical to unbounded), then a CLI smoke under a budget
+# far below the dataset.
 target/release/blockstore /tmp/ci_blockstore.json
 spill_out=$($PDC query "$SMOKE_Q" $SMOKE_ARGS --memory-budget 256K)
 spill_hits=$(echo "$spill_out" | grep -o '[0-9]* hits ([0-9]* runs)')

@@ -6,8 +6,10 @@
 //!    simulation dumps usually are) must compress at least 2x end-to-end
 //!    in the block file, checksums and index included.
 //! 2. **Cold-scan throughput** — interval scans that stream spilled
-//!    blocks (decompress + fused kernel, block by block) vs the same
-//!    scan over the resident payload; selections must be identical.
+//!    blocks (verify + decompress + fused kernel, block by block) vs the
+//!    same scan over the resident payload; selections must be identical
+//!    and the cold scan must reach [`COLD_OVER_RESIDENT_FLOOR`] of the
+//!    resident one.
 //! 3. **Budgeted execution** — a store importing under a memory budget
 //!    far below the dataset keeps its settled resident high-water under
 //!    that budget, and every strategy's selection is bit-identical to an
@@ -29,6 +31,19 @@ use std::time::Instant;
 const DEFAULT_N: usize = 1 << 22;
 const SERVERS: u32 = 8;
 const REGION_BYTES: u64 = 128 << 10;
+/// Floor on cold-streamed over resident scan throughput. Measured 0.84-0.88 at
+/// 100M elements (2.08x-compressible blocks) and 1.2 at the CI size of 4M
+/// (1.13x; the resident side is the scalar reference scan) with the
+/// word-parallel frame checksum and single-pass decode — it was 0.23 with
+/// the byte-wise checksum and three-pass decode. The floor leaves 1.7x
+/// headroom for a noisy host and still fails on a return to the old read
+/// path.
+const COLD_OVER_RESIDENT_FLOOR: f64 = 0.5;
+/// Written next to `block_cache_hit_rate`, which fell from 0.985 when
+/// candidate scans stopped going back to the cache once per run.
+const CACHE_NOTE: &str = "candidate scans hold the decoded block across the runs of a region \
+    task, so same-block self-hits are no longer counted; varies run to run with server-thread \
+    timing (0.02-0.10 over three runs)";
 
 const STRATEGIES: [Strategy; 5] = [
     Strategy::FullScan,
@@ -175,10 +190,12 @@ fn main() {
     );
 
     let (resident_meps, cold_meps) = scan_throughput(&values);
+    let cold_over_resident = cold_meps / resident_meps;
+    let cold_pass = cold_over_resident >= COLD_OVER_RESIDENT_FLOOR;
     println!(
         "scan: resident {resident_meps:.0} Melem/s, cold stream {cold_meps:.0} Melem/s \
-         ({:.2}x of resident)",
-        cold_meps / resident_meps
+         ({cold_over_resident:.2}x of resident, gate >= {COLD_OVER_RESIDENT_FLOOR}: {})",
+        if cold_pass { "PASS" } else { "FAIL" }
     );
 
     // Budget: a quarter of the raw data bytes — far below the dataset,
@@ -240,7 +257,7 @@ fn main() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 
-    let gates = comp_pass && budget_pass && all_match;
+    let gates = comp_pass && cold_pass && budget_pass && all_match;
     let json = format!(
         "{{\n  \"n_elements\": {n},\n  \"servers\": {SERVERS},\n  \
          \"region_bytes\": {REGION_BYTES},\n  \
@@ -249,14 +266,18 @@ fn main() {
          \"compression_gate_2x\": \"{}\",\n  \
          \"scan_resident_melems_per_s\": {resident_meps:.1},\n  \
          \"scan_cold_stream_melems_per_s\": {cold_meps:.1},\n  \
+         \"cold_over_resident\": {cold_over_resident:.3},\n  \
+         \"cold_over_resident_gate\": \"{}\",\n  \
          \"memory_budget_bytes\": {budget},\n  \
          \"resident_high_water_bytes\": {},\n  \
          \"budget_gate\": \"{}\",\n  \
          \"demotions\": {},\n  \"fault_ins\": {},\n  \"spilled_regions\": {},\n  \
          \"spill_compression\": {spill_ratio:.3},\n  \
          \"block_cache_hit_rate\": {:.4},\n  \
+         \"block_cache_hit_rate_note\": \"{CACHE_NOTE}\",\n  \
          \"identical_to_unbounded\": {all_match},\n  \"strategies\": {{\n{strat_json}  }}\n}}\n",
         if comp_pass { "PASS" } else { "FAIL" },
+        if cold_pass { "PASS" } else { "FAIL" },
         stats.resident_high_water,
         if budget_pass { "PASS" } else { "FAIL" },
         stats.demotions,

@@ -7,7 +7,7 @@
 //! | header (24 B): "PDCB" | format u32 | kind u8 | elem u8 |     |
 //! |                reserved u16 | total u64 | block_elems u32    |
 //! +--------------------------------------------------------------+
-//! | block 0: comp_len u32 | elems u32 | enc u8 | fnv u64 |       |
+//! | block 0: comp_len u32 | elems u32 | enc u8 | sum u64 |       |
 //! |          <comp_len compressed bytes>                         |
 //! | block 1: ...                                                 |
 //! +--------------------------------------------------------------+
@@ -26,31 +26,39 @@
 //! interval read can map straight to the overlapping blocks and seek to
 //! their file offsets.
 //!
-//! Checksums leave no unprotected byte: each block's FNV streams over
-//! the frame header fields (comp_len, elems, encoding) *and* the
-//! compressed payload, and the index FNV streams over the file header
-//! plus the index entries, so any single bit flip anywhere in the file
-//! is detected (the footer fields themselves are cross-checked against
-//! the header and the section tiling).
+//! Checksums leave no unprotected byte. Each block's `sum` (format 2) is
+//! the word-parallel [`BulkFnv`] of the compressed payload, seeded with
+//! the byte-wise FNV-1a of the frame header fields (comp_len, elems,
+//! encoding); the index FNV is byte-wise FNV-1a over the file header plus
+//! the index entries (small, so the serial hash costs nothing). Both
+//! detect every single-bit flip by construction (see [`crate::fnv`]), so
+//! any such flip anywhere in the file is detected (the footer fields
+//! themselves are cross-checked against the header and the section
+//! tiling).
 //!
 //! Every read is bounds-checked and checksum-verified; any structural
-//! problem yields a typed [`PdcError`], never a panic.
+//! problem yields a typed [`PdcError`], never a panic. Files are only
+//! ever read back by the process that wrote them (`pdc-storage` reaches
+//! a spill file through the handle its own demotion created), so there
+//! is one format: a reader that meets any other version refuses it.
 
 use crate::codec;
-use crate::fnv::Fnv1a;
-use parking_lot::Mutex;
+use crate::fnv::{BulkFnv, Fnv1a};
 use pdc_types::error::{PdcError, PdcResult};
 use pdc_types::value::{PdcType, TypedVec};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+// Positional reads (`read_exact_at`): no shared file cursor, so a reader
+// needs no lock. Unix-only, as is everything this workspace is built and
+// benchmarked on.
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 /// File magic for block files.
 pub const BLOCK_MAGIC: [u8; 4] = *b"PDCB";
 /// Footer magic.
 pub const FOOTER_MAGIC: [u8; 4] = *b"PDCE";
-/// Format version.
-pub const BLOCK_FORMAT: u32 = 1;
+/// Format version (2: block frames carry the word-parallel checksum).
+pub const BLOCK_FORMAT: u32 = 2;
 /// Header size in bytes.
 pub const HEADER_LEN: u64 = 24;
 /// Per-block frame header size in bytes.
@@ -123,16 +131,29 @@ pub struct BlockFileMeta {
     pub file_bytes: u64,
 }
 
-/// Block-frame checksum: streams over the frame header fields and the
-/// compressed payload, so a flip in the length/element-count/encoding
-/// bytes is caught even when the damaged values still parse.
-fn frame_fnv(comp_len: u32, elems: u32, enc: u8, payload: &[u8]) -> u64 {
-    Fnv1a::new()
+/// Block-frame checksum: the bulk checksum of the compressed payload,
+/// seeded with the classic FNV of the frame header fields, so a flip in
+/// the length/element-count/encoding bytes is caught even when the
+/// damaged values still parse.
+fn frame_sum(comp_len: u32, elems: u32, enc: u8, payload: &[u8]) -> u64 {
+    let seed = Fnv1a::new()
         .chain(&comp_len.to_le_bytes())
         .chain(&elems.to_le_bytes())
         .chain(&[enc])
-        .chain(payload)
-        .finish()
+        .finish();
+    BulkFnv::with_seed(seed).chain(payload).finish()
+}
+
+/// The blocks of a `total`-element payload cut every `block_elems` that
+/// intersect element range `[lo, hi)` (virtual offsets: block `i` covers
+/// `[i * block_elems, (i+1) * block_elems)`); empty for an empty or
+/// past-the-end range.
+pub fn blocks_overlapping(total: u64, block_elems: u32, lo: u64, hi: u64) -> std::ops::Range<u32> {
+    let hi = hi.min(total);
+    if lo >= hi {
+        return 0..0;
+    }
+    (lo / block_elems as u64) as u32..hi.div_ceil(block_elems as u64) as u32
 }
 
 fn expected_blocks(total: u64, block_elems: u32) -> u64 {
@@ -191,7 +212,7 @@ fn write_file(
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&elems.to_le_bytes());
         buf.push(enc);
-        buf.extend_from_slice(&frame_fnv(payload.len() as u32, elems, enc, &payload).to_le_bytes());
+        buf.extend_from_slice(&frame_sum(payload.len() as u32, elems, enc, &payload).to_le_bytes());
         comp_bytes += payload.len() as u64;
         buf.extend_from_slice(&payload);
     }
@@ -257,11 +278,13 @@ struct IndexEntry {
 /// Random-access reader over a block file.
 ///
 /// Opening validates the header, footer and offset index (checksummed);
-/// individual block reads seek straight to the block frame, verify its
-/// checksum, and decode — a region's interval reads touch only the
-/// overlapping blocks.
+/// an individual block read is one positional read of frame + payload
+/// (the extent is known from the verified index), a checksum
+/// verification, and a decode — a region's interval reads touch only the
+/// overlapping blocks, and concurrent readers share the file without a
+/// lock.
 pub struct BlockReader {
-    file: Mutex<File>,
+    file: File,
     meta: BlockFileMeta,
     index: Vec<IndexEntry>,
     index_off: u64,
@@ -270,14 +293,13 @@ pub struct BlockReader {
 impl BlockReader {
     /// Open and validate `path`.
     pub fn open(path: &Path) -> PdcResult<BlockReader> {
-        let mut file = File::open(path).map_err(|e| io_err("open", e))?;
-        let file_len = file.seek(SeekFrom::End(0)).map_err(|e| io_err("seek", e))?;
+        let file = File::open(path).map_err(|e| io_err("open", e))?;
+        let file_len = file.metadata().map_err(|e| io_err("stat", e))?.len();
         if file_len < HEADER_LEN + FOOTER_LEN {
             return Err(corrupt(format!("file too short ({file_len} bytes)")));
         }
         let mut header = [0u8; HEADER_LEN as usize];
-        file.seek(SeekFrom::Start(0)).map_err(|e| io_err("seek", e))?;
-        file.read_exact(&mut header).map_err(|e| io_err("read header", e))?;
+        file.read_exact_at(&mut header, 0).map_err(|e| io_err("read header", e))?;
         if header[0..4] != BLOCK_MAGIC {
             return Err(corrupt("bad magic"));
         }
@@ -298,9 +320,8 @@ impl BlockReader {
         let n_blocks = expected_blocks(total, block_elems);
 
         let mut footer = [0u8; FOOTER_LEN as usize];
-        file.seek(SeekFrom::Start(file_len - FOOTER_LEN))
-            .map_err(|e| io_err("seek", e))?;
-        file.read_exact(&mut footer).map_err(|e| io_err("read footer", e))?;
+        file.read_exact_at(&mut footer, file_len - FOOTER_LEN)
+            .map_err(|e| io_err("read footer", e))?;
         if footer[20..24] != FOOTER_MAGIC {
             return Err(corrupt("bad footer magic"));
         }
@@ -321,8 +342,7 @@ impl BlockReader {
             return Err(corrupt(format!("hostile index offset {index_off}")));
         }
         let mut index_bytes = vec![0u8; index_len as usize];
-        file.seek(SeekFrom::Start(index_off)).map_err(|e| io_err("seek", e))?;
-        file.read_exact(&mut index_bytes).map_err(|e| io_err("read index", e))?;
+        file.read_exact_at(&mut index_bytes, index_off).map_err(|e| io_err("read index", e))?;
         if Fnv1a::new().chain(&header).chain(&index_bytes).finish() != index_fnv {
             return Err(corrupt("header/index checksum mismatch"));
         }
@@ -349,8 +369,7 @@ impl BlockReader {
                 return Err(corrupt(format!("block {i}: frame overruns index")));
             }
             let mut frame = [0u8; FRAME_LEN as usize];
-            file.seek(SeekFrom::Start(file_off)).map_err(|e| io_err("seek", e))?;
-            file.read_exact(&mut frame).map_err(|e| io_err("read frame", e))?;
+            file.read_exact_at(&mut frame, file_off).map_err(|e| io_err("read frame", e))?;
             let comp_len = u32::from_le_bytes(frame[0..4].try_into().unwrap());
             expect_off = file_off
                 .checked_add(FRAME_LEN)
@@ -371,7 +390,7 @@ impl BlockReader {
             )));
         }
         Ok(BlockReader {
-            file: Mutex::new(file),
+            file,
             meta: BlockFileMeta {
                 kind,
                 total,
@@ -405,19 +424,18 @@ impl BlockReader {
         )
     }
 
-    /// The blocks overlapping element range `[lo, hi)` (virtual offsets:
-    /// block `i` covers `[i * block_elems, (i+1) * block_elems)`).
+    /// The blocks overlapping element range `[lo, hi)`.
     pub fn blocks_overlapping(&self, lo: u64, hi: u64) -> std::ops::Range<u32> {
-        if lo >= hi || self.meta.total == 0 {
-            return 0..0;
-        }
-        let hi = hi.min(self.meta.total);
-        let first = (lo / self.meta.block_elems as u64) as u32;
-        let last = hi.div_ceil(self.meta.block_elems as u64) as u32;
-        first.min(self.meta.n_blocks)..last.min(self.meta.n_blocks)
+        blocks_overlapping(self.meta.total, self.meta.block_elems, lo, hi)
     }
 
-    fn read_block_payload(&self, i: u32) -> PdcResult<(u8, u32, Vec<u8>)> {
+    /// Read and verify block `i`, then hand `(encoding, elems, payload)`
+    /// to `decode`.
+    fn with_block_payload<R>(
+        &self,
+        i: u32,
+        decode: impl FnOnce(u8, usize, &[u8]) -> PdcResult<R>,
+    ) -> PdcResult<R> {
         let entry = *self
             .index
             .get(i as usize)
@@ -427,10 +445,11 @@ impl BlockReader {
             .get(i as usize + 1)
             .map(|e| e.file_off)
             .unwrap_or(self.index_off);
-        let mut file = self.file.lock();
-        let mut frame = [0u8; FRAME_LEN as usize];
-        file.seek(SeekFrom::Start(entry.file_off)).map_err(|e| io_err("seek", e))?;
-        file.read_exact(&mut frame).map_err(|e| io_err("read frame", e))?;
+        // `open` verified that frames tile `[HEADER_LEN, index_off)`, so the
+        // extent is at least a frame header and bounded by the file size.
+        let mut buf = vec![0u8; (next_off - entry.file_off) as usize];
+        self.file.read_exact_at(&mut buf, entry.file_off).map_err(|e| io_err("read block", e))?;
+        let (frame, payload) = buf.split_at(FRAME_LEN as usize);
         let comp_len = u32::from_le_bytes(frame[0..4].try_into().unwrap());
         let elems = u32::from_le_bytes(frame[4..8].try_into().unwrap());
         let enc = frame[8];
@@ -444,13 +463,10 @@ impl BlockReader {
                 entry.elems
             )));
         }
-        let mut payload = vec![0u8; comp_len as usize];
-        file.read_exact(&mut payload).map_err(|e| io_err("read block", e))?;
-        drop(file);
-        if frame_fnv(comp_len, elems, enc, &payload) != checksum {
+        if frame_sum(comp_len, elems, enc, payload) != checksum {
             return Err(corrupt(format!("block {i}: checksum mismatch")));
         }
-        Ok((enc, elems, payload))
+        decode(enc, elems as usize, payload)
     }
 
     /// Read and decode one typed block.
@@ -458,8 +474,7 @@ impl BlockReader {
         let PayloadKind::Typed(ty) = self.meta.kind else {
             return Err(corrupt("typed read on raw block file"));
         };
-        let (enc, elems, payload) = self.read_block_payload(i)?;
-        codec::decode_block(ty, enc, elems as usize, &payload)
+        self.with_block_payload(i, |enc, elems, payload| codec::decode_block(ty, enc, elems, payload))
     }
 
     /// Read and decode one raw-byte block.
@@ -467,8 +482,7 @@ impl BlockReader {
         if self.meta.kind != PayloadKind::Raw {
             return Err(corrupt("raw read on typed block file"));
         }
-        let (enc, elems, payload) = self.read_block_payload(i)?;
-        codec::decode_raw_block(enc, elems as usize, &payload)
+        self.with_block_payload(i, codec::decode_raw_block)
     }
 
     /// Decode the whole file into one typed array.
@@ -476,6 +490,9 @@ impl BlockReader {
         let PayloadKind::Typed(ty) = self.meta.kind else {
             return Err(corrupt("typed read on raw block file"));
         };
+        if self.meta.n_blocks == 1 {
+            return self.read_typed_block(0);
+        }
         let mut out = TypedVec::with_capacity(ty, self.meta.total as usize);
         for b in 0..self.meta.n_blocks {
             let block = self.read_typed_block(b)?;
@@ -571,6 +588,49 @@ mod tests {
         assert_eq!(r.blocks_overlapping(4999, 100_000), 4..5);
         assert_eq!(r.blocks_overlapping(10, 10), 0..0);
         assert_eq!(r.blocks_overlapping(0, 5000), 0..5);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn overlap_mapping_empty_boundary_and_past_the_end() {
+        // The one implementation behind `BlockReader::blocks_overlapping`
+        // and `pdc-storage`'s `ColdRegion::blocks_overlapping`.
+        let of = |lo, hi| blocks_overlapping(2500, 1000, lo, hi);
+        // Empty and inverted ranges.
+        assert_eq!(of(0, 0), 0..0);
+        assert_eq!(of(1000, 1000), 0..0);
+        assert_eq!(of(7, 3), 0..0);
+        // Exact block boundaries: `hi` is exclusive, `lo` inclusive.
+        assert_eq!(of(0, 1000), 0..1);
+        assert_eq!(of(999, 1000), 0..1);
+        assert_eq!(of(999, 1001), 0..2);
+        assert_eq!(of(1000, 1001), 1..2);
+        assert_eq!(of(1000, 2000), 1..2);
+        // The short last block, and ranges running past the end.
+        assert_eq!(of(2000, 2500), 2..3);
+        assert_eq!(of(2499, 2500), 2..3);
+        assert_eq!(of(0, 2500), 0..3);
+        assert_eq!(of(0, u64::MAX), 0..3);
+        assert_eq!(of(2400, 1 << 40), 2..3);
+        // Wholly past the end.
+        assert_eq!(of(2500, 2501), 0..0);
+        assert_eq!(of(3000, u64::MAX), 0..0);
+        // An empty payload has no blocks; a total that is a whole number
+        // of blocks has no phantom last block.
+        assert_eq!(blocks_overlapping(0, 1000, 0, 10), 0..0);
+        assert_eq!(blocks_overlapping(2000, 1000, 1999, 5000), 1..2);
+        assert_eq!(blocks_overlapping(2000, 1000, 2000, 5000), 0..0);
+    }
+
+    #[test]
+    fn one_block_file_reads_whole_as_that_block() {
+        let tv = TypedVec::UInt32((0..777).map(|i| i * 3).collect());
+        let path = tmp_path("oneblock");
+        write_typed(&path, &tv, 1024).unwrap();
+        let r = BlockReader::open(&path).unwrap();
+        assert_eq!(r.n_blocks(), 1);
+        assert_eq!(r.read_all_typed().unwrap(), tv);
+        assert_eq!(r.read_typed_block(0).unwrap(), tv);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -155,19 +155,6 @@ fn shuffle_bytes(src: &[u8], width: usize) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`shuffle_bytes`].
-fn unshuffle_bytes(src: &[u8], width: usize) -> Vec<u8> {
-    debug_assert_eq!(src.len() % width, 0);
-    let n = src.len() / width;
-    let mut out = vec![0u8; src.len()];
-    for plane in 0..width {
-        for e in 0..n {
-            out[e * width + plane] = src[plane * n + e];
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Bit-packing
 // ---------------------------------------------------------------------------
@@ -374,32 +361,66 @@ pub fn le_bytes(tv: &TypedVec, start: usize, len: usize) -> Vec<u8> {
     }
 }
 
-macro_rules! vec_from_le {
-    ($bytes:expr, $t:ty, $w:expr) => {{
-        let mut out = Vec::with_capacity($bytes.len() / $w);
-        for chunk in $bytes.chunks_exact($w) {
-            out.push(<$t>::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        out
-    }};
+/// Split `bytes` into `W` byte planes of `n` bytes each.
+fn planes<const W: usize>(bytes: &[u8], n: usize) -> [&[u8]; W] {
+    std::array::from_fn(|i| &bytes[i * n..(i + 1) * n])
 }
 
-fn typed_from_le(ty: PdcType, bytes: &[u8]) -> PdcResult<TypedVec> {
-    let w = ty.size_bytes() as usize;
-    if !bytes.len().is_multiple_of(w) {
-        return Err(corrupt(format!(
-            "decode: {} bytes not a multiple of element width {w}",
-            bytes.len()
-        )));
+/// Element-major gather of four byte planes: element `e` is
+/// `make([p0[e], p1[e], p2[e], p3[e]])`. Zipped slice iterators carry no
+/// bounds checks and collect into an exactly-sized `Vec`, so the loop
+/// vectorises.
+fn gather4<T>(bytes: &[u8], n: usize, make: impl Fn([u8; 4]) -> T) -> Vec<T> {
+    let [p0, p1, p2, p3] = planes::<4>(bytes, n);
+    p0.iter()
+        .zip(p1)
+        .zip(p2)
+        .zip(p3)
+        .map(|(((&a, &b), &c), &d)| make([a, b, c, d]))
+        .collect()
+}
+
+/// [`gather4`] for eight planes.
+fn gather8<T>(bytes: &[u8], n: usize, make: impl Fn([u8; 8]) -> T) -> Vec<T> {
+    let [p0, p1, p2, p3, p4, p5, p6, p7] = planes::<8>(bytes, n);
+    let lo = p0.iter().zip(p1).zip(p2).zip(p3);
+    let hi = p4.iter().zip(p5).zip(p6).zip(p7);
+    lo.zip(hi)
+        .map(|((((&a, &b), &c), &d), (((&e, &f), &g), &h))| make([a, b, c, d, e, f, g, h]))
+        .collect()
+}
+
+/// Undo the byte-plane shuffle of `planes` (`elems` elements of `ty`)
+/// straight into the typed output.
+fn typed_from_planes(ty: PdcType, planes: &[u8], elems: usize) -> TypedVec {
+    match ty {
+        PdcType::Float => TypedVec::Float(gather4(planes, elems, f32::from_le_bytes)),
+        PdcType::Double => TypedVec::Double(gather8(planes, elems, f64::from_le_bytes)),
+        PdcType::Int32 => TypedVec::Int32(gather4(planes, elems, i32::from_le_bytes)),
+        PdcType::UInt32 => TypedVec::UInt32(gather4(planes, elems, u32::from_le_bytes)),
+        PdcType::Int64 => TypedVec::Int64(gather8(planes, elems, i64::from_le_bytes)),
+        PdcType::UInt64 => TypedVec::UInt64(gather8(planes, elems, u64::from_le_bytes)),
     }
-    Ok(match ty {
-        PdcType::Float => TypedVec::Float(vec_from_le!(bytes, f32, 4)),
-        PdcType::Double => TypedVec::Double(vec_from_le!(bytes, f64, 8)),
-        PdcType::Int32 => TypedVec::Int32(vec_from_le!(bytes, i32, 4)),
-        PdcType::UInt32 => TypedVec::UInt32(vec_from_le!(bytes, u32, 4)),
-        PdcType::Int64 => TypedVec::Int64(vec_from_le!(bytes, i64, 8)),
-        PdcType::UInt64 => TypedVec::UInt64(vec_from_le!(bytes, u64, 8)),
-    })
+}
+
+/// `bytes` (a whole number of elements) as little-endian elements.
+fn typed_from_le(ty: PdcType, bytes: &[u8]) -> TypedVec {
+    macro_rules! elems {
+        ($t:ty) => {
+            bytes
+                .chunks_exact(std::mem::size_of::<$t>())
+                .map(|c| <$t>::from_le_bytes(c.try_into().expect("exact chunk")))
+                .collect()
+        };
+    }
+    match ty {
+        PdcType::Float => TypedVec::Float(elems!(f32)),
+        PdcType::Double => TypedVec::Double(elems!(f64)),
+        PdcType::Int32 => TypedVec::Int32(elems!(i32)),
+        PdcType::UInt32 => TypedVec::UInt32(elems!(u32)),
+        PdcType::Int64 => TypedVec::Int64(elems!(i64)),
+        PdcType::UInt64 => TypedVec::UInt64(elems!(u64)),
+    }
 }
 
 fn int_bits64(tv: &TypedVec, start: usize, len: usize) -> Option<Vec<u64>> {
@@ -488,25 +509,18 @@ pub fn decode_block(ty: PdcType, encoding: u8, elems: usize, payload: &[u8]) -> 
                     payload.len()
                 )));
             }
-            typed_from_le(ty, payload)
+            Ok(typed_from_le(ty, payload))
         }
-        ENC_SHUFFLE => {
-            let shuffled = packbits_decode(payload, raw_len)?;
-            typed_from_le(ty, &unshuffle_bytes(&shuffled, width))
-        }
+        ENC_SHUFFLE => Ok(typed_from_planes(ty, &packbits_decode(payload, raw_len)?, elems)),
         ENC_FOR_PACK => typed_from_bits64(ty, for_unpack_bits(payload, elems)?),
         ENC_DELTA_FOR_PACK => typed_from_bits64(ty, delta_for_unpack_bits(payload, elems)?),
         ENC_F64_AS_F32 => {
             if ty != PdcType::Double {
                 return Err(corrupt("decode: f64-as-f32 tag on non-double payload"));
             }
+            // `elems * 4 <= raw_len`, which was overflow-checked above.
             let narrow = packbits_decode(payload, elems * 4)?;
-            let bytes = unshuffle_bytes(&narrow, 4);
-            let mut xs = Vec::with_capacity(elems);
-            for chunk in bytes.chunks_exact(4) {
-                xs.push(f32::from_le_bytes(chunk.try_into().unwrap()) as f64);
-            }
-            Ok(TypedVec::Double(xs))
+            Ok(TypedVec::Double(gather4(&narrow, elems, |b| f32::from_le_bytes(b) as f64)))
         }
         other => Err(corrupt(format!("decode: unknown encoding tag {other}"))),
     }
@@ -544,6 +558,186 @@ pub fn decode_raw_block(encoding: u8, raw_len: usize, payload: &[u8]) -> PdcResu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Inverse of [`shuffle_bytes`], as a pass of its own.
+    fn unshuffle_bytes(src: &[u8], width: usize) -> Vec<u8> {
+        let n = src.len() / width;
+        let mut out = vec![0u8; src.len()];
+        for plane in 0..width {
+            for e in 0..n {
+                out[e * width + plane] = src[plane * n + e];
+            }
+        }
+        out
+    }
+
+    /// Element-by-element decode of a little-endian byte image.
+    fn typed_from_le_oracle(ty: PdcType, bytes: &[u8]) -> TypedVec {
+        let mut out = TypedVec::with_capacity(ty, bytes.len() / ty.size_bytes() as usize);
+        for chunk in bytes.chunks_exact(ty.size_bytes() as usize) {
+            match &mut out {
+                TypedVec::Float(xs) => xs.push(f32::from_le_bytes(chunk.try_into().unwrap())),
+                TypedVec::Double(xs) => xs.push(f64::from_le_bytes(chunk.try_into().unwrap())),
+                TypedVec::Int32(xs) => xs.push(i32::from_le_bytes(chunk.try_into().unwrap())),
+                TypedVec::UInt32(xs) => xs.push(u32::from_le_bytes(chunk.try_into().unwrap())),
+                TypedVec::Int64(xs) => xs.push(i64::from_le_bytes(chunk.try_into().unwrap())),
+                TypedVec::UInt64(xs) => xs.push(u64::from_le_bytes(chunk.try_into().unwrap())),
+            }
+        }
+        out
+    }
+
+    /// The three-pass decoder the read path used before the single-pass
+    /// gather (PackBits -> unshuffle -> element pushes), kept as the
+    /// reference `decode_block` is checked against.
+    fn decode_block_oracle(
+        ty: PdcType,
+        encoding: u8,
+        elems: usize,
+        payload: &[u8],
+    ) -> PdcResult<TypedVec> {
+        let width = ty.size_bytes() as usize;
+        let raw_len = elems
+            .checked_mul(width)
+            .ok_or_else(|| corrupt("decode: element count overflows byte length"))?;
+        match encoding {
+            ENC_RAW if payload.len() != raw_len => Err(corrupt("decode: raw block length")),
+            ENC_RAW => Ok(typed_from_le_oracle(ty, payload)),
+            ENC_SHUFFLE => {
+                let shuffled = packbits_decode(payload, raw_len)?;
+                Ok(typed_from_le_oracle(ty, &unshuffle_bytes(&shuffled, width)))
+            }
+            ENC_FOR_PACK => typed_from_bits64(ty, for_unpack_bits(payload, elems)?),
+            ENC_DELTA_FOR_PACK => typed_from_bits64(ty, delta_for_unpack_bits(payload, elems)?),
+            ENC_F64_AS_F32 if ty != PdcType::Double => Err(corrupt("decode: f64-as-f32 tag")),
+            ENC_F64_AS_F32 => {
+                let bytes = unshuffle_bytes(&packbits_decode(payload, elems * 4)?, 4);
+                let mut xs = Vec::with_capacity(elems);
+                for chunk in bytes.chunks_exact(4) {
+                    xs.push(f32::from_le_bytes(chunk.try_into().unwrap()) as f64);
+                }
+                Ok(TypedVec::Double(xs))
+            }
+            other => Err(corrupt(format!("decode: unknown encoding tag {other}"))),
+        }
+    }
+
+    /// Every encoding applicable to `tv`, forced (the public encoder only
+    /// keeps the smallest).
+    fn all_encodings(tv: &TypedVec) -> Vec<(u8, Vec<u8>)> {
+        let raw = le_bytes(tv, 0, tv.len());
+        let width = tv.pdc_type().size_bytes() as usize;
+        let mut out =
+            vec![(ENC_RAW, raw.clone()), (ENC_SHUFFLE, packbits_encode(&shuffle_bytes(&raw, width)))];
+        if let Some(bits) = int_bits64(tv, 0, tv.len()) {
+            out.push((ENC_FOR_PACK, for_pack_bits(&bits)));
+            out.push((ENC_DELTA_FOR_PACK, delta_for_pack_bits(&bits)));
+        }
+        if let TypedVec::Double(xs) = tv {
+            // Lossy for arbitrary doubles — irrelevant here: both decoders
+            // must widen the same f32 bit patterns the same way.
+            let narrow: Vec<u8> = xs.iter().flat_map(|&v| (v as f32).to_le_bytes()).collect();
+            out.push((ENC_F64_AS_F32, packbits_encode(&shuffle_bytes(&narrow, 4))));
+        }
+        out
+    }
+
+    /// `decode_block` and the oracle agree bit-for-bit on `payload`, or
+    /// both refuse it with the codec error class.
+    fn assert_decoders_agree(ty: PdcType, enc: u8, elems: usize, payload: &[u8]) {
+        match (decode_block(ty, enc, elems, payload), decode_block_oracle(ty, enc, elems, payload)) {
+            (Ok(new), Ok(old)) => {
+                assert_eq!(new.pdc_type(), old.pdc_type(), "encoding {enc}");
+                assert_eq!(new.len(), elems, "encoding {enc}");
+                assert_eq!(
+                    le_bytes(&new, 0, new.len()),
+                    le_bytes(&old, 0, old.len()),
+                    "{ty:?} encoding {enc}, {elems} elements"
+                );
+            }
+            (Err(PdcError::Codec(_)), Err(PdcError::Codec(_))) => {}
+            (new, old) => panic!(
+                "{ty:?} encoding {enc}, {elems} elements: decode_block {:?} vs oracle {:?}",
+                new.map(|v| v.len()),
+                old.map(|v| v.len())
+            ),
+        }
+    }
+
+    /// All six element types built from one pool of bit patterns.
+    fn typed_variants(bits: &[u64]) -> [TypedVec; 6] {
+        [
+            TypedVec::Float(bits.iter().map(|&b| f32::from_bits(b as u32)).collect()),
+            TypedVec::Double(bits.iter().map(|&b| f64::from_bits(b)).collect()),
+            TypedVec::Int32(bits.iter().map(|&b| b as i32).collect()),
+            TypedVec::UInt32(bits.iter().map(|&b| b as u32).collect()),
+            TypedVec::Int64(bits.iter().map(|&b| b as i64).collect()),
+            TypedVec::UInt64(bits.to_vec()),
+        ]
+    }
+
+    fn check_against_oracle(bits: &[u64]) {
+        for tv in typed_variants(bits) {
+            let ty = tv.pdc_type();
+            for (enc, payload) in all_encodings(&tv) {
+                assert_decoders_agree(ty, enc, tv.len(), &payload);
+                // Damage: one byte short, one byte long, the reserved
+                // PackBits control byte up front, and a wrong element
+                // count either way. Same verdict from both decoders.
+                assert_decoders_agree(ty, enc, tv.len(), &payload[..payload.len().saturating_sub(1)]);
+                assert_decoders_agree(ty, enc, tv.len(), &[&payload[..], &[0x7f]].concat());
+                assert_decoders_agree(ty, enc, tv.len(), &[&[128u8][..], &payload[..]].concat());
+                assert_decoders_agree(ty, enc, tv.len() + 1, &payload);
+                assert_decoders_agree(ty, enc, tv.len().saturating_sub(1), &payload);
+            }
+        }
+    }
+
+    /// Bit patterns that reach NaN payloads, infinities, signed zeros and
+    /// denormals in both float widths, next to arbitrary and run-heavy
+    /// values.
+    fn special_bits() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            any::<u64>(),
+            Just(0u64),
+            Just(0x8000_0000_8000_0000u64),        // -0.0 as f64 and as f32
+            Just(0x7ff8_0000_dead_beefu64),        // f64 NaN with payload
+            Just(0x7ff0_0000_7fc0_1234u64),        // f64 inf; f32 NaN with payload
+            Just(0x0000_0000_0000_0001u64),        // smallest denormal, both widths
+            Just(0xfff0_0000_ff80_0000u64),        // -inf, both widths
+            Just((1.5f32 as f64).to_bits()),       // exactly f32-representable
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn single_pass_decode_equals_three_pass_oracle(
+            bits in prop::collection::vec(special_bits(), 0..400),
+        ) {
+            check_against_oracle(&bits);
+        }
+    }
+
+    #[test]
+    fn single_pass_decode_equals_oracle_at_every_short_length() {
+        // Every length through three stripes of the widest gather, so
+        // vector bodies and scalar remainders are both exercised.
+        let pool: Vec<u64> = (0..200u64)
+            .map(|i| match i % 5 {
+                0 => 0x7ff8_0000_dead_beef ^ i,
+                1 => (i as f32 as f64).to_bits(),
+                2 => 0x8000_0000_8000_0000,
+                3 => i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                _ => 1,
+            })
+            .collect();
+        for len in 0..=pool.len() {
+            check_against_oracle(&pool[..len]);
+        }
+    }
 
     fn roundtrip(tv: &TypedVec) {
         let (enc, payload) = encode_block(tv, 0, tv.len());

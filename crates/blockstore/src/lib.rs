@@ -3,9 +3,10 @@
 //! Persistent block-compressed region files and the budgeted block cache
 //! — the physical backing for the `StorageTier::Pfs` cold tier.
 //!
-//! * [`fnv`] — the shared streaming FNV-1a 64 hasher used by every
-//!   checksum in the workspace (stored payloads, snapshot frames, block
-//!   frames).
+//! * [`fnv`] — the workspace's checksums: byte-wise streaming FNV-1a 64
+//!   (snapshot frames, block-file header + index, context hashes) and the
+//!   word-parallel [`BulkFnv`] for the large payloads (block frames,
+//!   stored region payloads).
 //! * [`codec`] — per-block lightweight compression: byte-shuffle +
 //!   PackBits for floats, width reduction for f32-widened doubles,
 //!   frame-of-reference / delta bit-packing for integers, PackBits for
@@ -29,4 +30,4 @@ pub use blockfile::{
     write_raw, write_typed, BlockFileMeta, BlockReader, PayloadKind, DEFAULT_BLOCK_ELEMS,
 };
 pub use cache::{BlockCache, BlockCacheStats, BlockKey};
-pub use fnv::{fnv1a64, Fnv1a, FNV_OFFSET, FNV_PRIME};
+pub use fnv::{bulk_fnv64, fnv1a64, BulkFnv, Fnv1a, FNV_OFFSET, FNV_PRIME};

@@ -196,6 +196,50 @@ fn header_tampering_with_valid_checksum_fails_closed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Rewrite a freshly written file as the format-1 file the previous
+/// writer produced: version field 1 and, ahead of every payload, the
+/// byte-wise FNV-1a over frame fields + payload that format 1 stored.
+/// Everything else (header, encodings, index, footer) is laid out the
+/// same in both versions.
+fn as_format_1(bytes: &mut [u8]) {
+    let len = bytes.len();
+    let index_off = u64::from_le_bytes(bytes[len - 24..len - 16].try_into().unwrap()) as usize;
+    let n_blocks = u32::from_le_bytes(bytes[len - 16..len - 12].try_into().unwrap()) as usize;
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    for b in 0..n_blocks {
+        let entry = index_off + 12 * b;
+        let off = u64::from_le_bytes(bytes[entry..entry + 8].try_into().unwrap()) as usize;
+        let comp_len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+        let sum = Fnv1a::new()
+            .chain(&bytes[off..off + 9])
+            .chain(&bytes[off + 17..off + 17 + comp_len])
+            .finish();
+        bytes[off + 9..off + 17].copy_from_slice(&sum.to_le_bytes());
+    }
+    repack_with_valid_fnv(bytes);
+}
+
+#[test]
+fn format_1_file_is_refused_typed() {
+    let dir = tmp_dir("format1");
+    let path = dir.join("old.pbf");
+    write_typed(&path, &sample_typed(), 256).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert_eq!(bytes[4..8], 2u32.to_le_bytes(), "the writer emits format 2");
+    as_format_1(&mut bytes);
+    std::fs::write(&path, &bytes).unwrap();
+    // A self-consistent format-1 file: every checksum it carries is
+    // valid under format-1 rules, so only the version check can (and
+    // must) refuse it — there is no format-1 read path to fall into.
+    match BlockReader::open(&path) {
+        Err(PdcError::Codec(msg)) => {
+            assert!(msg.contains("unsupported format 1"), "unexpected message: {msg}")
+        }
+        other => panic!("format-1 file must be refused as unsupported, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn garbage_and_short_files_fail_typed() {
     let dir = tmp_dir("garbage");

@@ -57,6 +57,7 @@ use pdc_sorted::SortedReplica;
 use pdc_storage::{ColdRegion, CostModel, Fnv1a, SimDuration, WorkCounters};
 use pdc_types::{
     kernels, Interval, ObjectId, PdcError, PdcResult, RegionId, RegionSpec, Run, Selection,
+    TypedVec,
 };
 use std::sync::Arc;
 
@@ -436,12 +437,16 @@ fn scan_cold_whole(
 }
 
 /// Block-fused scan of one candidate run (global coordinates) inside a
-/// spilled region: touches only the blocks the run overlaps.
+/// spilled region: touches only the blocks the run overlaps. `held` keeps
+/// the last decoded block across the consecutive (ascending) runs of one
+/// region task, so each overlapped block costs one cache lookup — and at
+/// worst one decode — per task instead of one per run.
 fn scan_cold_run(
     cold: &ColdRegion,
     interval: &Interval,
     global_offset: u64,
     run: &Run,
+    held: &mut Option<(u32, Arc<TypedVec>)>,
     out: &mut Vec<Run>,
 ) -> PdcResult<()> {
     let lo = run.start - global_offset;
@@ -453,9 +458,12 @@ fn scan_cold_run(
         if s >= e {
             continue;
         }
-        let block = cold.read_block(b)?;
+        let block = match held {
+            Some((hb, block)) if *hb == b => block,
+            _ => &held.insert((b, cold.read_block(b)?)).1,
+        };
         kernels::scan_range(
-            &block,
+            block,
             interval,
             (s - bs) as usize,
             (e - bs) as usize,
@@ -551,12 +559,13 @@ impl PhysicalOp for ScanExactOp {
                     None
                 };
                 let mut out: Vec<Run> = Vec::new();
+                let mut held_block = None;
                 for run in runs {
                     st.work.elements_scanned += run.len;
                     if let Some(full) = &cached_full {
                         out.extend_from_slice(full.restrict_to_span(run.start, run.len).runs());
                     } else if let RegionData::Cold(cold) = &src {
-                        scan_cold_run(cold, interval, span.offset, run, &mut out)?;
+                        scan_cold_run(cold, interval, span.offset, run, &mut held_block, &mut out)?;
                     } else if let Some(payload) = &payload {
                         if ctx.scan_kernels {
                             kernels::scan_range(

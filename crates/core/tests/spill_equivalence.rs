@@ -337,6 +337,101 @@ fn corrupt_spilled_index_region_rebuilds_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Candidate scans read a spilled region one block at a time and keep
+/// the decoded block across consecutive candidate runs. Regions of 1 MiB
+/// hold four 64 Ki-element blocks; both variables match in bands that
+/// straddle every block boundary (and in short bands inside blocks), so
+/// whichever constraint the planner evaluates first, the other one's
+/// candidate runs cross from one block into the next. A block cache of
+/// exactly one block makes every such crossing evict the block just
+/// left.
+#[test]
+fn candidate_runs_straddling_blocks_match_unbounded() {
+    const BLOCK: usize = 64 * 1024; // pdc-blockstore's DEFAULT_BLOCK_ELEMS, checked below
+    const REGION_BYTES: u64 = 1 << 20;
+    const N: usize = 3 * (REGION_BYTES as usize / 4) + 10_000; // 3 full regions + a tail
+    // `a` matches 600 elements around every block boundary and 40 of
+    // every 5 000 elsewhere; `b` matches 2 000 around every boundary and
+    // follows a slow cosine elsewhere.
+    let a_at = |i: usize| {
+        let near_boundary = (i + 300) % BLOCK < 600;
+        if near_boundary || i % 5000 < 40 { 1.0f32 } else { 0.0 }
+    };
+    let b_at = |i: usize| {
+        if (i + 1000) % BLOCK < 2000 { 150.0f32 } else { ((i as f32 * 0.011).cos() + 1.0) * 166.0 }
+    };
+    let build = || {
+        let odms = Arc::new(Odms::new(8));
+        let c = odms.create_container("straddle");
+        let opts = ImportOptions {
+            region_bytes: REGION_BYTES,
+            build_index: true,
+            build_sorted: true,
+            ..Default::default()
+        };
+        let a = TypedVec::Float((0..N).map(a_at).collect());
+        let b = TypedVec::Float((0..N).map(b_at).collect());
+        let a = odms.import_array(c, "a", a, &opts).unwrap().object;
+        let b = odms.import_array(c, "b", b, &opts).unwrap().object;
+        (odms, a, b)
+    };
+    let query = |a: ObjectId, b: ObjectId| {
+        PdcQuery::create(a, QueryOp::Gt, 0.5f32).and(PdcQuery::range_open(b, 100.0f32, 200.0f32))
+    };
+    let expect: Vec<u64> = (0..N)
+        .filter(|&i| a_at(i) > 0.5 && b_at(i) > 100.0 && b_at(i) < 200.0)
+        .map(|i| i as u64)
+        .collect();
+    assert!(
+        (1..N / BLOCK).all(|k| expect.contains(&((k * BLOCK) as u64 - 1))
+            && expect.contains(&((k * BLOCK) as u64))),
+        "hits must sit on both sides of every block boundary"
+    );
+
+    let budget = 3 * REGION_BYTES / 2;
+    for strategy in [Strategy::FullScan, Strategy::Histogram, Strategy::Adaptive] {
+        let (odms_a, a, b) = build();
+        let unbounded = QueryEngine::new(
+            Arc::clone(&odms_a),
+            EngineConfig { strategy, num_servers: 4, ..Default::default() },
+        );
+        // Two passes: the second meets warm server caches and, in the
+        // bounded world, whatever the first left in the one-block cache.
+        let base = [unbounded.run(&query(a, b)).unwrap(), unbounded.run(&query(a, b)).unwrap()];
+        assert_eq!(base[0].selection.iter_coords().collect::<Vec<_>>(), expect, "{strategy}");
+
+        let (odms_b, a, b) = build();
+        let dir = spill_dir("straddle");
+        let bounded = QueryEngine::new(
+            Arc::clone(&odms_b),
+            EngineConfig {
+                strategy,
+                num_servers: 4,
+                memory_budget: Some(budget),
+                spill_dir: Some(dir.clone()),
+                block_cache_bytes: (BLOCK * 4) as u64,
+                ..Default::default()
+            },
+        );
+        for (pass, want) in base.iter().enumerate() {
+            let out = bounded.run(&query(a, b)).unwrap();
+            assert_outcomes_identical(want, &out, &format!("{strategy} straddle, pass {pass}"));
+        }
+        let stats = odms_b.store().spill_stats().expect("spill configured");
+        assert!(stats.spilled_regions > 0 && stats.resident_bytes <= budget, "{strategy}: {stats:?}");
+        let cold = (0..3)
+            .find_map(|r| odms_b.store().cold_region(pdc_types::RegionId::new(a, r)))
+            .expect("a full data region of `a` is spilled");
+        assert_eq!((cold.n_blocks(), cold.block_elems() as usize), (4, BLOCK), "{strategy}");
+        assert!(
+            stats.block_cache.evictions > 0,
+            "{strategy}: a one-block cache must evict while scans cross blocks: {stats:?}"
+        );
+        drop(bounded);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Sanity anchor: the budgeted engine doesn't just agree with the
 /// unbounded one — both agree with a naive filter over the raw data.
 #[test]

@@ -278,20 +278,27 @@ impl Odms {
 
         // Sorted replica is built from the whole array before it is carved
         // into regions (one global sort, as the paper's reorganization).
-        let values_f64: Vec<f64> = data.to_f64_vec();
+        // Only this build widens the whole array; the copy is gone before
+        // the region loop starts.
         if opts.build_sorted {
-            let replica = SortedReplica::build(&values_f64, region_elems);
+            let replica = SortedReplica::build(&data.to_f64_vec(), region_elems);
             report.sorted_bytes = replica.size_bytes(elem_bytes);
             self.meta.set_sorted_replica(id, replica);
         }
 
         let mut hists = Vec::with_capacity(regions.len());
         let mut index_sizes = Vec::new();
+        // One region's values widened to `f64`, reused across regions: the
+        // only array-sized memory an import allocates is the payloads it
+        // stores.
+        let mut region_f64: Vec<f64> = Vec::new();
         for (i, span) in regions.iter().enumerate() {
             let rid = RegionId::new(id, i as u32);
             let payload = data.slice(span.offset as usize, span.len as usize);
             report.data_bytes += payload.size_bytes();
-            let slice_f64 = &values_f64[span.offset as usize..span.end() as usize];
+            region_f64.clear();
+            payload.append_f64_to(&mut region_f64);
+            let slice_f64 = &region_f64[..];
 
             // Automatic local histogram (Algorithm 1), per region.
             let hist = Histogram::build(slice_f64, &opts.histogram)

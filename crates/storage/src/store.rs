@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use pdc_blockstore::{blockfile, BlockCache, BlockCacheStats, BlockReader, Fnv1a};
+use pdc_blockstore::{blockfile, BlockCache, BlockCacheStats, BlockReader, BulkFnv};
 use pdc_types::{with_slice, PdcError, PdcResult, PdcType, RegionId, TypedVec};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -38,30 +38,25 @@ impl StorageTier {
     }
 }
 
-/// FNV-1a 64-bit over a byte slice — the checksum primitive shared by
-/// payload verification, block-frame checksums, and the metadata
-/// snapshot frame. Delegates to the one streaming implementation in
-/// `pdc-blockstore` so every checksum in the system agrees.
+/// Byte-wise FNV-1a 64 over a byte slice — the checksum of the metadata
+/// snapshot frames (`pdc-odms`), whose on-disk format is fixed. Payloads
+/// use [`payload_checksum`] instead.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     pdc_blockstore::fnv1a64(bytes)
 }
 
-/// FNV-1a 64-bit over a payload's typed bytes (little-endian element
-/// encoding for typed arrays, the bytes themselves for raw payloads).
-/// Cheap, dependency-free, and plenty for detecting injected bit flips.
+/// Word-parallel checksum ([`BulkFnv`]) over a payload's bytes: the
+/// little-endian element image for typed arrays (hashed straight from the
+/// elements), the bytes themselves for raw payloads. In-memory only —
+/// recorded at `put`/`append_typed`, verified at every `get`, `migrate`
+/// and `repair` — and detects every single-bit flip by construction.
 pub fn payload_checksum(payload: &StoredPayload) -> u64 {
+    let mut h = BulkFnv::new();
     match payload {
-        StoredPayload::Typed(v) => {
-            let mut h = Fnv1a::new();
-            with_slice!(&**v, xs => {
-                for x in xs {
-                    h.update(&x.to_le_bytes());
-                }
-            });
-            h.finish()
-        }
-        StoredPayload::Raw(bytes) => fnv1a64(bytes),
+        StoredPayload::Typed(v) => with_slice!(&**v, xs => h.update_elems(xs)),
+        StoredPayload::Raw(bytes) => h.update(bytes),
     }
+    h.finish()
 }
 
 /// SplitMix64 step used to derive deterministic corruption sites.
@@ -191,7 +186,7 @@ struct StoredRegion {
     res: Residency,
     tier: StorageTier,
     ost: u32,
-    /// FNV-1a over the payload bytes, computed at `put` time.
+    /// [`payload_checksum`] of the payload, computed at `put` time.
     checksum: u64,
     /// The last-known-good payload, stashed when corruption is injected.
     /// Models the durable PFS copy a real deployment re-reads to repair a
@@ -400,13 +395,7 @@ impl ColdRegion {
 
     /// Blocks whose element spans intersect `[lo, hi)`.
     pub fn blocks_overlapping(&self, lo: u64, hi: u64) -> std::ops::Range<u32> {
-        let hi = hi.min(self.elems);
-        if lo >= hi {
-            return 0..0;
-        }
-        let first = (lo / self.block_elems as u64) as u32;
-        let last = ((hi - 1) / self.block_elems as u64) as u32;
-        first..last + 1
+        blockfile::blocks_overlapping(self.elems, self.block_elems, lo, hi)
     }
 
     fn reader(&self) -> PdcResult<Arc<BlockReader>> {
@@ -1051,39 +1040,37 @@ impl ObjectStore {
         let Some(s) = self.spill_state() else {
             return Ok(0);
         };
+        let over_budget = || s.acct.lock().resident_bytes > s.memory_budget;
+        if !over_budget() {
+            return Ok(0);
+        }
+        // One walk of the region map per call, not one per victim: the
+        // eligible regions in LRU order (ties by id). `demote` re-checks
+        // eligibility, so a candidate that changed since the walk is
+        // refused there.
+        let mut victims: Vec<(u64, RegionId)> = {
+            let map = self.regions.read();
+            let sealed = self.sealed.read();
+            let quar = self.quarantine.read();
+            let ticks = s.ticks.lock();
+            map.iter()
+                .filter(|(id, r)| {
+                    matches!(r.res, Residency::Resident(_))
+                        && r.pristine.is_none()
+                        && r.size_bytes() > 0
+                        && sealed.contains(id)
+                        && !quar.contains(id)
+                })
+                .map(|(id, _)| (ticks.last_use.get(id).copied().unwrap_or(0), *id))
+                .collect()
+        };
+        victims.sort_unstable();
         let mut demoted = 0u64;
-        loop {
-            if s.acct.lock().resident_bytes <= s.memory_budget {
-                break;
+        for (_, victim) in victims {
+            if !over_budget() || !self.demote(victim, &s)? {
+                break; // fits, or raced away; don't spin
             }
-            let victim = {
-                let map = self.regions.read();
-                let sealed = self.sealed.read();
-                let quar = self.quarantine.read();
-                let ticks = s.ticks.lock();
-                let mut best: Option<(u64, RegionId)> = None;
-                for (id, r) in map.iter() {
-                    if !matches!(r.res, Residency::Resident(_))
-                        || r.pristine.is_some()
-                        || r.size_bytes() == 0
-                        || !sealed.contains(id)
-                        || quar.contains(id)
-                    {
-                        continue;
-                    }
-                    let t = ticks.last_use.get(id).copied().unwrap_or(0);
-                    if best.is_none_or(|b| (t, *id) < b) {
-                        best = Some((t, *id));
-                    }
-                }
-                best.map(|(_, id)| id)
-            };
-            let Some(victim) = victim else { break };
-            if self.demote(victim, &s)? {
-                demoted += 1;
-            } else {
-                break; // raced away; don't spin
-            }
+            demoted += 1;
         }
         Ok(demoted)
     }
@@ -1521,6 +1508,116 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The victims the old per-victim scan picked: repeatedly the
+    /// eligible region with the smallest `(last-use tick, id)`, until the
+    /// resident footprint fits.
+    fn per_victim_reference(
+        mut resident: u64,
+        budget: u64,
+        mut eligible: Vec<(u64, RegionId, u64)>, // (tick, id, bytes)
+    ) -> Vec<RegionId> {
+        let mut victims = Vec::new();
+        while resident > budget {
+            let Some(pos) =
+                (0..eligible.len()).min_by_key(|&i| (eligible[i].0, eligible[i].1))
+            else {
+                break;
+            };
+            let (_, id, bytes) = eligible.swap_remove(pos);
+            resident -= bytes;
+            victims.push(id);
+        }
+        victims
+    }
+
+    #[test]
+    fn one_call_demotion_picks_the_per_victim_scan_victims() {
+        // Enabling a budget on an already-populated store demotes many
+        // regions in one `enforce_budget` call. Populate 2 000 small
+        // regions of varying size with a scrambled access order, leave
+        // some ineligible (unsealed, empty), then enable the budget.
+        let dir = tmp_dir("bulkdemote");
+        let store = ObjectStore::new(4);
+        // Recency must exist before the budget does: spill enabled with
+        // room for everything, so `touch` records ticks but nothing
+        // demotes.
+        store.configure_spill(&dir, u64::MAX, 1 << 20).unwrap();
+        let n = 2000u32;
+        let size_of = |i: u32| 16 + (i as usize * 7) % 48; // elements
+        for i in 0..n {
+            let elems = if i % 97 == 0 { 0 } else { size_of(i) };
+            store.put(rid(20, i), StoredPayload::Typed(Arc::new(seeded_floats(elems))), StorageTier::Pfs);
+            if i % 13 != 0 {
+                store.seal(rid(20, i)).unwrap();
+            }
+        }
+        // Scramble recency: touch in a stride order (some twice).
+        for k in 0..n {
+            let i = (k * 733) % n;
+            store.get(rid(20, i)).unwrap();
+            if k % 5 == 0 {
+                store.get(rid(20, (i * 31) % n)).unwrap();
+            }
+        }
+        let eligible: Vec<(u64, RegionId, u64)> = {
+            let spill = store.spill_state().unwrap();
+            let ticks = spill.ticks.lock();
+            (0..n)
+                .map(|i| rid(20, i))
+                .filter(|id| store.is_sealed(*id) && store.payload_size(*id).unwrap() > 0)
+                .map(|id| (ticks.last_use[&id], id, store.payload_size(id).unwrap()))
+                .collect()
+        };
+        let resident = store.spill_stats().unwrap().resident_bytes;
+        let budget = resident / 3;
+        let mut expect = per_victim_reference(resident, budget, eligible);
+        assert!(expect.len() > 1000, "the budget must force a bulk demotion: {}", expect.len());
+
+        store.configure_spill(&dir, budget, 1 << 20).unwrap();
+        let stats = store.spill_stats().unwrap();
+        assert_eq!(stats.demotions, expect.len() as u64);
+        assert!(stats.resident_bytes <= budget);
+        let mut spilled: Vec<RegionId> =
+            (0..n).map(|i| rid(20, i)).filter(|id| store.is_spilled(*id)).collect();
+        spilled.sort();
+        expect.sort();
+        assert_eq!(spilled, expect, "same victims as the per-victim LRU scan");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn payload_checksum_hashes_the_little_endian_byte_image() {
+        use pdc_blockstore::bulk_fnv64;
+        fn image(v: &TypedVec) -> Vec<u8> {
+            with_slice!(v, xs => xs.iter().flat_map(|x| x.to_le_bytes()).collect())
+        }
+        for len in 0..=70u64 {
+            let bits = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x7ff8_0000_dead_beef;
+            let variants: [TypedVec; 6] = [
+                (0..len).map(|i| f32::from_bits(bits(i) as u32)).collect::<Vec<_>>().into(),
+                (0..len).map(|i| f64::from_bits(bits(i))).collect::<Vec<_>>().into(),
+                (0..len).map(|i| bits(i) as i32).collect::<Vec<_>>().into(),
+                (0..len).map(|i| bits(i) as u32).collect::<Vec<_>>().into(),
+                (0..len).map(|i| bits(i) as i64).collect::<Vec<_>>().into(),
+                (0..len).map(bits).collect::<Vec<_>>().into(),
+            ];
+            for v in variants {
+                let bytes = image(&v);
+                let ty = v.pdc_type();
+                assert_eq!(
+                    payload_checksum(&StoredPayload::Typed(Arc::new(v))),
+                    bulk_fnv64(&bytes),
+                    "{ty:?} x {len}"
+                );
+                // A raw payload holding the same bytes agrees too.
+                assert_eq!(
+                    payload_checksum(&StoredPayload::Raw(Bytes::from(bytes.clone()))),
+                    bulk_fnv64(&bytes)
+                );
+            }
+        }
+    }
+
     #[test]
     fn spilled_corrupt_detects_quarantines_and_repairs() {
         let dir = tmp_dir("corrupt");
@@ -1598,6 +1695,17 @@ mod tests {
         assert_eq!(cold.blocks_overlapping(be - 1, be + 1), 0..2);
         assert_eq!(cold.blocks_overlapping(2 * be, n as u64), 2..3);
         assert_eq!(cold.blocks_overlapping(5, 5), 0..0);
+        // The handle and the reader of its file answer from one
+        // implementation: empty, boundary and past-the-end ranges agree.
+        let reader = BlockReader::open(&cold.path).unwrap();
+        let n64 = n as u64;
+        for (lo, hi) in [(0, 0), (be, be), (be - 1, be), (be, be + 1), (0, n64), (0, u64::MAX),
+            (n64 - 1, n64 + 9), (n64, n64 + 1), (3 * be, u64::MAX), (9, 3)]
+        {
+            assert_eq!(cold.blocks_overlapping(lo, hi), reader.blocks_overlapping(lo, hi), "[{lo}, {hi})");
+        }
+        assert_eq!(cold.blocks_overlapping(n64 - 1, u64::MAX), 2..3);
+        assert_eq!(cold.blocks_overlapping(n64, u64::MAX), 0..0);
         // Block contents match the original slice; second read hits cache.
         let b1 = cold.read_block(1).unwrap();
         let (s1, e1) = cold.block_span(1);
