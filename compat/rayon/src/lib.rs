@@ -2,40 +2,8 @@
 //!
 //! The parallel-slice sort methods run sequentially (correctness is
 //! identical; simulated times are unaffected — they come from the cost
-//! model, not the host clock). [`join`] is genuinely parallel: it runs
-//! its two closures on scoped OS threads, which is what the scan-kernel
-//! layer uses for chunk-parallel region evaluation. There is no thread
-//! pool — each `join` spawns one thread — so callers should recurse only
-//! a few levels deep on work that is large enough to amortize the spawn.
-
-/// Run two closures, potentially in parallel, returning both results.
-///
-/// Drop-in for `rayon::join`, backed by `std::thread::scope`: `b` runs on
-/// a freshly spawned scoped thread while `a` runs on the caller's thread.
-/// A panic in either closure propagates to the caller.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = match hb.join() {
-            Ok(rb) => rb,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        (ra, rb)
-    })
-}
-
-/// Drop-in for `rayon::current_num_threads`: the host's available
-/// parallelism (what a default rayon pool would size itself to).
-pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
+//! model, not the host clock). Nothing here spawns a thread: the server
+//! crew is the workspace's only source of parallelism.
 
 /// Sequential stand-ins for rayon's parallel slice-sort methods.
 pub trait ParallelSliceMut<T: Send> {
@@ -92,28 +60,5 @@ mod tests {
         let mut v = vec![5, 1, 4, 2, 3];
         v.par_sort_unstable_by(|a, b| a.cmp(b));
         assert_eq!(v, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let xs: Vec<u64> = (0..1000).collect();
-        let (a, b) = super::join(
-            || xs.iter().sum::<u64>(),
-            || xs.iter().filter(|&&x| x % 2 == 0).count(),
-        );
-        assert_eq!(a, 499_500);
-        assert_eq!(b, 500);
-    }
-
-    #[test]
-    fn join_runs_on_distinct_threads() {
-        let main_id = std::thread::current().id();
-        let (_, spawned_id) = super::join(|| (), || std::thread::current().id());
-        assert_ne!(main_id, spawned_id);
-    }
-
-    #[test]
-    fn num_threads_positive() {
-        assert!(super::current_num_threads() >= 1);
     }
 }

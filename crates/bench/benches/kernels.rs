@@ -122,10 +122,9 @@ fn bench_scan(c: &mut Criterion) {
     g.finish();
 }
 
-/// The tentpole comparison: the monomorphized mask kernels (sequential
-/// and chunk-parallel) against the per-element `get_f64` scalar
-/// reference they replaced, per payload type.
-fn bench_scan_kernels(c: &mut Criterion) {
+/// The monomorphized mask kernels against the per-element `get_f64`
+/// scalar reference they replaced, per payload type.
+fn bench_kernel_scans(c: &mut Criterion) {
     let n = kernel_n();
     let iv = Interval::open(2.1, 2.2);
     let doubles: Vec<f64> = (0..n)
@@ -145,16 +144,13 @@ fn bench_scan_kernels(c: &mut Criterion) {
     );
     let doubles = TypedVec::Double(doubles);
 
-    let mut g = c.benchmark_group("scan_kernels");
+    let mut g = c.benchmark_group("kernel_scans");
     g.throughput(Throughput::Elements(n as u64));
     g.bench_function("scalar_double", |b| {
         b.iter(|| kernels::scan_interval_scalar(black_box(&doubles), black_box(&iv), 0))
     });
     g.bench_function("kernel_double", |b| {
         b.iter(|| kernels::scan_interval(black_box(&doubles), black_box(&iv), 0))
-    });
-    g.bench_function("parallel_double", |b| {
-        b.iter(|| kernels::scan_interval_threaded(black_box(&doubles), black_box(&iv), 0, 0))
     });
     g.bench_function("scalar_float", |b| {
         b.iter(|| kernels::scan_interval_scalar(black_box(&floats), black_box(&iv), 0))
@@ -227,7 +223,7 @@ criterion_group!(
     bench_index,
     bench_sorted,
     bench_scan,
-    bench_scan_kernels,
+    bench_kernel_scans,
     bench_end_to_end
 );
 criterion_main!(benches);

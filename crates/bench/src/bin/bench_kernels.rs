@@ -1,7 +1,7 @@
 //! Records the repo's scan-kernel wall-clock baseline: the monomorphized
-//! mask kernels (sequential and chunk-parallel) against the per-element
-//! `get_f64` scalar reference, per payload type, plus the candidate-
-//! confirmation filter and the WAH mask-block builder.
+//! mask kernels against the per-element `get_f64` scalar reference, per
+//! payload type, plus the candidate-confirmation filter and the WAH
+//! mask-block builder.
 //!
 //! Writes `BENCH_kernels.json` (path overridable as argv[1]); element
 //! count via `PDC_KERNEL_BENCH_N` (default 4M, the recorded baseline).
@@ -31,49 +31,31 @@ struct Row {
     name: &'static str,
     scalar_ns: u128,
     kernel_ns: u128,
-    parallel_ns: Option<u128>,
 }
 
 impl Row {
     fn json(&self, n: usize) -> String {
         let speed = |ns: u128| self.scalar_ns as f64 / ns as f64;
         let melems = |ns: u128| n as f64 / ns as f64 * 1e3;
-        let mut s = format!(
+        format!(
             "    \"{}\": {{\n      \"scalar_ns\": {},\n      \"kernel_ns\": {},\n      \
-             \"kernel_speedup\": {:.2},\n      \"kernel_melems_per_s\": {:.1}",
+             \"kernel_speedup\": {:.2},\n      \"kernel_melems_per_s\": {:.1}\n    }}",
             self.name,
             self.scalar_ns,
             self.kernel_ns,
             speed(self.kernel_ns),
             melems(self.kernel_ns),
-        );
-        if let Some(p) = self.parallel_ns {
-            let _ = write!(
-                s,
-                ",\n      \"parallel_ns\": {},\n      \"parallel_speedup\": {:.2}",
-                p,
-                speed(p)
-            );
-        }
-        s.push_str("\n    }");
-        s
+        )
     }
 }
 
-fn scan_row(name: &'static str, tv: &TypedVec, iv: &Interval, parallel: bool) -> Row {
+fn scan_row(name: &'static str, tv: &TypedVec, iv: &Interval) -> Row {
     let expect = kernels::scan_interval_scalar(tv, iv, 0);
     assert_eq!(kernels::scan_interval(tv, iv, 0), expect, "{name}: kernel disagrees");
-    let parallel_ns = if parallel {
-        assert_eq!(kernels::scan_interval_threaded(tv, iv, 0, 0), expect);
-        Some(best_ns(|| kernels::scan_interval_threaded(tv, iv, 0, 0)))
-    } else {
-        None
-    };
     Row {
         name,
         scalar_ns: best_ns(|| kernels::scan_interval_scalar(tv, iv, 0)),
         kernel_ns: best_ns(|| kernels::scan_interval(tv, iv, 0)),
-        parallel_ns,
     }
 }
 
@@ -110,12 +92,12 @@ fn main() {
     let tv_f64 = TypedVec::Double(doubles);
 
     let rows = [
-        scan_row("double", &tv_f64, &iv, true),
-        scan_row("float", &tv_f32, &iv, true),
-        scan_row("int32", &tv_i32, &int_iv, false),
-        scan_row("uint32", &tv_u32, &int_iv, false),
-        scan_row("int64", &tv_i64, &int_iv, false),
-        scan_row("uint64", &tv_u64, &int_iv, false),
+        scan_row("double", &tv_f64, &iv),
+        scan_row("float", &tv_f32, &iv),
+        scan_row("int32", &tv_i32, &int_iv),
+        scan_row("uint32", &tv_u32, &int_iv),
+        scan_row("int64", &tv_i64, &int_iv),
+        scan_row("uint64", &tv_u64, &int_iv),
     ];
 
     // Candidate confirmation (PDC-HI edge bins): 13-wide candidate runs
@@ -142,7 +124,7 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"scan_kernels\",");
+    let _ = writeln!(json, "  \"bench\": \"kernel_scans\",");
     let _ = writeln!(json, "  \"elements\": {n},");
     let _ = writeln!(json, "  \"reps\": {REPS},");
     let _ = writeln!(json, "  \"timing\": \"best-of-reps wall clock, ns\",");

@@ -23,8 +23,10 @@
 //!   joint refinement, averaged over repeated resolutions.
 //!
 //! Pruning is advisory: the benchmark also runs every query under all
-//! five strategies with the directory on and off and requires the
-//! outcomes (selection, hits, and every simulated cost) bit-identical.
+//! five strategies on a twin world whose objects carry no usable
+//! directory (so the evaluator walks every region's metadata) and
+//! requires the outcomes (selection, hits, and every simulated cost)
+//! bit-identical.
 //!
 //! Writes `BENCH_pruning.json` (path overridable as argv[1]). Particle
 //! count via `PDC_PRUNING_N` (default 2M, the recorded baseline). Exits
@@ -33,15 +35,14 @@
 //! record without gating).
 
 use pdc_bench::{engine, import_vpic, Scale, VpicWorld, BEST_REGION};
+use pdc_directory::{DirectoryConfig, RegionDirectory};
 use pdc_query::{
-    directory_stats, EngineConfig, JointContext, MetaSnapshot, PdcQuery, QueryEngine,
-    QueryOutcome, Strategy,
+    directory_stats, JointContext, MetaSnapshot, PdcQuery, QueryOutcome, Strategy,
 };
 use pdc_types::{Interval, ObjectId, QueryOp};
 use pdc_workloads::{multi_object_catalog, MultiObjectQuerySpec, VpicConfig, VpicData};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 const DEFAULT_N: usize = 2 << 20;
@@ -76,21 +77,30 @@ fn build_query(world: &VpicWorld, spec: &MultiObjectQuerySpec) -> PdcQuery {
         .and(PdcQuery::range_open(world.objects.z, spec.z_lo, spec.z_hi))
 }
 
-/// An engine with host-side directory candidate resolution disabled
-/// (the pruning *verdicts* — including joint bounds — are unchanged,
-/// which is exactly what makes on/off bit-identity meaningful).
-fn engine_without_directory(world: &VpicWorld, strategy: Strategy, scale: &Scale) -> QueryEngine {
-    QueryEngine::new(
-        Arc::clone(&world.odms),
-        EngineConfig {
-            strategy,
-            num_servers: scale.servers,
-            cache_bytes_per_server: 1 << 30,
-            cost: scale.cost(),
-            use_directory: false,
-            ..Default::default()
-        },
-    )
+/// Register joint grids on the three position-correlated pairs; returns
+/// their total metadata footprint in bytes.
+fn register_joint_grids(world: &VpicWorld) -> u64 {
+    let o = &world.objects;
+    [(o.energy, o.x), (o.x, o.y), (o.x, o.z)]
+        .into_iter()
+        .map(|(a, b)| world.odms.register_joint_pair(a, b).expect("register joint pair"))
+        .sum()
+}
+
+/// The reference world: the same import and joint grids, but every
+/// queried object's directory replaced by an empty one. A directory
+/// indexing fewer regions than the metadata describes is unusable, so
+/// the evaluator falls back to walking every region — the pruning
+/// *verdicts* (including joint bounds) are unchanged, which is exactly
+/// what makes on/off bit-identity meaningful.
+fn world_without_directories(data: &VpicData) -> VpicWorld {
+    let world = import_vpic(data, BEST_REGION.0, true);
+    register_joint_grids(&world);
+    let o = &world.objects;
+    for obj in [o.energy, o.x, o.y, o.z] {
+        world.odms.meta().set_directory(obj, RegionDirectory::new(DirectoryConfig::default()));
+    }
+    world
 }
 
 fn outcomes_identical(a: &QueryOutcome, b: &QueryOutcome) -> bool {
@@ -183,23 +193,18 @@ fn main() {
 
     let data = VpicData::generate(&VpicConfig { particles: n, seed: scale.seed });
     let world = import_vpic(&data, BEST_REGION.0, true);
-    let mut joint_bytes = 0u64;
-    for (a, b) in [
-        (world.objects.energy, world.objects.x),
-        (world.objects.x, world.objects.y),
-        (world.objects.x, world.objects.z),
-    ] {
-        joint_bytes += world.odms.register_joint_pair(a, b).expect("register joint pair");
-    }
+    let joint_bytes = register_joint_grids(&world);
     let all_objects =
         [world.objects.energy, world.objects.x, world.objects.y, world.objects.z];
     let snap = MetaSnapshot::capture(&world.odms, &all_objects).expect("snapshot");
+    let world_off = world_without_directories(&data);
 
     let catalog = multi_object_catalog();
     let mut rows = Vec::new();
     let mut bit_identical = true;
     for spec in &catalog {
         let q = build_query(&world, spec);
+        let q_off = build_query(&world_off, spec);
         let cs = constraints(&world, spec);
 
         // Admitted-region rate, summed over the four constraints. The
@@ -218,8 +223,8 @@ fn main() {
         let mut nhits = 0;
         for strategy in STRATEGIES {
             let on = engine(&world, strategy, &scale).run(&q).expect("query (directory on)");
-            let off = engine_without_directory(&world, strategy, &scale)
-                .run(&q)
+            let off = engine(&world_off, strategy, &scale)
+                .run(&q_off)
                 .expect("query (directory off)");
             if !outcomes_identical(&on, &off) {
                 eprintln!(

@@ -102,14 +102,9 @@ pub struct CommonOpts {
     /// Seed for corruption site selection (`None` = fault seed, then RNG
     /// seed).
     pub corrupt_seed: Option<u64>,
-    /// Wall-clock threads per region scan (0 = auto, 1 = sequential).
-    pub scan_threads: u32,
     /// Print the per-region operator table (chosen physical operators,
     /// prune verdicts, estimated vs actual selectivity).
     pub explain: bool,
-    /// Disable the hierarchical region directory (candidate regions are
-    /// then enumerated from per-region metadata; results are identical).
-    pub no_directory: bool,
     /// Replicas per assignment slot (1 = classic single-home layout).
     pub replicas: u32,
     /// Out-of-core memory budget in bytes: sealed cold regions spill to
@@ -132,9 +127,7 @@ impl Default for CommonOpts {
             kill_servers: 0,
             corrupt_regions: 0.0,
             corrupt_seed: None,
-            scan_threads: 0,
             explain: false,
-            no_directory: false,
             replicas: 1,
             memory_budget: None,
             spill_dir: None,
@@ -177,8 +170,6 @@ OPTIONS:
                      back — results stay exact
   --corrupt-seed <N> seed for corruption site selection (default: the fault
                      seed, then the RNG seed)
-  --scan-threads <N> wall-clock threads per region scan; 0 = auto, 1 disables
-                     the chunk-parallel kernel path (default 0)
   --replicas <K>     replicate every assignment slot on K servers (default 1
                      = classic single-home layout); killed servers then fail
                      over to live replicas instead of forcing a rescan, and
@@ -189,10 +180,6 @@ OPTIONS:
                      batch mode, explains the lead query of the series; also
                      prints per-constraint directory statistics (bins probed,
                      regions killed by 1-D bounds vs joint bounds, admitted)
-  --no-directory     disable the hierarchical region directory: candidate
-                     regions are enumerated from per-region metadata instead
-                     of the range->bin overlap lookup (results and simulated
-                     costs are bit-identical either way)
   --memory-budget <SIZE>
                      out-of-core mode: once resident bytes exceed SIZE
                      (suffixes K/M/G accepted), sealed cold regions spill to
@@ -456,15 +443,26 @@ fn parse_options<I: Iterator<Item = String>>(
             "--particles" => {
                 opts.particles =
                     value("--particles")?.parse().map_err(|e| format!("--particles: {e}"))?;
+                if opts.particles == 0 {
+                    return Err("--particles must be at least 1".to_string());
+                }
             }
             "--servers" => {
                 opts.servers =
                     value("--servers")?.parse().map_err(|e| format!("--servers: {e}"))?;
+                if opts.servers == 0 {
+                    return Err("--servers must be at least 1".to_string());
+                }
             }
             "--region-kb" => {
                 let kb: u64 =
                     value("--region-kb")?.parse().map_err(|e| format!("--region-kb: {e}"))?;
-                opts.region_bytes = kb << 10;
+                if kb == 0 {
+                    return Err("--region-kb must be at least 1".to_string());
+                }
+                opts.region_bytes = kb
+                    .checked_mul(1 << 10)
+                    .ok_or_else(|| format!("--region-kb {kb} overflows a byte count"))?;
             }
             "--seed" => {
                 opts.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
@@ -491,11 +489,6 @@ fn parse_options<I: Iterator<Item = String>>(
                         .map_err(|e| format!("--corrupt-seed: {e}"))?,
                 );
             }
-            "--scan-threads" => {
-                opts.scan_threads = value("--scan-threads")?
-                    .parse()
-                    .map_err(|e| format!("--scan-threads: {e}"))?;
-            }
             "--replicas" => {
                 opts.replicas =
                     value("--replicas")?.parse().map_err(|e| format!("--replicas: {e}"))?;
@@ -518,9 +511,6 @@ fn parse_options<I: Iterator<Item = String>>(
             }
             "--explain" => {
                 opts.explain = true;
-            }
-            "--no-directory" => {
-                opts.no_directory = true;
             }
             "--joint" => match query_only.as_deref_mut() {
                 Some(b) => b.joint = Some(value("--joint")?),
@@ -689,8 +679,6 @@ pub fn build_engine(odms: &Arc<Odms>, opts: &CommonOpts) -> QueryEngine {
             cost: CostModel::scaled(f, f * opts.servers as f64 / 64.0, 256.0),
             order_by_selectivity: true,
             fault_plan: fault_plan(opts).expect("fault plan validated at parse time"),
-            scan_threads: opts.scan_threads,
-            use_directory: !opts.no_directory,
             replicas: opts.replicas,
             ..Default::default()
         },
@@ -1487,23 +1475,17 @@ mod tests {
     }
 
     #[test]
-    fn directory_flags_parse() {
-        let cmd = parse_args(argv("query Energy>2 --no-directory --joint Energy,x")).unwrap();
+    fn joint_flag_parses() {
+        let cmd = parse_args(argv("query Energy>2 --joint Energy,x")).unwrap();
         match cmd {
-            Command::Query { opts, joint, .. } => {
-                assert!(opts.no_directory);
-                assert_eq!(joint.as_deref(), Some("Energy,x"));
-            }
+            Command::Query { joint, .. } => assert_eq!(joint.as_deref(), Some("Energy,x")),
             other => panic!("{other:?}"),
         }
-        assert!(!CommonOpts::default().no_directory);
         assert!(parse_args(argv("demo --joint Energy,x")).is_err());
-        // --no-directory is a common flag: demo accepts it.
-        assert!(parse_args(argv("demo --no-directory")).is_ok());
     }
 
     #[test]
-    fn joint_directory_query_matches_undirected_run() {
+    fn joint_directory_query_matches_plain_run() {
         let base = CommonOpts { particles: 50_000, servers: 4, explain: true, ..CommonOpts::default() };
         let expr = "Energy > 2.0 AND 100 < x < 200".to_string();
         let with = run(Command::Query {
@@ -1519,7 +1501,7 @@ mod tests {
         .unwrap();
         let without = run(Command::Query {
             expr,
-            opts: CommonOpts { no_directory: true, explain: false, ..base },
+            opts: CommonOpts { explain: false, ..base },
             get_data: None,
             queries: 1,
             batch_file: None,
@@ -1693,14 +1675,29 @@ mod tests {
     }
 
     #[test]
-    fn scan_threads_parses() {
-        let cmd = parse_args(argv("demo --scan-threads 1")).unwrap();
-        match cmd {
-            Command::Demo { opts } => assert_eq!(opts.scan_threads, 1),
+    fn zero_particles_is_rejected() {
+        let err = parse_args(argv("query Energy>2 --particles 0")).unwrap_err();
+        assert!(err.contains("--particles must be at least 1"), "{err}");
+        assert!(parse_args(argv("demo --particles 1")).is_ok());
+    }
+
+    #[test]
+    fn zero_servers_is_rejected() {
+        let err = parse_args(argv("query Energy>2 --servers 0")).unwrap_err();
+        assert!(err.contains("--servers must be at least 1"), "{err}");
+        assert!(parse_args(argv("demo --servers 1")).is_ok());
+    }
+
+    #[test]
+    fn region_kb_is_range_checked() {
+        let err = parse_args(argv("query Energy>2 --region-kb 18014398509481984")).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+        let err = parse_args(argv("demo --region-kb 0")).unwrap_err();
+        assert!(err.contains("--region-kb must be at least 1"), "{err}");
+        match parse_args(argv("demo --region-kb 4")).unwrap() {
+            Command::Demo { opts } => assert_eq!(opts.region_bytes, 4096),
             other => panic!("{other:?}"),
         }
-        assert_eq!(CommonOpts::default().scan_threads, 0);
-        assert!(parse_args(argv("demo --scan-threads nope")).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::plan::{PlanNode, QueryPlan};
 use crate::qcache::SharedScanGroup;
 use crate::service::ScheduleClock;
 use crate::recover::{run_slots, RecoveryPolicy};
-use crate::snapshot::MetaSnapshot;
+use crate::snapshot::{usable_directory, MetaSnapshot};
 use crate::state::ServerState;
 use pdc_histogram::Histogram;
 use pdc_odms::Odms;
@@ -91,23 +91,6 @@ pub struct EngineConfig {
     /// scale; erroring/crashing servers are still detected immediately
     /// from their error responses.
     pub server_timeout: SimDuration,
-    /// Host threads for chunk-parallel region scans: `0` = auto-size to
-    /// the machine, `1` = sequential (single-core determinism runs),
-    /// `n` = shard across up to `n` threads. Affects wall-clock only —
-    /// results and simulated times are identical at every setting.
-    pub scan_threads: u32,
-    /// Evaluate scans with the monomorphized kernel layer
-    /// (`pdc_types::kernels`). `false` falls back to the scalar
-    /// per-element reference path; results and simulated costs are
-    /// identical either way (asserted by tests), only wall-clock differs.
-    pub scan_kernels: bool,
-    /// Resolve the primary constraint's candidate regions through the
-    /// hierarchical region directory (range→bin overlap lookup) instead
-    /// of enumerating every region's metadata. Advisory and sound:
-    /// skipped regions replay the exact prune charges, so selections and
-    /// simulated costs are bit-identical with the directory on or off
-    /// (property-tested in `tests/pruning_props.rs`).
-    pub use_directory: bool,
     /// Replicas per assignment slot. `1` (the default) keeps the classic
     /// single-home layout and code path byte-for-byte; `k ≥ 2` activates
     /// the k-way [`Placement`] — each slot gets an ordered replica set,
@@ -146,9 +129,6 @@ impl Default for EngineConfig {
             fault_plan: None,
             max_retries: 3,
             server_timeout: SimDuration::MAX,
-            scan_threads: 0,
-            scan_kernels: true,
-            use_directory: true,
             replicas: 1,
             placement_seed: 0x5EED,
             memory_budget: None,
@@ -664,12 +644,6 @@ impl QueryEngine {
         self.cfg.fault_plan.as_ref().and_then(|p| p.corruption()).is_some()
     }
 
-    /// The engine's host-scan settings `(scan_threads, scan_kernels)`
-    /// (crate-internal; wall-clock only, never results or charges).
-    pub(crate) fn scan_flags(&self) -> (u32, bool) {
-        (self.cfg.scan_threads, self.cfg.scan_kernels)
-    }
-
     /// Broadcast a handler across the pool (crate-internal).
     pub(crate) fn pool_broadcast<R: Send>(
         &self,
@@ -861,9 +835,6 @@ impl QueryEngine {
         let odms = Arc::clone(&self.odms);
         let snap_eval = Arc::clone(&snap);
         let strategy = self.cfg.strategy;
-        let scan_threads = self.cfg.scan_threads;
-        let scan_kernels = self.cfg.scan_kernels;
-        let use_directory = self.cfg.use_directory;
         let out = run_slots(
             &self.pool,
             &cost,
@@ -892,10 +863,7 @@ impl QueryEngine {
                     n_servers: n,
                     n_slots,
                     server: slot,
-                    scan_threads,
-                    scan_kernels,
                     use_cache,
-                    use_directory,
                 };
                 let io0 = st.io;
                 let w0 = st.work;
@@ -961,19 +929,15 @@ impl QueryEngine {
             collect_constraints(&plan.root, &mut constraints);
             // Per-constraint directory statistics (host-side replay of
             // the candidate resolution — never charges).
-            let directory = if self.cfg.use_directory {
-                let pairs: Vec<(ObjectId, Interval)> =
-                    constraints.iter().map(|c| (c.0, c.1)).collect();
-                constraints
-                    .iter()
-                    .filter_map(|(obj, iv, _)| {
-                        let joint = crate::ops::JointContext::build(&snap, *obj, &pairs);
-                        crate::ops::directory_stats(&snap, *obj, iv, joint.as_deref())
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            let pairs: Vec<(ObjectId, Interval)> =
+                constraints.iter().map(|c| (c.0, c.1)).collect();
+            let directory = constraints
+                .iter()
+                .filter_map(|(obj, iv, _)| {
+                    let joint = crate::ops::JointContext::build(&snap, *obj, &pairs);
+                    crate::ops::directory_stats(&snap, *obj, iv, joint.as_deref())
+                })
+                .collect();
             crate::ops::ExplainPlan {
                 strategy: self.cfg.strategy,
                 constraints,
@@ -1212,7 +1176,6 @@ impl QueryEngine {
         let odms = Arc::clone(&self.odms);
         let n = self.cfg.num_servers;
         let epoch = self.odms.store().epoch();
-        let use_directory = self.cfg.use_directory;
         let loaded: Vec<u64> = self.pool.broadcast(|id, st| {
             st.qcache.validate(epoch);
             let mut count = 0u64;
@@ -1224,14 +1187,12 @@ impl QueryEngine {
                 // Skipped regions are exactly the ones whose prune
                 // verdict is `true` by construction (bounds disjoint), so
                 // the per-query path prunes them with full accounting —
-                // prewarming them would be pure waste.
-                let cands: Option<Vec<Vec<u32>>> = if use_directory {
-                    odms.meta().directory(*obj).map(|d| {
-                        ivs.iter().map(|iv| d.probe(iv).candidates).collect()
-                    })
-                } else {
-                    None
-                };
+                // prewarming them would be pure waste. Without a usable
+                // directory (the evaluator's own rule) every region is
+                // considered.
+                let cands: Option<Vec<Vec<u32>>> =
+                    usable_directory(odms.meta().directory(*obj), &meta)
+                        .map(|d| ivs.iter().map(|iv| d.probe(iv).candidates).collect());
                 for r in 0..meta.num_regions() {
                     if r % n != id.raw() {
                         continue;

@@ -61,28 +61,12 @@ pub struct EvalCtx<'a> {
     pub n_slots: u32,
     /// The slot this evaluation covers (`< n_slots`).
     pub server: u32,
-    /// Host threads for chunk-parallel region scans (0 = auto,
-    /// 1 = sequential). Affects wall-clock only, never results or
-    /// simulated costs.
-    pub scan_threads: u32,
-    /// Use the monomorphized scan kernels (`false` = the scalar
-    /// per-element reference path; results and simulated costs are
-    /// identical either way).
-    pub scan_kernels: bool,
     /// Consult the per-server [`crate::qcache::QueryArtifactCache`]
     /// (batch mode). A hit skips host recomputation only — every
     /// simulated counter and clock charge is replayed exactly as on a
     /// miss, so results and cost breakdowns are bit-identical either
     /// way.
     pub use_cache: bool,
-    /// Resolve each primary constraint's candidate region set through
-    /// the hierarchical region directory instead of walking every
-    /// region's metadata. Advisory: a region outside the candidate set
-    /// has bounds disjoint from the interval, so its prune verdict is
-    /// `true` by construction — the skip replays the identical charges
-    /// and cache seeding, and Selections and simulated costs are
-    /// bit-identical with the directory on or off.
-    pub use_directory: bool,
 }
 
 /// Evaluate the full plan on this server; returns the server's partial
@@ -232,9 +216,13 @@ fn eval_primary(
     let planner = ops::RegionPlanner::for_primary(ctx, c.object, joint)?;
     // Hierarchical-directory candidate resolution: one range→bin probe
     // replaces the per-region metadata walk. Only pruning lanes consult
-    // it (`FullScan` must scan non-candidates too), and a region outside
-    // the candidate set takes the charge-identical skip path below.
-    let dir_candidates: Option<Vec<u32>> = if ctx.use_directory && planner.prune_op().is_some() {
+    // it (`FullScan` must scan non-candidates too). A region outside the
+    // candidate set has bounds disjoint from the interval, so its prune
+    // verdict is `true` by construction and it takes the charge-identical
+    // skip path below; an object without a usable directory (none built,
+    // or one lagging the snapshot) walks every region instead, with
+    // bit-identical selections and simulated costs.
+    let dir_candidates: Option<Vec<u32>> = if planner.prune_op().is_some() {
         ctx.snap.directory(c.object).map(|d| d.probe(&c.interval).candidates)
     } else {
         None

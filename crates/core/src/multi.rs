@@ -74,7 +74,6 @@ impl QueryEngine {
 
         let odms = Arc::clone(self.odms());
         let strategy = self.strategy();
-        let (scan_threads, scan_kernels) = self.scan_flags();
         let iv = *interval;
         // Pin the matched objects' metadata before the broadcast: every
         // server evaluates the same snapshot, and an append landing
@@ -102,13 +101,7 @@ impl QueryEngine {
                     n_servers: n,
                     n_slots: n,
                     server: id.raw(),
-                    scan_threads,
-                    scan_kernels,
                     use_cache: true,
-                    // Single-interval filter over whole small objects:
-                    // there is no conjunction to resolve candidates for,
-                    // so the directory fast path is moot here.
-                    use_directory: false,
                 };
                 let mut hits: Vec<(ObjectId, u64)> = Vec::new();
                 for (i, &obj) in objects_for_eval.iter().enumerate() {

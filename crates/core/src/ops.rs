@@ -523,16 +523,7 @@ impl PhysicalOp for ScanExactOp {
                     None => {
                         let sel = match (&payload, &src) {
                             (Some(payload), _) => {
-                                if ctx.scan_kernels {
-                                    kernels::scan_interval_threaded(
-                                        payload,
-                                        interval,
-                                        span.offset,
-                                        ctx.scan_threads,
-                                    )
-                                } else {
-                                    kernels::scan_interval_scalar(payload, interval, span.offset)
-                                }
+                                kernels::scan_interval(payload, interval, span.offset)
                             }
                             (None, RegionData::Cold(cold)) => {
                                 scan_cold_whole(cold, interval, span.offset, span.len)?
@@ -567,32 +558,14 @@ impl PhysicalOp for ScanExactOp {
                     } else if let RegionData::Cold(cold) = &src {
                         scan_cold_run(cold, interval, span.offset, run, &mut held_block, &mut out)?;
                     } else if let Some(payload) = &payload {
-                        if ctx.scan_kernels {
-                            kernels::scan_range(
-                                payload,
-                                interval,
-                                (run.start - span.offset) as usize,
-                                (run.end() - span.offset) as usize,
-                                run.start,
-                                &mut out,
-                            );
-                        } else {
-                            let mut open: Option<Run> = None;
-                            for c in run.start..run.end() {
-                                let v = payload.get_f64((c - span.offset) as usize);
-                                if interval.contains(v) {
-                                    match &mut open {
-                                        Some(r) => r.len += 1,
-                                        None => open = Some(Run::new(c, 1)),
-                                    }
-                                } else if let Some(r) = open.take() {
-                                    out.push(r);
-                                }
-                            }
-                            if let Some(r) = open {
-                                out.push(r);
-                            }
-                        }
+                        kernels::scan_range(
+                            payload,
+                            interval,
+                            (run.start - span.offset) as usize,
+                            (run.end() - span.offset) as usize,
+                            run.start,
+                            &mut out,
+                        );
                     }
                 }
                 Selection::from_runs(out)
@@ -692,12 +665,8 @@ impl PhysicalOp for IndexProbeOp {
                 span.len,
             )?;
             st.work.elements_scanned += candidates_count;
-            if ctx.scan_kernels {
-                let confirmed = kernels::filter_selection(&payload, interval, &ans.candidates);
-                ans.sure.union(&confirmed)
-            } else {
-                ans.resolve(interval, |i| payload.get_f64(i as usize))
-            }
+            let confirmed = kernels::filter_selection(&payload, interval, &ans.candidates);
+            ans.sure.union(&confirmed)
         } else {
             ans.sure
         };
@@ -1226,8 +1195,7 @@ pub struct ExplainPlan {
     /// replica.
     pub sorted_primary: bool,
     /// Per-constraint directory statistics (one entry per constrained
-    /// object carrying a region directory; empty when the directory is
-    /// disabled).
+    /// object carrying a usable region directory).
     pub directory: Vec<DirectoryStats>,
     /// Per-region rows, ordered by (object, region, phase).
     pub regions: Vec<RegionExplain>,

@@ -36,6 +36,22 @@ use pdc_types::{ObjectId, PdcError, PdcResult};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// The one rule for when a region directory may stand in for the
+/// region-metadata walk: it must index at least the regions `meta`
+/// describes. `append_array` publishes the grown directory before the
+/// grown metadata, so a maintained directory always passes; one that was
+/// never built, or that lags the metadata, yields `None` and both
+/// consumers — evaluation and the shared-scan prewarm — fall back to
+/// visiting every region. (The integrity preflight reads the raw
+/// directory instead: a lagging one fails its `self_check` and is
+/// rebuilt.)
+pub(crate) fn usable_directory(
+    dir: Option<Arc<RegionDirectory>>,
+    meta: &ObjectMeta,
+) -> Option<Arc<RegionDirectory>> {
+    dir.filter(|d| d.num_regions() >= meta.num_regions())
+}
+
 /// One object's pinned metadata view.
 struct ObjectView {
     meta: Arc<ObjectMeta>,
@@ -128,13 +144,11 @@ impl MetaSnapshot {
     }
 
     /// The pinned region directory of `object`, when it can answer for
-    /// this snapshot: it must index at least the snapshot's region count
-    /// (the publication order of `append_array` guarantees it is never
-    /// behind the pinned metadata; this gate is the defensive fallback).
+    /// this snapshot (see [`usable_directory`]). `None` sends the
+    /// evaluator down the full region walk.
     pub fn directory(&self, object: ObjectId) -> Option<Arc<RegionDirectory>> {
         let v = self.views.get(&object)?;
-        let dir = v.directory.clone()?;
-        (dir.num_regions() >= v.meta.num_regions()).then_some(dir)
+        usable_directory(v.directory.clone(), &v.meta)
     }
 
     /// The pinned joint-bounds grids both of whose objects this snapshot

@@ -174,6 +174,32 @@ impl ServerState {
         concurrency: u32,
         min_elems: u64,
     ) -> PdcResult<Arc<TypedVec>> {
+        match self.cache_lookup(cost, rid, min_elems)? {
+            Some(CacheSlot::Hot(p)) => Ok(p),
+            // The hit was charged identically to a hot one; the caller
+            // needs the whole payload, so decode it transiently
+            // (host-side — the store copy stays spilled and no further
+            // simulated time accrues).
+            Some(CacheSlot::Cold { .. }) => Self::materialize_whole(odms, rid),
+            None => {
+                let payload = self.read_from_tier(odms, cost, rid, concurrency)?;
+                self.cache_payload(odms, rid, &payload);
+                Ok(payload)
+            }
+        }
+    }
+
+    /// The prologue every data-region read shares: consult the fault
+    /// probe, then look the region up in the cache. A resident copy
+    /// holding at least `min_elems` elements is a hit, charged at DRAM
+    /// bandwidth and returned; anything else is counted as a miss and
+    /// left to the caller's tier read.
+    fn cache_lookup(
+        &mut self,
+        cost: &CostModel,
+        rid: RegionId,
+        min_elems: u64,
+    ) -> PdcResult<Option<CacheSlot>> {
         self.fault_check()?;
         if let Some(slot) = self.cache.get(rid) {
             if slot.elems() >= min_elems {
@@ -181,22 +207,11 @@ impl ServerState {
                 self.io.cache_bytes_read += bytes;
                 self.io.cache_hits += 1;
                 self.clock.advance(cost.dram.read_cost(bytes));
-                match slot {
-                    CacheSlot::Hot(p) => return Ok(p),
-                    CacheSlot::Cold { .. } => {
-                        // The hit was charged identically to a hot one;
-                        // the caller needs the whole payload, so decode it
-                        // transiently (host-side — the store copy stays
-                        // spilled and no further simulated time accrues).
-                        return Self::materialize_whole(odms, rid);
-                    }
-                }
+                return Ok(Some(slot));
             }
         }
         self.io.cache_misses += 1;
-        let payload = self.read_from_tier(odms, cost, rid, concurrency)?;
-        self.cache_payload(odms, rid, &payload);
-        Ok(payload)
+        Ok(None)
     }
 
     /// Insert a just-read payload into the region cache: a hot slot when
@@ -245,29 +260,19 @@ impl ServerState {
         min_elems: u64,
         cache_on_miss: bool,
     ) -> PdcResult<RegionData> {
-        self.fault_check()?;
-        if let Some(slot) = self.cache.get(rid) {
-            if slot.elems() >= min_elems {
-                let bytes = slot.size_bytes();
-                self.io.cache_bytes_read += bytes;
-                self.io.cache_hits += 1;
-                self.clock.advance(cost.dram.read_cost(bytes));
-                match slot {
-                    CacheSlot::Hot(p) => return Ok(RegionData::Mem(p)),
-                    CacheSlot::Cold { .. } => {
-                        if let Some(cold) = odms.store().cold_region(rid) {
-                            return Ok(RegionData::Cold(cold));
-                        }
-                        // Slot outlived the spill (the region was
-                        // rewritten resident): serve the store copy. The
-                        // hit is already charged, as it would be for a
-                        // stale hot slot.
-                        return Self::materialize_whole(odms, rid).map(RegionData::Mem);
-                    }
+        match self.cache_lookup(cost, rid, min_elems)? {
+            Some(CacheSlot::Hot(p)) => return Ok(RegionData::Mem(p)),
+            Some(CacheSlot::Cold { .. }) => {
+                if let Some(cold) = odms.store().cold_region(rid) {
+                    return Ok(RegionData::Cold(cold));
                 }
+                // Slot outlived the spill (the region was rewritten
+                // resident): serve the store copy. The hit is already
+                // charged, as it would be for a stale hot slot.
+                return Self::materialize_whole(odms, rid).map(RegionData::Mem);
             }
+            None => {}
         }
-        self.io.cache_misses += 1;
         if !odms.store().is_quarantined(rid) {
             if let Some(cold) = odms.store().cold_region(rid) {
                 if cold.len() >= min_elems {
@@ -388,21 +393,11 @@ impl ServerState {
         concurrency: u32,
         min_elems: u64,
     ) -> PdcResult<Arc<TypedVec>> {
-        self.fault_check()?;
-        if let Some(slot) = self.cache.get(rid) {
-            if slot.elems() >= min_elems {
-                let bytes = slot.size_bytes();
-                self.io.cache_bytes_read += bytes;
-                self.io.cache_hits += 1;
-                self.clock.advance(cost.dram.read_cost(bytes));
-                match slot {
-                    CacheSlot::Hot(p) => return Ok(p),
-                    CacheSlot::Cold { .. } => return Self::materialize_whole(odms, rid),
-                }
-            }
+        match self.cache_lookup(cost, rid, min_elems)? {
+            Some(CacheSlot::Hot(p)) => Ok(p),
+            Some(CacheSlot::Cold { .. }) => Self::materialize_whole(odms, rid),
+            None => self.read_from_tier(odms, cost, rid, concurrency),
         }
-        self.io.cache_misses += 1;
-        self.read_from_tier(odms, cost, rid, concurrency)
     }
 
     /// Read and reconstruct a region's bitmap index, charging the PFS for

@@ -1,29 +1,35 @@
-//! The typed scan-kernel layer is a pure wall-clock optimization: with
-//! kernels toggled off (the scalar reference path) or the chunk-parallel
-//! path forced on/off via `scan_threads`, every strategy must return a
-//! bit-identical `Selection` and the same simulated cost accounting.
+//! Oracle suite for the scan path. The engine has exactly one way to scan
+//! a region (the typed kernels), so there is nothing to toggle against;
+//! instead every strategy is held to an independent oracle: the scalar
+//! per-element reference scan (`kernels::scan_interval_scalar`) over the
+//! raw columns, combined by a naive per-coordinate conjunction. Two fresh
+//! engines must also agree on every simulated cost field, so the scan
+//! path stays deterministic.
 
 use pdc_odms::{ImportOptions, Odms};
 use pdc_query::{EngineConfig, PdcQuery, QueryEngine, QueryOutcome, Strategy};
-use pdc_types::{ObjectId, QueryOp, TypedVec};
+use pdc_types::{kernels, Interval, ObjectId, QueryOp, Selection, TypedVec};
 use std::sync::Arc;
 
-const ALL_STRATEGIES: [Strategy; 4] = [
+const ALL_STRATEGIES: [Strategy; 5] = [
     Strategy::FullScan,
     Strategy::Histogram,
     Strategy::HistogramIndex,
     Strategy::SortedHistogram,
+    Strategy::Adaptive,
 ];
 
 struct World {
     odms: Arc<Odms>,
     energy: ObjectId,
     x: ObjectId,
+    raw_energy: TypedVec,
+    raw_x: TypedVec,
 }
 
-/// Regions of 2 MiB (512 Ki floats) over 600k elements: large enough
-/// that the chunk-parallel kernel path actually engages (a region must
-/// hold at least 2 × PARALLEL_MIN_CHUNK = 128 Ki elements).
+/// Regions of 2 MiB (512 Ki floats) over 600k elements: one full region
+/// plus a partial tail, so whole-region scans run well past any
+/// block-size boundary the kernels care about.
 fn build_world() -> World {
     let n = 600_000usize;
     let odms = Arc::new(Odms::new(8));
@@ -45,66 +51,72 @@ fn build_world() -> World {
         build_sorted: true,
         ..Default::default()
     };
-    let energy =
-        odms.import_array(c, "energy", TypedVec::Float(energy), &opts).unwrap().object;
-    let x = odms.import_array(c, "x", TypedVec::Float(x), &opts).unwrap().object;
-    World { odms, energy, x }
+    let (raw_energy, raw_x) = (TypedVec::Float(energy), TypedVec::Float(x));
+    let energy = odms.import_array(c, "energy", raw_energy.clone(), &opts).unwrap().object;
+    let x = odms.import_array(c, "x", raw_x.clone(), &opts).unwrap().object;
+    World { odms, energy, x, raw_energy, raw_x }
 }
 
-fn run_with(
-    world: &World,
-    strategy: Strategy,
-    scan_kernels: bool,
-    scan_threads: u32,
-    q: &PdcQuery,
-) -> QueryOutcome {
+fn run_fresh(world: &World, strategy: Strategy, q: &PdcQuery) -> QueryOutcome {
     let eng = QueryEngine::new(
         Arc::clone(&world.odms),
-        EngineConfig {
-            strategy,
-            num_servers: 4,
-            scan_kernels,
-            scan_threads,
-            ..Default::default()
-        },
+        EngineConfig { strategy, num_servers: 4, ..Default::default() },
     );
     eng.run(q).unwrap()
 }
 
-fn assert_equivalent(reference: &QueryOutcome, got: &QueryOutcome, label: &str) {
-    assert_eq!(got.nhits, reference.nhits, "{label}: nhits");
-    assert_eq!(
-        got.selection.runs(),
-        reference.selection.runs(),
-        "{label}: selection runs must be bit-identical"
-    );
-    assert_eq!(got.work, reference.work, "{label}: work counters");
-    assert_eq!(got.breakdown, reference.breakdown, "{label}: cost breakdown");
-    assert_eq!(got.io, reference.io, "{label}: io counters");
-    assert_eq!(got.elapsed, reference.elapsed, "{label}: simulated elapsed");
+/// The queries under test, each with its oracle selection: the scalar
+/// reference scan of the first constraint, narrowed by testing every
+/// further constraint one coordinate at a time.
+fn queries_with_oracles(world: &World) -> Vec<(PdcQuery, Selection)> {
+    // Query constants are f32 values; the engine compares in f64.
+    let band = Interval::open(2.1f32 as f64, 2.2f32 as f64);
+    let tail = Interval::from_op(QueryOp::Gt, 2.0);
+    let slab = Interval::open(100.0, 200.0);
+    vec![
+        (
+            PdcQuery::range_open(world.energy, 2.1f32, 2.2f32),
+            kernels::scan_interval_scalar(&world.raw_energy, &band, 0),
+        ),
+        (
+            PdcQuery::create(world.energy, QueryOp::Gt, 2.0f32)
+                .and(PdcQuery::range_open(world.x, 100.0f32, 200.0f32)),
+            kernels::scan_interval_scalar(&world.raw_energy, &tail, 0)
+                .filter_coords(|c| slab.contains(world.raw_x.get_f64(c as usize))),
+        ),
+    ]
 }
 
 #[test]
-fn kernels_and_threads_change_nothing_observable() {
+fn every_strategy_matches_the_scalar_oracle() {
     let world = build_world();
-    let queries = [
-        PdcQuery::range_open(world.energy, 2.1f32, 2.2f32),
-        PdcQuery::create(world.energy, QueryOp::Gt, 2.0f32)
-            .and(PdcQuery::range_open(world.x, 100.0f32, 200.0f32)),
-    ];
-    for q in &queries {
+    for (q, oracle) in queries_with_oracles(&world) {
+        assert!(oracle.count() > 0, "test query must hit");
         for strategy in ALL_STRATEGIES {
-            // Scalar reference path (kernels off) is the ground truth.
-            let reference = run_with(&world, strategy, false, 0, q);
-            assert!(reference.nhits > 0, "{strategy:?}: test query must hit");
-            for (kernels, threads) in [(true, 1), (true, 0), (true, 4), (false, 1)] {
-                let got = run_with(&world, strategy, kernels, threads, q);
-                assert_equivalent(
-                    &reference,
-                    &got,
-                    &format!("{strategy:?} kernels={kernels} threads={threads}"),
-                );
-            }
+            let got = run_fresh(&world, strategy, &q);
+            assert_eq!(got.nhits, oracle.count(), "{strategy}: nhits");
+            assert_eq!(
+                got.selection.runs(),
+                oracle.runs(),
+                "{strategy}: selection runs must equal the oracle's"
+            );
+        }
+    }
+}
+
+#[test]
+fn fresh_engines_agree_on_every_cost_field() {
+    let world = build_world();
+    for (q, _) in queries_with_oracles(&world) {
+        for strategy in ALL_STRATEGIES {
+            let a = run_fresh(&world, strategy, &q);
+            let b = run_fresh(&world, strategy, &q);
+            assert_eq!(a.selection, b.selection, "{strategy}: selection");
+            assert_eq!(a.work, b.work, "{strategy}: work counters");
+            assert_eq!(a.breakdown, b.breakdown, "{strategy}: cost breakdown");
+            assert_eq!(a.io, b.io, "{strategy}: io counters");
+            assert_eq!(a.elapsed, b.elapsed, "{strategy}: simulated elapsed");
+            assert_eq!(a.per_server, b.per_server, "{strategy}: per-server times");
         }
     }
 }

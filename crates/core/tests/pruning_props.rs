@@ -10,14 +10,29 @@
 //! 2. **Bit-identity**: selections *and* every simulated cost (elapsed,
 //!    per-server times, I/O, work, breakdown, integrity) are identical
 //!    with the directory on or off, for all five strategies, on clean
-//!    pools and under seeded faults plus ≤20% corruption.
+//!    pools, under seeded faults plus ≤20% corruption, and after
+//!    streaming appends. "Off" is not a switch: the reference world's
+//!    objects carry a directory shorter than their metadata, which the
+//!    snapshot refuses, so the evaluator takes the fallback every
+//!    directory-less object takes in production — the full region walk.
+//!    Under a corruption plan the off world is **partial**: the integrity
+//!    preflight rebuilds a lagging directory like a damaged one, so
+//!    there the reference is a store reopened from its metadata snapshot
+//!    (which persists no directory at all), and an object whose
+//!    directory the plan damages keeps it in both worlds — that repair
+//!    is part of the compared outcome. The test asserts that the
+//!    primary constraint's object, the only one whose directory
+//!    evaluation consults, is not among those.
 //! 3. **Joint invariance**: registering a joint-bounds grid kills
 //!    additional candidate regions but never changes the selection.
 
+use pdc_directory::{DirectoryConfig, RegionDirectory};
 use pdc_odms::{ImportOptions, Odms};
-use pdc_query::{EngineConfig, PdcQuery, QueryEngine, QueryOutcome, Strategy};
+use pdc_query::{
+    apply_corruption, EngineConfig, MetaSnapshot, PdcQuery, QueryEngine, QueryOutcome, Strategy,
+};
 use pdc_server::{CorruptionSpec, FaultPlan};
-use pdc_types::{Interval, ObjectId, QueryOp, TypedVec};
+use pdc_types::{Interval, ObjectId, QueryOp, RegionId, TypedVec};
 use std::sync::Arc;
 
 const ALL_STRATEGIES: [Strategy; 5] = [
@@ -43,19 +58,23 @@ struct World {
     raw_x: Vec<f32>,
 }
 
+fn energy_at(i: usize) -> f32 {
+    if (3000..3400).contains(&(i % 8000)) {
+        2.0 + ((i * 31) % 160) as f32 / 100.0 // tail [2.0, 3.6)
+    } else {
+        ((i as f32 * 0.37).sin() + 1.0) * 0.9 // bulk [0, 1.8]
+    }
+}
+
+fn x_at(i: usize) -> f32 {
+    332.0 * i as f32 / N as f32
+}
+
 fn build_world() -> World {
     let odms = Arc::new(Odms::new(8));
     let c = odms.create_container("vpic");
-    let energy: Vec<f32> = (0..N)
-        .map(|i| {
-            if (3000..3400).contains(&(i % 8000)) {
-                2.0 + ((i * 31) % 160) as f32 / 100.0 // tail [2.0, 3.6)
-            } else {
-                ((i as f32 * 0.37).sin() + 1.0) * 0.9 // bulk [0, 1.8]
-            }
-        })
-        .collect();
-    let x: Vec<f32> = (0..N).map(|i| 332.0 * i as f32 / N as f32).collect();
+    let energy: Vec<f32> = (0..N).map(energy_at).collect();
+    let x: Vec<f32> = (0..N).map(x_at).collect();
     let opts = ImportOptions {
         region_bytes: 4096,
         build_index: true,
@@ -68,16 +87,51 @@ fn build_world() -> World {
     World { odms, energy: energy_id, x: x_id, raw_energy: energy, raw_x: x }
 }
 
-fn engine(world: &World, strategy: Strategy, use_directory: bool, plan: Option<FaultPlan>) -> QueryEngine {
+/// Replace `obj`'s directory with an empty one: it indexes 0 regions,
+/// fewer than the metadata describes, so it is unusable and candidate
+/// resolution falls back to walking every region.
+fn strip_directory(world: &World, obj: ObjectId) {
+    world.odms.meta().set_directory(obj, RegionDirectory::new(DirectoryConfig::default()));
+    let snap = MetaSnapshot::capture(&world.odms, &[obj]).unwrap();
+    assert!(snap.directory(obj).is_none(), "a lagging directory must be refused");
+}
+
+/// The directory-off twin of [`build_world`].
+fn build_world_without_directories() -> World {
+    let w = build_world();
+    strip_directory(&w, w.energy);
+    strip_directory(&w, w.x);
+    w
+}
+
+/// [`build_world`] reopened from its metadata snapshot: a fresh system
+/// holding the same data and index regions. Snapshots persist no
+/// directory, so every object comes back with none at all — unlike the
+/// lagging one of [`strip_directory`], nothing for an integrity
+/// preflight to find and rebuild.
+fn build_world_reopened() -> World {
+    let w = build_world();
+    let fresh = Arc::new(Odms::new(8));
+    for meta in w.odms.meta().all_objects() {
+        for obj in std::iter::once(meta.id).chain(meta.index_object) {
+            for r in 0..meta.num_regions() {
+                let rid = RegionId::new(obj, r);
+                let (payload, tier) = w.odms.store().get(rid).unwrap();
+                fresh.store().put(rid, payload, tier);
+            }
+        }
+    }
+    fresh.restore_metadata(&w.odms.meta().snapshot()).unwrap();
+    for obj in [w.energy, w.x] {
+        assert!(fresh.meta().directory(obj).is_none(), "snapshots carry no directory");
+    }
+    World { odms: fresh, ..w }
+}
+
+fn engine(world: &World, strategy: Strategy, plan: Option<FaultPlan>) -> QueryEngine {
     QueryEngine::new(
         Arc::clone(&world.odms),
-        EngineConfig {
-            strategy,
-            num_servers: 4,
-            fault_plan: plan,
-            use_directory,
-            ..Default::default()
-        },
+        EngineConfig { strategy, num_servers: 4, fault_plan: plan, ..Default::default() },
     )
 }
 
@@ -138,9 +192,9 @@ fn directory_on_off_bit_identical_all_strategies() {
     for strategy in ALL_STRATEGIES {
         // Separate worlds per engine: cache state must not leak between
         // the compared runs.
-        let (won, woff) = (build_world(), build_world());
-        let on = engine(&won, strategy, true, None);
-        let off = engine(&woff, strategy, false, None);
+        let (won, woff) = (build_world(), build_world_without_directories());
+        let on = engine(&won, strategy, None);
+        let off = engine(&woff, strategy, None);
         let (qon, qoff) = (window_query(&won), window_query(&woff));
         let a = on.run(&qon).unwrap();
         let b = off.run(&qoff).unwrap();
@@ -155,17 +209,33 @@ fn directory_on_off_bit_identical_all_strategies() {
 
 #[test]
 fn directory_on_off_bit_identical_under_faults_and_corruption() {
-    let plan = || {
-        FaultPlan::seeded(11, 4).with_corruption(CorruptionSpec::new(0.2, 0.2, 42))
+    let spec = || CorruptionSpec::new(0.2, 0.2, 42);
+    let plan = || FaultPlan::seeded(11, 4).with_corruption(spec());
+    // Which directories does this plan damage? Their repair is part of
+    // the compared outcome, so those objects keep a directory in both
+    // worlds; every other object of the reference world has none.
+    let probe = build_world();
+    apply_corruption(&probe.odms, &spec()).unwrap();
+    let damaged = |obj: ObjectId| {
+        let regions = probe.odms.meta().get(obj).unwrap().num_regions();
+        !probe.odms.meta().directory(obj).unwrap().self_check(regions)
     };
+    assert!(
+        !damaged(probe.energy),
+        "the plan damages energy's directory: both worlds would repair and consult it, \
+         and the on/off comparison would compare nothing — pick another corruption seed"
+    );
     for strategy in ALL_STRATEGIES {
-        let (won, woff) = (build_world(), build_world());
+        let (won, woff) = (build_world(), build_world_reopened());
+        if damaged(probe.x) {
+            woff.odms.rebuild_directory(woff.x).unwrap();
+        }
         // A joint pair in play exercises the grid's corruption/rebuild
         // lane as well.
         won.odms.register_joint_pair(won.energy, won.x).unwrap();
         woff.odms.register_joint_pair(woff.energy, woff.x).unwrap();
-        let on = engine(&won, strategy, true, Some(plan()));
-        let off = engine(&woff, strategy, false, Some(plan()));
+        let on = engine(&won, strategy, Some(plan()));
+        let off = engine(&woff, strategy, Some(plan()));
         let (qon, qoff) = (window_query(&won), window_query(&woff));
         let a = on.run(&qon).unwrap();
         let b = off.run(&qoff).unwrap();
@@ -174,6 +244,80 @@ fn directory_on_off_bit_identical_under_faults_and_corruption() {
             a.integrity.any(),
             "{strategy}: 20% corruption must surface integrity work"
         );
+        // Energy is the primary constraint — the one whose directory
+        // candidate resolution consults — and the reference run had none
+        // to consult, before the preflight or after it.
+        let (_, explained) = on.explain(&qon).unwrap();
+        assert_eq!(explained.constraints[0].0, won.energy, "{strategy}: primary constraint");
+        assert!(woff.odms.meta().directory(woff.energy).is_none(), "{strategy}: reference regained a directory");
+    }
+}
+
+#[test]
+fn directory_on_off_bit_identical_after_appends_and_maintenance() {
+    const DELTA: usize = 5_000;
+    for strategy in ALL_STRATEGIES {
+        let (won, woff) = (build_world(), build_world_without_directories());
+        for w in [&won, &woff] {
+            let energy: Vec<f32> = (N..N + DELTA).map(energy_at).collect();
+            let x: Vec<f32> = (N..N + DELTA).map(x_at).collect();
+            w.odms.append_array(w.energy, &TypedVec::Float(energy)).unwrap();
+            w.odms.append_array(w.x, &TypedVec::Float(x)).unwrap();
+            w.odms.run_deferred_maintenance().unwrap();
+        }
+        // The append maintained the full directory; the stripped one
+        // only gained the appended regions and still lags.
+        let meta = won.odms.meta().get(won.energy).unwrap();
+        let snap_on = MetaSnapshot::capture(&won.odms, &[won.energy]).unwrap();
+        assert_eq!(snap_on.directory(won.energy).unwrap().num_regions(), meta.num_regions());
+        let snap_off = MetaSnapshot::capture(&woff.odms, &[woff.energy]).unwrap();
+        assert!(snap_off.directory(woff.energy).is_none());
+
+        let on = engine(&won, strategy, None);
+        let off = engine(&woff, strategy, None);
+        // A window reaching into the appended extent (x keeps ramping).
+        let q = |w: &World| {
+            PdcQuery::create(w.energy, QueryOp::Gt, 2.0f32)
+                .and(PdcQuery::range_open(w.x, 150.0f32, 400.0f32))
+        };
+        let a = on.run(&q(&won)).unwrap();
+        let b = off.run(&q(&woff)).unwrap();
+        assert!(
+            a.selection.iter_coords().any(|c| c >= N as u64),
+            "{strategy}: query must reach the appended extent"
+        );
+        assert_outcomes_identical(&a, &b, &format!("{strategy} appended"));
+    }
+}
+
+#[test]
+fn prewarm_ignores_a_directory_shorter_than_the_metadata() {
+    // A directory covering only the first half of the regions. Trusting
+    // it would make the shared-scan prewarm skip every region past its
+    // extent; evaluation already refuses it, and the prewarm must agree.
+    let (full, short) = (build_world(), build_world());
+    let hists = short.odms.meta().region_histograms(short.energy).unwrap();
+    let half: Vec<(f64, f64)> =
+        hists[..hists.len() / 2].iter().map(|h| (h.min(), h.max())).collect();
+    short
+        .odms
+        .meta()
+        .set_directory(short.energy, RegionDirectory::from_bounds(DirectoryConfig::default(), &half));
+    let batch = |w: &World| {
+        let queries = [
+            PdcQuery::create(w.energy, QueryOp::Gt, 2.0f32),
+            PdcQuery::range_open(w.energy, 2.1f32, 2.2f32),
+        ];
+        engine(w, Strategy::Histogram, None).run_batch(&queries).unwrap()
+    };
+    let (a, b) = (batch(&full), batch(&short));
+    assert!(a.stats.prewarm_regions > 0);
+    assert_eq!(
+        a.stats.prewarm_regions, b.stats.prewarm_regions,
+        "the prewarm trusted a lagging directory"
+    );
+    for (i, (x, y)) in a.outcomes.iter().zip(&b.outcomes).enumerate() {
+        assert_outcomes_identical(x, y, &format!("batched query {i}"));
     }
 }
 
@@ -181,17 +325,17 @@ fn directory_on_off_bit_identical_under_faults_and_corruption() {
 fn joint_registration_never_changes_the_selection() {
     let baseline = {
         let w = build_world();
-        engine(&w, Strategy::Histogram, true, None).run(&window_query(&w)).unwrap()
+        engine(&w, Strategy::Histogram, None).run(&window_query(&w)).unwrap()
     };
     for strategy in ALL_STRATEGIES {
-        for use_directory in [true, false] {
-            let w = build_world();
+        for with_directory in [true, false] {
+            let w = if with_directory { build_world() } else { build_world_without_directories() };
             w.odms.register_joint_pair(w.energy, w.x).unwrap();
-            let eng = engine(&w, strategy, use_directory, None);
+            let eng = engine(&w, strategy, None);
             let out = eng.run(&window_query(&w)).unwrap();
             assert_eq!(
                 out.selection, baseline.selection,
-                "{strategy} use_directory={use_directory}: joint bounds changed hits"
+                "{strategy} with_directory={with_directory}: joint bounds changed hits"
             );
         }
     }
@@ -212,7 +356,7 @@ fn joint_registration_never_changes_the_selection() {
 fn joint_bounds_kill_regions_independent_pruning_admits() {
     let w = build_world();
     w.odms.register_joint_pair(w.energy, w.x).unwrap();
-    let eng = engine(&w, Strategy::Histogram, true, None);
+    let eng = engine(&w, Strategy::Histogram, None);
     let (_, plan) = eng.explain(&window_query(&w)).unwrap();
     let stats = plan
         .directory

@@ -10,7 +10,7 @@
 //!   set it returns is exactly the set of regions whose 1-D bounds
 //!   overlap the query interval, so every region it skips would have been
 //!   pruned by the histogram min/max test anyway — Selections and
-//!   simulated costs are bit-identical with the directory on or off.
+//!   simulated costs are bit-identical whether or not an object has one.
 //! * [`joint`] — **cross-variable joint bounds**: a compact per-region
 //!   2-D grid of cell counts + cell bounding boxes over a correlated
 //!   variable pair (e.g. `(Energy, x)` in VPIC). A conjunction

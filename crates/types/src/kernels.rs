@@ -22,23 +22,14 @@
 //!    block boundaries, so the output [`Selection`] is identical to the
 //!    scalar reference.
 //!
-//! A chunk-parallel driver ([`scan_interval_split`]) shards a region
-//! across threads via `rayon::join` and stitches boundary-adjacent runs,
-//! so the result is bit-identical to the sequential path at any thread
-//! count. None of this changes simulated costs: callers charge
+//! None of this changes simulated costs: callers charge
 //! `elements_scanned` and `settle_cpu` exactly as before; the kernels only
-//! change host wall-clock time.
+//! change host wall-clock time. Parallelism lives one level up, across
+//! servers and regions; a region scan is a single sequential pass.
 
 use crate::interval::Interval;
 use crate::selection::{Run, Selection};
 use crate::value::TypedVec;
-
-/// Minimum elements per parallel shard; below twice this a scan stays
-/// sequential (thread spawn would cost more than it saves).
-pub const PARALLEL_MIN_CHUNK: usize = 64 * 1024;
-
-/// Upper bound on auto-sized scan threads (`scan_threads = 0`).
-const MAX_AUTO_THREADS: usize = 8;
 
 // ---------------------------------------------------------------------------
 // float helpers
@@ -209,7 +200,7 @@ fn int_upper_i128(min: i128, max: i128, to_f64: impl Fn(i128) -> f64, hi: f64) -
 /// ```
 ///
 /// so kernel output is always bit-identical to the scalar reference.
-pub trait ScanElem: Copy + PartialOrd + Send + Sync {
+pub trait ScanElem: Copy + PartialOrd {
     /// Lower `interval` to inclusive native-typed thresholds, once per
     /// region (cheap: a couple of float adjustments, or a ≤64-step binary
     /// search for the wide integer types).
@@ -396,8 +387,7 @@ fn scan_intervals_slice<T: ScanElem>(
 /// The pre-kernel reference scan: per-element enum dispatch through
 /// [`TypedVec::get_f64`] and a branchy run state machine. Kept as the
 /// correctness oracle for the kernels (property-tested equal) and as the
-/// baseline of the recorded kernel benchmarks; also the engine's
-/// `scan_kernels = false` path.
+/// baseline of the recorded kernel benchmarks.
 pub fn scan_interval_scalar(tv: &TypedVec, interval: &Interval, base: u64) -> Selection {
     let mut runs: Vec<Run> = Vec::new();
     let mut open: Option<Run> = None;
@@ -415,94 +405,6 @@ pub fn scan_interval_scalar(tv: &TypedVec, interval: &Interval, base: u64) -> Se
         runs.push(r);
     }
     Selection::from_canonical_runs(runs)
-}
-
-/// Resolve a requested `scan_threads` setting: `0` = auto (host
-/// parallelism, capped), `n` = exactly `n`.
-pub fn resolve_threads(requested: u32) -> usize {
-    match requested {
-        0 => rayon::current_num_threads().clamp(1, MAX_AUTO_THREADS),
-        n => n as usize,
-    }
-}
-
-/// Chunk-parallel kernel scan with explicit shard sizing (exposed so
-/// tests and benches can force small chunks): the region is split into
-/// contiguous, 64-aligned shards across `threads` scoped threads, each
-/// shard scans independently, and boundary-adjacent runs are stitched.
-/// Output is bit-identical to [`scan_interval`] for every `threads` /
-/// `min_chunk` combination, because the scan is pure and stitching
-/// re-canonicalizes the only places shards can disagree with a
-/// sequential pass (their boundaries).
-pub fn scan_interval_split(
-    tv: &TypedVec,
-    interval: &Interval,
-    base: u64,
-    threads: usize,
-    min_chunk: usize,
-) -> Selection {
-    let mut out = Vec::new();
-    crate::with_slice!(tv, xs => {
-        let (lo, hi) = ScanElem::lower(interval);
-        scan_split(xs, lo, hi, base, threads, min_chunk.max(64), &mut out);
-    });
-    Selection::from_canonical_runs(out)
-}
-
-/// Kernel scan honouring an engine `scan_threads` setting (`0` = auto,
-/// `1` = sequential, `n` = shard across up to `n` threads).
-pub fn scan_interval_threaded(
-    tv: &TypedVec,
-    interval: &Interval,
-    base: u64,
-    scan_threads: u32,
-) -> Selection {
-    let threads = resolve_threads(scan_threads);
-    if threads <= 1 || tv.len() < 2 * PARALLEL_MIN_CHUNK {
-        scan_interval(tv, interval, base)
-    } else {
-        scan_interval_split(tv, interval, base, threads, PARALLEL_MIN_CHUNK)
-    }
-}
-
-fn scan_split<T: ScanElem>(
-    xs: &[T],
-    lo: T,
-    hi: T,
-    base: u64,
-    threads: usize,
-    min_chunk: usize,
-    out: &mut Vec<Run>,
-) {
-    if threads <= 1 || xs.len() < 2 * min_chunk {
-        scan_runs(xs, lo, hi, base, out);
-        return;
-    }
-    // Split proportionally to the thread shares, 64-aligned so shard
-    // interiors stay on whole mask blocks.
-    let lt = threads / 2;
-    let rt = threads - lt;
-    let mid = (xs.len() * lt / threads) & !63;
-    if mid == 0 || mid == xs.len() {
-        scan_runs(xs, lo, hi, base, out);
-        return;
-    }
-    let (l, r) = xs.split_at(mid);
-    let mut rout: Vec<Run> = Vec::new();
-    rayon::join(
-        || scan_split(l, lo, hi, base, lt, min_chunk, out),
-        || scan_split(r, lo, hi, base + mid as u64, rt, min_chunk, &mut rout),
-    );
-    // Stitch: a hit run crossing the split boundary arrives as the left
-    // shard's tail plus the right shard's head; coalesce them.
-    let mut rest = rout.into_iter();
-    if let Some(first) = rest.next() {
-        match out.last_mut() {
-            Some(last) if last.end() == first.start => last.len += first.len,
-            _ => out.push(first),
-        }
-    }
-    out.extend(rest);
 }
 
 /// Verify candidate positions against the raw values: the subset of
@@ -756,35 +658,6 @@ mod tests {
         assert!(scan_intervals(&tv, &[], 0).is_empty());
     }
 
-    // -- parallel path ------------------------------------------------------
-
-    #[test]
-    fn parallel_matches_sequential_at_many_chunk_sizes() {
-        let tv = TypedVec::Float(
-            (0..10_000).map(|i| ((i * 37) % 1000) as f32 / 100.0).collect(),
-        );
-        let iv = Interval::open(2.1, 7.8);
-        let seq = scan_interval(&tv, &iv, 123);
-        for threads in [2, 3, 4, 7, 8] {
-            for min_chunk in [64, 100, 257, 1024, 5000] {
-                let par = scan_interval_split(&tv, &iv, 123, threads, min_chunk);
-                assert_eq!(par, seq, "threads={threads} min_chunk={min_chunk}");
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_dispatch_respects_settings() {
-        let tv = TypedVec::Double((0..1000).map(|i| i as f64).collect());
-        let iv = Interval::closed(100.0, 500.0);
-        let expect = scan_interval(&tv, &iv, 0);
-        for t in [0, 1, 4] {
-            assert_eq!(scan_interval_threaded(&tv, &iv, 0, t), expect, "scan_threads={t}");
-        }
-        assert!(resolve_threads(0) >= 1);
-        assert_eq!(resolve_threads(3), 3);
-    }
-
     // -- candidate / count helpers -----------------------------------------
 
     #[test]
@@ -908,24 +781,6 @@ mod tests {
             prop_assert_eq!(
                 scan_interval(&tv, &iv, base),
                 scan_interval_scalar(&tv, &iv, base)
-            );
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 100, ..ProptestConfig::default() })]
-        #[test]
-        fn parallel_equals_sequential(seed in 0u64..u64::MAX) {
-            let mut rng = TestRng::new(seed);
-            let ty = rng.below(6);
-            let len = 200 + rng.below(2000);
-            let tv = gen_data(&mut rng, ty, len);
-            let iv = gen_interval(&mut rng, 25.0);
-            let threads = 2 + rng.below(7);
-            let min_chunk = 64 + rng.below(600);
-            prop_assert_eq!(
-                scan_interval_split(&tv, &iv, 7, threads, min_chunk),
-                scan_interval(&tv, &iv, 7)
             );
         }
     }

@@ -15,7 +15,7 @@
 //! * [`Selection`] — the run-length encoded set of matching element
 //!   coordinates that `PDCquery_get_selection` returns.
 //! * [`kernels`] — monomorphized, branchless scan kernels (typed interval
-//!   lowering, 64-element hit masks, chunk-parallel region evaluation)
+//!   lowering, 64-element hit masks, mask-to-run decoding)
 //!   that every executor's hot loop runs on.
 //! * [`RegionSpec`] / [`NdRegion`] — region geometry: 1-D partitions of an
 //!   object plus N-dimensional spatial constraints.
