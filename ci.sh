@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate for the PDC-Query reproduction.
 #
-#   ./ci.sh          build + full test suite + named fault-tolerance gate
+#   ./ci.sh          build + full test suite + named gates
 #
 # Falls back to `--offline` when the crates.io registry is unreachable
 # (the workspace vendors API-compatible shims under compat/, so an
@@ -21,12 +21,25 @@ cargo build --release $OFFLINE
 echo "== test suite =="
 # The workspace's default members are the facade package and every crate
 # under crates/, so this one command runs each crate's unit, integration
-# and property tests; the named gates below only add what it cannot —
-# release-mode reruns, bench-bin gates and CLI smokes.
+# and property tests (fault tolerance, integrity, replication and the
+# pruning properties included); the named gates below only add what it
+# cannot — release-mode reruns, bench-bin gates and CLI smokes.
 cargo test -q $OFFLINE
 
-echo "== fault-tolerance gate =="
-cargo test -q $OFFLINE -- fault
+# Run one gate bin of crates/bench, then hold what it wrote against the
+# committed BENCH_<name>.json. Every recorded number is a simulated-clock
+# value, a count or an identity, so the two files must be equal byte for
+# byte: drift is a red build, not a manual regeneration. The document
+# must also satisfy a strict JSON parser.
+bench_gate() {
+    target/release/"$1" "/tmp/ci_$1.json"
+    python3 -c 'import json,sys; json.load(sys.stdin)' < "/tmp/ci_$1.json"
+    cmp -s "/tmp/ci_$1.json" "BENCH_$1.json" || {
+        echo "ci: $1 FAILED: /tmp/ci_$1.json differs from the committed BENCH_$1.json:" >&2
+        diff "BENCH_$1.json" "/tmp/ci_$1.json" >&2 || true
+        exit 1
+    }
+}
 
 echo "== server-runtime gate =="
 # pdc-server's own tests (pool dispatch, persistent crew, assignment,
@@ -36,7 +49,6 @@ echo "== server-runtime gate =="
 cargo test -q $OFFLINE --release -p pdc-server
 
 echo "== integrity gate =="
-cargo test -q $OFFLINE -- integrity
 # Corruption smoke: a run with 5% of regions corrupted must exit 0 and
 # return the same selection (hits + runs) as the clean run.
 cargo build --release $OFFLINE -p pdc-cli
@@ -57,13 +69,16 @@ echo "$corrupt_out" | grep -q '^integrity:' || {
 echo "integrity smoke: '$corrupt_hits' identical under 5% corruption"
 
 echo "== batch-throughput gate =="
-# The concurrent query-series engine must beat the sequential loop by
-# >= 3x wall clock on a 32-query overlapping series (the bin exits
-# non-zero below that floor) while producing bit-identical results
-# (asserted inside the bin). A CLI batch smoke checks the user-facing
-# path end to end: batched hits must equal the single-run hits.
+# On a 32-query overlapping series the concurrent query-series engine
+# must read every region once on behalf of the whole batch, serve >= 90%
+# of plans, artifacts and region touches from its caches, and keep the
+# simulated batch schedule within the sum of the sequential critical
+# paths, with bit-identical results (all checked inside the bin; what
+# that buys in host wall time is the referee's service.batching_gain).
+# A CLI batch smoke checks the user-facing path end to end: batched hits
+# must equal the single-run hits.
 cargo build --release $OFFLINE -p pdc-bench
-target/release/throughput /tmp/ci_throughput.json
+bench_gate throughput
 batch_out=$($PDC query "$SMOKE_Q" $SMOKE_ARGS --queries 8)
 batch_hits=$(echo "$batch_out" | grep -o '[0-9]* hits ([0-9]* runs)')
 if [ "$clean_hits" != "$batch_hits" ]; then
@@ -98,7 +113,7 @@ echo "$explain_out" | grep -q 'est(lo..hi)' || {
     exit 1
 }
 echo "explain smoke: operator table rendered"
-target/release/adaptive /tmp/ci_adaptive.json
+bench_gate adaptive
 
 echo "== ingest gate =="
 # Streaming ingest: a query running mid-ingest must be bit-identical to
@@ -109,7 +124,7 @@ echo "== ingest gate =="
 # any divergence from the sealed baselines), then a CLI smoke that
 # appends 10% of the particles across 3 batches mid-series and asserts
 # every extent sealed-consistent.
-target/release/ingest /tmp/ci_ingest.json
+bench_gate ingest
 ingest_out=$($PDC ingest "$SMOKE_Q" $SMOKE_ARGS --append-batches 3 --append-fraction 0.1)
 echo "$ingest_out" | grep -q 'ingest gate: PASS' || {
     echo "ci: ingest smoke FAILED:" >&2
@@ -122,11 +137,10 @@ echo "== pruning gate =="
 # Hierarchical region directory + joint bounds: pruning must stay
 # advisory and sound (bit-identical selections and simulated costs
 # against a twin world whose objects carry no usable directory, all
-# strategies, under faults + corruption and after appends), and the bench
-# bin asserts the conjunctive 3-D window workload admits >= 2x fewer
+# strategies, under faults + corruption and after appends — pruning_props
+# ran in the test suite above), and the bench bin asserts the conjunctive 3-D window workload admits >= 2x fewer
 # regions than 1-D min/max pruning.
-cargo test -q $OFFLINE -p pdc-query --test pruning_props
-target/release/pruning /tmp/ci_pruning.json
+bench_gate pruning
 dir_out=$($PDC query "Energy > 2.0 AND 100 < x < 200" $SMOKE_ARGS --joint Energy,x --explain)
 echo "$dir_out" | grep -q '^joint bounds: registered (Energy,x)' || {
     echo "ci: pruning smoke FAILED: no joint-registration report" >&2
@@ -140,14 +154,14 @@ dir_hits=$(echo "$dir_out" | grep -o '[0-9]* hits ([0-9]* runs)')
 echo "pruning smoke: '$dir_hits' with joint bounds registered"
 
 echo "== replication gate =="
-# K-way replication: the kill-matrix tests (every strategy x k x kills
-# combination bit-identical or a typed RetriesExhausted), the bench
+# K-way replication: the kill-matrix tests ran in the test suite above
+# (every strategy x k x kills combination bit-identical or a typed
+# RetriesExhausted); here the bench
 # bin's own gate (k >= 2 kill degradation <= 1.1x the no-kill series,
 # recovery lane silent under placement), and a CLI smoke of the
 # replica-aware routing + elastic membership surface. The smoke query
 # touches every region so the kill probe actually fires mid-evaluation.
-cargo test -q $OFFLINE -- replication
-target/release/replication /tmp/ci_replication.json
+bench_gate replication
 REPL_Q="Energy > 0"
 plain_hits=$($PDC query "$REPL_Q" $SMOKE_ARGS | grep -o '[0-9]* hits ([0-9]* runs)')
 repl_out=$($PDC query "$REPL_Q" $SMOKE_ARGS --replicas 2 --kill-servers 1 --fault-seed 3)
@@ -186,11 +200,10 @@ echo "== out-of-core gate =="
 # checksum and the plane-gather decode are the loops optimisation levels
 # can break.
 cargo test -q $OFFLINE --release -p pdc-blockstore -p pdc-storage
-# Bench-bin gate (compression >= 2x, cold-streamed scan >= 0.5x the
-# resident scan, resident high-water <= budget with demotions observed,
-# all strategies identical to unbounded), then a CLI smoke under a budget
-# far below the dataset.
-target/release/blockstore /tmp/ci_blockstore.json
+# Bench-bin gate (compression >= 2x, resident high-water <= budget with
+# demotions observed, all strategies identical to unbounded), then a CLI
+# smoke under a budget far below the dataset.
+bench_gate blockstore
 spill_out=$($PDC query "$SMOKE_Q" $SMOKE_ARGS --memory-budget 256K)
 spill_hits=$(echo "$spill_out" | grep -o '[0-9]* hits ([0-9]* runs)')
 if [ "$clean_hits" != "$spill_hits" ]; then
@@ -210,7 +223,7 @@ echo "== service gate =="
 # (dispatch-order replay identical, late shared-scan joins observed,
 # flood mix degrades well-behaved p99 <= 1.25x the uniform mix), and a
 # CLI smoke replaying the committed 3-tenant trace through `pdc serve`.
-target/release/service /tmp/ci_service.json
+bench_gate service
 serve_out=$($PDC serve --trace-file examples/service_trace.txt --particles 50000 --servers 4)
 echo "$serve_out" | grep -q 'service equivalence: PASS' || {
     echo "ci: service smoke FAILED: no equivalence PASS in serve run:" >&2
@@ -230,8 +243,5 @@ echo "$serve_out" | tail -n 1
 
 echo "== clippy gate =="
 cargo clippy --release $OFFLINE --workspace --all-targets -- -D warnings
-
-echo "== bench smoke (each benchmark body runs once) =="
-PDC_KERNEL_BENCH_N=65536 cargo bench $OFFLINE -p pdc-bench -- --test
 
 echo "ci: all gates green"

@@ -58,23 +58,13 @@ fn ablation_fault_injection(scale: &Scale, data: &pdc_workloads::VpicData) {
         "slowdown vs healthy",
         "rounds",
     ]);
-    for strategy in
-        [Strategy::FullScan, Strategy::Histogram, Strategy::HistogramIndex, Strategy::SortedHistogram]
-    {
+    for &strategy in &ALL_STRATEGIES[..4] {
         let mut healthy = None;
         for kills in [0u32, 1, n / 2, n - 1] {
             let plan = (kills > 0).then(|| FaultPlan::kill_count(kills, n, scale.seed));
             let eng = QueryEngine::new(
                 Arc::clone(&world.odms),
-                EngineConfig {
-                    strategy,
-                    num_servers: n,
-                    cache_bytes_per_server: 1 << 30,
-                    cost: scale.cost(),
-                    order_by_selectivity: true,
-                    fault_plan: plan,
-                    ..Default::default()
-                },
+                EngineConfig { fault_plan: plan, ..engine_config(strategy, n, scale.cost()) },
             );
             let out = eng.run(&q).expect("query must survive while one server lives");
             let (healthy_hits, healthy_elapsed) =
@@ -143,12 +133,8 @@ fn ablation_staging(scale: &Scale, data: &pdc_workloads::VpicData) {
         let eng = QueryEngine::new(
             Arc::clone(&world.odms),
             EngineConfig {
-                strategy: Strategy::Histogram,
-                num_servers: scale.servers,
                 cache_bytes_per_server: 0, // isolate the tier effect
-                cost: scale.cost(),
-                order_by_selectivity: true,
-                ..Default::default()
+                ..engine_config(Strategy::Histogram, scale.servers, scale.cost())
             },
         );
         let mut total = SimDuration::ZERO;
@@ -272,12 +258,8 @@ fn ablation_caching(scale: &Scale, data: &pdc_workloads::VpicData) {
         let eng = QueryEngine::new(
             Arc::clone(&world.odms),
             EngineConfig {
-                strategy: Strategy::Histogram,
-                num_servers: scale.servers,
                 cache_bytes_per_server: cache_bytes,
-                cost: scale.cost(),
-                order_by_selectivity: true,
-                ..Default::default()
+                ..engine_config(Strategy::Histogram, scale.servers, scale.cost())
             },
         );
         let mut total = SimDuration::ZERO;
@@ -304,12 +286,8 @@ fn ablation_ordering(scale: &Scale, data: &pdc_workloads::VpicData) {
         let eng = QueryEngine::new(
             Arc::clone(&world.odms),
             EngineConfig {
-                strategy: Strategy::Histogram,
-                num_servers: scale.servers,
-                cache_bytes_per_server: 1 << 30,
-                cost: scale.cost(),
                 order_by_selectivity: ordering,
-                ..Default::default()
+                ..engine_config(Strategy::Histogram, scale.servers, scale.cost())
             },
         );
         let mut total = SimDuration::ZERO;

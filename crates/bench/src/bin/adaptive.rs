@@ -13,29 +13,21 @@
 //! strategy wins both halves of the mix, so the adaptive total must
 //! come out no worse than the best fixed one.
 //!
-//! Writes `BENCH_adaptive.json` (path overridable as argv[1]).
-//! Particle count via `PDC_ADAPTIVE_N` (default 2M, the recorded
-//! baseline). Exits non-zero if any strategy disagrees on hits or if
-//! the adaptive total exceeds the best fixed total (set
-//! `PDC_ADAPTIVE_NO_ASSERT=1` to record without gating).
+//! Writes `BENCH_adaptive.json` (path overridable as argv[1]);
+//! `PDC_PARTICLES` overrides the 2 Mi-particle default. Exits non-zero
+//! if any strategy disagrees on hits or if the adaptive total exceeds
+//! the best fixed total.
 
-use pdc_bench::{engine, import_vpic, Scale, BEST_REGION};
+use pdc_bench::{
+    engine, generate_vpic, import_vpic, sim_ms, Gates, Json, Scale, VpicWorld, ALL_STRATEGIES,
+    BEST_REGION,
+};
 use pdc_query::{PdcQuery, Strategy};
 use pdc_storage::SimDuration;
 use pdc_types::ObjectId;
-use pdc_workloads::{VpicConfig, VpicData};
-use std::fmt::Write as _;
+use std::process::ExitCode;
 
-const DEFAULT_N: usize = 2 << 20;
 const SERVERS: u32 = 8;
-
-const STRATEGIES: [Strategy; 5] = [
-    Strategy::FullScan,
-    Strategy::Histogram,
-    Strategy::HistogramIndex,
-    Strategy::SortedHistogram,
-    Strategy::Adaptive,
-];
 
 /// The mixed series: 6 narrow windows over the energy tail (high
 /// selectivity — sorted-replica territory) + 4 wide windows over the
@@ -64,12 +56,7 @@ struct Row {
     hits: Vec<u64>,
 }
 
-fn measure(
-    world: &pdc_bench::VpicWorld,
-    scale: &Scale,
-    strategy: Strategy,
-    qs: &[PdcQuery],
-) -> Row {
+fn measure(world: &VpicWorld, scale: &Scale, strategy: Strategy, qs: &[PdcQuery]) -> Row {
     let eng = engine(world, strategy, scale);
     // Warm-up pass, as in fig3: the paper reports warm-cache runs.
     for q in qs {
@@ -87,71 +74,45 @@ fn measure(
     Row { strategy, total, per_query, hits }
 }
 
-fn main() {
-    let out_path =
-        std::env::args().nth(1).unwrap_or_else(|| "BENCH_adaptive.json".to_string());
-    let n: usize = std::env::var("PDC_ADAPTIVE_N")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_N);
-    let scale = Scale { particles: n, servers: SERVERS, ..Scale::from_env() };
+fn main() -> ExitCode {
+    let mut gates = Gates::from_args("adaptive");
+    let scale = Scale::for_gate(2 << 20, SERVERS);
 
-    let data = VpicData::generate(&VpicConfig { particles: n, seed: scale.seed });
+    let data = generate_vpic(&scale);
     let world = import_vpic(&data, BEST_REGION.0, true);
     let qs = series(world.objects.energy, world.objects.x);
-    let rows: Vec<Row> = STRATEGIES.iter().map(|&s| measure(&world, &scale, s, &qs)).collect();
+    let rows: Vec<Row> = ALL_STRATEGIES.iter().map(|&s| measure(&world, &scale, s, &qs)).collect();
 
-    let mut json = format!(
-        "{{\n  \"particles\": {n},\n  \"servers\": {SERVERS},\n  \
-         \"region_bytes\": {},\n  \
-         \"series\": \"6 narrow Energy tail + 4 wide x windows\",\n  \"strategies\": {{\n",
-        BEST_REGION.0,
-    );
-    for (i, row) in rows.iter().enumerate() {
-        let per: Vec<String> =
-            row.per_query.iter().map(|d| format!("{:.3}", d.as_secs_f64() * 1e3)).collect();
-        let _ = write!(
-            json,
-            "    \"{}\": {{\n      \"total_ms\": {:.3},\n      \"per_query_ms\": [{}]\n    }}{}",
-            row.strategy.label(),
-            row.total.as_secs_f64() * 1e3,
-            per.join(", "),
-            if i + 1 < rows.len() { ",\n" } else { "\n" },
+    let (adaptive, fixed) = rows.split_last().expect("PDC-A is the last strategy");
+    for row in fixed {
+        gates.check(
+            format!("{} and PDC-A disagree on hits", row.strategy.label()),
+            row.hits == adaptive.hits,
         );
     }
-    json.push_str("  }\n}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark json");
+    let best_fixed = fixed.iter().map(|r| r.total).min().expect("fixed rows");
+    gates.check(
+        format!("adaptive total {} exceeds best fixed total {best_fixed}", adaptive.total),
+        adaptive.total <= best_fixed,
+    );
 
-    for row in &rows {
+    let strategies = rows.iter().map(|row| {
         println!(
             "{:<7} total {:>10.3} ms  (hits per query: {:?})",
             row.strategy.label(),
-            row.total.as_secs_f64() * 1e3,
+            sim_ms(row.total),
             row.hits,
         );
-    }
-    println!("wrote {out_path}");
-
-    let gate = std::env::var("PDC_ADAPTIVE_NO_ASSERT").is_err();
-    let adaptive = rows.last().unwrap();
-    let mut ok = true;
-    for row in &rows[..rows.len() - 1] {
-        if row.hits != adaptive.hits {
-            eprintln!("FAIL: {} and PDC-A disagree on hits", row.strategy.label());
-            ok = false;
-        }
-    }
-    let best_fixed =
-        rows[..rows.len() - 1].iter().map(|r| r.total).min().expect("fixed rows");
-    if adaptive.total > best_fixed {
-        eprintln!(
-            "FAIL: adaptive total {:.3} ms exceeds best fixed total {:.3} ms",
-            adaptive.total.as_secs_f64() * 1e3,
-            best_fixed.as_secs_f64() * 1e3,
-        );
-        ok = false;
-    }
-    if gate && !ok {
-        std::process::exit(1);
-    }
+        let per_query: Json = row.per_query.iter().map(|&d| Json::ms(d)).collect();
+        (
+            row.strategy.label(),
+            Json::obj([("total_ms", Json::ms(row.total)), ("per_query_ms", per_query)]),
+        )
+    });
+    let mut doc = Json::obj([("particles", Json::from(scale.particles))]);
+    doc.set("servers", SERVERS)
+        .set("region_bytes", BEST_REGION.0)
+        .set("series", "6 narrow Energy tail + 4 wide x windows")
+        .set("strategies", Json::obj(strategies));
+    gates.finish(&doc)
 }

@@ -11,16 +11,9 @@
 
 use pdc_baseline::Hdf5Baseline;
 use pdc_bench::*;
-use pdc_query::{PdcQuery, QueryOutcome, Strategy};
+use pdc_query::QueryOutcome;
 use pdc_types::{Interval, QueryOp};
-use pdc_workloads::{multi_object_catalog, MultiObjectQuerySpec};
-
-fn build_query(world: &VpicWorld, spec: &MultiObjectQuerySpec) -> PdcQuery {
-    PdcQuery::create(world.objects.energy, QueryOp::Gt, spec.energy_gt)
-        .and(PdcQuery::range_open(world.objects.x, spec.x_lo, spec.x_hi))
-        .and(PdcQuery::range_open(world.objects.y, spec.y_lo, spec.y_hi))
-        .and(PdcQuery::range_open(world.objects.z, spec.z_lo, spec.z_hi))
-}
+use pdc_workloads::multi_object_catalog;
 
 fn main() {
     let scale = Scale::from_env();
@@ -37,18 +30,14 @@ fn main() {
     let catalog = multi_object_catalog();
     let baseline = Hdf5Baseline::new(scale.cost(), scale.servers);
 
-    let strategies = [
-        Strategy::FullScan,
-        Strategy::Histogram,
-        Strategy::HistogramIndex,
-        Strategy::SortedHistogram,
-    ];
-    let engines: Vec<_> = strategies.iter().map(|&s| engine(&world, s, &scale)).collect();
+    // The four fixed strategies; the paper has no PDC-A.
+    let engines: Vec<_> =
+        ALL_STRATEGIES[..4].iter().map(|&s| engine(&world, s, &scale)).collect();
 
     // Warm-up pass (the paper reports best-of-5 = warm numbers).
     for spec in &catalog {
         for eng in &engines {
-            let q = build_query(&world, spec);
+            let q = multi_object_query(&world, spec);
             let out = eng.run(&q).expect("warm-up");
             eng.get_data(&out, world.objects.energy).expect("warm-up get");
         }
@@ -80,7 +69,7 @@ fn main() {
         let h5 = baseline.full_scan_conjunction(&vars);
         let h5_amortized = h5.read_elapsed / catalog.len() as u64 + h5.scan_elapsed;
 
-        let q = build_query(&world, spec);
+        let q = multi_object_query(&world, spec);
         let mut outs: Vec<(QueryOutcome, _)> = Vec::new();
         for eng in &engines {
             let out = eng.run(&q).expect("query");

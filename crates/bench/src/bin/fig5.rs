@@ -12,7 +12,7 @@
 use pdc_baseline::Hdf5Baseline;
 use pdc_bench::*;
 use pdc_odms::{ImportOptions, Odms};
-use pdc_query::{EngineConfig, QueryEngine, Strategy};
+use pdc_query::{QueryEngine, Strategy};
 use pdc_types::Interval;
 use pdc_workloads::{boss_flux_catalog, BossConfig, BossData};
 use std::sync::Arc;
@@ -44,17 +44,7 @@ fn main() {
     let cost = pdc_storage::CostModel::scaled(factor, factor * scale.servers as f64 / 64.0, 1.0);
     let baseline = Hdf5Baseline::new(cost, scale.servers);
     let make_engine = |strategy| {
-        QueryEngine::new(
-            Arc::clone(&odms),
-            EngineConfig {
-                strategy,
-                num_servers: scale.servers,
-                cache_bytes_per_server: 1 << 30,
-                cost,
-                order_by_selectivity: true,
-                ..Default::default()
-            },
-        )
+        QueryEngine::new(Arc::clone(&odms), engine_config(strategy, scale.servers, cost))
     };
     let engines = [make_engine(Strategy::Histogram), make_engine(Strategy::HistogramIndex)];
 

@@ -8,8 +8,9 @@
 //! servers".
 
 use pdc_bench::*;
-use pdc_query::{PdcQuery, Strategy};
+use pdc_query::{PdcQuery, QueryEngine, Strategy};
 use pdc_types::QueryOp;
+use std::sync::Arc;
 
 fn main() {
     let scale = Scale::from_env();
@@ -41,7 +42,7 @@ fn main() {
         let mut times = Vec::new();
         let mut nhits = 0;
         for &s in &strategies {
-            let eng = engine_with_cost(&world, s, servers, cost);
+            let eng = QueryEngine::new(Arc::clone(&world.odms), engine_config(s, servers, cost));
             // Warm-up, then report (the paper's best-of-5).
             eng.run(&query).expect("warm-up");
             let out = eng.run(&query).expect("query");

@@ -8,193 +8,122 @@
 //! recorded — the gap is the price of querying mid-ingest (stale sorted
 //! replica, pending tail index, cold caches after every epoch bump).
 //!
-//! Writes `BENCH_ingest.json` (path overridable as argv[1]). Element
-//! count via `PDC_INGEST_N` (default 1M). Exits non-zero if any
-//! interleaved query disagrees with its sealed rerun — the correctness
-//! gate — unless `PDC_INGEST_NO_ASSERT=1`.
+//! Writes `BENCH_ingest.json` (path overridable as argv[1]);
+//! `PDC_PARTICLES` overrides the 1 Mi-element default. Exits non-zero if
+//! any interleaved query disagrees with its sealed rerun — the
+//! correctness gate.
 
-use pdc_odms::{ImportOptions, Odms};
-use pdc_query::{EngineConfig, PdcQuery, QueryEngine, Strategy};
+use pdc_bench::{
+    build_world, engine_unscaled, pass_fail, sim_ms, synthetic_energy, Columns, Gates, Json, Scale,
+    World, WorldSpec, ALL_STRATEGIES,
+};
+use pdc_query::{PdcQuery, QueryOutcome, Strategy};
 use pdc_types::{ObjectId, TypedVec};
-use std::fmt::Write as _;
-use std::sync::Arc;
+use std::process::ExitCode;
 
-const DEFAULT_N: usize = 1 << 20;
 const SERVERS: u32 = 8;
 const APPENDS: usize = 4;
 const APPEND_FRACTION: f64 = 0.10;
 
-const STRATEGIES: [Strategy; 5] = [
-    Strategy::FullScan,
-    Strategy::Histogram,
-    Strategy::HistogramIndex,
-    Strategy::SortedHistogram,
-    Strategy::Adaptive,
-];
-
-fn gen(n: usize) -> Vec<f32> {
-    (0..n)
-        .map(|i| {
-            let base = ((i as f32 * 0.37).sin() + 1.0) * 0.9;
-            if (3000..3400).contains(&(i % 8000)) {
-                2.0 + ((i * 31) % 160) as f32 / 100.0
-            } else {
-                base
-            }
-        })
-        .collect()
+fn import(data: &[f32]) -> World {
+    build_world(&[("energy", data)], &WorldSpec::resident(128 << 10, Columns::All, Columns::All))
 }
 
-fn world(data: &[f32]) -> (Arc<Odms>, ObjectId) {
-    let odms = Arc::new(Odms::new(64));
-    let c = odms.create_container("ingest");
-    let opts = ImportOptions {
-        region_bytes: 128 << 10,
-        build_index: true,
-        build_sorted: true,
-        ..Default::default()
-    };
-    let obj = odms.import_array(c, "energy", TypedVec::Float(data.to_vec()), &opts).unwrap().object;
-    (odms, obj)
+fn query(energy: ObjectId) -> PdcQuery {
+    PdcQuery::range_open(energy, 2.1f32, 2.2f32)
 }
 
-fn engine(odms: &Arc<Odms>, strategy: Strategy) -> QueryEngine {
-    QueryEngine::new(
-        Arc::clone(odms),
-        EngineConfig { strategy, num_servers: SERVERS, ..Default::default() },
-    )
+/// The sealed baseline: the query on a fresh store imported whole at
+/// `extent`.
+fn sealed_run(data: &[f32], extent: usize, strategy: Strategy) -> QueryOutcome {
+    let sealed = import(&data[..extent]);
+    engine_unscaled(&sealed, strategy, SERVERS).run(&query(sealed.objects[0])).unwrap()
 }
 
-struct Row {
-    strategy: Strategy,
-    queries: usize,
-    interleaved_sim_ms: f64,
-    sealed_sim_ms: f64,
-    appended_elems: u64,
-    maintenance_bytes: u64,
-    hits_match: bool,
-}
-
-fn measure(data: &[f32], initial: usize, chunk: usize) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for strategy in STRATEGIES {
-        let (odms, obj) = world(&data[..initial]);
-        let eng = engine(&odms, strategy);
-        let q = PdcQuery::range_open(obj, 2.1f32, 2.2f32);
-        let mut interleaved_sim = 0.0f64;
-        let mut sealed_sim = 0.0f64;
-        let mut hits_match = true;
-        let mut appended = 0u64;
-        for k in 0..=APPENDS {
-            let out = eng.run(&q).unwrap();
-            interleaved_sim += out.elapsed.as_secs_f64() * 1e3;
-            // The sealed baseline at the extent this query planned over.
-            let extent = out.planned_elements as usize;
-            let (sealed, sobj) = world(&data[..extent]);
-            let seng = engine(&sealed, strategy);
-            let sq = PdcQuery::range_open(sobj, 2.1f32, 2.2f32);
-            let sout = seng.run(&sq).unwrap();
-            sealed_sim += sout.elapsed.as_secs_f64() * 1e3;
-            if out.nhits != sout.nhits || out.selection != sout.selection {
-                hits_match = false;
-                eprintln!(
-                    "MISMATCH: {strategy} at extent {extent}: interleaved {} vs sealed {}",
-                    out.nhits, sout.nhits
-                );
-            }
-            if k < APPENDS {
-                let lo = initial + k * chunk;
-                let hi = (lo + chunk).min(data.len());
-                let rep = eng
-                    .odms()
-                    .append_array(obj, &TypedVec::Float(data[lo..hi].to_vec()))
-                    .unwrap();
-                appended += rep.appended_elems;
-            }
-        }
-        let maint = odms.run_deferred_maintenance().unwrap();
-        // Post-maintenance rerun must still agree with the final sealed
-        // extent (deferred rebuilds never change results).
-        let after = eng.run(&q).unwrap();
-        let (sealed, sobj) = world(&data[..after.planned_elements as usize]);
-        let sout = engine(&sealed, strategy)
-            .run(&PdcQuery::range_open(sobj, 2.1f32, 2.2f32))
-            .unwrap();
-        if after.selection != sout.selection {
+/// One strategy's interleaved series: whether every query matched its
+/// sealed rerun, and the recorded row.
+fn measure(data: &[f32], initial: usize, chunk: usize, strategy: Strategy) -> (bool, Json) {
+    let world = import(&data[..initial]);
+    let obj = world.objects[0];
+    let eng = engine_unscaled(&world, strategy, SERVERS);
+    let q = query(obj);
+    let mut interleaved_sim = 0.0f64;
+    let mut sealed_sim = 0.0f64;
+    let mut hits_match = true;
+    let mut appended = 0u64;
+    for k in 0..=APPENDS {
+        let out = eng.run(&q).unwrap();
+        interleaved_sim += sim_ms(out.elapsed);
+        // The sealed baseline at the extent this query planned over.
+        let extent = out.planned_elements as usize;
+        let sout = sealed_run(data, extent, strategy);
+        sealed_sim += sim_ms(sout.elapsed);
+        if out.nhits != sout.nhits || out.selection != sout.selection {
             hits_match = false;
-            eprintln!("MISMATCH: {strategy} after deferred maintenance");
+            eprintln!(
+                "MISMATCH: {strategy} at extent {extent}: interleaved {} vs sealed {}",
+                out.nhits, sout.nhits
+            );
         }
-        rows.push(Row {
-            strategy,
-            queries: APPENDS + 1,
-            interleaved_sim_ms: interleaved_sim,
-            sealed_sim_ms: sealed_sim,
-            appended_elems: appended,
-            maintenance_bytes: maint.bytes_written,
-            hits_match,
-        });
+        if k < APPENDS {
+            let lo = initial + k * chunk;
+            let hi = (lo + chunk).min(data.len());
+            let rep =
+                eng.odms().append_array(obj, &TypedVec::Float(data[lo..hi].to_vec())).unwrap();
+            appended += rep.appended_elems;
+        }
     }
-    rows
+    let maint = world.odms.run_deferred_maintenance().unwrap();
+    // Post-maintenance rerun must still agree with the final sealed
+    // extent (deferred rebuilds never change results).
+    let after = eng.run(&q).unwrap();
+    let sout = sealed_run(data, after.planned_elements as usize, strategy);
+    if after.selection != sout.selection {
+        hits_match = false;
+        eprintln!("MISMATCH: {strategy} after deferred maintenance");
+    }
+    let overhead = interleaved_sim / sealed_sim.max(1e-9);
+    println!(
+        "{:>7}: {} queries mid-ingest, simulated {interleaved_sim:>9.3} ms vs sealed \
+         {sealed_sim:>9.3} ms ({overhead:.2}x), hits match: {hits_match}",
+        strategy.label(),
+        APPENDS + 1,
+    );
+    let row = Json::obj([
+        ("queries", Json::from(APPENDS + 1)),
+        ("interleaved_sim_ms", Json::fixed(interleaved_sim, 3)),
+        ("sealed_sim_ms", Json::fixed(sealed_sim, 3)),
+        ("ingest_overhead", Json::fixed(overhead, 3)),
+        ("appended_elems", appended.into()),
+        ("maintenance_bytes", maint.bytes_written.into()),
+        ("hits_match", hits_match.into()),
+    ]);
+    (hits_match, row)
 }
 
-fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_ingest.json".to_string());
-    let n: usize = std::env::var("PDC_INGEST_N")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_N);
+fn main() -> ExitCode {
+    let mut gates = Gates::from_args("ingest");
+    let n = Scale::for_gate(1 << 20, SERVERS).particles;
     let append_total = ((n as f64 * APPEND_FRACTION) as usize).max(APPENDS);
     let initial = n - append_total;
     let chunk = append_total / APPENDS;
-    let data = gen(n);
-
-    let rows = measure(&data, initial, chunk);
-    let all_match = rows.iter().all(|r| r.hits_match);
-
-    let mut json = format!(
-        "{{\n  \"n_elements\": {n},\n  \"initial_elements\": {initial},\n  \
-         \"appends\": {APPENDS},\n  \"append_fraction\": {APPEND_FRACTION},\n  \
-         \"servers\": {SERVERS},\n  \"correctness_gate\": \"{}\",\n  \"strategies\": {{\n",
-        if all_match { "PASS" } else { "FAIL" }
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    \"{}\": {{\n      \"queries\": {},\n      \"interleaved_sim_ms\": {:.3},\n      \
-             \"sealed_sim_ms\": {:.3},\n      \"ingest_overhead\": {:.3},\n      \
-             \"appended_elems\": {},\n      \"maintenance_bytes\": {},\n      \
-             \"hits_match\": {}\n    }}{}",
-            r.strategy.label(),
-            r.queries,
-            r.interleaved_sim_ms,
-            r.sealed_sim_ms,
-            r.interleaved_sim_ms / r.sealed_sim_ms.max(1e-9),
-            r.appended_elems,
-            r.maintenance_bytes,
-            r.hits_match,
-            if i + 1 < rows.len() { ",\n" } else { "\n" },
-        );
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark json");
+    let data = synthetic_energy(n);
 
     println!("# E12 — query latency and correctness under concurrent ingest ({n} elements)\n");
-    for r in &rows {
-        println!(
-            "{:>7}: {} queries mid-ingest, simulated {:>9.3} ms vs sealed {:>9.3} ms \
-             ({:.2}x), hits match: {}",
-            r.strategy.label(),
-            r.queries,
-            r.interleaved_sim_ms,
-            r.sealed_sim_ms,
-            r.interleaved_sim_ms / r.sealed_sim_ms.max(1e-9),
-            r.hits_match,
-        );
-    }
-    println!("wrote {out_path}");
+    let mut all_match = true;
+    let strategies = ALL_STRATEGIES.map(|strategy| {
+        let (hits_match, row) = measure(&data, initial, chunk, strategy);
+        all_match &= hits_match;
+        (strategy.label(), row)
+    });
+    gates.check("interleaved queries diverged from the sealed baseline", all_match);
 
-    if std::env::var("PDC_INGEST_NO_ASSERT").is_err() && !all_match {
-        eprintln!("FAIL: interleaved queries diverged from the sealed baseline");
-        std::process::exit(1);
-    }
+    let mut doc = Json::obj([("n_elements", Json::from(n))]);
+    doc.set("initial_elements", initial)
+        .set("appends", APPENDS)
+        .set("append_fraction", Json::fixed(APPEND_FRACTION, 1))
+        .set("servers", SERVERS)
+        .set("correctness_gate", pass_fail(all_match))
+        .set("strategies", Json::obj(strategies));
+    gates.finish(&doc)
 }

@@ -19,37 +19,27 @@
 //! mid-series, then retire one of the originals — selections must be
 //! unchanged at every step, and the live-migration volume is recorded.
 //!
-//! Writes `BENCH_replication.json` (path overridable as argv[1]).
-//! Particle count via `PDC_REPLICATION_N` (default 983,040 = 240
-//! regions of 16 KiB — slot count and region count align so healthy
-//! per-server work is perfectly balanced). Exits non-zero on any gate
-//! violation (set `PDC_REPLICATION_NO_ASSERT=1` to record without
-//! gating).
+//! Writes `BENCH_replication.json` (path overridable as argv[1]);
+//! `PDC_PARTICLES` overrides the default of 983,040 particles = 240
+//! regions of 16 KiB — one region per assignment slot at 16 servers
+//! (spread 15), so healthy per-server work is perfectly balanced and a
+//! failover moves exactly one region to each backup. Exits non-zero on
+//! any gate violation.
 
-use pdc_bench::{import_vpic, Scale};
+use pdc_bench::{
+    engine_config, generate_vpic, import_vpic, Gates, Json, Scale, VpicWorld, ALL_STRATEGIES,
+};
 use pdc_query::{EngineConfig, PdcQuery, QueryEngine, Strategy};
 use pdc_server::FaultPlan;
 use pdc_storage::SimDuration;
 use pdc_types::{ObjectId, Selection};
-use pdc_workloads::{VpicConfig, VpicData};
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-/// 240 regions of 16 KiB: one region per assignment slot at 16 servers
-/// (spread 15), so a failover moves exactly one region to each backup.
-const DEFAULT_N: usize = 240 * 4096;
 const SERVERS: u32 = 16;
 const REGION_BYTES: u64 = 16 << 10;
 const VICTIM: u32 = 3;
 const GATE: f64 = 1.10;
-
-const STRATEGIES: [Strategy; 5] = [
-    Strategy::FullScan,
-    Strategy::Histogram,
-    Strategy::HistogramIndex,
-    Strategy::SortedHistogram,
-    Strategy::Adaptive,
-];
 
 /// The series: a full-touch filter first (so the kill probe fires on
 /// query 1 for every strategy), then narrow Energy tail windows and
@@ -67,7 +57,7 @@ fn series(energy: ObjectId, x: ObjectId) -> Vec<PdcQuery> {
 }
 
 fn build(
-    world: &pdc_bench::VpicWorld,
+    world: &VpicWorld,
     scale: &Scale,
     strategy: Strategy,
     replicas: u32,
@@ -76,17 +66,14 @@ fn build(
     QueryEngine::new(
         Arc::clone(&world.odms),
         EngineConfig {
-            strategy,
-            num_servers: SERVERS,
-            cache_bytes_per_server: 1 << 30,
-            cost: scale.cost(),
             replicas,
             fault_plan: kill.then(|| FaultPlan::kill(&[VICTIM])),
-            ..Default::default()
+            ..engine_config(strategy, SERVERS, scale.cost())
         },
     )
 }
 
+#[derive(Default)]
 struct Cell {
     total: SimDuration,
     selections: Vec<Selection>,
@@ -98,26 +85,9 @@ struct Cell {
 
 /// Run the series cold and fold the outcomes.
 fn measure(eng: &QueryEngine, qs: &[PdcQuery]) -> Cell {
-    let mut cell = Cell {
-        total: SimDuration::ZERO,
-        selections: Vec::with_capacity(qs.len()),
-        failover: SimDuration::ZERO,
-        recovery: SimDuration::ZERO,
-        rebuild_regions: 0,
-        rebuild_bytes: 0,
-    };
+    let mut cell = Cell::default();
     for q in qs {
         let out = eng.run(q).expect("matrix cell must recover");
-        if std::env::var("PDC_REPLICATION_VERBOSE").is_ok() {
-            println!(
-                "    q: {:>10.3} ms (failover {:.3} ms, recovery {:.3} ms, retry {}, io {} B)",
-                out.elapsed.as_secs_f64() * 1e3,
-                out.breakdown.failover.as_secs_f64() * 1e3,
-                out.breakdown.recovery.as_secs_f64() * 1e3,
-                out.retry_rounds,
-                out.io.pfs_bytes_read,
-            );
-        }
         cell.total += out.elapsed;
         cell.failover += out.breakdown.failover;
         cell.recovery += out.breakdown.recovery;
@@ -128,81 +98,64 @@ fn measure(eng: &QueryEngine, qs: &[PdcQuery]) -> Cell {
     cell
 }
 
-fn main() {
-    let out_path =
-        std::env::args().nth(1).unwrap_or_else(|| "BENCH_replication.json".to_string());
-    let n: usize = std::env::var("PDC_REPLICATION_N")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_N);
-    let scale = Scale { particles: n, servers: SERVERS, ..Scale::from_env() };
+fn main() -> ExitCode {
+    let mut gates = Gates::from_args("replication");
+    let scale = Scale::for_gate(240 * 4096, SERVERS);
 
-    let data = VpicData::generate(&VpicConfig { particles: n, seed: scale.seed });
+    let data = generate_vpic(&scale);
     let world = import_vpic(&data, REGION_BYTES, true);
     let qs = series(world.objects.energy, world.objects.x);
 
     let reference = measure(&build(&world, &scale, Strategy::Histogram, 1, false), &qs);
 
-    let gate = std::env::var("PDC_REPLICATION_NO_ASSERT").is_err();
-    let mut ok = true;
-    let mut json = format!(
-        "{{\n  \"particles\": {n},\n  \"servers\": {SERVERS},\n  \
-         \"region_bytes\": {REGION_BYTES},\n  \"victim\": {VICTIM},\n  \
-         \"queries\": {},\n  \"gate\": {GATE},\n  \"matrix\": {{\n",
-        qs.len(),
-    );
-    for (si, &strategy) in STRATEGIES.iter().enumerate() {
-        let _ = writeln!(json, "    \"{}\": {{", strategy.label());
-        for (ki, k) in [1u32, 2, 3].into_iter().enumerate() {
+    let mut matrix = Vec::new();
+    for strategy in ALL_STRATEGIES {
+        let mut cells = Vec::new();
+        for k in [1u32, 2, 3] {
             let clean = measure(&build(&world, &scale, strategy, k, false), &qs);
             let killed = measure(&build(&world, &scale, strategy, k, true), &qs);
             for (name, cell) in [("clean", &clean), ("killed", &killed)] {
-                if cell.selections != reference.selections {
-                    eprintln!("FAIL: {strategy} k={k} {name}: selections diverged");
-                    ok = false;
-                }
+                gates.check(
+                    format!("{strategy} k={k} {name}: selections diverged"),
+                    cell.selections == reference.selections,
+                );
             }
             let degradation = killed.total.as_secs_f64() / clean.total.as_secs_f64();
             println!(
-                "{:<7} k={k}: clean {:>9.3} ms, killed {:>9.3} ms ({degradation:.3}x) — \
-                 failover {:.3} ms, recovery {:.3} ms, rebuilt {} regions",
+                "{:<7} k={k}: clean {}, killed {} ({degradation:.3}x) — failover {}, \
+                 recovery {}, rebuilt {} regions",
                 strategy.label(),
-                clean.total.as_secs_f64() * 1e3,
-                killed.total.as_secs_f64() * 1e3,
-                killed.failover.as_secs_f64() * 1e3,
-                killed.recovery.as_secs_f64() * 1e3,
+                clean.total,
+                killed.total,
+                killed.failover,
+                killed.recovery,
                 killed.rebuild_regions,
             );
             if k >= 2 {
-                if degradation > GATE {
-                    eprintln!(
-                        "FAIL: {strategy} k={k}: kill degradation {degradation:.3}x \
-                         exceeds {GATE}x"
-                    );
-                    ok = false;
-                }
-                if killed.recovery > SimDuration::ZERO {
-                    eprintln!("FAIL: {strategy} k={k}: recovery lane charged under placement");
-                    ok = false;
-                }
+                gates.check(
+                    format!("{strategy} k={k}: kill degradation {degradation:.3}x exceeds {GATE}x"),
+                    degradation <= GATE,
+                );
+                gates.check(
+                    format!("{strategy} k={k}: recovery lane charged under placement"),
+                    killed.recovery == SimDuration::ZERO,
+                );
             }
-            let _ = write!(
-                json,
-                "      \"k{k}\": {{ \"clean_ms\": {:.3}, \"killed_ms\": {:.3}, \
-                 \"degradation\": {degradation:.4}, \"failover_ms\": {:.3}, \
-                 \"recovery_ms\": {:.3}, \"rebuild_regions\": {}, \"rebuild_bytes\": {} }}{}",
-                clean.total.as_secs_f64() * 1e3,
-                killed.total.as_secs_f64() * 1e3,
-                killed.failover.as_secs_f64() * 1e3,
-                killed.recovery.as_secs_f64() * 1e3,
-                killed.rebuild_regions,
-                killed.rebuild_bytes,
-                if ki < 2 { ",\n" } else { "\n" },
-            );
+            cells.push((
+                format!("k{k}"),
+                Json::obj([
+                    ("clean_ms", Json::ms(clean.total)),
+                    ("killed_ms", Json::ms(killed.total)),
+                    ("degradation", Json::fixed(degradation, 4)),
+                    ("failover_ms", Json::ms(killed.failover)),
+                    ("recovery_ms", Json::ms(killed.recovery)),
+                    ("rebuild_regions", killed.rebuild_regions.into()),
+                    ("rebuild_bytes", killed.rebuild_bytes.into()),
+                ]),
+            ));
         }
-        let _ = write!(json, "    }}{}", if si + 1 < STRATEGIES.len() { ",\n" } else { "\n" });
+        matrix.push((strategy.label(), Json::obj(cells)));
     }
-    json.push_str("  },\n");
 
     // Elastic membership under a live series: join, then retire server 0.
     let eng = build(&world, &scale, Strategy::Histogram, 2, false);
@@ -212,41 +165,36 @@ fn main() {
     let left = eng.leave_server(0).expect("leave");
     let after = measure(&eng, &qs);
     for (name, cell) in [("join", &mid), ("leave", &after)] {
-        if cell.selections != before.selections || cell.selections != reference.selections {
-            eprintln!("FAIL: membership {name}: selections diverged");
-            ok = false;
-        }
+        gates.check(
+            format!("membership {name}: selections diverged"),
+            cell.selections == before.selections && cell.selections == reference.selections,
+        );
     }
-    println!(
-        "membership: +server {} ({} slots, {} regions, {} B), -server 0 ({} slots, {} regions, \
-         {} B) — results unchanged",
-        joined.server,
-        joined.slots_changed,
-        joined.regions_copied,
-        joined.bytes_copied,
-        left.slots_changed,
-        left.regions_copied,
-        left.bytes_copied,
-    );
-    let _ = write!(
-        json,
-        "  \"membership\": {{\n    \"join\": {{ \"server\": {}, \"slots_changed\": {}, \
-         \"regions_copied\": {}, \"bytes_copied\": {} }},\n    \"leave\": {{ \"server\": 0, \
-         \"slots_changed\": {}, \"regions_copied\": {}, \"bytes_copied\": {} }},\n    \
-         \"results_unchanged\": {}\n  }}\n}}\n",
-        joined.server,
-        joined.slots_changed,
-        joined.regions_copied,
-        joined.bytes_copied,
-        left.slots_changed,
-        left.regions_copied,
-        left.bytes_copied,
+    let mut membership = Json::obj([("join", &joined), ("leave", &left)].map(|(name, m)| {
+        println!(
+            "membership {name}: server {}, {} slots, {} regions, {} B",
+            m.server, m.slots_changed, m.regions_copied, m.bytes_copied,
+        );
+        let row = Json::obj([
+            ("server", Json::from(m.server)),
+            ("slots_changed", m.slots_changed.into()),
+            ("regions_copied", m.regions_copied.into()),
+            ("bytes_copied", m.bytes_copied.into()),
+        ]);
+        (name, row)
+    }));
+    membership.set(
+        "results_unchanged",
         mid.selections == before.selections && after.selections == before.selections,
     );
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    println!("wrote {out_path}");
 
-    if gate && !ok {
-        std::process::exit(1);
-    }
+    let mut doc = Json::obj([("particles", Json::from(scale.particles))]);
+    doc.set("servers", SERVERS)
+        .set("region_bytes", REGION_BYTES)
+        .set("victim", VICTIM)
+        .set("queries", qs.len())
+        .set("gate", Json::fixed(GATE, 1))
+        .set("matrix", Json::obj(matrix))
+        .set("membership", membership);
+    gates.finish(&doc)
 }

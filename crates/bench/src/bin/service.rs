@@ -7,21 +7,20 @@
 //! uniform mix. Every served outcome is asserted bit-identical to a
 //! sequential dispatch-order replay on a twin engine.
 //!
-//! Writes `BENCH_service.json` (path overridable as argv[1]). Element
-//! count via `PDC_SERVICE_N` (default 1M). Set `PDC_SERVICE_NO_ASSERT=1`
-//! to record without gating.
+//! Writes `BENCH_service.json` (path overridable as argv[1]);
+//! `PDC_PARTICLES` overrides the 1 Mi-element default.
 
-use pdc_odms::{ImportOptions, Odms};
+use pdc_bench::{
+    build_world, engine_unscaled, synthetic_energy, Columns, Gates, Json, Scale, World, WorldSpec,
+};
 use pdc_query::{
-    percentile, poisson_times, splitmix64, Arrival, EngineConfig, PdcQuery, QueryEngine,
-    ServiceConfig, Strategy, TenantSpec,
+    percentile, poisson_times, splitmix64, Arrival, PdcQuery, QueryEngine, ServiceConfig, Strategy,
+    TenantSpec,
 };
 use pdc_storage::SimDuration;
-use pdc_types::{ObjectId, TypedVec};
-use std::fmt::Write as _;
-use std::sync::Arc;
+use pdc_types::ObjectId;
+use std::process::ExitCode;
 
-const DEFAULT_N: usize = 1 << 20;
 const SERVERS: u32 = 8;
 /// Per-tenant arrival rate of a well-behaved tenant, as a fraction of
 /// the solo query service rate 1/E.
@@ -30,35 +29,8 @@ const WELL_LOAD: f64 = 0.25;
 const HORIZON_E: f64 = 120.0;
 const P99_ISOLATION_LIMIT: f64 = 1.25;
 
-fn build_world(n: usize) -> (Arc<Odms>, ObjectId) {
-    // Same energy shape as the throughput bench: smooth bulk plus
-    // clustered tails; the pool below queries the tail windows.
-    let energy: Vec<f32> = (0..n)
-        .map(|i| {
-            let base = ((i as f32 * 0.37).sin() + 1.0) * 0.9;
-            if (3000..3400).contains(&(i % 8000)) {
-                2.0 + ((i * 31) % 160) as f32 / 100.0
-            } else {
-                base
-            }
-        })
-        .collect();
-    let odms = Arc::new(Odms::new(64));
-    let c = odms.create_container("service");
-    let opts = ImportOptions { region_bytes: 64 << 10, ..Default::default() };
-    let obj = odms.import_array(c, "energy", TypedVec::Float(energy), &opts).unwrap().object;
-    (odms, obj)
-}
-
-fn engine(odms: &Arc<Odms>) -> QueryEngine {
-    QueryEngine::new(
-        Arc::clone(odms),
-        EngineConfig {
-            strategy: Strategy::Histogram,
-            num_servers: SERVERS,
-            ..Default::default()
-        },
-    )
+fn engine(world: &World) -> QueryEngine {
+    engine_unscaled(world, Strategy::Histogram, SERVERS)
 }
 
 /// Six overlapping tail windows; tenants draw from the pool with a
@@ -82,20 +54,16 @@ struct TenantLoad<'a> {
     queue_cap: usize,
 }
 
+/// What the gates need from one mix, plus its recorded document.
 struct MixResult {
-    name: String,
-    tenants: Vec<pdc_query::TenantSummary>,
     well_p99: SimDuration,
     late_joins: u64,
-    group_members: u64,
-    prewarm_regions: u64,
     equivalent: bool,
-    served: usize,
-    span: SimDuration,
+    doc: Json,
 }
 
 fn run_mix(
-    odms: &Arc<Odms>,
+    world: &World,
     queries: &[PdcQuery],
     mix_name: &str,
     loads: &[TenantLoad],
@@ -134,7 +102,7 @@ fn run_mix(
     // Warm both engines identically (one pass over the pool) so the
     // mixes compare steady-state latencies, not first-touch PFS charges
     // — and so the twin's replay sees the same warm state.
-    let eng = engine(odms);
+    let eng = engine(world);
     for q in queries {
         eng.run(q).expect("warmup");
     }
@@ -143,7 +111,7 @@ fn run_mix(
     // Dispatch-order replay on a twin engine: scheduling may decide
     // *when*, never *what* — every outcome must be bit-identical.
     // (`arrival_index` refers to the original arrivals slice.)
-    let twin = engine(odms);
+    let twin = engine(world);
     for q in queries {
         twin.run(q).expect("warmup");
     }
@@ -164,64 +132,78 @@ fn run_mix(
     well.sort_unstable();
     let g = report.group.expect("continuous batching on");
 
-    MixResult {
-        name: mix_name.to_string(),
-        tenants: report.tenant_summaries(),
-        well_p99: percentile(&well, 99.0),
-        late_joins: g.late_joins,
-        group_members: g.members,
-        prewarm_regions: g.prewarm_regions,
-        equivalent,
-        served: report.served.len(),
-        span: report.end_time,
-    }
+    let well_p99 = percentile(&well, 99.0);
+    println!(
+        "{mix_name:>8}: {:>3} served over {:>10}, well p99 {well_p99:>10}, {} late join(s), replay {}",
+        report.served.len(),
+        report.end_time,
+        g.late_joins,
+        if equivalent { "identical" } else { "DIVERGED" },
+    );
+    let tenants = report.tenant_summaries().into_iter().map(|t| {
+        println!(
+            "          {:>7}: {:>3}/{} done ({} rejected, {} deferred), p50 {} p95 {} p99 {}",
+            t.name, t.completed, t.submitted, t.rejected, t.deferred, t.p50, t.p95, t.p99,
+        );
+        let row = Json::obj([
+            ("submitted", Json::from(t.submitted)),
+            ("completed", t.completed.into()),
+            ("rejected", t.rejected.into()),
+            ("deferred", t.deferred.into()),
+            ("p50_ms", Json::ms(t.p50)),
+            ("p95_ms", Json::ms(t.p95)),
+            ("p99_ms", Json::ms(t.p99)),
+            ("throughput_qps", Json::fixed(t.throughput_qps, 3)),
+        ]);
+        (t.name, row)
+    });
+    let doc = Json::obj([
+        ("served", Json::from(report.served.len())),
+        ("span_ms", Json::ms(report.end_time)),
+        ("well_p99_ms", Json::ms(well_p99)),
+        ("late_joins", g.late_joins.into()),
+        ("group_members", g.members.into()),
+        ("prewarm_regions", g.prewarm_regions.into()),
+        ("replay_equivalent", equivalent.into()),
+        ("tenants", Json::obj(tenants)),
+    ]);
+    MixResult { well_p99, late_joins: g.late_joins, equivalent, doc }
 }
 
-fn ms(d: SimDuration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-fn main() {
-    let out_path =
-        std::env::args().nth(1).unwrap_or_else(|| "BENCH_service.json".to_string());
-    let n: usize = std::env::var("PDC_SERVICE_N")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_N);
-
-    let (odms, energy) = build_world(n);
-    let queries = pool(energy);
+fn main() -> ExitCode {
+    let mut gates = Gates::from_args("service");
+    let scale = Scale::for_gate(1 << 20, SERVERS);
+    // Same energy shape as the throughput bench: smooth bulk plus
+    // clustered tails; the pool below queries the tail windows.
+    let spec = WorldSpec::resident(64 << 10, Columns::None, Columns::None);
+    let world = build_world(&[("energy", &synthetic_energy(scale.particles))], &spec);
+    let queries = pool(world.objects[0]);
 
     // Calibrate the warm solo elapsed E: the arrival rates, budgets,
     // and quantum all scale from it. (Warm, because the mixes warm
     // their engines before serving.)
-    let cal = engine(&odms);
+    let cal = engine(&world);
     cal.run(&queries[0]).expect("calibration");
     let e_solo = cal.run(&queries[0]).expect("calibration").elapsed;
 
     let generous = 1000.0; // effectively unbounded budget, in units of E
+    let well =
+        |name, weight| TenantLoad { name, weight, rate_x: 1.0, budget_e: generous, queue_cap: 64 };
     let mixes = [
-        (
-            "uniform",
-            vec![
-                TenantLoad { name: "well-a", weight: 1, rate_x: 1.0, budget_e: generous, queue_cap: 64 },
-                TenantLoad { name: "well-b", weight: 1, rate_x: 1.0, budget_e: generous, queue_cap: 64 },
-                TenantLoad { name: "well-c", weight: 1, rate_x: 1.0, budget_e: generous, queue_cap: 64 },
-            ],
-        ),
+        ("uniform", [well("well-a", 1), well("well-b", 1), well("well-c", 1)]),
         (
             "skewed",
-            vec![
-                TenantLoad { name: "well-a", weight: 4, rate_x: 1.0, budget_e: generous, queue_cap: 64 },
-                TenantLoad { name: "well-b", weight: 4, rate_x: 1.0, budget_e: generous, queue_cap: 64 },
+            [
+                well("well-a", 4),
+                well("well-b", 4),
                 TenantLoad { name: "heavy", weight: 1, rate_x: 8.0, budget_e: 4.0, queue_cap: 16 },
             ],
         ),
         (
             "flood",
-            vec![
-                TenantLoad { name: "well-a", weight: 4, rate_x: 1.0, budget_e: generous, queue_cap: 64 },
-                TenantLoad { name: "well-b", weight: 4, rate_x: 1.0, budget_e: generous, queue_cap: 64 },
+            [
+                well("well-a", 4),
+                well("well-b", 4),
                 TenantLoad { name: "flood", weight: 1, rate_x: 16.0, budget_e: 1.5, queue_cap: 3 },
             ],
         ),
@@ -229,96 +211,44 @@ fn main() {
 
     let results: Vec<MixResult> = mixes
         .iter()
-        .map(|(name, loads)| run_mix(&odms, &queries, name, loads, e_solo, 0x5EC7_1CE5))
+        .map(|(name, loads)| run_mix(&world, &queries, name, loads, e_solo, 0x5EC7_1CE5))
         .collect();
 
-    let uniform_well_p99 = results[0].well_p99;
-    let flood_well_p99 = results[2].well_p99;
-    let ratio = flood_well_p99.as_secs_f64() / uniform_well_p99.as_secs_f64().max(1e-12);
-    let all_equivalent = results.iter().all(|r| r.equivalent);
-    let all_late_joins = results.iter().all(|r| r.late_joins > 0);
-
-    let mut json = format!(
-        "{{\n  \"n_elements\": {n},\n  \"servers\": {SERVERS},\n  \"strategy\": \"PDC-H\",\n  \
-         \"solo_elapsed_ms\": {:.3},\n  \"well_load_per_tenant\": {WELL_LOAD},\n  \
-         \"horizon_in_solo_units\": {HORIZON_E},\n  \"mixes\": {{\n",
-        ms(e_solo),
+    let ratio = results[2].well_p99.as_secs_f64() / results[0].well_p99.as_secs_f64().max(1e-12);
+    gates.check(
+        "a served outcome diverged from its sequential dispatch-order replay",
+        results.iter().all(|r| r.equivalent),
     );
-    for (i, r) in results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    \"{}\": {{\n      \"served\": {},\n      \"span_ms\": {:.3},\n      \
-             \"well_p99_ms\": {:.3},\n      \"late_joins\": {},\n      \
-             \"group_members\": {},\n      \"prewarm_regions\": {},\n      \
-             \"replay_equivalent\": {},\n      \"tenants\": {{\n",
-            r.name, r.served, ms(r.span), ms(r.well_p99), r.late_joins, r.group_members,
-            r.prewarm_regions, r.equivalent,
-        );
-        for (j, t) in r.tenants.iter().enumerate() {
-            let _ = write!(
-                json,
-                "        \"{}\": {{\n          \"submitted\": {},\n          \
-                 \"completed\": {},\n          \"rejected\": {},\n          \
-                 \"deferred\": {},\n          \"p50_ms\": {:.3},\n          \
-                 \"p95_ms\": {:.3},\n          \"p99_ms\": {:.3},\n          \
-                 \"throughput_qps\": {:.3}\n        }}{}",
-                t.name, t.submitted, t.completed, t.rejected, t.deferred,
-                ms(t.p50), ms(t.p95), ms(t.p99), t.throughput_qps,
-                if j + 1 < r.tenants.len() { ",\n" } else { "\n" },
-            );
-        }
-        let _ = write!(
-            json,
-            "      }}\n    }}{}",
-            if i + 1 < results.len() { ",\n" } else { "\n" },
-        );
-    }
-    let _ = write!(
-        json,
-        "  }},\n  \"gate\": {{\n    \"flood_over_uniform_well_p99\": {ratio:.3},\n    \
-         \"limit\": {P99_ISOLATION_LIMIT},\n    \"pass\": {}\n  }}\n}}\n",
-        ratio <= P99_ISOLATION_LIMIT && all_equivalent && all_late_joins,
+    gates.check(
+        "a mix completed without any late shared-scan-group joins",
+        results.iter().all(|r| r.late_joins > 0),
     );
-    std::fs::write(&out_path, &json).expect("write benchmark json");
+    gates.check(
+        format!(
+            "flood mix degrades well-behaved p99 by {ratio:.3}x (limit {P99_ISOLATION_LIMIT}x)"
+        ),
+        ratio <= P99_ISOLATION_LIMIT,
+    );
 
-    for r in &results {
-        println!(
-            "{:>8}: {:>3} served over {:>10}, well p99 {:>10}, {} late join(s), replay {}",
-            r.name,
-            r.served,
-            r.span,
-            r.well_p99,
-            r.late_joins,
-            if r.equivalent { "identical" } else { "DIVERGED" },
+    let mut doc = Json::obj([("n_elements", Json::from(scale.particles))]);
+    doc.set("servers", SERVERS)
+        .set("strategy", "PDC-H")
+        .set("solo_elapsed_ms", Json::ms(e_solo))
+        .set("well_load_per_tenant", Json::fixed(WELL_LOAD, 2))
+        .set("horizon_in_solo_units", Json::fixed(HORIZON_E, 0))
+        .set("mixes", Json::obj(mixes.iter().zip(results).map(|((name, _), r)| (*name, r.doc))))
+        .set(
+            "gate",
+            Json::obj([
+                ("flood_over_uniform_well_p99", Json::fixed(ratio, 3)),
+                ("limit", Json::fixed(P99_ISOLATION_LIMIT, 2)),
+                ("pass", gates.all_passed().into()),
+            ]),
         );
-        for t in &r.tenants {
-            println!(
-                "          {:>7}: {:>3}/{} done ({} rejected, {} deferred), p50 {} p95 {} p99 {}",
-                t.name, t.completed, t.submitted, t.rejected, t.deferred, t.p50, t.p95, t.p99,
-            );
-        }
-    }
+
     println!(
         "isolation: flood well-behaved p99 / uniform well-behaved p99 = {ratio:.3} \
          (limit {P99_ISOLATION_LIMIT})"
     );
-    println!("wrote {out_path}");
-
-    if std::env::var("PDC_SERVICE_NO_ASSERT").is_err() {
-        if !all_equivalent {
-            eprintln!("FAIL: a served outcome diverged from its sequential dispatch-order replay");
-            std::process::exit(1);
-        }
-        if !all_late_joins {
-            eprintln!("FAIL: a mix completed without any late shared-scan-group joins");
-            std::process::exit(1);
-        }
-        if ratio > P99_ISOLATION_LIMIT {
-            eprintln!(
-                "FAIL: flood mix degrades well-behaved p99 by {ratio:.3}x \
-                 (limit {P99_ISOLATION_LIMIT}x)"
-            );
-            std::process::exit(1);
-        }
-    }
+    gates.finish(&doc)
 }
