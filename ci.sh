@@ -202,9 +202,17 @@ echo "== out-of-core gate =="
 cargo test -q $OFFLINE --release -p pdc-blockstore -p pdc-storage
 # Bench-bin gate (compression >= 2x, resident high-water <= budget with
 # demotions observed, all strategies identical to unbounded), then a CLI
-# smoke under a budget far below the dataset.
+# smoke under a budget far below the dataset, which must leave its spill
+# root empty.
 bench_gate blockstore
-spill_out=$($PDC query "$SMOKE_Q" $SMOKE_ARGS --memory-budget 256K)
+spill_root=$(mktemp -d)
+spill_out=$($PDC query "$SMOKE_Q" $SMOKE_ARGS --memory-budget 256K --spill-dir "$spill_root")
+if [ -n "$(ls -A "$spill_root")" ]; then
+    echo "ci: out-of-core smoke FAILED: spill files left in $spill_root:" >&2
+    ls -A "$spill_root" >&2
+    exit 1
+fi
+rmdir "$spill_root"
 spill_hits=$(echo "$spill_out" | grep -o '[0-9]* hits ([0-9]* runs)')
 if [ "$clean_hits" != "$spill_hits" ]; then
     echo "ci: out-of-core smoke FAILED: unbounded '$clean_hits' vs budgeted '$spill_hits'" >&2

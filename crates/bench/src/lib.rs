@@ -51,14 +51,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Every evaluation strategy, fixed ones first and `PDC-A` last.
-pub const ALL_STRATEGIES: [Strategy; 5] = [
-    Strategy::FullScan,
-    Strategy::Histogram,
-    Strategy::HistogramIndex,
-    Strategy::SortedHistogram,
-    Strategy::Adaptive,
-];
+/// Every evaluation strategy ([`Strategy::ALL`]), fixed ones first and
+/// `PDC-A` last.
+pub const ALL_STRATEGIES: [Strategy; 5] = Strategy::ALL;
 
 /// Scale configuration, read from the environment.
 #[derive(Debug, Clone)]

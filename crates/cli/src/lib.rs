@@ -9,6 +9,13 @@
 //! pdc demo --particles 500000
 //! pdc help
 //! ```
+//!
+//! Every subcommand is configured by one [`Opts`] value, and the private
+//! `FLAGS` table is the one place a flag is declared: its name, whether it
+//! takes a value, the subcommands that accept it, and the setter that
+//! stores it in `Opts`. [`parse_args`] reads the command line in one loop
+//! over that table and validates the options before any dataset is
+//! generated.
 
 use pdc_odms::{ImportOptions, Odms};
 use pdc_query::{
@@ -16,8 +23,11 @@ use pdc_query::{
 };
 use pdc_server::{CorruptionSpec, FaultPlan};
 use pdc_storage::{CostModel, SimDuration};
+use pdc_types::TypedVec;
 use pdc_workloads::{VpicConfig, VpicData};
 use std::path::PathBuf;
+use std::str::FromStr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Parsed command line.
@@ -27,61 +37,36 @@ pub enum Command {
     Query {
         /// The query expression.
         expr: String,
-        /// Common options.
-        opts: CommonOpts,
-        /// Also fetch the named variable's values for the matches.
-        get_data: Option<String>,
-        /// Admit the expression this many times as one concurrent batch
-        /// (`> 1` switches to `run_batch` and prints throughput).
-        queries: u32,
-        /// Extra expressions (one per line) admitted in the same batch.
-        batch_file: Option<String>,
-        /// Variable pair (`"A,B"`) to register a joint-bounds grid for
-        /// before querying.
-        joint: Option<String>,
-        /// Admit a fresh server into the replicated pool mid-series
-        /// (elastic scale-out; requires `--replicas >= 2`).
-        join_server: bool,
-        /// Retire this server from the replicated pool mid-series
-        /// (elastic scale-in; requires `--replicas >= 2`).
-        leave_server: Option<u32>,
+        /// The options.
+        opts: Opts,
     },
     /// Compare all five strategies on a few standard queries.
     Demo {
-        /// Common options.
-        opts: CommonOpts,
+        /// The options.
+        opts: Opts,
     },
     /// Stream appends into `Energy` between queries and verify every
     /// observed extent against a sealed-store rerun.
     Ingest {
         /// The query expression run between appends.
         expr: String,
-        /// Common options.
-        opts: CommonOpts,
-        /// Number of streaming appends interleaved with the queries.
-        append_batches: u32,
-        /// Fraction of the dataset held back and appended mid-series.
-        append_fraction: f64,
+        /// The options.
+        opts: Opts,
     },
     /// Replay a timestamped open-loop arrival trace through the
     /// multi-tenant admission-controlled service loop.
     Serve {
-        /// Path of the trace file (tenant declarations + arrivals).
-        trace_file: String,
-        /// Common options.
-        opts: CommonOpts,
-        /// Deficit-round-robin quantum in simulated milliseconds.
-        quantum_ms: f64,
-        /// Disable continuous batching (the open shared-scan group).
-        no_batching: bool,
+        /// The options (`trace_file` is required).
+        opts: Opts,
     },
     /// Print usage.
     Help,
 }
 
-/// Options shared by the subcommands.
+/// Every option of every subcommand. Which subcommands accept a flag is
+/// declared in `FLAGS`; the defaults are those of [`USAGE`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct CommonOpts {
+pub struct Opts {
     /// Particles per variable.
     pub particles: usize,
     /// Logical PDC servers.
@@ -113,9 +98,33 @@ pub struct CommonOpts {
     pub memory_budget: Option<u64>,
     /// Root directory for spilled block files (`None` = system temp).
     pub spill_dir: Option<String>,
+    /// `query`: also fetch the named variable's values for the matches.
+    pub get_data: Option<String>,
+    /// `query`: admit the expression this many times as one concurrent
+    /// batch (`> 1` switches to `run_batch` and prints throughput).
+    pub queries: u32,
+    /// `query`: extra expressions (one per line) admitted in the same batch.
+    pub batch_file: Option<String>,
+    /// `query`: variable pair (`"A,B"`) to register a joint-bounds grid
+    /// for before querying.
+    pub joint: Option<String>,
+    /// `query`: admit a fresh server into the replicated pool mid-series
+    /// (elastic scale-out; requires `replicas >= 2`).
+    pub join_server: bool,
+    /// `query`: retire this server from the replicated pool mid-series
+    /// (elastic scale-in; requires `replicas >= 2`).
+    pub leave_server: Option<u32>,
+    /// `ingest`: number of streaming appends interleaved with the queries.
+    pub append_batches: u32,
+    /// `ingest`: fraction of the dataset held back and appended mid-series.
+    pub append_fraction: f64,
+    /// `serve`: path of the trace file (tenant declarations + arrivals).
+    pub trace_file: Option<String>,
+    /// `serve`: deficit-round-robin quantum in simulated milliseconds.
+    pub quantum_ms: f64,
 }
 
-impl Default for CommonOpts {
+impl Default for Opts {
     fn default() -> Self {
         Self {
             particles: 500_000,
@@ -131,6 +140,16 @@ impl Default for CommonOpts {
             replicas: 1,
             memory_budget: None,
             spill_dir: None,
+            get_data: None,
+            queries: 1,
+            batch_file: None,
+            joint: None,
+            join_server: false,
+            leave_server: None,
+            append_batches: 5,
+            append_fraction: 0.1,
+            trace_file: None,
+            quantum_ms: 5.0,
         }
     }
 }
@@ -226,10 +245,6 @@ OPTIONS:
                      auto-register with weight=1 budget-ms=1000 cap=64
   --quantum-ms <F>   (serve only) deficit-round-robin quantum in simulated
                      milliseconds (default 5)
-  --no-batching      (serve only) disable continuous batching: dispatches
-                     are not folded into an open shared-scan group
-                     (results and per-query charges are identical either
-                     way; only host work changes)
 
 The serve subcommand replays the trace through the multi-tenant service
 loop: per-tenant FIFO queues, weighted-fair deficit-round-robin dispatch,
@@ -249,306 +264,170 @@ drained at the end. The last line is the gate: 'ingest gate: PASS' only
 if every interleaved query was bit-identical to its sealed rerun.
 ";
 
+/// Stores a flag's value in its [`Opts`] field.
+type Setter = fn(&mut Opts, &str) -> Result<(), String>;
+
+/// One command-line flag.
+struct Flag {
+    /// The flag as typed.
+    name: &'static str,
+    /// Whether the next argument is its value; a switch is set with `"true"`.
+    takes_value: bool,
+    /// The subcommands that accept it.
+    subs: &'static [&'static str],
+    set: Setter,
+}
+
+impl Flag {
+    const fn value(name: &'static str, subs: &'static [&'static str], set: Setter) -> Flag {
+        Flag { name, takes_value: true, subs, set }
+    }
+
+    const fn switch(name: &'static str, subs: &'static [&'static str], set: Setter) -> Flag {
+        Flag { name, takes_value: false, subs, set }
+    }
+}
+
+const ANY: &[&str] = &["query", "demo", "ingest", "serve"];
+
+/// Every flag `pdc` accepts.
+const FLAGS: &[Flag] = &[
+    Flag::value("--particles", ANY, |o, v| parse(v).map(|n| o.particles = n)),
+    Flag::value("--servers", ANY, |o, v| parse(v).map(|n| o.servers = n)),
+    Flag::value("--region-kb", ANY, |o, v| {
+        let bytes = parse::<u64>(v)?.checked_mul(1 << 10);
+        bytes.map(|b| o.region_bytes = b).ok_or_else(|| format!("{v} overflows a byte count"))
+    }),
+    Flag::value("--strategy", ANY, |o, v| parse_strategy(v).map(|s| o.strategy = s)),
+    Flag::value("--seed", ANY, |o, v| parse(v).map(|n| o.seed = n)),
+    Flag::value("--fault-seed", ANY, |o, v| parse(v).map(|n| o.fault_seed = Some(n))),
+    Flag::value("--kill-servers", ANY, |o, v| parse(v).map(|n| o.kill_servers = n)),
+    Flag::value("--corrupt-regions", ANY, |o, v| parse(v).map(|f| o.corrupt_regions = f)),
+    Flag::value("--corrupt-seed", ANY, |o, v| parse(v).map(|n| o.corrupt_seed = Some(n))),
+    Flag::value("--replicas", ANY, |o, v| parse(v).map(|n| o.replicas = n)),
+    Flag::switch("--explain", ANY, |o, v| parse(v).map(|b| o.explain = b)),
+    Flag::value("--memory-budget", ANY, |o, v| parse_size(v).map(|b| o.memory_budget = Some(b))),
+    Flag::value("--spill-dir", ANY, |o, v| parse(v).map(|p| o.spill_dir = Some(p))),
+    Flag::value("--joint", &["query"], |o, v| parse(v).map(|p| o.joint = Some(p))),
+    Flag::value("--get-data", &["query"], |o, v| parse(v).map(|s| o.get_data = Some(s))),
+    Flag::switch("--join-server", &["query"], |o, v| parse(v).map(|b| o.join_server = b)),
+    Flag::value("--leave-server", &["query"], |o, v| parse(v).map(|n| o.leave_server = Some(n))),
+    Flag::value("--queries", &["query"], |o, v| parse(v).map(|n| o.queries = n)),
+    Flag::value("--batch-file", &["query"], |o, v| parse(v).map(|p| o.batch_file = Some(p))),
+    Flag::value("--append-batches", &["ingest"], |o, v| parse(v).map(|n| o.append_batches = n)),
+    Flag::value("--append-fraction", &["ingest"], |o, v| parse(v).map(|f| o.append_fraction = f)),
+    Flag::value("--trace-file", &["serve"], |o, v| parse(v).map(|p| o.trace_file = Some(p))),
+    Flag::value("--quantum-ms", &["serve"], |o, v| parse(v).map(|f| o.quantum_ms = f)),
+];
+
 /// Parse `argv[1..]` into a command.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, String> {
     let mut args = args.into_iter().peekable();
-    let sub = match args.next() {
-        None => return Ok(Command::Help),
-        Some(s) => s,
+    let Some(sub) = args.next() else { return Ok(Command::Help) };
+    let expr = match sub.as_str() {
+        "help" | "--help" | "-h" => return Ok(Command::Help),
+        "query" => args.next().ok_or("query requires an expression")?,
+        // Optional positional expression before the flags.
+        "ingest" => args
+            .next_if(|a| !a.starts_with("--"))
+            .unwrap_or_else(|| "2.1 < Energy < 2.2".to_string()),
+        "demo" | "serve" => String::new(),
+        other => return Err(format!("unknown subcommand '{other}' (try 'pdc help')")),
     };
-    match sub.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "query" => {
-            let expr = args.next().ok_or("query requires an expression".to_string())?;
-            let mut opts = CommonOpts::default();
-            let mut batch = BatchOpts::default();
-            parse_options(args, &mut opts, Some(&mut batch))?;
-            if batch.queries == 0 {
-                return Err("--queries must be at least 1".to_string());
-            }
-            Ok(Command::Query {
-                expr,
-                opts,
-                get_data: batch.get_data,
-                queries: batch.queries,
-                batch_file: batch.batch_file,
-                joint: batch.joint,
-                join_server: batch.join_server,
-                leave_server: batch.leave_server,
-            })
+    let mut opts = Opts::default();
+    while let Some(arg) = args.next() {
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == arg)
+            .ok_or_else(|| format!("unknown option '{arg}'"))?;
+        if !flag.subs.contains(&sub.as_str()) {
+            return Err(format!("{arg} is only valid for 'pdc {}'", flag.subs.join("', 'pdc ")));
         }
-        "demo" => {
-            let mut opts = CommonOpts::default();
-            parse_options(args, &mut opts, None)?;
-            Ok(Command::Demo { opts })
-        }
-        "ingest" => {
-            // Optional positional expression before the flags.
-            let expr = match args.peek() {
-                Some(a) if !a.starts_with("--") => args.next().unwrap(),
-                _ => "2.1 < Energy < 2.2".to_string(),
-            };
-            let mut opts = CommonOpts::default();
-            let mut ingest = IngestOpts::default();
-            parse_ingest_options(args, &mut opts, &mut ingest)?;
-            if ingest.append_batches == 0 {
-                return Err("--append-batches must be at least 1".to_string());
-            }
-            if !(0.0..1.0).contains(&ingest.append_fraction) || ingest.append_fraction <= 0.0 {
-                return Err(format!(
-                    "--append-fraction {} must be within (0, 1)",
-                    ingest.append_fraction
-                ));
-            }
-            Ok(Command::Ingest {
-                expr,
-                opts,
-                append_batches: ingest.append_batches,
-                append_fraction: ingest.append_fraction,
-            })
-        }
-        "serve" => {
-            let mut opts = CommonOpts::default();
-            let mut serve = ServeOpts::default();
-            parse_serve_options(args, &mut opts, &mut serve)?;
-            let trace_file =
-                serve.trace_file.ok_or("serve requires --trace-file <path>".to_string())?;
-            if !serve.quantum_ms.is_finite() || serve.quantum_ms <= 0.0 {
-                return Err(format!("--quantum-ms {} must be positive", serve.quantum_ms));
-            }
-            Ok(Command::Serve {
-                trace_file,
-                opts,
-                quantum_ms: serve.quantum_ms,
-                no_batching: serve.no_batching,
-            })
-        }
-        other => Err(format!("unknown subcommand '{other}' (try 'pdc help')")),
-    }
-}
-
-/// Options valid only for `pdc serve`.
-struct ServeOpts {
-    trace_file: Option<String>,
-    quantum_ms: f64,
-    no_batching: bool,
-}
-
-impl Default for ServeOpts {
-    fn default() -> Self {
-        Self { trace_file: None, quantum_ms: 5.0, no_batching: false }
-    }
-}
-
-/// Parse serve flags, deferring everything else to [`parse_options`].
-fn parse_serve_options<I: Iterator<Item = String>>(
-    args: std::iter::Peekable<I>,
-    opts: &mut CommonOpts,
-    serve: &mut ServeOpts,
-) -> Result<(), String> {
-    let mut rest = Vec::new();
-    let mut args = args;
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next().ok_or_else(|| format!("{name} requires a value"))
+        let value = if flag.takes_value {
+            args.next().ok_or_else(|| format!("{arg} requires a value"))?
+        } else {
+            "true".to_string()
         };
-        match flag.as_str() {
-            "--trace-file" => serve.trace_file = Some(value("--trace-file")?),
-            "--quantum-ms" => {
-                serve.quantum_ms = value("--quantum-ms")?
-                    .parse()
-                    .map_err(|e| format!("--quantum-ms: {e}"))?;
-            }
-            "--no-batching" => serve.no_batching = true,
-            other => rest.push(other.to_string()),
+        (flag.set)(&mut opts, &value).map_err(|e| format!("{arg}: {e}"))?;
+    }
+    let cmd = match sub.as_str() {
+        "query" => Command::Query { expr, opts },
+        "ingest" => Command::Ingest { expr, opts },
+        "demo" => Command::Demo { opts },
+        _ => Command::Serve { opts },
+    };
+    check(&cmd)?;
+    Ok(cmd)
+}
+
+/// Parse one flag value; [`parse_args`] prefixes an error with the flag.
+fn parse<T: FromStr>(v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// Every validation of the options alone. [`parse_args`] runs it before
+/// returning a command and [`run`] before building any world.
+fn check(cmd: &Command) -> Result<(), String> {
+    let opts = match cmd {
+        Command::Help => return Ok(()),
+        Command::Query { opts, .. }
+        | Command::Demo { opts }
+        | Command::Ingest { opts, .. }
+        | Command::Serve { opts } => opts,
+    };
+    let at_least_one = [
+        ("--particles", opts.particles as u64),
+        ("--servers", opts.servers.into()),
+        ("--region-kb", opts.region_bytes),
+        ("--replicas", opts.replicas.into()),
+        ("--queries", opts.queries.into()),
+        ("--append-batches", opts.append_batches.into()),
+    ];
+    if let Some((flag, _)) = at_least_one.iter().find(|(_, v)| *v == 0) {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    if opts.memory_budget == Some(0) {
+        return Err("--memory-budget must be positive".to_string());
+    }
+    if opts.kill_servers >= opts.servers {
+        return Err(format!(
+            "--kill-servers {} must leave at least one of {} servers alive",
+            opts.kill_servers, opts.servers
+        ));
+    }
+    if !(0.0..=1.0).contains(&opts.corrupt_regions) {
+        return Err(format!("--corrupt-regions {} must be within [0, 1]", opts.corrupt_regions));
+    }
+    if !(opts.append_fraction > 0.0 && opts.append_fraction < 1.0) {
+        return Err(format!("--append-fraction {} must be within (0, 1)", opts.append_fraction));
+    }
+    if !(opts.quantum_ms.is_finite() && opts.quantum_ms > 0.0) {
+        return Err(format!("--quantum-ms {} must be positive", opts.quantum_ms));
+    }
+    match cmd {
+        Command::Ingest { .. } => ingest_split(opts).map(drop),
+        Command::Serve { .. } if opts.trace_file.is_none() => {
+            Err("serve requires --trace-file <path>".to_string())
         }
-    }
-    parse_options(rest.into_iter().peekable(), opts, None)
-}
-
-/// Options valid only for `pdc ingest`.
-struct IngestOpts {
-    append_batches: u32,
-    append_fraction: f64,
-}
-
-impl Default for IngestOpts {
-    fn default() -> Self {
-        Self { append_batches: 5, append_fraction: 0.1 }
+        _ => Ok(()),
     }
 }
 
-/// Parse ingest flags, deferring everything else to [`parse_options`].
-fn parse_ingest_options<I: Iterator<Item = String>>(
-    args: std::iter::Peekable<I>,
-    opts: &mut CommonOpts,
-    ingest: &mut IngestOpts,
-) -> Result<(), String> {
-    let mut rest = Vec::new();
-    let mut args = args;
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next().ok_or_else(|| format!("{name} requires a value"))
-        };
-        match flag.as_str() {
-            "--append-batches" => {
-                ingest.append_batches = value("--append-batches")?
-                    .parse()
-                    .map_err(|e| format!("--append-batches: {e}"))?;
-            }
-            "--append-fraction" => {
-                ingest.append_fraction = value("--append-fraction")?
-                    .parse()
-                    .map_err(|e| format!("--append-fraction: {e}"))?;
-            }
-            other => rest.push(other.to_string()),
-        }
+/// Ingest's `(initial extent, appended elements)` split of the particles.
+fn ingest_split(opts: &Opts) -> Result<(usize, usize), String> {
+    let total = opts.particles;
+    let append_total =
+        ((total as f64 * opts.append_fraction).round() as usize).max(opts.append_batches as usize);
+    if append_total >= total {
+        return Err(format!(
+            "--append-fraction {} leaves no initial extent for {total} particles",
+            opts.append_fraction
+        ));
     }
-    parse_options(rest.into_iter().peekable(), opts, None)
-}
-
-/// Options valid only for `pdc query`.
-struct BatchOpts {
-    get_data: Option<String>,
-    queries: u32,
-    batch_file: Option<String>,
-    joint: Option<String>,
-    join_server: bool,
-    leave_server: Option<u32>,
-}
-
-impl Default for BatchOpts {
-    fn default() -> Self {
-        Self {
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
-        }
-    }
-}
-
-fn parse_options<I: Iterator<Item = String>>(
-    mut args: std::iter::Peekable<I>,
-    opts: &mut CommonOpts,
-    mut query_only: Option<&mut BatchOpts>,
-) -> Result<(), String> {
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next().ok_or_else(|| format!("{name} requires a value"))
-        };
-        match flag.as_str() {
-            "--particles" => {
-                opts.particles =
-                    value("--particles")?.parse().map_err(|e| format!("--particles: {e}"))?;
-                if opts.particles == 0 {
-                    return Err("--particles must be at least 1".to_string());
-                }
-            }
-            "--servers" => {
-                opts.servers =
-                    value("--servers")?.parse().map_err(|e| format!("--servers: {e}"))?;
-                if opts.servers == 0 {
-                    return Err("--servers must be at least 1".to_string());
-                }
-            }
-            "--region-kb" => {
-                let kb: u64 =
-                    value("--region-kb")?.parse().map_err(|e| format!("--region-kb: {e}"))?;
-                if kb == 0 {
-                    return Err("--region-kb must be at least 1".to_string());
-                }
-                opts.region_bytes = kb
-                    .checked_mul(1 << 10)
-                    .ok_or_else(|| format!("--region-kb {kb} overflows a byte count"))?;
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--fault-seed" => {
-                opts.fault_seed = Some(
-                    value("--fault-seed")?.parse().map_err(|e| format!("--fault-seed: {e}"))?,
-                );
-            }
-            "--kill-servers" => {
-                opts.kill_servers = value("--kill-servers")?
-                    .parse()
-                    .map_err(|e| format!("--kill-servers: {e}"))?;
-            }
-            "--corrupt-regions" => {
-                opts.corrupt_regions = value("--corrupt-regions")?
-                    .parse()
-                    .map_err(|e| format!("--corrupt-regions: {e}"))?;
-            }
-            "--corrupt-seed" => {
-                opts.corrupt_seed = Some(
-                    value("--corrupt-seed")?
-                        .parse()
-                        .map_err(|e| format!("--corrupt-seed: {e}"))?,
-                );
-            }
-            "--replicas" => {
-                opts.replicas =
-                    value("--replicas")?.parse().map_err(|e| format!("--replicas: {e}"))?;
-                if opts.replicas == 0 {
-                    return Err("--replicas must be at least 1".to_string());
-                }
-            }
-            "--memory-budget" => {
-                let budget = parse_size(&value("--memory-budget")?)?;
-                if budget == 0 {
-                    return Err("--memory-budget must be positive".to_string());
-                }
-                opts.memory_budget = Some(budget);
-            }
-            "--spill-dir" => {
-                opts.spill_dir = Some(value("--spill-dir")?);
-            }
-            "--strategy" => {
-                opts.strategy = parse_strategy(&value("--strategy")?)?;
-            }
-            "--explain" => {
-                opts.explain = true;
-            }
-            "--joint" => match query_only.as_deref_mut() {
-                Some(b) => b.joint = Some(value("--joint")?),
-                None => return Err("--joint is only valid for 'pdc query'".to_string()),
-            },
-            "--get-data" => match query_only.as_deref_mut() {
-                Some(b) => b.get_data = Some(value("--get-data")?),
-                None => return Err("--get-data is only valid for 'pdc query'".to_string()),
-            },
-            "--queries" => match query_only.as_deref_mut() {
-                Some(b) => {
-                    b.queries =
-                        value("--queries")?.parse().map_err(|e| format!("--queries: {e}"))?;
-                }
-                None => return Err("--queries is only valid for 'pdc query'".to_string()),
-            },
-            "--batch-file" => match query_only.as_deref_mut() {
-                Some(b) => b.batch_file = Some(value("--batch-file")?),
-                None => return Err("--batch-file is only valid for 'pdc query'".to_string()),
-            },
-            "--join-server" => match query_only.as_deref_mut() {
-                Some(b) => b.join_server = true,
-                None => return Err("--join-server is only valid for 'pdc query'".to_string()),
-            },
-            "--leave-server" => match query_only.as_deref_mut() {
-                Some(b) => {
-                    b.leave_server = Some(
-                        value("--leave-server")?
-                            .parse()
-                            .map_err(|e| format!("--leave-server: {e}"))?,
-                    );
-                }
-                None => return Err("--leave-server is only valid for 'pdc query'".to_string()),
-            },
-            other => return Err(format!("unknown option '{other}'")),
-        }
-    }
-    Ok(())
+    Ok((total - append_total, append_total))
 }
 
 /// Parse a byte size with an optional K/M/G binary suffix ("64M").
@@ -568,7 +447,7 @@ fn parse_size(s: &str) -> Result<u64, String> {
 }
 
 /// Parse a strategy name (paper label or long form, case-insensitive).
-pub fn parse_strategy(s: &str) -> Result<Strategy, String> {
+fn parse_strategy(s: &str) -> Result<Strategy, String> {
     match s.to_ascii_uppercase().as_str() {
         "F" | "PDC-F" | "FULLSCAN" => Ok(Strategy::FullScan),
         "H" | "PDC-H" | "HISTOGRAM" => Ok(Strategy::Histogram),
@@ -579,41 +458,69 @@ pub fn parse_strategy(s: &str) -> Result<Strategy, String> {
     }
 }
 
-/// Stand up a world per the options: generate, import all 7 variables
-/// (index everywhere, sorted replica on Energy), return the system.
-pub fn build_world(opts: &CommonOpts) -> (Arc<Odms>, VpicData) {
-    let data = VpicData::generate(&VpicConfig { particles: opts.particles, seed: opts.seed });
-    let odms = Arc::new(Odms::new(64));
-    // Spill is configured before the import so ingest itself runs under
-    // the budget: regions demote as they seal instead of peaking at the
-    // full dataset size first.
-    configure_spill(&odms, opts);
-    let container = odms.create_container("cli");
-    let import = ImportOptions {
-        region_bytes: opts.region_bytes,
-        build_index: true,
-        build_sorted: true,
-        ..Default::default()
-    };
-    data.import_all(&odms, container, &import).expect("import");
-    (odms, data)
+/// The contents of the file a path flag names.
+fn read_file(flag: &str, path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{flag} {path}: {e}"))
 }
 
-/// Put the store in out-of-core mode when `--memory-budget` was given.
-/// Every store gets its own fresh subdirectory: block-file names encode
-/// only (object, region), and distinct worlds in one process reuse the
-/// same ids, so sharing a directory would cross their spill files.
-pub fn configure_spill(odms: &Arc<Odms>, opts: &CommonOpts) {
-    let Some(budget) = opts.memory_budget else { return };
-    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let root = opts.spill_dir.as_ref().map(PathBuf::from).unwrap_or_else(std::env::temp_dir);
-    let dir = root.join(format!("pdc_spill_{}_{n}", std::process::id()));
-    odms.store().configure_spill(&dir, budget, 32 << 20).expect("configure spill directory");
+/// The calibrated VPIC dataset the options describe.
+fn generate(opts: &Opts) -> VpicData {
+    VpicData::generate(&VpicConfig { particles: opts.particles, seed: opts.seed })
+}
+
+/// An imported world and the spill directory it owns, removed when the
+/// world is dropped — after a successful run and after an error alike.
+struct World {
+    odms: Arc<Odms>,
+    spill_dir: Option<PathBuf>,
+}
+
+impl World {
+    /// Import all seven variables of `data` (index everywhere, sorted
+    /// replica on `Energy`), with `Energy` cut to its first
+    /// `energy_extent` elements. With a memory budget, spill is configured
+    /// once and before the import, so the import itself runs under the
+    /// budget: regions demote as they seal instead of peaking at the full
+    /// dataset size first. Each world spills into its own subdirectory:
+    /// block-file names encode only (object, region), and distinct worlds
+    /// in one process reuse the same ids.
+    fn build(opts: &Opts, data: &VpicData, energy_extent: usize) -> Result<World, String> {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let mut world = World { odms: Arc::new(Odms::new(64)), spill_dir: None };
+        if let Some(budget) = opts.memory_budget {
+            let root = opts.spill_dir.as_ref().map_or_else(std::env::temp_dir, PathBuf::from);
+            let n = SEQ.fetch_add(1, Ordering::Relaxed);
+            let dir =
+                world.spill_dir.insert(root.join(format!("pdc_spill_{}_{n}", std::process::id())));
+            world.odms.store().configure_spill(dir, budget, 32 << 20).map_err(|e| e.to_string())?;
+        }
+        let container = world.odms.create_container("cli");
+        for (name, values) in data.variables() {
+            let energy = name == "Energy";
+            let import = ImportOptions {
+                region_bytes: opts.region_bytes,
+                build_index: true,
+                build_sorted: energy,
+                ..Default::default()
+            };
+            let values = if energy { &values[..energy_extent] } else { &values[..] };
+            let values = TypedVec::Float(values.to_vec());
+            world.odms.import_array(container, name, values, &import).map_err(|e| e.to_string())?;
+        }
+        Ok(world)
+    }
+}
+
+impl Drop for World {
+    fn drop(&mut self) {
+        if let Some(dir) = &self.spill_dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
 }
 
 /// One-line out-of-core report, or `None` when spill is off.
-pub fn format_spill_report(odms: &Arc<Odms>, opts: &CommonOpts) -> Option<String> {
+fn format_spill_report(odms: &Odms, opts: &Opts) -> Option<String> {
     let stats = odms.store().spill_stats()?;
     let budget = opts.memory_budget.unwrap_or(0);
     let ratio = if stats.spilled_comp_bytes > 0 {
@@ -640,20 +547,8 @@ pub fn format_spill_report(odms: &Arc<Odms>, opts: &CommonOpts) -> Option<String
 /// The fault plan implied by the options, if any. `--kill-servers` wins
 /// over `--fault-seed` when both are given (the seed then only picks
 /// which servers die); `--corrupt-regions` composes with either.
-pub fn fault_plan(opts: &CommonOpts) -> Result<Option<FaultPlan>, String> {
-    if !(0.0..=1.0).contains(&opts.corrupt_regions) {
-        return Err(format!(
-            "--corrupt-regions {} must be within [0, 1]",
-            opts.corrupt_regions
-        ));
-    }
+fn fault_plan(opts: &Opts) -> Option<FaultPlan> {
     let mut plan = if opts.kill_servers > 0 {
-        if opts.kill_servers >= opts.servers {
-            return Err(format!(
-                "--kill-servers {} must leave at least one of {} servers alive",
-                opts.kill_servers, opts.servers
-            ));
-        }
         let seed = opts.fault_seed.unwrap_or(opts.seed);
         Some(FaultPlan::kill_count(opts.kill_servers, opts.servers, seed))
     } else {
@@ -664,11 +559,11 @@ pub fn fault_plan(opts: &CommonOpts) -> Result<Option<FaultPlan>, String> {
         let spec = CorruptionSpec::new(opts.corrupt_regions, opts.corrupt_regions, seed);
         plan = Some(plan.unwrap_or_else(FaultPlan::new).with_corruption(spec));
     }
-    Ok(plan)
+    plan
 }
 
 /// An engine per the options, with the scale-appropriate cost model.
-pub fn build_engine(odms: &Arc<Odms>, opts: &CommonOpts) -> QueryEngine {
+fn build_engine(odms: &Arc<Odms>, opts: &Opts) -> QueryEngine {
     let f = 125e9 / opts.particles as f64;
     QueryEngine::new(
         Arc::clone(odms),
@@ -678,7 +573,7 @@ pub fn build_engine(odms: &Arc<Odms>, opts: &CommonOpts) -> QueryEngine {
             cache_bytes_per_server: 1 << 30,
             cost: CostModel::scaled(f, f * opts.servers as f64 / 64.0, 256.0),
             order_by_selectivity: true,
-            fault_plan: fault_plan(opts).expect("fault plan validated at parse time"),
+            fault_plan: fault_plan(opts),
             replicas: opts.replicas,
             ..Default::default()
         },
@@ -688,7 +583,7 @@ pub fn build_engine(odms: &Arc<Odms>, opts: &CommonOpts) -> QueryEngine {
 /// Render an [`ExplainPlan`] as the per-region operator table: one row
 /// per evaluated region with the chosen physical operator, the prune
 /// verdict, and estimated vs actual hits.
-pub fn format_explain(odms: &Arc<Odms>, plan: &ExplainPlan) -> String {
+fn format_explain(odms: &Odms, plan: &ExplainPlan) -> String {
     use std::fmt::Write as _;
     let name_of = |id: pdc_types::ObjectId| {
         odms.meta().get(id).map(|m| m.name.clone()).unwrap_or_else(|_| id.to_string())
@@ -777,554 +672,460 @@ pub fn format_explain(odms: &Arc<Odms>, plan: &ExplainPlan) -> String {
 
 /// Execute a parsed command; returns the text to print.
 pub fn run(cmd: Command) -> Result<String, String> {
+    check(&cmd)?;
     match cmd {
         Command::Help => Ok(USAGE.to_string()),
-        Command::Query {
-            expr,
-            opts,
-            get_data,
-            queries,
-            batch_file,
-            joint,
-            join_server,
-            leave_server,
-        } => {
-            let mut out = String::new();
-            fault_plan(&opts)?; // validate before the expensive import
-            let (odms, _data) = build_world(&opts);
-            if let Some(spec) = &joint {
-                let (a, b) = spec
-                    .split_once(',')
-                    .ok_or_else(|| format!("--joint {spec}: expected 'A,B'"))?;
-                let a = odms.meta().lookup_name(a.trim()).map_err(|e| e.to_string())?.id;
-                let b = odms.meta().lookup_name(b.trim()).map_err(|e| e.to_string())?.id;
-                let bytes = odms.register_joint_pair(a, b).map_err(|e| e.to_string())?;
-                out.push_str(&format!("joint bounds: registered ({spec}), {bytes} B\n"));
-            }
-            let engine = build_engine(&odms, &opts);
-            let query = parse_query(&expr, &odms).map_err(|e| e.to_string())?;
-            out.push_str(&format!("query: {query}\n"));
-            if opts.replicas > 1 {
-                let members = engine.placement_members().unwrap_or_default();
-                let slots = engine.replica_sets().map(|s| s.len()).unwrap_or(0);
-                out.push_str(&format!(
-                    "replication: k={} over {} member(s), {} slot(s)\n",
-                    opts.replicas,
-                    members.len(),
-                    slots,
-                ));
-            }
-            // Elastic membership smoke: bracket the change with runs of
-            // the same query and report whether the bits moved (they
-            // must not).
-            if join_server || leave_server.is_some() {
-                let before = engine.run(&query).map_err(|e| e.to_string())?;
-                if join_server {
-                    let rep = engine.join_server().map_err(|e| e.to_string())?;
-                    let after = engine.run(&query).map_err(|e| e.to_string())?;
-                    out.push_str(&format!(
-                        "membership: +server {} — {} slot(s) re-homed, {} region(s) / {} B \
-                         copied; results unchanged: {}\n",
-                        rep.server,
-                        rep.slots_changed,
-                        rep.regions_copied,
-                        rep.bytes_copied,
-                        if after.selection == before.selection { "yes" } else { "NO" },
-                    ));
-                }
-                if let Some(s) = leave_server {
-                    let rep = engine.leave_server(s).map_err(|e| e.to_string())?;
-                    let after = engine.run(&query).map_err(|e| e.to_string())?;
-                    out.push_str(&format!(
-                        "membership: -server {} — {} slot(s) re-homed, {} region(s) / {} B \
-                         copied; results unchanged: {}\n",
-                        rep.server,
-                        rep.slots_changed,
-                        rep.regions_copied,
-                        rep.bytes_copied,
-                        if after.selection == before.selection { "yes" } else { "NO" },
-                    ));
-                }
-            }
+        Command::Query { expr, opts } => run_query(&expr, &opts),
+        Command::Ingest { expr, opts } => run_ingest(&expr, &opts),
+        Command::Demo { opts } => run_demo(&opts),
+        Command::Serve { opts } => run_serve(&opts),
+    }
+}
 
-            // Assemble the admitted series: the main expression repeated
-            // `--queries` times, plus every expression from the batch file.
-            let mut series = vec![query.clone(); queries.max(1) as usize];
-            if let Some(path) = &batch_file {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("--batch-file {path}: {e}"))?;
-                for line in text.lines() {
-                    let line = line.trim();
-                    if line.is_empty() || line.starts_with('#') {
-                        continue;
-                    }
-                    series.push(
-                        parse_query(line, &odms).map_err(|e| format!("{line}: {e}"))?,
-                    );
-                }
-            }
-
-            let mut explain_plan = None;
-            let outcome = if series.len() > 1 {
-                let batch = engine.run_batch(&series).map_err(|e| e.to_string())?;
-                if opts.explain {
-                    // Batch-mode variant: explain the lead query of the
-                    // series (operator choices are pure functions of
-                    // metadata/histograms/cost, so this is exactly the
-                    // pipeline every admission of it ran).
-                    let (_, plan) = engine.explain(&series[0]).map_err(|e| e.to_string())?;
-                    explain_plan = Some(plan);
-                }
-                // Throughput in simulated time: the CLI's output contract is
-                // byte-identical runs for identical flags, so the report must
-                // not include host wall clock (BENCH_throughput.json records
-                // that side).
-                let sim_secs = batch.batch_elapsed.as_secs_f64().max(1e-9);
-                let s = &batch.stats;
-                out.push_str(&format!(
-                    "batch: {} queries in simulated {} ({:.2} queries/simulated-s) — \
-                     plan cache {}/{} hits, artifact hit ratio {:.1}%, \
-                     shared reads saved {}/{}, prewarmed {} regions\n",
-                    s.queries,
-                    batch.batch_elapsed,
-                    s.queries as f64 / sim_secs,
-                    s.plan_hits,
-                    s.plan_hits + s.plan_misses,
-                    s.artifact_hit_ratio() * 100.0,
-                    s.resident_reads,
-                    s.region_touches,
-                    s.prewarm_regions,
-                ));
-                batch.outcomes.into_iter().next().expect("non-empty batch")
-            } else if opts.explain {
-                let (outcome, plan) = engine.explain(&query).map_err(|e| e.to_string())?;
-                explain_plan = Some(plan);
-                outcome
-            } else {
-                engine.run(&query).map_err(|e| e.to_string())?
-            };
+fn run_query(expr: &str, opts: &Opts) -> Result<String, String> {
+    let mut out = String::new();
+    let world = World::build(opts, &generate(opts), opts.particles)?;
+    let odms = &world.odms;
+    if let Some(spec) = &opts.joint {
+        let (a, b) =
+            spec.split_once(',').ok_or_else(|| format!("--joint {spec}: expected 'A,B'"))?;
+        let a = odms.meta().lookup_name(a.trim()).map_err(|e| e.to_string())?.id;
+        let b = odms.meta().lookup_name(b.trim()).map_err(|e| e.to_string())?.id;
+        let bytes = odms.register_joint_pair(a, b).map_err(|e| e.to_string())?;
+        out.push_str(&format!("joint bounds: registered ({spec}), {bytes} B\n"));
+    }
+    let engine = build_engine(odms, opts);
+    let query = parse_query(expr, odms).map_err(|e| e.to_string())?;
+    out.push_str(&format!("query: {query}\n"));
+    if opts.replicas > 1 {
+        let members = engine.placement_members().unwrap_or_default();
+        let slots = engine.replica_sets().map(|s| s.len()).unwrap_or(0);
+        out.push_str(&format!(
+            "replication: k={} over {} member(s), {} slot(s)\n",
+            opts.replicas,
+            members.len(),
+            slots,
+        ));
+    }
+    // Elastic membership smoke: bracket the change with runs of the same
+    // query and report whether the bits moved (they must not).
+    if opts.join_server || opts.leave_server.is_some() {
+        let before = engine.run(&query).map_err(|e| e.to_string())?;
+        let mut report = |sign: char, rep: pdc_query::MembershipReport| -> Result<(), String> {
+            let after = engine.run(&query).map_err(|e| e.to_string())?;
             out.push_str(&format!(
-                "{}: {} hits ({} runs) in simulated {} — PFS {} B / {} requests, scanned {}\n",
-                opts.strategy,
-                outcome.nhits,
-                outcome.selection.num_runs(),
-                outcome.elapsed,
-                outcome.io.pfs_bytes_read,
-                outcome.io.pfs_read_requests,
-                outcome.work.elements_scanned,
+                "membership: {sign}server {} — {} slot(s) re-homed, {} region(s) / {} B \
+                 copied; results unchanged: {}\n",
+                rep.server,
+                rep.slots_changed,
+                rep.regions_copied,
+                rep.bytes_copied,
+                if after.selection == before.selection { "yes" } else { "NO" },
             ));
-            if let Some(line) = format_spill_report(&odms, &opts) {
-                out.push_str(&line);
-            }
-            if !outcome.failed_servers.is_empty() {
-                if outcome.breakdown.failover > SimDuration::ZERO
-                    || (opts.replicas > 1 && outcome.breakdown.recovery == SimDuration::ZERO)
-                {
-                    out.push_str(&format!(
-                        "faults: servers {:?} failed; slots failed over to live replicas \
-                         in {} retry round(s), failover overhead {}\n",
-                        outcome.failed_servers,
-                        outcome.retry_rounds,
-                        outcome.breakdown.failover,
-                    ));
-                } else {
-                    out.push_str(&format!(
-                        "faults: servers {:?} failed; recovered in {} retry round(s), \
-                         recovery overhead {}\n",
-                        outcome.failed_servers, outcome.retry_rounds, outcome.breakdown.recovery,
-                    ));
-                }
-            }
-            if outcome.rebuild_regions > 0 {
-                out.push_str(&format!(
-                    "rebuild: redundancy restored in the background — {} region(s) / {} B \
-                     re-replicated\n",
-                    outcome.rebuild_regions, outcome.rebuild_bytes,
-                ));
-            }
-            if outcome.integrity.any() {
-                out.push_str(&format!(
-                    "integrity: {} checksum failure(s), {} region(s) repaired, \
-                     {} aux rebuild(s), {} fallback region(s), overhead {}\n",
-                    outcome.integrity.checksum_failures,
-                    outcome.integrity.repaired_regions,
-                    outcome.integrity.aux_rebuilds,
-                    outcome.integrity.fallback_regions,
-                    outcome.breakdown.integrity,
-                ));
-            }
-            if let Some(plan) = &explain_plan {
-                out.push_str(&format_explain(&odms, plan));
-            }
-            if let Some(var) = get_data {
-                let meta = odms.meta().lookup_name(&var).map_err(|e| e.to_string())?;
-                let data = engine.get_data(&outcome, meta.id).map_err(|e| e.to_string())?;
-                let preview: Vec<String> = (0..data.data.len().min(8))
-                    .map(|i| format!("{}", data.data.get_value(i)))
-                    .collect();
-                out.push_str(&format!(
-                    "get_data({var}): {} values from {} servers in {} — first: [{}]\n",
-                    data.data.len(),
-                    data.servers_involved,
-                    data.elapsed,
-                    preview.join(", ")
-                ));
-            }
-            Ok(out)
+            Ok(())
+        };
+        if opts.join_server {
+            report('+', engine.join_server().map_err(|e| e.to_string())?)?;
         }
-        Command::Ingest { expr, opts, append_batches, append_fraction } => {
-            fault_plan(&opts)?; // validate before the expensive import
-            let data =
-                VpicData::generate(&VpicConfig { particles: opts.particles, seed: opts.seed });
-            let total = opts.particles;
-            let append_total =
-                ((total as f64 * append_fraction).round() as usize).max(append_batches as usize);
-            if append_total >= total {
-                return Err(format!(
-                    "--append-fraction {append_fraction} leaves no initial extent for \
-                     {total} particles"
-                ));
-            }
-            let initial = total - append_total;
-            let import = ImportOptions {
-                region_bytes: opts.region_bytes,
-                build_index: true,
-                build_sorted: true,
-                ..Default::default()
-            };
-            // A world with every variable at full extent except Energy,
-            // which starts at the reduced initial extent and grows by
-            // streaming appends between queries.
-            let build_at = |energy_extent: usize| -> Result<Arc<Odms>, String> {
-                let odms = Arc::new(Odms::new(64));
-                let container = odms.create_container("cli");
-                for (name, values) in data.variables() {
-                    let vals = if name == "Energy" {
-                        values[..energy_extent].to_vec()
-                    } else {
-                        values.clone()
-                    };
-                    odms.import_array(
-                        container,
-                        name,
-                        pdc_types::TypedVec::Float(vals),
-                        &import,
-                    )
-                    .map_err(|e| e.to_string())?;
-                }
-                Ok(odms)
-            };
-            let odms = build_at(initial)?;
-            // Only the streamed-into world runs under the budget; the
-            // sealed rerun worlds stay fully resident, so the ingest gate
-            // doubles as a spill-on/off consistency check.
-            configure_spill(&odms, &opts);
-            let engine = build_engine(&odms, &opts);
-            let query = parse_query(&expr, &odms).map_err(|e| e.to_string())?;
-            let energy = odms.meta().lookup_name("Energy").map_err(|e| e.to_string())?.id;
-
-            let mut out = String::new();
-            out.push_str(&format!(
-                "ingest: query {query}; initial {initial} elements, {append_batches} appends \
-                 totalling {append_total} ({:.1}% of {total})\n",
-                100.0 * append_total as f64 / total as f64,
-            ));
-            let chunk = append_total / append_batches as usize;
-            let mut consistent = 0u32;
-            let mut checked = 0u32;
-            for k in 0..=append_batches as usize {
-                let outcome = engine.run(&query).map_err(|e| e.to_string())?;
-                // Rerun against a store imported whole at the extent the
-                // plan saw: hits must be bit-identical.
-                let extent = outcome.planned_elements as usize;
-                let sealed = build_at(extent)?;
-                let sealed_engine = build_engine(&sealed, &opts);
-                let sealed_q = parse_query(&expr, &sealed).map_err(|e| e.to_string())?;
-                let sealed_out = sealed_engine.run(&sealed_q).map_err(|e| e.to_string())?;
-                let ok = outcome.nhits == sealed_out.nhits
-                    && outcome.selection == sealed_out.selection;
-                checked += 1;
-                consistent += ok as u32;
-                out.push_str(&format!(
-                    "  extent {extent} (epoch {}): {} hits — sealed rerun {} {}\n",
-                    outcome.planned_epoch,
-                    outcome.nhits,
-                    sealed_out.nhits,
-                    if ok { "ok" } else { "MISMATCH" },
-                ));
-                if k < append_batches as usize {
-                    let lo = initial + k * chunk;
-                    let hi = if k + 1 == append_batches as usize {
-                        total
-                    } else {
-                        initial + (k + 1) * chunk
-                    };
-                    let report = odms
-                        .append_array(
-                            energy,
-                            &pdc_types::TypedVec::Float(data.energy[lo..hi].to_vec()),
-                        )
-                        .map_err(|e| e.to_string())?;
-                    out.push_str(&format!(
-                        "  append {}: +{} elems (tail fill: {}, new regions: {}, sealed: {})\n",
-                        k + 1,
-                        report.appended_elems,
-                        report.filled_tail.map_or_else(|| "-".into(), |r| r.to_string()),
-                        report.new_regions.len(),
-                        report.sealed_regions.len(),
-                    ));
-                }
-            }
-            let maint = odms.run_deferred_maintenance().map_err(|e| e.to_string())?;
-            out.push_str(&format!(
-                "maintenance: rebuilt {} index region(s), {} sorted replica(s), {} B written\n",
-                maint.index_regions_rebuilt, maint.sorted_replicas_rebuilt, maint.bytes_written,
-            ));
-            // Post-maintenance rerun still matches the final extent.
-            let final_out = engine.run(&query).map_err(|e| e.to_string())?;
-            let sealed = build_at(final_out.planned_elements as usize)?;
-            let sealed_engine = build_engine(&sealed, &opts);
-            let sealed_q = parse_query(&expr, &sealed).map_err(|e| e.to_string())?;
-            let sealed_final = sealed_engine.run(&sealed_q).map_err(|e| e.to_string())?;
-            checked += 1;
-            consistent += (final_out.selection == sealed_final.selection) as u32;
-            if let Some(line) = format_spill_report(&odms, &opts) {
-                out.push_str(&line);
-            }
-            out.push_str(&format!(
-                "ingest gate: {} ({consistent}/{checked} extents sealed-consistent)\n",
-                if consistent == checked { "PASS" } else { "FAIL" },
-            ));
-            Ok(out)
-        }
-        Command::Demo { opts } => {
-            let mut out = String::new();
-            fault_plan(&opts)?; // validate before the expensive import
-            let (odms, _data) = build_world(&opts);
-            out.push_str(&format!(
-                "dataset: {} particles x 7 variables, {} regions of {} KiB, {} servers\n\n",
-                opts.particles,
-                odms.meta().lookup_name("Energy").unwrap().num_regions(),
-                opts.region_bytes >> 10,
-                opts.servers,
-            ));
-            if let Some(line) = format_spill_report(&odms, &opts) {
-                out.push_str(&line);
-                out.push('\n');
-            }
-            let queries = [
-                "2.1 < Energy < 2.2",
-                "3.5 < Energy < 3.6",
-                "Energy > 2.0 AND 100 < x < 200 AND -90 < y < 0 AND 0 < z < 66",
-            ];
-            for expr in queries {
-                out.push_str(&format!("query: {expr}\n"));
-                let query = parse_query(expr, &odms).map_err(|e| e.to_string())?;
-                for strategy in [
-                    Strategy::FullScan,
-                    Strategy::Histogram,
-                    Strategy::HistogramIndex,
-                    Strategy::SortedHistogram,
-                    Strategy::Adaptive,
-                ] {
-                    let engine =
-                        build_engine(&odms, &CommonOpts { strategy, ..opts.clone() });
-                    engine.run(&query).map_err(|e| e.to_string())?; // warm
-                    let outcome = engine.run(&query).map_err(|e| e.to_string())?;
-                    out.push_str(&format!(
-                        "  {:>7}: {:>8} hits, simulated {:>12}\n",
-                        strategy.label(),
-                        outcome.nhits,
-                        outcome.elapsed.to_string(),
-                    ));
-                }
-            }
-            Ok(out)
-        }
-        Command::Serve { trace_file, opts, quantum_ms, no_batching } => {
-            fault_plan(&opts)?; // validate before the expensive import
-            let text = std::fs::read_to_string(&trace_file)
-                .map_err(|e| format!("--trace-file {trace_file}: {e}"))?;
-            let (odms, _data) = build_world(&opts);
-            configure_spill(&odms, &opts);
-
-            // Trace grammar: '#' comments and blanks are skipped; 'tenant'
-            // lines register policies; everything else is an arrival of the
-            // form '<t_ms> <tenant> <expr>'.
-            struct RawArrival {
-                at_ms: f64,
-                tenant: String,
-                expr: String,
-            }
-            let mut raw: Vec<RawArrival> = Vec::new();
-            for (idx, line) in text.lines().enumerate() {
-                let lineno = idx + 1;
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let mut it = line.split_whitespace();
-                let first = it.next().expect("non-empty trimmed line");
-                if first == "tenant" {
-                    let name = it
-                        .next()
-                        .ok_or_else(|| format!("trace line {lineno}: tenant requires a name"))?;
-                    let mut weight = 1u32;
-                    let mut budget_ms = 1000.0f64;
-                    let mut cap = 64usize;
-                    for kv in it {
-                        let (k, v) = kv.split_once('=').ok_or_else(|| {
-                            format!("trace line {lineno}: expected key=value, got '{kv}'")
-                        })?;
-                        match k {
-                            "weight" => {
-                                weight = v
-                                    .parse()
-                                    .map_err(|e| format!("trace line {lineno}: weight: {e}"))?;
-                            }
-                            "budget-ms" => {
-                                budget_ms = v.parse().map_err(|e| {
-                                    format!("trace line {lineno}: budget-ms: {e}")
-                                })?;
-                            }
-                            "cap" => {
-                                cap = v
-                                    .parse()
-                                    .map_err(|e| format!("trace line {lineno}: cap: {e}"))?;
-                            }
-                            other => {
-                                return Err(format!(
-                                    "trace line {lineno}: unknown tenant attribute '{other}' \
-                                     (expected weight=, budget-ms=, cap=)"
-                                ));
-                            }
-                        }
-                    }
-                    if !budget_ms.is_finite() || budget_ms <= 0.0 {
-                        return Err(format!(
-                            "trace line {lineno}: budget-ms {budget_ms} must be positive"
-                        ));
-                    }
-                    odms.register_tenant(name, weight, (budget_ms * 1e6) as u64, cap);
-                } else {
-                    let at_ms: f64 = first
-                        .parse()
-                        .map_err(|e| format!("trace line {lineno}: arrival time: {e}"))?;
-                    if !at_ms.is_finite() || at_ms < 0.0 {
-                        return Err(format!(
-                            "trace line {lineno}: arrival time {at_ms} must be non-negative"
-                        ));
-                    }
-                    let tenant = it
-                        .next()
-                        .ok_or_else(|| {
-                            format!("trace line {lineno}: arrival requires a tenant name")
-                        })?
-                        .to_string();
-                    let expr = it.collect::<Vec<_>>().join(" ");
-                    if expr.is_empty() {
-                        return Err(format!(
-                            "trace line {lineno}: arrival requires a query expression"
-                        ));
-                    }
-                    raw.push(RawArrival { at_ms, tenant, expr });
-                }
-            }
-            if raw.is_empty() {
-                return Err(format!("--trace-file {trace_file}: no arrivals in trace"));
-            }
-            // Tenants referenced only by arrivals get the default policy.
-            for a in &raw {
-                if odms.tenant(&a.tenant).is_none() {
-                    odms.register_tenant(&a.tenant, 1, 1_000_000_000, 64);
-                }
-            }
-
-            let engine = build_engine(&odms, &opts);
-            let arrivals = raw
-                .iter()
-                .map(|a| {
-                    Ok(Arrival {
-                        at: SimDuration::from_secs_f64(a.at_ms / 1e3),
-                        tenant: a.tenant.clone(),
-                        query: parse_query(&a.expr, &odms)
-                            .map_err(|e| format!("'{}': {e}", a.expr))?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let mut cfg = ServiceConfig::from_odms(&odms);
-            cfg.quantum = SimDuration::from_secs_f64(quantum_ms / 1e3);
-            cfg.continuous_batching = !no_batching;
-            let report = engine.serve(&cfg, &arrivals).map_err(|e| e.to_string())?;
-
-            let mut out = String::new();
-            out.push_str(&format!(
-                "serve: {} arrival(s) from {} tenant(s), quantum {}, \
-                 continuous batching {}\n",
-                report.stats.submitted,
-                cfg.tenants.len(),
-                cfg.quantum,
-                if cfg.continuous_batching { "on" } else { "off" },
-            ));
-            out.push_str(&format!(
-                "outcomes: {} completed, {} deferral(s), {} rejected \
-                 (simulated span {})\n",
-                report.stats.completed,
-                report.stats.deferrals,
-                report.stats.rejected,
-                report.end_time,
-            ));
-            for t in report.tenant_summaries() {
-                out.push_str(&format!(
-                    "  tenant {:>10}: {:>3}/{} done ({} rejected, {} deferred), \
-                     p50 {} p95 {} p99 {}, {:.2} q/s simulated\n",
-                    t.name,
-                    t.completed,
-                    t.submitted,
-                    t.rejected,
-                    t.deferred,
-                    t.p50,
-                    t.p95,
-                    t.p99,
-                    t.throughput_qps,
-                ));
-            }
-            if let Some(g) = report.group {
-                out.push_str(&format!(
-                    "shared scan group: {} member(s) over {} admission(s), \
-                     {} late join(s), {} interval(s) admitted, \
-                     {} region(s) prewarmed\n",
-                    g.members, g.admissions, g.late_joins, g.admitted_intervals,
-                    g.prewarm_regions,
-                ));
-            }
-
-            // Equivalence gate: replay the dispatch order sequentially on a
-            // twin world; every served outcome must be bit-identical to its
-            // solo run (scheduling decides *when*, never *what*).
-            let (twin, _d2) = build_world(&opts);
-            configure_spill(&twin, &opts);
-            let twin_engine = build_engine(&twin, &opts);
-            let mut identical = 0usize;
-            for s in &report.served {
-                let q = parse_query(&raw[s.arrival_index].expr, &twin)
-                    .map_err(|e| e.to_string())?;
-                let solo = twin_engine.run(&q).map_err(|e| e.to_string())?;
-                identical += (solo.selection == s.outcome.selection
-                    && solo.nhits == s.outcome.nhits
-                    && solo.elapsed == s.outcome.elapsed
-                    && solo.breakdown == s.outcome.breakdown)
-                    as usize;
-            }
-            out.push_str(&format!(
-                "service equivalence: {} ({identical}/{} served outcome(s) \
-                 bit-identical to solo replay)\n",
-                if identical == report.served.len() { "PASS" } else { "FAIL" },
-                report.served.len(),
-            ));
-            Ok(out)
+        if let Some(s) = opts.leave_server {
+            report('-', engine.leave_server(s).map_err(|e| e.to_string())?)?;
         }
     }
+
+    // Assemble the admitted series: the main expression repeated
+    // `--queries` times, plus every expression from the batch file.
+    let mut series = vec![query.clone(); opts.queries as usize];
+    if let Some(path) = &opts.batch_file {
+        let text = read_file("--batch-file", path)?;
+        for line in text.lines() {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            series.push(parse_query(line, odms).map_err(|e| format!("{line}: {e}"))?);
+        }
+    }
+
+    let mut explain_plan = None;
+    let outcome = if series.len() > 1 {
+        let batch = engine.run_batch(&series).map_err(|e| e.to_string())?;
+        if opts.explain {
+            // Batch-mode variant: explain the lead query of the series
+            // (operator choices are pure functions of
+            // metadata/histograms/cost, so this is exactly the pipeline
+            // every admission of it ran).
+            let (_, plan) = engine.explain(&series[0]).map_err(|e| e.to_string())?;
+            explain_plan = Some(plan);
+        }
+        // Throughput in simulated time: the CLI's output contract is
+        // byte-identical runs for identical flags, so the report must not
+        // include host wall clock (BENCH_throughput.json records that
+        // side).
+        let sim_secs = batch.batch_elapsed.as_secs_f64().max(1e-9);
+        let s = &batch.stats;
+        out.push_str(&format!(
+            "batch: {} queries in simulated {} ({:.2} queries/simulated-s) — \
+             plan cache {}/{} hits, artifact hit ratio {:.1}%, \
+             shared reads saved {}/{}, prewarmed {} regions\n",
+            s.queries,
+            batch.batch_elapsed,
+            s.queries as f64 / sim_secs,
+            s.plan_hits,
+            s.plan_hits + s.plan_misses,
+            s.artifact_hit_ratio() * 100.0,
+            s.resident_reads,
+            s.region_touches,
+            s.prewarm_regions,
+        ));
+        batch.outcomes.into_iter().next().expect("non-empty batch")
+    } else if opts.explain {
+        let (outcome, plan) = engine.explain(&query).map_err(|e| e.to_string())?;
+        explain_plan = Some(plan);
+        outcome
+    } else {
+        engine.run(&query).map_err(|e| e.to_string())?
+    };
+    out.push_str(&format!(
+        "{}: {} hits ({} runs) in simulated {} — PFS {} B / {} requests, scanned {}\n",
+        opts.strategy,
+        outcome.nhits,
+        outcome.selection.num_runs(),
+        outcome.elapsed,
+        outcome.io.pfs_bytes_read,
+        outcome.io.pfs_read_requests,
+        outcome.work.elements_scanned,
+    ));
+    if let Some(line) = format_spill_report(odms, opts) {
+        out.push_str(&line);
+    }
+    if !outcome.failed_servers.is_empty() {
+        if outcome.breakdown.failover > SimDuration::ZERO
+            || (opts.replicas > 1 && outcome.breakdown.recovery == SimDuration::ZERO)
+        {
+            out.push_str(&format!(
+                "faults: servers {:?} failed; slots failed over to live replicas \
+                 in {} retry round(s), failover overhead {}\n",
+                outcome.failed_servers, outcome.retry_rounds, outcome.breakdown.failover,
+            ));
+        } else {
+            out.push_str(&format!(
+                "faults: servers {:?} failed; recovered in {} retry round(s), \
+                 recovery overhead {}\n",
+                outcome.failed_servers, outcome.retry_rounds, outcome.breakdown.recovery,
+            ));
+        }
+    }
+    if outcome.rebuild_regions > 0 {
+        out.push_str(&format!(
+            "rebuild: redundancy restored in the background — {} region(s) / {} B \
+             re-replicated\n",
+            outcome.rebuild_regions, outcome.rebuild_bytes,
+        ));
+    }
+    if outcome.integrity.any() {
+        out.push_str(&format!(
+            "integrity: {} checksum failure(s), {} region(s) repaired, \
+             {} aux rebuild(s), {} fallback region(s), overhead {}\n",
+            outcome.integrity.checksum_failures,
+            outcome.integrity.repaired_regions,
+            outcome.integrity.aux_rebuilds,
+            outcome.integrity.fallback_regions,
+            outcome.breakdown.integrity,
+        ));
+    }
+    if let Some(plan) = &explain_plan {
+        out.push_str(&format_explain(odms, plan));
+    }
+    if let Some(var) = &opts.get_data {
+        let meta = odms.meta().lookup_name(var).map_err(|e| e.to_string())?;
+        let data = engine.get_data(&outcome, meta.id).map_err(|e| e.to_string())?;
+        let preview: Vec<String> =
+            (0..data.data.len().min(8)).map(|i| format!("{}", data.data.get_value(i))).collect();
+        out.push_str(&format!(
+            "get_data({var}): {} values from {} servers in {} — first: [{}]\n",
+            data.data.len(),
+            data.servers_involved,
+            data.elapsed,
+            preview.join(", ")
+        ));
+    }
+    Ok(out)
+}
+
+fn run_ingest(expr: &str, opts: &Opts) -> Result<String, String> {
+    let (initial, append_total) = ingest_split(opts)?;
+    let (total, append_batches) = (opts.particles, opts.append_batches as usize);
+    let data = generate(opts);
+    // Only the streamed-into world runs under the budget; the sealed rerun
+    // worlds stay fully resident, so the ingest gate doubles as a
+    // spill-on/off consistency check.
+    let resident = Opts { memory_budget: None, ..opts.clone() };
+    // Rerun against a store imported whole at the extent the plan saw:
+    // hits must be bit-identical.
+    let sealed_rerun = |extent: usize| -> Result<pdc_query::QueryOutcome, String> {
+        let sealed = World::build(&resident, &data, extent)?;
+        let query = parse_query(expr, &sealed.odms).map_err(|e| e.to_string())?;
+        build_engine(&sealed.odms, opts).run(&query).map_err(|e| e.to_string())
+    };
+    // Every variable at full extent except Energy, which starts at the
+    // reduced initial extent and grows by streaming appends between
+    // queries.
+    let world = World::build(opts, &data, initial)?;
+    let odms = &world.odms;
+    let engine = build_engine(odms, opts);
+    let query = parse_query(expr, odms).map_err(|e| e.to_string())?;
+    let energy = odms.meta().lookup_name("Energy").map_err(|e| e.to_string())?.id;
+
+    let mut out = String::new();
+    out.push_str(&format!(
+        "ingest: query {query}; initial {initial} elements, {append_batches} appends \
+         totalling {append_total} ({:.1}% of {total})\n",
+        100.0 * append_total as f64 / total as f64,
+    ));
+    let chunk = append_total / append_batches;
+    let mut consistent = 0u32;
+    let mut checked = 0u32;
+    for k in 0..=append_batches {
+        let outcome = engine.run(&query).map_err(|e| e.to_string())?;
+        let extent = outcome.planned_elements as usize;
+        let sealed = sealed_rerun(extent)?;
+        let ok = outcome.nhits == sealed.nhits && outcome.selection == sealed.selection;
+        checked += 1;
+        consistent += ok as u32;
+        out.push_str(&format!(
+            "  extent {extent} (epoch {}): {} hits — sealed rerun {} {}\n",
+            outcome.planned_epoch,
+            outcome.nhits,
+            sealed.nhits,
+            if ok { "ok" } else { "MISMATCH" },
+        ));
+        if k < append_batches {
+            let lo = initial + k * chunk;
+            let hi = if k + 1 == append_batches { total } else { initial + (k + 1) * chunk };
+            let report = odms
+                .append_array(energy, &TypedVec::Float(data.energy[lo..hi].to_vec()))
+                .map_err(|e| e.to_string())?;
+            out.push_str(&format!(
+                "  append {}: +{} elems (tail fill: {}, new regions: {}, sealed: {})\n",
+                k + 1,
+                report.appended_elems,
+                report.filled_tail.map_or_else(|| "-".into(), |r| r.to_string()),
+                report.new_regions.len(),
+                report.sealed_regions.len(),
+            ));
+        }
+    }
+    let maint = odms.run_deferred_maintenance().map_err(|e| e.to_string())?;
+    out.push_str(&format!(
+        "maintenance: rebuilt {} index region(s), {} sorted replica(s), {} B written\n",
+        maint.index_regions_rebuilt, maint.sorted_replicas_rebuilt, maint.bytes_written,
+    ));
+    // Post-maintenance rerun still matches the final extent.
+    let final_out = engine.run(&query).map_err(|e| e.to_string())?;
+    let sealed_final = sealed_rerun(final_out.planned_elements as usize)?;
+    checked += 1;
+    consistent += (final_out.selection == sealed_final.selection) as u32;
+    if let Some(line) = format_spill_report(odms, opts) {
+        out.push_str(&line);
+    }
+    out.push_str(&format!(
+        "ingest gate: {} ({consistent}/{checked} extents sealed-consistent)\n",
+        if consistent == checked { "PASS" } else { "FAIL" },
+    ));
+    Ok(out)
+}
+
+fn run_demo(opts: &Opts) -> Result<String, String> {
+    let mut out = String::new();
+    let world = World::build(opts, &generate(opts), opts.particles)?;
+    let odms = &world.odms;
+    out.push_str(&format!(
+        "dataset: {} particles x 7 variables, {} regions of {} KiB, {} servers\n\n",
+        opts.particles,
+        odms.meta().lookup_name("Energy").map_err(|e| e.to_string())?.num_regions(),
+        opts.region_bytes >> 10,
+        opts.servers,
+    ));
+    if let Some(line) = format_spill_report(odms, opts) {
+        out.push_str(&line);
+        out.push('\n');
+    }
+    let queries = [
+        "2.1 < Energy < 2.2",
+        "3.5 < Energy < 3.6",
+        "Energy > 2.0 AND 100 < x < 200 AND -90 < y < 0 AND 0 < z < 66",
+    ];
+    for expr in queries {
+        out.push_str(&format!("query: {expr}\n"));
+        let query = parse_query(expr, odms).map_err(|e| e.to_string())?;
+        for strategy in Strategy::ALL {
+            let engine = build_engine(odms, &Opts { strategy, ..opts.clone() });
+            engine.run(&query).map_err(|e| e.to_string())?; // warm
+            let outcome = engine.run(&query).map_err(|e| e.to_string())?;
+            out.push_str(&format!(
+                "  {:>7}: {:>8} hits, simulated {:>12}\n",
+                strategy.label(),
+                outcome.nhits,
+                outcome.elapsed.to_string(),
+            ));
+        }
+    }
+    Ok(out)
+}
+
+fn run_serve(opts: &Opts) -> Result<String, String> {
+    let trace_file = opts.trace_file.as_deref().expect("checked: serve has a trace file");
+    let text = read_file("--trace-file", trace_file)?;
+    let data = generate(opts);
+    let world = World::build(opts, &data, opts.particles)?;
+    let odms = &world.odms;
+
+    // Trace grammar: '#' comments and blanks are skipped; 'tenant' lines
+    // register policies; everything else is an arrival of the form
+    // '<t_ms> <tenant> <expr>'.
+    struct RawArrival {
+        at_ms: f64,
+        tenant: String,
+        expr: String,
+    }
+    let mut raw: Vec<RawArrival> = Vec::new();
+    for (idx, line) in text.lines().enumerate() {
+        let lineno = idx + 1;
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut it = line.split_whitespace();
+        let first = it.next().expect("non-empty trimmed line");
+        if first == "tenant" {
+            let name =
+                it.next().ok_or_else(|| format!("trace line {lineno}: tenant requires a name"))?;
+            let mut weight = 1u32;
+            let mut budget_ms = 1000.0f64;
+            let mut cap = 64usize;
+            for kv in it {
+                let (k, v) = kv.split_once('=').ok_or_else(|| {
+                    format!("trace line {lineno}: expected key=value, got '{kv}'")
+                })?;
+                let bad = |e: &dyn std::fmt::Display| format!("trace line {lineno}: {k}: {e}");
+                match k {
+                    "weight" => weight = v.parse().map_err(|e| bad(&e))?,
+                    "budget-ms" => budget_ms = v.parse().map_err(|e| bad(&e))?,
+                    "cap" => cap = v.parse().map_err(|e| bad(&e))?,
+                    other => {
+                        return Err(format!(
+                            "trace line {lineno}: unknown tenant attribute '{other}' \
+                             (expected weight=, budget-ms=, cap=)"
+                        ));
+                    }
+                }
+            }
+            if weight == 0 {
+                return Err(format!("trace line {lineno}: weight must be at least 1"));
+            }
+            if !budget_ms.is_finite() || budget_ms <= 0.0 {
+                return Err(format!("trace line {lineno}: budget-ms {budget_ms} must be positive"));
+            }
+            odms.register_tenant(name, weight, (budget_ms * 1e6) as u64, cap);
+        } else {
+            let at_ms: f64 =
+                first.parse().map_err(|e| format!("trace line {lineno}: arrival time: {e}"))?;
+            if !at_ms.is_finite() || at_ms < 0.0 {
+                return Err(format!(
+                    "trace line {lineno}: arrival time {at_ms} must be non-negative"
+                ));
+            }
+            let tenant = it
+                .next()
+                .ok_or_else(|| format!("trace line {lineno}: arrival requires a tenant name"))?
+                .to_string();
+            let expr = it.collect::<Vec<_>>().join(" ");
+            if expr.is_empty() {
+                return Err(format!("trace line {lineno}: arrival requires a query expression"));
+            }
+            raw.push(RawArrival { at_ms, tenant, expr });
+        }
+    }
+    if raw.is_empty() {
+        return Err(format!("--trace-file {trace_file}: no arrivals in trace"));
+    }
+    // Tenants referenced only by arrivals get the default policy.
+    for a in &raw {
+        if odms.tenant(&a.tenant).is_none() {
+            odms.register_tenant(&a.tenant, 1, 1_000_000_000, 64);
+        }
+    }
+
+    let engine = build_engine(odms, opts);
+    let arrivals = raw
+        .iter()
+        .map(|a| {
+            Ok(Arrival {
+                at: SimDuration::from_secs_f64(a.at_ms / 1e3),
+                tenant: a.tenant.clone(),
+                query: parse_query(&a.expr, odms).map_err(|e| format!("'{}': {e}", a.expr))?,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let mut cfg = ServiceConfig::from_odms(odms);
+    cfg.quantum = SimDuration::from_secs_f64(opts.quantum_ms / 1e3);
+    let report = engine.serve(&cfg, &arrivals).map_err(|e| e.to_string())?;
+
+    let mut out = String::new();
+    out.push_str(&format!(
+        "serve: {} arrival(s) from {} tenant(s), quantum {}, continuous batching {}\n",
+        report.stats.submitted,
+        cfg.tenants.len(),
+        cfg.quantum,
+        if report.group.is_some() { "on" } else { "off" },
+    ));
+    out.push_str(&format!(
+        "outcomes: {} completed, {} deferral(s), {} rejected (simulated span {})\n",
+        report.stats.completed, report.stats.deferrals, report.stats.rejected, report.end_time,
+    ));
+    for t in report.tenant_summaries() {
+        out.push_str(&format!(
+            "  tenant {:>10}: {:>3}/{} done ({} rejected, {} deferred), \
+             p50 {} p95 {} p99 {}, {:.2} q/s simulated\n",
+            t.name,
+            t.completed,
+            t.submitted,
+            t.rejected,
+            t.deferred,
+            t.p50,
+            t.p95,
+            t.p99,
+            t.throughput_qps,
+        ));
+    }
+    if let Some(g) = &report.group {
+        out.push_str(&format!(
+            "shared scan group: {} member(s) over {} admission(s), {} late join(s), \
+             {} interval(s) admitted, {} region(s) prewarmed\n",
+            g.members, g.admissions, g.late_joins, g.admitted_intervals, g.prewarm_regions,
+        ));
+    }
+
+    // Equivalence gate: replay the dispatch order sequentially on a twin
+    // world; every served outcome must be bit-identical to its solo run
+    // (scheduling decides *when*, never *what*).
+    let twin = World::build(opts, &data, opts.particles)?;
+    let twin_engine = build_engine(&twin.odms, opts);
+    let mut identical = 0usize;
+    for s in &report.served {
+        let q = parse_query(&raw[s.arrival_index].expr, &twin.odms).map_err(|e| e.to_string())?;
+        let solo = twin_engine.run(&q).map_err(|e| e.to_string())?;
+        identical += (solo.selection == s.outcome.selection
+            && solo.nhits == s.outcome.nhits
+            && solo.elapsed == s.outcome.elapsed
+            && solo.breakdown == s.outcome.breakdown) as usize;
+    }
+    out.push_str(&format!(
+        "service equivalence: {} ({identical}/{} served outcome(s) bit-identical to solo replay)\n",
+        if identical == report.served.len() { "PASS" } else { "FAIL" },
+        report.served.len(),
+    ));
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1335,12 +1136,22 @@ mod tests {
         s.split_whitespace().map(|w| w.to_string()).collect()
     }
 
+    /// Options for a small world of `particles` over `servers`.
+    fn small(particles: usize, servers: u32) -> Opts {
+        Opts { particles, servers, ..Opts::default() }
+    }
+
+    /// The hit count of a query report's result line.
+    fn hits(s: &str) -> String {
+        let line = s.lines().find(|l| l.contains(" hits (")).unwrap();
+        line.split(':').nth(1).unwrap().trim().split(' ').next().unwrap().to_string()
+    }
+
     #[test]
     fn spill_flags_parse() {
-        let cmd = parse_args(argv(
-            "query Energy>2 --memory-budget 4M --spill-dir /tmp/pdc_cli_spill",
-        ))
-        .unwrap();
+        let cmd =
+            parse_args(argv("query Energy>2 --memory-budget 4M --spill-dir /tmp/pdc_cli_spill"))
+                .unwrap();
         match cmd {
             Command::Query { opts, .. } => {
                 assert_eq!(opts.memory_budget, Some(4 << 20));
@@ -1354,33 +1165,18 @@ mod tests {
         assert_eq!(parse_size("2g").unwrap(), 2 << 30);
         assert!(parse_size("nope").is_err());
         assert!(parse_args(argv("query E>1 --memory-budget 0")).is_err());
-        assert_eq!(CommonOpts::default().memory_budget, None);
+        assert_eq!(Opts::default().memory_budget, None);
     }
 
     #[test]
     fn budgeted_query_matches_unbounded_and_reports() {
-        let base = CommonOpts { particles: 60_000, servers: 4, ..CommonOpts::default() };
-        let query = |opts: CommonOpts| {
-            run(Command::Query {
-                expr: "2.1 < Energy < 2.2".to_string(),
-                opts,
-                get_data: None,
-                queries: 1,
-                batch_file: None,
-                joint: None,
-                join_server: false,
-                leave_server: None,
-            })
-            .unwrap()
+        let query = |opts: Opts| {
+            run(Command::Query { expr: "2.1 < Energy < 2.2".to_string(), opts }).unwrap()
         };
-        let unbounded = query(base.clone());
+        let unbounded = query(small(60_000, 4));
         // 7 variables x 60k f32 = ~1.6 MiB of data; 256 KiB forces most
         // sealed regions (and their index blobs) out of core.
-        let bounded = query(CommonOpts { memory_budget: Some(256 << 10), ..base });
-        let hits = |s: &str| {
-            s.lines().find(|l| l.contains(" hits (")).unwrap().split(':').nth(1).unwrap()
-                .trim().split(' ').next().unwrap().to_string()
-        };
+        let bounded = query(Opts { memory_budget: Some(256 << 10), ..small(60_000, 4) });
         assert_eq!(hits(&unbounded), hits(&bounded), "{unbounded}\n{bounded}");
         assert!(bounded.contains("out-of-core: resident high-water"), "{bounded}");
         assert!(bounded.contains("region(s) spilled"), "{bounded}");
@@ -1391,19 +1187,7 @@ mod tests {
     fn explain_marks_cold_regions() {
         let out = run(Command::Query {
             expr: "Energy > 2.0".to_string(),
-            opts: CommonOpts {
-                particles: 40_000,
-                servers: 4,
-                explain: true,
-                memory_budget: Some(128 << 10),
-                ..CommonOpts::default()
-            },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
+            opts: Opts { explain: true, memory_budget: Some(128 << 10), ..small(40_000, 4) },
         })
         .unwrap();
         let header = out.lines().find(|l| l.contains("pruned")).expect("explain table header");
@@ -1421,14 +1205,7 @@ mod tests {
     fn ingest_gate_passes_under_memory_budget() {
         let out = run(Command::Ingest {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts {
-                particles: 40_000,
-                servers: 4,
-                memory_budget: Some(256 << 10),
-                ..CommonOpts::default()
-            },
-            append_batches: 3,
-            append_fraction: 0.1,
+            opts: Opts { memory_budget: Some(256 << 10), append_batches: 3, ..small(40_000, 4) },
         })
         .unwrap();
         // The sealed reruns are fully resident, so the gate is itself a
@@ -1439,10 +1216,52 @@ mod tests {
     }
 
     #[test]
+    fn spill_directories_are_removed() {
+        let root = std::env::temp_dir().join(format!("pdc_cli_spill_root_{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        let trace = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/service_trace.txt");
+        let budget = format!(
+            "--particles 30000 --servers 4 --memory-budget 128K --spill-dir {}",
+            root.display()
+        );
+        for cmd in [
+            format!("query Energy>2 {budget}"),
+            format!("ingest {budget} --append-batches 2"),
+            format!("serve --trace-file {trace} {budget}"),
+        ] {
+            parse_args(argv(&cmd)).and_then(run).unwrap();
+            let left: Vec<_> =
+                std::fs::read_dir(&root).unwrap().map(|e| e.unwrap().path()).collect();
+            assert!(left.is_empty(), "{cmd} left {left:?}");
+        }
+        // A failing run cleans up too.
+        let bad = format!("query NoSuchVar>1 {budget}");
+        assert!(parse_args(argv(&bad)).and_then(run).is_err());
+        assert_eq!(std::fs::read_dir(&root).unwrap().count(), 0);
+        // A spill root that cannot hold a directory is an error, not a panic.
+        let file = root.join("not_a_dir");
+        std::fs::write(&file, b"").unwrap();
+        let bad = format!("query Energy>2 {budget} --spill-dir {}", file.display());
+        assert!(parse_args(argv(&bad)).and_then(run).unwrap_err().contains("spill dir"));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn no_args_is_help() {
         assert_eq!(parse_args(argv("")).unwrap(), Command::Help);
         assert_eq!(parse_args(argv("help")).unwrap(), Command::Help);
         assert_eq!(parse_args(argv("--help")).unwrap(), Command::Help);
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flag_table() {
+        let in_usage: std::collections::BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--") && w.len() > 2)
+            .collect();
+        let in_table: std::collections::BTreeSet<&str> = FLAGS.iter().map(|f| f.name).collect();
+        assert_eq!(in_usage, in_table);
+        assert_eq!(in_table.len(), FLAGS.len(), "a flag is declared twice");
     }
 
     #[test]
@@ -1458,27 +1277,20 @@ mod tests {
             "x".to_string(),
         ])
         .unwrap();
-        match cmd {
-            Command::Query { expr, opts, get_data, queries, batch_file, joint, join_server, leave_server } => {
-                assert_eq!(expr, "Energy > 2.0");
-                assert_eq!(opts.strategy, Strategy::HistogramIndex);
-                assert_eq!(opts.particles, 1000);
-                assert_eq!(get_data.as_deref(), Some("x"));
-                assert_eq!(queries, 1);
-                assert_eq!(batch_file, None);
-                assert_eq!(joint, None);
-                assert!(!join_server);
-                assert_eq!(leave_server, None);
-            }
-            other => panic!("{other:?}"),
-        }
+        let expect = Opts {
+            strategy: Strategy::HistogramIndex,
+            particles: 1000,
+            get_data: Some("x".to_string()),
+            ..Opts::default()
+        };
+        assert_eq!(cmd, Command::Query { expr: "Energy > 2.0".to_string(), opts: expect });
     }
 
     #[test]
     fn joint_flag_parses() {
         let cmd = parse_args(argv("query Energy>2 --joint Energy,x")).unwrap();
         match cmd {
-            Command::Query { joint, .. } => assert_eq!(joint.as_deref(), Some("Energy,x")),
+            Command::Query { opts, .. } => assert_eq!(opts.joint.as_deref(), Some("Energy,x")),
             other => panic!("{other:?}"),
         }
         assert!(parse_args(argv("demo --joint Energy,x")).is_err());
@@ -1486,44 +1298,23 @@ mod tests {
 
     #[test]
     fn joint_directory_query_matches_plain_run() {
-        let base = CommonOpts { particles: 50_000, servers: 4, explain: true, ..CommonOpts::default() };
         let expr = "Energy > 2.0 AND 100 < x < 200".to_string();
         let with = run(Command::Query {
             expr: expr.clone(),
-            opts: base.clone(),
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: Some("Energy,x".to_string()),
-            join_server: false,
-            leave_server: None,
+            opts: Opts { explain: true, joint: Some("Energy,x".to_string()), ..small(50_000, 4) },
         })
         .unwrap();
-        let without = run(Command::Query {
-            expr,
-            opts: CommonOpts { explain: false, ..base },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
-        })
-        .unwrap();
+        let without = run(Command::Query { expr, opts: small(50_000, 4) }).unwrap();
         assert!(with.contains("joint bounds: registered (Energy,x)"), "{with}");
         assert!(with.contains("directory: "), "{with}");
         assert!(with.contains(" admitted"), "{with}");
-        let hits = |s: &str| {
-            s.lines().find(|l| l.contains(" hits (")).unwrap().split(':').nth(1).unwrap()
-                .trim().split(' ').next().unwrap().to_string()
-        };
         assert_eq!(hits(&with), hits(&without), "with: {with}\nwithout: {without}");
     }
 
     #[test]
     fn demo_rejects_get_data() {
         let err = parse_args(argv("demo --get-data x")).unwrap_err();
-        assert!(err.contains("--get-data"));
+        assert!(err.contains("--get-data is only valid for 'pdc query'"), "{err}");
     }
 
     #[test]
@@ -1544,26 +1335,14 @@ mod tests {
             Command::Query { opts, .. } => assert!(opts.explain),
             other => panic!("{other:?}"),
         }
-        assert!(!CommonOpts::default().explain);
+        assert!(!Opts::default().explain);
     }
 
     #[test]
     fn explain_prints_operator_table() {
         let out = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts {
-                particles: 50_000,
-                servers: 4,
-                strategy: Strategy::Adaptive,
-                explain: true,
-                ..CommonOpts::default()
-            },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
+            opts: Opts { strategy: Strategy::Adaptive, explain: true, ..small(50_000, 4) },
         })
         .unwrap();
         assert!(out.contains("explain: strategy PDC-A"), "{out}");
@@ -1577,18 +1356,7 @@ mod tests {
     fn batch_explain_prints_lead_query_table() {
         let out = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts {
-                particles: 50_000,
-                servers: 4,
-                explain: true,
-                ..CommonOpts::default()
-            },
-            get_data: None,
-            queries: 4,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
+            opts: Opts { explain: true, queries: 4, ..small(50_000, 4) },
         })
         .unwrap();
         assert!(out.contains("batch: 4 queries"), "{out}");
@@ -1601,6 +1369,7 @@ mod tests {
         assert!(parse_args(argv("frobnicate")).is_err());
         assert!(parse_args(argv("demo --particles notanumber")).is_err());
         assert!(parse_args(argv("demo --servers")).is_err());
+        assert!(parse_args(argv("demo --frobnicate")).unwrap_err().contains("unknown option"));
     }
 
     #[test]
@@ -1610,7 +1379,7 @@ mod tests {
             Command::Demo { opts } => {
                 assert_eq!(opts.fault_seed, Some(42));
                 assert_eq!(opts.kill_servers, 3);
-                let plan = fault_plan(&opts).unwrap().unwrap();
+                let plan = fault_plan(&opts).unwrap();
                 assert_eq!(plan.crashed_servers().len(), 3);
             }
             other => panic!("{other:?}"),
@@ -1624,7 +1393,7 @@ mod tests {
             Command::Demo { opts } => {
                 assert_eq!(opts.corrupt_regions, 0.25);
                 assert_eq!(opts.corrupt_seed, Some(99));
-                let plan = fault_plan(&opts).unwrap().unwrap();
+                let plan = fault_plan(&opts).unwrap();
                 let spec = plan.corruption().unwrap();
                 assert_eq!(spec.seed, 99);
                 assert_eq!(spec.data_fraction, 0.25);
@@ -1632,43 +1401,22 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Out-of-range fractions are rejected before the import runs.
-        let cmd = parse_args(argv("demo --corrupt-regions 1.5")).unwrap();
-        match cmd {
-            Command::Demo { ref opts } => assert!(fault_plan(opts).is_err()),
-            ref other => panic!("{other:?}"),
-        }
-        assert!(run(cmd).is_err());
+        let err = parse_args(argv("demo --corrupt-regions 1.5")).unwrap_err();
+        assert!(err.contains("--corrupt-regions 1.5 must be within [0, 1]"), "{err}");
+        let opts = Opts { corrupt_regions: -0.1, ..small(1000, 2) };
+        assert!(run(Command::Demo { opts }).is_err());
     }
 
     #[test]
     fn query_with_corruption_matches_clean_run() {
-        let base = CommonOpts { particles: 50_000, servers: 4, ..CommonOpts::default() };
-        let clean = run(Command::Query {
-            expr: "2.1 < Energy < 2.2".to_string(),
-            opts: base.clone(),
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
-        })
-        .unwrap();
+        let clean =
+            run(Command::Query { expr: "2.1 < Energy < 2.2".to_string(), opts: small(50_000, 4) })
+                .unwrap();
         let corrupt = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts { corrupt_regions: 0.1, corrupt_seed: Some(7), ..base },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
+            opts: Opts { corrupt_regions: 0.1, corrupt_seed: Some(7), ..small(50_000, 4) },
         })
         .unwrap();
-        let hits = |s: &str| {
-            s.lines().find(|l| l.contains(" hits ")).unwrap().split(':').nth(1).unwrap()
-                .trim().split(' ').next().unwrap().to_string()
-        };
         assert_eq!(hits(&clean), hits(&corrupt), "clean: {clean}\ncorrupt: {corrupt}");
         assert!(corrupt.contains("integrity:"), "{corrupt}");
         assert!(!clean.contains("integrity:"), "{clean}");
@@ -1702,47 +1450,24 @@ mod tests {
 
     #[test]
     fn kill_all_servers_is_rejected() {
-        let cmd = parse_args(argv("demo --servers 4 --kill-servers 4")).unwrap();
-        match cmd {
-            Command::Demo { ref opts } => assert!(fault_plan(opts).is_err()),
-            ref other => panic!("{other:?}"),
-        }
-        assert!(run(cmd).is_err());
+        let err = parse_args(argv("demo --servers 4 --kill-servers 4")).unwrap_err();
+        assert!(err.contains("--kill-servers 4 must leave at least one of 4 servers"), "{err}");
+        let opts = Opts { kill_servers: 4, ..small(1000, 4) };
+        assert!(run(Command::Demo { opts }).is_err());
     }
 
     #[test]
     fn query_with_faults_matches_healthy_run() {
-        let base = CommonOpts { particles: 50_000, servers: 4, ..CommonOpts::default() };
-        let healthy = run(Command::Query {
-            expr: "2.1 < Energy < 2.2".to_string(),
-            opts: base.clone(),
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
-        })
-        .unwrap();
+        let healthy =
+            run(Command::Query { expr: "2.1 < Energy < 2.2".to_string(), opts: small(50_000, 4) })
+                .unwrap();
         let faulty = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts { kill_servers: 2, ..base },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
+            opts: Opts { kill_servers: 2, ..small(50_000, 4) },
         })
         .unwrap();
         // Same hit count despite two dead servers; fault report present.
-        let hits = |s: &str| s.lines().find(|l| l.contains(" hits ")).unwrap().to_string();
-        let hit_count = |s: &str| hits(s).split(':').nth(1).unwrap().trim().to_string();
-        assert_eq!(
-            hit_count(&healthy).split(' ').next(),
-            hit_count(&faulty).split(' ').next(),
-            "healthy: {healthy}\nfaulty: {faulty}"
-        );
+        assert_eq!(hits(&healthy), hits(&faulty), "healthy: {healthy}\nfaulty: {faulty}");
         assert!(faulty.contains("faults: servers"), "{faulty}");
         assert!(!healthy.contains("faults:"), "{healthy}");
     }
@@ -1769,9 +1494,9 @@ mod tests {
     fn batch_flags_parse() {
         let cmd = parse_args(argv("query Energy>2 --queries 8 --batch-file qs.txt")).unwrap();
         match cmd {
-            Command::Query { queries, batch_file, .. } => {
-                assert_eq!(queries, 8);
-                assert_eq!(batch_file.as_deref(), Some("qs.txt"));
+            Command::Query { opts, .. } => {
+                assert_eq!(opts.queries, 8);
+                assert_eq!(opts.batch_file.as_deref(), Some("qs.txt"));
             }
             other => panic!("{other:?}"),
         }
@@ -1782,35 +1507,20 @@ mod tests {
 
     #[test]
     fn batch_query_reports_throughput_and_matches_single_run() {
-        let opts = CommonOpts { particles: 50_000, servers: 4, ..CommonOpts::default() };
-        let single = run(Command::Query {
-            expr: "2.1 < Energy < 2.2".to_string(),
-            opts: opts.clone(),
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
-        })
-        .unwrap();
+        let single =
+            run(Command::Query { expr: "2.1 < Energy < 2.2".to_string(), opts: small(50_000, 4) })
+                .unwrap();
         let batched = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts,
-            get_data: None,
-            queries: 8,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
+            opts: Opts { queries: 8, ..small(50_000, 4) },
         })
         .unwrap();
         assert!(batched.contains("batch: 8 queries"), "{batched}");
         assert!(batched.contains("queries/simulated-s"), "{batched}");
         assert!(batched.contains("artifact hit ratio"), "{batched}");
         // The per-query hits line is identical to the single run's.
-        let hits = |s: &str| s.lines().find(|l| l.contains(" hits (")).unwrap().to_string();
-        assert_eq!(hits(&single), hits(&batched), "single: {single}\nbatched: {batched}");
+        let line = |s: &str| s.lines().find(|l| l.contains(" hits (")).unwrap().to_string();
+        assert_eq!(line(&single), line(&batched), "single: {single}\nbatched: {batched}");
         assert!(!single.contains("batch:"), "{single}");
     }
 
@@ -1818,13 +1528,10 @@ mod tests {
     fn batch_file_missing_is_an_error() {
         let out = run(Command::Query {
             expr: "Energy > 2.0".to_string(),
-            opts: CommonOpts { particles: 10_000, servers: 2, ..CommonOpts::default() },
-            get_data: None,
-            queries: 1,
-            batch_file: Some("/nonexistent/queries.txt".to_string()),
-            joint: None,
-            join_server: false,
-            leave_server: None,
+            opts: Opts {
+                batch_file: Some("/nonexistent/queries.txt".to_string()),
+                ..small(10_000, 2)
+            },
         });
         assert!(out.is_err());
     }
@@ -1833,37 +1540,38 @@ mod tests {
     fn ingest_flags_parse() {
         let cmd = parse_args(argv("ingest --append-batches 3 --append-fraction 0.2")).unwrap();
         match cmd {
-            Command::Ingest { expr, append_batches, append_fraction, .. } => {
+            Command::Ingest { expr, opts } => {
                 assert_eq!(expr, "2.1 < Energy < 2.2");
-                assert_eq!(append_batches, 3);
-                assert_eq!(append_fraction, 0.2);
+                assert_eq!(opts.append_batches, 3);
+                assert_eq!(opts.append_fraction, 0.2);
             }
             other => panic!("{other:?}"),
         }
         // A positional expression and interleaved common options survive.
-        let cmd =
-            parse_args(argv("ingest Energy>2 --particles 1000 --append-batches 2")).unwrap();
+        let cmd = parse_args(argv("ingest Energy>2 --particles 1000 --append-batches 2")).unwrap();
         match cmd {
-            Command::Ingest { expr, opts, append_batches, .. } => {
+            Command::Ingest { expr, opts } => {
                 assert_eq!(expr, "Energy>2");
                 assert_eq!(opts.particles, 1000);
-                assert_eq!(append_batches, 2);
+                assert_eq!(opts.append_batches, 2);
             }
             other => panic!("{other:?}"),
         }
         assert!(parse_args(argv("ingest --append-batches 0")).is_err());
         assert!(parse_args(argv("ingest --append-fraction 1.5")).is_err());
         assert!(parse_args(argv("ingest --append-fraction 0")).is_err());
-        assert!(parse_args(argv("query E>1 --append-batches 2")).is_err());
+        // Rejected before any dataset is generated.
+        let err = parse_args(argv("ingest --particles 5 --append-batches 5")).unwrap_err();
+        assert!(err.contains("leaves no initial extent for 5 particles"), "{err}");
+        let err = parse_args(argv("query E>1 --append-batches 2")).unwrap_err();
+        assert!(err.contains("--append-batches is only valid for 'pdc ingest'"), "{err}");
     }
 
     #[test]
     fn ingest_gate_passes_end_to_end() {
         let out = run(Command::Ingest {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts { particles: 40_000, servers: 4, ..CommonOpts::default() },
-            append_batches: 3,
-            append_fraction: 0.1,
+            opts: Opts { append_batches: 3, ..small(40_000, 4) },
         })
         .unwrap();
         // 3 appends → 4 interleaved checks + the post-maintenance rerun.
@@ -1877,15 +1585,13 @@ mod tests {
     fn ingest_gate_passes_under_faults() {
         let out = run(Command::Ingest {
             expr: "Energy > 2.0".to_string(),
-            opts: CommonOpts {
-                particles: 30_000,
-                servers: 4,
+            opts: Opts {
                 strategy: Strategy::Adaptive,
                 fault_seed: Some(7),
-                ..CommonOpts::default()
+                append_batches: 2,
+                append_fraction: 0.15,
+                ..small(30_000, 4)
             },
-            append_batches: 2,
-            append_fraction: 0.15,
         })
         .unwrap();
         assert!(out.contains("ingest gate: PASS"), "{out}");
@@ -1906,17 +1612,16 @@ mod tests {
     #[test]
     fn replication_flags_parse() {
         let cmd =
-            parse_args(argv("query Energy>2 --replicas 2 --join-server --leave-server 0"))
-                .unwrap();
+            parse_args(argv("query Energy>2 --replicas 2 --join-server --leave-server 0")).unwrap();
         match cmd {
-            Command::Query { opts, join_server, leave_server, .. } => {
+            Command::Query { opts, .. } => {
                 assert_eq!(opts.replicas, 2);
-                assert!(join_server);
-                assert_eq!(leave_server, Some(0));
+                assert!(opts.join_server);
+                assert_eq!(opts.leave_server, Some(0));
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(CommonOpts::default().replicas, 1);
+        assert_eq!(Opts::default().replicas, 1);
         // --replicas is a common flag; membership ops are query-only.
         assert!(parse_args(argv("demo --replicas 3")).is_ok());
         assert!(parse_args(argv("query E>1 --replicas 0")).is_err());
@@ -1926,29 +1631,13 @@ mod tests {
 
     #[test]
     fn replication_query_survives_kill_with_failover() {
-        let base = CommonOpts { particles: 50_000, servers: 4, ..CommonOpts::default() };
-        let query = |opts: CommonOpts| {
-            // A query that touches every region, so the killed server's
-            // crash probe actually fires mid-evaluation.
-            run(Command::Query {
-                expr: "Energy > 0".to_string(),
-                opts,
-                get_data: None,
-                queries: 1,
-                batch_file: None,
-                joint: None,
-                join_server: false,
-                leave_server: None,
-            })
-            .unwrap()
-        };
-        let healthy = query(base.clone());
+        // A query that touches every region, so the killed server's crash
+        // probe actually fires mid-evaluation.
+        let query =
+            |opts: Opts| run(Command::Query { expr: "Energy > 0".to_string(), opts }).unwrap();
+        let healthy = query(small(50_000, 4));
         let replicated =
-            query(CommonOpts { replicas: 2, kill_servers: 1, fault_seed: Some(3), ..base });
-        let hits = |s: &str| {
-            s.lines().find(|l| l.contains(" hits (")).unwrap().split(':').nth(1).unwrap()
-                .trim().split(' ').next().unwrap().to_string()
-        };
+            query(Opts { replicas: 2, kill_servers: 1, fault_seed: Some(3), ..small(50_000, 4) });
         assert_eq!(hits(&healthy), hits(&replicated), "{healthy}\n{replicated}");
         assert!(replicated.contains("replication: k=2"), "{replicated}");
         assert!(replicated.contains("failed over to live replicas"), "{replicated}");
@@ -1960,18 +1649,12 @@ mod tests {
     fn replication_membership_smoke_preserves_results() {
         let out = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts {
-                particles: 50_000,
-                servers: 4,
+            opts: Opts {
                 replicas: 2,
-                ..CommonOpts::default()
+                join_server: true,
+                leave_server: Some(0),
+                ..small(50_000, 4)
             },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: true,
-            leave_server: Some(0),
         })
         .unwrap();
         assert!(out.contains("membership: +server 4"), "{out}");
@@ -1984,13 +1667,7 @@ mod tests {
     fn replication_membership_requires_replicas() {
         let out = run(Command::Query {
             expr: "Energy > 2.0".to_string(),
-            opts: CommonOpts { particles: 10_000, servers: 2, ..CommonOpts::default() },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: true,
-            leave_server: None,
+            opts: Opts { join_server: true, ..small(10_000, 2) },
         });
         assert!(out.unwrap_err().contains("replicas"), "needs --replicas >= 2");
     }
@@ -1999,19 +1676,7 @@ mod tests {
     fn replication_explain_shows_chosen_replica_per_slot() {
         let out = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts {
-                particles: 50_000,
-                servers: 4,
-                replicas: 2,
-                explain: true,
-                ..CommonOpts::default()
-            },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
+            opts: Opts { replicas: 2, explain: true, ..small(50_000, 4) },
         })
         .unwrap();
         assert!(out.contains("slot routes (slot\u{2192}chosen server):"), "{out}");
@@ -2020,39 +1685,44 @@ mod tests {
 
     #[test]
     fn serve_flags_parse() {
-        let cmd = parse_args(argv(
-            "serve --trace-file /tmp/t.trace --quantum-ms 2.5 --no-batching --servers 8",
-        ))
-        .unwrap();
+        let cmd = parse_args(argv("serve --trace-file /tmp/t.trace --quantum-ms 2.5 --servers 8"))
+            .unwrap();
         match cmd {
-            Command::Serve { trace_file, opts, quantum_ms, no_batching } => {
-                assert_eq!(trace_file, "/tmp/t.trace");
+            Command::Serve { opts } => {
+                assert_eq!(opts.trace_file.as_deref(), Some("/tmp/t.trace"));
                 assert_eq!(opts.servers, 8);
-                assert_eq!(quantum_ms, 2.5);
-                assert!(no_batching);
+                assert_eq!(opts.quantum_ms, 2.5);
             }
             other => panic!("{other:?}"),
         }
         // Defaults.
         match parse_args(argv("serve --trace-file t")).unwrap() {
-            Command::Serve { quantum_ms, no_batching, .. } => {
-                assert_eq!(quantum_ms, 5.0);
-                assert!(!no_batching);
-            }
+            Command::Serve { opts } => assert_eq!(opts.quantum_ms, 5.0),
             other => panic!("{other:?}"),
         }
         assert!(parse_args(argv("serve")).unwrap_err().contains("--trace-file"));
         assert!(parse_args(argv("serve --trace-file t --quantum-ms 0"))
             .unwrap_err()
             .contains("--quantum-ms"));
+        let err = parse_args(argv("demo --trace-file t")).unwrap_err();
+        assert!(err.contains("--trace-file is only valid for 'pdc serve'"), "{err}");
+    }
+
+    /// Write `body` to a per-test trace file and serve it on a small world.
+    fn serve_trace(tag: &str, body: &str, opts: Opts) -> Result<String, String> {
+        let path =
+            std::env::temp_dir().join(format!("pdc_cli_serve_{tag}_{}.trace", std::process::id()));
+        std::fs::write(&path, body).unwrap();
+        let trace_file = Some(path.to_string_lossy().into_owned());
+        let out = run(Command::Serve { opts: Opts { trace_file, ..opts } });
+        std::fs::remove_file(&path).ok();
+        out
     }
 
     #[test]
     fn serve_replays_trace_and_passes_equivalence_gate() {
-        let path = std::env::temp_dir()
-            .join(format!("pdc_cli_serve_{}.trace", std::process::id()));
-        std::fs::write(
-            &path,
+        let out = serve_trace(
+            "gate",
             "# two declared tenants plus one auto-registered on first arrival\n\
              tenant alice weight=2 budget-ms=50 cap=16\n\
              tenant bob weight=1 budget-ms=50 cap=16\n\
@@ -2061,24 +1731,17 @@ mod tests {
              0.2 carol 2.1 < Energy < 2.2\n\
              5.0 alice 3.5 < Energy < 3.6\n\
              9.0 bob Energy > 2.0 AND 100 < x < 200\n",
+            small(30_000, 4),
         )
         .unwrap();
-        let out = run(Command::Serve {
-            trace_file: path.to_string_lossy().into_owned(),
-            opts: CommonOpts { particles: 30_000, servers: 4, ..CommonOpts::default() },
-            quantum_ms: 5.0,
-            no_batching: false,
-        })
-        .unwrap();
-        std::fs::remove_file(&path).ok();
         assert!(out.contains("serve: 5 arrival(s) from 3 tenant(s)"), "{out}");
+        assert!(out.contains("continuous batching on"), "{out}");
         assert!(out.contains("tenant      alice"), "{out}");
         assert!(out.contains("tenant      carol"), "auto-registered tenant: {out}");
         // The three identical t~0 arrivals must fold into one shared-scan
         // group with late joins.
         assert!(out.contains("shared scan group:"), "{out}");
-        let group_line =
-            out.lines().find(|l| l.contains("late join(s)")).expect("group line");
+        let group_line = out.lines().find(|l| l.contains("late join(s)")).expect("group line");
         let late: u64 = group_line
             .split_whitespace()
             .zip(group_line.split_whitespace().skip(1))
@@ -2088,48 +1751,39 @@ mod tests {
         assert!(late >= 1, "{out}");
         assert!(out.contains("service equivalence: PASS"), "{out}");
         // Byte-identical across runs: the output is simulated-time only.
-        std::fs::write(
-            &path,
-            "tenant alice weight=2 budget-ms=50 cap=16\n\
-             0.0 alice 2.1 < Energy < 2.2\n",
-        )
-        .unwrap();
-        let a = run(Command::Serve {
-            trace_file: path.to_string_lossy().into_owned(),
-            opts: CommonOpts { particles: 20_000, servers: 4, ..CommonOpts::default() },
-            quantum_ms: 5.0,
-            no_batching: false,
-        })
-        .unwrap();
-        let b = run(Command::Serve {
-            trace_file: path.to_string_lossy().into_owned(),
-            opts: CommonOpts { particles: 20_000, servers: 4, ..CommonOpts::default() },
-            quantum_ms: 5.0,
-            no_batching: false,
-        })
-        .unwrap();
-        std::fs::remove_file(&path).ok();
+        let body = "tenant alice weight=2 budget-ms=50 cap=16\n0.0 alice 2.1 < Energy < 2.2\n";
+        let a = serve_trace("gate", body, small(20_000, 4)).unwrap();
+        let b = serve_trace("gate", body, small(20_000, 4)).unwrap();
         assert_eq!(a, b);
+        // Corruption disables the shared-scan group, and the header says so.
+        let opts = Opts { corrupt_regions: 0.1, ..small(20_000, 4) };
+        let corrupt = serve_trace("gate", body, opts).unwrap();
+        assert!(corrupt.contains("continuous batching off"), "{corrupt}");
+        assert!(corrupt.contains("service equivalence: PASS"), "{corrupt}");
     }
 
     #[test]
     fn serve_rejects_malformed_traces() {
-        let path = std::env::temp_dir()
-            .join(format!("pdc_cli_serve_bad_{}.trace", std::process::id()));
-        let serve = |body: &str| {
-            std::fs::write(&path, body).unwrap();
-            run(Command::Serve {
-                trace_file: path.to_string_lossy().into_owned(),
-                opts: CommonOpts { particles: 10_000, servers: 2, ..CommonOpts::default() },
-                quantum_ms: 5.0,
-                no_batching: false,
-            })
-        };
+        let serve = |body: &str| serve_trace("bad", body, small(10_000, 2));
         assert!(serve("tenant a weight=x\n").unwrap_err().contains("weight"));
+        let err = serve("tenant a weight=0\n0.0 a Energy > 2\n").unwrap_err();
+        assert!(err.contains("trace line 1: weight must be at least 1"), "{err}");
         assert!(serve("tenant a speed=9\n").unwrap_err().contains("unknown tenant attribute"));
         assert!(serve("0.0 alice\n").unwrap_err().contains("query expression"));
         assert!(serve("-1 alice Energy > 2\n").unwrap_err().contains("non-negative"));
         assert!(serve("# only comments\n").unwrap_err().contains("no arrivals"));
-        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn serve_survives_extreme_times_and_quanta() {
+        // An arrival near the top of the simulated clock's range.
+        let late = "0.0 a 2.1 < Energy < 2.2\n18446744073709 a 2.1 < Energy < 2.2\n";
+        let out = serve_trace("late", late, small(10_000, 2)).unwrap();
+        assert!(out.contains("service equivalence: PASS"), "{out}");
+        // A quantum whose weighted credit overflows 64-bit nanoseconds.
+        let heavy = "tenant a weight=2\n0.0 a 2.1 < Energy < 2.2\n";
+        let out =
+            serve_trace("quantum", heavy, Opts { quantum_ms: 1e16, ..small(10_000, 2) }).unwrap();
+        assert!(out.contains("service equivalence: PASS"), "{out}");
     }
 }

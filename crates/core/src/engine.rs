@@ -46,6 +46,15 @@ pub enum Strategy {
 }
 
 impl Strategy {
+    /// Every evaluation strategy, fixed ones first and `PDC-A` last.
+    pub const ALL: [Strategy; 5] = [
+        Strategy::FullScan,
+        Strategy::Histogram,
+        Strategy::HistogramIndex,
+        Strategy::SortedHistogram,
+        Strategy::Adaptive,
+    ];
+
     /// The paper's plot label.
     pub fn label(&self) -> &'static str {
         match self {

@@ -146,17 +146,12 @@ pub struct ServiceConfig {
     /// DRR quantum: estimated cost credited to a tenant per rotation
     /// visit, scaled by its weight.
     pub quantum: SimDuration,
-    /// Fold dispatched queries into an open shared-scan group
-    /// (continuous batching). Pure host work — results and per-query
-    /// charges are identical either way.
-    pub continuous_batching: bool,
 }
 
 impl ServiceConfig {
-    /// A config over `tenants` with a 5 ms quantum and continuous
-    /// batching enabled.
+    /// A config over `tenants` with a 5 ms quantum.
     pub fn new(tenants: Vec<TenantSpec>) -> Self {
-        Self { tenants, quantum: SimDuration::from_millis(5), continuous_batching: true }
+        Self { tenants, quantum: SimDuration::from_millis(5) }
     }
 
     /// Build the config from the tenants registered on an [`Odms`]
@@ -334,8 +329,8 @@ pub struct ServiceReport {
     pub trace: Vec<TraceEvent>,
     /// Aggregate counters.
     pub stats: ServiceStats,
-    /// Shared-scan group counters (`None` when continuous batching was
-    /// off or disabled by an active corruption spec).
+    /// Shared-scan group counters (`None` when an active corruption spec
+    /// disabled continuous batching).
     pub group: Option<GroupStats>,
     /// Echo of the tenant specs (for summaries).
     pub tenants: Vec<TenantSpec>,
@@ -604,8 +599,7 @@ impl QueryEngine {
         // for the same reason run_batch skips prewarm: each query's
         // verify-and-repair preflight must observe the damaged state
         // exactly as a sequential run would.
-        let mut group =
-            (cfg.continuous_batching && !self.corruption_active()).then(|| self.open_scan_group());
+        let mut group = (!self.corruption_active()).then(|| self.open_scan_group());
 
         let mut trace: Vec<TraceEvent> = Vec::new();
         let mut served: Vec<ServedQuery> = Vec::new();

@@ -4,7 +4,7 @@
 //! breakdown, per-server times, fault and integrity reports — must be
 //! bit-identical to running the same series sequentially through
 //! [`QueryEngine::run`] on an identically-configured engine, for all
-//! four strategies, with and without injected faults and corruption.
+//! five strategies, with and without injected faults and corruption.
 //! Plus: the epoch-based invalidation of the plan and artifact caches
 //! after aux rebuilds and region migrations.
 
@@ -14,13 +14,6 @@ use pdc_server::{CorruptionSpec, FaultPlan};
 use pdc_storage::StorageTier;
 use pdc_types::{Interval, NdRegion, ObjectId, QueryOp, RegionId, TypedVec};
 use std::sync::Arc;
-
-const ALL_STRATEGIES: [Strategy; 4] = [
-    Strategy::FullScan,
-    Strategy::Histogram,
-    Strategy::HistogramIndex,
-    Strategy::SortedHistogram,
-];
 
 struct TestWorld {
     odms: Arc<Odms>,
@@ -125,7 +118,7 @@ fn check_equivalence(world: &TestWorld, strategy: Strategy, plan: Option<FaultPl
 #[test]
 fn batch_matches_sequential_all_strategies() {
     let world = build_world(40_000, 8192);
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         check_equivalence(&world, strategy, None);
     }
 }
@@ -149,7 +142,7 @@ fn batch_caches_actually_engage() {
 #[test]
 fn batch_matches_sequential_under_server_kills() {
     let world = build_world(30_000, 8192);
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let plan = FaultPlan::kill_count(1, 4, 0xFA11);
         check_equivalence(&world, strategy, Some(plan));
     }
@@ -168,7 +161,7 @@ fn batch_matches_sequential_under_seeded_fault_plan() {
 fn batch_matches_sequential_under_corruption() {
     // Corruption mutates the store, so each engine gets its own
     // deterministically-built world; generation is seed-free and exact.
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let plan =
             FaultPlan::new().with_corruption(CorruptionSpec::new(0.15, 0.15, 0xC0FFEE));
         let world_a = build_world(25_000, 8192);

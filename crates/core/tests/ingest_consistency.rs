@@ -21,14 +21,6 @@ use pdc_server::{CorruptionSpec, FaultPlan};
 use pdc_types::{ObjectId, TypedVec};
 use std::sync::Arc;
 
-const ALL_STRATEGIES: [Strategy; 5] = [
-    Strategy::FullScan,
-    Strategy::Histogram,
-    Strategy::HistogramIndex,
-    Strategy::SortedHistogram,
-    Strategy::Adaptive,
-];
-
 /// Initial extent imported before the first append.
 const PREFIX: usize = 20_000;
 /// Elements per streaming append. Deliberately NOT a multiple of the
@@ -155,7 +147,7 @@ fn check_against_sealed(
 #[test]
 fn interleaved_queries_match_sealed_store_all_strategies() {
     let data = gen(PREFIX + APPENDS * CHUNK);
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         // Once with aux maintenance mid-schedule, once fully deferred.
         for maintain_at in [Some(1), None] {
             let observed = run_schedule(&data, strategy, None, maintain_at);
@@ -182,7 +174,7 @@ fn interleaved_matches_sealed_under_corruption() {
     // clean. Verify-and-fallback must heal every read, so Selections
     // still match a pristine store at each extent.
     let data = gen(PREFIX + APPENDS * CHUNK);
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let plan = FaultPlan::new().with_corruption(CorruptionSpec::new(0.2, 0.3, 0xC0FFEE));
         let (odms, obj) = sealed_world(&data[..PREFIX]);
         let eng = engine(&odms, strategy, Some(plan));
@@ -239,7 +231,7 @@ fn incremental_histogram_merge_matches_remerge_after_every_append() {
 #[test]
 fn deferred_maintenance_never_changes_selections() {
     let data = gen(PREFIX + APPENDS * CHUNK);
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         for plan in [
             None,
             Some(FaultPlan::new().with_corruption(CorruptionSpec::new(0.15, 0.25, 0xBEEF))),
@@ -304,7 +296,7 @@ fn maintained_sorted_replica_equals_one_shot_import() {
         assert_eq!(*replica, *sealed.meta().sorted_replica(sobj).unwrap(), "append {k}");
     }
     let (sealed, sobj) = sealed_world(&data);
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let out = engine(&odms, strategy, None).run(&query(obj)).unwrap();
         let sout = engine(&sealed, strategy, None).run(&query(sobj)).unwrap();
         assert_eq!(out.selection, sout.selection, "{strategy}");

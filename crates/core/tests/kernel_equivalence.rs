@@ -11,14 +11,6 @@ use pdc_query::{EngineConfig, PdcQuery, QueryEngine, QueryOutcome, Strategy};
 use pdc_types::{kernels, Interval, ObjectId, QueryOp, Selection, TypedVec};
 use std::sync::Arc;
 
-const ALL_STRATEGIES: [Strategy; 5] = [
-    Strategy::FullScan,
-    Strategy::Histogram,
-    Strategy::HistogramIndex,
-    Strategy::SortedHistogram,
-    Strategy::Adaptive,
-];
-
 struct World {
     odms: Arc<Odms>,
     energy: ObjectId,
@@ -92,7 +84,7 @@ fn every_strategy_matches_the_scalar_oracle() {
     let world = build_world();
     for (q, oracle) in queries_with_oracles(&world) {
         assert!(oracle.count() > 0, "test query must hit");
-        for strategy in ALL_STRATEGIES {
+        for strategy in Strategy::ALL {
             let got = run_fresh(&world, strategy, &q);
             assert_eq!(got.nhits, oracle.count(), "{strategy}: nhits");
             assert_eq!(
@@ -108,7 +100,7 @@ fn every_strategy_matches_the_scalar_oracle() {
 fn fresh_engines_agree_on_every_cost_field() {
     let world = build_world();
     for (q, _) in queries_with_oracles(&world) {
-        for strategy in ALL_STRATEGIES {
+        for strategy in Strategy::ALL {
             let a = run_fresh(&world, strategy, &q);
             let b = run_fresh(&world, strategy, &q);
             assert_eq!(a.selection, b.selection, "{strategy}: selection");

@@ -35,14 +35,6 @@ use pdc_server::{CorruptionSpec, FaultPlan};
 use pdc_types::{Interval, ObjectId, QueryOp, RegionId, TypedVec};
 use std::sync::Arc;
 
-const ALL_STRATEGIES: [Strategy; 5] = [
-    Strategy::FullScan,
-    Strategy::Histogram,
-    Strategy::HistogramIndex,
-    Strategy::SortedHistogram,
-    Strategy::Adaptive,
-];
-
 const N: usize = 40_000;
 
 /// Deterministic VPIC-flavoured world: `x` sweeps [0, 332] monotonically
@@ -189,7 +181,7 @@ fn directory_candidates_cover_matches_and_respect_1d_bounds() {
 
 #[test]
 fn directory_on_off_bit_identical_all_strategies() {
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         // Separate worlds per engine: cache state must not leak between
         // the compared runs.
         let (won, woff) = (build_world(), build_world_without_directories());
@@ -225,7 +217,7 @@ fn directory_on_off_bit_identical_under_faults_and_corruption() {
         "the plan damages energy's directory: both worlds would repair and consult it, \
          and the on/off comparison would compare nothing — pick another corruption seed"
     );
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let (won, woff) = (build_world(), build_world_reopened());
         if damaged(probe.x) {
             woff.odms.rebuild_directory(woff.x).unwrap();
@@ -256,7 +248,7 @@ fn directory_on_off_bit_identical_under_faults_and_corruption() {
 #[test]
 fn directory_on_off_bit_identical_after_appends_and_maintenance() {
     const DELTA: usize = 5_000;
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let (won, woff) = (build_world(), build_world_without_directories());
         for w in [&won, &woff] {
             let energy: Vec<f32> = (N..N + DELTA).map(energy_at).collect();
@@ -327,7 +319,7 @@ fn joint_registration_never_changes_the_selection() {
         let w = build_world();
         engine(&w, Strategy::Histogram, None).run(&window_query(&w)).unwrap()
     };
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         for with_directory in [true, false] {
             let w = if with_directory { build_world() } else { build_world_without_directories() };
             w.odms.register_joint_pair(w.energy, w.x).unwrap();

@@ -23,13 +23,6 @@ use pdc_types::{NdRegion, ObjectId, QueryOp, TypedVec};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-const ALL_STRATEGIES: [Strategy; 4] = [
-    Strategy::FullScan,
-    Strategy::Histogram,
-    Strategy::HistogramIndex,
-    Strategy::SortedHistogram,
-];
-
 struct TestWorld {
     odms: Arc<Odms>,
     energy: ObjectId,
@@ -180,7 +173,7 @@ fn serve_and_check(world: &TestWorld, strategy: Strategy, plan: Option<FaultPlan
 #[test]
 fn serve_matches_dispatch_order_replay_all_strategies() {
     let world = build_world(40_000, 8192);
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         serve_and_check(&world, strategy, None);
     }
 }

@@ -14,16 +14,6 @@ use pdc_types::{NdRegion, ObjectId, QueryOp, TypedVec};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// All five strategies — the per-region adaptive planner included, since
-/// its band decisions must also be residency-blind.
-const STRATEGIES: [Strategy; 5] = [
-    Strategy::FullScan,
-    Strategy::Histogram,
-    Strategy::HistogramIndex,
-    Strategy::SortedHistogram,
-    Strategy::Adaptive,
-];
-
 /// Memory budget used by the bounded engines: far below the dataset so
 /// demotions are guaranteed, comfortably above any single region.
 const BUDGET: u64 = 96 * 1024;
@@ -175,7 +165,9 @@ fn check_equivalence(
 
 #[test]
 fn spill_matches_unbounded_all_strategies() {
-    for strategy in STRATEGIES {
+    // PDC-A included: the per-region planner's band decisions must also
+    // be residency-blind.
+    for strategy in Strategy::ALL {
         check_equivalence(40_000, strategy, None, "clean", 32 << 20);
     }
 }
@@ -203,7 +195,7 @@ fn spill_matches_unbounded_under_seeded_faults() {
 
 #[test]
 fn spill_matches_unbounded_under_corruption() {
-    for strategy in STRATEGIES {
+    for strategy in Strategy::ALL {
         let plan = FaultPlan::new().with_corruption(CorruptionSpec::new(0.2, 0.2, 0xBAD5EED));
         let world_a = build_world(25_000, 8192);
         let world_b = build_world(25_000, 8192);
@@ -445,7 +437,7 @@ fn spill_results_match_naive_filter() {
         })
         .collect();
     assert!(!expect.is_empty());
-    for strategy in STRATEGIES {
+    for strategy in Strategy::ALL {
         let eng = bounded_engine(&world, strategy, None, &dir, 32 << 20);
         let out = eng.run(&PdcQuery::range_open(world.energy, 2.1f32, 2.2f32)).unwrap();
         assert_eq!(out.selection.iter_coords().collect::<Vec<_>>(), expect, "{strategy}");

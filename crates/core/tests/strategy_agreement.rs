@@ -8,13 +8,6 @@ use pdc_query::{EngineConfig, PdcQuery, QueryEngine, Strategy};
 use pdc_types::{Interval, NdRegion, ObjectId, QueryOp, TypedVec};
 use std::sync::Arc;
 
-const ALL_STRATEGIES: [Strategy; 4] = [
-    Strategy::FullScan,
-    Strategy::Histogram,
-    Strategy::HistogramIndex,
-    Strategy::SortedHistogram,
-];
-
 /// A small VPIC-flavoured dataset: energy has a bulk plus a clustered
 /// tail; x/y/z are spatial coordinates with smooth variation.
 struct TestWorld {
@@ -71,7 +64,7 @@ fn single_object_range_query_all_strategies_agree() {
     let world = build_world(40_000, 8192);
     let expect = naive_hits(&world, Some(&Interval::open(2.1, 2.2)), None);
     assert!(!expect.is_empty(), "test data must produce hits");
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let eng = engine(&world, strategy, 4);
         let q = PdcQuery::range_open(world.energy, 2.1f32, 2.2f32);
         let out = eng.run(&q).unwrap();
@@ -95,7 +88,7 @@ fn one_sided_queries_all_strategies_agree() {
     ] {
         let iv = Interval::from_op(op, v as f64);
         let expect = naive_hits(&world, Some(&iv), None);
-        for strategy in ALL_STRATEGIES {
+        for strategy in Strategy::ALL {
             let eng = engine(&world, strategy, 3);
             let out = eng.run(&PdcQuery::create(world.energy, op, v)).unwrap();
             assert_eq!(
@@ -114,7 +107,7 @@ fn multi_object_conjunction_all_strategies_agree() {
     let x_iv = Interval::open(100.0, 200.0);
     let expect = naive_hits(&world, Some(&e_iv), Some(&x_iv));
     assert!(!expect.is_empty());
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let eng = engine(&world, strategy, 4);
         let q = PdcQuery::create(world.energy, QueryOp::Gt, 2.0f32)
             .and(PdcQuery::range_open(world.x, 100.0f32, 200.0f32));
@@ -136,7 +129,7 @@ fn disjunction_all_strategies_agree() {
     expect.extend(naive_hits(&world, Some(&hi), None));
     expect.sort_unstable();
     expect.dedup();
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let eng = engine(&world, strategy, 4);
         let q = PdcQuery::create(world.energy, QueryOp::Lt, 0.1f32)
             .or(PdcQuery::create(world.energy, QueryOp::Gt, 3.0f32));
@@ -157,7 +150,7 @@ fn and_over_or_all_strategies_agree() {
             !(0.1..=3.0).contains(&e) && x_iv.contains(x)
         })
         .collect();
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let eng = engine(&world, strategy, 4);
         let q = (PdcQuery::create(world.energy, QueryOp::Lt, 0.1f32)
             .or(PdcQuery::create(world.energy, QueryOp::Gt, 3.0f32)))
@@ -175,7 +168,7 @@ fn spatial_region_constraint_all_strategies_agree() {
         .into_iter()
         .filter(|&c| (5_000..12_000).contains(&c))
         .collect();
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let eng = engine(&world, strategy, 4);
         let q = PdcQuery::create(world.energy, QueryOp::Gt, 2.0f32)
             .set_region(NdRegion::one_d(5_000, 7_000));
@@ -191,7 +184,7 @@ fn results_independent_of_server_count() {
         .and(PdcQuery::range_open(world.x, 100.0f32, 200.0f32));
     let reference = engine(&world, Strategy::Histogram, 1).run(&q).unwrap();
     for servers in [2, 3, 7, 16, 64] {
-        for strategy in ALL_STRATEGIES {
+        for strategy in Strategy::ALL {
             let eng = engine(&world, strategy, servers);
             let out = eng.run(&q).unwrap();
             assert_eq!(
@@ -226,7 +219,7 @@ fn get_data_returns_exact_values_all_strategies() {
     let expect_coords = naive_hits(&world, Some(&Interval::open(2.1, 2.2)), None);
     let expect_values: Vec<f32> =
         expect_coords.iter().map(|&c| world.raw_energy[c as usize]).collect();
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let eng = engine(&world, strategy, 4);
         let out = eng.run(&q).unwrap();
         let data = eng.get_data(&out, world.energy).unwrap();
@@ -247,7 +240,7 @@ fn get_data_on_other_object_than_queried() {
     let expect_coords = naive_hits(&world, Some(&Interval::open(2.1, 2.2)), None);
     let expect_values: Vec<f32> =
         expect_coords.iter().map(|&c| world.raw_x[c as usize]).collect();
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let eng = engine(&world, strategy, 4);
         let out = eng.run(&q).unwrap();
         let data = eng.get_data(&out, world.x).unwrap();
@@ -284,7 +277,7 @@ fn get_data_batch_concatenates_to_get_data() {
 #[test]
 fn empty_result_short_circuits() {
     let world = build_world(10_000, 4096);
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let eng = engine(&world, strategy, 4);
         let q = PdcQuery::create(world.energy, QueryOp::Gt, 100.0f32)
             .and(PdcQuery::range_open(world.x, 100.0f32, 200.0f32));
@@ -307,7 +300,7 @@ fn equality_query_on_integers() {
     };
     let obj = odms.import_array(c, "ids", TypedVec::Int32(data.clone()), &opts).unwrap().object;
     let expect: Vec<u64> = (0..10_000u64).filter(|&i| data[i as usize] == 17).collect();
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let eng = QueryEngine::new(
             Arc::clone(&odms),
             EngineConfig { strategy, num_servers: 4, ..Default::default() },

@@ -23,8 +23,8 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// The largest representable duration — used as an "unbounded"
-    /// sentinel (e.g. a disabled client timeout). Do not do arithmetic
-    /// on it.
+    /// sentinel (e.g. a disabled client timeout). Sums and products
+    /// saturate here.
     pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// From nanoseconds.
@@ -68,16 +68,19 @@ impl SimDuration {
     }
 }
 
+// `+`, `+=` and `* u64` saturate at `MAX` like `-` saturates at zero:
+// a trace timestamp or quantum near the top of the range must not panic
+// (debug) or wrap (release).
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -91,7 +94,7 @@ impl Sub for SimDuration {
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     fn mul(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0 * rhs)
+        SimDuration(self.0.saturating_mul(rhs))
     }
 }
 
@@ -189,6 +192,33 @@ mod tests {
         assert_eq!((a / 0).as_millis_f64(), 10.0); // clamped divisor
         let total: SimDuration = vec![a, b, b].into_iter().sum();
         assert_eq!(total.as_millis_f64(), 16.0);
+    }
+
+    #[test]
+    fn add_saturates() {
+        let near = SimDuration::from_nanos(u64::MAX - 1);
+        assert_eq!(near + SimDuration::from_nanos(5), SimDuration::MAX);
+        assert_eq!(SimDuration::MAX + SimDuration::MAX, SimDuration::MAX);
+        assert_eq!(near + SimDuration::from_nanos(1), SimDuration::MAX);
+    }
+
+    #[test]
+    fn add_assign_saturates() {
+        let mut t = SimDuration::from_nanos(u64::MAX - 3);
+        t += SimDuration::from_millis(1);
+        assert_eq!(t, SimDuration::MAX);
+        let mut u = SimDuration::from_nanos(7);
+        u += SimDuration::from_nanos(3);
+        assert_eq!(u.as_nanos(), 10);
+    }
+
+    #[test]
+    fn mul_saturates() {
+        let big = SimDuration::from_nanos(u64::MAX / 2 + 1);
+        assert_eq!(big * 2, SimDuration::MAX);
+        assert_eq!(SimDuration::from_secs_f64(1e16) * 2, SimDuration::MAX);
+        let half = SimDuration::from_nanos(u64::MAX / 2);
+        assert_eq!(half * 2, SimDuration::from_nanos(u64::MAX - 1));
     }
 
     #[test]

@@ -197,13 +197,6 @@ fn get_data_batch_respects_batch_size() {
 use pdc_suite::server::{FaultPlan, ServerFaultSpec};
 use pdc_suite::storage::SimDuration;
 
-const ALL_STRATEGIES: [Strategy; 4] = [
-    Strategy::FullScan,
-    Strategy::Histogram,
-    Strategy::HistogramIndex,
-    Strategy::SortedHistogram,
-];
-
 fn fault_engine(odms: &Arc<Odms>, strategy: Strategy, n: u32, plan: FaultPlan) -> QueryEngine {
     QueryEngine::new(
         Arc::clone(odms),
@@ -225,7 +218,7 @@ fn killing_servers_never_changes_results() {
     let n = 6u32;
     let q = PdcQuery::range_open(obj, 2.0f32, 7.5f32);
     let expect = data.iter().filter(|&&v| v > 2.0 && v < 7.5).count() as u64;
-    for strategy in ALL_STRATEGIES {
+    for strategy in Strategy::ALL {
         let healthy = QueryEngine::new(
             Arc::clone(&odms),
             EngineConfig { strategy, num_servers: n, ..Default::default() },
@@ -392,14 +385,6 @@ fn slow_server_inflates_time_not_results() {
 // K-way replication: kill matrix, failover accounting, elastic membership.
 // ---------------------------------------------------------------------------
 
-const FIVE_STRATEGIES: [Strategy; 5] = [
-    Strategy::FullScan,
-    Strategy::Histogram,
-    Strategy::HistogramIndex,
-    Strategy::SortedHistogram,
-    Strategy::Adaptive,
-];
-
 fn replicated_engine(
     odms: &Arc<Odms>,
     strategy: Strategy,
@@ -432,7 +417,7 @@ fn replication_kill_matrix_is_bit_identical_or_typed() {
     .run(&q)
     .unwrap();
     assert_eq!(reference.nhits, expect);
-    for strategy in FIVE_STRATEGIES {
+    for strategy in Strategy::ALL {
         for k in [1u32, 2, 3] {
             for kills in [1u32, n - 2, n - 1] {
                 let victims: Vec<u32> = (0..kills).collect();

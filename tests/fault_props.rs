@@ -34,13 +34,6 @@ fn engine(odms: &Arc<Odms>, strategy: Strategy, servers: u32, plan: Option<Fault
     )
 }
 
-const ALL_STRATEGIES: [Strategy; 4] = [
-    Strategy::FullScan,
-    Strategy::Histogram,
-    Strategy::HistogramIndex,
-    Strategy::SortedHistogram,
-];
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
@@ -61,7 +54,7 @@ proptest! {
         let q = PdcQuery::range_open(obj, lo, hi);
         let expect = data.iter().filter(|&&v| v > lo && v < hi).count() as u64;
         let plan = FaultPlan::seeded(fault_seed, servers);
-        for strategy in ALL_STRATEGIES {
+        for strategy in Strategy::ALL {
             let healthy = engine(&odms, strategy, servers, None).run(&q).unwrap();
             prop_assert_eq!(healthy.nhits, expect);
             let faulty = engine(&odms, strategy, servers, Some(plan.clone()))
@@ -91,7 +84,7 @@ proptest! {
         let kills = ((servers - 1) as f64 * kill_frac) as u32;
         let q = PdcQuery::range_open(obj, 2.0f32, 6.0f32);
         let plan = FaultPlan::kill_count(kills, servers, kill_seed);
-        for strategy in ALL_STRATEGIES {
+        for strategy in Strategy::ALL {
             let healthy = engine(&odms, strategy, servers, None).run(&q).unwrap();
             let faulty = engine(&odms, strategy, servers, Some(plan.clone()))
                 .run(&q)
@@ -113,7 +106,7 @@ proptest! {
         let (odms, obj, _) = build_world(world_seed);
         let q = PdcQuery::range_open(obj, 1.0f32, 7.0f32);
         let plan = FaultPlan::seeded(fault_seed, servers);
-        for strategy in ALL_STRATEGIES {
+        for strategy in Strategy::ALL {
             let a = engine(&odms, strategy, servers, Some(plan.clone())).run(&q).unwrap();
             let b = engine(&odms, strategy, servers, Some(plan.clone())).run(&q).unwrap();
             prop_assert_eq!(a.elapsed, b.elapsed, "{} seed {}", strategy, fault_seed);

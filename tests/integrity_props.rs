@@ -42,13 +42,6 @@ fn engine(
     )
 }
 
-const ALL_STRATEGIES: [Strategy; 4] = [
-    Strategy::FullScan,
-    Strategy::Histogram,
-    Strategy::HistogramIndex,
-    Strategy::SortedHistogram,
-];
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
@@ -71,7 +64,7 @@ proptest! {
         let expect = data.iter().filter(|&&v| v > lo && v < hi).count() as u64;
         let plan = FaultPlan::new()
             .with_corruption(CorruptionSpec::new(data_frac, aux_frac, corrupt_seed));
-        for strategy in ALL_STRATEGIES {
+        for strategy in Strategy::ALL {
             let clean = engine(&odms, strategy, servers, None).run(&q).unwrap();
             prop_assert_eq!(clean.nhits, expect, "{}: clean baseline wrong", strategy);
             prop_assert!(!clean.integrity.any(), "{}: clean run saw integrity events", strategy);
@@ -100,7 +93,7 @@ proptest! {
         let q = PdcQuery::range_open(obj, 1.0f32, 7.0f32);
         let plan = FaultPlan::new()
             .with_corruption(CorruptionSpec::new(data_frac, 0.4, corrupt_seed));
-        for strategy in ALL_STRATEGIES {
+        for strategy in Strategy::ALL {
             let a = engine(&odms, strategy, servers, Some(plan.clone())).run(&q).unwrap();
             let b = engine(&odms, strategy, servers, Some(plan.clone())).run(&q).unwrap();
             prop_assert_eq!(a.integrity, b.integrity, "{} seed {}", strategy, corrupt_seed);
@@ -122,7 +115,7 @@ proptest! {
         let (odms, obj, _) = build_world(world_seed);
         let q = PdcQuery::range_open(obj, 2.0f32, 6.0f32);
         let plan = FaultPlan::seeded_with_corruption(seed, servers, 0.1, 0.3);
-        for strategy in ALL_STRATEGIES {
+        for strategy in Strategy::ALL {
             let clean = engine(&odms, strategy, servers, None).run(&q).unwrap();
             let stressed = engine(&odms, strategy, servers, Some(plan.clone()))
                 .run(&q)
