@@ -12,10 +12,9 @@
 
 use pdc_storage::{CostModel, ReadPattern, SimDuration, WorkCounters};
 use pdc_types::{Interval, Run, Selection};
-use serde::{Deserialize, Serialize};
 
 /// A min/max block index over one flat dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlockIndex {
     block_elems: usize,
     /// Per-block `[min, max]`.

@@ -19,7 +19,6 @@
 use pdc_storage::{CostModel, ReadPattern, SimDuration, WorkCounters};
 use pdc_types::kernels::{self, ScanElem};
 use pdc_types::Interval;
-use serde::{Deserialize, Serialize};
 
 pub mod block_index;
 pub use block_index::{BlockIndex, BlockIndexReport};
@@ -34,7 +33,7 @@ pub struct Hdf5Baseline {
 }
 
 /// Outcome of a baseline scan.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BaselineReport {
     /// Matching elements.
     pub nhits: u64,

@@ -35,7 +35,7 @@ use pdc_bench::{
     engine, generate_vpic, import_vpic, multi_object_query, Gates, Json, Scale, VpicWorld,
     ALL_STRATEGIES, BEST_REGION,
 };
-use pdc_directory::{DirectoryConfig, RegionDirectory};
+use pdc_directory::RegionDirectory;
 use pdc_query::{directory_stats, JointContext, MetaSnapshot, QueryOutcome};
 use pdc_types::{Interval, ObjectId, QueryOp};
 use pdc_workloads::{multi_object_catalog, MultiObjectQuerySpec, VpicData};
@@ -75,7 +75,7 @@ fn directoryless_twin(data: &VpicData) -> VpicWorld {
     register_joint_grids(&world);
     let o = &world.objects;
     for obj in [o.energy, o.x, o.y, o.z] {
-        world.odms.meta().set_directory(obj, RegionDirectory::new(DirectoryConfig::default()));
+        world.odms.meta().set_directory(obj, RegionDirectory::new());
     }
     world
 }

@@ -12,10 +12,9 @@
 //! numbers at the scale of the data, capped at [`BinningConfig::max_bins`]
 //! (falling back to a uniform grid when the cap binds).
 
-use serde::{Deserialize, Serialize};
 
 /// Binning parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BinningConfig {
     /// Number of significant decimal digits for bin boundaries; the paper
     /// uses `precision = 2`.

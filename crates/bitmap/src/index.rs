@@ -18,7 +18,6 @@ use crate::wah::{WahBitVector, WahBuilder};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pdc_types::{Interval, PdcError, PdcResult, Selection};
-use serde::{Deserialize, Serialize};
 
 /// The representable-value grid of the indexed data. Bin edges are round
 /// decimals in `f64`, but the indexed values come from a coarser grid
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// and a bin edge — which is what makes the paper's precision-aligned
 /// queries (written as C `float` constants!) run without candidate
 /// checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueDomain {
     /// Values are arbitrary doubles.
     F64,
@@ -96,7 +95,7 @@ fn next_f32_down(x: f32) -> f32 {
 const MASK_BINNING_MAX_BINS: usize = 256;
 
 /// A binned, WAH-compressed bitmap index over one region's values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinnedBitmapIndex {
     edges: Vec<f64>,
     bitmaps: Vec<WahBitVector>,

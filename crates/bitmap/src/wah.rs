@@ -13,7 +13,6 @@
 //! what makes bitmap indexes competitive for scientific range queries.
 
 use pdc_types::{Run, Selection};
-use serde::{Deserialize, Serialize};
 
 const GROUP_BITS: u64 = 31;
 const LITERAL_MASK: u32 = 0x7FFF_FFFF;
@@ -32,7 +31,7 @@ const MAX_FILL_GROUPS: u64 = FILL_COUNT_MASK as u64;
 /// assert_eq!(a.and(&b).count_ones(), 200);
 /// assert!(a.num_words() < 10); // a few words for a million bits
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WahBitVector {
     words: Vec<u32>,
     nbits: u64,

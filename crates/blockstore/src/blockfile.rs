@@ -48,8 +48,7 @@ use pdc_types::error::{PdcError, PdcResult};
 use pdc_types::value::{PdcType, TypedVec};
 use std::fs::File;
 // Positional reads (`read_exact_at`): no shared file cursor, so a reader
-// needs no lock. Unix-only, as is everything this workspace is built and
-// benchmarked on.
+// needs no lock. Unix-only; the crate root refuses other targets.
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 

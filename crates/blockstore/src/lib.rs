@@ -20,6 +20,16 @@
 //! `pdc-storage` keeps charging tier reads unconditionally, whether a
 //! region is physically resident or spilled — this crate only changes
 //! where the bytes physically live.
+//!
+//! Unix only: block files are read with positional reads
+//! (`std::os::unix::fs::FileExt::read_exact_at`), which need no shared
+//! file cursor and therefore no lock.
+
+#[cfg(not(unix))]
+compile_error!(
+    "pdc-blockstore needs a unix target: block files are read with \
+     std::os::unix::fs::FileExt positional reads"
+);
 
 pub mod blockfile;
 pub mod cache;

@@ -6,7 +6,7 @@ use crate::exec::{eval_plan, EvalCtx};
 use crate::plan::{PlanNode, QueryPlan};
 use crate::qcache::SharedScanGroup;
 use crate::service::ScheduleClock;
-use crate::recover::{run_slots, RecoveryPolicy};
+use crate::recover::run_slots;
 use crate::snapshot::{usable_directory, MetaSnapshot};
 use crate::state::ServerState;
 use pdc_histogram::Histogram;
@@ -73,7 +73,11 @@ impl std::fmt::Display for Strategy {
     }
 }
 
-/// Engine configuration.
+/// Engine configuration. Failure handling is not configurable: a failed
+/// slot is retried for at most three rounds after the first, a slow
+/// server is always waited for, and k-way placement uses one fixed
+/// layout seed, so the same membership gives the same replica sets on
+/// every host.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Evaluation strategy.
@@ -90,16 +94,6 @@ pub struct EngineConfig {
     pub order_by_selectivity: bool,
     /// Deterministic fault-injection schedule (`None` = healthy pool).
     pub fault_plan: Option<FaultPlan>,
-    /// Retry rounds allowed after the initial evaluation round before a
-    /// query fails with [`pdc_types::PdcError::RetriesExhausted`].
-    pub max_retries: u32,
-    /// Simulated time after which the client abandons an unresponsive or
-    /// slow server and reassigns its regions (a slow server is only
-    /// abandoned when a faster live one exists to take over). The default
-    /// [`SimDuration::MAX`] disables the timeout — safe at any cost-model
-    /// scale; erroring/crashing servers are still detected immediately
-    /// from their error responses.
-    pub server_timeout: SimDuration,
     /// Replicas per assignment slot. `1` (the default) keeps the classic
     /// single-home layout and code path byte-for-byte; `k ≥ 2` activates
     /// the k-way [`Placement`] — each slot gets an ordered replica set,
@@ -108,9 +102,6 @@ pub struct EngineConfig {
     /// ([`QueryEngine::join_server`] / [`QueryEngine::leave_server`])
     /// becomes available. Results are bit-identical at every setting.
     pub replicas: u32,
-    /// Seed of the deterministic rendezvous placement layout (same seed ⇒
-    /// same replica sets on every host). Ignored when `replicas == 1`.
-    pub placement_seed: u64,
     /// Out-of-core mode: when `Some`, the object store demotes sealed
     /// least-recently-used regions to block-compressed spill files
     /// whenever its resident footprint exceeds this many bytes. Spilling
@@ -136,10 +127,7 @@ impl Default for EngineConfig {
             cost: CostModel::cori_like(),
             order_by_selectivity: true,
             fault_plan: None,
-            max_retries: 3,
-            server_timeout: SimDuration::MAX,
             replicas: 1,
-            placement_seed: 0x5EED,
             memory_budget: None,
             spill_dir: None,
             block_cache_bytes: 32 << 20,
@@ -170,7 +158,7 @@ pub struct QueryOutcome {
     /// key object and its matching sorted span (lets `get_data` serve the
     /// values straight from the replica).
     pub sorted_hint: Option<(ObjectId, Run)>,
-    /// Servers that failed (crash, panic, timeout) while serving this
+    /// Servers that failed (crash, panic, transient error) while serving this
     /// query; their regions were reassigned to the survivors.
     pub failed_servers: Vec<u32>,
     /// Retry rounds the query needed (0 on a fault-free run).
@@ -339,35 +327,22 @@ fn slot_spread(replicas: u32, num_servers: u32) -> u32 {
     }
 }
 
-pub(crate) fn diff_io(after: &IoCounters, before: &IoCounters) -> IoCounters {
-    IoCounters {
-        pfs_bytes_read: after.pfs_bytes_read - before.pfs_bytes_read,
-        pfs_read_requests: after.pfs_read_requests - before.pfs_read_requests,
-        cache_bytes_read: after.cache_bytes_read - before.cache_bytes_read,
-        cache_hits: after.cache_hits - before.cache_hits,
-        cache_misses: after.cache_misses - before.cache_misses,
-        bytes_written: after.bytes_written - before.bytes_written,
-        write_requests: after.write_requests - before.write_requests,
-    }
-}
+/// Seed of the deterministic rendezvous placement layout: the same seed
+/// gives the same replica sets on every host.
+const PLACEMENT_SEED: u64 = 0x5EED;
 
-fn diff_integrity(after: &IntegrityCounters, before: &IntegrityCounters) -> IntegrityCounters {
-    IntegrityCounters {
-        checksum_failures: after.checksum_failures - before.checksum_failures,
-        repaired_regions: after.repaired_regions - before.repaired_regions,
-        aux_rebuilds: after.aux_rebuilds - before.aux_rebuilds,
-        fallback_regions: after.fallback_regions - before.fallback_regions,
-    }
-}
-
-fn diff_work(after: &WorkCounters, before: &WorkCounters) -> WorkCounters {
-    WorkCounters {
-        elements_scanned: after.elements_scanned - before.elements_scanned,
-        bitmap_words: after.bitmap_words - before.bitmap_words,
-        sorted_probes: after.sorted_probes - before.sorted_probes,
-        histogram_bins: after.histogram_bins - before.histogram_bins,
-        elements_gathered: after.elements_gathered - before.elements_gathered,
-    }
+/// The k-way placement a fresh pool starts from; `None` when
+/// `cfg.replicas <= 1`.
+fn fresh_placement(cfg: &EngineConfig) -> Option<Arc<Placement>> {
+    (cfg.replicas > 1).then(|| {
+        let spread = slot_spread(cfg.replicas, cfg.num_servers);
+        Arc::new(Placement::new(
+            cfg.num_servers * spread,
+            cfg.num_servers,
+            cfg.replicas,
+            PLACEMENT_SEED,
+        ))
+    })
 }
 
 impl QueryEngine {
@@ -398,15 +373,7 @@ impl QueryEngine {
             }
             st
         });
-        let placement = (cfg.replicas > 1).then(|| {
-            let spread = slot_spread(cfg.replicas, cfg.num_servers);
-            Arc::new(Placement::new(
-                cfg.num_servers * spread,
-                cfg.num_servers,
-                cfg.replicas,
-                cfg.placement_seed,
-            ))
-        });
+        let placement = fresh_placement(&cfg);
         let engine = Self {
             odms,
             pool,
@@ -602,14 +569,6 @@ impl QueryEngine {
         }
     }
 
-    /// The recovery policy derived from the config.
-    fn recovery_policy(&self) -> RecoveryPolicy {
-        RecoveryPolicy {
-            max_retries: self.cfg.max_retries,
-            server_timeout: self.cfg.server_timeout,
-        }
-    }
-
     /// Per-slot region counts for the plan's objects: slot `s` owns the
     /// regions with `r % num_slots == s`, so its weight is a closed
     /// form of each object's region count (at the plan-time snapshot).
@@ -695,15 +654,7 @@ impl QueryEngine {
         // come back up, joins/leaves are forgotten (the pool may keep
         // extra states around — ids are stable — but no work routes to
         // non-members).
-        *self.placement.lock().unwrap() = (self.cfg.replicas > 1).then(|| {
-            let spread = slot_spread(self.cfg.replicas, self.cfg.num_servers);
-            Arc::new(Placement::new(
-                self.cfg.num_servers * spread,
-                self.cfg.num_servers,
-                self.cfg.replicas,
-                self.cfg.placement_seed,
-            ))
-        });
+        *self.placement.lock().unwrap() = fresh_placement(&self.cfg);
         self.apply_planned_corruption();
     }
 
@@ -847,7 +798,6 @@ impl QueryEngine {
         let out = run_slots(
             &self.pool,
             &cost,
-            &self.recovery_policy(),
             placement.as_deref(),
             &weights,
             |r: &(
@@ -888,9 +838,9 @@ impl QueryEngine {
                 let sel = res?;
                 Ok((
                     sel,
-                    diff_io(&st.io, &io0),
-                    diff_work(&st.work, &w0),
-                    diff_integrity(&st.integrity, &i0),
+                    st.io.since(&io0),
+                    st.work.since(&w0),
+                    st.integrity.since(&i0),
                     st.integrity_time.saturating_sub(t0),
                     rows,
                 ))
@@ -934,8 +884,11 @@ impl QueryEngine {
             let mut regions: Vec<crate::ops::RegionExplain> =
                 out.per_slot.iter().flat_map(|t| t.5.iter().cloned()).collect();
             regions.sort_by_key(|r| (r.object, r.region, r.phase));
-            let mut constraints = Vec::new();
-            collect_constraints(&plan.root, &mut constraints);
+            let constraints: Vec<(ObjectId, Interval, Option<f64>)> = plan
+                .root
+                .constraints()
+                .map(|c| (c.object, c.interval, c.est_selectivity))
+                .collect();
             // Per-constraint directory statistics (host-side replay of
             // the candidate resolution — never charges).
             let pairs: Vec<(ObjectId, Interval)> =
@@ -1137,34 +1090,14 @@ impl QueryEngine {
 
         // The admission's new predicates, grouped by object.
         let mut targets: Vec<(ObjectId, Vec<Interval>)> = Vec::new();
-        fn collect(
-            node: &PlanNode,
-            group: &mut SharedScanGroup,
-            targets: &mut Vec<(ObjectId, Vec<Interval>)>,
-        ) {
-            match node {
-                PlanNode::Conj(cs) => {
-                    for c in cs {
-                        if c.interval.is_empty() {
-                            continue;
-                        }
-                        if group.try_admit(c.object, &c.interval) {
-                            match targets.iter_mut().find(|(o, _)| *o == c.object) {
-                                Some((_, ivs)) => ivs.push(c.interval),
-                                None => targets.push((c.object, vec![c.interval])),
-                            }
-                        }
-                    }
-                }
-                PlanNode::And(children) | PlanNode::Or(children) => {
-                    for c in children {
-                        collect(c, group, targets);
-                    }
-                }
+        for c in plans.iter().flat_map(|p| p.root.constraints()) {
+            if c.interval.is_empty() || !group.try_admit(c.object, &c.interval) {
+                continue;
             }
-        }
-        for p in plans {
-            collect(&p.root, group, &mut targets);
+            match targets.iter_mut().find(|(o, _)| *o == c.object) {
+                Some((_, ivs)) => ivs.push(c.interval),
+                None => targets.push((c.object, vec![c.interval])),
+            }
         }
         if targets.is_empty() {
             return 0;
@@ -1364,7 +1297,6 @@ impl QueryEngine {
         run_slots(
             &self.pool,
             &cost,
-            &self.recovery_policy(),
             placement,
             weights,
             |_: &IntegrityCounters| 0,
@@ -1390,7 +1322,7 @@ impl QueryEngine {
                         )?;
                     }
                 }
-                Ok(diff_integrity(&st.integrity, &i0))
+                Ok(st.integrity.since(&i0))
             },
         )
     }
@@ -1468,7 +1400,6 @@ impl QueryEngine {
         let out = run_slots(
             &self.pool,
             &cost,
-            &self.recovery_policy(),
             placement.as_deref(),
             &weights,
             |r: &(Vec<(u64, f64)>, IoCounters)| r.0.len() as u64 * (8 + elem),
@@ -1544,7 +1475,7 @@ impl QueryEngine {
                     }
                 }
                 st.settle_cpu(&cost, &w0);
-                Ok((pairs, diff_io(&st.io, &io0)))
+                Ok((pairs, st.io.since(&io0)))
             },
         )?;
 
@@ -1571,27 +1502,6 @@ impl QueryEngine {
             bytes_transferred,
             servers_involved,
         })
-    }
-}
-
-/// Collect every `(object, interval, est_selectivity)` constraint of a
-/// plan tree, in plan (selectivity-ordered) traversal order, for the
-/// explain report.
-fn collect_constraints(
-    node: &PlanNode,
-    out: &mut Vec<(ObjectId, Interval, Option<f64>)>,
-) {
-    match node {
-        PlanNode::Conj(cs) => {
-            for c in cs {
-                out.push((c.object, c.interval, c.est_selectivity));
-            }
-        }
-        PlanNode::And(children) | PlanNode::Or(children) => {
-            for c in children {
-                collect_constraints(c, out);
-            }
-        }
     }
 }
 

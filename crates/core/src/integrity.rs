@@ -28,7 +28,7 @@
 use pdc_odms::Odms;
 use pdc_server::CorruptionSpec;
 use pdc_storage::{CostModel, IntegrityCounters, ReadPattern, SimDuration, WorkCounters};
-use pdc_types::{PdcError, PdcResult, RegionId};
+use pdc_types::{mix64, PdcError, PdcResult, RegionId};
 
 /// Salts separating the victim draws of the three auxiliary structures
 /// (so damaging an object's index says nothing about its histograms).
@@ -68,18 +68,9 @@ impl CorruptionReport {
     }
 }
 
-/// SplitMix64 finalizer (same family the fault plan uses) for deriving
-/// per-site seeds and the sorted-replica coin.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic uniform draw in `[0, 1)`.
 fn unit(z: u64) -> f64 {
-    (mix(z) >> 11) as f64 / (1u64 << 53) as f64
+    (mix64(z) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Damage the store and auxiliary structures per `spec`. Safe to call
@@ -112,7 +103,7 @@ pub fn apply_corruption(odms: &Odms, spec: &CorruptionSpec) -> PdcResult<Corrupt
         if !hist_victims.is_empty() {
             let hists = odms.meta().region_histograms(meta.id)?;
             for r in hist_victims {
-                let bad = hists[r].corrupted_copy(mix(spec.seed ^ salt ^ HIST_SALT ^ r as u64));
+                let bad = hists[r].corrupted_copy(mix64(spec.seed ^ salt ^ HIST_SALT ^ r as u64));
                 odms.meta().replace_region_histogram(meta.id, r as u32, bad)?;
                 report.histograms += 1;
             }
@@ -122,7 +113,7 @@ pub fn apply_corruption(odms: &Odms, spec: &CorruptionSpec) -> PdcResult<Corrupt
         if meta.has_sorted_replica && unit(spec.seed ^ salt ^ SORT_SALT) < spec.aux_fraction {
             let replica = odms.meta().sorted_replica(meta.id)?;
             odms.meta()
-                .set_sorted_replica(meta.id, replica.corrupted_copy(mix(spec.seed ^ salt)));
+                .set_sorted_replica(meta.id, replica.corrupted_copy(mix64(spec.seed ^ salt)));
             report.sorted_objects += 1;
         }
         // The region directory, like the replica, is one structure per
@@ -131,7 +122,7 @@ pub fn apply_corruption(odms: &Odms, spec: &CorruptionSpec) -> PdcResult<Corrupt
             if let Some(dir) = odms.meta().directory(meta.id) {
                 odms.meta().set_directory(
                     meta.id,
-                    dir.corrupted_copy(mix(spec.seed ^ salt ^ DIR_SALT)),
+                    dir.corrupted_copy(mix64(spec.seed ^ salt ^ DIR_SALT)),
                 );
                 report.directories += 1;
             }
@@ -143,7 +134,7 @@ pub fn apply_corruption(odms: &Odms, spec: &CorruptionSpec) -> PdcResult<Corrupt
         let pair_salt = a.raw() ^ b.raw().rotate_left(32) ^ JOINT_SALT;
         if unit(spec.seed ^ pair_salt) < spec.aux_fraction {
             if let Some(grid) = odms.meta().joint_grid(a, b) {
-                odms.meta().set_joint_grid(grid.corrupted_copy(mix(spec.seed ^ pair_salt)));
+                odms.meta().set_joint_grid(grid.corrupted_copy(mix64(spec.seed ^ pair_salt)));
                 report.joint_grids += 1;
             }
         }

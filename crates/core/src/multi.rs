@@ -138,7 +138,7 @@ impl QueryEngine {
                     }
                     hits.push((obj, obj_hits));
                 }
-                Ok((hits, st.elapsed_since(t0), crate::engine::diff_io(&st.io, &io0)))
+                Ok((hits, st.elapsed_since(t0), st.io.since(&io0)))
             });
 
         let mut per_object_hits: Vec<(ObjectId, u64)> = Vec::new();

@@ -1107,33 +1107,11 @@ pub fn estimate_plan_cost(
     n_servers: u32,
     plan: &crate::plan::QueryPlan,
 ) -> PdcResult<SimDuration> {
-    fn node_cost(
-        node: &crate::plan::PlanNode,
-        snap: &MetaSnapshot,
-        cost: &CostModel,
-        strategy: Strategy,
-        n_servers: u32,
-    ) -> PdcResult<SimDuration> {
-        match node {
-            crate::plan::PlanNode::Conj(cs) => {
-                let mut total = SimDuration::ZERO;
-                for c in cs {
-                    total += estimate_constraint_cost(
-                        snap, cost, strategy, n_servers, c.object, &c.interval,
-                    )?;
-                }
-                Ok(total)
-            }
-            crate::plan::PlanNode::And(children) | crate::plan::PlanNode::Or(children) => {
-                let mut total = SimDuration::ZERO;
-                for c in children {
-                    total += node_cost(c, snap, cost, strategy, n_servers)?;
-                }
-                Ok(total)
-            }
-        }
+    let mut total = SimDuration::ZERO;
+    for c in plan.root.constraints() {
+        total += estimate_constraint_cost(snap, cost, strategy, n_servers, c.object, &c.interval)?;
     }
-    node_cost(&plan.root, snap, cost, strategy, n_servers)
+    Ok(total)
 }
 
 /// Which evaluation lane produced an EXPLAIN entry.

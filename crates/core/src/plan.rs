@@ -12,11 +12,10 @@ use crate::ast::{PdcQuery, QueryNode};
 use pdc_histogram::Histogram;
 use pdc_odms::Odms;
 use pdc_types::{Interval, NdRegion, ObjectId, PdcError, PdcResult};
-use serde::{Deserialize, Serialize};
 
 /// One normalized constraint: all comparisons on `object` in a
 /// conjunction, fused into a single interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjConstraint {
     /// The constrained object.
     pub object: ObjectId,
@@ -28,7 +27,7 @@ pub struct ObjConstraint {
 }
 
 /// A normalized plan node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlanNode {
     /// AND of per-object intervals, ordered most-selective-first.
     Conj(Vec<ObjConstraint>),
@@ -42,7 +41,7 @@ pub enum PlanNode {
 }
 
 /// The executable plan: normalized tree plus the spatial constraint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
     /// Normalized, selectivity-ordered condition tree.
     pub root: PlanNode,
@@ -68,16 +67,27 @@ impl PlanNode {
         }
     }
 
-    /// All objects referenced by the node.
-    pub fn objects(&self, out: &mut Vec<ObjectId>) {
-        match self {
-            PlanNode::Conj(cs) => out.extend(cs.iter().map(|c| c.object)),
-            PlanNode::And(children) | PlanNode::Or(children) => {
-                for c in children {
-                    c.objects(out);
+    /// Every constraint of the tree, pre-order and left to right (the
+    /// plan's selectivity-ordered evaluation order).
+    pub fn constraints(&self) -> impl Iterator<Item = &ObjConstraint> + '_ {
+        let mut stack: Vec<&PlanNode> = vec![self];
+        let mut conj = [].iter();
+        std::iter::from_fn(move || loop {
+            if let Some(c) = conj.next() {
+                return Some(c);
+            }
+            match stack.pop()? {
+                PlanNode::Conj(cs) => conj = cs.iter(),
+                PlanNode::And(children) | PlanNode::Or(children) => {
+                    stack.extend(children.iter().rev())
                 }
             }
-        }
+        })
+    }
+
+    /// All objects referenced by the node.
+    pub fn objects(&self, out: &mut Vec<ObjectId>) {
+        out.extend(self.constraints().map(|c| c.object));
     }
 
     /// Whether any constraint interval is empty (the whole conjunction

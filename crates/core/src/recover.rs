@@ -17,21 +17,18 @@
 //!   crash / transient fault) or panics (caught by
 //!   [`ServerPool::try_broadcast`]). An *erroring* server is detected the
 //!   moment its error response arrives — at its own simulated elapsed
-//!   time. A *panicking* server never responds and is detected at the
-//!   configured `server_timeout`, or, with the default unbounded timeout,
-//!   once every responsive server of the round has reported.
-//! * With a finite `server_timeout`, a server **too slow** for it is
-//!   quarantined for the rest of the query and its slots reassigned —
-//!   unless no faster server is alive, in which case its results are
-//!   accepted (a query with at least one live server always completes).
+//!   time. A *panicking* server never responds and is detected once every
+//!   responsive server of the round has reported.
+//! * A slow server is never abandoned: its results are accepted whenever
+//!   they arrive, so slowness inflates time, not results.
 //! * **Retry rounds** reassign unfinished slots across the live servers
 //!   with [`pdc_server::assign::balanced_by_weight`], up to
-//!   `max_retries` rounds; beyond that the query fails with
+//!   [`MAX_RETRIES`] rounds; beyond that the query fails with
 //!   [`PdcError::RetriesExhausted`].
 //!
 //! All timing is simulated: round time is the maximum per-server
 //! contribution (evaluation × slowdown + result transfer, or the
-//! detection time for failed/slow servers), rounds are sequential, and
+//! detection time for failed servers), rounds are sequential, and
 //! everything beyond the fault-free critical path is surfaced as the
 //! `recovery` component of the cost breakdown.
 //!
@@ -53,22 +50,8 @@ use pdc_server::{assign, Placement, ServerPool};
 use pdc_storage::{CostModel, SimDuration};
 use pdc_types::{PdcError, PdcResult, ServerId};
 
-/// Scheduling knobs for [`run_slots`] (mirrors the engine config).
-pub(crate) struct RecoveryPolicy {
-    /// Retry rounds allowed after the initial round.
-    pub max_retries: u32,
-    /// Simulated time after which the client abandons a server that has
-    /// not responded. [`SimDuration::MAX`] (the default) disables the
-    /// timeout: erroring servers are still detected from their error
-    /// responses, only unresponsive ones wait for the rest of the round.
-    pub server_timeout: SimDuration,
-}
-
-impl RecoveryPolicy {
-    fn has_timeout(&self) -> bool {
-        self.server_timeout != SimDuration::MAX
-    }
-}
+/// Retry rounds [`run_slots`] allows after the initial round.
+pub(crate) const MAX_RETRIES: u32 = 3;
 
 /// Everything one [`run_slots`] call produced.
 pub(crate) struct SlotRunOutput<R> {
@@ -80,13 +63,13 @@ pub(crate) struct SlotRunOutput<R> {
     /// Total evaluation wall time: sum over rounds of the round maximum.
     pub eval_time: SimDuration,
     /// The slice of `eval_time` attributable to failure handling
-    /// (timeout waits + retry rounds); zero on a fault-free run and under
+    /// (detection waits + retry rounds); zero on a fault-free run and under
     /// an active placement (which charges `failover` instead).
     pub recovery: SimDuration,
     /// The slice of `eval_time` spent failing slots over to replicas
     /// (placement mode only); zero on a fault-free run.
     pub failover: SimDuration,
-    /// Servers that failed or were quarantined during this run.
+    /// Servers that failed during this run.
     pub failed_servers: Vec<u32>,
     /// Retry rounds used (0 on a fault-free run).
     pub retry_rounds: u32,
@@ -112,7 +95,6 @@ struct BatchOut<R> {
 pub(crate) fn run_slots<R, F, B>(
     pool: &ServerPool<ServerState>,
     cost: &CostModel,
-    policy: &RecoveryPolicy,
     placement: Option<&Placement>,
     slot_weights: &[u64],
     ret_bytes: B,
@@ -131,7 +113,6 @@ where
 
     let mut batches: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut pending: Vec<u32> = Vec::new();
-    let mut quarantined = vec![false; n];
     // Servers that have already been handed each slot this run (so a
     // failover prefers a replica that has not been tried yet).
     let mut tried: Vec<Vec<u32>> = vec![Vec::new(); num_slots];
@@ -168,7 +149,6 @@ where
                 0..num_slots as u32,
                 p,
                 &alive,
-                &quarantined,
                 slot_weights,
             )
             .is_err()
@@ -226,7 +206,6 @@ where
         struct RoundEntry<R> {
             server: u32,
             contribution: SimDuration,
-            slow: bool,
             successes: Vec<(u32, R)>,
             failed_slots: Vec<u32>,
             died: bool,
@@ -271,8 +250,7 @@ where
                         failed_slots.sort_unstable();
                         entries.push(RoundEntry {
                             server: i as u32,
-                            contribution: adjusted.min(policy.server_timeout),
-                            slow: false,
+                            contribution: adjusted,
                             successes,
                             failed_slots,
                             died,
@@ -282,8 +260,6 @@ where
                         entries.push(RoundEntry {
                             server: i as u32,
                             contribution: adjusted + transfer,
-                            slow: policy.has_timeout()
-                                && adjusted + transfer > policy.server_timeout,
                             successes,
                             failed_slots,
                             died: false,
@@ -298,7 +274,6 @@ where
                     entries.push(RoundEntry {
                         server: i as u32,
                         contribution: SimDuration::ZERO, // patched below
-                        slow: false,
                         successes: Vec::new(),
                         failed_slots: batches[i].clone(),
                         died: true,
@@ -308,68 +283,34 @@ where
             }
         }
 
-        // A panicked server never responds: the client notices it at the
-        // timeout, or — with the timeout disabled — once every responsive
-        // server of the round has reported.
+        // A panicked server never responds: the client notices it once
+        // every responsive server of the round has reported.
         if entries.iter().any(|e| e.panicked) {
-            let detect = if policy.has_timeout() {
-                policy.server_timeout
-            } else {
-                entries
-                    .iter()
-                    .filter(|e| !e.panicked)
-                    .map(|e| e.contribution)
-                    .max()
-                    .unwrap_or(SimDuration::ZERO)
-            };
+            let detect = entries
+                .iter()
+                .filter(|e| !e.panicked)
+                .map(|e| e.contribution)
+                .max()
+                .unwrap_or(SimDuration::ZERO);
             for e in entries.iter_mut().filter(|e| e.panicked) {
                 e.contribution = detect;
             }
         }
 
-        // A slow server is quarantined only when a faster live server
-        // exists to take over; otherwise its results are accepted (a
-        // query with one live server must still complete). Under a
-        // placement the alternative must be a live, unquarantined
-        // *replica* of every slot the slow server holds.
-        let fast_alternative_exists = entries
-            .iter()
-            .any(|e| !e.slow && e.failed_slots.is_empty())
-            || (0..n).any(|s| alive[s] && !quarantined[s] && batches[s].is_empty());
-
         let mut round_max = SimDuration::ZERO;
         let mut healthy_max = SimDuration::ZERO;
-        for mut e in entries {
-            let quarantine_slow = e.slow
-                && match placement {
-                    None => fast_alternative_exists,
-                    Some(p) => batches[e.server as usize].iter().all(|&slot| {
-                        p.replicas(slot).iter().any(|&q| {
-                            q != e.server && alive[q as usize] && !quarantined[q as usize]
-                        })
-                    }),
-                };
-            if !e.failed_slots.is_empty() || quarantine_slow {
+        for e in entries {
+            if !e.failed_slots.is_empty() {
                 if e.died {
                     alive[e.server as usize] = false;
-                } else if quarantine_slow {
-                    quarantined[e.server as usize] = true;
                 }
                 // A transiently-erroring server stays a reassignment
                 // candidate — its next access may succeed; only crashes
-                // remove it and only slowness quarantines it.
+                // remove it.
                 if !failed_servers.contains(&e.server) {
                     failed_servers.push(e.server);
                 }
-                if quarantine_slow {
-                    // The client stops waiting at the timeout.
-                    e.contribution = policy.server_timeout;
-                    pending.extend(e.successes.iter().map(|(slot, _)| *slot));
-                }
                 pending.extend(&e.failed_slots);
-                if quarantine_slow {
-                    e.successes.clear();
-                }
             } else {
                 healthy_max = healthy_max.max(e.contribution);
             }
@@ -397,7 +338,7 @@ where
             break;
         }
         retry_rounds += 1;
-        if retry_rounds > policy.max_retries {
+        if retry_rounds > MAX_RETRIES {
             return Err(PdcError::RetriesExhausted { attempts: retry_rounds });
         }
         pending.sort_unstable();
@@ -405,7 +346,7 @@ where
         batches.iter_mut().for_each(Vec::clear);
         match placement {
             None => {
-                if !(0..n).any(|s| alive[s] && !quarantined[s]) {
+                if !alive.iter().any(|&a| a) {
                     let server = *pending.first().unwrap_or(&0);
                     return Err(PdcError::ServerFailed {
                         server,
@@ -415,9 +356,7 @@ where
                         ),
                     });
                 }
-                let candidates: Vec<bool> =
-                    (0..n).map(|s| alive[s] && !quarantined[s]).collect();
-                distribute(&mut batches, &pending, &candidates, slot_weights);
+                distribute(&mut batches, &pending, &alive, slot_weights);
             }
             Some(p) => {
                 // Each unfinished slot fails over to the next live
@@ -429,7 +368,6 @@ where
                     pending.iter().copied(),
                     p,
                     &alive,
-                    &quarantined,
                     slot_weights,
                 )
                 .is_err()
@@ -459,7 +397,7 @@ where
 }
 
 /// Route each slot to the best replica of its set — untried first, then
-/// unquarantined, then **replica rank**, then projected load, then server
+/// **replica rank**, then projected load, then server
 /// id — followed by a deterministic rebalance pass that moves a slot to a
 /// less-loaded live replica only when that strictly narrows the load
 /// spread. Rank-before-load keeps routing *anchor-affine*: the replica
@@ -474,7 +412,6 @@ fn route_replicated(
     slots: impl Iterator<Item = u32>,
     p: &Placement,
     alive: &[bool],
-    quarantined: &[bool],
     weights: &[u64],
 ) -> Result<(), u32> {
     let mut load = vec![0u64; batches.len()];
@@ -486,21 +423,15 @@ fn route_replicated(
             .enumerate()
             .filter(|&(_, &q)| alive[q as usize])
             .min_by_key(|&(rank, &q)| {
-                (
-                    tried[slot as usize].contains(&q),
-                    quarantined[q as usize],
-                    rank,
-                    load[q as usize],
-                    q,
-                )
+                (tried[slot as usize].contains(&q), rank, load[q as usize], q)
             })
             .map(|(_, &q)| q);
         let Some(q) = pick else { return Err(slot) };
         load[q as usize] += weights[slot as usize].max(1);
         placed.push((slot, q));
     }
-    // Local search: shed work from overloaded servers onto live, untried,
-    // unquarantined replicas while each move strictly lowers the sum of
+    // Local search: shed work from overloaded servers onto live, untried
+    // replicas while each move strictly lowers the sum of
     // squared loads (so it terminates and the makespan never grows). On a
     // balanced layout no move qualifies and the affine routing survives
     // untouched.
@@ -515,10 +446,7 @@ fn route_replicated(
                 .iter()
                 .copied()
                 .filter(|&q| {
-                    q != cur
-                        && alive[q as usize]
-                        && !quarantined[q as usize]
-                        && !tried[slot as usize].contains(&q)
+                    q != cur && alive[q as usize] && !tried[slot as usize].contains(&q)
                 })
                 .min_by_key(|&q| (load[q as usize], q));
             if let Some(alt) = alt {

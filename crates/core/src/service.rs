@@ -53,6 +53,8 @@ use pdc_types::{PdcError, PdcResult};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
+pub use pdc_types::splitmix64;
+
 // ---------------------------------------------------------------------
 // ScheduleClock — the shared client-overhead + makespan accounting
 // ---------------------------------------------------------------------
@@ -397,16 +399,6 @@ pub fn percentile(sorted: &[SimDuration], p: f64) -> SimDuration {
 // ---------------------------------------------------------------------
 // Deterministic open-loop arrival generation
 // ---------------------------------------------------------------------
-
-/// One splitmix64 step (deterministic, seedable — the repo's standard
-/// cheap PRNG).
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Open-loop Poisson arrival times: exponential inter-arrivals at
 /// `rate_hz` (simulated arrivals per simulated second) until `horizon`.

@@ -471,14 +471,7 @@ impl ServerState {
     /// Charge CPU time for work done since `before` (callers snapshot the
     /// counters, do the work, then settle).
     pub fn settle_cpu(&mut self, cost: &CostModel, before: &WorkCounters) {
-        let delta = WorkCounters {
-            elements_scanned: self.work.elements_scanned - before.elements_scanned,
-            bitmap_words: self.work.bitmap_words - before.bitmap_words,
-            sorted_probes: self.work.sorted_probes - before.sorted_probes,
-            histogram_bins: self.work.histogram_bins - before.histogram_bins,
-            elements_gathered: self.work.elements_gathered - before.elements_gathered,
-        };
-        self.clock.advance(cost.cpu.work_cost(&delta));
+        self.clock.advance(cost.cpu.work_cost(&self.work.since(before)));
     }
 
     /// Elapsed simulated time since `mark`.

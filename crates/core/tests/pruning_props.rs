@@ -26,7 +26,7 @@
 //! 3. **Joint invariance**: registering a joint-bounds grid kills
 //!    additional candidate regions but never changes the selection.
 
-use pdc_directory::{DirectoryConfig, RegionDirectory};
+use pdc_directory::RegionDirectory;
 use pdc_odms::{ImportOptions, Odms};
 use pdc_query::{
     apply_corruption, EngineConfig, MetaSnapshot, PdcQuery, QueryEngine, QueryOutcome, Strategy,
@@ -83,7 +83,7 @@ fn build_world() -> World {
 /// fewer than the metadata describes, so it is unusable and candidate
 /// resolution falls back to walking every region.
 fn strip_directory(world: &World, obj: ObjectId) {
-    world.odms.meta().set_directory(obj, RegionDirectory::new(DirectoryConfig::default()));
+    world.odms.meta().set_directory(obj, RegionDirectory::new());
     let snap = MetaSnapshot::capture(&world.odms, &[obj]).unwrap();
     assert!(snap.directory(obj).is_none(), "a lagging directory must be refused");
 }
@@ -294,7 +294,7 @@ fn prewarm_ignores_a_directory_shorter_than_the_metadata() {
     short
         .odms
         .meta()
-        .set_directory(short.energy, RegionDirectory::from_bounds(DirectoryConfig::default(), &half));
+        .set_directory(short.energy, RegionDirectory::from_bounds(&half));
     let batch = |w: &World| {
         let queries = [
             PdcQuery::create(w.energy, QueryOp::Gt, 2.0f32),

@@ -22,28 +22,20 @@
 use pdc_types::Interval;
 use std::collections::BTreeMap;
 
-/// Bin-hierarchy shape: `levels` nested levels above the finest, each
-/// coarsening the bin width by `2^level_bits`; intervals too wide even
-/// for the coarsest level land in a single root bin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DirectoryConfig {
-    /// Number of non-root levels.
-    pub levels: u8,
-    /// log2 of the fan-out between adjacent levels.
-    pub level_bits: u32,
-    /// Right-shift applied to the 64-bit value key at the finest level.
-    pub base_shift: u32,
-}
+// Bin-hierarchy shape: `LEVELS` nested levels above the finest, each
+// coarsening the bin width by `2^LEVEL_BITS`; intervals too wide even for
+// the coarsest level land in a single root bin (level `LEVELS`, id 0).
+// Finest bins cover 2^46 key units (1/64 of one f64 binade); four levels
+// of 16x fan-out reach 2^58 before falling back to the root bin. Small
+// enough to discriminate clustered region bounds, coarse enough that a
+// directory stays a handful of bins.
 
-impl Default for DirectoryConfig {
-    fn default() -> Self {
-        // Finest bins cover 2^46 key units (1/64 of one f64 binade); four
-        // levels of 16x fan-out reach 2^58 before falling back to the
-        // root bin. Small enough to discriminate clustered region bounds,
-        // coarse enough that a directory stays a handful of bins.
-        Self { levels: 4, level_bits: 4, base_shift: 46 }
-    }
-}
+/// Number of non-root levels.
+const LEVELS: u8 = 4;
+/// log2 of the fan-out between adjacent levels.
+const LEVEL_BITS: u32 = 4;
+/// Right-shift applied to the 64-bit value key at the finest level.
+const BASE_SHIFT: u32 = 46;
 
 /// Order-preserving `f64 → u64` key: flips the sign bit for positives and
 /// all bits for negatives, so `a <= b ⇔ key(a) <= key(b)` for all
@@ -56,6 +48,22 @@ fn value_key(v: f64) -> u64 {
     } else {
         b ^ (1 << 63)
     }
+}
+
+fn shift(level: u8) -> u32 {
+    (BASE_SHIFT + u32::from(level) * LEVEL_BITS).min(63)
+}
+
+/// The smallest bin fully containing `[mn, mx]`.
+fn place(mn: f64, mx: f64) -> (u8, u64) {
+    let (klo, khi) = (value_key(mn), value_key(mx));
+    for level in 0..LEVELS {
+        let s = shift(level);
+        if klo >> s == khi >> s {
+            return (level, klo >> s);
+        }
+    }
+    (LEVELS, 0)
 }
 
 /// Result of one directory probe.
@@ -74,25 +82,24 @@ pub struct DirectoryProbe {
 
 /// The hierarchical region directory of one object: per-region value
 /// bounds plus the sparse bin tree that indexes them.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegionDirectory {
-    cfg: DirectoryConfig,
     /// `(level, bin id) → regions stored in that bin`, regions ascending.
-    /// Level `cfg.levels` is the root bin (id 0).
+    /// Level `LEVELS` is the root bin (id 0).
     bins: BTreeMap<(u8, u64), Vec<u32>>,
     /// Observed `[min, max]` per region, indexed by region number.
     bounds: Vec<(f64, f64)>,
 }
 
 impl RegionDirectory {
-    /// An empty directory with the given hierarchy shape.
-    pub fn new(cfg: DirectoryConfig) -> Self {
-        Self { cfg, bins: BTreeMap::new(), bounds: Vec::new() }
+    /// An empty directory.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Build from per-region `[min, max]` bounds (region `r` = `bounds[r]`).
-    pub fn from_bounds(cfg: DirectoryConfig, bounds: &[(f64, f64)]) -> Self {
-        let mut d = Self::new(cfg);
+    pub fn from_bounds(bounds: &[(f64, f64)]) -> Self {
+        let mut d = Self::new();
         for &(mn, mx) in bounds {
             d.push_region(mn, mx);
         }
@@ -114,29 +121,13 @@ impl RegionDirectory {
         self.bounds.get(region as usize).copied()
     }
 
-    fn shift(&self, level: u8) -> u32 {
-        (self.cfg.base_shift + u32::from(level) * self.cfg.level_bits).min(63)
-    }
-
-    /// The smallest bin fully containing `[mn, mx]`.
-    fn place(&self, mn: f64, mx: f64) -> (u8, u64) {
-        let (klo, khi) = (value_key(mn), value_key(mx));
-        for level in 0..self.cfg.levels {
-            let s = self.shift(level);
-            if klo >> s == khi >> s {
-                return (level, klo >> s);
-            }
-        }
-        (self.cfg.levels, 0)
-    }
-
     /// Append the next region (number `self.num_regions()`) with observed
     /// bounds `[mn, mx]` — the ingest path for a freshly sealed or newly
     /// created tail region.
     pub fn push_region(&mut self, mn: f64, mx: f64) {
         let r = self.bounds.len() as u32;
         self.bounds.push((mn, mx));
-        let slot = self.place(mn, mx);
+        let slot = place(mn, mx);
         let v = self.bins.entry(slot).or_default();
         let at = v.partition_point(|&x| x < r);
         v.insert(at, r);
@@ -150,8 +141,8 @@ impl RegionDirectory {
         };
         let old = *slot;
         *slot = (mn, mx);
-        let from = self.place(old.0, old.1);
-        let to = self.place(mn, mx);
+        let from = place(old.0, old.1);
+        let to = place(mn, mx);
         if from == to {
             return;
         }
@@ -178,11 +169,11 @@ impl RegionDirectory {
         }
         let klo = interval.lo.map_or(0, |b| value_key(b.value));
         let khi = interval.hi.map_or(u64::MAX, |b| value_key(b.value));
-        for level in 0..=self.cfg.levels {
-            let (blo, bhi) = if level == self.cfg.levels {
+        for level in 0..=LEVELS {
+            let (blo, bhi) = if level == LEVELS {
                 (0, 0)
             } else {
-                let s = self.shift(level);
+                let s = shift(level);
                 (klo >> s, khi >> s)
             };
             for (_, regions) in self.bins.range((level, blo)..=(level, bhi)) {
@@ -208,8 +199,8 @@ impl RegionDirectory {
     }
 
     /// Validate against the region count the metadata claims: every
-    /// region indexed exactly once, in exactly the bin [`Self::place`]
-    /// assigns it, with non-NaN bounds. A directory failing this cannot
+    /// region indexed exactly once, in exactly the bin [`place`] assigns
+    /// it, with non-NaN bounds. A directory failing this cannot
     /// be trusted for candidate resolution and must be rebuilt from the
     /// region histograms.
     pub fn self_check(&self, num_regions: u32) -> bool {
@@ -225,7 +216,7 @@ impl RegionDirectory {
                 if mn.is_nan() || mx.is_nan() {
                     return false;
                 }
-                if seen[r as usize] || self.place(mn, mx) != slot {
+                if seen[r as usize] || place(mn, mx) != slot {
                     return false;
                 }
                 seen[r as usize] = true;
@@ -235,7 +226,7 @@ impl RegionDirectory {
     }
 
     /// A deterministically corrupted clone for integrity-injection tests:
-    /// one region is re-homed to a bin [`Self::place`] would never assign
+    /// one region is re-homed to a bin [`place`] would never assign
     /// it, so [`Self::self_check`] is guaranteed to reject the result.
     pub fn corrupted_copy(&self, seed: u64) -> RegionDirectory {
         let mut bad = self.clone();
@@ -245,7 +236,7 @@ impl RegionDirectory {
         }
         let victim = (seed % bad.bounds.len() as u64) as u32;
         let (mn, mx) = bad.bounds[victim as usize];
-        let from = bad.place(mn, mx);
+        let from = place(mn, mx);
         if let Some(v) = bad.bins.get_mut(&from) {
             if let Ok(at) = v.binary_search(&victim) {
                 v.remove(at);
@@ -256,7 +247,7 @@ impl RegionDirectory {
         }
         // Root-level bin 1 is unreachable: place() only ever emits root
         // bin 0.
-        bad.bins.entry((bad.cfg.levels, 1)).or_default().push(victim);
+        bad.bins.entry((LEVELS, 1)).or_default().push(victim);
         bad
     }
 }
@@ -315,7 +306,7 @@ mod tests {
         for seed in [1u64, 7, 42] {
             let regions = gen_regions(seed, 40, 64);
             let bounds = bounds_of(&regions);
-            let d = RegionDirectory::from_bounds(DirectoryConfig::default(), &bounds);
+            let d = RegionDirectory::from_bounds(&bounds);
             assert!(d.self_check(40));
             for iv in [
                 Interval::open(-10.0, 10.0),
@@ -353,7 +344,7 @@ mod tests {
         // examine far fewer region entries than the 80-region full walk.
         let bounds: Vec<(f64, f64)> =
             (0..80).map(|r| (r as f64 * 4.0, r as f64 * 4.0 + 3.9)).collect();
-        let d = RegionDirectory::from_bounds(DirectoryConfig::default(), &bounds);
+        let d = RegionDirectory::from_bounds(&bounds);
         let probe = d.probe(&Interval::open(100.0, 120.0));
         assert!(!probe.candidates.is_empty());
         assert!(
@@ -365,10 +356,7 @@ mod tests {
 
     #[test]
     fn update_region_rehomes_bins() {
-        let mut d = RegionDirectory::from_bounds(
-            DirectoryConfig::default(),
-            &[(0.0, 1.0), (5.0, 6.0)],
-        );
+        let mut d = RegionDirectory::from_bounds(&[(0.0, 1.0), (5.0, 6.0)]);
         // Widen region 1 drastically: must move to a coarser bin and stay
         // consistent.
         d.update_region(1, 5.0, 4000.0);
@@ -384,8 +372,8 @@ mod tests {
     fn push_region_matches_from_bounds() {
         let bounds: Vec<(f64, f64)> =
             (0..20).map(|r| (r as f64, r as f64 + 0.5)).collect();
-        let whole = RegionDirectory::from_bounds(DirectoryConfig::default(), &bounds);
-        let mut incr = RegionDirectory::new(DirectoryConfig::default());
+        let whole = RegionDirectory::from_bounds(&bounds);
+        let mut incr = RegionDirectory::new();
         for &(mn, mx) in &bounds {
             incr.push_region(mn, mx);
         }
@@ -394,7 +382,7 @@ mod tests {
 
     #[test]
     fn empty_region_sentinel_is_never_a_candidate() {
-        let mut d = RegionDirectory::new(DirectoryConfig::default());
+        let mut d = RegionDirectory::new();
         d.push_region(f64::INFINITY, f64::NEG_INFINITY);
         d.push_region(0.0, 1.0);
         assert!(d.self_check(2));
@@ -405,7 +393,7 @@ mod tests {
     fn corrupted_copy_always_fails_self_check() {
         let bounds: Vec<(f64, f64)> =
             (0..17).map(|r| (r as f64 * 2.0, r as f64 * 2.0 + 1.0)).collect();
-        let d = RegionDirectory::from_bounds(DirectoryConfig::default(), &bounds);
+        let d = RegionDirectory::from_bounds(&bounds);
         for seed in 0..24u64 {
             let bad = d.corrupted_copy(seed);
             assert!(!bad.self_check(17), "seed {seed} escaped detection");

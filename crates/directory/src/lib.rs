@@ -26,5 +26,5 @@
 pub mod binning;
 pub mod joint;
 
-pub use binning::{DirectoryConfig, DirectoryProbe, RegionDirectory};
+pub use binning::{DirectoryProbe, RegionDirectory};
 pub use joint::{JointGrid, JOINT_GRID_DIM};

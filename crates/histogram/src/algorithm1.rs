@@ -34,10 +34,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Tunables for histogram construction.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HistogramConfig {
     /// Lower bound on the number of bins (`N_bin` in Algorithm 1). The
     /// paper uses 50–100 bins per region depending on region size.
@@ -76,7 +75,7 @@ impl Default for HistogramConfig {
 /// additionally absorb any values outside the sampled range; the *actual*
 /// observed `[min, max]` is stored alongside and is what region pruning
 /// uses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Power-of-two bin width (`2^x`, `x` may be negative).
     bin_width: f64,

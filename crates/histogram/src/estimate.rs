@@ -14,10 +14,9 @@
 
 use crate::algorithm1::Histogram;
 use pdc_types::Interval;
-use serde::{Deserialize, Serialize};
 
 /// Lower/upper bounds on the number of hits for a query interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HitBounds {
     /// Hits guaranteed (bins fully covered by the interval).
     pub lower: u64,

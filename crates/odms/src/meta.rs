@@ -5,7 +5,6 @@
 //! relations to other objects, etc."
 
 use pdc_types::{ContainerId, ObjectId, PdcType, RegionSpec, Shape};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -14,7 +13,7 @@ use std::fmt;
 /// Floats hash/compare by bit pattern so attribute values can key the
 /// metadata service's inverted index (tag queries like `RADEG = 153.17`
 /// compare exactly, as in H5BOSS).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum MetaValue {
     /// A string tag.
     Str(String),
@@ -83,7 +82,7 @@ impl From<f64> for MetaValue {
 }
 
 /// Metadata of one data object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectMeta {
     /// Object id.
     pub id: ObjectId,

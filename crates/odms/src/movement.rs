@@ -14,14 +14,13 @@
 use crate::system::Odms;
 use pdc_types::{ObjectId, PdcResult, RegionId};
 use pdc_storage::StorageTier;
-use serde::{Deserialize, Serialize};
 
 /// What a staging operation did. A staging pass *visits* every addressed
 /// region (verifying and re-homing it), but only regions that were not
 /// already on the target tier *move* bytes — the two counts answer
 /// different questions ("what did you cover?" vs "what did it cost?") and
 /// are reported separately.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MoveReport {
     /// Regions the pass addressed (already-resident ones included).
     pub regions_visited: u32,
@@ -33,7 +32,7 @@ pub struct MoveReport {
 }
 
 /// What a replication rebuild copied to new replica servers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RebuildReport {
     /// Regions copied.
     pub regions: u32,

@@ -17,11 +17,10 @@ use pdc_histogram::Histogram;
 use pdc_sorted::SortedReplica;
 use pdc_storage::fnv1a64;
 use pdc_types::{PdcError, PdcResult};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A point-in-time serializable image of the metadata service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetadataSnapshot {
     /// Snapshot format version.
     pub version: u32,
@@ -601,7 +600,6 @@ mod tests {
             build_index: true,
             build_sorted: true,
             attrs,
-            ..Default::default()
         };
         odms.import_array(c, "v", TypedVec::Float(data), &opts).unwrap();
         odms.meta().snapshot()

@@ -18,7 +18,7 @@ use crate::service::MetadataService;
 use parking_lot::RwLock;
 use pdc_bitmap::{BinnedBitmapIndex, BinningConfig};
 use pdc_bitmap::index::ValueDomain;
-use pdc_directory::{DirectoryConfig, JointGrid, RegionDirectory};
+use pdc_directory::{JointGrid, RegionDirectory};
 use pdc_histogram::{Histogram, HistogramConfig};
 use pdc_sorted::SortedReplica;
 use pdc_storage::{ObjectStore, StorageTier, StoredPayload};
@@ -26,17 +26,16 @@ use pdc_types::{ContainerId, ObjectId, PdcResult, RegionId, TypedVec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Options controlling an import.
+/// Options controlling an import. Histograms and bitmap indexes are
+/// always built with the default [`HistogramConfig`] / [`BinningConfig`]
+/// (the paper's fixed parameters), the same configuration appends and
+/// integrity rebuilds use, so a rebuilt artifact equals the imported one.
 #[derive(Debug, Clone)]
 pub struct ImportOptions {
     /// Region size in bytes (the paper sweeps 4 MB – 128 MB).
     pub region_bytes: u64,
-    /// Histogram construction parameters.
-    pub histogram: HistogramConfig,
     /// Build a per-region bitmap index?
     pub build_index: bool,
-    /// Bitmap binning parameters.
-    pub binning: BinningConfig,
     /// Build a value-sorted replica?
     pub build_sorted: bool,
     /// User attributes to attach.
@@ -47,12 +46,19 @@ impl Default for ImportOptions {
     fn default() -> Self {
         Self {
             region_bytes: 1 << 20,
-            histogram: HistogramConfig::default(),
             build_index: false,
-            binning: BinningConfig::default(),
             build_sorted: false,
             attrs: BTreeMap::new(),
         }
+    }
+}
+
+/// The bitmap-index value domain of an element type.
+fn value_domain(ty: pdc_types::PdcType) -> ValueDomain {
+    match ty {
+        pdc_types::PdcType::Float => ValueDomain::F32,
+        pdc_types::PdcType::Double => ValueDomain::F64,
+        _ => ValueDomain::Integer,
     }
 }
 
@@ -292,6 +298,9 @@ impl Odms {
         // only array-sized memory an import allocates is the payloads it
         // stores.
         let mut region_f64: Vec<f64> = Vec::new();
+        let hist_cfg = HistogramConfig::default();
+        let binning = BinningConfig::default();
+        let domain = value_domain(data.pdc_type());
         for (i, span) in regions.iter().enumerate() {
             let rid = RegionId::new(id, i as u32);
             let payload = data.slice(span.offset as usize, span.len as usize);
@@ -301,19 +310,14 @@ impl Odms {
             let slice_f64 = &region_f64[..];
 
             // Automatic local histogram (Algorithm 1), per region.
-            let hist = Histogram::build(slice_f64, &opts.histogram)
+            let hist = Histogram::build(slice_f64, &hist_cfg)
                 .expect("non-empty region must yield a histogram");
             hists.push(hist);
 
             // Optional per-region bitmap index, serialized like an index
             // file and stored alongside the data.
             if let Some(idx_obj) = index_object {
-                let domain = match data.pdc_type() {
-                    pdc_types::PdcType::Float => ValueDomain::F32,
-                    pdc_types::PdcType::Double => ValueDomain::F64,
-                    _ => ValueDomain::Integer,
-                };
-                let index = BinnedBitmapIndex::build_with_domain(slice_f64, &opts.binning, domain)
+                let index = BinnedBitmapIndex::build_with_domain(slice_f64, &binning, domain)
                     .expect("non-empty region must yield an index");
                 let bytes = index.to_bytes();
                 index_sizes.push(bytes.len() as u64);
@@ -338,7 +342,6 @@ impl Odms {
         // time like the histograms themselves, before the object's
         // registration makes it queryable.
         let dir = RegionDirectory::from_bounds(
-            DirectoryConfig::default(),
             &hists.iter().map(|h| (h.min(), h.max())).collect::<Vec<_>>(),
         );
         report.directory_bytes = dir.size_bytes();
@@ -608,9 +611,8 @@ impl Odms {
 
     /// Rebuild one region's bitmap index from its (verified) data payload
     /// and store it back, replacing a copy that failed checksum or decode
-    /// validation. The original binning configuration is not persisted, so
-    /// the rebuild uses the default — any valid index yields exact
-    /// answers, so query results are unaffected. Returns the serialized
+    /// validation. Import uses the same default binning, so the rebuilt
+    /// index is byte-identical to the imported one. Returns the serialized
     /// size of the rebuilt index (for cost charging).
     pub fn rebuild_index_region(&self, data_object: ObjectId, region: u32) -> PdcResult<u64> {
         let meta = self.meta.get(data_object)?;
@@ -619,11 +621,7 @@ impl Odms {
         })?;
         let payload = self.store.get_typed(RegionId::new(data_object, region))?;
         let values = payload.to_f64_vec();
-        let domain = match meta.pdc_type {
-            pdc_types::PdcType::Float => ValueDomain::F32,
-            pdc_types::PdcType::Double => ValueDomain::F64,
-            _ => ValueDomain::Integer,
-        };
+        let domain = value_domain(meta.pdc_type);
         let index = BinnedBitmapIndex::build_with_domain(&values, &BinningConfig::default(), domain)
             .ok_or_else(|| {
                 pdc_types::PdcError::Codec(format!(
@@ -643,10 +641,10 @@ impl Odms {
 
     /// Rebuild one region's local histogram from its data payload and
     /// re-register it (re-merging the object's global histogram),
-    /// replacing a copy that failed [`Histogram::self_check`]. Uses the
-    /// default histogram configuration — any valid histogram yields true
-    /// upper bounds, so pruning stays exact. Returns the rebuilt
-    /// histogram's metadata footprint in bytes.
+    /// replacing a copy that failed [`Histogram::self_check`]. Import uses
+    /// the same default histogram configuration, so the rebuilt histogram
+    /// equals the imported one. Returns the rebuilt histogram's metadata
+    /// footprint in bytes.
     pub fn rebuild_region_histogram(&self, object: ObjectId, region: u32) -> PdcResult<u64> {
         let payload = self.store.get_typed(RegionId::new(object, region))?;
         let values = payload.to_f64_vec();
@@ -787,7 +785,7 @@ impl Odms {
     pub fn rebuild_directory(&self, object: ObjectId) -> PdcResult<u64> {
         let hists = self.meta.region_histograms(object)?;
         let bounds: Vec<(f64, f64)> = hists.iter().map(|h| (h.min(), h.max())).collect();
-        let dir = RegionDirectory::from_bounds(DirectoryConfig::default(), &bounds);
+        let dir = RegionDirectory::from_bounds(&bounds);
         let size = dir.size_bytes();
         self.meta.set_directory(object, dir);
         // Metadata-only mutation (see rebuild_region_histogram).
@@ -980,6 +978,35 @@ mod tests {
         assert!(hists[2].self_check(meta.region_span(2).len));
         // global histogram re-merged to the true total
         assert_eq!(odms.meta().global_histogram(report.object).unwrap().total(), 5000);
+    }
+
+    /// Import, append and rebuild share one histogram / binning / directory
+    /// configuration, so rebuilding an intact artifact reproduces the
+    /// import-time one exactly — not merely a valid one.
+    #[test]
+    fn aux_rebuilds_reproduce_the_import_exactly() {
+        let opts = ImportOptions { region_bytes: 4096, build_index: true, ..Default::default() };
+        let ints = TypedVec::Int32((0..3000).map(|i| (i * 37) % 1001 - 500).collect());
+        for data in [vpic_like(5000), ints] {
+            let odms = Odms::new(8);
+            let c = odms.create_container("test");
+            let obj = odms.import_array(c, "v", data, &opts).unwrap().object;
+            let regions = odms.meta().get(obj).unwrap().num_regions();
+            let hists = odms.meta().region_histograms(obj).unwrap();
+            let global = odms.meta().global_histogram(obj).unwrap();
+            let dir = odms.meta().directory(obj).unwrap();
+            for r in 0..regions {
+                let index = odms.read_index_region(obj, r).unwrap();
+                odms.rebuild_region_histogram(obj, r).unwrap();
+                odms.rebuild_index_region(obj, r).unwrap();
+                let rebuilt = odms.meta().region_histograms(obj).unwrap();
+                assert_eq!(rebuilt[r as usize], hists[r as usize], "histogram of region {r}");
+                assert_eq!(odms.read_index_region(obj, r).unwrap(), index, "index of region {r}");
+            }
+            assert_eq!(*odms.meta().global_histogram(obj).unwrap(), *global);
+            odms.rebuild_directory(obj).unwrap();
+            assert_eq!(*odms.meta().directory(obj).unwrap(), *dir);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! storage errors, and the recovery machinery upstream cannot tell them
 //! apart — which is the point.
 
-use pdc_types::{PdcError, PdcResult};
+use pdc_types::{splitmix64, PdcError, PdcResult};
 use std::collections::BTreeMap;
 
 /// What goes wrong on one logical server.
@@ -86,11 +86,11 @@ impl CorruptionSpec {
             return Vec::new();
         }
         let count = ((n as f64 * fraction).ceil() as usize).min(n);
-        let mut rng = SplitMix::new(self.seed ^ salt);
+        let mut rng = self.seed ^ salt ^ RNG_SALT;
         let mut pool: Vec<usize> = (0..n).collect();
         // Partial Fisher-Yates: the first `count` entries are the victims.
         for i in 0..count {
-            let j = i + (rng.next() % (n as u64 - i as u64)) as usize;
+            let j = i + (splitmix64(&mut rng) % (n as u64 - i as u64)) as usize;
             pool.swap(i, j);
         }
         let mut out = pool[..count].to_vec();
@@ -149,11 +149,11 @@ impl FaultPlan {
     /// mid-evaluation crash points.
     pub fn kill_count(count: u32, num_servers: u32, seed: u64) -> Self {
         let count = count.min(num_servers);
-        let mut rng = SplitMix::new(seed);
+        let mut rng = seed ^ RNG_SALT;
         let mut victims: Vec<u32> = (0..num_servers).collect();
         // Partial Fisher-Yates: the first `count` entries are the victims.
         for i in 0..count as usize {
-            let j = i + (rng.next() % (num_servers as u64 - i as u64)) as usize;
+            let j = i + (splitmix64(&mut rng) % (num_servers as u64 - i as u64)) as usize;
             victims.swap(i, j);
         }
         let mut plan = Self::new();
@@ -169,31 +169,34 @@ impl FaultPlan {
     /// transient errors, or a few transient corrupt reads — but at least
     /// one server always stays healthy.
     pub fn seeded(seed: u64, num_servers: u32) -> Self {
-        let mut rng = SplitMix::new(seed);
+        let mut rng = seed ^ RNG_SALT;
         let mut plan = Self::new();
         let mut crashes = 0;
         for s in 0..num_servers {
-            if !rng.next().is_multiple_of(4) {
+            if !splitmix64(&mut rng).is_multiple_of(4) {
                 continue;
             }
-            let spec = match rng.next() % 4 {
+            let spec = match splitmix64(&mut rng) % 4 {
                 // Never crash the last healthy-by-construction candidate:
                 // leaving at least one server alive keeps every seeded
                 // plan recoverable.
                 0 if crashes + 1 < num_servers => {
                     crashes += 1;
-                    ServerFaultSpec { crash_at_access: Some(rng.next() % 16), ..Default::default() }
+                    ServerFaultSpec {
+                        crash_at_access: Some(splitmix64(&mut rng) % 16),
+                        ..Default::default()
+                    }
                 }
                 1 => ServerFaultSpec {
-                    slowdown: 1.5 + (rng.next() % 100) as f64 / 10.0,
+                    slowdown: 1.5 + (splitmix64(&mut rng) % 100) as f64 / 10.0,
                     ..Default::default()
                 },
                 2 => ServerFaultSpec {
-                    transient_errors: 1 + (rng.next() % 3) as u32,
+                    transient_errors: 1 + (splitmix64(&mut rng) % 3) as u32,
                     ..Default::default()
                 },
                 _ => ServerFaultSpec {
-                    corrupt_reads: 1 + (rng.next() % 2) as u32,
+                    corrupt_reads: 1 + (splitmix64(&mut rng) % 2) as u32,
                     ..Default::default()
                 },
             };
@@ -332,24 +335,8 @@ impl FaultProbe {
     }
 }
 
-/// Small deterministic generator for plan construction (SplitMix64).
-struct SplitMix {
-    state: u64,
-}
-
-impl SplitMix {
-    fn new(seed: u64) -> Self {
-        Self { state: seed ^ 0xD1B5_4A32_D192_ED03 }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
+/// Salt separating plan-construction streams from other uses of a seed.
+const RNG_SALT: u64 = 0xD1B5_4A32_D192_ED03;
 
 #[cfg(test)]
 mod tests {

@@ -27,6 +27,7 @@
 //! Everything is a pure function of `(seed, num_slots, n_anchor, k,
 //! membership)`: same seed ⇒ same layout, on every host.
 
+use pdc_types::mix64;
 use std::collections::HashMap;
 
 /// Servers per rack in the pseudo-topology (`rack = server / RACK_SIZE`).
@@ -70,15 +71,6 @@ pub struct Placement {
     seed: u64,
     members: Vec<u32>,
     sets: Vec<Vec<u32>>,
-}
-
-/// SplitMix64 finalizer — the same mixer the fault plans use, reproduced
-/// here so placement stays self-contained.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The rendezvous score of `server` for `slot` under `seed`.

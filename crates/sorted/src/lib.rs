@@ -19,12 +19,10 @@
 //! overhead experiment (E6) accounts for.
 
 use pdc_types::{Interval, RegionSpec, Run, Selection};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// A value-sorted copy of one object, with the original-coordinate
 /// permutation and per-region value ranges.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SortedReplica {
     /// Values in ascending order.
     keys: Vec<f64>,
@@ -101,7 +99,7 @@ impl SortedReplica {
         // order so the permutation is deterministic.
         let mut pairs: Vec<(u64, u64)> =
             delta.iter().enumerate().map(|(i, &v)| (total_key(v), base + i as u64)).collect();
-        pairs.par_sort_unstable();
+        pairs.sort_unstable();
 
         let n = self.keys.len() + delta.len();
         let mut keys = Vec::with_capacity(n);

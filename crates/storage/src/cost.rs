@@ -9,11 +9,10 @@
 //! orders of magnitude cheaper than PFS reads.
 
 use crate::sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// How a read is issued — determines request count and placement
 /// efficiency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadPattern {
     /// PDC's aggregated region read: one large, well-distributed request
     /// per region ("uses aggregation methods to merge small reads into
@@ -25,7 +24,7 @@ pub enum ReadPattern {
 }
 
 /// Lustre-like parallel file system model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PfsModel {
     /// Fixed cost per read/write request (metadata + RPC + seek) on the
     /// flat-file (chunked) path.
@@ -95,7 +94,7 @@ impl PfsModel {
 }
 
 /// DRAM (cache-hit) model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DramModel {
     /// Memory bandwidth, bytes/second.
     pub bandwidth: f64,
@@ -117,7 +116,7 @@ impl DramModel {
 /// Burst-buffer (NVRAM) tier model — the middle layer of the paper's
 /// "deep memory hierarchy": node-local flash, much faster than the shared
 /// PFS and not subject to cross-server contention, but slower than DRAM.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BurstBufferModel {
     /// Per-request latency.
     pub request_latency: SimDuration,
@@ -139,7 +138,7 @@ impl BurstBufferModel {
 }
 
 /// CPU evaluation model (single PDC server core).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CpuModel {
     /// Nanoseconds per element compared in a scan.
     pub scan_ns_per_element: f64,
@@ -180,7 +179,7 @@ impl CpuModel {
 }
 
 /// Interconnect model for client↔server messages.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NetworkModel {
     /// One-way message latency.
     pub latency: SimDuration,
@@ -209,7 +208,7 @@ impl NetworkModel {
 }
 
 /// The combined cost model used by every experiment.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// Parallel file system.
     pub pfs: PfsModel,

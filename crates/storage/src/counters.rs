@@ -5,10 +5,9 @@
 //! makes every experiment auditable (EXPERIMENTS.md prints them).
 
 use crate::sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Storage I/O counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoCounters {
     /// Bytes read from the parallel file system.
     pub pfs_bytes_read: u64,
@@ -37,10 +36,23 @@ impl IoCounters {
         self.bytes_written += other.bytes_written;
         self.write_requests += other.write_requests;
     }
+
+    /// The counts accumulated since the snapshot `before`.
+    pub fn since(&self, before: &IoCounters) -> Self {
+        Self {
+            pfs_bytes_read: self.pfs_bytes_read - before.pfs_bytes_read,
+            pfs_read_requests: self.pfs_read_requests - before.pfs_read_requests,
+            cache_bytes_read: self.cache_bytes_read - before.cache_bytes_read,
+            cache_hits: self.cache_hits - before.cache_hits,
+            cache_misses: self.cache_misses - before.cache_misses,
+            bytes_written: self.bytes_written - before.bytes_written,
+            write_requests: self.write_requests - before.write_requests,
+        }
+    }
 }
 
 /// CPU work counters (evaluation effort).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Elements compared during scans and candidate checks.
     pub elements_scanned: u64,
@@ -63,10 +75,21 @@ impl WorkCounters {
         self.histogram_bins += other.histogram_bins;
         self.elements_gathered += other.elements_gathered;
     }
+
+    /// The counts accumulated since the snapshot `before`.
+    pub fn since(&self, before: &WorkCounters) -> Self {
+        Self {
+            elements_scanned: self.elements_scanned - before.elements_scanned,
+            bitmap_words: self.bitmap_words - before.bitmap_words,
+            sorted_probes: self.sorted_probes - before.sorted_probes,
+            histogram_bins: self.histogram_bins - before.histogram_bins,
+            elements_gathered: self.elements_gathered - before.elements_gathered,
+        }
+    }
 }
 
 /// Network counters (client↔server messages).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetCounters {
     /// Messages sent.
     pub messages: u64,
@@ -86,7 +109,7 @@ impl NetCounters {
 /// repairs from the durable copy, auxiliary-structure rebuilds, and
 /// regions answered by the full-scan fallback after their index failed
 /// validation. Deterministic for a fixed seed, like every other counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntegrityCounters {
     /// Payload checksum mismatches detected at read time.
     pub checksum_failures: u64,
@@ -109,6 +132,16 @@ impl IntegrityCounters {
         self.fallback_regions += other.fallback_regions;
     }
 
+    /// The counts accumulated since the snapshot `before`.
+    pub fn since(&self, before: &IntegrityCounters) -> Self {
+        Self {
+            checksum_failures: self.checksum_failures - before.checksum_failures,
+            repaired_regions: self.repaired_regions - before.repaired_regions,
+            aux_rebuilds: self.aux_rebuilds - before.aux_rebuilds,
+            fallback_regions: self.fallback_regions - before.fallback_regions,
+        }
+    }
+
     /// Whether any integrity event fired.
     pub fn any(&self) -> bool {
         self.checksum_failures != 0
@@ -119,7 +152,7 @@ impl IntegrityCounters {
 }
 
 /// A decomposed simulated cost: where did the time go?
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostBreakdown {
     /// Time spent in storage I/O.
     pub io: SimDuration,

@@ -11,7 +11,7 @@
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use pdc_blockstore::{blockfile, BlockCache, BlockCacheStats, BlockReader, BulkFnv};
-use pdc_types::{with_slice, PdcError, PdcResult, PdcType, RegionId, TypedVec};
+use pdc_types::{mix64, with_slice, PdcError, PdcResult, PdcType, RegionId, TypedVec};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -57,14 +57,6 @@ pub fn payload_checksum(payload: &StoredPayload) -> u64 {
         StoredPayload::Raw(bytes) => h.update(bytes),
     }
     h.finish()
-}
-
-/// SplitMix64 step used to derive deterministic corruption sites.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Deterministically flip one bit of one element/byte of a payload.

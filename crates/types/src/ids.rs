@@ -4,16 +4,12 @@
 //! with a 64-bit id handed out by the metadata service. We mirror that with
 //! newtype wrappers so the ids cannot be confused with one another.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_newtype {
     ($(#[$doc:meta])* $name:ident($inner:ty)) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize,
-            Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub $inner);
 
         impl $name {
@@ -60,7 +56,7 @@ id_newtype!(
 /// Regions are the basic unit of data placement and parallel evaluation in
 /// PDC: a large object is broken into fixed-size regions, and each region
 /// can live on any tier of the storage hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegionId {
     /// Object this region belongs to.
     pub object: ObjectId,

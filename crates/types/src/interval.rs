@@ -7,11 +7,10 @@
 //! the sorted replica (binary-search bounds).
 
 use crate::op::QueryOp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One endpoint of an interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bound {
     /// Endpoint value.
     pub value: f64,
@@ -34,7 +33,7 @@ pub struct Bound {
 /// // region pruning: does a region with values in [0.0, 2.0] matter?
 /// assert!(!iv.overlaps_range(0.0, 2.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
     /// Lower endpoint, or `None` for unbounded below.
     pub lo: Option<Bound>,

@@ -20,6 +20,8 @@
 //! * [`RegionSpec`] / [`NdRegion`] — region geometry: 1-D partitions of an
 //!   object plus N-dimensional spatial constraints.
 //! * [`PdcError`] — the common error type.
+//! * [`splitmix64`] / [`mix64`] — the deterministic mixer behind every
+//!   seeded choice in the workspace.
 
 pub mod error;
 pub mod ids;
@@ -28,6 +30,7 @@ pub mod kernels;
 pub mod op;
 pub mod region;
 pub mod selection;
+pub mod splitmix;
 pub mod value;
 
 pub use error::{PdcError, PdcResult};
@@ -36,4 +39,5 @@ pub use interval::Interval;
 pub use op::QueryOp;
 pub use region::{NdRegion, RegionSpec, Shape};
 pub use selection::{Run, Selection};
+pub use splitmix::{mix64, splitmix64};
 pub use value::{PdcType, PdcValue, TypedVec};

@@ -1,11 +1,10 @@
 //! Query comparison operators.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The comparison operators accepted by `PDCquery_create` (paper Fig. 1):
 /// `>`, `>=`, `<`, `<=`, `=`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryOp {
     /// Strictly greater than.
     Gt,

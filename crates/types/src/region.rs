@@ -9,12 +9,11 @@
 //! and does not need to match any of the existing PDC internal region
 //! partitions".
 
-use serde::{Deserialize, Serialize};
 
 /// The dimensions of an object, e.g. `[n]` for a 1-D array of `n` elements
 /// or `[nx, ny]` for a 2-D mesh. Objects may only be combined in one query
 /// when their shapes are identical.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape(pub Vec<u64>);
 
 impl Shape {
@@ -55,7 +54,7 @@ impl Shape {
 }
 
 /// A contiguous 1-D span of elements within an object: one storage region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RegionSpec {
     /// First element (inclusive).
     pub offset: u64,
@@ -108,7 +107,7 @@ impl RegionSpec {
 /// An N-dimensional hyper-rectangle constraint: per-dimension
 /// `[offset, offset+len)` spans. Used by `PDCquery_set_region` to restrict
 /// a query spatially.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NdRegion {
     /// Per-dimension starting index.
     pub offsets: Vec<u64>,

@@ -8,10 +8,9 @@
 //! merges; the paper's "merge sort to remove duplicates" for OR corresponds
 //! to [`Selection::union`].
 
-use serde::{Deserialize, Serialize};
 
 /// A maximal contiguous run of selected coordinates `[start, start+len)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Run {
     /// First selected coordinate.
     pub start: u64,
@@ -46,7 +45,7 @@ impl Run {
 /// assert_eq!(a.intersect(&b).iter_coords().collect::<Vec<_>>(), vec![4, 5]);
 /// assert_eq!(a.num_runs(), 2); // {3,4,5} and {10}
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Selection {
     runs: Vec<Run>,
 }

@@ -8,11 +8,10 @@
 //! ranges exercised by the paper's workloads.
 
 use crate::error::{PdcError, PdcResult};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Element type tag, mirroring the paper's `pdc_type_t`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PdcType {
     /// 32-bit IEEE float (`float`).
     Float,
@@ -47,7 +46,7 @@ impl PdcType {
 
 /// A tagged scalar value, the Rust equivalent of the C API's
 /// `(pdc_type_t, void*)` pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PdcValue {
     /// `float`
     Float(f32),
@@ -114,7 +113,7 @@ macro_rules! impl_from_scalar {
 impl_from_scalar!(f32 => Float, f64 => Double, i32 => Int32, u32 => UInt32, i64 => Int64, u64 => UInt64);
 
 /// A tagged, owned 1-D array of elements; the payload of a PDC region.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TypedVec {
     /// Array of `float`.
     Float(Vec<f32>),

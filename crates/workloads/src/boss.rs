@@ -12,7 +12,6 @@ use crate::dist;
 use pdc_odms::{ImportOptions, MetaValue, Odms};
 use pdc_types::{ObjectId, PdcResult, TypedVec};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The paper's metadata query constants.
@@ -23,7 +22,7 @@ pub const TARGET_DECDEG: f64 = 23.06;
 pub const FLUX_MEAN: f64 = 15.0;
 
 /// Generator parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BossConfig {
     /// Total number of objects (the paper has ~25 million).
     pub objects: usize,

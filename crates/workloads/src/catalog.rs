@@ -10,10 +10,9 @@
 //! * Flux-range queries on the BOSS catalog at 11 %–65 % data selectivity
 //!   with the metadata constraint fixed to 1000 objects (Fig. 5).
 
-use serde::{Deserialize, Serialize};
 
 /// One single-object range query `lo < Energy < hi`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SingleObjectQuerySpec {
     /// Lower bound (exclusive).
     pub lo: f32,
@@ -25,7 +24,7 @@ pub struct SingleObjectQuerySpec {
 }
 
 /// One multi-object conjunction (Fig. 4's `energy, x, y, z` queries).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MultiObjectQuerySpec {
     /// `Energy > energy_gt`.
     pub energy_gt: f32,
@@ -46,7 +45,7 @@ pub struct MultiObjectQuerySpec {
 }
 
 /// One BOSS data-condition spec (metadata condition is fixed).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BossQuerySpec {
     /// Target data selectivity (the paper's x-axis: 11 %–65 %).
     pub selectivity: f64,

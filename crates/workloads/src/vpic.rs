@@ -22,10 +22,9 @@ use crate::dist;
 use pdc_odms::{ImportOptions, ImportReport, Odms};
 use pdc_types::{ContainerId, ObjectId, PdcResult, TypedVec};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Generator parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct VpicConfig {
     /// Number of particles (the paper has 125 billion; default scale is
     /// set by the harness, typically a few million).

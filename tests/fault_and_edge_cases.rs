@@ -284,7 +284,8 @@ fn transient_errors_on_all_servers_recover() {
     assert!(!out.failed_servers.is_empty());
 }
 
-/// Exhausting the retry budget is a typed error, not a panic.
+/// Exhausting the retry budget is a typed error, not a panic: 50
+/// transient errors per server outlast every retry round.
 #[test]
 fn retry_budget_exhaustion_is_a_typed_error() {
     let (odms, obj, _) = small_world();
@@ -293,16 +294,7 @@ fn retry_budget_exhaustion_is_a_typed_error() {
     for s in 0..n {
         plan = plan.with_spec(s, ServerFaultSpec { transient_errors: 50, ..Default::default() });
     }
-    let eng = QueryEngine::new(
-        Arc::clone(&odms),
-        EngineConfig {
-            strategy: Strategy::Histogram,
-            num_servers: n,
-            fault_plan: Some(plan),
-            max_retries: 1,
-            ..Default::default()
-        },
-    );
+    let eng = fault_engine(&odms, Strategy::Histogram, n, plan);
     let err = eng.run(&PdcQuery::create(obj, QueryOp::Gt, 0.0f32)).unwrap_err();
     assert!(matches!(err, PdcError::RetriesExhausted { .. }), "got {err:?}");
 }
@@ -341,8 +333,7 @@ fn crashed_servers_stay_dead_until_reset() {
 }
 
 /// A slowed-down server changes only the simulated timeline, never the
-/// result; with a finite client timeout and healthy peers it is
-/// quarantined and its work reassigned.
+/// result: the client waits for it rather than abandoning it.
 #[test]
 fn slow_server_inflates_time_not_results() {
     let (odms, obj, _) = small_world();
@@ -354,31 +345,13 @@ fn slow_server_inflates_time_not_results() {
     )
     .run(&q)
     .unwrap();
-    // No timeout: the slow server is waited for.
     let plan = FaultPlan::new()
         .with_spec(0, ServerFaultSpec { slowdown: 10.0, ..Default::default() });
-    let waited = fault_engine(&odms, Strategy::Histogram, n, plan.clone()).run(&q).unwrap();
+    let waited = fault_engine(&odms, Strategy::Histogram, n, plan).run(&q).unwrap();
     assert_eq!(waited.selection, healthy.selection);
     assert!(waited.elapsed > healthy.elapsed);
     assert!(waited.failed_servers.is_empty());
-    // Finite timeout above the healthy per-server max but below the
-    // slowed one: the slow server is abandoned and its slot reassigned.
-    let healthy_max = healthy.per_server.iter().copied().max().unwrap();
-    let eng = QueryEngine::new(
-        Arc::clone(&odms),
-        EngineConfig {
-            strategy: Strategy::Histogram,
-            num_servers: n,
-            fault_plan: Some(plan),
-            server_timeout: healthy_max * 2.0,
-            ..Default::default()
-        },
-    );
-    let out = eng.run(&q).unwrap();
-    assert_eq!(out.selection, healthy.selection);
-    assert_eq!(out.failed_servers, vec![0], "slow server should be quarantined");
-    assert!(out.retry_rounds >= 1);
-    assert!(out.breakdown.recovery > SimDuration::ZERO);
+    assert_eq!(waited.retry_rounds, 0);
 }
 
 // ---------------------------------------------------------------------------
