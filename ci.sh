@@ -48,6 +48,14 @@ echo "== server-runtime gate =="
 # reorderings.
 cargo test -q $OFFLINE --release -p pdc-server
 
+echo "== kernel + selection gate =="
+# pdc-types' own tests (scan kernels, mask packing, selection algebra and
+# the k-way union) once more optimised. The code is safe Rust, so this
+# guards only against a miscompile of the vectorised mask kernel the
+# release binaries run; debug assertions are off here, so it complements
+# the debug run of the same tests rather than replacing it.
+cargo test -q $OFFLINE --release -p pdc-types
+
 echo "== integrity gate =="
 # Corruption smoke: a run with 5% of regions corrupted must exit 0 and
 # return the same selection (hits + runs) as the clean run.

@@ -1336,14 +1336,17 @@ impl QueryEngine {
     /// `PDCquery_get_data_batch`: retrieve the data in batches of at most
     /// `batch_elems` elements ("when the resulting data size is too large
     /// and cannot fit in memory at one time"). Returns the per-batch
-    /// outcomes; concatenating the batch data reproduces `get_data`.
+    /// outcomes; concatenating the batch data reproduces `get_data`. A zero
+    /// `batch_elems` is rejected with [`PdcError::InvalidQuery`].
     pub fn get_data_batch(
         &self,
         outcome: &QueryOutcome,
         object: ObjectId,
         batch_elems: u64,
     ) -> PdcResult<Vec<GetDataOutcome>> {
-        assert!(batch_elems > 0, "batch size must be positive");
+        if batch_elems == 0 {
+            return Err(PdcError::InvalidQuery("batch size must be positive".into()));
+        }
         let mut batches = Vec::new();
         let mut chunk: Vec<Run> = Vec::new();
         let mut chunk_len = 0u64;

@@ -35,6 +35,7 @@ use crate::snapshot::MetaSnapshot;
 use crate::state::ServerState;
 use pdc_odms::Odms;
 use pdc_storage::CostModel;
+use pdc_types::selection::append_runs;
 use pdc_types::{Interval, NdRegion, ObjectId, PdcResult, Run, Selection};
 use std::sync::Arc;
 
@@ -228,6 +229,9 @@ fn eval_primary(
         None
     };
 
+    // Regions run in ascending order and each answers inside its own span,
+    // so the slot's runs are assembled in order: only a run touching the
+    // previous region's last one needs coalescing.
     let mut out: Vec<Run> = Vec::new();
     for r in 0..meta.num_regions() {
         if r % ctx.n_slots != ctx.server {
@@ -248,11 +252,11 @@ fn eval_primary(
         }
         match ops::execute_region(ctx, state, &planner, &task, ExplainPhase::Primary, None)? {
             OpOutput::Pruned => continue,
-            OpOutput::Selected(sel) => out.extend_from_slice(sel.runs()),
+            OpOutput::Selected(sel) => append_runs(&mut out, sel.runs()),
             OpOutput::Pass => unreachable!("access operators always produce a selection"),
         }
     }
-    Ok(Selection::from_runs(out))
+    Ok(Selection::from_canonical_runs(out))
 }
 
 /// Answer the primary constraint from the value-sorted replica
@@ -339,30 +343,29 @@ pub fn point_check(
     let meta = ctx.snap.meta(object)?;
     let planner = ops::RegionPlanner::for_filter(ctx, object, joint)?;
     let mut out: Vec<Run> = Vec::new();
-    // Group candidate coordinates by region.
+    // Group candidate coordinates by region in one forward pass over the
+    // ascending candidate runs. `head` is the first run not yet grouped —
+    // or the remainder of a run that crossed the previous region's end.
+    let mut rest = candidates.runs().iter().copied();
+    let mut head = rest.next();
     let mut r = 0u32;
     let num_regions = meta.num_regions();
-    let mut pending: Vec<Run> = candidates.runs().to_vec();
-    while r < num_regions && !pending.is_empty() {
+    while r < num_regions && head.is_some() {
         let span = meta.region_span(r);
         // Runs intersecting this region.
         let mut in_region: Vec<Run> = Vec::new();
-        let mut rest: Vec<Run> = Vec::new();
-        for run in pending.drain(..) {
-            if run.start >= span.end() {
-                rest.push(run);
-                continue;
-            }
+        while let Some(run) = head.filter(|run| run.start < span.end()) {
             let lo = run.start.max(span.offset);
             let hi = run.end().min(span.end());
             if lo < hi {
                 in_region.push(Run::new(lo, hi - lo));
             }
-            if run.end() > span.end() {
-                rest.push(Run::new(span.end(), run.end() - span.end()));
-            }
+            head = if run.end() > span.end() {
+                Some(Run::new(span.end(), run.end() - span.end()))
+            } else {
+                rest.next()
+            };
         }
-        pending = rest;
         if !in_region.is_empty() {
             let task = RegionTask { object, region: r, span, interval: *interval };
             match ops::execute_region(
@@ -374,13 +377,13 @@ pub fn point_check(
                 Some(in_region),
             )? {
                 OpOutput::Pruned => {}
-                OpOutput::Selected(sel) => out.extend_from_slice(sel.runs()),
+                OpOutput::Selected(sel) => append_runs(&mut out, sel.runs()),
                 OpOutput::Pass => unreachable!("access operators always produce a selection"),
             }
         }
         r += 1;
     }
-    Ok(Selection::from_runs(out))
+    Ok(Selection::from_canonical_runs(out))
 }
 
 /// Exact spatial filtering for `PDCquery_set_region`.

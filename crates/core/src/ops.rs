@@ -55,6 +55,7 @@ use pdc_directory::JointGrid;
 use pdc_histogram::{HitBounds, Histogram};
 use pdc_sorted::SortedReplica;
 use pdc_storage::{ColdRegion, CostModel, Fnv1a, SimDuration, WorkCounters};
+use pdc_types::selection::append_runs;
 use pdc_types::{
     kernels, Interval, ObjectId, PdcError, PdcResult, RegionId, RegionSpec, Run, Selection,
     TypedVec,
@@ -399,8 +400,9 @@ impl PhysicalOp for PruneOp {
 /// decoded (through the budgeted block cache) and scanned in one pass,
 /// so the whole region is never materialized — while the simulated
 /// charges and the resulting selection are bit-identical to the resident
-/// path (per-block runs are re-canonicalized by [`Selection::from_runs`],
-/// which is chunk-boundary independent).
+/// path (blocks are scanned in ascending order into one run list and the
+/// kernels coalesce runs across block boundaries, so the result is
+/// canonical without re-sorting).
 pub struct ScanExactOp {
     /// Candidate runs to restrict the scan to (global coordinates,
     /// clipped to the region), or `None` for a whole-region scan.
@@ -433,7 +435,9 @@ fn scan_cold_whole(
             &mut out,
         );
     }
-    Ok(Selection::from_runs(out))
+    // Blocks are scanned in ascending order into one run list, and the
+    // kernels coalesce a run touching the previous block's last one.
+    Ok(Selection::from_canonical_runs(out))
 }
 
 /// Block-fused scan of one candidate run (global coordinates) inside a
@@ -549,12 +553,14 @@ impl PhysicalOp for ScanExactOp {
                 } else {
                     None
                 };
+                // The candidate runs are ascending and disjoint, so their
+                // answers append in order.
                 let mut out: Vec<Run> = Vec::new();
                 let mut held_block = None;
                 for run in runs {
                     st.work.elements_scanned += run.len;
                     if let Some(full) = &cached_full {
-                        out.extend_from_slice(full.restrict_to_span(run.start, run.len).runs());
+                        append_runs(&mut out, full.restrict_to_span(run.start, run.len).runs());
                     } else if let RegionData::Cold(cold) = &src {
                         scan_cold_run(cold, interval, span.offset, run, &mut held_block, &mut out)?;
                     } else if let Some(payload) = &payload {
@@ -568,7 +574,7 @@ impl PhysicalOp for ScanExactOp {
                         );
                     }
                 }
-                Selection::from_runs(out)
+                Selection::from_canonical_runs(out)
             }
         };
         st.settle_cpu(ctx.cost, &before);

@@ -4,8 +4,9 @@
 //! sorted replica are pure optimizations.
 
 use pdc_odms::{ImportOptions, Odms};
-use pdc_query::{EngineConfig, PdcQuery, QueryEngine, Strategy};
-use pdc_types::{Interval, NdRegion, ObjectId, QueryOp, TypedVec};
+use pdc_query::{EngineConfig, ExplainPhase, PdcQuery, QueryEngine, Strategy};
+use pdc_types::{Interval, NdRegion, ObjectId, QueryOp, Selection, TypedVec};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A small VPIC-flavoured dataset: energy has a bulk plus a clustered
@@ -284,6 +285,127 @@ fn empty_result_short_circuits() {
         let out = eng.run(&q).unwrap();
         assert_eq!(out.nhits, 0, "{strategy}");
         assert!(out.selection.is_empty());
+    }
+}
+
+/// 20 regions of 1024 floats (the last one 544 long). Energy's hot
+/// stretches put candidate runs on the region-grouping edges of the point
+/// check: `[1500, 4700)` (3.0) crosses three region ends, `[6000, 7168)`
+/// (2.5) ends exactly at region 6's end, and `[19700, 20000)` (3.7) lies
+/// wholly in the last region and ends at the object's end. x is 500 — so
+/// `x < 300` fails and histograms prune — on all of region 3 and on every
+/// 97th element.
+fn grouping_edge_world() -> TestWorld {
+    let n = 20_000usize;
+    let odms = Arc::new(Odms::new(8));
+    let c = odms.create_container("edges");
+    let energy: Vec<f32> = (0..n)
+        .map(|i| match i {
+            1500..4700 => 3.0,
+            6000..7168 => 2.5,
+            19_700.. => 3.7,
+            _ => ((i as f32 * 0.37).sin() + 1.0) * 0.9,
+        })
+        .collect();
+    let x: Vec<f32> = (0..n)
+        .map(|i| match i {
+            3072..4096 => 500.0,
+            _ if i % 97 == 0 => 500.0,
+            _ => (i % 7) as f32 * 30.0,
+        })
+        .collect();
+    let opts = ImportOptions {
+        region_bytes: 4096,
+        build_index: true,
+        build_sorted: true,
+        ..Default::default()
+    };
+    let e = odms.import_array(c, "energy", TypedVec::Float(energy.clone()), &opts).unwrap().object;
+    let xo = odms.import_array(c, "x", TypedVec::Float(x.clone()), &opts).unwrap().object;
+    TestWorld { odms, energy: e, x: xo, raw_energy: energy, raw_x: x }
+}
+
+#[test]
+fn point_check_grouping_edges_all_strategies_agree() {
+    const REGION: u64 = 1024;
+    let world = grouping_edge_world();
+    let x_iv = Interval::from_op(QueryOp::Lt, 300.0);
+    // (primary constraint, its interval as the engine compares it): every
+    // hot stretch, only the one ending at region 6's end, only the last
+    // region's.
+    let cases = [
+        (PdcQuery::create(world.energy, QueryOp::Gt, 2.0f32), Interval::from_op(QueryOp::Gt, 2.0)),
+        (
+            PdcQuery::range_open(world.energy, 2.4f32, 2.6f32),
+            Interval::open(2.4f32 as f64, 2.6f32 as f64),
+        ),
+        (PdcQuery::create(world.energy, QueryOp::Gt, 3.5f32), Interval::from_op(QueryOp::Gt, 3.5)),
+    ];
+    for (primary, e_iv) in cases {
+        let q = primary.and(PdcQuery::create(world.x, QueryOp::Lt, 300.0f32));
+        let candidates = naive_hits(&world, Some(&e_iv), None);
+        let expect = Selection::from_sorted_coords(naive_hits(&world, Some(&e_iv), Some(&x_iv)));
+        assert!(!expect.is_empty(), "{e_iv}: test query must hit");
+        // The regions the point check groups the candidates into, with the
+        // candidates and the matches each one holds.
+        let mut per_region: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+        for &c in &candidates {
+            let entry = per_region.entry((c / REGION) as u32).or_default();
+            entry.0 += 1;
+            entry.1 += u64::from(x_iv.contains(world.raw_x[c as usize] as f64));
+        }
+        for servers in [1, 3, 4] {
+            for strategy in Strategy::ALL {
+                let tag = format!("{e_iv}, {strategy}, {servers} servers");
+                let eng = engine(&world, strategy, servers);
+                let (out, plan) = eng.explain(&q).unwrap();
+                assert_eq!(out.selection, expect, "{tag}: selection");
+                assert_eq!(out.nhits, expect.count(), "{tag}: nhits");
+                let plain = engine(&world, strategy, servers).run(&q).unwrap();
+                assert_eq!(plain.selection, out.selection, "{tag}: run vs explain selection");
+                assert_eq!(plain.elapsed, out.elapsed, "{tag}: elapsed");
+                assert_eq!(plain.per_server, out.per_server, "{tag}: per-server times");
+                assert_eq!(plain.work, out.work, "{tag}: work counters");
+                assert_eq!(plain.io, out.io, "{tag}: io counters");
+                assert_eq!(plain.breakdown, out.breakdown, "{tag}: cost breakdown");
+                // Filter rows: exactly the candidate-holding regions, each
+                // finding its own matches (rows of one region from several
+                // slots sum — the sorted primary spreads candidates).
+                let mut seen: BTreeMap<u32, (bool, u64)> = BTreeMap::new();
+                for row in plan.regions.iter().filter(|r| r.phase == ExplainPhase::Filter) {
+                    assert_eq!(row.object, world.x, "{tag}: filter row object");
+                    let entry = seen.entry(row.region).or_default();
+                    entry.0 |= row.pruned;
+                    entry.1 += row.actual_hits.unwrap_or(0);
+                }
+                assert_eq!(
+                    seen.keys().collect::<Vec<_>>(),
+                    per_region.keys().collect::<Vec<_>>(),
+                    "{tag}: filter regions"
+                );
+                for (r, &(pruned, hits)) in &seen {
+                    let want = per_region[r].1;
+                    assert_eq!(hits, if pruned { 0 } else { want }, "{tag}: region {r} hits");
+                    assert!(!pruned || want == 0, "{tag}: region {r} pruned with matches");
+                }
+                // Scan-only strategies: every scanned element is accounted
+                // for by a primary region scan or a grouped candidate.
+                if matches!(strategy, Strategy::FullScan | Strategy::Histogram) {
+                    let primary: u64 = plan
+                        .regions
+                        .iter()
+                        .filter(|r| r.phase == ExplainPhase::Primary && !r.pruned)
+                        .map(|r| r.span_len)
+                        .sum();
+                    let filtered: u64 = seen
+                        .iter()
+                        .filter(|(_, (pruned, _))| !pruned)
+                        .map(|(r, _)| per_region[r].0)
+                        .sum();
+                    assert_eq!(out.work.elements_scanned, primary + filtered, "{tag}: scanned");
+                }
+            }
+        }
     }
 }
 

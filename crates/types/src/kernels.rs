@@ -15,8 +15,9 @@
 //!    comparisons), and including `i64`/`u64` values beyond 2^53 whose
 //!    widening rounds.
 //! 2. **Mask generation** ([`block_mask`]): 64 elements at a time are
-//!    compared against the thresholds into a `u64` hit mask; the compare
-//!    is a pure data-parallel reduction the compiler can vectorize.
+//!    compared against the thresholds into one 0/1 byte per lane (a
+//!    data-parallel map the compiler vectorises), and every 8 bytes are
+//!    packed into a mask byte with one multiply, giving a `u64` hit mask.
 //! 3. **Mask → runs** ([`scan_runs`]): masks convert to canonical
 //!    [`Run`]s with `trailing_zeros`/`trailing_ones`, coalescing across
 //!    block boundaries, so the output [`Selection`] is identical to the
@@ -270,25 +271,24 @@ impl_scan_int!(i32, u32, i64, u64);
 
 /// Compare up to 64 elements against lowered thresholds, producing a hit
 /// mask (bit `j` set ⇔ `xs[j]` accepted).
+///
+/// The compare writes one 0/1 byte per lane (lanes past `xs.len()` stay
+/// 0) — a data-parallel map the compiler vectorises — and each 8 bytes
+/// then pack into one mask byte with a single multiply: the constant's
+/// byte `k` is `2^(7-k)`, so byte `j` of the lanes lands on bit `j` of the
+/// product's top byte, and 0/1 inputs keep every partial sum below 256,
+/// so nothing carries between bytes.
 #[inline]
 pub fn block_mask<T: ScanElem>(xs: &[T], lo: T, hi: T) -> u64 {
     debug_assert!(xs.len() <= 64);
-    // Build the mask a byte (8 comparisons) at a time: the fixed-length
-    // inner loop with small shifts is what LLVM auto-vectorizes on the
-    // default target, where a single dynamic `<< j` accumulator does not.
-    let mut m = 0u64;
-    let mut it = xs.chunks_exact(8);
-    for (c, chunk) in it.by_ref().enumerate() {
-        let mut b = 0u8;
-        for (j, &x) in chunk.iter().enumerate() {
-            b |= (x.accept(lo, hi) as u8) << j;
-        }
-        m |= (b as u64) << (c * 8);
+    let mut hits = [0u8; 64];
+    for (h, &x) in hits.iter_mut().zip(xs) {
+        *h = x.accept(lo, hi) as u8;
     }
-    let tail = it.remainder();
-    let base = xs.len() - tail.len();
-    for (j, &x) in tail.iter().enumerate() {
-        m |= (x.accept(lo, hi) as u64) << (base + j);
+    let mut m = 0u64;
+    for (c, lanes) in hits.as_chunks::<8>().0.iter().enumerate() {
+        let packed = u64::from_le_bytes(*lanes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        m |= packed << (c * 8);
     }
     m
 }
@@ -625,6 +625,22 @@ mod tests {
         }
     }
 
+    /// Every block mask of `xs` (64-lane blocks and the short tail) bit for
+    /// bit against the scalar reference's `interval.contains`, including
+    /// that no lane past a short block's end is set.
+    fn assert_block_masks_match_reference<T: ScanElem>(xs: &[T], tv: &TypedVec, iv: &Interval) {
+        let (lo, hi) = T::lower(iv);
+        for (bi, chunk) in xs.chunks(64).enumerate() {
+            let m = block_mask(chunk, lo, hi);
+            for j in 0..64 {
+                let bit = (m >> j) & 1 == 1;
+                let i = bi * 64 + j;
+                let expect = j < chunk.len() && scalar_contains(tv, iv, i);
+                assert_eq!(bit, expect, "{iv}: lane {j} of a {}-lane block", chunk.len());
+            }
+        }
+    }
+
     #[test]
     fn runs_coalesce_across_blocks() {
         // 200 consecutive hits spanning three mask blocks → one run.
@@ -727,6 +743,7 @@ mod tests {
                         0 => f32::NAN,
                         1 => f32::INFINITY,
                         2 => f32::NEG_INFINITY,
+                        3 => -0.0,
                         _ => (rng.next_f64() * 40.0 - 20.0) as f32,
                     })
                     .collect(),
@@ -737,12 +754,25 @@ mod tests {
                         0 => f64::NAN,
                         1 => f64::INFINITY,
                         2 => f64::NEG_INFINITY,
+                        3 => -0.0,
                         _ => rng.next_f64() * 40.0 - 20.0,
                     })
                     .collect(),
             ),
-            2 => TypedVec::Int32((0..len).map(|_| rng.next_u64() as i32 % 40).collect()),
-            3 => TypedVec::UInt32((0..len).map(|_| rng.next_u64() as u32 % 40).collect()),
+            2 => TypedVec::Int32(
+                (0..len)
+                    .map(|_| match rng.below(12) {
+                        0 => i32::MIN,
+                        1 => i32::MAX,
+                        _ => rng.next_u64() as i32 % 40,
+                    })
+                    .collect(),
+            ),
+            3 => TypedVec::UInt32(
+                (0..len)
+                    .map(|_| if rng.below(12) == 0 { u32::MAX } else { rng.next_u64() as u32 % 40 })
+                    .collect(),
+            ),
             4 => TypedVec::Int64(
                 (0..len)
                     .map(|_| {
@@ -782,6 +812,7 @@ mod tests {
                 scan_interval(&tv, &iv, base),
                 scan_interval_scalar(&tv, &iv, base)
             );
+            crate::with_slice!(&tv, xs => assert_block_masks_match_reference(xs, &tv, &iv));
         }
     }
 

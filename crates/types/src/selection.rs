@@ -121,14 +121,8 @@ impl Selection {
         runs.retain(|r| r.len > 0);
         runs.sort_unstable_by_key(|r| r.start);
         let mut out: Vec<Run> = Vec::with_capacity(runs.len());
-        for r in runs {
-            match out.last_mut() {
-                Some(last) if r.start <= last.end() => {
-                    let end = last.end().max(r.end());
-                    last.len = end - last.start;
-                }
-                _ => out.push(r),
-            }
+        for r in &runs {
+            append_runs(&mut out, std::slice::from_ref(r));
         }
         Selection { runs: out }
     }
@@ -198,11 +192,16 @@ impl Selection {
         Selection { runs: merged }
     }
 
-    /// K-way set union: merge the runs of many selections in a single
-    /// O(n log k) heap-driven pass (n total runs, k inputs) instead of k
-    /// pairwise [`Selection::union`] merges, which degrade to O(k·n) when
-    /// an accumulator re-walks its own runs on every fold step. The result
-    /// is canonical RLE, so it is bit-identical to any fold of `union`.
+    /// K-way set union: merge the runs of many selections in one
+    /// heap-driven pass instead of k pairwise [`Selection::union`] merges,
+    /// which degrade to O(k·n) when an accumulator re-walks its own runs on
+    /// every fold step. The source with the smallest head copies its whole
+    /// *stretch* — every run starting at or before the next source's head —
+    /// before going back on the heap, so the cost is one heap operation per
+    /// source switch, not per run: the engine's per-slot results interleave
+    /// at region granularity, so one heap operation moves a region's runs.
+    /// The result is canonical RLE, so it is bit-identical to any fold of
+    /// `union`.
     pub fn union_many<'a, I: IntoIterator<Item = &'a Selection>>(sels: I) -> Selection {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
@@ -213,8 +212,8 @@ impl Selection {
             1 => return Selection { runs: sources[0].to_vec() },
             _ => {}
         }
-        // Heap entries are (next run start, source, run index); the source
-        // index breaks ties deterministically.
+        // Heap entries are (head run start, source, head run index); the
+        // source index breaks ties deterministically.
         let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = sources
             .iter()
             .enumerate()
@@ -222,16 +221,19 @@ impl Selection {
             .collect();
         let mut merged: Vec<Run> = Vec::with_capacity(sources.iter().map(|r| r.len()).sum());
         while let Some(Reverse((_, k, i))) = heap.pop() {
-            let r = sources[k][i];
-            if let Some(next) = sources[k].get(i + 1) {
-                heap.push(Reverse((next.start, k, i + 1)));
-            }
-            match merged.last_mut() {
-                Some(last) if r.start <= last.end() => {
-                    let end = last.end().max(r.end());
-                    last.len = end - last.start;
+            let rest = &sources[k][i..];
+            // The head is copied unconditionally and the stretch extends
+            // while `start <=` the next head, so sources sharing a head
+            // start always advance.
+            let stretch = match heap.peek() {
+                Some(&Reverse((next_head, _, _))) => {
+                    1 + rest[1..].iter().take_while(|r| r.start <= next_head).count()
                 }
-                _ => merged.push(r),
+                None => rest.len(),
+            };
+            append_runs(&mut merged, &rest[..stretch]);
+            if let Some(next) = rest.get(stretch) {
+                heap.push(Reverse((next.start, k, i + stretch)));
             }
         }
         Selection { runs: merged }
@@ -314,6 +316,23 @@ impl Run {
     pub const fn contains_coord(&self, c: u64) -> bool {
         c >= self.start && c < self.end()
     }
+}
+
+/// Append canonical `runs` to a canonical `out`, coalescing the runs that
+/// overlap or touch `out`'s tail — the in-order assembly step that keeps
+/// `out` canonical without a sort, so it can be finished with
+/// [`Selection::from_canonical_runs`]. `runs` must not start before
+/// `out`'s last run (debug-asserted).
+pub fn append_runs(out: &mut Vec<Run>, runs: &[Run]) {
+    let mut rest = runs;
+    if let Some(last) = out.last_mut() {
+        debug_assert!(rest.first().is_none_or(|r| r.start >= last.start), "runs out of order");
+        while let Some(r) = rest.first().filter(|r| r.start <= last.end()) {
+            last.len = last.end().max(r.end()) - last.start;
+            rest = &rest[1..];
+        }
+    }
+    out.extend_from_slice(rest);
 }
 
 #[cfg(test)]
@@ -414,6 +433,19 @@ mod tests {
             .collect();
         let folded = sources.iter().fold(Selection::empty(), |acc, s| acc.union(s));
         assert_eq!(Selection::union_many(sources.iter()), folded);
+    }
+
+    #[test]
+    fn append_runs_coalesces_only_at_the_tail() {
+        let mut out = vec![Run::new(0, 5)];
+        append_runs(&mut out, &[Run::new(5, 2), Run::new(9, 1)]); // touches the tail
+        append_runs(&mut out, &[]);
+        append_runs(&mut out, &[Run::new(9, 3), Run::new(20, 1)]); // overlaps it
+        append_runs(&mut out, &[Run::new(30, 2)]);
+        assert_eq!(out, vec![Run::new(0, 7), Run::new(9, 3), Run::new(20, 1), Run::new(30, 2)]);
+        let mut empty = Vec::new();
+        append_runs(&mut empty, &[Run::new(4, 1)]);
+        assert_eq!(empty, vec![Run::new(4, 1)]);
     }
 
     #[test]

@@ -14,6 +14,67 @@ fn model(coords: &[u64]) -> BTreeSet<u64> {
     coords.iter().copied().collect()
 }
 
+/// The oracle for `union_many`: a left fold of pairwise `union`.
+fn fold_union(sources: &[Selection]) -> Selection {
+    sources.iter().fold(Selection::empty(), |acc, s| acc.union(s))
+}
+
+fn runs(pairs: &[(u64, u64)]) -> Selection {
+    Selection::from_runs(pairs.iter().map(|&(s, l)| Run::new(s, l)).collect())
+}
+
+#[test]
+fn union_many_equal_head_starts_advance() {
+    // Several sources share head starts (and later starts too): each pop
+    // must still copy at least its head, or the merge never advances.
+    let sources = [
+        runs(&[(0, 2), (10, 1), (20, 5)]),
+        runs(&[(0, 3), (10, 4), (30, 1)]),
+        runs(&[(0, 1), (20, 2), (30, 2)]),
+    ];
+    let got = Selection::union_many(&sources);
+    assert_eq!(got, fold_union(&sources));
+    assert_eq!(got, runs(&[(0, 3), (10, 4), (20, 5), (30, 2)]));
+}
+
+#[test]
+fn union_many_long_run_swallows_other_sources_runs() {
+    // Source 0's run [5, 100) covers several runs of source 1, including
+    // one ending exactly at 100 and one starting there (adjacent).
+    let sources = [
+        runs(&[(5, 95), (200, 1)]),
+        runs(&[(0, 2), (7, 3), (40, 10), (90, 10), (100, 5), (150, 1)]),
+    ];
+    let got = Selection::union_many(&sources);
+    assert_eq!(got, fold_union(&sources));
+    assert_eq!(got, runs(&[(0, 2), (5, 100), (150, 1), (200, 1)]));
+}
+
+#[test]
+fn union_many_coalesces_adjacency_across_sources() {
+    // Region-interleaved sources whose runs touch at every boundary merge
+    // into one run.
+    let sources = [
+        runs(&[(0, 10), (20, 10), (40, 10)]),
+        runs(&[(10, 10), (30, 10)]),
+        runs(&[(50, 3)]),
+    ];
+    let got = Selection::union_many(&sources);
+    assert_eq!(got, fold_union(&sources));
+    assert_eq!(got, Selection::from_span(0, 53));
+}
+
+#[test]
+fn union_many_skips_empty_sources() {
+    let a = runs(&[(3, 2), (9, 1)]);
+    let e = Selection::empty();
+    assert_eq!(Selection::union_many([&e, &a, &e]), a);
+    assert_eq!(Selection::union_many([&e, &e]), Selection::empty());
+    let sources = [e.clone(), a.clone(), e.clone(), runs(&[(5, 4)]), e];
+    assert_eq!(Selection::union_many(&sources), fold_union(&sources));
+    assert_eq!(Selection::union_many(&sources), runs(&[(3, 7)]));
+}
+
 proptest! {
     #[test]
     fn selection_roundtrips_coords(coords in coords_strategy()) {
@@ -94,6 +155,34 @@ proptest! {
         }
         let s = Selection::from_runs(runs);
         prop_assert_eq!(s.iter_coords().collect::<Vec<_>>(), expect.into_iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn union_many_of_region_interleaved_sources_matches_fold(seed in 0u64..u64::MAX) {
+        // The engine's shape: k slot selections, slot s owning every
+        // region r with r % k == s, each region of random length holding
+        // random runs (sometimes touching its span's ends, so runs of
+        // neighbouring regions — different sources — can be adjacent).
+        let mut rng = TestRng::new(seed);
+        let k = 1 + rng.below(24);
+        let n_regions = rng.below(120);
+        let mut per_source: Vec<Vec<u64>> = vec![Vec::new(); k];
+        let mut offset = 0u64;
+        for r in 0..n_regions {
+            let len = 1 + rng.below(200) as u64;
+            let density = rng.below(4);
+            let coords = &mut per_source[r % k];
+            for c in offset..offset + len {
+                let edge = c == offset || c + 1 == offset + len;
+                if (edge && rng.below(2) == 0) || rng.below(4) < density {
+                    coords.push(c);
+                }
+            }
+            offset += len;
+        }
+        let sources: Vec<Selection> =
+            per_source.into_iter().map(Selection::from_sorted_coords).collect();
+        prop_assert_eq!(Selection::union_many(&sources), fold_union(&sources));
     }
 
     #[test]

@@ -190,6 +190,17 @@ fn get_data_batch_respects_batch_size() {
     assert_eq!(total, out.nhits);
 }
 
+#[test]
+fn get_data_batch_of_zero_is_a_typed_error() {
+    let (odms, obj, _) = small_world();
+    let eng = engine(&odms, Strategy::Histogram);
+    let out = eng.run(&PdcQuery::create(obj, QueryOp::Lt, 3.0f32)).unwrap();
+    assert_eq!(
+        eng.get_data_batch(&out, obj, 0).unwrap_err(),
+        PdcError::InvalidQuery("batch size must be positive".into())
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection: crashes, transient errors, slowdowns, retry budget.
 // ---------------------------------------------------------------------------
