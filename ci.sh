@@ -49,12 +49,14 @@ echo "== server-runtime gate =="
 cargo test -q $OFFLINE --release -p pdc-server
 
 echo "== kernel + selection gate =="
-# pdc-types' own tests (scan kernels, mask packing, selection algebra and
-# the k-way union) once more optimised. The code is safe Rust, so this
-# guards only against a miscompile of the vectorised mask kernel the
+# pdc-types' and pdc-sorted's own tests (scan kernels, mask packing,
+# selection algebra, the k-way union, the coordinate-to-selection
+# primitive on both its bitset and sort paths, and the sorted-replica
+# lookups that feed it) once more optimised. The code is safe Rust, so
+# this guards only against a miscompile of the vectorised loops the
 # release binaries run; debug assertions are off here, so it complements
 # the debug run of the same tests rather than replacing it.
-cargo test -q $OFFLINE --release -p pdc-types
+cargo test -q $OFFLINE --release -p pdc-types -p pdc-sorted
 
 echo "== integrity gate =="
 # Corruption smoke: a run with 5% of regions corrupted must exit 0 and

@@ -157,6 +157,8 @@ impl BinnedBitmapIndex {
         if values.is_empty() {
             return None;
         }
+        // NaN fails both comparisons, so it never widens the range; an
+        // all-NaN region gets the bins of a constant 0 and leaves them empty.
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
         for &v in values {
@@ -167,11 +169,16 @@ impl BinnedBitmapIndex {
                 max = v;
             }
         }
+        if min > max {
+            (min, max) = (0.0, 0.0);
+        }
         let edges = precision_edges(min, max, cfg);
         Some(Self::build_with_edges(values, edges, domain))
     }
 
-    /// Build with explicit, ascending bin edges.
+    /// Build with explicit, ascending bin edges. A NaN value satisfies no
+    /// query interval, so it lands in no bin: it is neither a sure hit nor
+    /// a candidate of any query.
     pub fn build_with_edges(
         values: &[f64],
         edges: Vec<f64>,
@@ -193,13 +200,15 @@ impl BinnedBitmapIndex {
             let mut builders: Vec<WahBuilder> = (0..nbins).map(|_| WahBuilder::new()).collect();
             let mut current = vec![0u64; nbins];
             for (i, &v) in values.iter().enumerate() {
-                let k = bin_of(&edges, v);
-                current[k] |= 1 << (i % 64);
-                if v == bin_mins[k] {
-                    edge_hits[k] = true;
-                } else if v == edges[k + 1] {
-                    // only possible for the clamped last bin
-                    edge_hits[k + 1] = true;
+                if !v.is_nan() {
+                    let k = bin_of(&edges, v);
+                    current[k] |= 1 << (i % 64);
+                    if v == bin_mins[k] {
+                        edge_hits[k] = true;
+                    } else if v == edges[k + 1] {
+                        // only possible for the clamped last bin
+                        edge_hits[k + 1] = true;
+                    }
                 }
                 if i % 64 == 63 {
                     for (b, cur) in builders.iter_mut().zip(current.iter_mut()) {
@@ -219,7 +228,7 @@ impl BinnedBitmapIndex {
             // Position path for very fine binnings, where sweeping every
             // bin once per 64 elements would dominate.
             let mut positions: Vec<Vec<u64>> = vec![Vec::new(); nbins];
-            for (i, &v) in values.iter().enumerate() {
+            for (i, &v) in values.iter().enumerate().filter(|(_, v)| !v.is_nan()) {
                 let k = bin_of(&edges, v);
                 positions[k].push(i as u64);
                 if v == bin_mins[k] {
@@ -607,6 +616,32 @@ mod tests {
             total += idx.bitmap(k).count_ones();
         }
         assert_eq!(total, 2000);
+    }
+
+    #[test]
+    fn nan_elements_land_in_no_bin() {
+        let mut values = sample_values(3000);
+        for i in (0..3000).step_by(7) {
+            values[i] = f64::NAN;
+        }
+        let n_nan = (0..3000).step_by(7).count() as u64;
+        // Both build paths (mask and position), plus an all-NaN region.
+        let fine = BinningConfig { precision: 4, ..BinningConfig::default() };
+        for cfg in [BinningConfig::default(), fine] {
+            let idx = BinnedBitmapIndex::build(&values, &cfg).unwrap();
+            let binned: u64 = (0..idx.num_bins()).map(|k| idx.bitmap(k).count_ones()).sum();
+            assert_eq!(binned, 3000 - n_nan);
+            for iv in [Interval::ALL, Interval::open(2.1, 2.2), Interval::open(2.137, 4.456)] {
+                let ans = idx.query(&iv);
+                let possible = ans.sure.union(&ans.candidates);
+                assert!(possible.iter_coords().all(|c| !values[c as usize].is_nan()), "{iv}");
+                let resolved = ans.resolve(&iv, |i| values[i as usize]);
+                assert_eq!(resolved.iter_coords().collect::<Vec<_>>(), exact(&values, &iv), "{iv}");
+            }
+        }
+        let idx = BinnedBitmapIndex::build(&[f64::NAN; 100], &BinningConfig::default()).unwrap();
+        assert_eq!(idx.num_elements(), 100);
+        assert_eq!(idx.query(&Interval::ALL).upper_bound(), 0);
     }
 
     #[test]

@@ -781,9 +781,7 @@ impl PhysicalOp for SortedRangeOp {
         let hi = self.sspan.end().min(region_end);
         let sel = if lo < hi {
             st.work.elements_scanned += hi - lo;
-            Selection::from_unsorted_coords(
-                self.replica.perm()[lo as usize..hi as usize].to_vec(),
-            )
+            Selection::from_unsorted_coords(&self.replica.perm()[lo as usize..hi as usize])
         } else {
             Selection::empty()
         };

@@ -2,9 +2,10 @@
 //! a region (the typed kernels), so there is nothing to toggle against;
 //! instead every strategy is held to an independent oracle: the scalar
 //! per-element reference scan (`kernels::scan_interval_scalar`) over the
-//! raw columns, combined by a naive per-coordinate conjunction. Two fresh
-//! engines must also agree on every simulated cost field, so the scan
-//! path stays deterministic.
+//! raw columns (one of them NaN-bearing, with an all-NaN region), combined
+//! by a naive per-coordinate conjunction. Two fresh engines must also
+//! agree on every simulated cost field, so the scan path stays
+//! deterministic.
 
 use pdc_odms::{ImportOptions, Odms};
 use pdc_query::{EngineConfig, PdcQuery, QueryEngine, QueryOutcome, Strategy};
@@ -15,8 +16,11 @@ struct World {
     odms: Arc<Odms>,
     energy: ObjectId,
     x: ObjectId,
+    /// Energy with NaN at every 7th element and in the whole tail region.
+    nan_energy: ObjectId,
     raw_energy: TypedVec,
     raw_x: TypedVec,
+    raw_nan_energy: TypedVec,
 }
 
 /// Regions of 2 MiB (512 Ki floats) over 600k elements: one full region
@@ -43,10 +47,19 @@ fn build_world() -> World {
         build_sorted: true,
         ..Default::default()
     };
+    let tail_start = (opts.region_bytes / 4) as usize;
+    let nan_energy: Vec<f32> = energy
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| if i % 7 == 0 || i >= tail_start { f32::NAN } else { v })
+        .collect();
     let (raw_energy, raw_x) = (TypedVec::Float(energy), TypedVec::Float(x));
+    let raw_nan_energy = TypedVec::Float(nan_energy);
     let energy = odms.import_array(c, "energy", raw_energy.clone(), &opts).unwrap().object;
     let x = odms.import_array(c, "x", raw_x.clone(), &opts).unwrap().object;
-    World { odms, energy, x, raw_energy, raw_x }
+    let nan_energy =
+        odms.import_array(c, "nan_energy", raw_nan_energy.clone(), &opts).unwrap().object;
+    World { odms, energy, x, nan_energy, raw_energy, raw_x, raw_nan_energy }
 }
 
 fn run_fresh(world: &World, strategy: Strategy, q: &PdcQuery) -> QueryOutcome {
@@ -65,6 +78,7 @@ fn queries_with_oracles(world: &World) -> Vec<(PdcQuery, Selection)> {
     let band = Interval::open(2.1f32 as f64, 2.2f32 as f64);
     let tail = Interval::from_op(QueryOp::Gt, 2.0);
     let slab = Interval::open(100.0, 200.0);
+    let everything = Interval::from_op(QueryOp::Gt, f64::NEG_INFINITY);
     vec![
         (
             PdcQuery::range_open(world.energy, 2.1f32, 2.2f32),
@@ -75,6 +89,16 @@ fn queries_with_oracles(world: &World) -> Vec<(PdcQuery, Selection)> {
                 .and(PdcQuery::range_open(world.x, 100.0f32, 200.0f32)),
             kernels::scan_interval_scalar(&world.raw_energy, &tail, 0)
                 .filter_coords(|c| slab.contains(world.raw_x.get_f64(c as usize))),
+        ),
+        // NaN satisfies no interval: neither the tail's nor `> -inf`,
+        // which every other value satisfies.
+        (
+            PdcQuery::create(world.nan_energy, QueryOp::Gt, 2.0f32),
+            kernels::scan_interval_scalar(&world.raw_nan_energy, &tail, 0),
+        ),
+        (
+            PdcQuery::create(world.nan_energy, QueryOp::Gt, f32::NEG_INFINITY),
+            kernels::scan_interval_scalar(&world.raw_nan_energy, &everything, 0),
         ),
     ]
 }

@@ -25,6 +25,9 @@
 //!    evaluation consults, is not among those.
 //! 3. **Joint invariance**: registering a joint-bounds grid kills
 //!    additional candidate regions but never changes the selection.
+//!
+//! Each holds on a NaN-bearing energy column too (NaN scattered and in
+//! two whole regions), since a NaN element satisfies no predicate.
 
 use pdc_directory::RegionDirectory;
 use pdc_odms::{ImportOptions, Odms};
@@ -62,7 +65,21 @@ fn x_at(i: usize) -> f32 {
     332.0 * i as f32 / N as f32
 }
 
+/// [`energy_at`] with NaN at every 11th element and in all of regions 5
+/// and 20 (1024 floats each), one of them inside a tail cluster.
+fn nan_energy_at(i: usize) -> f32 {
+    if i.is_multiple_of(11) || matches!(i / 1024, 5 | 20) {
+        f32::NAN
+    } else {
+        energy_at(i)
+    }
+}
+
 fn build_world() -> World {
+    build_world_from(energy_at)
+}
+
+fn build_world_from(energy_at: fn(usize) -> f32) -> World {
     let odms = Arc::new(Odms::new(8));
     let c = odms.create_container("vpic");
     let energy: Vec<f32> = (0..N).map(energy_at).collect();
@@ -88,12 +105,16 @@ fn strip_directory(world: &World, obj: ObjectId) {
     assert!(snap.directory(obj).is_none(), "a lagging directory must be refused");
 }
 
-/// The directory-off twin of [`build_world`].
-fn build_world_without_directories() -> World {
-    let w = build_world();
+/// The directory-off twin of [`build_world_from`].
+fn build_world_without_directories_from(energy_at: fn(usize) -> f32) -> World {
+    let w = build_world_from(energy_at);
     strip_directory(&w, w.energy);
     strip_directory(&w, w.x);
     w
+}
+
+fn build_world_without_directories() -> World {
+    build_world_without_directories_from(energy_at)
 }
 
 /// [`build_world`] reopened from its metadata snapshot: a fresh system
@@ -148,7 +169,12 @@ fn assert_outcomes_identical(a: &QueryOutcome, b: &QueryOutcome, tag: &str) {
 
 #[test]
 fn directory_candidates_cover_matches_and_respect_1d_bounds() {
-    let world = build_world();
+    for energy_at in [energy_at, nan_energy_at] {
+        check_directory_candidates(&build_world_from(energy_at));
+    }
+}
+
+fn check_directory_candidates(world: &World) {
     let meta = world.odms.meta().get(world.energy).unwrap();
     let dir = world.odms.meta().directory(world.energy).expect("import builds a directory");
     let hists = world.odms.meta().region_histograms(world.energy).unwrap();
@@ -168,6 +194,9 @@ fn directory_candidates_cover_matches_and_respect_1d_bounds() {
             if truly_matches {
                 assert!(candidate, "region {r} holds a match of {iv} but was not admitted");
             }
+            let all_nan = (span.offset..span.offset + span.len)
+                .all(|i| world.raw_energy[i as usize].is_nan());
+            assert!(!(all_nan && candidate), "all-NaN region {r} admitted for {iv}");
             if !candidate {
                 // Non-candidates are exactly the regions the 1-D bounds
                 // test kills: the histogram estimate is provably zero.
@@ -181,21 +210,24 @@ fn directory_candidates_cover_matches_and_respect_1d_bounds() {
 
 #[test]
 fn directory_on_off_bit_identical_all_strategies() {
-    for strategy in Strategy::ALL {
-        // Separate worlds per engine: cache state must not leak between
-        // the compared runs.
-        let (won, woff) = (build_world(), build_world_without_directories());
-        let on = engine(&won, strategy, None);
-        let off = engine(&woff, strategy, None);
-        let (qon, qoff) = (window_query(&won), window_query(&woff));
-        let a = on.run(&qon).unwrap();
-        let b = off.run(&qoff).unwrap();
-        assert!(a.nhits > 0, "{strategy}: window query must hit");
-        assert_outcomes_identical(&a, &b, &format!("{strategy} cold"));
-        // Warm (cached) runs stay identical too.
-        let a2 = on.run(&qon).unwrap();
-        let b2 = off.run(&qoff).unwrap();
-        assert_outcomes_identical(&a2, &b2, &format!("{strategy} warm"));
+    for (energy_at, column) in [(energy_at as fn(usize) -> f32, "clean"), (nan_energy_at, "NaN")] {
+        for strategy in Strategy::ALL {
+            // Separate worlds per engine: cache state must not leak
+            // between the compared runs.
+            let won = build_world_from(energy_at);
+            let woff = build_world_without_directories_from(energy_at);
+            let on = engine(&won, strategy, None);
+            let off = engine(&woff, strategy, None);
+            let (qon, qoff) = (window_query(&won), window_query(&woff));
+            let a = on.run(&qon).unwrap();
+            let b = off.run(&qoff).unwrap();
+            assert!(a.nhits > 0, "{strategy}, {column}: window query must hit");
+            assert_outcomes_identical(&a, &b, &format!("{strategy}, {column}, cold"));
+            // Warm (cached) runs stay identical too.
+            let a2 = on.run(&qon).unwrap();
+            let b2 = off.run(&qoff).unwrap();
+            assert_outcomes_identical(&a2, &b2, &format!("{strategy}, {column}, warm"));
+        }
     }
 }
 
@@ -315,33 +347,38 @@ fn prewarm_ignores_a_directory_shorter_than_the_metadata() {
 
 #[test]
 fn joint_registration_never_changes_the_selection() {
-    let baseline = {
-        let w = build_world();
-        engine(&w, Strategy::Histogram, None).run(&window_query(&w)).unwrap()
-    };
-    for strategy in Strategy::ALL {
-        for with_directory in [true, false] {
-            let w = if with_directory { build_world() } else { build_world_without_directories() };
-            w.odms.register_joint_pair(w.energy, w.x).unwrap();
-            let eng = engine(&w, strategy, None);
-            let out = eng.run(&window_query(&w)).unwrap();
-            assert_eq!(
-                out.selection, baseline.selection,
-                "{strategy} with_directory={with_directory}: joint bounds changed hits"
-            );
+    for energy_at in [energy_at as fn(usize) -> f32, nan_energy_at] {
+        let w = build_world_from(energy_at);
+        let baseline = engine(&w, Strategy::Histogram, None).run(&window_query(&w)).unwrap();
+        // The joint-killed regions are provably empty under the full
+        // conjunction: the naive filter agrees with the baseline.
+        let expect: Vec<u64> = (0..N as u64)
+            .filter(|&i| {
+                w.raw_energy[i as usize] > 2.0
+                    && w.raw_x[i as usize] > 100.0
+                    && w.raw_x[i as usize] < 200.0
+            })
+            .collect();
+        assert!(!expect.is_empty());
+        assert_eq!(baseline.selection.iter_coords().collect::<Vec<_>>(), expect);
+        for strategy in Strategy::ALL {
+            for with_directory in [true, false] {
+                let w = if with_directory {
+                    build_world_from(energy_at)
+                } else {
+                    build_world_without_directories_from(energy_at)
+                };
+                w.odms.register_joint_pair(w.energy, w.x).unwrap();
+                // NaN pairs land in no cell, so the grid stays valid.
+                assert!(w.odms.meta().joint_grid(w.energy, w.x).unwrap().self_check());
+                let out = engine(&w, strategy, None).run(&window_query(&w)).unwrap();
+                assert_eq!(
+                    out.selection, baseline.selection,
+                    "{strategy} with_directory={with_directory}: joint bounds changed hits"
+                );
+            }
         }
     }
-    // And the joint-killed regions are provably empty under the full
-    // conjunction: the naive filter agrees with the baseline.
-    let w = build_world();
-    let expect: Vec<u64> = (0..N as u64)
-        .filter(|&i| {
-            w.raw_energy[i as usize] > 2.0
-                && w.raw_x[i as usize] > 100.0
-                && w.raw_x[i as usize] < 200.0
-        })
-        .collect();
-    assert_eq!(baseline.selection.iter_coords().collect::<Vec<_>>(), expect);
 }
 
 #[test]

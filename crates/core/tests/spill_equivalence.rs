@@ -34,11 +34,25 @@ fn energy_at(i: usize) -> f32 {
     }
 }
 
+/// [`energy_at`] with NaN at every 9th element and in all of regions 2
+/// and 4 (2048 floats each at 8 KiB regions).
+fn nan_energy_at(i: usize) -> f32 {
+    if i.is_multiple_of(9) || matches!(i / 2048, 2 | 4) {
+        f32::NAN
+    } else {
+        energy_at(i)
+    }
+}
+
 /// Same VPIC-flavoured shape the strategy-agreement suite uses. Spill
 /// mutates the store physically, so A/B comparisons each build their own
 /// world; generation is seed-free and exact, so two builds are
 /// logically identical.
 fn build_world(n: usize, region_bytes: u64) -> TestWorld {
+    build_world_from(n, region_bytes, energy_at)
+}
+
+fn build_world_from(n: usize, region_bytes: u64, energy_at: fn(usize) -> f32) -> TestWorld {
     let odms = Arc::new(Odms::new(8));
     let c = odms.create_container("vpic");
     let energy: Vec<f32> = (0..n).map(energy_at).collect();
@@ -169,6 +183,36 @@ fn spill_matches_unbounded_all_strategies() {
     // be residency-blind.
     for strategy in Strategy::ALL {
         check_equivalence(40_000, strategy, None, "clean", 32 << 20);
+    }
+}
+
+#[test]
+fn spill_matches_unbounded_on_nan_data() {
+    // NaN payloads survive the block codec bit for bit, and a NaN element
+    // satisfies no predicate wherever its region lives.
+    for strategy in Strategy::ALL {
+        let world_a = build_world_from(30_000, 8192, nan_energy_at);
+        let world_b = build_world_from(30_000, 8192, nan_energy_at);
+        let dir = spill_dir("nan");
+        let unbounded = unbounded_engine(&world_a, strategy, None);
+        let base: Vec<QueryOutcome> =
+            series(&world_a).iter().map(|q| unbounded.run(q).unwrap()).collect();
+        let bounded = bounded_engine(&world_b, strategy, None, &dir, 32 << 20);
+        for (i, q) in series(&world_b).iter().enumerate() {
+            let out = bounded.run(q).unwrap();
+            assert_outcomes_identical(
+                &base[i],
+                &out,
+                &format!("{strategy} on NaN data, query {i}"),
+            );
+            assert!(
+                out.selection.iter_coords().all(|c| !world_b.raw_energy[c as usize].is_nan()),
+                "{strategy}, query {i}: a NaN element matched"
+            );
+        }
+        assert_spill_engaged(&world_b, &format!("{strategy} on NaN data"));
+        drop(bounded);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -432,3 +432,144 @@ fn equality_query_on_integers() {
         assert_eq!(out.selection.iter_coords().collect::<Vec<_>>(), expect, "{strategy}");
     }
 }
+
+/// Energy with NaN at every `nan_every`-th element (none when 0) and in
+/// every element of regions 3 and 7 (1024 floats each); x with NaN at
+/// every 13th element.
+fn nan_world(nan_every: usize) -> TestWorld {
+    let n = 20_000usize;
+    let odms = Arc::new(Odms::new(8));
+    let c = odms.create_container("nan");
+    let energy: Vec<f32> = (0..n)
+        .map(|i| {
+            if (nan_every > 0 && i % nan_every == 0) || matches!(i / 1024, 3 | 7) {
+                f32::NAN
+            } else if (3000..3400).contains(&(i % 8000)) {
+                2.0 + ((i * 31) % 160) as f32 / 100.0
+            } else {
+                ((i as f32 * 0.37).sin() + 1.0) * 0.9
+            }
+        })
+        .collect();
+    let x: Vec<f32> = (0..n)
+        .map(|i| if i % 13 == 0 { f32::NAN } else { ((i as f32 * 0.011).cos() + 1.0) * 166.0 })
+        .collect();
+    let opts = ImportOptions {
+        region_bytes: 4096,
+        build_index: true,
+        build_sorted: true,
+        ..Default::default()
+    };
+    let e = odms.import_array(c, "energy", TypedVec::Float(energy.clone()), &opts).unwrap().object;
+    let xo = odms.import_array(c, "x", TypedVec::Float(x.clone()), &opts).unwrap().object;
+    TestWorld { odms, energy: e, x: xo, raw_energy: energy, raw_x: x }
+}
+
+#[test]
+fn nan_elements_match_nothing_under_every_strategy() {
+    // IEEE semantics: a NaN element satisfies no predicate, so every
+    // strategy — scans, histogram pruning, bitmap bins and the sorted
+    // replica, whose total order puts NaN last — returns the naive filter.
+    for nan_every in [0, 97, 5, 2] {
+        let world = nan_world(nan_every);
+        let (e, x) = (world.energy, world.x);
+        let cases = [
+            (
+                PdcQuery::range_open(e, 2.1f32, 2.2f32),
+                Some(Interval::open(2.1f32 as f64, 2.2f32 as f64)),
+                None,
+            ),
+            (
+                PdcQuery::create(e, QueryOp::Gt, 2.0f32),
+                Some(Interval::from_op(QueryOp::Gt, 2.0)),
+                None,
+            ),
+            (
+                PdcQuery::create(e, QueryOp::Lte, 0.5f32),
+                Some(Interval::from_op(QueryOp::Lte, 0.5)),
+                None,
+            ),
+            (
+                PdcQuery::create(e, QueryOp::Gt, f32::NEG_INFINITY),
+                Some(Interval::from_op(QueryOp::Gt, f64::NEG_INFINITY)),
+                None,
+            ),
+            (
+                PdcQuery::create(e, QueryOp::Gt, 2.0f32)
+                    .and(PdcQuery::range_open(x, 100.0f32, 200.0f32)),
+                Some(Interval::from_op(QueryOp::Gt, 2.0)),
+                Some(Interval::open(100.0, 200.0)),
+            ),
+            (
+                PdcQuery::create(x, QueryOp::Gt, f32::NEG_INFINITY),
+                None,
+                Some(Interval::from_op(QueryOp::Gt, f64::NEG_INFINITY)),
+            ),
+        ];
+        for (q, e_iv, x_iv) in cases {
+            let expect = naive_hits(&world, e_iv.as_ref(), x_iv.as_ref());
+            assert!(!expect.is_empty(), "every {nan_every}: test query must hit");
+            let reference = engine(&world, Strategy::FullScan, 4).run(&q).unwrap();
+            assert_eq!(
+                reference.selection.iter_coords().collect::<Vec<_>>(),
+                expect,
+                "every {nan_every}"
+            );
+            for strategy in Strategy::ALL {
+                let out = engine(&world, strategy, 4).run(&q).unwrap();
+                assert_eq!(out.selection, reference.selection, "{strategy}, NaN every {nan_every}");
+                assert_eq!(out.nhits, reference.nhits, "{strategy}, NaN every {nan_every}");
+            }
+        }
+    }
+}
+
+#[test]
+fn sorted_slices_on_both_primitive_paths_match_full_scan() {
+    use pdc_types::selection::{DENSE_WORDS_PER_COORD, SORT_BELOW};
+    // Every value distinct, and value order scatters coordinates over the
+    // whole object: rank `(i * 7919) % n` at coordinate `i`.
+    let n = 40_000usize;
+    let odms = Arc::new(Odms::new(8));
+    let c = odms.create_container("paths");
+    let value = |rank: usize| rank as f32 * 0.00025;
+    let energy: Vec<f32> = (0..n).map(|i| value((i * 7919) % n)).collect();
+    let opts = ImportOptions { region_bytes: 4096, build_sorted: true, ..Default::default() };
+    let obj = odms.import_array(c, "energy", TypedVec::Float(energy), &opts).unwrap().object;
+    // Ranks 5120..6244: sorted region 5 whole, plus the first 100 slots of
+    // region 6.
+    let q = PdcQuery::range_open(obj, value(5119), value(6244));
+    let replica = odms.meta().sorted_replica(obj).unwrap();
+    let span = replica.matching_span(&Interval::open(value(5119) as f64, value(6244) as f64));
+    assert_eq!((span.start, span.len), (5120, 1124));
+    let dense = |slice: &[u64]| {
+        let (lo, hi) = (slice.iter().min().unwrap(), slice.iter().max().unwrap());
+        hi - lo < slice.len() as u64 * DENSE_WORDS_PER_COORD * 64
+    };
+    let (full, edge) = (&replica.perm()[5120..6144], &replica.perm()[6144..6244]);
+    assert!(dense(full), "the whole region must take the bitset path");
+    assert!(edge.len() >= SORT_BELOW && !dense(edge), "the edge slice must take the sort path");
+
+    let expect: Vec<u64> =
+        (0..n as u64).filter(|&i| (5120..6244).contains(&((i as usize * 7919) % n))).collect();
+    let reference = QueryEngine::new(
+        Arc::clone(&odms),
+        EngineConfig { strategy: Strategy::FullScan, num_servers: 4, ..Default::default() },
+    )
+    .run(&q)
+    .unwrap();
+    assert_eq!(reference.selection.iter_coords().collect::<Vec<_>>(), expect);
+    for servers in [1, 3, 4] {
+        let out = QueryEngine::new(
+            Arc::clone(&odms),
+            EngineConfig {
+                strategy: Strategy::SortedHistogram,
+                num_servers: servers,
+                ..Default::default()
+            },
+        )
+        .run(&q)
+        .unwrap();
+        assert_eq!(out.selection, reference.selection, "PDC-SH on {servers} servers");
+    }
+}

@@ -59,6 +59,9 @@ struct RegionJoint {
     cells: Vec<(u8, JointCell)>,
     /// Elements of this region folded in so far.
     elems: u64,
+    /// Of those, the pairs with a NaN member: they satisfy no rectangle,
+    /// so they land in no cell.
+    unplaced: u64,
 }
 
 impl RegionJoint {
@@ -77,8 +80,12 @@ impl RegionJoint {
     }
 
     fn add(&mut self, va: f64, vb: f64) {
-        let idx = self.cell_index(va, vb);
         self.elems += 1;
+        if va.is_nan() || vb.is_nan() {
+            self.unplaced += 1;
+            return;
+        }
+        let idx = self.cell_index(va, vb);
         match self.cells.binary_search_by_key(&idx, |&(i, _)| i) {
             Ok(at) => {
                 let c = &mut self.cells[at].1;
@@ -226,7 +233,7 @@ impl JointGrid {
         let mut sum = 0u64;
         for (r, rj) in self.regions.iter().enumerate() {
             let cell_sum: u64 = rj.cells.iter().map(|&(_, c)| c.count).sum();
-            if cell_sum != rj.elems {
+            if cell_sum + rj.unplaced != rj.elems {
                 return false;
             }
             let full = (r as u64 + 1) * self.region_elems <= self.covered;
@@ -305,6 +312,7 @@ fn fresh_region(chunk_a: &[f64], chunk_b: &[f64]) -> RegionJoint {
         bw: width(bmn, bmx),
         cells: Vec::new(),
         elems: 0,
+        unplaced: 0,
     }
 }
 
@@ -430,6 +438,34 @@ mod tests {
         g.extend(&a[500..], &b[500..]);
         assert_eq!(g.rect_upper(1, per, &Interval::ALL, &Interval::ALL), Some(400));
         assert!(g.self_check());
+    }
+
+    #[test]
+    fn nan_pairs_land_in_no_cell() {
+        let (mut a, mut b) = correlated(2000);
+        // Region 0 (elements 0..500) holds only NaN in `a`; NaN is
+        // scattered through both variables elsewhere.
+        a[..500].fill(f64::NAN);
+        for i in (500..2000).step_by(9) {
+            if i % 2 == 0 {
+                a[i] = f64::NAN
+            } else {
+                b[i] = f64::NAN
+            }
+        }
+        let per = 500u64;
+        let mut g = JointGrid::new(ObjectId(1), ObjectId(2), per);
+        g.extend(&a, &b);
+        assert!(g.self_check(), "NaN pairs must not break the grid's invariants");
+        assert_eq!(g.rect_upper(0, per, &Interval::ALL, &Interval::ALL), Some(0));
+        for r in 0..4u32 {
+            let (lo, hi) = ((r as u64 * per) as usize, ((r as u64 + 1) * per) as usize);
+            for iva in [Interval::open(2.0, 10.0), Interval::ALL] {
+                let upper = g.rect_upper(r, per, &iva, &Interval::ALL).unwrap();
+                let exact = exact_rect(&a, &b, lo, hi, &iva, &Interval::ALL);
+                assert!(upper >= exact, "region {r}: upper {upper} < exact {exact}");
+            }
+        }
     }
 
     #[test]

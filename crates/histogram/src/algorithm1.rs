@@ -113,20 +113,30 @@ impl Histogram {
             return None;
         }
         // Line 1: sample ~10 % of the data for approximate min/max. We
-        // always include the first element so the sample is never empty.
+        // always include the first element. NaN fails both comparisons, so
+        // it never enters the sample; a sample of NaNs only seeds the grid
+        // from the first non-NaN value (or 0 when there is none, and the
+        // histogram stays empty).
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut smin = values[0];
-        let mut smax = values[0];
+        let (mut smin, mut smax) = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut sample = |v: f64| {
+            if v < smin {
+                smin = v;
+            }
+            if v > smax {
+                smax = v;
+            }
+        };
+        sample(values[0]);
         let frac = cfg.sample_fraction.clamp(0.0, 1.0);
         for &v in values.iter().skip(1) {
             if frac >= 1.0 || rng.gen::<f64>() < frac {
-                if v < smin {
-                    smin = v;
-                }
-                if v > smax {
-                    smax = v;
-                }
+                sample(v);
             }
+        }
+        if smin > smax {
+            let seed = values.iter().copied().find(|v| !v.is_nan()).unwrap_or(0.0);
+            (smin, smax) = (seed, seed);
         }
 
         let nbins_req = cfg.nbins_lower_bound.max(1);
@@ -488,6 +498,31 @@ mod tests {
         h.add(f64::NAN);
         assert_eq!(h.total(), 2);
         assert_eq!(h.counts().iter().sum::<u64>(), 2);
+    }
+
+    #[test]
+    fn nan_never_widens_bounds_or_counts() {
+        let cfg = HistogramConfig::default();
+        // NaN first (the element the sampler always takes), NaN scattered,
+        // and a region of nothing but NaN.
+        let mut data: Vec<f64> = (0..5000).map(|i| ((i * 37) % 1000) as f64 / 100.0).collect();
+        for i in (0..5000).step_by(3) {
+            data[i] = f64::NAN;
+        }
+        let finite: Vec<f64> = data.iter().copied().filter(|v| !v.is_nan()).collect();
+        let h = Histogram::build(&data, &cfg).unwrap();
+        assert!(h.self_check(data.len() as u64));
+        assert_eq!(h.total(), finite.len() as u64);
+        assert_eq!(h.min(), finite.iter().copied().fold(f64::INFINITY, f64::min));
+        assert_eq!(h.max(), finite.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+        let exact = finite.iter().filter(|&&v| v > 2.1 && v < 2.2).count() as u64;
+        let est = h.estimate_hits(&pdc_types::Interval::open(2.1, 2.2));
+        assert!(est.lower <= exact && exact <= est.upper, "{est:?} vs {exact}");
+
+        let h = Histogram::build(&[f64::NAN; 64], &cfg).unwrap();
+        assert!(h.self_check(64));
+        assert_eq!(h.total(), 0);
+        assert!(!h.overlaps(&pdc_types::Interval::ALL), "an all-NaN region is always pruned");
     }
 
     #[test]

@@ -166,15 +166,20 @@ impl SortedReplica {
         self.keys.len() as u64 * (elem_bytes + 8)
     }
 
-    /// The contiguous sorted-coordinate span matching `interval`.
+    /// The contiguous sorted-coordinate span matching `interval`. NaN keys
+    /// sort last and match nothing, so even an interval unbounded above
+    /// stops before them; a NaN bound constrains nothing, as in
+    /// [`Interval::contains`].
     pub fn matching_span(&self, interval: &Interval) -> Run {
-        let below = |k: f64| match interval.lo {
+        let lo = interval.lo.filter(|b| !b.value.is_nan());
+        let hi = interval.hi.filter(|b| !b.value.is_nan());
+        let below = |k: f64| match lo {
             Some(b) => k < b.value || (k == b.value && !b.inclusive),
             None => false,
         };
-        let within = |k: f64| match interval.hi {
+        let within = |k: f64| match hi {
             Some(b) => k < b.value || (k == b.value && b.inclusive),
-            None => true,
+            None => !k.is_nan(),
         };
         let start = self.keys.partition_point(|&k| below(k)) as u64;
         let end = self.keys.partition_point(|&k| below(k) || within(k)) as u64;
@@ -185,20 +190,8 @@ impl SortedReplica {
     /// and translate it back to original coordinates.
     pub fn lookup(&self, interval: &Interval) -> SortedLookup {
         let span = self.matching_span(interval);
-        let coords: Vec<u64> = self.perm[span.start as usize..span.end() as usize].to_vec();
+        let coords = &self.perm[span.start as usize..span.end() as usize];
         SortedLookup { sorted_span: span, selection: Selection::from_unsorted_coords(coords) }
-    }
-
-    /// Indices of the sorted regions overlapping `interval` — always a
-    /// contiguous band; these are the only regions a sorted-strategy query
-    /// must read.
-    pub fn regions_overlapping(&self, interval: &Interval) -> Vec<u32> {
-        (0..self.num_regions())
-            .filter(|&r| {
-                let (lo, hi) = self.region_range(r);
-                interval.overlaps_range(lo, hi)
-            })
-            .collect()
     }
 
     /// Validate the replica against the object it claims to mirror: the
@@ -245,8 +238,8 @@ impl SortedReplica {
         Run::new(start, (start + self.region_len).min(self.len()) - start)
     }
 
-    /// The sorted regions containing the matching span (equivalent to
-    /// [`Self::regions_overlapping`] but computed from the span).
+    /// The sorted regions `span` touches, a contiguous band; for a
+    /// matching span, the only regions a sorted-strategy query must read.
     pub fn regions_of_span(&self, span: &Run) -> Vec<u32> {
         if span.len == 0 {
             return Vec::new();
@@ -260,6 +253,7 @@ impl SortedReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdc_types::interval::Bound;
     use pdc_types::QueryOp;
 
     fn sample(n: usize) -> Vec<f64> {
@@ -368,13 +362,23 @@ mod tests {
         nan_coords.push(500);
         nan_coords.sort_unstable();
         assert_eq!(r.perm()[finite..], nan_coords[..]);
-        // A bounded lookup binary-searches the finite prefix and never
-        // reaches the NaN tail.
-        let iv = Interval::open(2.0, 5.0);
-        let got = r.lookup(&iv).selection.iter_coords().collect::<Vec<_>>();
-        let finite_hits: Vec<u64> =
-            exact_coords(&values, &iv).into_iter().filter(|&c| !values[c as usize].is_nan()).collect();
-        assert_eq!(got, finite_hits);
+        // NaN satisfies no interval: lookups bounded or not, and with or
+        // without a NaN bound (which constrains nothing), stop before the
+        // NaN tail and equal the naive filter.
+        let nan = Some(Bound { value: f64::NAN, inclusive: true });
+        for iv in [
+            Interval::open(2.0, 5.0),
+            Interval::from_op(QueryOp::Gt, 9.0),
+            Interval::from_op(QueryOp::Gte, f64::NEG_INFINITY),
+            Interval::ALL,
+            Interval { lo: nan, hi: None },
+            Interval { lo: None, hi: nan },
+        ] {
+            let lookup = r.lookup(&iv);
+            assert!(lookup.sorted_span.end() <= finite as u64, "{iv}: span reaches the NaN tail");
+            let got = lookup.selection.iter_coords().collect::<Vec<_>>();
+            assert_eq!(got, exact_coords(&values, &iv), "{iv}");
+        }
     }
 
     #[test]
@@ -465,17 +469,25 @@ mod tests {
     fn overlapping_regions_form_contiguous_band() {
         let values = sample(8000);
         let r = SortedReplica::build(&values, 512);
-        let iv = Interval::open(3.0, 4.0);
-        let regions = r.regions_overlapping(&iv);
-        assert!(!regions.is_empty());
-        for w in regions.windows(2) {
-            assert_eq!(w[0] + 1, w[1], "band must be contiguous");
-        }
-        // spans agree with region arithmetic
-        let span = r.matching_span(&iv);
-        let from_span = r.regions_of_span(&span);
-        for reg in &from_span {
-            assert!(regions.contains(reg));
+        for iv in [
+            Interval::open(3.0, 4.0),
+            Interval::closed(0.0, 0.0),
+            Interval::from_op(QueryOp::Gt, 9.9),
+            Interval::from_op(QueryOp::Lt, 0.05),
+            Interval::empty(),
+        ] {
+            let regions = r.regions_of_span(&r.matching_span(&iv));
+            // The naive filter: every region holding a matching key.
+            let naive: Vec<u32> = (0..r.num_regions())
+                .filter(|&g| {
+                    let span = r.region_span(g);
+                    r.keys()[span.start as usize..span.end() as usize].iter().any(|&k| iv.contains(k))
+                })
+                .collect();
+            assert_eq!(regions, naive, "{iv}");
+            for w in regions.windows(2) {
+                assert_eq!(w[0] + 1, w[1], "band must be contiguous");
+            }
         }
     }
 

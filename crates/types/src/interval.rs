@@ -30,6 +30,7 @@ pub struct Bound {
 ///     .intersect(&Interval::from_op(QueryOp::Lt, 2.2));
 /// assert!(iv.contains(2.15));
 /// assert!(!iv.contains(2.1));
+/// assert!(!Interval::ALL.contains(f64::NAN)); // NaN satisfies no predicate
 /// // region pruning: does a region with values in [0.0, 2.0] matter?
 /// assert!(!iv.overlaps_range(0.0, 2.0));
 /// ```
@@ -99,9 +100,14 @@ impl Interval {
         self.lo.is_none() && self.hi.is_none()
     }
 
-    /// Membership test.
+    /// Membership test. IEEE semantics: a NaN value satisfies no interval
+    /// (not even [`Interval::ALL`]), while a NaN *bound* never rejects a
+    /// value, because every ordered comparison with it is false.
     #[inline]
     pub fn contains(&self, v: f64) -> bool {
+        if v.is_nan() {
+            return false;
+        }
         if let Some(lo) = self.lo {
             if v < lo.value || (v == lo.value && !lo.inclusive) {
                 return false;
@@ -162,7 +168,9 @@ impl Interval {
     }
 
     /// Whether the closed range `[min, max]` lies entirely inside the
-    /// interval (every value in the range matches).
+    /// interval (every value in the range matches). Inlined: it is the
+    /// per-bin test of the histogram estimate, across a crate boundary.
+    #[inline]
     pub fn covers_range(&self, min: f64, max: f64) -> bool {
         self.contains(min) && self.contains(max)
     }
@@ -281,6 +289,12 @@ mod tests {
         assert!(Interval::ALL.is_all());
         assert!(Interval::ALL.contains(f64::MAX));
         assert!(!Interval::ALL.is_empty());
+        for iv in [Interval::ALL, Interval::empty(), Interval::closed(-1.0, 1.0)] {
+            assert!(!iv.contains(f64::NAN) && !iv.contains(-f64::NAN), "{iv}");
+            assert!(!iv.covers_range(f64::NAN, 0.0), "{iv}");
+        }
+        let nan_bound = Interval::from_op(QueryOp::Lt, f64::NAN);
+        assert!(nan_bound.contains(1.0) && !nan_bound.contains(f64::NAN));
         assert!(!Interval::empty().overlaps_range(0.0, 2.0));
     }
 

@@ -10,10 +10,9 @@
 //!    `f64` bounds are lowered *once per region* to inclusive thresholds
 //!    in the element's native type, chosen so that the branchless
 //!    per-element test is bit-for-bit equivalent to
-//!    `interval.contains(x as f64)` — including the quirk that a `NaN`
-//!    element satisfies every interval (it fails all ordered
-//!    comparisons), and including `i64`/`u64` values beyond 2^53 whose
-//!    widening rounds.
+//!    `interval.contains(x as f64)` — including IEEE semantics for a
+//!    `NaN` element (it satisfies no interval), and including `i64`/`u64`
+//!    values beyond 2^53 whose widening rounds.
 //! 2. **Mask generation** ([`block_mask`]): 64 elements at a time are
 //!    compared against the thresholds into one 0/1 byte per lane (a
 //!    data-parallel map the compiler vectorises), and every 8 bytes are
@@ -29,7 +28,7 @@
 //! servers and regions; a region scan is a single sequential pass.
 
 use crate::interval::Interval;
-use crate::selection::{Run, Selection};
+use crate::selection::{mask_runs, Run, Selection};
 use crate::value::TypedVec;
 
 // ---------------------------------------------------------------------------
@@ -100,12 +99,11 @@ fn next_f32_down(x: f32) -> f32 {
     -next_f32_up(-x)
 }
 
-/// Lower an interval to inclusive f64 thresholds `(lo, hi)` such that a
-/// non-NaN `v` satisfies `interval.contains(v)` iff `lo <= v && v <= hi`.
-/// (NaN values satisfy every interval; the float `accept` form handles
-/// them without a branch.) A side whose bound value is NaN never rejects
-/// anything — mirroring `Interval::contains`, where NaN fails both
-/// ordered comparisons — so it lowers to unbounded. An exclusive bound at
+/// Lower an interval to inclusive f64 thresholds `(lo, hi)` such that
+/// `v` satisfies `interval.contains(v)` iff `lo <= v && v <= hi` (a NaN
+/// `v` fails both, as it fails `contains`). A side whose bound value is
+/// NaN never rejects anything — mirroring `Interval::contains`, where NaN
+/// fails both ordered comparisons — so it lowers to unbounded. An exclusive bound at
 /// the non-representable end (`> +inf` / `< -inf`) admits no non-NaN
 /// value at all and lowers to the canonical empty pair `(+inf, -inf)`.
 fn lower_f64(interval: &Interval) -> (f64, f64) {
@@ -217,11 +215,10 @@ impl ScanElem for f64 {
     }
 
     #[inline(always)]
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must pass: see below
     fn accept(self, lo: f64, hi: f64) -> bool {
-        // NaN fails both comparisons and is therefore accepted, exactly
+        // NaN fails both comparisons and is therefore rejected, exactly
         // like `Interval::contains` (every ordered test on NaN is false).
-        !(self < lo) & !(self > hi)
+        (self >= lo) & (self <= hi)
     }
 }
 
@@ -234,9 +231,8 @@ impl ScanElem for f32 {
     }
 
     #[inline(always)]
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must pass, as for f64
     fn accept(self, lo: f32, hi: f32) -> bool {
-        !(self < lo) & !(self > hi)
+        (self >= lo) & (self <= hi)
     }
 }
 
@@ -291,32 +287,6 @@ pub fn block_mask<T: ScanElem>(xs: &[T], lo: T, hi: T) -> u64 {
         m |= packed << (c * 8);
     }
     m
-}
-
-/// Append `[start, start+len)` to `out`, coalescing with an adjacent tail.
-#[inline]
-fn push_run(out: &mut Vec<Run>, start: u64, len: u64) {
-    if let Some(last) = out.last_mut() {
-        if last.end() == start {
-            last.len += len;
-            return;
-        }
-    }
-    out.push(Run::new(start, len));
-}
-
-/// Decode a hit mask into runs at absolute base coordinate `base`.
-#[inline]
-fn mask_runs(mut m: u64, base: u64, out: &mut Vec<Run>) {
-    while m != 0 {
-        let lo = m.trailing_zeros() as u64;
-        let ones = (m >> lo).trailing_ones() as u64;
-        push_run(out, base + lo, ones);
-        if lo + ones == 64 {
-            break;
-        }
-        m &= !(((1u64 << ones) - 1) << lo);
-    }
 }
 
 /// Scan a typed slice against lowered thresholds, appending canonical
@@ -519,14 +489,27 @@ mod tests {
     }
 
     #[test]
-    fn nan_elements_match_every_interval_like_scalar() {
-        let tv = TypedVec::Float(vec![f32::NAN, 1.0, f32::NAN]);
-        for iv in [Interval::empty(), Interval::open(5.0, 6.0), Interval::ALL] {
+    fn nan_elements_match_no_interval_like_scalar() {
+        let tv = TypedVec::Float(vec![f32::NAN, 1.0, -f32::NAN]);
+        let nan = Some(Bound { value: f64::NAN, inclusive: true });
+        for iv in [
+            Interval::empty(),
+            Interval::open(5.0, 6.0),
+            Interval::ALL,
+            Interval { lo: nan, hi: None },
+            Interval { lo: nan, hi: nan },
+        ] {
             let sel = scan_interval(&tv, &iv, 0);
-            assert!(sel.contains(0), "NaN must match {iv}");
-            assert!(sel.contains(2), "NaN must match {iv}");
+            assert!(!sel.contains(0) && !sel.contains(2), "NaN must not match {iv}");
+            assert_eq!(sel.contains(1), iv.contains(1.0), "{iv}");
             assert_kernel_matches_scalar(&tv, &iv, "nan elements");
         }
+        // An all-NaN column matches nothing, in every kernel entry point.
+        let all_nan = TypedVec::Double(vec![f64::NAN; 130]);
+        assert!(scan_interval(&all_nan, &Interval::ALL, 0).is_empty());
+        assert_eq!(count_matches(&all_nan, &Interval::ALL), 0);
+        let every = Selection::all(130);
+        assert!(filter_selection(&all_nan, &Interval::ALL, &every).is_empty());
     }
 
     #[test]
@@ -736,11 +719,13 @@ mod tests {
     }
 
     fn gen_data(rng: &mut TestRng, ty_pick: usize, len: usize) -> TypedVec {
+        // One float column in eight is all NaN.
+        let nan_below = if rng.below(8) == 0 { 12 } else { 1 };
         match ty_pick % 6 {
             0 => TypedVec::Float(
                 (0..len)
                     .map(|_| match rng.below(12) {
-                        0 => f32::NAN,
+                        r if r < nan_below => f32::NAN,
                         1 => f32::INFINITY,
                         2 => f32::NEG_INFINITY,
                         3 => -0.0,
@@ -751,7 +736,7 @@ mod tests {
             1 => TypedVec::Double(
                 (0..len)
                     .map(|_| match rng.below(12) {
-                        0 => f64::NAN,
+                        r if r < nan_below => f64::NAN,
                         1 => f64::INFINITY,
                         2 => f64::NEG_INFINITY,
                         3 => -0.0,

@@ -39,7 +39,7 @@ impl Run {
 ///
 /// ```
 /// use pdc_types::Selection;
-/// let a = Selection::from_unsorted_coords(vec![5, 3, 4, 10]);
+/// let a = Selection::from_unsorted_coords(&[5, 3, 4, 10]);
 /// let b = Selection::from_span(4, 3); // {4, 5, 6}
 /// assert_eq!(a.union(&b).count(), 5); // {3, 4, 5, 6, 10}
 /// assert_eq!(a.intersect(&b).iter_coords().collect::<Vec<_>>(), vec![4, 5]);
@@ -93,11 +93,29 @@ impl Selection {
     }
 
     /// Build from arbitrary (possibly unsorted, possibly duplicated)
-    /// coordinates.
-    pub fn from_unsorted_coords(mut coords: Vec<u64>) -> Self {
-        coords.sort_unstable();
-        coords.dedup();
-        Self::from_sorted_coords(coords)
+    /// coordinates, such as a sorted-replica slice of the permutation.
+    ///
+    /// Two paths, chosen by density; both return the same canonical runs:
+    ///
+    /// * **dense** — `coords` span fewer than [`DENSE_WORDS_PER_COORD`] ×
+    ///   64 coordinates per element: scatter into a span-sized `u64` bitset,
+    ///   then read runs off each word with `trailing_zeros` /
+    ///   `trailing_ones`, coalescing across word boundaries. Linear in the
+    ///   slice plus the span's word count.
+    /// * **otherwise** (and every slice shorter than [`SORT_BELOW`]): copy,
+    ///   sort and dedup.
+    pub fn from_unsorted_coords(coords: &[u64]) -> Self {
+        if coords.len() >= SORT_BELOW {
+            let (lo, hi) = coords.iter().fold((u64::MAX, 0), |(lo, hi), &c| (lo.min(c), hi.max(c)));
+            let dense_span = (coords.len() as u64).saturating_mul(DENSE_WORDS_PER_COORD * 64);
+            if hi - lo < dense_span {
+                return Selection { runs: runs_by_bitset(coords, lo, hi) };
+            }
+        }
+        let mut sorted = coords.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        Self::from_sorted_coords(sorted)
     }
 
     /// Build from runs that are already sorted, disjoint and non-adjacent.
@@ -318,6 +336,63 @@ impl Run {
     }
 }
 
+/// Bitset words per coordinate up to which
+/// [`Selection::from_unsorted_coords`] scatters into a span bitset instead
+/// of sorting: `n` coordinates spanning fewer than
+/// `DENSE_WORDS_PER_COORD × 64 × n` take the bitset path. The bitset pays
+/// per word of span, the sort per coordinate; on the sorted-replica slices
+/// of the `selective_catalog` benchmark the two cross at about 8 words per
+/// coordinate, on uniformly scattered coordinates between 2 and 4
+/// (DESIGN.md, "The sorted path").
+pub const DENSE_WORDS_PER_COORD: u64 = 4;
+
+/// Slices shorter than this always take the sort path of
+/// [`Selection::from_unsorted_coords`]: below it, allocating, zeroing and
+/// sweeping even a small bitset costs as much as sorting the slice.
+pub const SORT_BELOW: usize = 32;
+
+/// The canonical runs of `coords`, all within `[lo, hi]`, by scattering
+/// them into a bitset over that span and decoding it word by word.
+fn runs_by_bitset(coords: &[u64], lo: u64, hi: u64) -> Vec<Run> {
+    let mut bits = vec![0u64; ((hi - lo) / 64 + 1) as usize];
+    for &c in coords {
+        let off = c - lo;
+        bits[(off / 64) as usize] |= 1 << (off % 64);
+    }
+    let mut runs = Vec::new();
+    for (w, &m) in bits.iter().enumerate() {
+        mask_runs(m, lo + 64 * w as u64, &mut runs);
+    }
+    runs
+}
+
+/// Append `[start, start+len)` to `out`, coalescing with an adjacent tail.
+#[inline]
+fn push_run(out: &mut Vec<Run>, start: u64, len: u64) {
+    if let Some(last) = out.last_mut() {
+        if last.end() == start {
+            last.len += len;
+            return;
+        }
+    }
+    out.push(Run::new(start, len));
+}
+
+/// Decode a 64-bit mask (bit `j` = coordinate `base + j`) into runs
+/// appended to `out`, coalescing with a run ending at `base`.
+#[inline]
+pub(crate) fn mask_runs(mut m: u64, base: u64, out: &mut Vec<Run>) {
+    while m != 0 {
+        let lo = m.trailing_zeros() as u64;
+        let ones = (m >> lo).trailing_ones() as u64;
+        push_run(out, base + lo, ones);
+        if lo + ones == 64 {
+            break;
+        }
+        m &= !(((1u64 << ones) - 1) << lo);
+    }
+}
+
 /// Append canonical `runs` to a canonical `out`, coalescing the runs that
 /// overlap or touch `out`'s tail — the in-order assembly step that keeps
 /// `out` canonical without a sort, so it can be finished with
@@ -340,7 +415,7 @@ mod tests {
     use super::*;
 
     fn sel(coords: &[u64]) -> Selection {
-        Selection::from_unsorted_coords(coords.to_vec())
+        Selection::from_unsorted_coords(coords)
     }
 
     #[test]
@@ -356,7 +431,7 @@ mod tests {
 
     #[test]
     fn from_unsorted_dedups() {
-        let s = Selection::from_unsorted_coords(vec![5, 3, 5, 4, 10]);
+        let s = Selection::from_unsorted_coords(&[5, 3, 5, 4, 10]);
         assert_eq!(s.runs(), &[Run::new(3, 3), Run::new(10, 1)]);
     }
 
@@ -428,7 +503,7 @@ mod tests {
         let sources: Vec<Selection> = (0..13)
             .map(|_| {
                 let coords: Vec<u64> = (0..200).map(|_| next() % 1500).collect();
-                Selection::from_unsorted_coords(coords)
+                Selection::from_unsorted_coords(&coords)
             })
             .collect();
         let folded = sources.iter().fold(Selection::empty(), |acc, s| acc.union(s));

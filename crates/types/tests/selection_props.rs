@@ -2,6 +2,7 @@
 //! algebra must agree with a naive `BTreeSet` model, and interval algebra
 //! must agree with direct predicate evaluation.
 
+use pdc_types::selection::{DENSE_WORDS_PER_COORD, SORT_BELOW};
 use pdc_types::{Interval, QueryOp, Run, Selection};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -75,10 +76,121 @@ fn union_many_skips_empty_sources() {
     assert_eq!(Selection::union_many(&sources), runs(&[(3, 7)]));
 }
 
+/// The oracle for `from_unsorted_coords`: copy, sort, dedup.
+fn sort_dedup(coords: &[u64]) -> Selection {
+    let mut v = coords.to_vec();
+    v.sort_unstable();
+    v.dedup();
+    Selection::from_sorted_coords(v)
+}
+
+/// The width (`max - min`) from which `n` coordinates take the sort path.
+fn sparse_width(n: usize) -> u64 {
+    n as u64 * DENSE_WORDS_PER_COORD * 64
+}
+
+/// `n` coordinates in `[base, base + width]`, both ends included, in a
+/// scrambled order: runs of 1–150 consecutive coordinates (so many cross
+/// 64-bit word boundaries), single points, and repeats of earlier ones.
+fn scattered(rng: &mut TestRng, n: usize, base: u64, width: u64) -> Vec<u64> {
+    let mut out: Vec<u64> = Vec::with_capacity(n);
+    if n >= 2 {
+        out.extend([base, base + width]);
+    }
+    while out.len() < n {
+        match rng.below(4) {
+            0 if !out.is_empty() => out.push(out[rng.below(out.len())]),
+            1 => {
+                let start = base + rng.next_u64() % (width + 1);
+                let last = (rng.below(150) as u64).min(base + width - start);
+                out.extend((0..=last).map(|k| start + k).take(n - out.len()));
+            }
+            _ => out.push(base + rng.next_u64() % (width + 1)),
+        }
+    }
+    for i in (1..out.len()).rev() {
+        out.swap(i, rng.below(i + 1));
+    }
+    out
+}
+
+#[test]
+fn from_unsorted_coords_edge_shapes() {
+    let hi = 1u64 << 40;
+    // Empty, singletons, all equal, duplicate-heavy, runs across word
+    // ends, one short of the tiny cutoff, at it, and the top of the range.
+    let shapes: Vec<Vec<u64>> = vec![
+        vec![],
+        vec![7],
+        vec![u64::MAX - 1],
+        vec![hi; 100],
+        (0..200).map(|i| hi + (i * 7) % 13).collect(),
+        (60..70).chain(120..200).rev().collect(),
+        (0..SORT_BELOW as u64 - 1).map(|i| i * 1000).collect(),
+        (0..SORT_BELOW as u64).map(|i| hi + i * 64).collect(),
+        (1..65).map(|i| u64::MAX - i * 3).collect(),
+    ];
+    for coords in &shapes {
+        let got = Selection::from_unsorted_coords(coords);
+        assert_eq!(got, sort_dedup(coords), "{coords:?}");
+    }
+}
+
+#[test]
+fn from_unsorted_coords_agrees_on_both_sides_of_the_density_constant() {
+    let mut rng = TestRng::new(21);
+    for n in [SORT_BELOW, 100, 4096] {
+        let w = sparse_width(n);
+        // `w - 1` is the widest dense slice, `w` the narrowest sparse one;
+        // both below and above 2^32.
+        for (base, width) in [(0, w - 1), (0, w), (5 << 32, w - 1), ((5 << 32) - 3, w)] {
+            let coords = scattered(&mut rng, n, base, width);
+            assert_eq!(coords.iter().max().unwrap() - coords.iter().min().unwrap(), width);
+            assert_eq!(
+                Selection::from_unsorted_coords(&coords),
+                sort_dedup(&coords),
+                "{n} over {width}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+    #[test]
+    fn from_unsorted_coords_equals_sort_dedup(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::new(seed);
+        let n = match rng.below(5) {
+            0 => rng.below(SORT_BELOW + 2),
+            _ => rng.below(3000),
+        };
+        // From runs packed into a few words, through either side of the
+        // constant, to far sparser than it; near 0, above 2^32 and at the
+        // top of the coordinate range.
+        let width = match rng.below(4) {
+            0 => rng.below(2 * n + 2) as u64,
+            1 => sparse_width(n.max(1)) - 1 + rng.below(3) as u64 - 1,
+            2 => rng.next_u64() % (4 * sparse_width(n.max(1))),
+            _ => rng.next_u64() >> (2 + rng.below(40)),
+        };
+        let base = match rng.below(3) {
+            0 => rng.next_u64() % 1000,
+            1 => (1 << 32) + rng.next_u64() % (1 << 36),
+            _ => u64::MAX - 1 - width - rng.below(64) as u64,
+        };
+        let coords = scattered(&mut rng, n, base, width);
+        let got = Selection::from_unsorted_coords(&coords);
+        prop_assert_eq!(got.clone(), sort_dedup(&coords));
+        for w in got.runs().windows(2) {
+            prop_assert!(w[0].end() < w[1].start, "runs must be canonical");
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn selection_roundtrips_coords(coords in coords_strategy()) {
-        let s = Selection::from_unsorted_coords(coords.clone());
+        let s = Selection::from_unsorted_coords(&coords);
         let m = model(&coords);
         prop_assert_eq!(s.iter_coords().collect::<Vec<_>>(), m.iter().copied().collect::<Vec<_>>());
         prop_assert_eq!(s.count(), m.len() as u64);
@@ -86,7 +198,7 @@ proptest! {
 
     #[test]
     fn selection_runs_are_canonical(coords in coords_strategy()) {
-        let s = Selection::from_unsorted_coords(coords);
+        let s = Selection::from_unsorted_coords(&coords);
         for r in s.runs() {
             prop_assert!(r.len > 0);
         }
@@ -97,8 +209,8 @@ proptest! {
 
     #[test]
     fn union_matches_set_model(a in coords_strategy(), b in coords_strategy()) {
-        let sa = Selection::from_unsorted_coords(a.clone());
-        let sb = Selection::from_unsorted_coords(b.clone());
+        let sa = Selection::from_unsorted_coords(&a);
+        let sb = Selection::from_unsorted_coords(&b);
         let expect: Vec<u64> = model(&a).union(&model(&b)).copied().collect();
         prop_assert_eq!(sa.union(&sb).iter_coords().collect::<Vec<_>>(), expect);
         // commutative
@@ -107,8 +219,8 @@ proptest! {
 
     #[test]
     fn intersect_matches_set_model(a in coords_strategy(), b in coords_strategy()) {
-        let sa = Selection::from_unsorted_coords(a.clone());
-        let sb = Selection::from_unsorted_coords(b.clone());
+        let sa = Selection::from_unsorted_coords(&a);
+        let sb = Selection::from_unsorted_coords(&b);
         let expect: Vec<u64> = model(&a).intersection(&model(&b)).copied().collect();
         prop_assert_eq!(sa.intersect(&sb).iter_coords().collect::<Vec<_>>(), expect);
         prop_assert_eq!(sa.intersect(&sb), sb.intersect(&sa));
@@ -117,8 +229,8 @@ proptest! {
     #[test]
     fn demorgan_style_counts(a in coords_strategy(), b in coords_strategy()) {
         // |A ∪ B| + |A ∩ B| == |A| + |B|
-        let sa = Selection::from_unsorted_coords(a);
-        let sb = Selection::from_unsorted_coords(b);
+        let sa = Selection::from_unsorted_coords(&a);
+        let sb = Selection::from_unsorted_coords(&b);
         prop_assert_eq!(
             sa.union(&sb).count() + sa.intersect(&sb).count(),
             sa.count() + sb.count()
@@ -127,7 +239,7 @@ proptest! {
 
     #[test]
     fn restrict_matches_filter(coords in coords_strategy(), start in 0u64..500, len in 0u64..200) {
-        let s = Selection::from_unsorted_coords(coords.clone());
+        let s = Selection::from_unsorted_coords(&coords);
         let expect: Vec<u64> = model(&coords)
             .into_iter()
             .filter(|&c| c >= start && c < start + len)
@@ -140,7 +252,7 @@ proptest! {
 
     #[test]
     fn contains_matches_model(coords in coords_strategy(), probe in 0u64..600) {
-        let s = Selection::from_unsorted_coords(coords.clone());
+        let s = Selection::from_unsorted_coords(&coords);
         prop_assert_eq!(s.contains(probe), model(&coords).contains(&probe));
     }
 
