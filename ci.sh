@@ -262,4 +262,8 @@ echo "$serve_out" | tail -n 1
 echo "== clippy gate =="
 cargo clippy --release $OFFLINE --workspace --all-targets -- -D warnings
 
+echo "== rustdoc gate =="
+# A doc link to a deleted or private item is a red build, not a warning.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace $OFFLINE
+
 echo "ci: all gates green"

@@ -13,7 +13,7 @@
 //! strategy wins both halves of the mix, so the adaptive total must
 //! come out no worse than the best fixed one.
 //!
-//! Writes `BENCH_adaptive.json` (path overridable as argv[1]);
+//! Writes `BENCH_adaptive.json` (path overridable as `argv[1]`);
 //! `PDC_PARTICLES` overrides the 2 Mi-particle default. Exits non-zero
 //! if any strategy disagrees on hits or if the adaptive total exceeds
 //! the best fixed total.

@@ -13,7 +13,7 @@
 //! (Cold-read speed is a wall-clock number: the referee's
 //! `blockstore.decode_mb_per_s` and the `spill_cold` workload.)
 //!
-//! Writes `BENCH_blockstore.json` (path overridable as argv[1]);
+//! Writes `BENCH_blockstore.json` (path overridable as `argv[1]`);
 //! `PDC_PARTICLES` overrides the 4 Mi-element default. Exits non-zero if
 //! a gate fails.
 

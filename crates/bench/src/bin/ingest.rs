@@ -8,7 +8,7 @@
 //! recorded — the gap is the price of querying mid-ingest (stale sorted
 //! replica, pending tail index, cold caches after every epoch bump).
 //!
-//! Writes `BENCH_ingest.json` (path overridable as argv[1]);
+//! Writes `BENCH_ingest.json` (path overridable as `argv[1]`);
 //! `PDC_PARTICLES` overrides the 1 Mi-element default. Exits non-zero if
 //! any interleaved query disagrees with its sealed rerun — the
 //! correctness gate.

@@ -26,7 +26,7 @@
 //! requires the outcomes (selection, hits, and every simulated cost)
 //! bit-identical.
 //!
-//! Writes `BENCH_pruning.json` (path overridable as argv[1]);
+//! Writes `BENCH_pruning.json` (path overridable as `argv[1]`);
 //! `PDC_PARTICLES` overrides the 2 Mi-particle default. Exits non-zero
 //! if outcomes diverge or the total admitted-region count fails the
 //! >=2x reduction gate.

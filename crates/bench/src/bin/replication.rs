@@ -19,7 +19,7 @@
 //! mid-series, then retire one of the originals — selections must be
 //! unchanged at every step, and the live-migration volume is recorded.
 //!
-//! Writes `BENCH_replication.json` (path overridable as argv[1]);
+//! Writes `BENCH_replication.json` (path overridable as `argv[1]`);
 //! `PDC_PARTICLES` overrides the default of 983,040 particles = 240
 //! regions of 16 KiB — one region per assignment slot at 16 servers
 //! (spread 15), so healthy per-server work is perfectly balanced and a

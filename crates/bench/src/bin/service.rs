@@ -7,7 +7,7 @@
 //! uniform mix. Every served outcome is asserted bit-identical to a
 //! sequential dispatch-order replay on a twin engine.
 //!
-//! Writes `BENCH_service.json` (path overridable as argv[1]);
+//! Writes `BENCH_service.json` (path overridable as `argv[1]`);
 //! `PDC_PARTICLES` overrides the 1 Mi-element default.
 
 use pdc_bench::{

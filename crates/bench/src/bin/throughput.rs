@@ -8,7 +8,7 @@
 //! not exceed the sum of the sequential critical paths. (How much host
 //! wall time that saves is the referee's `service.batching_gain`.)
 //!
-//! Writes `BENCH_throughput.json` (path overridable as argv[1]);
+//! Writes `BENCH_throughput.json` (path overridable as `argv[1]`);
 //! `PDC_PARTICLES` overrides the 1 Mi-element default. Exits non-zero if
 //! the 32-query batch misses a sharing floor below.
 

@@ -3,7 +3,7 @@
 
 use crate::ast::PdcQuery;
 use crate::exec::{eval_plan, EvalCtx};
-use crate::plan::{PlanNode, QueryPlan};
+use crate::plan::{ObjConstraint, PlanNode, QueryPlan};
 use crate::qcache::SharedScanGroup;
 use crate::service::ScheduleClock;
 use crate::recover::run_slots;
@@ -65,11 +65,86 @@ impl Strategy {
             Strategy::Adaptive => "PDC-A",
         }
     }
+
+    /// The strategy's decisions as data: every strategy-dependent branch
+    /// in the evaluator, the planner and the admission estimate reads
+    /// this table, and nothing else names a variant.
+    pub(crate) fn policy(self) -> Policy {
+        use Use::{Always, IfCheaper, Never};
+        let (prune, probe, sorted, preload) = match self {
+            Strategy::FullScan => (false, Never, Never, true),
+            Strategy::Histogram => (true, Never, Never, false),
+            Strategy::HistogramIndex => (true, Always, Never, false),
+            Strategy::SortedHistogram => (true, Never, Always, false),
+            Strategy::Adaptive => (true, IfCheaper, IfCheaper, false),
+        };
+        Policy { prune, probe, sorted, preload }
+    }
 }
 
 impl std::fmt::Display for Strategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+/// When an auxiliary structure answers in place of the region scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Use {
+    Never,
+    /// Whenever the structure exists.
+    Always,
+    /// When the cost model prefers it (`PDC-A`).
+    IfCheaper,
+}
+
+impl Use {
+    /// The modelled cost under this rule, given the method's cost
+    /// (`None` when its structure is unavailable) and the scan path's.
+    pub(crate) fn cost(self, method: Option<SimDuration>, otherwise: SimDuration) -> SimDuration {
+        match (self, method) {
+            (Use::Always, Some(m)) => m,
+            (Use::IfCheaper, Some(m)) => m.min(otherwise),
+            _ => otherwise,
+        }
+    }
+}
+
+/// One strategy's decisions (paper §VI: PDC-F, -H, -HI and -SH are four
+/// configurations of one service; PDC-A picks among the same choices).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Policy {
+    /// Histogram region elimination before any access.
+    pub prune: bool,
+    /// Per region: answer from the bitmap index.
+    pub probe: Use,
+    /// Per constraint: answer the primary from the sorted replica.
+    pub sorted: Use,
+    /// Pre-load every queried object before evaluation (PDC-F).
+    pub preload: bool,
+}
+
+impl Policy {
+    /// Whether the primary constraint is answered from the sorted
+    /// replica. A replica that does not cover the snapshot's extent
+    /// (stale after an append, pending deferred maintenance) is
+    /// unavailable, and the constraint takes the per-region path. A pure
+    /// function of metadata, histograms and the cost model, so every
+    /// server slot and the client's `sorted_hint` agree.
+    pub(crate) fn sorted_primary(
+        self,
+        snap: &MetaSnapshot,
+        cost: &CostModel,
+        n_servers: u32,
+        c: &ObjConstraint,
+    ) -> PdcResult<bool> {
+        match self.sorted {
+            Use::Never => Ok(false),
+            Use::Always => Ok(snap.sorted_available(c.object)),
+            Use::IfCheaper => {
+                crate::ops::adaptive_sorted_choice(snap, cost, n_servers, c.object, &c.interval)
+            }
+        }
     }
 }
 
@@ -783,7 +858,8 @@ impl QueryEngine {
         // PDC-F pre-loads all data of every queried object. Failures
         // during the pre-load recover the same way evaluation does; they
         // are carried into the outcome's fault report.
-        let preload = if self.cfg.strategy == Strategy::FullScan {
+        let policy = self.cfg.strategy.policy();
+        let preload = if policy.preload {
             Some(self.preload_objects(&snap, &objects, &weights, placement.as_deref())?)
         } else {
             None
@@ -794,7 +870,6 @@ impl QueryEngine {
 
         let odms = Arc::clone(&self.odms);
         let snap_eval = Arc::clone(&snap);
-        let strategy = self.cfg.strategy;
         let out = run_slots(
             &self.pool,
             &cost,
@@ -818,7 +893,7 @@ impl QueryEngine {
                     odms: &odms,
                     snap: &snap_eval,
                     cost: &cost,
-                    strategy,
+                    policy,
                     n_servers: n,
                     n_slots,
                     server: slot,
@@ -1066,7 +1141,7 @@ impl QueryEngine {
     /// *new* predicates: intervals the group has already admitted are
     /// skipped outright, and for new intervals the per-region pass skips
     /// every region whose scan artifact is already cached (the
-    /// `peek_scan` check inside [`Self::prewarm_intervals`]) — late
+    /// `peek_scan` check inside `prewarm_intervals`) — late
     /// arrivals join the in-flight group at region granularity instead
     /// of forcing a recompute over the closed set. A store-epoch bump
     /// since the group opened reopens it (the artifacts it assumed
@@ -1165,49 +1240,22 @@ impl QueryEngine {
                     if pending.is_empty() {
                         continue;
                     }
-                    // Spilled region: fuse the multi-interval scan with
-                    // block decompression — one decoded block (through
-                    // the shared block cache) scanned against every
-                    // pending interval, never the whole region at once.
-                    // Per-interval runs re-canonicalize identically to a
-                    // whole-region pass. Any unreadable block skips the
+                    // Spilled region: the operator's block-fused scan,
+                    // one decoded block (through the shared block cache)
+                    // against every pending interval, never the whole
+                    // region at once. Any unreadable block skips the
                     // region; the per-query path handles it with full
                     // accounting.
                     if let Some(cold) = odms.store().cold_region(RegionId::new(*obj, r)) {
                         if cold.len() < span.len {
                             continue;
                         }
-                        let mut runs: Vec<Vec<pdc_types::Run>> =
-                            vec![Vec::new(); pending.len()];
-                        let mut ok = true;
-                        for b in 0..cold.n_blocks() {
-                            let (bs, be) = cold.block_span(b);
-                            if bs >= span.len {
-                                break;
-                            }
-                            let Ok(block) = cold.read_block(b) else {
-                                ok = false;
-                                break;
-                            };
-                            let block = if be > span.len {
-                                Arc::new(block.slice(0, (span.len - bs) as usize))
-                            } else {
-                                block
-                            };
-                            let sels = pdc_types::kernels::scan_intervals(
-                                &block,
-                                &pending,
-                                span.offset + bs,
-                            );
-                            for (acc, sel) in runs.iter_mut().zip(&sels) {
-                                acc.extend_from_slice(sel.runs());
-                            }
-                        }
-                        if !ok {
+                        let Ok(sels) =
+                            crate::ops::scan_cold_whole(&cold, &pending, span.offset, span.len)
+                        else {
                             continue;
-                        }
-                        for (iv, acc) in pending.iter().zip(runs) {
-                            let sel = pdc_types::Selection::from_runs(acc);
+                        };
+                        for (iv, sel) in pending.iter().zip(sels) {
                             st.qcache.put_scan(*obj, r, span.len, iv, sel);
                         }
                         count += 1;
@@ -1259,15 +1307,8 @@ impl QueryEngine {
     fn sorted_hint(&self, plan: &QueryPlan, snap: &MetaSnapshot) -> Option<(ObjectId, Run)> {
         let PlanNode::Conj(cs) = &plan.root else { return None };
         let primary = cs.first()?;
-        let used = crate::exec::use_sorted_primary(
-            snap,
-            &self.cfg.cost,
-            self.cfg.strategy,
-            self.cfg.num_servers,
-            primary.object,
-            &primary.interval,
-        )
-        .ok()?;
+        let policy = self.cfg.strategy.policy();
+        let used = policy.sorted_primary(snap, &self.cfg.cost, self.cfg.num_servers, primary).ok()?;
         if !used {
             return None;
         }

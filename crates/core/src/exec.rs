@@ -28,8 +28,8 @@
 //! locations; disjunctions union their children with duplicate removal
 //! (paper §III-C).
 
-use crate::engine::Strategy;
-use crate::ops::{self, ExplainPhase, OpOutput, PhysicalOp, RegionTask};
+use crate::engine::Policy;
+use crate::ops::{self, ExplainPhase, RegionTask};
 use crate::plan::{ObjConstraint, PlanNode, QueryPlan};
 use crate::snapshot::MetaSnapshot;
 use crate::state::ServerState;
@@ -49,8 +49,8 @@ pub struct EvalCtx<'a> {
     pub snap: &'a MetaSnapshot,
     /// The cost model.
     pub cost: &'a CostModel,
-    /// The evaluation strategy.
-    pub strategy: Strategy,
+    /// The evaluation strategy's decisions.
+    pub(crate) policy: Policy,
     /// Number of servers participating (= read concurrency).
     pub n_servers: u32,
     /// Number of assignment slots work is partitioned into. Equal to
@@ -176,29 +176,6 @@ fn eval_conj(
     Ok(sel)
 }
 
-/// Whether the primary constraint is answered from the sorted replica:
-/// always for `SortedHistogram` when a replica exists; for `Adaptive`,
-/// when the modelled band cost beats the per-region alternative. The
-/// verdict is a pure function of metadata/histograms/cost model, shared
-/// with the client's `sorted_hint`.
-pub(crate) fn use_sorted_primary(
-    snap: &MetaSnapshot,
-    cost: &CostModel,
-    strategy: Strategy,
-    n_servers: u32,
-    object: ObjectId,
-    interval: &Interval,
-) -> PdcResult<bool> {
-    match strategy {
-        // A replica that doesn't cover the snapshot's extent (stale
-        // after an append, pending deferred maintenance) is unavailable;
-        // the strategy degrades to the pruned per-region path.
-        Strategy::SortedHistogram => Ok(snap.sorted_available(object)),
-        Strategy::Adaptive => ops::adaptive_sorted_choice(snap, cost, n_servers, object, interval),
-        _ => Ok(false),
-    }
-}
-
 /// Evaluate the primary (most selective) constraint with the configured
 /// strategy over this server's assigned regions.
 fn eval_primary(
@@ -208,7 +185,7 @@ fn eval_primary(
     region: Option<&NdRegion>,
     joint: Option<Arc<ops::JointContext>>,
 ) -> PdcResult<Selection> {
-    if use_sorted_primary(ctx.snap, ctx.cost, ctx.strategy, ctx.n_servers, c.object, &c.interval)? {
+    if ctx.policy.sorted_primary(ctx.snap, ctx.cost, ctx.n_servers, c)? {
         return eval_primary_sorted(ctx, state, c);
     }
     let meta = ctx.snap.meta(c.object)?;
@@ -250,10 +227,10 @@ fn eval_primary(
                 continue;
             }
         }
-        match ops::execute_region(ctx, state, &planner, &task, ExplainPhase::Primary, None)? {
-            OpOutput::Pruned => continue,
-            OpOutput::Selected(sel) => append_runs(&mut out, sel.runs()),
-            OpOutput::Pass => unreachable!("access operators always produce a selection"),
+        if let Some(sel) =
+            ops::execute_region(ctx, state, &planner, &task, ExplainPhase::Primary, None)?
+        {
+            append_runs(&mut out, sel.runs());
         }
     }
     Ok(Selection::from_canonical_runs(out))
@@ -298,9 +275,7 @@ fn eval_primary_sorted(
             span: pdc_types::RegionSpec::new(rspan.start, rspan.len),
             interval: c.interval,
         };
-        let OpOutput::Selected(sel) = op.run(ctx, state, &task)? else {
-            unreachable!("sorted-range operator always produces a selection");
-        };
+        let sel = op.run(ctx, state, &task)?;
         if state.explain.is_some() {
             let overlap =
                 sspan.end().min(rspan.end()).saturating_sub(sspan.start.max(rspan.start));
@@ -368,7 +343,7 @@ pub fn point_check(
         }
         if !in_region.is_empty() {
             let task = RegionTask { object, region: r, span, interval: *interval };
-            match ops::execute_region(
+            if let Some(sel) = ops::execute_region(
                 ctx,
                 state,
                 &planner,
@@ -376,9 +351,7 @@ pub fn point_check(
                 ExplainPhase::Filter,
                 Some(in_region),
             )? {
-                OpOutput::Pruned => {}
-                OpOutput::Selected(sel) => append_runs(&mut out, sel.runs()),
-                OpOutput::Pass => unreachable!("access operators always produce a selection"),
+                append_runs(&mut out, sel.runs());
             }
         }
         r += 1;

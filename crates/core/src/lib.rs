@@ -13,10 +13,11 @@
 //! * [`exec`] — the per-server plan evaluator: region assignment,
 //!   candidate chaining, and strategy dispatch for `PDC-F`, `PDC-H`,
 //!   `PDC-HI`, `PDC-SH`, and the per-region adaptive `PDC-A`.
-//! * [`ops`] — the typed physical-operator layer the evaluator drives:
-//!   prune, exact scan, index probe, sorted range, and verify-rebuild
-//!   operators behind one [`ops::PhysicalOp`] trait, plus the
-//!   per-region adaptive planner and the [`ops::ExplainPlan`] report.
+//! * [`ops`] — the physical operators the evaluator drives (prune,
+//!   exact scan, index probe, sorted range and verify-rebuild, each
+//!   returning what it computes), the per-region planner that reads the
+//!   strategy's policy table, the admission estimate, and the
+//!   [`ops::ExplainPlan`] report.
 //! * [`snapshot`] — epoch-consistent metadata snapshots: every plan pins
 //!   the metadata/histograms/replica views of its objects at plan time,
 //!   so queries in flight during a streaming append answer exactly the
@@ -66,7 +67,7 @@ pub use engine::{
 };
 pub use ops::{
     directory_stats, estimate_plan_cost, DirectoryStats, ExplainPhase, ExplainPlan,
-    JointContext, OpKind, PhysicalOp, RegionExplain,
+    JointContext, OpKind, RegionExplain,
 };
 pub use qcache::{CacheStats, GroupStats, QueryArtifactCache, SharedScanGroup};
 pub use service::{

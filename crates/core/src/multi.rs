@@ -15,7 +15,7 @@
 
 use crate::engine::QueryEngine;
 use crate::exec::EvalCtx;
-use crate::ops::{self, ExplainPhase, OpOutput, RegionTask};
+use crate::ops::{self, ExplainPhase, RegionTask};
 use crate::snapshot::MetaSnapshot;
 use crate::state::ServerState;
 use pdc_odms::MetaValue;
@@ -68,12 +68,10 @@ impl QueryEngine {
 
         // Metadata resolution: an in-memory inverted-index lookup on the
         // owner server — "it can locate the 1000 objects instantly".
-        let objects = self.odms().meta().query_tags(conds);
-        let metadata_elapsed = cost.net.transfer_cost(64)
-            + SimDuration::from_nanos(200 * (objects.len() as u64 + 1));
+        let (objects, metadata_elapsed) = self.query_tag(conds);
 
         let odms = Arc::clone(self.odms());
-        let strategy = self.strategy();
+        let policy = self.strategy().policy();
         let iv = *interval;
         // Pin the matched objects' metadata before the broadcast: every
         // server evaluates the same snapshot, and an append landing
@@ -97,7 +95,7 @@ impl QueryEngine {
                     odms: &odms,
                     snap: &snap,
                     cost: &cost,
-                    strategy,
+                    policy,
                     n_servers: n,
                     n_slots: n,
                     server: id.raw(),
@@ -121,7 +119,7 @@ impl QueryEngine {
                             span: meta.region_span(r),
                             interval: iv,
                         };
-                        match ops::execute_region(
+                        if let Some(sel) = ops::execute_region(
                             &ctx,
                             st,
                             &planner,
@@ -129,11 +127,7 @@ impl QueryEngine {
                             ExplainPhase::Filter,
                             None,
                         )? {
-                            OpOutput::Pruned => {}
-                            OpOutput::Selected(sel) => obj_hits += sel.count(),
-                            OpOutput::Pass => {
-                                unreachable!("access operators always produce a selection")
-                            }
+                            obj_hits += sel.count();
                         }
                     }
                     hits.push((obj, obj_hits));

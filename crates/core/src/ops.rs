@@ -1,11 +1,6 @@
-//! The typed physical-operator layer: every way a server can answer one
-//! region's predicate, behind a single [`PhysicalOp`] trait.
-//!
-//! Before this layer existed, the four strategies were four hand-rolled
-//! branches duplicated across `eval_plan`'s primary pass, `point_check`,
-//! the `multi.rs` count path, and the batch prewarm — each re-implementing
-//! the same cost-lane charges, artifact-cache lookups, and integrity
-//! fallbacks. Now each access method is one operator:
+//! The physical operators: every way a server can answer one region's
+//! predicate. Each is a struct with an inherent `run` that returns what
+//! it computes — a prune verdict or the region's [`Selection`]:
 //!
 //! * [`PruneOp`] — histogram min/max region elimination (the paper's
 //!   pruning use of the per-region histogram);
@@ -22,31 +17,33 @@
 //! [`execute_region`] drives the pipeline — prune, then the access
 //! operator chosen by a [`RegionPlanner`] — so retry/reassignment
 //! (`recover.rs`), corruption fallback, and `qcache.rs` artifact caching
-//! are written once against the trait.
+//! are written once.
 //!
-//! **Cost fidelity.** Operators charge exactly what the pre-refactor
-//! strategy branches charged, including their settling quirks: the primary
-//! lane's histogram bin walks are work-counted but never clock-settled
-//! (the historical behaviour every recorded baseline embeds), while the
-//! point-check and count lanes settle theirs. `settle_cpu` is linear in
-//! the counter deltas, so per-operator settling splits the old bracketed
-//! settles without changing any total.
+//! **Cost fidelity.** The primary lane's histogram bin walks are
+//! work-counted but never clock-settled (every recorded baseline embeds
+//! this), while the point-check and metadata-query lanes settle theirs.
+//! `settle_cpu` is linear in the counter deltas, so settling per operator
+//! changes no total.
 //!
-//! **Adaptive selection.** [`Strategy::Adaptive`] consults the region
-//! histogram's [`HitBounds`] and aux availability per (region, predicate):
-//! a probe is chosen only when the estimate predicts a candidate-free
-//! index answer (`lower == upper`) *and* the modelled probe cost beats the
-//! scan in both the storage-bound and CPU-bound regimes (the planner
-//! cannot see cache residency, so the probe must dominate) — under this
-//! cost model a candidate check re-reads the whole data region, so a
-//! probe with predicted boundary bins can never win. At the
-//! constraint level, [`adaptive_sorted_choice`] compares the sorted band
-//! against the per-region alternative. Every decision is a pure function
-//! of metadata, histograms, and the cost model — independent of cache
-//! residency — so retried and reassigned slots (and the client's
-//! `sorted_hint`) always agree.
+//! **Strategies as policies.** Every strategy decision reads the
+//! strategy's policy table (`Strategy::policy`): whether to prune,
+//! whether to probe the bitmap index per region, whether to answer the
+//! primary constraint from the sorted replica, and — for the two access
+//! methods — `Never`, `Always` or `IfCheaper`. `IfCheaper` probes
+//! consult the region histogram's [`HitBounds`] and aux availability per
+//! (region, predicate): a probe is chosen only when the estimate predicts
+//! a candidate-free index answer (`lower == upper`) *and* the modelled
+//! probe cost beats the scan in both the storage-bound and CPU-bound
+//! regimes (the planner cannot see cache residency, so the probe must
+//! dominate) — under this cost model a candidate check re-reads the whole
+//! data region, so a probe with predicted boundary bins can never win.
+//! `IfCheaper` sorted answers compare the sorted band against the
+//! per-region alternative. Every decision is a pure function of metadata,
+//! histograms, and the cost model — independent of cache residency — so
+//! retried and reassigned slots (and the client's `sorted_hint`) always
+//! agree.
 
-use crate::engine::Strategy;
+use crate::engine::{Policy, Strategy, Use};
 use crate::exec::EvalCtx;
 use crate::qcache::IntervalKey;
 use crate::snapshot::MetaSnapshot;
@@ -103,28 +100,6 @@ pub struct RegionTask {
     pub span: RegionSpec,
     /// The predicate.
     pub interval: Interval,
-}
-
-/// What an operator produced.
-#[derive(Debug, Clone)]
-pub enum OpOutput {
-    /// Nothing decided — continue the pipeline (prune verdict: keep).
-    Pass,
-    /// The region cannot contain matches; the pipeline stops here.
-    Pruned,
-    /// The region's matching locations, in global coordinates.
-    Selected(Selection),
-}
-
-/// A physical operator: answers one [`RegionTask`] on one server,
-/// charging its simulated cost lanes uniformly and surfacing only typed
-/// [`PdcError`]s.
-pub trait PhysicalOp {
-    /// Which operator this is (EXPLAIN vocabulary).
-    fn kind(&self) -> OpKind;
-    /// Run the operator against one region.
-    fn run(&self, ctx: &EvalCtx, st: &mut ServerState, task: &RegionTask)
-        -> PdcResult<OpOutput>;
 }
 
 /// The shared prune formula: a region is eliminated when the histogram's
@@ -324,7 +299,7 @@ impl PruneOp {
 
     /// Replay the prune pipeline for a region the directory already
     /// proved disjoint: charges, cache seeding, and settling are
-    /// bit-identical to [`PhysicalOp::run`] with a `true` verdict — which
+    /// bit-identical to [`PruneOp::run`] with a `true` verdict — which
     /// is what `run` necessarily computes, since disjoint bounds force
     /// `estimate_hits` to zero. Only the host-side estimate walk is
     /// skipped.
@@ -345,19 +320,9 @@ impl PruneOp {
             st.settle_cpu(ctx.cost, &before);
         }
     }
-}
 
-impl PhysicalOp for PruneOp {
-    fn kind(&self) -> OpKind {
-        OpKind::Prune
-    }
-
-    fn run(
-        &self,
-        ctx: &EvalCtx,
-        st: &mut ServerState,
-        task: &RegionTask,
-    ) -> PdcResult<OpOutput> {
+    /// Whether the region is eliminated for the task's interval.
+    pub fn run(&self, ctx: &EvalCtx, st: &mut ServerState, task: &RegionTask) -> bool {
         let before = st.work;
         let h = &self.hists[task.region as usize];
         // The bin and joint-cell walks are charged whether or not the
@@ -387,7 +352,7 @@ impl PhysicalOp for PruneOp {
         if self.settle {
             st.settle_cpu(ctx.cost, &before);
         }
-        Ok(if pruned { OpOutput::Pruned } else { OpOutput::Pass })
+        pruned
     }
 }
 
@@ -409,16 +374,19 @@ pub struct ScanExactOp {
     pub candidates: Option<Vec<Run>>,
 }
 
-/// Block-fused whole-extent scan of a spilled region: decode + scan one
-/// block at a time, emitting runs in global coordinates. `scan_elems`
-/// clips to the plan-time snapshot's extent.
-fn scan_cold_whole(
+/// Block-fused whole-extent scan of a spilled region: decode one block at
+/// a time (through the block cache) and scan it against every interval,
+/// emitting one selection per interval in global coordinates.
+/// `scan_elems` clips to the plan-time snapshot's extent. The region
+/// operator passes one interval; the shared-scan prewarm passes every
+/// interval still pending on the region.
+pub(crate) fn scan_cold_whole(
     cold: &ColdRegion,
-    interval: &Interval,
+    intervals: &[Interval],
     global_offset: u64,
     scan_elems: u64,
-) -> PdcResult<Selection> {
-    let mut out: Vec<Run> = Vec::new();
+) -> PdcResult<Vec<Selection>> {
+    let mut outs: Vec<Vec<Run>> = vec![Vec::new(); intervals.len()];
     for b in 0..cold.n_blocks() {
         let (start, end) = cold.block_span(b);
         if start >= scan_elems {
@@ -426,18 +394,15 @@ fn scan_cold_whole(
         }
         let hi = end.min(scan_elems);
         let block = cold.read_block(b)?;
-        kernels::scan_range(
-            &block,
-            interval,
-            0,
-            (hi - start) as usize,
-            global_offset + start,
-            &mut out,
-        );
+        for (interval, out) in intervals.iter().zip(&mut outs) {
+            let (len, base) = ((hi - start) as usize, global_offset + start);
+            kernels::scan_range(&block, interval, 0, len, base, out);
+        }
     }
-    // Blocks are scanned in ascending order into one run list, and the
-    // kernels coalesce a run touching the previous block's last one.
-    Ok(Selection::from_canonical_runs(out))
+    // Blocks are scanned in ascending order into one run list per
+    // interval, and the kernels coalesce a run touching the previous
+    // block's last one.
+    Ok(outs.into_iter().map(Selection::from_canonical_runs).collect())
 }
 
 /// Block-fused scan of one candidate run (global coordinates) inside a
@@ -478,17 +443,14 @@ fn scan_cold_run(
     Ok(())
 }
 
-impl PhysicalOp for ScanExactOp {
-    fn kind(&self) -> OpKind {
-        OpKind::ScanExact
-    }
-
-    fn run(
+impl ScanExactOp {
+    /// The region's matching locations, in global coordinates.
+    pub fn run(
         &self,
         ctx: &EvalCtx,
         st: &mut ServerState,
         task: &RegionTask,
-    ) -> PdcResult<OpOutput> {
+    ) -> PdcResult<Selection> {
         let RegionTask { object, region, span, interval } = task;
         let before = st.work;
         let src = st.read_data_source(
@@ -530,7 +492,13 @@ impl PhysicalOp for ScanExactOp {
                                 kernels::scan_interval(payload, interval, span.offset)
                             }
                             (None, RegionData::Cold(cold)) => {
-                                scan_cold_whole(cold, interval, span.offset, span.len)?
+                                let mut sels = scan_cold_whole(
+                                    cold,
+                                    std::slice::from_ref(interval),
+                                    span.offset,
+                                    span.len,
+                                )?;
+                                sels.swap_remove(0)
                             }
                             (None, RegionData::Mem(_)) => unreachable!("payload set for Mem"),
                         };
@@ -578,7 +546,7 @@ impl PhysicalOp for ScanExactOp {
             }
         };
         st.settle_cpu(ctx.cost, &before);
-        Ok(OpOutput::Selected(sel))
+        Ok(sel)
     }
 }
 
@@ -592,17 +560,14 @@ impl PhysicalOp for ScanExactOp {
 /// propagate.
 pub struct IndexProbeOp;
 
-impl PhysicalOp for IndexProbeOp {
-    fn kind(&self) -> OpKind {
-        OpKind::IndexProbe
-    }
-
-    fn run(
+impl IndexProbeOp {
+    /// The region's matching locations, in global coordinates.
+    pub fn run(
         &self,
         ctx: &EvalCtx,
         st: &mut ServerState,
         task: &RegionTask,
-    ) -> PdcResult<OpOutput> {
+    ) -> PdcResult<Selection> {
         let RegionTask { object, region, span, interval } = task;
         let before = st.work;
         let idx = match st.read_index_region(ctx.odms, ctx.cost, *object, *region, ctx.n_servers) {
@@ -653,7 +618,7 @@ impl PhysicalOp for IndexProbeOp {
                 st.work.elements_scanned += entry.candidates_count;
             }
             st.settle_cpu(ctx.cost, &before);
-            return Ok(OpOutput::Selected(entry.selection));
+            return Ok(entry.selection);
         }
         // The planner fuses per-object conjunction chains into one
         // interval, so this is the 1-chain case of the index's
@@ -691,7 +656,7 @@ impl PhysicalOp for IndexProbeOp {
                 },
             );
         }
-        Ok(OpOutput::Selected(shifted))
+        Ok(shifted)
     }
 }
 
@@ -703,17 +668,14 @@ impl PhysicalOp for IndexProbeOp {
 /// `integrity` lane.
 pub struct VerifyRebuildOp;
 
-impl PhysicalOp for VerifyRebuildOp {
-    fn kind(&self) -> OpKind {
-        OpKind::VerifyRebuild
-    }
-
-    fn run(
+impl VerifyRebuildOp {
+    /// The region's matching locations, in global coordinates.
+    pub fn run(
         &self,
         ctx: &EvalCtx,
         st: &mut ServerState,
         task: &RegionTask,
-    ) -> PdcResult<OpOutput> {
+    ) -> PdcResult<Selection> {
         let out = ScanExactOp { candidates: None }.run(ctx, st, task)?;
         let rebuilt = ctx.odms.rebuild_index_region(task.object, task.region)?;
         // Drop any resident decode of the replaced index so later probes
@@ -754,17 +716,14 @@ pub struct SortedRangeOp {
     pub sorted_object: ObjectId,
 }
 
-impl PhysicalOp for SortedRangeOp {
-    fn kind(&self) -> OpKind {
-        OpKind::SortedRange
-    }
-
-    fn run(
+impl SortedRangeOp {
+    /// The slice's locations, translated to global coordinates.
+    pub fn run(
         &self,
         ctx: &EvalCtx,
         st: &mut ServerState,
         task: &RegionTask,
-    ) -> PdcResult<OpOutput> {
+    ) -> PdcResult<Selection> {
         let before = st.work;
         let region_start = task.span.offset;
         let region_end = task.span.end();
@@ -786,114 +745,101 @@ impl PhysicalOp for SortedRangeOp {
             Selection::empty()
         };
         st.settle_cpu(ctx.cost, &before);
-        Ok(OpOutput::Selected(sel))
+        Ok(sel)
     }
 }
 
-/// Which access operator the planner chose for a region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessChoice {
-    /// Exact data scan.
-    Scan,
-    /// Bitmap-index probe.
-    Probe,
-}
-
-/// Per-(object, strategy) operator planner: owns the prune operator and
+/// Per-(object, policy) operator planner: owns the prune operator and
 /// picks each region's access operator. Built once per object per
 /// evaluation lane; all choices are pure functions of metadata,
 /// histograms, and the cost model (never of cache state), so every slot —
 /// original, retried, or reassigned — resolves the same pipeline.
 pub struct RegionPlanner {
-    strategy: Strategy,
     prune: Option<PruneOp>,
     hists: Option<Arc<Vec<Histogram>>>,
-    /// Whether the object has a bitmap index to probe.
-    index_available: bool,
-    /// `HistogramIndex` without an index: `true` degrades to a scan (the
-    /// count lane's historical behaviour), `false` lets the probe surface
-    /// `MissingPrerequisite` (the primary lane's).
-    missing_index_scans: bool,
-    adaptive: Option<AdaptiveInputs>,
+    access: Access,
     /// The conjunction's joint-bounds context for this object, when any.
     joint: Option<Arc<JointContext>>,
 }
 
-/// Pre-resolved inputs for the adaptive per-region cost comparison.
-struct AdaptiveInputs {
-    elem_bytes: u64,
-    /// Serialized index bytes per region (store peek; `None` where the
-    /// region has no stored index payload).
-    index_region_bytes: Vec<Option<u64>>,
+/// The policy's `probe` rule resolved against one object's index.
+enum Access {
+    Scan,
+    Probe,
+    /// Per region, the probe when it dominates the scan.
+    IfCheaper {
+        elem_bytes: u64,
+        /// Serialized index bytes per region (store peek; `None` where
+        /// the region has no stored index payload).
+        index_region_bytes: Vec<Option<u64>>,
+    },
 }
 
 impl RegionPlanner {
+    /// `filter` marks the point-check and metadata-query lanes: they
+    /// clock-settle their bin walks, and where an `Always` probe finds no
+    /// index they scan, while the primary lane lets the probe surface
+    /// `MissingPrerequisite`.
     fn build(
         ctx: &EvalCtx,
         object: ObjectId,
         hists: Option<Arc<Vec<Histogram>>>,
-        missing_index_scans: bool,
+        filter: bool,
         joint: Option<Arc<JointContext>>,
     ) -> PdcResult<RegionPlanner> {
         let meta = ctx.snap.meta(object)?;
-        let index_available = meta.index_object.is_some();
-        let adaptive = if ctx.strategy == Strategy::Adaptive && index_available {
+        let access = match (ctx.policy.probe, meta.index_object) {
+            (Use::Always, Some(_)) => Access::Probe,
+            (Use::Always, None) if !filter => Access::Probe,
             // Peek the stored index sizes up front (host-side metadata
             // lookup, no simulated charge — this is planning, like
             // building the query plan itself).
-            let idx_obj = meta.index_object.expect("index_available");
-            let index_region_bytes = (0..meta.num_regions())
-                .map(|r| ctx.odms.store().payload_size(RegionId::new(idx_obj, r)))
-                .collect();
-            Some(AdaptiveInputs { elem_bytes: meta.pdc_type.size_bytes(), index_region_bytes })
-        } else {
-            None
+            (Use::IfCheaper, Some(idx_obj)) => Access::IfCheaper {
+                elem_bytes: meta.pdc_type.size_bytes(),
+                index_region_bytes: (0..meta.num_regions())
+                    .map(|r| ctx.odms.store().payload_size(RegionId::new(idx_obj, r)))
+                    .collect(),
+            },
+            _ => Access::Scan,
         };
         Ok(RegionPlanner {
-            strategy: ctx.strategy,
             prune: hists.as_ref().map(|hs| PruneOp {
                 hists: Arc::clone(hs),
-                settle: missing_index_scans,
+                settle: filter,
                 joint: joint.clone(),
             }),
             hists,
-            index_available,
-            missing_index_scans,
-            adaptive,
+            access,
             joint,
         })
     }
 
-    /// Planner for the primary lane of `exec::eval_primary`: `FullScan`
-    /// loads no histograms (it never prunes); every other strategy
-    /// requires them. Bin walks are left unsettled (the primary lane's
-    /// historical accounting), and a missing index under
-    /// `HistogramIndex` is a hard `MissingPrerequisite`.
+    /// Planner for the primary lane of `exec::eval_primary`: a policy
+    /// that does not prune loads no histograms; every other one requires
+    /// them. Bin walks are left unsettled (the primary lane's historical
+    /// accounting), and a missing index under `Use::Always` probes is a
+    /// hard `MissingPrerequisite`.
     pub fn for_primary(
         ctx: &EvalCtx,
         object: ObjectId,
         joint: Option<Arc<JointContext>>,
     ) -> PdcResult<RegionPlanner> {
-        let hists = match ctx.strategy {
-            Strategy::FullScan => None,
-            _ => Some(ctx.snap.region_histograms(object)?),
-        };
+        let hists =
+            if ctx.policy.prune { Some(ctx.snap.region_histograms(object)?) } else { None };
         Self::build(ctx, object, hists, false, joint)
     }
 
-    /// Planner for the point-check (filter) and count lanes: histograms
-    /// are advisory (objects without them simply never prune), bin walks
-    /// are clock-settled, and `HistogramIndex` degrades to a scan when
-    /// the object has no index.
+    /// Planner for the point-check (filter) and metadata-query lanes:
+    /// histograms are advisory (objects without them simply never
+    /// prune), bin walks are clock-settled, and `Use::Always` probes
+    /// degrade to a scan when the object has no index.
     pub fn for_filter(
         ctx: &EvalCtx,
         object: ObjectId,
         joint: Option<Arc<JointContext>>,
     ) -> PdcResult<RegionPlanner> {
-        let hists = match ctx.strategy {
-            Strategy::FullScan => None,
-            _ => ctx.snap.region_histograms_opt(object),
-        };
+        let hists =
+            if ctx.policy.prune { ctx.snap.region_histograms_opt(object) } else { None };
         Self::build(ctx, object, hists, true, joint)
     }
 
@@ -926,18 +872,16 @@ impl RegionPlanner {
         Some(est)
     }
 
-    /// Choose the access operator for one region.
-    pub fn access_for(&self, ctx: &EvalCtx, task: &RegionTask) -> AccessChoice {
-        match self.strategy {
-            Strategy::HistogramIndex => {
-                if self.index_available || !self.missing_index_scans {
-                    AccessChoice::Probe
-                } else {
-                    AccessChoice::Scan
-                }
+    /// Choose the access operator for one region: `IndexProbe` or
+    /// `ScanExact`.
+    pub fn access_for(&self, ctx: &EvalCtx, task: &RegionTask) -> OpKind {
+        match &self.access {
+            Access::Scan => OpKind::ScanExact,
+            Access::Probe => OpKind::IndexProbe,
+            Access::IfCheaper { elem_bytes, index_region_bytes } => {
+                let index_bytes = index_region_bytes[task.region as usize];
+                self.adaptive_choice(ctx, task, *elem_bytes, index_bytes)
             }
-            Strategy::Adaptive => self.adaptive_choice(ctx, task),
-            _ => AccessChoice::Scan,
         }
     }
 
@@ -954,15 +898,18 @@ impl RegionPlanner {
     /// `scan_ns_per_element` over the span. A poorly-compressing index
     /// (serialized size approaching the data size) loses the CPU regime
     /// and the planner stays with the scan rather than gamble on tier.
-    fn adaptive_choice(&self, ctx: &EvalCtx, task: &RegionTask) -> AccessChoice {
-        if !self.index_available {
-            return AccessChoice::Scan;
-        }
-        let (Some(a), Some(est)) = (self.adaptive.as_ref(), self.estimate_for(task)) else {
-            return AccessChoice::Scan;
+    fn adaptive_choice(
+        &self,
+        ctx: &EvalCtx,
+        task: &RegionTask,
+        elem_bytes: u64,
+        index_bytes: Option<u64>,
+    ) -> OpKind {
+        let Some(est) = self.estimate_for(task) else {
+            return OpKind::ScanExact;
         };
-        let data_bytes = task.span.len * a.elem_bytes;
-        let index_bytes = a.index_region_bytes[task.region as usize]
+        let data_bytes = task.span.len * elem_bytes;
+        let index_bytes = index_bytes
             .unwrap_or((data_bytes as f64 * pdc_bitmap::TYPICAL_INDEX_RATIO) as u64);
         let predicted_candidates = est.upper.saturating_sub(est.lower);
         let candidate_bytes = if predicted_candidates > 0 { data_bytes } else { 0 };
@@ -983,20 +930,43 @@ impl RegionPlanner {
             ..Default::default()
         });
         if probe < scan && probe_cpu <= scan_cpu {
-            AccessChoice::Probe
+            OpKind::IndexProbe
         } else {
-            AccessChoice::Scan
+            OpKind::ScanExact
         }
     }
 }
 
+/// The modelled cold cost of answering `interval` from the sorted
+/// replica's band: the keys and permutation words of every sorted region
+/// the matching span touches. `None` when no replica covers this
+/// snapshot's extent (stale after an append, pending deferred
+/// maintenance).
+fn sorted_band_estimate(
+    snap: &MetaSnapshot,
+    cost: &CostModel,
+    n_servers: u32,
+    object: ObjectId,
+    elem_bytes: u64,
+    interval: &Interval,
+) -> PdcResult<Option<SimDuration>> {
+    if !snap.sorted_available(object) {
+        return Ok(None);
+    }
+    let replica = snap.sorted_replica(object)?;
+    let sspan = replica.matching_span(interval);
+    let band = replica.regions_of_span(&sspan);
+    let band_bytes: u64 =
+        band.iter().map(|&sr| replica.region_span(sr).len * (elem_bytes + 8)).sum();
+    Ok(Some(cost.sorted_op_estimate(band_bytes, band.len() as u64, sspan.len, n_servers)))
+}
+
 /// The constraint-level adaptive decision: answer the primary constraint
-/// from the sorted replica's band, or per region? Compares the modelled
-/// cold cost of touching the matching band (keys + permutation bytes)
-/// against pruned per-region scans. Pure host work on metadata and
-/// histograms only, so the client's `sorted_hint` and every server slot
-/// reach the same verdict.
-pub fn adaptive_sorted_choice(
+/// from the sorted replica's band, or per region? Compares the band's
+/// modelled cold cost against pruned per-region scans. Pure host work on
+/// metadata and histograms only, so the client's `sorted_hint` and every
+/// server slot reach the same verdict.
+pub(crate) fn adaptive_sorted_choice(
     snap: &MetaSnapshot,
     cost: &CostModel,
     n_servers: u32,
@@ -1004,20 +974,11 @@ pub fn adaptive_sorted_choice(
     interval: &Interval,
 ) -> PdcResult<bool> {
     let meta = snap.meta(object)?;
-    // A replica that doesn't cover this snapshot's extent (stale after an
-    // append, pending deferred maintenance) is treated as absent.
-    if !snap.sorted_available(object) {
-        return Ok(false);
-    }
-    let replica = snap.sorted_replica(object)?;
     let elem_bytes = meta.pdc_type.size_bytes();
-    let sspan = replica.matching_span(interval);
-    let band = replica.regions_of_span(&sspan);
-    let mut band_bytes = 0u64;
-    for &sr in &band {
-        band_bytes += replica.region_span(sr).len * (elem_bytes + 8);
-    }
-    let sorted = cost.sorted_op_estimate(band_bytes, band.len() as u64, sspan.len, n_servers);
+    let Some(sorted) = sorted_band_estimate(snap, cost, n_servers, object, elem_bytes, interval)?
+    else {
+        return Ok(false);
+    };
     let hists = snap.region_histograms(object)?;
     let mut per_region = SimDuration::ZERO;
     for r in 0..meta.num_regions() {
@@ -1030,18 +991,18 @@ pub fn adaptive_sorted_choice(
     Ok(sorted < per_region)
 }
 
-/// The modelled cold cost of answering one normalized constraint alone,
-/// composed from the same PDC-A operator estimates the adaptive planner
-/// uses ([`pdc_storage::CostModel::scan_op_estimate`] /
-/// [`CostModel::probe_op_estimate`] / [`CostModel::sorted_op_estimate`]).
-/// Pure host work on plan-time metadata and histograms — no simulated
-/// charge, no cache observation — so the admission controller's verdict
-/// for a query is a deterministic function of (snapshot, cost model,
-/// strategy) and never perturbs evaluation.
+/// The modelled cold cost of answering one normalized constraint alone
+/// under `policy`, composed from the same operator estimates the adaptive
+/// planner uses (`CostModel::{scan_op_estimate, probe_op_estimate,
+/// sorted_op_estimate}`). Pure host work on plan-time metadata and
+/// histograms — no simulated charge, no cache observation — so the
+/// admission controller's verdict for a query is a deterministic
+/// function of (snapshot, cost model, strategy) and never perturbs
+/// evaluation.
 fn estimate_constraint_cost(
     snap: &MetaSnapshot,
     cost: &CostModel,
-    strategy: Strategy,
+    policy: Policy,
     n_servers: u32,
     object: ObjectId,
     interval: &Interval,
@@ -1051,22 +1012,12 @@ fn estimate_constraint_cost(
     }
     let meta = snap.meta(object)?;
     let elem_bytes = meta.pdc_type.size_bytes();
-    // Sorted-band candidate: what SH pays outright and what A compares
-    // against the per-region alternative (mirrors adaptive_sorted_choice).
-    let sorted_est = if matches!(strategy, Strategy::SortedHistogram | Strategy::Adaptive)
-        && snap.sorted_available(object)
-    {
-        let replica = snap.sorted_replica(object)?;
-        let sspan = replica.matching_span(interval);
-        let band = replica.regions_of_span(&sspan);
-        let band_bytes: u64 =
-            band.iter().map(|&sr| replica.region_span(sr).len * (elem_bytes + 8)).sum();
-        Some(cost.sorted_op_estimate(band_bytes, band.len() as u64, sspan.len, n_servers))
-    } else {
+    let sorted = if policy.sorted == Use::Never {
         None
+    } else {
+        sorted_band_estimate(snap, cost, n_servers, object, elem_bytes, interval)?
     };
-    let hists =
-        if strategy == Strategy::FullScan { None } else { snap.region_histograms_opt(object) };
+    let hists = if policy.prune { snap.region_histograms_opt(object) } else { None };
     let mut per_region = SimDuration::ZERO;
     for r in 0..meta.num_regions() {
         let span = meta.region_span(r);
@@ -1078,32 +1029,24 @@ fn estimate_constraint_cost(
         }
         let data_bytes = span.len * elem_bytes;
         let scan = cost.scan_op_estimate(data_bytes, span.len, n_servers);
-        let probe_eligible = meta.index_object.is_some()
-            && matches!(strategy, Strategy::HistogramIndex | Strategy::Adaptive);
-        per_region += if probe_eligible {
+        let probe = meta.index_object.is_some().then(|| {
             let index_bytes = (data_bytes as f64 * pdc_bitmap::TYPICAL_INDEX_RATIO) as u64;
             let candidates =
                 est.map(|e| e.upper.saturating_sub(e.lower)).unwrap_or(span.len);
             let candidate_bytes = if candidates > 0 { data_bytes } else { 0 };
-            let probe = cost.probe_op_estimate(index_bytes, candidate_bytes, candidates, n_servers);
-            if strategy == Strategy::Adaptive { probe.min(scan) } else { probe }
-        } else {
-            scan
-        };
+            cost.probe_op_estimate(index_bytes, candidate_bytes, candidates, n_servers)
+        });
+        per_region += policy.probe.cost(probe, scan);
     }
-    Ok(match (strategy, sorted_est) {
-        (Strategy::SortedHistogram, Some(s)) => s,
-        (Strategy::Adaptive, Some(s)) => s.min(per_region),
-        _ => per_region,
-    })
+    Ok(policy.sorted.cost(sorted, per_region))
 }
 
 /// Admission-control cost estimate for a whole plan: the modelled cold
 /// cost of running it alone, summed over every constraint the evaluator
 /// would touch (conjunction chaining makes later constraints cheaper in
 /// practice, so the sum is a conservative upper bound — exactly what a
-/// budget controller wants). Deterministic pure host work; see
-/// [`estimate_constraint_cost`].
+/// budget controller wants). Deterministic pure host work on plan-time
+/// metadata and histograms: no simulated charge, no cache observation.
 pub fn estimate_plan_cost(
     snap: &MetaSnapshot,
     cost: &CostModel,
@@ -1111,9 +1054,10 @@ pub fn estimate_plan_cost(
     n_servers: u32,
     plan: &crate::plan::QueryPlan,
 ) -> PdcResult<SimDuration> {
+    let policy = strategy.policy();
     let mut total = SimDuration::ZERO;
     for c in plan.root.constraints() {
-        total += estimate_constraint_cost(snap, cost, strategy, n_servers, c.object, &c.interval)?;
+        total += estimate_constraint_cost(snap, cost, policy, n_servers, c.object, &c.interval)?;
     }
     Ok(total)
 }
@@ -1199,7 +1143,7 @@ pub(crate) fn record_explain(st: &mut ServerState, entry: RegionExplain) {
 /// carries histograms), then the access operator the planner chose — or
 /// the candidate-restricted scan when `candidates` is given (the
 /// point-check lanes always scan). Records an EXPLAIN row when capture
-/// is armed.
+/// is armed. `None` when the prune operator eliminated the region.
 pub fn execute_region(
     ctx: &EvalCtx,
     st: &mut ServerState,
@@ -1207,70 +1151,32 @@ pub fn execute_region(
     task: &RegionTask,
     phase: ExplainPhase,
     candidates: Option<Vec<Run>>,
-) -> PdcResult<OpOutput> {
-    let explaining = st.explain.is_some();
+) -> PdcResult<Option<Selection>> {
     let chosen = if candidates.is_some() {
-        AccessChoice::Scan
+        OpKind::ScanExact
     } else {
         planner.access_for(ctx, task)
     };
     if let Some(p) = planner.prune_op() {
-        if matches!(p.run(ctx, st, task)?, OpOutput::Pruned) {
-            if explaining {
-                let est = planner.estimate_for(task);
-                record_explain(
-                    st,
-                    RegionExplain {
-                        object: task.object,
-                        region: task.region,
-                        phase,
-                        op: access_kind(chosen),
-                        pruned: true,
-                        span_len: task.span.len,
-                        est,
-                        actual_hits: None,
-                        cold: task_cold(ctx, task),
-                    },
-                );
-            }
-            return Ok(OpOutput::Pruned);
+        if p.run(ctx, st, task) {
+            explain_region(ctx, st, planner, task, phase, chosen, None);
+            return Ok(None);
         }
     }
     let fallbacks_before = st.integrity.fallback_regions;
-    let out = match (candidates, chosen) {
-        (Some(runs), _) => ScanExactOp { candidates: Some(runs) }.run(ctx, st, task)?,
-        (None, AccessChoice::Scan) => ScanExactOp { candidates: None }.run(ctx, st, task)?,
-        (None, AccessChoice::Probe) => IndexProbeOp.run(ctx, st, task)?,
+    let sel = match (candidates, chosen) {
+        (None, OpKind::IndexProbe) => IndexProbeOp.run(ctx, st, task)?,
+        (candidates, _) => ScanExactOp { candidates }.run(ctx, st, task)?,
     };
-    if explaining {
-        // A probe that fell back to the integrity path reports the
-        // operator that actually answered the region.
-        let op = if st.integrity.fallback_regions > fallbacks_before {
-            OpKind::VerifyRebuild
-        } else {
-            access_kind(chosen)
-        };
-        let actual = match &out {
-            OpOutput::Selected(sel) => Some(sel.count()),
-            _ => None,
-        };
-        let est = planner.estimate_for(task);
-        record_explain(
-            st,
-            RegionExplain {
-                object: task.object,
-                region: task.region,
-                phase,
-                op,
-                pruned: false,
-                span_len: task.span.len,
-                est,
-                actual_hits: actual,
-                cold: task_cold(ctx, task),
-            },
-        );
-    }
-    Ok(out)
+    // A probe that fell back to the integrity path reports the operator
+    // that actually answered the region.
+    let op = if st.integrity.fallback_regions > fallbacks_before {
+        OpKind::VerifyRebuild
+    } else {
+        chosen
+    };
+    explain_region(ctx, st, planner, task, phase, op, Some(&sel));
+    Ok(Some(sel))
 }
 
 /// Replay the pipeline for a region the directory excluded from the
@@ -1281,8 +1187,8 @@ pub fn execute_region(
 /// the same work-counter charges, cache seeding, settling, and EXPLAIN
 /// row — while skipping the host-side estimate walk and operator
 /// dispatch. Callers must only invoke it on a planner that prunes
-/// (`prune_op().is_some()`); `FullScan` lanes never consult the
-/// directory.
+/// (`prune_op().is_some()`); lanes whose policy does not prune never
+/// consult the directory.
 pub fn execute_region_skipped(
     ctx: &EvalCtx,
     st: &mut ServerState,
@@ -1294,32 +1200,39 @@ pub fn execute_region_skipped(
     p.run_directory_pruned(ctx, st, task);
     if st.explain.is_some() {
         let chosen = planner.access_for(ctx, task);
-        let est = planner.estimate_for(task);
-        record_explain(
-            st,
-            RegionExplain {
-                object: task.object,
-                region: task.region,
-                phase,
-                op: access_kind(chosen),
-                pruned: true,
-                span_len: task.span.len,
-                est,
-                actual_hits: None,
-                cold: task_cold(ctx, task),
-            },
-        );
+        explain_region(ctx, st, planner, task, phase, chosen, None);
     }
+}
+
+/// Record one region's EXPLAIN row when capture is armed. `sel` is the
+/// region's answer, `None` when it was pruned.
+fn explain_region(
+    ctx: &EvalCtx,
+    st: &mut ServerState,
+    planner: &RegionPlanner,
+    task: &RegionTask,
+    phase: ExplainPhase,
+    op: OpKind,
+    sel: Option<&Selection>,
+) {
+    if st.explain.is_none() {
+        return;
+    }
+    let row = RegionExplain {
+        object: task.object,
+        region: task.region,
+        phase,
+        op,
+        pruned: sel.is_none(),
+        span_len: task.span.len,
+        est: planner.estimate_for(task),
+        actual_hits: sel.map(Selection::count),
+        cold: task_cold(ctx, task),
+    };
+    record_explain(st, row);
 }
 
 /// Whether a task's data region is currently spilled (EXPLAIN metadata).
 fn task_cold(ctx: &EvalCtx, task: &RegionTask) -> bool {
     ctx.odms.store().is_spilled(RegionId::new(task.object, task.region))
-}
-
-fn access_kind(choice: AccessChoice) -> OpKind {
-    match choice {
-        AccessChoice::Scan => OpKind::ScanExact,
-        AccessChoice::Probe => OpKind::IndexProbe,
-    }
 }

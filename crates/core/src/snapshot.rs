@@ -144,7 +144,7 @@ impl MetaSnapshot {
     }
 
     /// The pinned region directory of `object`, when it can answer for
-    /// this snapshot (see [`usable_directory`]). `None` sends the
+    /// this snapshot (see `usable_directory`). `None` sends the
     /// evaluator down the full region walk.
     pub fn directory(&self, object: ObjectId) -> Option<Arc<RegionDirectory>> {
         let v = self.views.get(&object)?;

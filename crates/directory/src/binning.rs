@@ -199,7 +199,7 @@ impl RegionDirectory {
     }
 
     /// Validate against the region count the metadata claims: every
-    /// region indexed exactly once, in exactly the bin [`place`] assigns
+    /// region indexed exactly once, in exactly the bin `place` assigns
     /// it, with non-NaN bounds. A directory failing this cannot
     /// be trusted for candidate resolution and must be rebuilt from the
     /// region histograms.
@@ -226,7 +226,7 @@ impl RegionDirectory {
     }
 
     /// A deterministically corrupted clone for integrity-injection tests:
-    /// one region is re-homed to a bin [`place`] would never assign
+    /// one region is re-homed to a bin `place` would never assign
     /// it, so [`Self::self_check`] is guaranteed to reject the result.
     pub fn corrupted_copy(&self, seed: u64) -> RegionDirectory {
         let mut bad = self.clone();

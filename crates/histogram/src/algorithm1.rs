@@ -32,9 +32,6 @@
 //! region elimination. This keeps every estimate a true lower/upper bound
 //! — an invariant our property tests enforce.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 /// Tunables for histogram construction.
 #[derive(Debug, Clone, Copy)]
 pub struct HistogramConfig {
@@ -117,7 +114,7 @@ impl Histogram {
         // it never enters the sample; a sample of NaNs only seeds the grid
         // from the first non-NaN value (or 0 when there is none, and the
         // histogram stays empty).
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = cfg.seed;
         let (mut smin, mut smax) = (f64::INFINITY, f64::NEG_INFINITY);
         let mut sample = |v: f64| {
             if v < smin {
@@ -130,7 +127,7 @@ impl Histogram {
         sample(values[0]);
         let frac = cfg.sample_fraction.clamp(0.0, 1.0);
         for &v in values.iter().skip(1) {
-            if frac >= 1.0 || rng.gen::<f64>() < frac {
+            if frac >= 1.0 || pdc_types::unit_f64(&mut rng) < frac {
                 sample(v);
             }
         }

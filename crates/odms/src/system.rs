@@ -539,7 +539,7 @@ impl Odms {
 
     /// Drain the deferred-maintenance queue: rebuild every stale bitmap
     /// index region, and merge the appended elements into every stale
-    /// sorted replica ([`Self::refresh_sorted_replica`]). Idempotent with
+    /// sorted replica (`refresh_sorted_replica`). Idempotent with
     /// the lazy probe-time rebuilds — a region already rebuilt on first
     /// touch is simply rebuilt to the same bytes.
     ///

@@ -330,7 +330,7 @@ pub fn scan_interval(tv: &TypedVec, interval: &Interval, base: u64) -> Selection
 /// times (the batched query engine's shared-scan kernel). Every interval
 /// is lowered once up front; each output selection is bit-identical to
 /// [`scan_interval`] run alone, because per block the same
-/// [`block_mask`] / [`mask_runs`] pipeline executes per interval.
+/// [`block_mask`] / `mask_runs` pipeline executes per interval.
 pub fn scan_intervals(tv: &TypedVec, intervals: &[Interval], base: u64) -> Vec<Selection> {
     crate::with_slice!(tv, xs => scan_intervals_slice(xs, intervals, base))
 }

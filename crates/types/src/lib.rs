@@ -39,5 +39,5 @@ pub use interval::Interval;
 pub use op::QueryOp;
 pub use region::{NdRegion, RegionSpec, Shape};
 pub use selection::{Run, Selection};
-pub use splitmix::{mix64, splitmix64};
+pub use splitmix::{mix64, splitmix64, unit_f64};
 pub use value::{PdcType, PdcValue, TypedVec};

@@ -25,6 +25,14 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     out
 }
 
+/// One generator step mapped to a uniform `f64` in `[0, 1)`: the output's
+/// top 53 bits over 2^53, so every value is exact. The workload
+/// generators and the histogram sampler draw through it.
+#[inline]
+pub fn unit_f64(state: &mut u64) -> f64 {
+    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -35,6 +43,16 @@ mod tests {
         assert_eq!(splitmix64(&mut s), 0xE220_A839_7B1D_CDAF);
         assert_eq!(splitmix64(&mut s), 0x6E78_9E6A_A1B9_65F4);
         assert_eq!(splitmix64(&mut s), 0x06C4_5D18_8009_454F);
+    }
+
+    #[test]
+    fn unit_f64_is_the_top_53_bits() {
+        let (mut a, mut b) = (7u64, 7u64);
+        for _ in 0..100 {
+            let u = unit_f64(&mut a);
+            assert!((0.0..1.0).contains(&u));
+            assert_eq!(u * (1u64 << 53) as f64, (splitmix64(&mut b) >> 11) as f64);
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use crate::dist;
 use pdc_odms::{ImportOptions, MetaValue, Odms};
 use pdc_types::{ObjectId, PdcResult, TypedVec};
-use rand::Rng;
 use std::collections::BTreeMap;
 
 /// The paper's metadata query constants.
@@ -63,7 +62,7 @@ impl BossData {
         opts: &ImportOptions,
     ) -> PdcResult<BossData> {
         let container = odms.create_container("h5boss");
-        let mut rng = dist::rng(cfg.seed);
+        let mut rng = cfg.seed;
         let mut objects = Vec::with_capacity(cfg.objects);
         let mut matching = Vec::with_capacity(cfg.matching_objects);
         let mut total_values = 0u64;
@@ -76,8 +75,8 @@ impl BossData {
             let (ra, dec) = if is_match {
                 (TARGET_RADEG, TARGET_DECDEG)
             } else {
-                let ra = (rng.gen_range(0.0f64..360.0) * 100.0).round() / 100.0;
-                let dec = (rng.gen_range(-30.0f64..60.0) * 100.0).round() / 100.0;
+                let ra = (dist::uniform(&mut rng, 0.0, 360.0) * 100.0).round() / 100.0;
+                let dec = (dist::uniform(&mut rng, -30.0, 60.0) * 100.0).round() / 100.0;
                 if (ra - TARGET_RADEG).abs() < 1e-9 && (dec - TARGET_DECDEG).abs() < 1e-9 {
                     (ra + 0.01, dec)
                 } else {

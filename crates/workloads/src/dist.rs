@@ -1,31 +1,33 @@
-//! Deterministic samplers for the workload generators.
+//! Deterministic samplers for the workload generators. Each draws from a
+//! SplitMix64 state seeded with the workload's seed
+//! ([`pdc_types::splitmix64`]), so every workload is reproducible given
+//! its seed.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pdc_types::unit_f64;
 
-/// A seeded RNG (all workloads are reproducible given their seed).
-pub fn rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
+/// Sample uniformly from `[lo, hi)`.
+pub fn uniform(rng: &mut u64, lo: f64, hi: f64) -> f64 {
+    lo + unit_f64(rng) * (hi - lo)
 }
 
 /// Sample an exponential with the given `rate` (mean `1/rate`).
-pub fn exponential(rng: &mut StdRng, rate: f64) -> f64 {
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+pub fn exponential(rng: &mut u64, rate: f64) -> f64 {
+    let u = uniform(rng, f64::MIN_POSITIVE, 1.0);
     -u.ln() / rate
 }
 
 /// Sample an exponential with `rate`, truncated to `[0, limit)` via
 /// inverse-CDF (exact, no rejection loop).
-pub fn truncated_exponential(rng: &mut StdRng, rate: f64, limit: f64) -> f64 {
+pub fn truncated_exponential(rng: &mut u64, rate: f64, limit: f64) -> f64 {
     let cap = 1.0 - (-rate * limit).exp();
-    let u: f64 = rng.gen_range(0.0..1.0) * cap;
+    let u = uniform(rng, 0.0, 1.0) * cap;
     -(1.0 - u).ln() / rate
 }
 
 /// A standard normal via Box–Muller.
-pub fn normal(rng: &mut StdRng, mean: f64, std: f64) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
+pub fn normal(rng: &mut u64, mean: f64, std: f64) -> f64 {
+    let u1 = uniform(rng, f64::MIN_POSITIVE, 1.0);
+    let u2 = uniform(rng, 0.0, 1.0);
     mean + std * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
@@ -47,16 +49,16 @@ mod tests {
 
     #[test]
     fn rng_is_deterministic() {
-        let mut a = rng(42);
-        let mut b = rng(42);
+        let mut a = 42u64;
+        let mut b = 42u64;
         for _ in 0..100 {
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+            assert_eq!(uniform(&mut a, -1.0, 1.0), uniform(&mut b, -1.0, 1.0));
         }
     }
 
     #[test]
     fn exponential_mean_roughly_inverse_rate() {
-        let mut r = rng(7);
+        let mut r = 7u64;
         let n = 200_000;
         let mean: f64 = (0..n).map(|_| exponential(&mut r, 4.0)).sum::<f64>() / n as f64;
         assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
@@ -64,7 +66,7 @@ mod tests {
 
     #[test]
     fn truncated_exponential_respects_limit() {
-        let mut r = rng(9);
+        let mut r = 9u64;
         for _ in 0..50_000 {
             let v = truncated_exponential(&mut r, 1.47, 2.0);
             assert!((0.0..2.0).contains(&v), "{v}");
@@ -74,7 +76,7 @@ mod tests {
     #[test]
     fn truncated_exponential_matches_conditional_distribution() {
         // P(X < 1 | X < 2) for rate 1.47.
-        let mut r = rng(11);
+        let mut r = 11u64;
         let n = 200_000;
         let below: usize =
             (0..n).filter(|_| truncated_exponential(&mut r, 1.47, 2.0) < 1.0).count();
@@ -85,7 +87,7 @@ mod tests {
 
     #[test]
     fn normal_moments() {
-        let mut r = rng(13);
+        let mut r = 13u64;
         let n = 200_000;
         let samples: Vec<f64> = (0..n).map(|_| normal(&mut r, 2.0, 3.0)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;

@@ -20,8 +20,7 @@
 
 use crate::dist;
 use pdc_odms::{ImportOptions, ImportReport, Odms};
-use pdc_types::{ContainerId, ObjectId, PdcResult, TypedVec};
-use rand::Rng;
+use pdc_types::{unit_f64, ContainerId, ObjectId, PdcResult, TypedVec};
 
 /// Generator parameters.
 #[derive(Debug, Clone, Copy)]
@@ -115,12 +114,12 @@ impl VpicData {
     /// Generate the dataset.
     pub fn generate(cfg: &VpicConfig) -> VpicData {
         let n = cfg.particles;
-        let mut rng = dist::rng(cfg.seed);
+        let mut rng = cfg.seed;
         // Tail energies are drawn per index *block*: energetic particles
         // accelerated together share a narrow energy band (and make the
         // bitmap index compress, as real VPIC data does). The marginal
         // distribution stays the calibrated truncated exponential.
-        let mut block_rng = dist::rng(cfg.seed ^ 0xB10C_B10C);
+        let mut block_rng = cfg.seed ^ 0xB10C_B10C;
         let tail_blocks: Vec<f64> = (0..n / TAIL_BLOCK + 2)
             .map(|_| dist::truncated_exponential(&mut block_rng, TAIL_RATE, 2.55))
             .collect();
@@ -139,9 +138,9 @@ impl VpicData {
         let z_cycles = 600.0;
         for i in 0..n {
             let u = i as f64 / n as f64;
-            let jx: f64 = rng.gen_range(-0.5..0.5) * (X_MAX / 96.0);
-            let jy: f64 = rng.gen_range(-0.5..0.5) * ((Y_MAX - Y_MIN) / 64.0);
-            let jz: f64 = rng.gen_range(-0.5..0.5) * (Z_MAX / 48.0);
+            let jx = dist::uniform(&mut rng, -0.5, 0.5) * (X_MAX / 96.0);
+            let jy = dist::uniform(&mut rng, -0.5, 0.5) * ((Y_MAX - Y_MIN) / 64.0);
+            let jz = dist::uniform(&mut rng, -0.5, 0.5) * (Z_MAX / 48.0);
             let px = (u * X_MAX + jx).clamp(0.0, X_MAX);
             let py = (Y_MIN + dist::triangle(u * y_cycles) * (Y_MAX - Y_MIN) + jy)
                 .clamp(Y_MIN, Y_MAX);
@@ -161,7 +160,7 @@ impl VpicData {
             } else {
                 TAIL_MASS * (1.0 - TAIL_CONCENTRATION) / (1.0 - HOT_FRACTION)
             };
-            let is_tail = rng.gen::<f64>() < p_tail;
+            let is_tail = unit_f64(&mut rng) < p_tail;
             let e = if is_tail {
                 (2.0 + tail_blocks[i / TAIL_BLOCK] + dist::normal(&mut rng, 0.0, 0.02))
                     .clamp(2.0, 4.6)
