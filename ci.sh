@@ -51,12 +51,16 @@ cargo test -q $OFFLINE --release -p pdc-server
 echo "== kernel + selection gate =="
 # pdc-types' and pdc-sorted's own tests (scan kernels, mask packing,
 # selection algebra, the k-way union, the coordinate-to-selection
-# primitive on both its bitset and sort paths, and the sorted-replica
-# lookups that feed it) once more optimised. The code is safe Rust, so
-# this guards only against a miscompile of the vectorised loops the
-# release binaries run; debug assertions are off here, so it complements
-# the debug run of the same tests rather than replacing it.
+# primitive on both its bitset and sort paths, the rank directory on both
+# its bitset and binary-search paths, and the sorted-replica lookups that
+# feed them) once more optimised, and with them the get_data equivalence
+# suite, whose sorted path scatters values by those ranks. The code is
+# safe Rust, so this guards only against a miscompile of the vectorised
+# loops and the rank directory's shift and popcount arithmetic in the
+# release binaries; debug assertions are off here, so it complements the
+# debug run of the same tests rather than replacing it.
 cargo test -q $OFFLINE --release -p pdc-types -p pdc-sorted
+cargo test -q $OFFLINE --release -p pdc-query --test get_data_equivalence
 
 echo "== integrity gate =="
 # Corruption smoke: a run with 5% of regions corrupted must exit 0 and

@@ -12,10 +12,12 @@ use crate::state::ServerState;
 use pdc_histogram::Histogram;
 use pdc_odms::Odms;
 use pdc_server::{FaultPlan, Placement, ServerPool};
+use pdc_sorted::SortedReplica;
 use pdc_storage::{
     CostBreakdown, CostModel, IntegrityCounters, IoCounters, SimDuration, StoredPayload,
     WorkCounters,
 };
+use pdc_types::selection::RankDirectory;
 use pdc_types::{
     Interval, ObjectId, PdcError, PdcResult, PdcType, RegionId, Run, Selection, ServerId, TypedVec,
 };
@@ -229,10 +231,10 @@ pub struct QueryOutcome {
     pub work: WorkCounters,
     /// Decomposition of `elapsed`.
     pub breakdown: CostBreakdown,
-    /// When the sorted strategy answered the primary constraint, the sort
-    /// key object and its matching sorted span (lets `get_data` serve the
-    /// values straight from the replica).
-    pub sorted_hint: Option<(ObjectId, Run)>,
+    /// When the sorted strategy answered the primary constraint, the
+    /// replica band it read (lets `get_data` serve the values straight
+    /// from the replica).
+    pub sorted_hint: Option<SortedHint>,
     /// Servers that failed (crash, panic, transient error) while serving this
     /// query; their regions were reassigned to the survivors.
     pub failed_servers: Vec<u32>,
@@ -257,6 +259,31 @@ pub struct QueryOutcome {
     pub rebuild_regions: u32,
     /// Bytes the background redundancy rebuild copied.
     pub rebuild_bytes: u64,
+}
+
+/// The sorted-replica band that answered a query's primary constraint:
+/// the sort key object, the matching span in sorted coordinates, and the
+/// replica that span indexes — the one pinned in the query's plan-time
+/// snapshot, so `get_data` reads the band the query evaluated even after
+/// deferred maintenance has rebuilt the live replica.
+#[derive(Clone)]
+pub struct SortedHint {
+    /// The sort key object.
+    pub object: ObjectId,
+    /// The matching span in sorted coordinates of `replica`.
+    pub span: Run,
+    /// The replica the query planned against.
+    pub(crate) replica: Arc<SortedReplica>,
+}
+
+impl std::fmt::Debug for SortedHint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SortedHint")
+            .field("object", &self.object)
+            .field("span", &self.span)
+            .field("replica_len", &self.replica.len())
+            .finish()
+    }
 }
 
 /// The result of a `PDCquery_get_data` call.
@@ -1301,10 +1328,10 @@ impl QueryEngine {
 
     /// When the sorted replica answered the primary constraint
     /// (SortedHistogram always; Adaptive when the band won), report the
-    /// sort object and the matching sorted span. Mirrors the servers'
-    /// decision exactly — both are the same pure function of
-    /// metadata/histograms/cost.
-    fn sorted_hint(&self, plan: &QueryPlan, snap: &MetaSnapshot) -> Option<(ObjectId, Run)> {
+    /// sort object, the matching sorted span and the snapshot's replica.
+    /// Mirrors the servers' decision exactly — both are the same pure
+    /// function of metadata/histograms/cost.
+    fn sorted_hint(&self, plan: &QueryPlan, snap: &MetaSnapshot) -> Option<SortedHint> {
         let PlanNode::Conj(cs) = &plan.root else { return None };
         let primary = cs.first()?;
         let policy = self.cfg.strategy.policy();
@@ -1313,7 +1340,8 @@ impl QueryEngine {
             return None;
         }
         let replica = snap.sorted_replica(primary.object).ok()?;
-        Some((primary.object, replica.matching_span(&primary.interval)))
+        let span = replica.matching_span(&primary.interval);
+        Some(SortedHint { object: primary.object, span, replica })
     }
 
     /// PDC-F's pre-load: read every region of every queried object into
@@ -1420,124 +1448,128 @@ impl QueryEngine {
         Ok(batches)
     }
 
+    /// The gather behind `get_data` and every `get_data_batch` batch. No
+    /// path builds `(coordinate, value)` pairs or sorts:
+    ///
+    /// * **coordinate path** — each slot copies the hit runs of its
+    ///   regions (found with one binary search per region) typed, run at
+    ///   a time, into one buffer; the client concatenates the regions in
+    ///   region order, which is coordinate order;
+    /// * **sorted path** (the query's primary constraint was answered by
+    ///   the sorted replica of `object`) — each slot walks its share of
+    ///   the pinned band and emits `(rank, key)` for the elements in the
+    ///   selection, ranks coming from a [`RankDirectory`] over it; the
+    ///   client scatters the keys into place by rank.
+    ///
+    /// The simulated charges are those of the pair-and-sort gather this
+    /// replaced, call for call (pinned in `tests/get_data_equivalence.rs`).
     fn get_data_for_selection(
         &self,
         selection: &Selection,
         object: ObjectId,
-        sorted_hint: Option<&(ObjectId, Run)>,
+        sorted_hint: Option<&SortedHint>,
     ) -> PdcResult<GetDataOutcome> {
         let meta = self.odms.meta().get(object)?;
         let ty = meta.pdc_type;
         let n = self.cfg.num_servers;
         let cost = self.cfg.cost;
         let odms = Arc::clone(&self.odms);
-        let elem_bytes = ty.size_bytes();
+        let elem = ty.size_bytes();
 
-        let use_sorted = matches!(sorted_hint, Some((o, _)) if *o == object);
-        let span_hint = sorted_hint.map(|(_, s)| *s);
+        let sorted = sorted_hint
+            .filter(|h| h.object == object)
+            .map(|h| (h, RankDirectory::new(selection, h.span.len)));
         let snap = Arc::new(MetaSnapshot::capture(&self.odms, &[object])?);
         let placement = self.placement_snapshot();
         let n_slots = placement.as_ref().map(|p| p.num_slots()).unwrap_or(n);
         let weights = self.slot_weights_for_objects(&snap, &[object], n_slots)?;
-        let elem = elem_bytes;
 
         let out = run_slots(
             &self.pool,
             &cost,
             placement.as_deref(),
             &weights,
-            |r: &(Vec<(u64, f64)>, IoCounters)| r.0.len() as u64 * (8 + elem),
+            |r: &(Gathered, IoCounters)| r.0.len() * (8 + elem),
             |slot, st| {
                 let io0 = st.io;
                 let w0 = st.work;
-                let mut pairs: Vec<(u64, f64)> = Vec::new();
-                if use_sorted {
-                    // Serve straight from the sorted replica: this slot
-                    // walks its share of the matching sorted band; values
-                    // are already resident from the evaluation.
-                    let replica = odms.meta().sorted_replica(object)?;
-                    let span = span_hint.unwrap();
-                    let sorted_obj = ObjectId(object.raw() | 1 << 63);
-                    for (i, sr) in replica.regions_of_span(&span).iter().enumerate() {
-                        if i as u32 % n_slots != slot {
-                            continue;
-                        }
-                        let region_start = *sr as u64 * replica.region_len();
-                        let region_end =
-                            (region_start + replica.region_len()).min(replica.len());
-                        let bytes = (region_end - region_start) * (elem_bytes + 8);
-                        st.touch_sorted_region(
-                            &cost,
-                            pdc_types::RegionId::new(sorted_obj, *sr),
-                            bytes,
-                            n,
-                        )?;
-                        let lo = span.start.max(region_start);
-                        let hi = span.end().min(region_end);
-                        for s in lo..hi {
-                            let coord = replica.perm()[s as usize];
-                            if selection.contains(coord) {
-                                st.work.elements_gathered += 1;
-                                pairs.push((coord, replica.keys()[s as usize]));
+                let gathered = match &sorted {
+                    Some((hint, ranks)) => {
+                        // Serve straight from the sorted replica: this slot
+                        // walks its share of the matching sorted band;
+                        // values are already resident from the evaluation.
+                        let replica = &hint.replica;
+                        let span = hint.span;
+                        let sorted_obj = ObjectId(object.raw() | 1 << 63);
+                        let mut ranked: Vec<(u64, f64)> = Vec::new();
+                        for (i, sr) in replica.regions_of_span(&span).iter().enumerate() {
+                            if i as u32 % n_slots != slot {
+                                continue;
                             }
+                            let region = replica.region_span(*sr);
+                            let bytes = region.len * (elem + 8);
+                            let rid = RegionId::new(sorted_obj, *sr);
+                            st.touch_sorted_region(&cost, rid, bytes, n)?;
+                            let lo = span.start.max(region.start) as usize;
+                            let hi = span.end().min(region.end()) as usize;
+                            let band = replica.perm()[lo..hi].iter().zip(&replica.keys()[lo..hi]);
+                            let before = ranked.len();
+                            ranked.extend(band.filter_map(|(&c, &k)| Some((ranks.rank(c)?, k))));
+                            st.work.elements_gathered += (ranked.len() - before) as u64;
                         }
+                        Gathered::Ranked(ranked)
                     }
-                } else {
-                    // Coordinate path: this slot gathers from its
-                    // round-robin share of the regions holding hits.
-                    for r in 0..meta.num_regions() {
-                        if r % n_slots != slot {
-                            continue;
+                    None => {
+                        // Coordinate path: this slot gathers from its
+                        // round-robin share of the regions holding hits.
+                        let mut values = TypedVec::empty(ty);
+                        let mut regions = Vec::new();
+                        for r in (slot..meta.num_regions()).step_by(n_slots as usize) {
+                            let span = meta.region_span(r);
+                            let mut hits = selection.runs_in_span(span.offset, span.len).peekable();
+                            if hits.peek().is_none() {
+                                continue;
+                            }
+                            let payload = st.read_data_region_uncached(
+                                &odms,
+                                &cost,
+                                RegionId::new(object, r),
+                                n,
+                                span.len,
+                            )?;
+                            let before = values.len();
+                            for run in hits {
+                                let s = (run.start - span.offset) as usize;
+                                values.extend_from_range(&payload, s..s + run.len as usize)?;
+                            }
+                            let len = values.len() - before;
+                            st.work.elements_gathered += len as u64;
+                            regions.push((r, len));
                         }
-                        let span = meta.region_span(r);
-                        let local = selection.restrict_to_span(span.offset, span.len);
-                        if local.is_empty() {
-                            continue;
-                        }
-                        let payload = st.read_data_region_uncached(
-                            &odms,
-                            &cost,
-                            pdc_types::RegionId::new(object, r),
-                            n,
-                            span.len,
-                        )?;
-                        // Typed run-at-a-time gather: one slice walk per
-                        // hit run instead of a per-element enum match.
-                        #[allow(clippy::unnecessary_cast)] // Double arm casts f64->f64
-                        {
-                            pdc_types::with_slice!(&*payload, xs => {
-                                for run in local.runs() {
-                                    let s = (run.start - span.offset) as usize;
-                                    let e = s + run.len as usize;
-                                    st.work.elements_gathered += run.len;
-                                    for (k, &v) in xs[s..e].iter().enumerate() {
-                                        pairs.push((run.start + k as u64, v as f64));
-                                    }
-                                }
-                            });
-                        }
+                        Gathered::Regions(values, regions)
                     }
-                }
+                };
                 st.settle_cpu(&cost, &w0);
-                Ok((pairs, st.io.since(&io0)))
+                Ok((gathered, st.io.since(&io0)))
             },
         )?;
 
-        let mut all_pairs: Vec<(u64, f64)> = Vec::new();
         let mut io = IoCounters::default();
         let mut bytes_transferred = 0;
         let mut servers_involved = 0;
-        for (pairs, io_d) in out.per_slot {
-            let bytes = pairs.len() as u64 * (8 + elem_bytes);
-            if !pairs.is_empty() {
+        for (gathered, io_d) in &out.per_slot {
+            let count = gathered.len();
+            if count > 0 {
                 servers_involved += 1;
-                bytes_transferred += bytes;
+                bytes_transferred += count * (8 + elem);
             }
-            io.merge(&io_d);
-            all_pairs.extend(pairs);
+            io.merge(io_d);
         }
-        all_pairs.sort_unstable_by_key(|&(c, _)| c);
-        let data = typed_from_f64(ty, all_pairs.iter().map(|&(_, v)| v));
+        let total = selection.count() as usize;
+        let data = match sorted {
+            Some(_) => scatter_by_rank(ty, total, &out.per_slot),
+            None => concat_regions(ty, total, meta.num_regions(), &out.per_slot)?,
+        };
 
         Ok(GetDataOutcome {
             data,
@@ -1549,15 +1581,84 @@ impl QueryEngine {
     }
 }
 
-/// Rebuild a typed array from f64 values (exact for values that came from
-/// the same type).
-fn typed_from_f64(ty: PdcType, values: impl Iterator<Item = f64>) -> TypedVec {
+/// One slot's share of a `get_data` gather.
+enum Gathered {
+    /// Coordinate path: the hit values of the slot's regions back to back,
+    /// in ascending region order, with each region's index and hit count.
+    Regions(TypedVec, Vec<(u32, usize)>),
+    /// Sorted path: `(rank, key)` for each band element in the selection.
+    Ranked(Vec<(u64, f64)>),
+}
+
+impl Gathered {
+    /// Values gathered (each ships with its 8-byte coordinate).
+    fn len(&self) -> u64 {
+        match self {
+            Gathered::Regions(values, _) => values.len() as u64,
+            Gathered::Ranked(ranked) => ranked.len() as u64,
+        }
+    }
+}
+
+/// The coordinate path's result: the slots' region pieces in region
+/// order. Slot `s` holds the regions `r ≡ s (mod slots)` in ascending
+/// order, so walking the slots round robin, one region index at a time,
+/// visits every piece in region — that is, coordinate — order.
+fn concat_regions(
+    ty: PdcType,
+    total: usize,
+    num_regions: u32,
+    per_slot: &[(Gathered, IoCounters)],
+) -> PdcResult<TypedVec> {
+    // Per slot: its values, its pieces still to copy, and their offset.
+    let mut slots: Vec<_> = per_slot
+        .iter()
+        .map(|(g, _)| match g {
+            Gathered::Regions(values, pieces) => (values, pieces.iter().peekable(), 0),
+            Gathered::Ranked(_) => unreachable!("a coordinate gather returns region pieces"),
+        })
+        .collect();
+    let n_slots = slots.len() as u32;
+    let mut data = TypedVec::with_capacity(ty, total);
+    for r in 0..num_regions {
+        let (values, pieces, offset) = &mut slots[(r % n_slots) as usize];
+        if let Some(&(_, len)) = pieces.next_if(|p| p.0 == r) {
+            data.extend_from_range(values, *offset..*offset + len)?;
+            *offset += len;
+        }
+    }
+    Ok(data)
+}
+
+/// The sorted path's result: every slot's keys written straight to their
+/// ranks. The selection lies inside the band (it answers a conjunction
+/// whose primary constraint the band matches), so every rank is filled
+/// exactly once.
+fn scatter_by_rank(ty: PdcType, total: usize, per_slot: &[(Gathered, IoCounters)]) -> TypedVec {
+    let ranked = || {
+        per_slot.iter().flat_map(|(g, _)| match g {
+            Gathered::Ranked(ranked) => ranked.iter().copied(),
+            Gathered::Regions(..) => unreachable!("a sorted gather returns ranked keys"),
+        })
+    };
+    debug_assert_eq!(ranked().count(), total, "every hit is gathered once");
+    // Keys are the values widened to f64, so narrowing restores them.
+    #[allow(clippy::unnecessary_cast)] // the Double arm casts f64->f64
+    macro_rules! scatter {
+        ($variant:ident, $t:ty) => {{
+            let mut out = vec![<$t>::default(); total];
+            for (rank, key) in ranked() {
+                out[rank as usize] = key as $t;
+            }
+            TypedVec::$variant(out)
+        }};
+    }
     match ty {
-        PdcType::Float => TypedVec::Float(values.map(|v| v as f32).collect()),
-        PdcType::Double => TypedVec::Double(values.collect()),
-        PdcType::Int32 => TypedVec::Int32(values.map(|v| v as i32).collect()),
-        PdcType::UInt32 => TypedVec::UInt32(values.map(|v| v as u32).collect()),
-        PdcType::Int64 => TypedVec::Int64(values.map(|v| v as i64).collect()),
-        PdcType::UInt64 => TypedVec::UInt64(values.map(|v| v as u64).collect()),
+        PdcType::Float => scatter!(Float, f32),
+        PdcType::Double => scatter!(Double, f64),
+        PdcType::Int32 => scatter!(Int32, i32),
+        PdcType::UInt32 => scatter!(UInt32, u32),
+        PdcType::Int64 => scatter!(Int64, i64),
+        PdcType::UInt64 => scatter!(UInt64, u64),
     }
 }

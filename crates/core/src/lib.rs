@@ -63,7 +63,7 @@ pub use ast::PdcQuery;
 pub use parse::parse_query;
 pub use engine::{
     BatchOutcome, BatchStats, EngineConfig, GetDataOutcome, MembershipReport, QueryEngine,
-    QueryOutcome, Strategy,
+    QueryOutcome, SortedHint, Strategy,
 };
 pub use ops::{
     directory_stats, estimate_plan_cost, DirectoryStats, ExplainPhase, ExplainPlan,

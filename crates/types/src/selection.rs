@@ -280,23 +280,23 @@ impl Selection {
 
     /// Restrict the selection to the span `[start, start+len)`.
     pub fn restrict_to_span(&self, start: u64, len: u64) -> Selection {
-        if len == 0 {
-            return Selection::empty();
-        }
-        let end = start + len;
-        let mut out = Vec::new();
-        for r in &self.runs {
-            if r.end() <= start {
-                continue;
-            }
-            if r.start >= end {
-                break;
-            }
+        Selection { runs: self.runs_in_span(start, len).collect() }
+    }
+
+    /// The runs clipped to the span `[start, start+len)`, in order. One
+    /// binary search finds the first run ending inside the span, so the
+    /// cost is O(log n + k) for k runs in the span.
+    pub fn runs_in_span(&self, start: u64, len: u64) -> impl Iterator<Item = Run> + '_ {
+        let end = start.saturating_add(len);
+        let first = if len == 0 {
+            self.runs.len()
+        } else {
+            self.runs.partition_point(|r| r.end() <= start)
+        };
+        self.runs[first..].iter().take_while(move |r| r.start < end).map(move |r| {
             let lo = r.start.max(start);
-            let hi = r.end().min(end);
-            out.push(Run::new(lo, hi - lo));
-        }
-        Selection { runs: out }
+            Run::new(lo, r.end().min(end) - lo)
+        })
     }
 
     /// Shift every coordinate by `delta` (used to translate region-local
@@ -338,13 +338,125 @@ impl Run {
 
 /// Bitset words per coordinate up to which
 /// [`Selection::from_unsorted_coords`] scatters into a span bitset instead
-/// of sorting: `n` coordinates spanning fewer than
+/// of sorting (and [`RankDirectory`] builds a bitset instead of searching
+/// runs): `n` coordinates spanning fewer than
 /// `DENSE_WORDS_PER_COORD × 64 × n` take the bitset path. The bitset pays
 /// per word of span, the sort per coordinate; on the sorted-replica slices
 /// of the `selective_catalog` benchmark the two cross at about 8 words per
 /// coordinate, on uniformly scattered coordinates between 2 and 4
 /// (DESIGN.md, "The sorted path").
 pub const DENSE_WORDS_PER_COORD: u64 = 4;
+
+/// The position of each selected coordinate in ascending order:
+/// [`RankDirectory::rank`] maps `c` to its index in
+/// [`Selection::iter_coords`], or `None` when `c` is not selected. It lets
+/// values that arrive in any order (a sorted-replica band) be scattered
+/// straight into coordinate order, without a sort.
+///
+/// Two layouts, chosen by the density rule of
+/// [`Selection::from_unsorted_coords`], where the coordinates to place are
+/// the selected ones plus the `probes` the caller expects to look up (the
+/// bitset pays per word of span, the binary search per probe):
+///
+/// * **dense** — the selection's span is narrower than
+///   [`DENSE_WORDS_PER_COORD`] × 64 coordinates per coordinate placed: a
+///   bitset over the span, each word paired with the number of selected
+///   coordinates before it. A lookup is one word read and one popcount.
+/// * **sparse** — the runs with the number of selected coordinates before
+///   each; a lookup is a binary search over the runs.
+///
+/// The bitset costs a quarter byte per coordinate of the selection's span,
+/// so `probes` should not exceed the lookups the caller will make.
+///
+/// ```
+/// use pdc_types::selection::RankDirectory;
+/// use pdc_types::Selection;
+/// let s = Selection::from_unsorted_coords(&[3, 4, 5, 10]);
+/// let ranks = RankDirectory::new(&s, 0);
+/// assert_eq!(ranks.rank(10), Some(3));
+/// assert_eq!(ranks.rank(6), None);
+/// ```
+#[derive(Debug, Clone)]
+pub struct RankDirectory<'a>(Ranks<'a>);
+
+#[derive(Debug, Clone)]
+enum Ranks<'a> {
+    /// Bit `j` of `bits[w]` is coordinate `lo + 64w + j`; `before[w]` =
+    /// selected coordinates in `bits[..w]`. Kept apart so the membership
+    /// test, which rejects most probes, touches only the bits.
+    Dense { lo: u64, bits: Vec<u64>, before: Vec<u64> },
+    /// `before[i]` = selected coordinates in `runs[..i]`.
+    Sparse { runs: &'a [Run], before: Vec<u64> },
+}
+
+/// The running count of `counts` before each element.
+fn prefix_counts(counts: impl Iterator<Item = u64>) -> Vec<u64> {
+    counts
+        .scan(0, |seen, n| {
+            let before = *seen;
+            *seen += n;
+            Some(before)
+        })
+        .collect()
+}
+
+impl<'a> RankDirectory<'a> {
+    /// The rank directory of `sel` for about `probes` lookups: linear in
+    /// its runs, plus the span's word count on the dense path.
+    pub fn new(sel: &'a Selection, probes: u64) -> Self {
+        let runs = sel.runs();
+        let (Some(first), Some(last)) = (runs.first(), runs.last()) else {
+            return RankDirectory(Ranks::Sparse { runs, before: Vec::new() });
+        };
+        let (lo, hi) = (first.start, last.end() - 1);
+        let placed = sel.count().saturating_add(probes);
+        if hi - lo >= placed.saturating_mul(DENSE_WORDS_PER_COORD * 64) {
+            let before = prefix_counts(runs.iter().map(|r| r.len));
+            return RankDirectory(Ranks::Sparse { runs, before });
+        }
+        let mut bits = vec![0u64; ((hi - lo) / 64 + 1) as usize];
+        for r in runs {
+            let (s, e) = (r.start - lo, r.end() - lo);
+            let (ws, we) = ((s / 64) as usize, ((e - 1) / 64) as usize);
+            // Bits `s % 64 ..` of word `ws` through bit `(e - 1) % 64` of
+            // word `we`.
+            let head = u64::MAX << (s % 64);
+            let tail = u64::MAX >> (63 - (e - 1) % 64);
+            if ws == we {
+                bits[ws] |= head & tail;
+            } else {
+                bits[ws] |= head;
+                bits[ws + 1..we].fill(u64::MAX);
+                bits[we] |= tail;
+            }
+        }
+        let before = prefix_counts(bits.iter().map(|w| u64::from(w.count_ones())));
+        RankDirectory(Ranks::Dense { lo, bits, before })
+    }
+
+    /// The index of `c` among the selected coordinates in ascending
+    /// order, or `None` when `c` is not selected.
+    #[inline]
+    pub fn rank(&self, c: u64) -> Option<u64> {
+        match &self.0 {
+            Ranks::Dense { lo, bits, before } => {
+                let off = c.checked_sub(*lo)?;
+                let w = usize::try_from(off / 64).ok()?;
+                let word = *bits.get(w)?;
+                let bit = off % 64;
+                if word >> bit & 1 == 0 {
+                    return None;
+                }
+                Some(before[w] + u64::from((word & ((1u64 << bit) - 1)).count_ones()))
+            }
+            Ranks::Sparse { runs, before } => {
+                let i = runs.partition_point(|r| r.start <= c).checked_sub(1)?;
+                let r = runs[i];
+                (c < r.end()).then(|| before[i] + (c - r.start))
+            }
+        }
+    }
+}
 
 /// Slices shorter than this always take the sort path of
 /// [`Selection::from_unsorted_coords`]: below it, allocating, zeroing and

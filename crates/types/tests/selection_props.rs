@@ -2,7 +2,7 @@
 //! algebra must agree with a naive `BTreeSet` model, and interval algebra
 //! must agree with direct predicate evaluation.
 
-use pdc_types::selection::{DENSE_WORDS_PER_COORD, SORT_BELOW};
+use pdc_types::selection::{RankDirectory, DENSE_WORDS_PER_COORD, SORT_BELOW};
 use pdc_types::{Interval, QueryOp, Run, Selection};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -155,6 +155,135 @@ fn from_unsorted_coords_agrees_on_both_sides_of_the_density_constant() {
     }
 }
 
+#[test]
+fn restrict_to_span_edge_cases() {
+    let s = runs(&[(10, 5), (20, 10), (40, 1)]);
+    let clip = |start, len| s.restrict_to_span(start, len).runs().to_vec();
+    // Empty spans, inside a run, between runs and past the end.
+    for start in [0, 12, 17, 25, 100, u64::MAX] {
+        assert!(clip(start, 0).is_empty(), "empty span at {start}");
+    }
+    // Past the end, and reaching the end of the coordinate range.
+    assert!(clip(41, 100).is_empty());
+    assert!(clip(u64::MAX - 3, 10).is_empty());
+    assert_eq!(clip(40, u64::MAX), vec![Run::new(40, 1)]);
+    // Starting mid-run, ending mid-run, and both inside one run.
+    assert_eq!(clip(12, 10), vec![Run::new(12, 3), Run::new(20, 2)]);
+    assert_eq!(clip(22, 3), vec![Run::new(22, 3)]);
+    assert_eq!(clip(14, 27), vec![Run::new(14, 1), Run::new(20, 10), Run::new(40, 1)]);
+    // Before the first run, and exactly one run.
+    assert!(clip(0, 10).is_empty());
+    assert_eq!(clip(20, 10), vec![Run::new(20, 10)]);
+    assert!(Selection::empty().restrict_to_span(0, 10).is_empty());
+}
+
+/// The oracle for `RankDirectory::rank`: `c`'s index in `iter_coords()`.
+fn rank_by_search(coords: &[u64], c: u64) -> Option<u64> {
+    coords.binary_search(&c).ok().map(|i| i as u64)
+}
+
+/// Whether `RankDirectory::new(sel, probes)` takes the bitset path: the
+/// span is narrower than `DENSE_WORDS_PER_COORD × 64` coordinates per
+/// coordinate placed, selected or probed.
+fn takes_bitset(sel: &Selection, probes: u64) -> bool {
+    let (Some(first), Some(last)) = (sel.runs().first(), sel.runs().last()) else {
+        return false;
+    };
+    let placed = sel.count().saturating_add(probes);
+    last.end() - 1 - first.start < placed.saturating_mul(DENSE_WORDS_PER_COORD * 64)
+}
+
+/// Probe every selected coordinate, its neighbours, both ends of the span
+/// and beyond, and `extra` random coordinates near the span. Returns
+/// whether the directory took the bitset path.
+fn check_ranks(sel: &Selection, probes: u64, rng: &mut TestRng, extra: usize) -> bool {
+    let ranks = RankDirectory::new(sel, probes);
+    let coords: Vec<u64> = sel.iter_coords().collect();
+    let mut probe: Vec<u64> = vec![0, 1, u64::MAX];
+    for &c in &coords {
+        probe.extend([c.wrapping_sub(1), c, c.wrapping_add(1)]);
+    }
+    if let (Some(&lo), Some(&hi)) = (coords.first(), coords.last()) {
+        let width = hi - lo + 1;
+        probe.extend(
+            (0..extra).map(|_| lo.wrapping_add(rng.next_u64() % (width + 128)).wrapping_sub(64)),
+        );
+    }
+    for c in probe {
+        assert_eq!(ranks.rank(c), rank_by_search(&coords, c), "coordinate {c} of {sel:?}");
+    }
+    takes_bitset(sel, probes)
+}
+
+#[test]
+fn rank_directory_edge_shapes() {
+    let mut rng = TestRng::new(5);
+    let far = 1u64 << 40;
+    // Empty; one coordinate; runs across word ends; the top of the range;
+    // two ends far apart (sparse however many probes are promised, since
+    // the span outruns any count); and the same span densely filled.
+    let shapes = [
+        Selection::empty(),
+        runs(&[(7, 1)]),
+        runs(&[(60, 10), (127, 2), (190, 200)]),
+        runs(&[(u64::MAX - 130, 130)]),
+        runs(&[(0, 100), (far, 3)]),
+        runs(&[(3, 1), (far, 1)]),
+        runs(&[(64, 1 << 14), (1 << 15, 1)]),
+    ];
+    for sel in &shapes {
+        for probes in [0, 1 << 20] {
+            check_ranks(sel, probes, &mut rng, 200);
+        }
+    }
+    assert!(!takes_bitset(&shapes[4], 1 << 20), "ends 2^40 apart must stay sparse");
+    assert!(takes_bitset(&shapes[6], 0));
+}
+
+#[test]
+fn rank_directory_agrees_on_both_sides_of_the_density_constant() {
+    let mut rng = TestRng::new(33);
+    for n in [SORT_BELOW, 100, 4096] {
+        let w = sparse_width(n);
+        for (base, width, dense) in [(0, w / 2, true), (5 << 32, w * 3, false)] {
+            let sel = Selection::from_unsorted_coords(&scattered(&mut rng, n, base, width));
+            let count = sel.count() as usize;
+            // The probes a caller promises count towards the bitset: a
+            // sparse selection turns dense once enough are expected.
+            assert_eq!(check_ranks(&sel, 0, &mut rng, 500), dense, "{n} over {width}");
+            let promised = (width / (DENSE_WORDS_PER_COORD * 64) + 1) as usize;
+            assert!(check_ranks(&sel, promised.saturating_sub(count) as u64, &mut rng, 500));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+    #[test]
+    fn rank_is_the_index_in_iter_coords(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::new(seed);
+        let n = 1 + rng.below(2000);
+        // Packed into a few words, around the constant, and far sparser.
+        let width = match rng.below(3) {
+            0 => rng.below(2 * n + 2) as u64,
+            1 => sparse_width(n) - 1 + rng.below(3) as u64 - 1,
+            _ => rng.next_u64() % (4 * sparse_width(n)),
+        };
+        let base = match rng.below(3) {
+            0 => rng.next_u64() % 1000,
+            1 => (1 << 32) + rng.next_u64() % (1 << 36),
+            _ => u64::MAX - 1 - width - rng.below(64) as u64,
+        };
+        let sel = Selection::from_unsorted_coords(&scattered(&mut rng, n, base, width));
+        let probes = match rng.below(3) {
+            0 => 0,
+            1 => rng.below(4 * n) as u64,
+            _ => rng.next_u64(),
+        };
+        check_ranks(&sel, probes, &mut rng, 300);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
     #[test]
@@ -248,6 +377,7 @@ proptest! {
             s.restrict_to_span(start, len).iter_coords().collect::<Vec<_>>(),
             expect
         );
+        prop_assert_eq!(s.runs_in_span(start, len).collect::<Vec<_>>(), s.restrict_to_span(start, len).runs());
     }
 
     #[test]
