@@ -318,43 +318,29 @@ pub fn point_check(
     let meta = ctx.snap.meta(object)?;
     let planner = ops::RegionPlanner::for_filter(ctx, object, joint)?;
     let mut out: Vec<Run> = Vec::new();
-    // Group candidate coordinates by region in one forward pass over the
-    // ascending candidate runs. `head` is the first run not yet grouped —
-    // or the remainder of a run that crossed the previous region's end.
-    let mut rest = candidates.runs().iter().copied();
-    let mut head = rest.next();
-    let mut r = 0u32;
-    let num_regions = meta.num_regions();
-    while r < num_regions && head.is_some() {
+    // Regions tile the object in order, so each region's candidates are a
+    // borrowed slice of the ascending candidate runs: `rest` starts at the
+    // first run not yet wholly checked, and one `partition_point` finds
+    // where the region's runs end. A run crossing a region's end belongs to
+    // both regions' slices; the scan operator clips each to its span.
+    let mut rest = candidates.runs();
+    for r in 0..meta.num_regions() {
+        let Some(first) = rest.first() else { break };
         let span = meta.region_span(r);
-        // Runs intersecting this region.
-        let mut in_region: Vec<Run> = Vec::new();
-        while let Some(run) = head.filter(|run| run.start < span.end()) {
-            let lo = run.start.max(span.offset);
-            let hi = run.end().min(span.end());
-            if lo < hi {
-                in_region.push(Run::new(lo, hi - lo));
-            }
-            head = if run.end() > span.end() {
-                Some(Run::new(span.end(), run.end() - span.end()))
-            } else {
-                rest.next()
-            };
+        debug_assert!(first.end() > span.offset, "regions tile the object in order");
+        if first.start >= span.end() {
+            continue;
         }
-        if !in_region.is_empty() {
-            let task = RegionTask { object, region: r, span, interval: *interval };
-            if let Some(sel) = ops::execute_region(
-                ctx,
-                state,
-                &planner,
-                &task,
-                ExplainPhase::Filter,
-                Some(in_region),
-            )? {
-                append_runs(&mut out, sel.runs());
-            }
+        let n = rest.partition_point(|run| run.start < span.end());
+        let in_region = &rest[..n];
+        let task = RegionTask { object, region: r, span, interval: *interval };
+        if let Some(sel) =
+            ops::execute_region(ctx, state, &planner, &task, ExplainPhase::Filter, Some(in_region))?
+        {
+            append_runs(&mut out, sel.runs());
         }
-        r += 1;
+        let carried = in_region[n - 1].end() > span.end();
+        rest = &rest[n - usize::from(carried)..];
     }
     Ok(Selection::from_canonical_runs(out))
 }

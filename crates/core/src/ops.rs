@@ -52,10 +52,8 @@ use pdc_directory::JointGrid;
 use pdc_histogram::{HitBounds, Histogram};
 use pdc_sorted::SortedReplica;
 use pdc_storage::{ColdRegion, CostModel, Fnv1a, SimDuration, WorkCounters};
-use pdc_types::selection::append_runs;
 use pdc_types::{
     kernels, Interval, ObjectId, PdcError, PdcResult, RegionId, RegionSpec, Run, Selection,
-    TypedVec,
 };
 use std::sync::Arc;
 
@@ -359,7 +357,10 @@ impl PruneOp {
 /// Exact scan of one region's data through the fused kernel layer.
 /// `candidates: None` scans the whole region; `Some(runs)` is the
 /// point-check mode — the region is still read wholly (regions are the
-/// unit of I/O) but only the candidate runs are scanned and charged.
+/// unit of I/O) but only the candidate lanes are scanned, and each run is
+/// charged its length inside the region. The runs are the region's
+/// borrowed slice of the candidate selection, so the first may start
+/// before the region and the last end after it; the operator clips them.
 ///
 /// A spilled region is scanned **block-fused**: each compressed block is
 /// decoded (through the budgeted block cache) and scanned in one pass,
@@ -368,10 +369,10 @@ impl PruneOp {
 /// path (blocks are scanned in ascending order into one run list and the
 /// kernels coalesce runs across block boundaries, so the result is
 /// canonical without re-sorting).
-pub struct ScanExactOp {
-    /// Candidate runs to restrict the scan to (global coordinates,
-    /// clipped to the region), or `None` for a whole-region scan.
-    pub candidates: Option<Vec<Run>>,
+pub struct ScanExactOp<'a> {
+    /// Candidate runs to restrict the scan to (global coordinates), or
+    /// `None` for a whole-region scan.
+    pub candidates: Option<&'a [Run]>,
 }
 
 /// Block-fused whole-extent scan of a spilled region: decode one block at
@@ -405,45 +406,60 @@ pub(crate) fn scan_cold_whole(
     Ok(outs.into_iter().map(Selection::from_canonical_runs).collect())
 }
 
-/// Block-fused scan of one candidate run (global coordinates) inside a
-/// spilled region: touches only the blocks the run overlaps. `held` keeps
-/// the last decoded block across the consecutive (ascending) runs of one
-/// region task, so each overlapped block costs one cache lookup — and at
-/// worst one decode — per task instead of one per run.
-fn scan_cold_run(
-    cold: &ColdRegion,
-    interval: &Interval,
-    global_offset: u64,
-    run: &Run,
-    held: &mut Option<(u32, Arc<TypedVec>)>,
-    out: &mut Vec<Run>,
-) -> PdcResult<()> {
-    let lo = run.start - global_offset;
-    let hi = (run.end() - global_offset).min(cold.len());
-    for b in cold.blocks_overlapping(lo, hi) {
-        let (bs, be) = cold.block_span(b);
-        let s = lo.max(bs);
-        let e = hi.min(be);
-        if s >= e {
-            continue;
-        }
-        let block = match held {
-            Some((hb, block)) if *hb == b => block,
-            _ => &held.insert((b, cold.read_block(b)?)).1,
-        };
-        kernels::scan_range(
-            block,
-            interval,
-            (s - bs) as usize,
-            (e - bs) as usize,
-            global_offset + s,
-            out,
-        );
-    }
-    Ok(())
+/// The length of candidate run `r` inside `span`.
+fn len_in_span(r: &Run, span: &RegionSpec) -> u64 {
+    r.end().min(span.end()) - r.start.max(span.offset)
 }
 
-impl ScanExactOp {
+/// Block-fused candidate scan of a spilled region: each block holding
+/// candidate lanes is decoded once (through the block cache) and checked
+/// in one [`kernels::filter_runs`] pass over the candidates it holds.
+/// `runs` is the region's slice of the candidate selection (see
+/// [`ScanExactOp`]). Each run's length inside `span` is added to `scanned`
+/// before the first block it overlaps is read — the order a run-by-run
+/// scan charged in — so a failed block read leaves the same partial count.
+fn scan_cold_candidates(
+    cold: &ColdRegion,
+    interval: &Interval,
+    span: &RegionSpec,
+    runs: &[Run],
+    scanned: &mut u64,
+) -> PdcResult<Selection> {
+    // Only the plan-time snapshot's extent is scanned.
+    let extent = cold.len().min(span.len);
+    let mut out = Vec::new();
+    let mut charged = 0; // runs charged so far
+    let mut k = 0; // the first run not yet wholly scanned
+    let mut pos = 0; // the first unscanned element (region-local)
+    while k < runs.len() {
+        let lo = (runs[k].start.max(span.offset) - span.offset).max(pos);
+        if lo >= extent {
+            break;
+        }
+        let b = cold.blocks_overlapping(lo, lo + 1).start;
+        let (bs, be) = cold.block_span(b);
+        let be = be.min(extent);
+        for r in &runs[charged..=k] {
+            *scanned += len_in_span(r, span);
+        }
+        charged = k + 1;
+        let block = cold.read_block(b)?;
+        let n = runs[k..].partition_point(|r| r.start < span.offset + be);
+        let in_block = &runs[k..k + n];
+        let (len, origin) = ((be - bs) as usize, span.offset + bs);
+        kernels::filter_runs(&block, interval, len, in_block, origin, &mut out);
+        // A run crossing the block's end continues in the next block.
+        let carried = in_block[n - 1].end() > span.offset + be;
+        k += n - usize::from(carried);
+        pos = be;
+    }
+    for r in &runs[charged..] {
+        *scanned += len_in_span(r, span);
+    }
+    Ok(Selection::from_canonical_runs(out))
+}
+
+impl ScanExactOp<'_> {
     /// The region's matching locations, in global coordinates.
     pub fn run(
         &self,
@@ -472,7 +488,7 @@ impl ScanExactOp {
             RegionData::Mem(p) => Some(Arc::clone(p)),
             RegionData::Cold(_) => None,
         };
-        let sel = match &self.candidates {
+        let sel = match self.candidates {
             None => {
                 st.work.elements_scanned += src.len().min(span.len);
                 // The read and the scan charge above are unconditional;
@@ -512,37 +528,48 @@ impl ScanExactOp {
             Some(runs) => {
                 // Opportunistic reuse: when some earlier query in the
                 // batch already scanned this whole (region, interval)
-                // pair, answer each candidate run by clipping the cached
+                // pair, answer the candidates by one merge with the cached
                 // full-region selection instead of rescanning — the
-                // clipped coordinate set is exactly what `scan_range`
-                // would emit, and the scan charge stays per-run.
-                let cached_full = if ctx.use_cache {
-                    st.qcache.peek_scan(*object, *region, span.len, interval).cloned()
+                // coordinate set is exactly what the scan would emit, and
+                // the scan charge is the same. `full` lies inside the
+                // span, so the unclipped runs intersect it as the clipped
+                // ones would.
+                let reused = if ctx.use_cache {
+                    st.qcache
+                        .peek_scan(*object, *region, span.len, interval)
+                        .map(|full| full.intersect_runs(runs))
                 } else {
                     None
                 };
-                // The candidate runs are ascending and disjoint, so their
-                // answers append in order.
-                let mut out: Vec<Run> = Vec::new();
-                let mut held_block = None;
-                for run in runs {
-                    st.work.elements_scanned += run.len;
-                    if let Some(full) = &cached_full {
-                        append_runs(&mut out, full.restrict_to_span(run.start, run.len).runs());
-                    } else if let RegionData::Cold(cold) = &src {
-                        scan_cold_run(cold, interval, span.offset, run, &mut held_block, &mut out)?;
-                    } else if let Some(payload) = &payload {
-                        kernels::scan_range(
+                match (reused, &src, &payload) {
+                    (Some(sel), _, _) => {
+                        st.work.elements_scanned +=
+                            runs.iter().map(|r| len_in_span(r, span)).sum::<u64>();
+                        sel
+                    }
+                    (None, RegionData::Cold(cold), _) => scan_cold_candidates(
+                        cold,
+                        interval,
+                        span,
+                        runs,
+                        &mut st.work.elements_scanned,
+                    )?,
+                    (None, RegionData::Mem(_), Some(payload)) => {
+                        st.work.elements_scanned +=
+                            runs.iter().map(|r| len_in_span(r, span)).sum::<u64>();
+                        let mut out = Vec::new();
+                        kernels::filter_runs(
                             payload,
                             interval,
-                            (run.start - span.offset) as usize,
-                            (run.end() - span.offset) as usize,
-                            run.start,
+                            payload.len(),
+                            runs,
+                            span.offset,
                             &mut out,
                         );
+                        Selection::from_canonical_runs(out)
                     }
+                    (None, RegionData::Mem(_), None) => unreachable!("payload set for Mem"),
                 }
-                Selection::from_canonical_runs(out)
             }
         };
         st.settle_cpu(ctx.cost, &before);
@@ -1150,7 +1177,7 @@ pub fn execute_region(
     planner: &RegionPlanner,
     task: &RegionTask,
     phase: ExplainPhase,
-    candidates: Option<Vec<Run>>,
+    candidates: Option<&[Run]>,
 ) -> PdcResult<Option<Selection>> {
     let chosen = if candidates.is_some() {
         OpKind::ScanExact

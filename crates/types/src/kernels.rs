@@ -17,10 +17,17 @@
 //!    compared against the thresholds into one 0/1 byte per lane (a
 //!    data-parallel map the compiler vectorises), and every 8 bytes are
 //!    packed into a mask byte with one multiply, giving a `u64` hit mask.
-//! 3. **Mask → runs** ([`scan_runs`]): masks convert to canonical
-//!    [`Run`]s with `trailing_zeros`/`trailing_ones`, coalescing across
-//!    block boundaries, so the output [`Selection`] is identical to the
-//!    scalar reference.
+//! 3. **Mask → runs** ([`mask_runs`]): a mask's run starts
+//!    (`m & !(m << 1)`) and run ends (`m & !(m >> 1)`) hold equally many
+//!    bits, and the k-th start pairs with the k-th end; only a run starting
+//!    at lane 0 can coalesce with the previous block's last run, so the
+//!    output [`Selection`] is canonical and identical to the scalar
+//!    reference.
+//! 4. **Candidate windows** ([`scan_candidates`]): a check restricted to
+//!    candidate runs compares windows of up to 64 lanes, each from the
+//!    next unscanned candidate to the last candidate lane within reach,
+//!    and ANDs the window's mask with the mask of the candidate lanes it
+//!    covers — so several short runs cost one compare.
 //!
 //! None of this changes simulated costs: callers charge
 //! `elements_scanned` and `settle_cpu` exactly as before; the kernels only
@@ -306,6 +313,53 @@ pub fn scan_into<T: ScanElem>(xs: &[T], interval: &Interval, base: u64, out: &mu
     scan_runs(xs, lo, hi, base, out);
 }
 
+/// Check lowered thresholds only at candidate `runs` (global coordinates,
+/// sorted and disjoint) inside `xs`, whose element `i` sits at global
+/// coordinate `origin + i`, appending the matching runs to `out`. Runs
+/// crossing either end of `xs` are clipped to it.
+///
+/// Each window starts at the next unscanned candidate lane and spans up
+/// to 64 lanes, ending with the last candidate lane inside them; it is
+/// compared once with [`block_mask`] and ANDed with the mask of the
+/// candidate lanes it covers, so the short runs a point check sees share
+/// one compare instead of paying a block setup each. The candidate lanes
+/// are contiguous in `xs`, so nothing is gathered or split back.
+pub fn scan_candidates<T: ScanElem>(
+    xs: &[T],
+    lo: T,
+    hi: T,
+    runs: &[Run],
+    origin: u64,
+    out: &mut Vec<Run>,
+) {
+    let len = xs.len() as u64;
+    let end = origin + len;
+    let first = runs.partition_point(|r| r.end() <= origin);
+    // Candidate lanes as local `[start, end)` pairs, clipped to `xs`.
+    let mut lanes = runs[first..]
+        .iter()
+        .take_while(|r| r.start < end)
+        .map(|r| (r.start.max(origin) - origin, r.end().min(end) - origin));
+    let mut next = lanes.next();
+    while let Some((w, _)) = next {
+        let w_end = (w + 64).min(len);
+        let mut cand = 0u64;
+        let mut last = w; // one past the window's last candidate lane
+        while let Some((s, e)) = next.filter(|&(s, _)| s < w_end) {
+            last = e.min(w_end);
+            cand |= (u64::MAX >> (64 - (last - s))) << (s - w);
+            // A run overrunning the window continues in the next one.
+            next = if e > w_end { Some((w_end, e)) } else { lanes.next() };
+        }
+        // Lanes past the last candidate are not compared, so an isolated
+        // short run costs no more than its own lanes.
+        let m = block_mask(&xs[w as usize..last as usize], lo, hi) & cand;
+        if m != 0 {
+            mask_runs(m, origin + w, out);
+        }
+    }
+}
+
 /// Count the elements of `xs` matching `interval`.
 pub fn count_slice<T: ScanElem>(xs: &[T], interval: &Interval) -> u64 {
     let (lo, hi) = T::lower(interval);
@@ -380,16 +434,30 @@ pub fn scan_interval_scalar(tv: &TypedVec, interval: &Interval, base: u64) -> Se
 /// Verify candidate positions against the raw values: the subset of
 /// `candidates` (local coordinates into `tv`) whose value matches
 /// `interval`. Equivalent to `IndexAnswer::resolve`'s per-coordinate
-/// filter, but run-at-a-time through the mask kernels.
+/// filter, but a window at a time through [`scan_candidates`].
 pub fn filter_selection(tv: &TypedVec, interval: &Interval, candidates: &Selection) -> Selection {
     let mut out = Vec::new();
+    filter_runs(tv, interval, tv.len(), candidates.runs(), 0, &mut out);
+    Selection::from_canonical_runs(out)
+}
+
+/// Check `interval` only at the candidate `runs` (global coordinates,
+/// sorted and disjoint) inside `tv[..end]`, whose element `i` sits at
+/// global coordinate `origin + i`, appending the matching runs to `out`
+/// (the point-check inner loop; see [`scan_candidates`]). Runs crossing
+/// `origin` or `origin + end` are clipped.
+pub fn filter_runs(
+    tv: &TypedVec,
+    interval: &Interval,
+    end: usize,
+    runs: &[Run],
+    origin: u64,
+    out: &mut Vec<Run>,
+) {
     crate::with_slice!(tv, xs => {
         let (lo, hi) = ScanElem::lower(interval);
-        for run in candidates.runs() {
-            scan_runs(&xs[run.start as usize..run.end() as usize], lo, hi, run.start, &mut out);
-        }
+        scan_candidates(&xs[..end], lo, hi, runs, origin, out);
     });
-    Selection::from_canonical_runs(out)
 }
 
 /// Scan the local index range `[start, end)` of `tv`, appending runs at
@@ -409,22 +477,6 @@ pub fn scan_range(
 /// Count the elements of `tv` matching `interval`.
 pub fn count_matches(tv: &TypedVec, interval: &Interval) -> u64 {
     crate::with_slice!(tv, xs => count_slice(xs, interval))
-}
-
-/// Count the elements at `sel`'s (local) coordinates matching `interval`.
-pub fn count_selection_matches(tv: &TypedVec, interval: &Interval, sel: &Selection) -> u64 {
-    crate::with_slice!(tv, xs => {
-        let (lo, hi) = ScanElem::lower(interval);
-        sel.runs()
-            .iter()
-            .map(|r| {
-                xs[r.start as usize..r.end() as usize]
-                    .chunks(64)
-                    .map(|c| block_mask(c, lo, hi).count_ones() as u64)
-                    .sum::<u64>()
-            })
-            .sum()
-    })
 }
 
 #[cfg(test)]
@@ -667,10 +719,61 @@ mod tests {
         let got = filter_selection(&tv, &iv, &candidates);
         let expect = candidates.filter_coords(|c| iv.contains(tv.get_f64(c as usize)));
         assert_eq!(got, expect);
-        assert_eq!(
-            count_selection_matches(&tv, &iv, &candidates),
-            expect.count()
-        );
+    }
+
+    /// The per-run reference for [`scan_candidates`]: clip each run to the
+    /// slice and scan it alone with [`scan_runs`].
+    fn candidates_by_run<T: ScanElem>(
+        xs: &[T],
+        lo: T,
+        hi: T,
+        runs: &[Run],
+        origin: u64,
+    ) -> Vec<Run> {
+        let end = origin + xs.len() as u64;
+        let mut out = Vec::new();
+        for r in runs {
+            let (s, e) = (r.start.max(origin), r.end().min(end));
+            if s < e {
+                scan_runs(&xs[(s - origin) as usize..(e - origin) as usize], lo, hi, s, &mut out);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn scan_candidates_clips_windows_and_coalesces_across_calls() {
+        // Every element matches, so the answer is the clipped candidates.
+        let xs = vec![1.0f64; 300];
+        let (lo, hi) = f64::lower(&Interval::closed(0.0, 2.0));
+        let runs = [
+            Run::new(990, 15),  // starts before the slice
+            Run::new(1010, 63), // crosses the first window's end
+            Run::new(1100, 1),  // shares a window with both neighbours
+            Run::new(1102, 65), // a 65-lane run
+            Run::new(1290, 40), // overruns the slice end
+        ];
+        let mut out = vec![Run::new(900, 100)]; // a previous block's run ending at the origin
+        scan_candidates(&xs, lo, hi, &runs, 1000, &mut out);
+        let expect = [
+            Run::new(900, 105),
+            Run::new(1010, 63),
+            Run::new(1100, 1),
+            Run::new(1102, 65),
+            Run::new(1290, 10),
+        ];
+        assert_eq!(out, expect);
+        // Runs wholly outside the slice are ignored.
+        let mut none = Vec::new();
+        scan_candidates(&xs, lo, hi, &[Run::new(0, 1000), Run::new(1300, 5)], 1000, &mut none);
+        assert!(none.is_empty());
+        // `filter_runs` stops at `end`.
+        let tv = TypedVec::Double(xs);
+        let mut short = Vec::new();
+        filter_runs(&tv, &Interval::ALL, 200, &runs, 1000, &mut short);
+        let mut want = vec![Run::new(1000, 5)];
+        want.extend_from_slice(&expect[1..4]);
+        assert_eq!(short, want);
     }
 
     #[test]
@@ -819,6 +922,55 @@ mod tests {
         }
     }
 
+    /// Canonical candidate runs around the slice `[origin, origin + len)`:
+    /// lengths 1, 63, 64, 65, 200 and more, or a few; gaps of one lane up
+    /// to a few windows; the first run may start before `origin` and the
+    /// last may end past the slice.
+    fn gen_candidate_runs(rng: &mut TestRng, origin: u64, len: usize) -> Vec<Run> {
+        let mut runs = Vec::new();
+        let mut at = origin.saturating_sub(rng.below(80) as u64);
+        while at < origin + len as u64 + 40 {
+            let run_len = match rng.below(8) {
+                0 => 1,
+                1 => 63,
+                2 => 64,
+                3 => 65,
+                4 => 200 + rng.below(100),
+                _ => 1 + rng.below(8),
+            } as u64;
+            runs.push(Run::new(at, run_len));
+            let gap = match rng.below(3) {
+                0 => 1,
+                1 => 1 + rng.below(8),
+                _ => 1 + rng.below(150),
+            };
+            at += run_len + gap as u64;
+        }
+        runs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 150, ..ProptestConfig::default() })]
+        #[test]
+        fn scan_candidates_equals_per_run_reference(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            let len = rng.below(400);
+            let origin = if rng.below(4) == 0 { 0 } else { rng.next_u64() % 1_000_000 };
+            let runs = gen_candidate_runs(&mut rng, origin, len);
+            let iv = gen_interval(&mut rng, 25.0);
+            for ty in 0..6 {
+                let tv = gen_data(&mut rng, ty, len);
+                crate::with_slice!(&tv, xs => {
+                    let (lo, hi) = ScanElem::lower(&iv);
+                    let mut got = Vec::new();
+                    scan_candidates(xs, lo, hi, &runs, origin, &mut got);
+                    let want = candidates_by_run(xs, lo, hi, &runs, origin);
+                    prop_assert_eq!(&got, &want, "type {}", ty);
+                });
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 100, ..ProptestConfig::default() })]
         #[test]
@@ -832,8 +984,7 @@ mod tests {
                 (0..len as u64).filter(|_| rng.below(3) != 0),
             );
             let expect = cand.filter_coords(|c| iv.contains(tv.get_f64(c as usize)));
-            prop_assert_eq!(filter_selection(&tv, &iv, &cand), expect.clone());
-            prop_assert_eq!(count_selection_matches(&tv, &iv, &cand), expect.count());
+            prop_assert_eq!(filter_selection(&tv, &iv, &cand), expect);
             let all: u64 = (0..len).filter(|&i| iv.contains(tv.get_f64(i))).count() as u64;
             prop_assert_eq!(count_matches(&tv, &iv), all);
         }

@@ -99,9 +99,8 @@ impl Selection {
     ///
     /// * **dense** — `coords` span fewer than [`DENSE_WORDS_PER_COORD`] ×
     ///   64 coordinates per element: scatter into a span-sized `u64` bitset,
-    ///   then read runs off each word with `trailing_zeros` /
-    ///   `trailing_ones`, coalescing across word boundaries. Linear in the
-    ///   slice plus the span's word count.
+    ///   then read runs off each word with [`mask_runs`], coalescing across
+    ///   word boundaries. Linear in the slice plus the span's word count.
     /// * **otherwise** (and every slice shorter than [`SORT_BELOW`]): copy,
     ///   sort and dedup.
     pub fn from_unsorted_coords(coords: &[u64]) -> Self {
@@ -259,11 +258,18 @@ impl Selection {
 
     /// Set intersection — the paper's AND combination.
     pub fn intersect(&self, other: &Selection) -> Selection {
+        self.intersect_runs(&other.runs)
+    }
+
+    /// Intersection with canonical `runs` (sorted, disjoint, non-adjacent)
+    /// in one linear merge — [`Selection::intersect`] without owning the
+    /// other side, e.g. a borrowed slice of another selection's runs.
+    pub fn intersect_runs(&self, runs: &[Run]) -> Selection {
         let mut out = Vec::new();
         let (mut i, mut j) = (0, 0);
-        while i < self.runs.len() && j < other.runs.len() {
+        while i < self.runs.len() && j < runs.len() {
             let a = self.runs[i];
-            let b = other.runs[j];
+            let b = runs[j];
             let lo = a.start.max(b.start);
             let hi = a.end().min(b.end());
             if lo < hi {
@@ -471,37 +477,38 @@ fn runs_by_bitset(coords: &[u64], lo: u64, hi: u64) -> Vec<Run> {
         let off = c - lo;
         bits[(off / 64) as usize] |= 1 << (off % 64);
     }
-    let mut runs = Vec::new();
+    let mut runs = Vec::with_capacity(coords.len());
     for (w, &m) in bits.iter().enumerate() {
         mask_runs(m, lo + 64 * w as u64, &mut runs);
     }
     runs
 }
 
-/// Append `[start, start+len)` to `out`, coalescing with an adjacent tail.
-#[inline]
-fn push_run(out: &mut Vec<Run>, start: u64, len: u64) {
-    if let Some(last) = out.last_mut() {
-        if last.end() == start {
-            last.len += len;
-            return;
-        }
-    }
-    out.push(Run::new(start, len));
-}
-
 /// Decode a 64-bit mask (bit `j` = coordinate `base + j`) into runs
 /// appended to `out`, coalescing with a run ending at `base`.
+///
+/// A run starts at each set bit whose lower neighbour is clear
+/// (`m & !(m << 1)`) and ends at each set bit whose upper neighbour is
+/// clear (`m & !(m >> 1)`); the two masks hold equally many bits, and the
+/// k-th start pairs with the k-th end. Only the first run can touch
+/// `out`'s tail, so the coalescing test runs once per mask, not per run.
 #[inline]
-pub(crate) fn mask_runs(mut m: u64, base: u64, out: &mut Vec<Run>) {
-    while m != 0 {
-        let lo = m.trailing_zeros() as u64;
-        let ones = (m >> lo).trailing_ones() as u64;
-        push_run(out, base + lo, ones);
-        if lo + ones == 64 {
-            break;
+pub fn mask_runs(m: u64, base: u64, out: &mut Vec<Run>) {
+    let mut starts = m & !(m << 1);
+    let mut ends = m & !(m >> 1);
+    if starts & 1 != 0 {
+        if let Some(last) = out.last_mut().filter(|last| last.end() == base) {
+            last.len += u64::from(ends.trailing_zeros()) + 1;
+            starts &= starts - 1;
+            ends &= ends - 1;
         }
-        m &= !(((1u64 << ones) - 1) << lo);
+    }
+    while starts != 0 {
+        let s = u64::from(starts.trailing_zeros());
+        let e = u64::from(ends.trailing_zeros());
+        out.push(Run::new(base + s, e + 1 - s));
+        starts &= starts - 1;
+        ends &= ends - 1;
     }
 }
 

@@ -2,7 +2,7 @@
 //! algebra must agree with a naive `BTreeSet` model, and interval algebra
 //! must agree with direct predicate evaluation.
 
-use pdc_types::selection::{RankDirectory, DENSE_WORDS_PER_COORD, SORT_BELOW};
+use pdc_types::selection::{mask_runs, RankDirectory, DENSE_WORDS_PER_COORD, SORT_BELOW};
 use pdc_types::{Interval, QueryOp, Run, Selection};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -77,6 +77,56 @@ fn union_many_skips_empty_sources() {
 }
 
 /// The oracle for `from_unsorted_coords`: copy, sort, dedup.
+/// The oracle for `mask_runs`: the decoder it replaced, which walks the
+/// mask with `trailing_zeros` / `trailing_ones` and coalesces each run
+/// with `out`'s tail.
+fn mask_runs_by_trailing_ones(mut m: u64, base: u64, out: &mut Vec<Run>) {
+    while m != 0 {
+        let lo = m.trailing_zeros() as u64;
+        let ones = (m >> lo).trailing_ones() as u64;
+        match out.last_mut() {
+            Some(last) if last.end() == base + lo => last.len += ones,
+            _ => out.push(Run::new(base + lo, ones)),
+        }
+        if lo + ones == 64 {
+            break;
+        }
+        m &= !(((1u64 << ones) - 1) << lo);
+    }
+}
+
+/// `mask_runs` against the oracle on `m`, after an empty `out`, after a
+/// run ending at `base` (bit 0 must coalesce with it) and after one ending
+/// short of it.
+fn check_mask_runs(m: u64, base: u64) {
+    for prior in [None, Some(Run::new(base - 5, 5)), Some(Run::new(base - 9, 3))] {
+        let (mut got, mut want) = (Vec::from_iter(prior), Vec::from_iter(prior));
+        mask_runs(m, base, &mut got);
+        mask_runs_by_trailing_ones(m, base, &mut want);
+        assert_eq!(got, want, "mask {m:#x} after {prior:?}");
+    }
+}
+
+#[test]
+fn mask_runs_edge_masks_match_the_trailing_ones_decoder() {
+    let alternating = 0x5555_5555_5555_5555u64;
+    for m in [
+        0,
+        u64::MAX,
+        1,
+        1 << 63,
+        (1 << 63) | 1,
+        alternating,
+        !alternating,
+        u64::MAX >> 1,
+        u64::MAX << 1,
+        0xF000_0000_0000_000F,
+        0x8000_0001_8000_0001,
+    ] {
+        check_mask_runs(m, 640);
+    }
+}
+
 fn sort_dedup(coords: &[u64]) -> Selection {
     let mut v = coords.to_vec();
     v.sort_unstable();
@@ -313,6 +363,20 @@ proptest! {
         for w in got.runs().windows(2) {
             prop_assert!(w[0].end() < w[1].start, "runs must be canonical");
         }
+    }
+}
+
+proptest! {
+    #[test]
+    fn mask_runs_matches_the_trailing_ones_decoder(
+        m in any::<u64>(),
+        sparse in any::<u64>(),
+        base in 64u64..1_000_000,
+    ) {
+        // Random words, and sparser ones whose runs are short.
+        check_mask_runs(m, base);
+        check_mask_runs(m & sparse, base);
+        check_mask_runs(m | (1 << 63), base);
     }
 }
 
