@@ -174,41 +174,43 @@ dir_hits=$(echo "$dir_out" | grep -o '[0-9]* hits ([0-9]* runs)')
 echo "pruning smoke: '$dir_hits' with joint bounds registered"
 
 echo "== replication gate =="
-# K-way replication: the kill-matrix tests ran in the test suite above
-# (every strategy x k x kills combination bit-identical or a typed
-# RetriesExhausted); here the bench
-# bin's own gate (k >= 2 kill degradation <= 1.1x the no-kill series,
-# recovery lane silent under placement), and a CLI smoke of the
-# replica-aware routing + elastic membership surface. The smoke query
+# One failure lane at every replica count: the kill-matrix tests ran in
+# the test suite above (every strategy x k x kills combination
+# bit-identical whenever one server lives; all dead is a typed
+# ServerFailed); here the bench bin's own gate (k >= 2 kill degradation
+# <= 1.1x the no-kill series), and a CLI smoke of the failover, rebuild
+# and elastic-membership surface at k = 1 and k = 2. The smoke query
 # touches every region so the kill probe actually fires mid-evaluation.
 bench_gate replication
 REPL_Q="Energy > 0"
 plain_hits=$($PDC query "$REPL_Q" $SMOKE_ARGS | grep -o '[0-9]* hits ([0-9]* runs)')
-repl_out=$($PDC query "$REPL_Q" $SMOKE_ARGS --replicas 2 --kill-servers 1 --fault-seed 3)
-repl_hits=$(echo "$repl_out" | grep -o '[0-9]* hits ([0-9]* runs)')
-if [ "$plain_hits" != "$repl_hits" ]; then
-    echo "ci: replication smoke FAILED: unreplicated '$plain_hits' vs killed k=2 '$repl_hits'" >&2
-    exit 1
-fi
-echo "$repl_out" | grep -q 'failed over to live replicas' || {
-    echo "ci: replication smoke FAILED: no failover report in killed run" >&2
-    exit 1
-}
-echo "$repl_out" | grep -q '^rebuild: redundancy restored' || {
-    echo "ci: replication smoke FAILED: no background-rebuild report in killed run" >&2
-    exit 1
-}
-member_out=$($PDC query "$REPL_Q" $SMOKE_ARGS --replicas 2 --join-server --leave-server 0)
-[ "$(echo "$member_out" | grep -c 'results unchanged: yes')" = 2 ] || {
-    echo "ci: replication smoke FAILED: join/leave changed results:" >&2
-    echo "$member_out" >&2
-    exit 1
-}
+for k in 1 2; do
+    repl_out=$($PDC query "$REPL_Q" $SMOKE_ARGS --replicas $k --kill-servers 1 --fault-seed 3)
+    repl_hits=$(echo "$repl_out" | grep -o '[0-9]* hits ([0-9]* runs)')
+    if [ "$plain_hits" != "$repl_hits" ]; then
+        echo "ci: replication smoke FAILED: unkilled '$plain_hits' vs killed k=$k '$repl_hits'" >&2
+        exit 1
+    fi
+    echo "$repl_out" | grep -q 'failed over to live replicas' || {
+        echo "ci: replication smoke FAILED: no failover report in killed k=$k run" >&2
+        exit 1
+    }
+    echo "$repl_out" | grep -q '^rebuild: redundancy restored' || {
+        echo "ci: replication smoke FAILED: no background-rebuild report in killed k=$k run" >&2
+        exit 1
+    }
+    member_out=$($PDC query "$REPL_Q" $SMOKE_ARGS --replicas $k --join-server --leave-server 0)
+    [ "$(echo "$member_out" | grep -c 'results unchanged: yes')" = 2 ] || {
+        echo "ci: replication smoke FAILED: join/leave changed results at k=$k:" >&2
+        echo "$member_out" >&2
+        exit 1
+    }
+done
 $PDC query "$SMOKE_Q" $SMOKE_ARGS --replicas 2 --explain | grep -q 'slot routes (slot' || {
     echo "ci: replication smoke FAILED: no per-slot route report in --explain run" >&2
     exit 1
 }
-echo "replication smoke: '$repl_hits' identical under kill, join, and leave"
+echo "replication smoke: '$repl_hits' identical under kill, join, and leave at k = 1 and 2"
 
 echo "== out-of-core gate =="
 # Spill tier: block files must roundtrip bit-exact and fail typed on

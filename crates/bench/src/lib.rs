@@ -21,7 +21,7 @@
 //! | `adaptive` | `BENCH_adaptive.json` | PDC-A ≤ best fixed strategy |
 //! | `ingest` | `BENCH_ingest.json` | mid-ingest queries identical to sealed reruns |
 //! | `pruning` | `BENCH_pruning.json` | ≥ 2× fewer admitted regions, directory on/off identity |
-//! | `replication` | `BENCH_replication.json` | kill degradation ≤ 1.1× at k ≥ 2, silent recovery lane |
+//! | `replication` | `BENCH_replication.json` | kill degradation ≤ 1.1× at k ≥ 2 |
 //! | `blockstore` | `BENCH_blockstore.json` | compression ≥ 2×, high-water ≤ budget, identical to unbounded |
 //! | `service` | `BENCH_service.json` | flood p99 ≤ 1.25× uniform, replay identity, late joins |
 //!

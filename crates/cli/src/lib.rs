@@ -108,11 +108,11 @@ pub struct Opts {
     /// `query`: variable pair (`"A,B"`) to register a joint-bounds grid
     /// for before querying.
     pub joint: Option<String>,
-    /// `query`: admit a fresh server into the replicated pool mid-series
-    /// (elastic scale-out; requires `replicas >= 2`).
+    /// `query`: admit a fresh server into the pool mid-series (elastic
+    /// scale-out).
     pub join_server: bool,
-    /// `query`: retire this server from the replicated pool mid-series
-    /// (elastic scale-in; requires `replicas >= 2`).
+    /// `query`: retire this server from the pool mid-series (elastic
+    /// scale-in).
     pub leave_server: Option<u32>,
     /// `ingest`: number of streaming appends interleaved with the queries.
     pub append_batches: u32,
@@ -179,8 +179,8 @@ OPTIONS:
                      per-region operator selection)
   --seed <N>         RNG seed
   --fault-seed <N>   inject a seeded deterministic fault plan (crashes,
-                     slowdowns, transient errors); queries still succeed
-                     via retry + region reassignment
+                     slowdowns, transient errors); queries still succeed:
+                     failed slots retry on the next live server
   --kill-servers <K> crash exactly K servers early in evaluation (K < servers)
   --corrupt-regions <F>
                      deterministically corrupt about fraction F (0..=1) of the
@@ -190,9 +190,10 @@ OPTIONS:
   --corrupt-seed <N> seed for corruption site selection (default: the fault
                      seed, then the RNG seed)
   --replicas <K>     replicate every assignment slot on K servers (default 1
-                     = classic single-home layout); killed servers then fail
-                     over to live replicas instead of forcing a rescan, and
-                     redundancy is rebuilt in the background after a crash
+                     = classic single-home layout); a killed server's slots
+                     fail over to their replicas first, then to any other
+                     live server, and redundancy is rebuilt in the
+                     background after a crash
   --explain          print the per-region operator table: chosen physical
                      operator (scan / probe / sorted / rebuild), prune
                      verdicts, and estimated vs actual hits per region; in
@@ -214,12 +215,12 @@ OPTIONS:
                      both variables then kill candidate regions whose joint
                      cells are provably empty (e.g. --joint Energy,x)
   --get-data <var>   fetch that variable's values for the matches (query only)
-  --join-server      (query only; needs --replicas >= 2) run the query, admit
-                     a fresh server with live migration, and re-run — prints
-                     the membership report and whether results changed
-  --leave-server <S> (query only; needs --replicas >= 2) run the query, retire
-                     server S (its replicas re-home with a verified copy),
-                     and re-run — prints the membership report
+  --join-server      (query only) run the query, admit a fresh server with
+                     live migration, and re-run — prints the membership
+                     report and whether results changed
+  --leave-server <S> (query only) run the query, retire server S (its slots
+                     re-home with a verified copy), and re-run — prints the
+                     membership report
   --queries <N>      (query only) admit the expression N times as one
                      concurrent batch: shared-scan prewarm + plan/artifact
                      caching; prints a throughput report (results are
@@ -698,13 +699,11 @@ fn run_query(expr: &str, opts: &Opts) -> Result<String, String> {
     let query = parse_query(expr, odms).map_err(|e| e.to_string())?;
     out.push_str(&format!("query: {query}\n"));
     if opts.replicas > 1 {
-        let members = engine.placement_members().unwrap_or_default();
-        let slots = engine.replica_sets().map(|s| s.len()).unwrap_or(0);
         out.push_str(&format!(
             "replication: k={} over {} member(s), {} slot(s)\n",
             opts.replicas,
-            members.len(),
-            slots,
+            engine.placement_members().len(),
+            engine.replica_sets().len(),
         ));
     }
     // Elastic membership smoke: bracket the change with runs of the same
@@ -799,21 +798,11 @@ fn run_query(expr: &str, opts: &Opts) -> Result<String, String> {
         out.push_str(&line);
     }
     if !outcome.failed_servers.is_empty() {
-        if outcome.breakdown.failover > SimDuration::ZERO
-            || (opts.replicas > 1 && outcome.breakdown.recovery == SimDuration::ZERO)
-        {
-            out.push_str(&format!(
-                "faults: servers {:?} failed; slots failed over to live replicas \
-                 in {} retry round(s), failover overhead {}\n",
-                outcome.failed_servers, outcome.retry_rounds, outcome.breakdown.failover,
-            ));
-        } else {
-            out.push_str(&format!(
-                "faults: servers {:?} failed; recovered in {} retry round(s), \
-                 recovery overhead {}\n",
-                outcome.failed_servers, outcome.retry_rounds, outcome.breakdown.recovery,
-            ));
-        }
+        out.push_str(&format!(
+            "faults: servers {:?} failed; slots failed over to live replicas \
+             in {} retry round(s), failover overhead {}\n",
+            outcome.failed_servers, outcome.retry_rounds, outcome.breakdown.failover,
+        ));
     }
     if outcome.rebuild_regions > 0 {
         out.push_str(&format!(
@@ -1664,12 +1653,14 @@ mod tests {
     }
 
     #[test]
-    fn replication_membership_requires_replicas() {
+    fn replication_membership_at_k1_preserves_results() {
         let out = run(Command::Query {
             expr: "Energy > 2.0".to_string(),
-            opts: Opts { join_server: true, ..small(10_000, 2) },
-        });
-        assert!(out.unwrap_err().contains("replicas"), "needs --replicas >= 2");
+            opts: Opts { join_server: true, leave_server: Some(0), ..small(10_000, 2) },
+        })
+        .unwrap();
+        assert!(!out.contains("replication:"), "k = 1 prints no replication line: {out}");
+        assert_eq!(out.matches("results unchanged: yes").count(), 2, "{out}");
     }
 
     #[test]

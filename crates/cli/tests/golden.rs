@@ -25,6 +25,7 @@ const CASES: &[(&str, &[&str])] = &[
         "query_batch",
         &["query", Q, "--queries", "4", "--batch-file", "tests/golden/batch_queries.txt"],
     ),
+    ("query_kill", &["query", "Energy > 0", "--kill-servers", "1", "--fault-seed", "3"]),
     (
         "query_replicas_kill",
         &["query", "Energy > 0", "--replicas", "2", "--kill-servers", "1", "--fault-seed", "3"],

@@ -151,10 +151,10 @@ impl Policy {
 }
 
 /// Engine configuration. Failure handling is not configurable: a failed
-/// slot is retried for at most three rounds after the first, a slow
-/// server is always waited for, and k-way placement uses one fixed
-/// layout seed, so the same membership gives the same replica sets on
-/// every host.
+/// slot fails over along its preference list for at most three retry
+/// rounds that find no new crash, a slow server is always waited for,
+/// and the placement uses one fixed layout seed, so the same membership
+/// gives the same replica sets on every host.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Evaluation strategy.
@@ -171,13 +171,14 @@ pub struct EngineConfig {
     pub order_by_selectivity: bool,
     /// Deterministic fault-injection schedule (`None` = healthy pool).
     pub fault_plan: Option<FaultPlan>,
-    /// Replicas per assignment slot. `1` (the default) keeps the classic
-    /// single-home layout and code path byte-for-byte; `k ≥ 2` activates
-    /// the k-way [`Placement`] — each slot gets an ordered replica set,
-    /// faults fail over within the set (charging the `failover` lane
-    /// instead of `recovery`), and elastic membership
-    /// ([`QueryEngine::join_server`] / [`QueryEngine::leave_server`])
-    /// becomes available. Results are bit-identical at every setting.
+    /// Replicas per assignment slot of the [`Placement`]. `1` (the
+    /// default) is the classic single-home layout, bit for bit; `k ≥ 2`
+    /// gives each slot an ordered set of `k` servers. At every `k` a
+    /// fault fails the slot over along its preference list (charging the
+    /// `failover` lane), a crash evicts the dead member and re-homes its
+    /// slots, and elastic membership ([`QueryEngine::join_server`] /
+    /// [`QueryEngine::leave_server`]) is available. Results are
+    /// bit-identical at every setting.
     pub replicas: u32,
     /// Out-of-core mode: when `Some`, the object store demotes sealed
     /// least-recently-used regions to block-compressed spill files
@@ -390,11 +391,10 @@ pub struct QueryEngine {
     pool: ServerPool<ServerState>,
     cfg: EngineConfig,
     plans: Mutex<PlanCache>,
-    /// The k-way replica placement; `None` when `cfg.replicas <= 1`
-    /// (classic single-home scheduling, untouched code path). Swapped
-    /// wholesale on membership changes so in-flight queries keep their
-    /// own consistent snapshot.
-    placement: Mutex<Option<Arc<Placement>>>,
+    /// The k-way slot placement (`k = 1`: the classic single-home
+    /// layout). Swapped wholesale on membership changes so in-flight
+    /// queries keep their own consistent snapshot.
+    placement: Mutex<Arc<Placement>>,
     /// Monotonic id source for [`SharedScanGroup`]s opened on this engine.
     scan_group_seq: std::sync::atomic::AtomicU64,
 }
@@ -414,13 +414,14 @@ pub struct MembershipReport {
     pub bytes_copied: u64,
 }
 
-/// How many assignment slots each server is spread over under k-way
-/// replication. Finer slots make a failover move `1/spread` of the dead
+/// How many assignment slots each server is spread over. `k = 1` keeps
+/// one slot per server (the classic single-home layout); under k-way
+/// replication finer slots make a failover move `1/spread` of the dead
 /// server's work to each distinct backup instead of a whole server's
-/// share — that is what flattens the PR 1 degradation curve. `n_servers`
-/// always divides `num_slots`, so region `r`'s anchor server stays
-/// `r % n_servers` and a healthy replicated run does byte-identical
-/// per-server work to the unreplicated layout.
+/// share — that is what flattens the `k = 1` degradation curve.
+/// `n_servers` always divides `num_slots`, so region `r`'s anchor server
+/// stays `r % n_servers` and a healthy run does byte-identical
+/// per-server work at every `k`.
 fn slot_spread(replicas: u32, num_servers: u32) -> u32 {
     if replicas <= 1 {
         1
@@ -433,18 +434,16 @@ fn slot_spread(replicas: u32, num_servers: u32) -> u32 {
 /// gives the same replica sets on every host.
 const PLACEMENT_SEED: u64 = 0x5EED;
 
-/// The k-way placement a fresh pool starts from; `None` when
-/// `cfg.replicas <= 1`.
-fn fresh_placement(cfg: &EngineConfig) -> Option<Arc<Placement>> {
-    (cfg.replicas > 1).then(|| {
-        let spread = slot_spread(cfg.replicas, cfg.num_servers);
-        Arc::new(Placement::new(
-            cfg.num_servers * spread,
-            cfg.num_servers,
-            cfg.replicas,
-            PLACEMENT_SEED,
-        ))
-    })
+/// The k-way placement a fresh pool starts from (at `k = 1`, one slot
+/// per server on its own anchor).
+fn fresh_placement(cfg: &EngineConfig) -> Arc<Placement> {
+    let spread = slot_spread(cfg.replicas, cfg.num_servers);
+    Arc::new(Placement::new(
+        cfg.num_servers * spread,
+        cfg.num_servers,
+        cfg.replicas,
+        PLACEMENT_SEED,
+    ))
 }
 
 impl QueryEngine {
@@ -488,37 +487,30 @@ impl QueryEngine {
         engine
     }
 
-    /// The current placement, if k-way replication is active.
-    fn placement_snapshot(&self) -> Option<Arc<Placement>> {
-        self.placement.lock().unwrap().clone()
+    /// The current placement.
+    fn placement_snapshot(&self) -> Arc<Placement> {
+        Arc::clone(&self.placement.lock().unwrap())
     }
 
-    /// The ordered replica set of every assignment slot, indexed by slot;
-    /// `None` without replication. Introspection for tests, benches, and
-    /// the CLI report.
-    pub fn replica_sets(&self) -> Option<Vec<Vec<u32>>> {
-        self.placement_snapshot().map(|p| p.replica_sets().to_vec())
+    /// The ordered replica set of every assignment slot, indexed by slot.
+    /// Introspection for tests, benches, and the CLI report.
+    pub fn replica_sets(&self) -> Vec<Vec<u32>> {
+        self.placement_snapshot().replica_sets().to_vec()
     }
 
-    /// The current placement membership (server ids), sorted; `None`
-    /// without replication.
-    pub fn placement_members(&self) -> Option<Vec<u32>> {
-        self.placement_snapshot().map(|p| p.members().to_vec())
+    /// The current placement membership (server ids), sorted.
+    pub fn placement_members(&self) -> Vec<u32> {
+        self.placement_snapshot().members().to_vec()
     }
 
     /// Admit a fresh server into the pool and the placement (elastic
     /// scale-out). The new replica copies over the regions of every slot
     /// it now serves (live migration through the checksum-verified
     /// mover); queries running before, during, and after return
-    /// bit-identical results. Requires `replicas >= 2`.
+    /// bit-identical results.
     pub fn join_server(&self) -> PdcResult<MembershipReport> {
         let mut guard = self.placement.lock().unwrap();
-        let Some(cur) = guard.as_ref() else {
-            return Err(PdcError::MissingPrerequisite(
-                "elastic membership requires replicas >= 2".into(),
-            ));
-        };
-        let mut p = (**cur).clone();
+        let mut p = (**guard).clone();
         let cache = self.cfg.cache_bytes_per_server;
         let plan = self.cfg.fault_plan.clone();
         let id = self.pool.add_server(|id| {
@@ -530,7 +522,7 @@ impl QueryEngine {
         });
         let mplan = p.join(id.raw());
         let p = Arc::new(p);
-        *guard = Some(Arc::clone(&p));
+        *guard = Arc::clone(&p);
         drop(guard);
         let (regions_copied, bytes_copied) =
             self.copy_slot_regions(&p, &mplan.slots_gaining_replicas())?;
@@ -546,28 +538,18 @@ impl QueryEngine {
     /// redundancy is restored by copying their regions to the replacement
     /// replicas the layout promotes; the server's pool state stays
     /// addressable (ids are stable) but no further work routes to it.
-    /// Requires `replicas >= 2` and at least two members.
+    /// The last member cannot leave.
     pub fn leave_server(&self, server: u32) -> PdcResult<MembershipReport> {
         let mut guard = self.placement.lock().unwrap();
-        let Some(cur) = guard.as_ref() else {
-            return Err(PdcError::MissingPrerequisite(
-                "elastic membership requires replicas >= 2".into(),
-            ));
-        };
-        if !cur.is_member(server) {
+        if !guard.is_member(server) {
             return Err(PdcError::InvalidQuery(format!(
                 "server {server} is not a placement member"
             )));
         }
-        if cur.members().len() <= 1 {
-            return Err(PdcError::InvalidQuery(
-                "the last placement member cannot leave".into(),
-            ));
-        }
-        let mut p = (**cur).clone();
-        let mplan = p.leave(server);
+        let mut p = (**guard).clone();
+        let mplan = p.leave(server)?;
         let p = Arc::new(p);
-        *guard = Some(Arc::clone(&p));
+        *guard = Arc::clone(&p);
         drop(guard);
         let (regions_copied, bytes_copied) =
             self.copy_slot_regions(&p, &mplan.slots_gaining_replicas())?;
@@ -622,8 +604,8 @@ impl QueryEngine {
         Ok((report.regions, report.bytes))
     }
 
-    /// After a query observed crashed servers under k-way placement:
-    /// evict them from the membership and restore each affected slot's
+    /// After a query observed crashed servers: evict them from the
+    /// membership (never the last member) and restore each affected slot's
     /// redundancy by copying its regions to the replacement replicas.
     /// Background work — reported, never charged to query latency.
     /// Returns `(rebuild_regions, rebuild_bytes)`.
@@ -640,21 +622,18 @@ impl QueryEngine {
             return (0, 0);
         }
         let mut guard = self.placement.lock().unwrap();
-        let Some(cur) = guard.as_ref() else { return (0, 0) };
-        let mut p = (**cur).clone();
+        let mut p = (**guard).clone();
         let mut gained: Vec<u32> = Vec::new();
-        let mut changed = false;
         for s in crashed {
-            if p.is_member(s) && p.members().len() > 1 {
-                gained.extend(p.leave(s).slots_gaining_replicas());
-                changed = true;
+            if let Ok(plan) = p.leave(s) {
+                gained.extend(plan.slots_gaining_replicas());
             }
         }
-        if !changed {
+        if p.members() == guard.members() {
             return (0, 0);
         }
         let p = Arc::new(p);
-        *guard = Some(Arc::clone(&p));
+        *guard = Arc::clone(&p);
         drop(guard);
         gained.sort_unstable();
         gained.dedup();
@@ -875,7 +854,7 @@ impl QueryEngine {
         // Snapshot the placement once per query: membership changes land
         // between queries, never mid-broadcast.
         let placement = self.placement_snapshot();
-        let n_slots = placement.as_ref().map(|p| p.num_slots()).unwrap_or(n);
+        let n_slots = placement.num_slots();
         let mut objects = Vec::new();
         plan.root.objects(&mut objects);
         objects.sort_unstable();
@@ -887,7 +866,7 @@ impl QueryEngine {
         // are carried into the outcome's fault report.
         let policy = self.cfg.strategy.policy();
         let preload = if policy.preload {
-            Some(self.preload_objects(&snap, &objects, &weights, placement.as_deref())?)
+            Some(self.preload_objects(&snap, &objects, &weights, &placement)?)
         } else {
             None
         };
@@ -900,7 +879,7 @@ impl QueryEngine {
         let out = run_slots(
             &self.pool,
             &cost,
-            placement.as_deref(),
+            &placement,
             &weights,
             |r: &(
                 Selection,
@@ -976,7 +955,6 @@ impl QueryEngine {
             ),
             cpu: cost.cpu.work_cost(&work),
             net: broadcast + merge_cpu,
-            recovery: out.recovery,
             failover: out.failover,
             integrity: preflight_time + slot_integrity_time,
         };
@@ -1030,12 +1008,11 @@ impl QueryEngine {
         }
         let planned_elements =
             snap.meta(plan.primary_object()).map(|m| m.num_elements()).unwrap_or(0);
-        // Background redundancy repair: after a replicated run that saw
-        // crashes, re-home the dead members' slots and copy the regions
-        // the new replicas gained. Reported, not charged — the rebuild
-        // overlaps subsequent work like the paper's async movement.
-        let (rebuild_regions, rebuild_bytes) = if placement.is_some() && !failed_servers.is_empty()
-        {
+        // Background redundancy repair: after a run that saw crashes,
+        // re-home the dead members' slots and copy the regions the new
+        // replicas gained. Reported, not charged — the rebuild overlaps
+        // subsequent work like the paper's async movement.
+        let (rebuild_regions, rebuild_bytes) = if !failed_servers.is_empty() {
             self.rebuild_after_failures(&failed_servers)
         } else {
             (0, 0)
@@ -1356,7 +1333,7 @@ impl QueryEngine {
         snap: &Arc<MetaSnapshot>,
         objects: &[ObjectId],
         weights: &[u64],
-        placement: Option<&Placement>,
+        placement: &Placement,
     ) -> PdcResult<crate::recover::SlotRunOutput<IntegrityCounters>> {
         let n = self.cfg.num_servers;
         let n_slots = weights.len() as u32;
@@ -1481,13 +1458,13 @@ impl QueryEngine {
             .map(|h| (h, RankDirectory::new(selection, h.span.len)));
         let snap = Arc::new(MetaSnapshot::capture(&self.odms, &[object])?);
         let placement = self.placement_snapshot();
-        let n_slots = placement.as_ref().map(|p| p.num_slots()).unwrap_or(n);
+        let n_slots = placement.num_slots();
         let weights = self.slot_weights_for_objects(&snap, &[object], n_slots)?;
 
         let out = run_slots(
             &self.pool,
             &cost,
-            placement.as_deref(),
+            &placement,
             &weights,
             |r: &(Gathered, IoCounters)| r.0.len() * (8 + elem),
             |slot, st| {

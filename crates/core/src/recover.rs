@@ -1,18 +1,25 @@
-//! Fault-tolerant slot scheduling: retry and region reassignment.
+//! Fault-tolerant slot scheduling: every slot fails over along one
+//! preference list.
 //!
 //! Query work is partitioned into **assignment slots**: slot `i` owns the
-//! regions where `region % num_servers == i` (and position `i` of every
+//! regions where `region % num_slots == i` (and position `i` of every
 //! sorted band). A slot's partial result is a pure function of the plan
 //! and the slot id — *which physical server evaluates it does not matter*
-//! — and the client-side union is commutative. So when a server fails,
-//! its slots are simply re-evaluated by the survivors and the final
-//! result is bit-identical to a fault-free run.
+//! (every server reads the same shared storage) — and the client-side
+//! union is commutative. So when a server fails, its slots are simply
+//! re-evaluated elsewhere and the final result is bit-identical to a
+//! fault-free run.
 //!
-//! [`run_slots`] drives that loop deterministically:
+//! The [`Placement`] gives each slot an ordered replica set of `k`
+//! servers (at `k = 1` on the initial membership, slot `s` lives on
+//! server `s` — the classic single-home layout) and, behind it, a
+//! **preference list**: the replica set, then every other member in
+//! rendezvous order. [`run_slots`] drives the loop deterministically:
 //!
-//! * **Round 0** — every live server evaluates its own slot (plus, when
-//!   servers died in an earlier query, a balanced share of orphaned
-//!   slots).
+//! * **Round 0** — every slot goes to its least-loaded live replica
+//!   (anchor-affine on a healthy pool: ties break by replica rank, so
+//!   rank 0 — the classic owner — wins and per-server work is
+//!   bit-identical at every `k`).
 //! * A server **fails** a round if its handler returns an error (injected
 //!   crash / transient fault) or panics (caught by
 //!   [`ServerPool::try_broadcast`]). An *erroring* server is detected the
@@ -21,36 +28,32 @@
 //!   responsive server of the round has reported.
 //! * A slow server is never abandoned: its results are accepted whenever
 //!   they arrive, so slowness inflates time, not results.
-//! * **Retry rounds** reassign unfinished slots across the live servers
-//!   with [`pdc_server::assign::balanced_by_weight`], up to
-//!   [`MAX_RETRIES`] rounds; beyond that the query fails with
-//!   [`PdcError::RetriesExhausted`].
+//! * **Retry rounds** send each unfinished slot to the first live member
+//!   of its preference list that it has not tried yet. No other slot
+//!   moves. A crashed server is only found when a slot reaches it, so a
+//!   round that finds one does not spend the retry budget: such rounds
+//!   remove a server each and cannot outnumber the pool. The other rounds
+//!   — lost to transient errors — are capped at [`MAX_RETRIES`].
+//!
+//! One error rule holds at every `k`: a slot with no live member left
+//! fails the query with [`PdcError::ServerFailed`]; spending the retry
+//! budget fails it with [`PdcError::RetriesExhausted`]. So a query
+//! succeeds, bit-identically, whenever one member lives and transient
+//! errors leave it a working round within the budget.
 //!
 //! All timing is simulated: round time is the maximum per-server
 //! contribution (evaluation × slowdown + result transfer, or the
 //! detection time for failed servers), rounds are sequential, and
 //! everything beyond the fault-free critical path is surfaced as the
-//! `recovery` component of the cost breakdown.
-//!
-//! ## Replica-aware routing (k-way placement)
-//!
-//! With a [`Placement`] the slot→server map generalizes: each slot has an
-//! ordered replica set and is dispatched to its **least-loaded live
-//! replica** (anchor-affine on a healthy pool: ties break by replica
-//! rank, so rank 0 — the classic owner — wins and per-server work is
-//! bit-identical to the unreplicated layout). On a fault the slot fails
-//! over to the next live replica of *its own set* — no global region
-//! reassignment — and the added time is charged to the much cheaper
-//! `failover` lane instead of `recovery`. A slot whose replicas are all
-//! dead fails the query with [`PdcError::RetriesExhausted`] immediately:
-//! under replication that is the only unrecoverable shape.
+//! `failover` component of the cost breakdown.
 
 use crate::state::ServerState;
-use pdc_server::{assign, Placement, ServerPool};
+use pdc_server::{Placement, ServerPool};
 use pdc_storage::{CostModel, SimDuration};
 use pdc_types::{PdcError, PdcResult, ServerId};
 
-/// Retry rounds [`run_slots`] allows after the initial round.
+/// Retry rounds [`run_slots`] allows after the initial round, not counting
+/// rounds that discover a crash.
 pub(crate) const MAX_RETRIES: u32 = 3;
 
 /// Everything one [`run_slots`] call produced.
@@ -63,11 +66,7 @@ pub(crate) struct SlotRunOutput<R> {
     /// Total evaluation wall time: sum over rounds of the round maximum.
     pub eval_time: SimDuration,
     /// The slice of `eval_time` attributable to failure handling
-    /// (detection waits + retry rounds); zero on a fault-free run and under
-    /// an active placement (which charges `failover` instead).
-    pub recovery: SimDuration,
-    /// The slice of `eval_time` spent failing slots over to replicas
-    /// (placement mode only); zero on a fault-free run.
+    /// (detection waits + retry rounds); zero on a fault-free run.
     pub failover: SimDuration,
     /// Servers that failed during this run.
     pub failed_servers: Vec<u32>,
@@ -86,16 +85,15 @@ struct BatchOut<R> {
     slowdown: f64,
 }
 
-/// Evaluate one result per slot across the pool, reassigning failed
-/// servers' slots to survivors. `eval` runs a single slot against a
-/// server's state; `ret_bytes` sizes the server→client transfer of a
-/// slot's result. With `placement` set, slots route to their replica
-/// sets (see the module docs); without it, slot `s` belongs to server
-/// `s` and `slot_weights.len()` must equal the pool size.
+/// Evaluate one result per slot across the pool, failing slots over
+/// along their preference lists (see the module docs). `eval` runs a
+/// single slot against a server's state; `ret_bytes` sizes the
+/// server→client transfer of a slot's result; `slot_weights` holds one
+/// weight per slot of `placement`.
 pub(crate) fn run_slots<R, F, B>(
     pool: &ServerPool<ServerState>,
     cost: &CostModel,
-    placement: Option<&Placement>,
+    placement: &Placement,
     slot_weights: &[u64],
     ret_bytes: B,
     eval: F,
@@ -113,61 +111,24 @@ where
 
     let mut batches: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut pending: Vec<u32> = Vec::new();
-    // Servers that have already been handed each slot this run (so a
-    // failover prefers a replica that has not been tried yet).
-    let mut tried: Vec<Vec<u32>> = vec![Vec::new(); num_slots];
-
-    if !alive.iter().any(|&a| a) {
-        return Err(PdcError::ServerFailed {
-            server: 0,
-            reason: "no live servers in the pool".into(),
-        });
-    }
-    match placement {
-        None => {
-            debug_assert_eq!(num_slots, n);
-            // Round 0: live servers take their own slot; slots of
-            // already-dead servers are distributed over the survivors.
-            for s in 0..n as u32 {
-                if alive[s as usize] {
-                    batches[s as usize].push(s);
-                } else {
-                    pending.push(s);
-                }
-            }
-            if !pending.is_empty() {
-                distribute(&mut batches, &pending, &alive, slot_weights);
-                pending.clear();
-            }
-        }
-        Some(p) => {
-            // Round 0: every slot to its least-loaded live replica
-            // (anchor-affine when the pool is healthy).
-            if route_replicated(
-                &mut batches,
-                &mut tried,
-                0..num_slots as u32,
-                p,
-                &alive,
-                slot_weights,
-            )
-            .is_err()
-            {
-                // Some slot's entire replica set is dead: no retry can
-                // recover it.
-                return Err(PdcError::RetriesExhausted { attempts: 0 });
-            }
-        }
-    }
+    let mut tried = Tried::new(num_slots, n);
+    route_replicated(
+        &mut batches,
+        &mut tried,
+        0..num_slots as u32,
+        placement,
+        &alive,
+        slot_weights,
+    )?;
 
     let mut per_slot: Vec<Option<R>> = (0..num_slots).map(|_| None).collect();
     let mut per_server = vec![SimDuration::ZERO; n];
     let mut eval_time = SimDuration::ZERO;
-    let mut recovery = SimDuration::ZERO;
     let mut failover = SimDuration::ZERO;
     let mut routes = vec![0u32; num_slots];
     let mut failed_servers: Vec<u32> = Vec::new();
     let mut retry_rounds = 0u32;
+    let mut budget_spent = 0u32;
 
     loop {
         let results: Vec<Result<BatchOut<R>, pdc_server::ServerPanic>> =
@@ -299,12 +260,14 @@ where
 
         let mut round_max = SimDuration::ZERO;
         let mut healthy_max = SimDuration::ZERO;
+        let mut found_crash = false;
         for e in entries {
             if !e.failed_slots.is_empty() {
                 if e.died {
                     alive[e.server as usize] = false;
+                    found_crash = true;
                 }
-                // A transiently-erroring server stays a reassignment
+                // A transiently-erroring server stays a failover
                 // candidate — its next access may succeed; only crashes
                 // remove it.
                 if !failed_servers.contains(&e.server) {
@@ -322,60 +285,38 @@ where
             round_max = round_max.max(e.contribution);
         }
         eval_time += round_max;
-        // Fault-handling time beyond the healthy critical path: with a
-        // placement it is replica failover; without, reassign-and-rescan
-        // recovery.
-        let lane = if placement.is_some() { &mut failover } else { &mut recovery };
         if retry_rounds == 0 {
             // Round 0: only the slice beyond the healthy critical path is
             // fault-handling time.
-            *lane += round_max.saturating_sub(healthy_max);
+            failover += round_max.saturating_sub(healthy_max);
         } else {
-            *lane += round_max;
+            failover += round_max;
         }
 
         if pending.is_empty() {
             break;
         }
         retry_rounds += 1;
-        if retry_rounds > MAX_RETRIES {
-            return Err(PdcError::RetriesExhausted { attempts: retry_rounds });
+        // A round that found a crash removed a server for good, so there
+        // are at most pool-size such rounds; the budget bounds the rounds
+        // lost to transient errors alone.
+        if !found_crash {
+            budget_spent += 1;
+            if budget_spent > MAX_RETRIES {
+                return Err(PdcError::RetriesExhausted { attempts: retry_rounds });
+            }
         }
         pending.sort_unstable();
         pending.dedup();
         batches.iter_mut().for_each(Vec::clear);
-        match placement {
-            None => {
-                if !alive.iter().any(|&a| a) {
-                    let server = *pending.first().unwrap_or(&0);
-                    return Err(PdcError::ServerFailed {
-                        server,
-                        reason: format!(
-                            "no surviving servers to reassign {} region slot(s)",
-                            pending.len()
-                        ),
-                    });
-                }
-                distribute(&mut batches, &pending, &alive, slot_weights);
-            }
-            Some(p) => {
-                // Each unfinished slot fails over to the next live
-                // replica of its own set — no global reassignment. Only
-                // a slot with zero live replicas is unrecoverable.
-                if route_replicated(
-                    &mut batches,
-                    &mut tried,
-                    pending.iter().copied(),
-                    p,
-                    &alive,
-                    slot_weights,
-                )
-                .is_err()
-                {
-                    return Err(PdcError::RetriesExhausted { attempts: retry_rounds });
-                }
-            }
-        }
+        route_replicated(
+            &mut batches,
+            &mut tried,
+            pending.iter().copied(),
+            placement,
+            &alive,
+            slot_weights,
+        )?;
         pending.clear();
     }
 
@@ -388,7 +329,6 @@ where
         per_slot,
         per_server,
         eval_time,
-        recovery,
         failover,
         failed_servers,
         retry_rounds,
@@ -396,37 +336,46 @@ where
     })
 }
 
-/// Route each slot to the best replica of its set — untried first, then
-/// **replica rank**, then projected load, then server
-/// id — followed by a deterministic rebalance pass that moves a slot to a
-/// less-loaded live replica only when that strictly narrows the load
-/// spread. Rank-before-load keeps routing *anchor-affine*: the replica
-/// that owned (and cached) a slot's regions keeps it whenever it is live,
-/// so a failover touches exactly the dead server's slots instead of
-/// cascading healthy slots onto cache-cold replicas. The rebalance pass
+/// Route each slot to the best member of its preference list — untried
+/// first, then **rank** (position in the list), then projected load, then
+/// server id — followed by a deterministic rebalance pass that moves a
+/// slot to a less-loaded live replica only when that strictly narrows the
+/// load spread. Rank-before-load keeps routing *anchor-affine*: the
+/// replica that owned (and cached) a slot's regions keeps it whenever it
+/// is live, so a failover touches exactly the dead server's slots instead
+/// of cascading healthy slots onto cache-cold replicas. The rebalance pass
 /// then bounds the round makespan when a membership change leaves anchors
-/// uneven. Returns `Err(slot)` when a slot has no live replica at all.
+/// uneven. The list past the replica set is built only for a slot with
+/// no live untried replica. Fails with `ServerFailed` when a slot has no
+/// live member at all.
 fn route_replicated(
     batches: &mut [Vec<u32>],
-    tried: &mut [Vec<u32>],
+    tried: &mut Tried,
     slots: impl Iterator<Item = u32>,
     p: &Placement,
     alive: &[bool],
     weights: &[u64],
-) -> Result<(), u32> {
+) -> PdcResult<()> {
     let mut load = vec![0u64; batches.len()];
     let mut placed: Vec<(u32, u32)> = Vec::new();
     for slot in slots {
-        let pick = p
-            .replicas(slot)
-            .iter()
-            .enumerate()
-            .filter(|&(_, &q)| alive[q as usize])
-            .min_by_key(|&(rank, &q)| {
-                (tried[slot as usize].contains(&q), rank, load[q as usize], q)
-            })
-            .map(|(_, &q)| q);
-        let Some(q) = pick else { return Err(slot) };
+        let best = |list: &[u32], load: &[u64]| {
+            list.iter()
+                .enumerate()
+                .filter(|&(_, &q)| alive[q as usize])
+                .min_by_key(|&(rank, &q)| (tried.has(slot, q), rank, load[q as usize], q))
+                .map(|(_, &q)| q)
+        };
+        let mut pick = best(p.replicas(slot), &load);
+        if pick.is_none_or(|q| tried.has(slot, q)) {
+            pick = best(&p.preference(slot), &load);
+        }
+        let Some(q) = pick else {
+            return Err(PdcError::ServerFailed {
+                server: p.replicas(slot)[0],
+                reason: format!("no live member left to evaluate slot {slot}"),
+            });
+        };
         load[q as usize] += weights[slot as usize].max(1);
         placed.push((slot, q));
     }
@@ -445,9 +394,7 @@ fn route_replicated(
                 .replicas(slot)
                 .iter()
                 .copied()
-                .filter(|&q| {
-                    q != cur && alive[q as usize] && !tried[slot as usize].contains(&q)
-                })
+                .filter(|&q| q != cur && alive[q as usize] && !tried.has(slot, q))
                 .min_by_key(|&q| (load[q as usize], q));
             if let Some(alt) = alt {
                 if load[alt as usize] + w < load[cur as usize] {
@@ -461,9 +408,7 @@ fn route_replicated(
     }
     for (slot, q) in placed {
         batches[q as usize].push(slot);
-        if !tried[slot as usize].contains(&q) {
-            tried[slot as usize].push(q);
-        }
+        tried.insert(slot, q);
     }
     for b in batches.iter_mut() {
         b.sort_unstable();
@@ -471,20 +416,25 @@ fn route_replicated(
     Ok(())
 }
 
-/// Deterministically spread `slots` across the live servers, balancing by
-/// slot weight (greedy LPT via [`assign::balanced_by_weight`]).
-fn distribute(batches: &mut [Vec<u32>], slots: &[u32], live: &[bool], weights: &[u64]) {
-    let live_ids: Vec<u32> =
-        (0..live.len() as u32).filter(|&s| live[s as usize]).collect();
-    debug_assert!(!live_ids.is_empty());
-    let slot_w: Vec<u64> = slots.iter().map(|&s| weights[s as usize].max(1)).collect();
-    let groups = assign::balanced_by_weight(&slot_w, live_ids.len() as u32);
-    for (k, group) in groups.iter().enumerate() {
-        for &item in group {
-            batches[live_ids[k] as usize].push(slots[item as usize]);
-        }
+/// The servers each slot has been handed this run: one bit per
+/// `(slot, server)` pair, in one allocation.
+struct Tried {
+    servers: usize,
+    bits: Vec<u64>,
+}
+
+impl Tried {
+    fn new(slots: usize, servers: usize) -> Self {
+        Self { servers, bits: vec![0; (slots * servers).div_ceil(64)] }
     }
-    for b in batches.iter_mut() {
-        b.sort_unstable();
+
+    fn has(&self, slot: u32, server: u32) -> bool {
+        let i = slot as usize * self.servers + server as usize;
+        self.bits[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    fn insert(&mut self, slot: u32, server: u32) {
+        let i = slot as usize * self.servers + server as usize;
+        self.bits[i / 64] |= 1 << (i % 64);
     }
 }

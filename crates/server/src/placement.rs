@@ -23,11 +23,14 @@
 //!   same server cycle their rank-`r` backups through distinct servers.
 //!   When the anchor dies, its slots fail over to *different* backups,
 //!   so the inherited load spreads instead of doubling one server.
+//! * Every slot has one **preference list** ([`Placement::preference`]):
+//!   its replica set, then every other member in HRW order. Failover
+//!   walks it, so even a `k = 1` slot has somewhere to go.
 //!
 //! Everything is a pure function of `(seed, num_slots, n_anchor, k,
 //! membership)`: same seed ⇒ same layout, on every host.
 
-use pdc_types::mix64;
+use pdc_types::{mix64, PdcError, PdcResult};
 use std::collections::HashMap;
 
 /// Servers per rack in the pseudo-topology (`rack = server / RACK_SIZE`).
@@ -145,16 +148,40 @@ impl Placement {
 
     /// Remove `server` from the membership; returns the slots whose
     /// replica sets changed. No-op plan when not a member. The last
-    /// member cannot leave.
-    pub fn leave(&mut self, server: u32) -> MigrationPlan {
+    /// member cannot leave: that is an `InvalidQuery` error, and the
+    /// placement is left unchanged.
+    pub fn leave(&mut self, server: u32) -> PdcResult<MigrationPlan> {
         let Ok(at) = self.members.binary_search(&server) else {
-            return MigrationPlan::default();
+            return Ok(MigrationPlan::default());
         };
-        assert!(self.members.len() > 1, "the last member cannot leave the placement");
+        if self.members.len() == 1 {
+            return Err(PdcError::InvalidQuery("the last placement member cannot leave".into()));
+        }
         let before = self.sets.clone();
         self.members.remove(at);
         self.rebuild();
-        self.diff(&before)
+        Ok(self.diff(&before))
+    }
+
+    /// The failover order of `slot`: its replica set, then every other
+    /// member in rendezvous order. Every member reads the same shared
+    /// storage, so any of them can evaluate the slot; the list only says
+    /// who tries first. Built on demand — healthy routing never needs
+    /// more than the replica set.
+    pub fn preference(&self, slot: u32) -> Vec<u32> {
+        let set = self.replicas(slot);
+        let mut list = set.to_vec();
+        list.extend(self.hrw_order(slot, set));
+        list
+    }
+
+    /// The members not in `skip`, HRW score descending with the id as the
+    /// tie break — deterministic and stable under membership change.
+    fn hrw_order(&self, slot: u32, skip: &[u32]) -> Vec<u32> {
+        let mut order: Vec<u32> =
+            self.members.iter().copied().filter(|q| !skip.contains(q)).collect();
+        order.sort_by_key(|&q| (std::cmp::Reverse(hrw(self.seed, slot, q)), q));
+        order
     }
 
     fn diff(&self, before: &[Vec<u32>]) -> MigrationPlan {
@@ -184,11 +211,7 @@ impl Placement {
                 if self.is_member(anchor) {
                     set.push(anchor);
                 }
-                // Preference order: HRW score descending, id as the tie
-                // break — deterministic and stable under membership change.
-                let mut prefs: Vec<u32> =
-                    self.members.iter().copied().filter(|&q| Some(q) != set.first().copied()).collect();
-                prefs.sort_by_key(|&q| (std::cmp::Reverse(hrw(self.seed, slot, q)), q));
+                let prefs = self.hrw_order(slot, &set);
                 while set.len() < want {
                     let rank = set.len();
                     let cycle = used.entry((anchor, rank)).or_default();
@@ -284,7 +307,7 @@ mod tests {
     fn replication_leave_then_join_restores_layout() {
         let mut p = Placement::new(24, 6, 2, 11);
         let original = p.replica_sets().to_vec();
-        let out = p.leave(3);
+        let out = p.leave(3).unwrap();
         assert!(!out.changes.is_empty());
         assert!(p.replica_sets().iter().all(|s| !s.contains(&3)));
         assert!(p.replica_sets().iter().all(|s| s.len() == 2));
@@ -311,7 +334,7 @@ mod tests {
     fn replication_migration_plan_is_consistent() {
         let mut p = Placement::new(24, 6, 3, 17);
         let before = p.replica_sets().to_vec();
-        let plan = p.leave(1);
+        let plan = p.leave(1).unwrap();
         for c in &plan.changes {
             let old = &before[c.slot as usize];
             let new = p.replicas(c.slot);
@@ -327,6 +350,38 @@ mod tests {
             let changed = before[slot as usize] != p.replicas(slot);
             assert_eq!(changed, plan.changes.iter().any(|c| c.slot == slot));
         }
+    }
+
+    #[test]
+    fn replication_last_member_cannot_leave() {
+        let mut p = Placement::new(4, 2, 1, 19);
+        assert_eq!(p.leave(0).unwrap().changes.len(), 2, "slots 0 and 2 re-home");
+        let before = p.clone();
+        assert!(matches!(p.leave(1), Err(PdcError::InvalidQuery(_))));
+        assert_eq!(p, before, "a refused leave changes nothing");
+        assert_eq!(p.leave(7).unwrap(), MigrationPlan::default(), "non-member: no-op");
+    }
+
+    #[test]
+    fn replication_preference_is_the_set_then_every_other_member_by_hrw() {
+        let mut p = Placement::new(12, 6, 2, 23);
+        p.join(9);
+        for slot in 0..12 {
+            let list = p.preference(slot);
+            assert_eq!(&list[..2], p.replicas(slot), "slot {slot}: the k-set leads");
+            let mut all = list.clone();
+            all.sort_unstable();
+            assert_eq!(all, p.members(), "slot {slot}: every member exactly once");
+            let rest = &list[2..];
+            assert!(
+                rest.windows(2).all(|w| hrw(23, slot, w[0]) >= hrw(23, slot, w[1])),
+                "slot {slot}: the fallback is in HRW order"
+            );
+        }
+        // k = 1 on the initial membership: the home, then the other five.
+        let single = Placement::new(6, 6, 1, 23);
+        assert_eq!(single.preference(4)[0], 4);
+        assert_eq!(single.preference(4).len(), 6);
     }
 
     #[test]

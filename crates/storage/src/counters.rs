@@ -160,13 +160,9 @@ pub struct CostBreakdown {
     pub cpu: SimDuration,
     /// Time spent in network transfer.
     pub net: SimDuration,
-    /// Time spent detecting and recovering from server failures (timeout
-    /// waits plus retry rounds); zero on a fault-free run.
-    pub recovery: SimDuration,
-    /// Time spent failing slots over to replica servers under k-way
-    /// placement (detection wait plus the backup's re-evaluation); zero
-    /// without replication or on a fault-free run. Replaces `recovery`'s
-    /// reassign-and-rescan cost when a placement is active.
+    /// Time spent failing slots over along their preference lists after
+    /// server failures (detection waits plus the retry rounds' re-evaluation
+    /// on the next live member); zero on a fault-free run.
     pub failover: SimDuration,
     /// Time spent on data-plane integrity: verifying checksums that
     /// failed, re-reading durable copies, and rebuilding auxiliary
@@ -177,7 +173,7 @@ pub struct CostBreakdown {
 impl CostBreakdown {
     /// Total of all components.
     pub fn total(&self) -> SimDuration {
-        self.io + self.cpu + self.net + self.recovery + self.failover + self.integrity
+        self.io + self.cpu + self.net + self.failover + self.integrity
     }
 
     /// Merge another breakdown into this one.
@@ -185,7 +181,6 @@ impl CostBreakdown {
         self.io += other.io;
         self.cpu += other.cpu;
         self.net += other.net;
-        self.recovery += other.recovery;
         self.failover += other.failover;
         self.integrity += other.integrity;
     }
@@ -240,8 +235,7 @@ mod tests {
             io: SimDuration::from_millis(5),
             cpu: SimDuration::from_millis(2),
             net: SimDuration::from_millis(1),
-            recovery: SimDuration::from_millis(4),
-            failover: SimDuration::from_millis(3),
+            failover: SimDuration::from_millis(7),
             integrity: SimDuration::from_millis(0),
         };
         assert_eq!(b.total().as_millis_f64(), 15.0);
@@ -249,7 +243,6 @@ mod tests {
         c.merge(&b);
         c.merge(&b);
         assert_eq!(c.total().as_millis_f64(), 30.0);
-        assert_eq!(c.recovery.as_millis_f64(), 8.0);
-        assert_eq!(c.failover.as_millis_f64(), 6.0);
+        assert_eq!(c.failover.as_millis_f64(), 14.0);
     }
 }

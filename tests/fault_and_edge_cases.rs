@@ -272,8 +272,8 @@ fn kill_count_reports_failures_and_recovers() {
     expect_failed.sort_unstable();
     assert_eq!(out.failed_servers, expect_failed);
     assert!(out.retry_rounds >= 1, "dead servers must force a retry round");
-    assert!(out.breakdown.recovery > SimDuration::ZERO);
-    assert_eq!(out.breakdown.total(), healthy.breakdown.total() + out.breakdown.recovery);
+    assert!(out.breakdown.failover > SimDuration::ZERO);
+    assert_eq!(out.breakdown.total(), healthy.breakdown.total() + out.breakdown.failover);
 }
 
 /// Transient faults on *every* server still recover within the default
@@ -296,7 +296,8 @@ fn transient_errors_on_all_servers_recover() {
 }
 
 /// Exhausting the retry budget is a typed error, not a panic: 50
-/// transient errors per server outlast every retry round.
+/// transient errors per server outlast every retry round (none of them
+/// finds a crash, so each one spends the budget).
 #[test]
 fn retry_budget_exhaustion_is_a_typed_error() {
     let (odms, obj, _) = small_world();
@@ -311,20 +312,25 @@ fn retry_budget_exhaustion_is_a_typed_error() {
 }
 
 /// Killing every server is unrecoverable and surfaces as a typed
-/// `ServerFailed`, not a panic or a hang.
+/// `ServerFailed` — not a panic, a hang or a spent retry budget — for
+/// every strategy at every replica count.
 #[test]
 fn killing_all_servers_is_a_typed_error() {
     let (odms, obj, _) = small_world();
     let n = 4u32;
     let victims: Vec<u32> = (0..n).collect();
-    let eng = fault_engine(&odms, Strategy::FullScan, n, FaultPlan::kill(&victims));
-    let err = eng.run(&PdcQuery::create(obj, QueryOp::Gt, 0.0f32)).unwrap_err();
-    assert!(matches!(err, PdcError::ServerFailed { .. }), "got {err:?}");
+    for strategy in Strategy::ALL {
+        for k in [1u32, 2, 3] {
+            let eng = replicated_engine(&odms, strategy, n, k, Some(FaultPlan::kill(&victims)));
+            let err = eng.run(&PdcQuery::create(obj, QueryOp::Gt, 0.0f32)).unwrap_err();
+            assert!(matches!(err, PdcError::ServerFailed { .. }), "{strategy} k={k}: got {err:?}");
+        }
+    }
 }
 
 /// A crashed server stays dead for subsequent queries (no retry rounds
-/// needed: its slots are reassigned up front) until `reset_state` rearms
-/// the fault schedule.
+/// needed: it left the membership and its slot was re-homed) until
+/// `reset_state` rearms the fault schedule and restores the membership.
 #[test]
 fn crashed_servers_stay_dead_until_reset() {
     let (odms, obj, _) = small_world();
@@ -383,11 +389,10 @@ fn replicated_engine(
 }
 
 /// The replication acceptance matrix: for every strategy, k ∈ {1, 2, 3}
-/// and killed ∈ {1, N−2, N−1}, a run either returns results bit-identical
-/// to the unkilled unreplicated reference, or — exactly when some slot's
-/// entire replica set is dead — fails with the typed `RetriesExhausted`.
-/// The expectation is computed from the engine's own replica sets, never
-/// hardcoded.
+/// and killed ∈ {1, N−2, N−1}, a run returns results bit-identical to the
+/// unkilled unreplicated reference. One member is always left alive, and
+/// every slot's preference list reaches every member, so no cell may fail
+/// (killing all N is `killing_all_servers_is_a_typed_error`).
 #[test]
 fn replication_kill_matrix_is_bit_identical_or_typed() {
     let (odms, obj, data) = small_world();
@@ -405,40 +410,14 @@ fn replication_kill_matrix_is_bit_identical_or_typed() {
         for k in [1u32, 2, 3] {
             for kills in [1u32, n - 2, n - 1] {
                 let victims: Vec<u32> = (0..kills).collect();
-                let eng =
-                    replicated_engine(&odms, strategy, n, k, Some(FaultPlan::kill(&victims)));
-                // A slot is doomed iff every one of its replicas is a
-                // victim. k = 1 has no placement: the legacy reassignment
-                // path recovers as long as one server lives.
-                let doomed = eng
-                    .replica_sets()
-                    .map(|sets| {
-                        sets.iter().any(|rs| rs.iter().all(|s| victims.contains(s)))
-                    })
-                    .unwrap_or(false);
-                match eng.run(&q) {
-                    Ok(out) => {
-                        assert!(
-                            !doomed,
-                            "{strategy} k={k} kills={kills}: doomed slot but run succeeded"
-                        );
-                        assert_eq!(
-                            out.selection, reference.selection,
-                            "{strategy} k={k} kills={kills}: selection diverged"
-                        );
-                        assert_eq!(out.nhits, expect);
-                    }
-                    Err(e) => {
-                        assert!(
-                            doomed,
-                            "{strategy} k={k} kills={kills}: live replicas but failed: {e}"
-                        );
-                        assert!(
-                            matches!(e, PdcError::RetriesExhausted { .. }),
-                            "{strategy} k={k} kills={kills}: got {e:?}"
-                        );
-                    }
-                }
+                let out = replicated_engine(&odms, strategy, n, k, Some(FaultPlan::kill(&victims)))
+                    .run(&q)
+                    .unwrap_or_else(|e| panic!("{strategy} k={k} kills={kills}: {e}"));
+                assert_eq!(
+                    out.selection, reference.selection,
+                    "{strategy} k={k} kills={kills}: selection diverged"
+                );
+                assert_eq!(out.nhits, expect);
             }
         }
     }
@@ -446,7 +425,7 @@ fn replication_kill_matrix_is_bit_identical_or_typed() {
 
 /// A healthy replicated run does exactly the unreplicated run's work:
 /// anchor routing keeps each server's region set identical to k = 1, so
-/// selections, I/O, and kernel work match and both fault lanes stay zero.
+/// selections, I/O, and kernel work match and the failover lane stays zero.
 #[test]
 fn replication_healthy_run_matches_unreplicated_work() {
     let (odms, obj, _) = small_world();
@@ -462,16 +441,15 @@ fn replication_healthy_run_matches_unreplicated_work() {
     assert_eq!(out.selection, base.selection);
     assert_eq!(out.io, base.io);
     assert_eq!(out.work, base.work);
-    assert_eq!(out.breakdown.recovery, SimDuration::ZERO);
     assert_eq!(out.breakdown.failover, SimDuration::ZERO);
     assert_eq!(out.rebuild_regions, 0);
 }
 
-/// With a placement active, a kill charges the (cheap) `failover` lane
-/// instead of `recovery`: surviving replicas each absorb a small slice of
-/// the dead server's slots, the breakdown invariant holds against the
-/// same-k healthy baseline, and the cost undercuts the unreplicated
-/// reassign-and-rescan recovery for the same kill.
+/// A kill charges the `failover` lane at every k: under k = 2 surviving
+/// replicas each absorb a small slice of the dead server's slots, the
+/// breakdown invariant holds against the same-k healthy baseline, and the
+/// cost undercuts k = 1, where the dead server's one slot — its whole
+/// batch — fails over to a single survivor.
 #[test]
 fn replication_failover_lane_replaces_recovery() {
     let (odms, obj, _) = small_world();
@@ -484,15 +462,14 @@ fn replication_failover_lane_replaces_recovery() {
         .unwrap();
     assert_eq!(out.selection, healthy.selection);
     assert_eq!(out.failed_servers, vec![1]);
-    assert_eq!(out.breakdown.recovery, SimDuration::ZERO, "placement must not reassign");
     assert!(out.breakdown.failover > SimDuration::ZERO);
     assert_eq!(out.breakdown.total(), healthy.breakdown.total() + out.breakdown.failover);
-    // The point of fine-grained replica failover: far cheaper than the
-    // unreplicated path's whole-slot reassignment for the same kill.
-    let unrep = fault_engine(&odms, Strategy::Histogram, n, FaultPlan::kill(&[1]))
-        .run(&q)
-        .unwrap();
-    assert!(unrep.breakdown.recovery > out.breakdown.failover);
+    // The point of fine-grained replica failover: far cheaper than moving
+    // the dead server's whole batch, as k = 1 must for the same kill.
+    let single =
+        fault_engine(&odms, Strategy::Histogram, n, FaultPlan::kill(&[1])).run(&q).unwrap();
+    assert_eq!(single.selection, healthy.selection);
+    assert!(single.breakdown.failover > out.breakdown.failover);
 }
 
 /// After a replicated run observes a crash, redundancy is rebuilt in the
@@ -509,7 +486,7 @@ fn replication_rebuild_restores_redundancy_after_crash() {
     assert_eq!(first.failed_servers, vec![2]);
     assert!(first.rebuild_regions > 0, "crash must trigger a redundancy rebuild");
     assert!(first.rebuild_bytes > 0);
-    assert!(!eng.placement_members().unwrap().contains(&2), "dead member evicted");
+    assert!(!eng.placement_members().contains(&2), "dead member evicted");
     let second = eng.run(&q).unwrap();
     assert_eq!(second.selection, first.selection);
     assert!(second.failed_servers.is_empty(), "evicted server receives no work");
@@ -535,24 +512,37 @@ fn replication_join_and_leave_never_change_results() {
     assert_eq!(joined.server, n, "fresh server gets the next stable id");
     assert!(joined.slots_changed > 0, "HRW must hand the newcomer some replicas");
     assert!(joined.regions_copied > 0 && joined.bytes_copied > 0);
-    assert!(eng.placement_members().unwrap().contains(&n));
+    assert!(eng.placement_members().contains(&n));
     let mid = eng.run(&q).unwrap();
     assert_eq!(mid.selection, before.selection);
 
     let left = eng.leave_server(0).unwrap();
     assert_eq!(left.server, 0);
     assert!(left.regions_copied > 0, "the leaver's replicas re-home with a copy");
-    assert!(!eng.placement_members().unwrap().contains(&0));
+    assert!(!eng.placement_members().contains(&0));
     let after = eng.run(&q).unwrap();
     assert_eq!(after.selection, before.selection);
 
-    // Typed guard rails: double-leave is invalid, and membership is a
-    // replication feature.
+    // Typed guard rail: double-leave is invalid.
     assert!(matches!(eng.leave_server(0), Err(PdcError::InvalidQuery(_))));
-    let unrep = QueryEngine::new(
-        Arc::clone(&odms),
-        EngineConfig { strategy: Strategy::Histogram, num_servers: n, ..Default::default() },
+
+    // Membership works at k = 1 too: one slot per server, re-homed with
+    // the same verified copy, and the bits never move.
+    let single = replicated_engine(&odms, Strategy::Histogram, n, 1, None);
+    assert_eq!(single.replica_sets(), (0..n).map(|s| vec![s]).collect::<Vec<_>>());
+    let joined = single.join_server().unwrap();
+    assert_eq!(joined.server, n);
+    assert_eq!(single.run(&q).unwrap().selection, before.selection);
+    let left = single.leave_server(0).unwrap();
+    assert!(left.regions_copied > 0, "slot 0 re-homes with a copy");
+    assert_eq!(single.run(&q).unwrap().selection, before.selection);
+    for s in 1..n {
+        single.leave_server(s).unwrap();
+    }
+    assert_eq!(single.placement_members(), vec![n]);
+    assert_eq!(single.run(&q).unwrap().selection, before.selection);
+    assert!(
+        matches!(single.leave_server(n), Err(PdcError::InvalidQuery(_))),
+        "the last member cannot leave"
     );
-    assert!(unrep.replica_sets().is_none());
-    assert!(matches!(unrep.join_server(), Err(PdcError::MissingPrerequisite(_))));
 }

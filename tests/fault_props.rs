@@ -27,10 +27,22 @@ fn build_world(seed: u32) -> (Arc<Odms>, ObjectId, Vec<f32>) {
     (odms, obj, data)
 }
 
-fn engine(odms: &Arc<Odms>, strategy: Strategy, servers: u32, plan: Option<FaultPlan>) -> QueryEngine {
+fn engine(
+    odms: &Arc<Odms>,
+    strategy: Strategy,
+    servers: u32,
+    replicas: u32,
+    plan: Option<FaultPlan>,
+) -> QueryEngine {
     QueryEngine::new(
         Arc::clone(odms),
-        EngineConfig { strategy, num_servers: servers, fault_plan: plan, ..Default::default() },
+        EngineConfig {
+            strategy,
+            num_servers: servers,
+            replicas,
+            fault_plan: plan,
+            ..Default::default()
+        },
     )
 }
 
@@ -39,13 +51,14 @@ proptest! {
 
     /// Any seeded fault plan (crashes, slowdowns, transient errors —
     /// always leaving at least one server alive) yields results
-    /// bit-identical to the fault-free run, under every strategy. Faults
-    /// may only move the simulated timeline.
+    /// bit-identical to the fault-free run, under every strategy at every
+    /// replica count. Faults may only move the simulated timeline.
     #[test]
     fn random_faults_never_change_results(
         world_seed in 0u32..4,
         fault_seed in any::<u64>(),
         servers in 2u32..6,
+        replicas in 1u32..4,
         lo in 0.0f32..5.0,
         width in 0.1f32..5.0,
     ) {
@@ -55,29 +68,30 @@ proptest! {
         let expect = data.iter().filter(|&&v| v > lo && v < hi).count() as u64;
         let plan = FaultPlan::seeded(fault_seed, servers);
         for strategy in Strategy::ALL {
-            let healthy = engine(&odms, strategy, servers, None).run(&q).unwrap();
+            let healthy = engine(&odms, strategy, servers, replicas, None).run(&q).unwrap();
             prop_assert_eq!(healthy.nhits, expect);
-            let faulty = engine(&odms, strategy, servers, Some(plan.clone()))
+            let faulty = engine(&odms, strategy, servers, replicas, Some(plan.clone()))
                 .run(&q)
                 .unwrap();
-            prop_assert_eq!(faulty.nhits, healthy.nhits, "{} seed {}", strategy, fault_seed);
+            prop_assert_eq!(faulty.nhits, healthy.nhits, "{} k={} seed {}", strategy, replicas, fault_seed);
             prop_assert_eq!(
                 &faulty.selection, &healthy.selection,
                 "{} seed {}: selection diverged", strategy, fault_seed
             );
             // Faults never change what was computed, only when: the I/O
-            // and scan work may grow (reassigned slots re-read regions)
+            // and scan work may grow (failed-over slots re-read regions)
             // but the answer-bearing outputs are identical.
         }
     }
 
     /// Killing a random subset of servers (always leaving one) also
-    /// preserves results exactly.
+    /// preserves results exactly, at every replica count.
     #[test]
     fn random_kills_never_change_results(
         world_seed in 0u32..4,
         kill_seed in any::<u64>(),
         servers in 2u32..6,
+        replicas in 1u32..4,
         kill_frac in 0.0f64..1.0,
     ) {
         let (odms, obj, _) = build_world(world_seed);
@@ -85,12 +99,12 @@ proptest! {
         let q = PdcQuery::range_open(obj, 2.0f32, 6.0f32);
         let plan = FaultPlan::kill_count(kills, servers, kill_seed);
         for strategy in Strategy::ALL {
-            let healthy = engine(&odms, strategy, servers, None).run(&q).unwrap();
-            let faulty = engine(&odms, strategy, servers, Some(plan.clone()))
+            let healthy = engine(&odms, strategy, servers, replicas, None).run(&q).unwrap();
+            let faulty = engine(&odms, strategy, servers, replicas, Some(plan.clone()))
                 .run(&q)
                 .unwrap();
             prop_assert_eq!(&faulty.selection, &healthy.selection,
-                "{}: {} of {} killed", strategy, kills, servers);
+                "{} k={}: {} of {} killed", strategy, replicas, kills, servers);
         }
     }
 
@@ -102,13 +116,14 @@ proptest! {
         world_seed in 0u32..4,
         fault_seed in any::<u64>(),
         servers in 2u32..6,
+        replicas in 1u32..4,
     ) {
         let (odms, obj, _) = build_world(world_seed);
         let q = PdcQuery::range_open(obj, 1.0f32, 7.0f32);
         let plan = FaultPlan::seeded(fault_seed, servers);
         for strategy in Strategy::ALL {
-            let a = engine(&odms, strategy, servers, Some(plan.clone())).run(&q).unwrap();
-            let b = engine(&odms, strategy, servers, Some(plan.clone())).run(&q).unwrap();
+            let a = engine(&odms, strategy, servers, replicas, Some(plan.clone())).run(&q).unwrap();
+            let b = engine(&odms, strategy, servers, replicas, Some(plan.clone())).run(&q).unwrap();
             prop_assert_eq!(a.elapsed, b.elapsed, "{} seed {}", strategy, fault_seed);
             prop_assert_eq!(a.breakdown, b.breakdown, "{} seed {}", strategy, fault_seed);
             prop_assert_eq!(&a.per_server, &b.per_server, "{} seed {}", strategy, fault_seed);

@@ -148,7 +148,7 @@ fn corruption_is_detected_and_charged_then_heals() {
         first.breakdown.io
             + first.breakdown.cpu
             + first.breakdown.net
-            + first.breakdown.recovery
+            + first.breakdown.failover
             + first.breakdown.integrity
     );
     // Everything was repaired in place: the second run is clean.
