@@ -51,22 +51,27 @@ cargo test -q $OFFLINE --release -p pdc-server
 echo "== kernel + selection gate =="
 # pdc-types' and pdc-sorted's own tests (scan kernels, mask packing, the
 # 64-lane candidate-window kernel, the start/end-bit mask decoder,
-# selection algebra, the k-way union, the coordinate-to-selection
-# primitive on both its bitset and sort paths, the rank directory on both
-# its bitset and binary-search paths, and the sorted-replica lookups that
-# feed them) once more optimised, and with them three pdc-query suites:
-# get_data equivalence, whose sorted path scatters values by those ranks,
-# and the kernel and spill equivalence suites, which hold every
-# strategy's point checks — resident and block by block on spilled
-# regions, through the window kernel and the decoder — to the scalar
-# reference and to unbounded runs. The code is safe Rust, so this guards
-# only against a miscompile of the vectorised loops and the shift,
-# popcount and bit-pairing arithmetic in the release binaries; debug
-# assertions are off here, so it complements the debug run of the same
-# tests rather than replacing it.
+# selection algebra, the k-way union, the word-OR union of interleaved
+# slot results, the one- and many-slice coordinate-to-selection scatter
+# on both its bitset and sort paths, the rank directory on both its bitset
+# and binary-search paths, and the sorted-replica lookups that feed them)
+# once more optimised, and with them five pdc-query suites: get_data
+# equivalence, whose sorted path scatters values by those ranks; the
+# kernel and spill equivalence suites, which hold every strategy's point
+# checks — resident and block by block on spilled regions, through the
+# window kernel and the decoder — to the scalar reference and to
+# unbounded runs; and strategy agreement and service equivalence, which
+# hold sorted bands — one scatter per server, merged on the client by
+# the word-OR union — to full scans and to solo runs. The code is safe
+# Rust, so this guards only against a miscompile of the vectorised loops
+# and the shift, popcount and bit-pairing arithmetic in the release
+# binaries, the word-OR merge's range-fill shifts (head and tail masks of
+# each run) among them; debug assertions are off here, so it complements
+# the debug run of the same tests rather than replacing it.
 cargo test -q $OFFLINE --release -p pdc-types -p pdc-sorted
 cargo test -q $OFFLINE --release -p pdc-query --test get_data_equivalence \
-    --test kernel_equivalence --test spill_equivalence
+    --test kernel_equivalence --test spill_equivalence \
+    --test strategy_agreement --test service_equivalence
 
 echo "== integrity gate =="
 # Corruption smoke: a run with 5% of regions corrupted must exit 0 and

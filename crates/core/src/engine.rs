@@ -4,7 +4,7 @@
 use crate::ast::PdcQuery;
 use crate::exec::{eval_plan, EvalCtx};
 use crate::plan::{ObjConstraint, PlanNode, QueryPlan};
-use crate::qcache::SharedScanGroup;
+use crate::qcache::{IntervalKey, SharedScanGroup};
 use crate::service::ScheduleClock;
 use crate::recover::run_slots;
 use crate::snapshot::{usable_directory, MetaSnapshot};
@@ -131,9 +131,12 @@ impl Policy {
     /// replica. A replica that does not cover the snapshot's extent
     /// (stale after an append, pending deferred maintenance) is
     /// unavailable, and the constraint takes the per-region path. A pure
-    /// function of metadata, histograms and the cost model, so every
-    /// server slot and the client's `sorted_hint` agree.
-    pub(crate) fn sorted_primary(
+    /// function of metadata, histograms and the cost model, decided once
+    /// per conjunction per query on the client by
+    /// [`BandVerdicts::resolve`]; server slots, retries and failovers,
+    /// the shared-scan prewarm, the client merge and `sorted_hint` all
+    /// read that one verdict.
+    fn sorted_primary(
         self,
         snap: &MetaSnapshot,
         cost: &CostModel,
@@ -148,6 +151,102 @@ impl Policy {
             }
         }
     }
+}
+
+/// The client's sorted-lane verdicts for one plan: the conjunction
+/// primaries the value-sorted replica answers. [`Self::resolve`] walks the
+/// plan as the evaluator does and asks [`Policy::sorted_primary`] once for
+/// every conjunction evaluated without incoming candidates (the root, OR
+/// children, the first child of an AND); the plan cache keeps the result
+/// beside the plan and its snapshot, so a query asks once per plan-cache
+/// entry.
+#[derive(Debug, Default)]
+pub(crate) struct BandVerdicts {
+    /// `(object, interval)` of every band-answered primary. A verdict is a
+    /// function of the pair (under one snapshot, cost model and pool
+    /// size), so the pair names it wherever it recurs in the plan.
+    band: Vec<(ObjectId, IntervalKey)>,
+}
+
+impl BandVerdicts {
+    /// Resolve every conjunction primary of `plan` under `policy`.
+    pub(crate) fn resolve(
+        policy: Policy,
+        snap: &MetaSnapshot,
+        cost: &CostModel,
+        n_servers: u32,
+        plan: &QueryPlan,
+    ) -> PdcResult<Self> {
+        let mut out = BandVerdicts::default();
+        if policy.sorted != Use::Never {
+            let decide = |c: &ObjConstraint| policy.sorted_primary(snap, cost, n_servers, c);
+            out.collect(&plan.root, false, &decide)?;
+        }
+        Ok(out)
+    }
+
+    /// Mirror `exec::eval_node`: a conjunction reached with candidates
+    /// point-checks every constraint and has no primary.
+    fn collect(
+        &mut self,
+        node: &PlanNode,
+        candidates: bool,
+        decide: &dyn Fn(&ObjConstraint) -> PdcResult<bool>,
+    ) -> PdcResult<()> {
+        match node {
+            PlanNode::Conj(cs) => {
+                if let Some(c) = cs.first().filter(|_| !candidates) {
+                    if decide(c)? {
+                        self.band.push((c.object, IntervalKey::of(&c.interval)));
+                    }
+                }
+            }
+            PlanNode::Or(children) => {
+                for child in children {
+                    self.collect(child, candidates, decide)?;
+                }
+            }
+            PlanNode::And(children) => {
+                for (i, child) in children.iter().enumerate() {
+                    self.collect(child, candidates || i > 0, decide)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether the sorted replica answers `c` as a conjunction's primary.
+    pub(crate) fn answers(&self, c: &ObjConstraint) -> bool {
+        let key = IntervalKey::of(&c.interval);
+        self.band.iter().any(|&(o, k)| o == c.object && k == key)
+    }
+
+    /// When the band answers the root conjunction's primary
+    /// (SortedHistogram always; Adaptive when the band wins), the sort
+    /// object, the matching sorted span and the snapshot's replica. Then
+    /// every slot result is a slice of one band, interleaved with the
+    /// others element by element.
+    pub(crate) fn sorted_hint(
+        &self,
+        plan: &QueryPlan,
+        snap: &MetaSnapshot,
+    ) -> PdcResult<Option<SortedHint>> {
+        let PlanNode::Conj(cs) = &plan.root else { return Ok(None) };
+        let Some(primary) = cs.first().filter(|c| self.answers(c)) else { return Ok(None) };
+        let replica = snap.sorted_replica(primary.object)?;
+        let span = replica.matching_span(&primary.interval);
+        Ok(Some(SortedHint { object: primary.object, span, replica }))
+    }
+}
+
+/// A plan with its plan-time metadata snapshot and its sorted-lane
+/// verdicts: what the plan cache keeps, and everything an evaluation of
+/// the query reads from planning.
+#[derive(Clone)]
+pub(crate) struct Planned {
+    pub plan: QueryPlan,
+    pub snap: Arc<MetaSnapshot>,
+    pub band: Arc<BandVerdicts>,
 }
 
 /// Engine configuration. Failure handling is not configurable: a failed
@@ -376,7 +475,7 @@ impl BatchStats {
 /// append, or aux rebuild (which can change the histograms behind the
 /// selectivity ordering) invalidates both the plan and its snapshot.
 struct PlanCache {
-    map: HashMap<String, (u64, QueryPlan, Arc<MetaSnapshot>)>,
+    map: HashMap<String, (u64, Planned)>,
     hits: u64,
     misses: u64,
 }
@@ -749,37 +848,47 @@ impl QueryEngine {
         Ok(Arc::new(MetaSnapshot::capture(&self.odms, &objects)?))
     }
 
+    /// Plan `query` and resolve its sorted-lane verdicts against a fresh
+    /// snapshot, bypassing the plan cache.
+    fn plan_fresh(&self, query: &PdcQuery) -> PdcResult<Planned> {
+        let plan =
+            QueryPlan::build_with_ordering(query, &self.odms, self.cfg.order_by_selectivity)?;
+        let snap = self.snapshot_for_plan(&plan)?;
+        let band = BandVerdicts::resolve(
+            self.cfg.strategy.policy(),
+            &snap,
+            &self.cfg.cost,
+            self.cfg.num_servers,
+            &plan,
+        )?;
+        Ok(Planned { plan, snap, band: Arc::new(band) })
+    }
+
     /// Plan `query` through the canonical-plan cache: a hit replays the
-    /// built, selectivity-ordered plan *and its plan-time metadata
-    /// snapshot* for the same canonical tree at the same store epoch; a
-    /// miss builds and admits both. Host-work only — planning carries no
-    /// simulated charge either way.
-    pub(crate) fn plan_cached(&self, query: &PdcQuery) -> PdcResult<(QueryPlan, Arc<MetaSnapshot>)> {
+    /// built, selectivity-ordered plan, *its plan-time metadata snapshot*
+    /// and its sorted-lane verdicts for the same canonical tree at the
+    /// same store epoch; a miss builds and admits all three. Host-work
+    /// only — planning carries no simulated charge either way.
+    pub(crate) fn plan_cached(&self, query: &PdcQuery) -> PdcResult<Planned> {
         let key = query.canonical_key();
         let epoch = self.odms.store().epoch();
         {
             let mut pc = self.plans.lock().unwrap();
-            if let Some(hit) = pc
-                .map
-                .get(&key)
-                .and_then(|(e, plan, snap)| {
-                    (*e == epoch).then(|| (plan.clone(), Arc::clone(snap)))
-                })
+            if let Some(hit) =
+                pc.map.get(&key).and_then(|(e, planned)| (*e == epoch).then(|| planned.clone()))
             {
                 pc.hits += 1;
                 return Ok(hit);
             }
         }
-        let plan =
-            QueryPlan::build_with_ordering(query, &self.odms, self.cfg.order_by_selectivity)?;
-        let snap = self.snapshot_for_plan(&plan)?;
+        let planned = self.plan_fresh(query)?;
         let mut pc = self.plans.lock().unwrap();
         pc.misses += 1;
         if pc.map.len() >= PLAN_CACHE_CAP {
             pc.map.clear();
         }
-        pc.map.insert(key, (epoch, plan.clone(), Arc::clone(&snap)));
-        Ok((plan, snap))
+        pc.map.insert(key, (epoch, planned.clone()));
+        Ok(planned)
     }
 
     /// `PDCquery_get_nhits`: evaluate and return the number of matches.
@@ -841,14 +950,9 @@ impl QueryEngine {
             } else {
                 (IntegrityCounters::default(), SimDuration::ZERO)
             };
-        let (plan, snap) = if use_cache {
-            self.plan_cached(query)?
-        } else {
-            let plan =
-                QueryPlan::build_with_ordering(query, &self.odms, self.cfg.order_by_selectivity)?;
-            let snap = self.snapshot_for_plan(&plan)?;
-            (plan, snap)
-        };
+        let Planned { plan, snap, band } =
+            if use_cache { self.plan_cached(query)? } else { self.plan_fresh(query)? };
+        let sorted_hint = band.sorted_hint(&plan, &snap)?;
         let n = self.cfg.num_servers;
         let cost = self.cfg.cost;
         // Snapshot the placement once per query: membership changes land
@@ -900,6 +1004,7 @@ impl QueryEngine {
                     snap: &snap_eval,
                     cost: &cost,
                     policy,
+                    band: &band,
                     n_servers: n,
                     n_slots,
                     server: slot,
@@ -937,10 +1042,18 @@ impl QueryEngine {
             integrity.merge(integ_d);
             slot_integrity_time += *integ_t;
         }
-        // "Remove the duplicates with a merge sort" on the client: a
-        // single O(n log k) k-way merge over all slot results (canonical
-        // RLE output — bit-identical to the old pairwise union fold).
-        let selection = Selection::union_many(out.per_slot.iter().map(|t| &t.0));
+        // "Remove the duplicates with a merge sort" on the client. The
+        // per-region lanes' slot results interleave region by region, and
+        // one k-way heap merge moves a region's runs per heap operation.
+        // A band's slot results interleave element by element, so when the
+        // band answered the root primary they are ORed into one bitset
+        // and decoded once. Both return the same canonical RLE.
+        let slot_sels = out.per_slot.iter().map(|t| &t.0);
+        let selection = if sorted_hint.is_some() {
+            Selection::union_interleaved(slot_sels)
+        } else {
+            Selection::union_many(slot_sels)
+        };
         // Client-side aggregation cost (background thread merging runs).
         let merge_cpu =
             SimDuration::from_secs_f64(selection.num_runs() as f64 * 20.0 / 1e9);
@@ -959,7 +1072,6 @@ impl QueryEngine {
             integrity: preflight_time + slot_integrity_time,
         };
 
-        let sorted_hint = self.sorted_hint(&plan, &snap);
         let explain_plan = explain.then(|| {
             let mut regions: Vec<crate::ops::RegionExplain> =
                 out.per_slot.iter().flat_map(|t| t.5.iter().cloned()).collect();
@@ -1082,7 +1194,7 @@ impl QueryEngine {
         } else {
             let mut plans = Vec::with_capacity(queries.len());
             for q in queries {
-                plans.push(self.plan_cached(q)?.0);
+                plans.push(self.plan_cached(q)?);
             }
             // The closed-set batch is the degenerate continuous-batching
             // case: open a group, admit the whole series at once (one
@@ -1133,7 +1245,7 @@ impl QueryEngine {
     /// Open a fresh [`SharedScanGroup`] stamped at the current store
     /// epoch. The group is the client-side ledger of one continuous
     /// batching window: admit any number of plans into it over time with
-    /// [`Self::admit_to_scan_group`]; each admission prewarms only the
+    /// `Self::admit_to_scan_group`; each admission prewarms only the
     /// predicates (and, at region granularity, only the regions) the
     /// group has not already covered.
     pub fn open_scan_group(&self) -> SharedScanGroup {
@@ -1143,7 +1255,11 @@ impl QueryEngine {
 
     /// Admit `plans` into an open shared-scan group and prewarm their
     /// *new* predicates: intervals the group has already admitted are
-    /// skipped outright, and for new intervals the per-region pass skips
+    /// skipped outright, and so is every predicate a plan's sorted band
+    /// answers as a primary (the sorted lane reads none of the per-region
+    /// artifacts a prewarm seeds) — without entering the ledger, so a
+    /// later plan that filters on the same predicate still prewarms it.
+    /// For new intervals the per-region pass skips
     /// every region whose scan artifact is already cached (the
     /// `peek_scan` check inside `prewarm_intervals`) — late
     /// arrivals join the in-flight group at region granularity instead
@@ -1155,7 +1271,7 @@ impl QueryEngine {
     /// Like the caches it feeds, admission is pure host work: no
     /// simulated clocks, counters, or fault probes are touched, so
     /// per-query accounting is unaffected by group membership.
-    pub fn admit_to_scan_group(&self, group: &mut SharedScanGroup, plans: &[QueryPlan]) -> u64 {
+    pub(crate) fn admit_to_scan_group(&self, group: &mut SharedScanGroup, plans: &[Planned]) -> u64 {
         let epoch = self.odms.store().epoch();
         if group.epoch() != epoch {
             group.reopen(epoch);
@@ -1169,13 +1285,18 @@ impl QueryEngine {
 
         // The admission's new predicates, grouped by object.
         let mut targets: Vec<(ObjectId, Vec<Interval>)> = Vec::new();
-        for c in plans.iter().flat_map(|p| p.root.constraints()) {
-            if c.interval.is_empty() || !group.try_admit(c.object, &c.interval) {
-                continue;
-            }
-            match targets.iter_mut().find(|(o, _)| *o == c.object) {
-                Some((_, ivs)) => ivs.push(c.interval),
-                None => targets.push((c.object, vec![c.interval])),
+        for p in plans {
+            for c in p.plan.root.constraints() {
+                if c.interval.is_empty()
+                    || p.band.answers(c)
+                    || !group.try_admit(c.object, &c.interval)
+                {
+                    continue;
+                }
+                match targets.iter_mut().find(|(o, _)| *o == c.object) {
+                    Some((_, ivs)) => ivs.push(c.interval),
+                    None => targets.push((c.object, vec![c.interval])),
+                }
             }
         }
         if targets.is_empty() {
@@ -1301,24 +1422,6 @@ impl QueryEngine {
             count
         });
         loaded.iter().sum()
-    }
-
-    /// When the sorted replica answered the primary constraint
-    /// (SortedHistogram always; Adaptive when the band won), report the
-    /// sort object, the matching sorted span and the snapshot's replica.
-    /// Mirrors the servers' decision exactly — both are the same pure
-    /// function of metadata/histograms/cost.
-    fn sorted_hint(&self, plan: &QueryPlan, snap: &MetaSnapshot) -> Option<SortedHint> {
-        let PlanNode::Conj(cs) = &plan.root else { return None };
-        let primary = cs.first()?;
-        let policy = self.cfg.strategy.policy();
-        let used = policy.sorted_primary(snap, &self.cfg.cost, self.cfg.num_servers, primary).ok()?;
-        if !used {
-            return None;
-        }
-        let replica = snap.sorted_replica(primary.object).ok()?;
-        let span = replica.matching_span(&primary.interval);
-        Some(SortedHint { object: primary.object, span, replica })
     }
 
     /// PDC-F's pre-load: read every region of every queried object into

@@ -28,7 +28,7 @@
 //! locations; disjunctions union their children with duplicate removal
 //! (paper §III-C).
 
-use crate::engine::Policy;
+use crate::engine::{BandVerdicts, Policy};
 use crate::ops::{self, ExplainPhase, RegionTask};
 use crate::plan::{ObjConstraint, PlanNode, QueryPlan};
 use crate::snapshot::MetaSnapshot;
@@ -51,6 +51,10 @@ pub struct EvalCtx<'a> {
     pub cost: &'a CostModel,
     /// The evaluation strategy's decisions.
     pub(crate) policy: Policy,
+    /// Which conjunction primaries the sorted replica answers, decided
+    /// once per query on the client: every slot, retry and failover reads
+    /// the same verdicts.
+    pub(crate) band: &'a BandVerdicts,
     /// Number of servers participating (= read concurrency).
     pub n_servers: u32,
     /// Number of assignment slots work is partitioned into. Equal to
@@ -185,7 +189,7 @@ fn eval_primary(
     region: Option<&NdRegion>,
     joint: Option<Arc<ops::JointContext>>,
 ) -> PdcResult<Selection> {
-    if ctx.policy.sorted_primary(ctx.snap, ctx.cost, ctx.n_servers, c)? {
+    if ctx.band.answers(c) {
         return eval_primary_sorted(ctx, state, c);
     }
     let meta = ctx.snap.meta(c.object)?;
@@ -237,7 +241,11 @@ fn eval_primary(
 }
 
 /// Answer the primary constraint from the value-sorted replica
-/// (SortedHistogram strategy, and Adaptive when the band wins).
+/// (SortedHistogram strategy, and Adaptive when the band wins — the
+/// client's once-per-query verdict in `ctx.band`). Each of the slot's band
+/// regions is charged by its [`ops::SortedRangeOp`], which hands back its
+/// permutation slice; the slot's selection is built from all of them in
+/// one scatter, so its runs are decoded once.
 fn eval_primary_sorted(
     ctx: &EvalCtx,
     state: &mut ServerState,
@@ -263,7 +271,7 @@ fn eval_primary_sorted(
         elem_bytes,
         sorted_object: ObjectId(c.object.raw() | 1 << 63),
     };
-    let mut sels: Vec<Selection> = Vec::new();
+    let mut slices: Vec<&[u64]> = Vec::new();
     for (i, &sr) in touched.iter().enumerate() {
         if i as u32 % ctx.n_slots != ctx.server {
             continue;
@@ -275,7 +283,7 @@ fn eval_primary_sorted(
             span: pdc_types::RegionSpec::new(rspan.start, rspan.len),
             interval: c.interval,
         };
-        let sel = op.run(ctx, state, &task)?;
+        let slice = op.run(ctx, state, &task)?;
         if state.explain.is_some() {
             let overlap =
                 sspan.end().min(rspan.end()).saturating_sub(sspan.start.max(rspan.start));
@@ -289,16 +297,18 @@ fn eval_primary_sorted(
                     pruned: false,
                     span_len: rspan.len,
                     est: Some(pdc_histogram::HitBounds { lower: overlap, upper: overlap }),
-                    actual_hits: Some(sel.count()),
+                    // The permutation holds each coordinate once, so the
+                    // slice length is the region's hit count.
+                    actual_hits: Some(slice.len() as u64),
                     // Sorted replicas are in-memory structures, never
                     // spilled.
                     cold: false,
                 },
             );
         }
-        sels.push(sel);
+        slices.push(slice);
     }
-    Ok(Selection::union_many(&sels))
+    Ok(Selection::from_unsorted_slices(&slices))
 }
 
 /// Check `interval` on `object` only at already-selected locations:

@@ -13,7 +13,7 @@
 //! strategy ("due to the small size of the BOSS objects, each object has
 //! one region only").
 
-use crate::engine::QueryEngine;
+use crate::engine::{BandVerdicts, QueryEngine};
 use crate::exec::EvalCtx;
 use crate::ops::{self, ExplainPhase, RegionTask};
 use crate::snapshot::MetaSnapshot;
@@ -96,6 +96,9 @@ impl QueryEngine {
                     snap: &snap,
                     cost: &cost,
                     policy,
+                    // Each object's regions run through the per-region
+                    // filter lane; no conjunction has a primary here.
+                    band: &BandVerdicts::default(),
                     n_servers: n,
                     n_slots: n,
                     server: id.raw(),

@@ -38,10 +38,11 @@
 //! dominate) — under this cost model a candidate check re-reads the whole
 //! data region, so a probe with predicted boundary bins can never win.
 //! `IfCheaper` sorted answers compare the sorted band against the
-//! per-region alternative. Every decision is a pure function of metadata,
-//! histograms, and the cost model — independent of cache residency — so
-//! retried and reassigned slots (and the client's `sorted_hint`) always
-//! agree.
+//! per-region alternative; that verdict is taken once per conjunction per
+//! query on the client (`BandVerdicts` in `engine.rs`) and read by every
+//! slot. Every decision is a pure function of metadata, histograms, and
+//! the cost model — independent of cache residency — so retried and
+//! reassigned slots always agree.
 
 use crate::engine::{Policy, Strategy, Use};
 use crate::exec::EvalCtx;
@@ -729,8 +730,11 @@ impl VerifyRebuildOp {
 
 /// The contiguous matching slice of one value-partitioned sorted-replica
 /// region. The task's `region`/`span` are in *sorted* coordinates; the
-/// returned selection is translated through the permutation back to
-/// global coordinates.
+/// operator charges the region's read and scan and returns the slice of
+/// the permutation — the matching elements' global coordinates, in value
+/// order. The caller (`exec::eval_primary_sorted`) builds one selection
+/// from all of a slot's slices. Runs only for primaries the client's
+/// once-per-query verdict gave to the band.
 pub struct SortedRangeOp {
     /// The replica being sliced.
     pub replica: Arc<SortedReplica>,
@@ -744,13 +748,14 @@ pub struct SortedRangeOp {
 }
 
 impl SortedRangeOp {
-    /// The slice's locations, translated to global coordinates.
+    /// Charge the region, and return the matching slice's global
+    /// coordinates (unsorted, each at most once).
     pub fn run(
         &self,
         ctx: &EvalCtx,
         st: &mut ServerState,
         task: &RegionTask,
-    ) -> PdcResult<Selection> {
+    ) -> PdcResult<&[u64]> {
         let before = st.work;
         let region_start = task.span.offset;
         let region_end = task.span.end();
@@ -765,14 +770,14 @@ impl SortedRangeOp {
         // The matching slice inside this region is contiguous.
         let lo = self.sspan.start.max(region_start);
         let hi = self.sspan.end().min(region_end);
-        let sel = if lo < hi {
+        let slice: &[u64] = if lo < hi {
             st.work.elements_scanned += hi - lo;
-            Selection::from_unsorted_coords(&self.replica.perm()[lo as usize..hi as usize])
+            &self.replica.perm()[lo as usize..hi as usize]
         } else {
-            Selection::empty()
+            &[]
         };
         st.settle_cpu(ctx.cost, &before);
-        Ok(sel)
+        Ok(slice)
     }
 }
 
@@ -991,8 +996,8 @@ fn sorted_band_estimate(
 /// The constraint-level adaptive decision: answer the primary constraint
 /// from the sorted replica's band, or per region? Compares the band's
 /// modelled cold cost against pruned per-region scans. Pure host work on
-/// metadata and histograms only, so the client's `sorted_hint` and every
-/// server slot reach the same verdict.
+/// metadata and histograms only; the client takes it once per
+/// conjunction per query, and every server slot reads that verdict.
 pub(crate) fn adaptive_sorted_choice(
     snap: &MetaSnapshot,
     cost: &CostModel,

@@ -90,7 +90,7 @@ pub struct GroupStats {
 /// one continuous-batching window. Where the closed `run_batch` path
 /// collects the whole series' deduplicated `(object, interval)` set up
 /// front and prewarms it once, a group stays open — each
-/// [`crate::engine::QueryEngine::admit_to_scan_group`] call folds a
+/// `QueryEngine::admit_to_scan_group` call folds a
 /// late arrival's *new* predicates into the set and prewarms only the
 /// regions those predicates still need (already-cached `(region,
 /// interval)` artifacts are skipped via

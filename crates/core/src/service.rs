@@ -22,7 +22,7 @@
 //!   its head query, so an oversized estimate cannot livelock a tenant.
 //! * **Continuous batching.** Dispatched queries are folded into an open
 //!   [`crate::qcache::SharedScanGroup`]
-//!   ([`crate::engine::QueryEngine::admit_to_scan_group`]): a late
+//!   (`QueryEngine::admit_to_scan_group`): a late
 //!   arrival whose predicates overlap the in-flight group's prewarms only
 //!   the *regions* its new intervals still need — the fused interval-scan
 //!   group admits late members at region granularity instead of being
@@ -44,7 +44,7 @@
 //! accounting lives in [`ScheduleClock`].
 
 use crate::ast::PdcQuery;
-use crate::engine::{QueryEngine, QueryOutcome};
+use crate::engine::{Planned, QueryEngine, QueryOutcome};
 use crate::ops::estimate_plan_cost;
 use crate::qcache::GroupStats;
 use pdc_odms::Odms;
@@ -649,7 +649,7 @@ impl QueryEngine {
                 stats.submitted += 1;
                 // Estimate through the plan cache (host work only; the
                 // dispatch-time plan is then a guaranteed hit).
-                let (plan, snap) = self.plan_cached(&a.query)?;
+                let Planned { plan, snap, .. } = self.plan_cached(&a.query)?;
                 let est = estimate_plan_cost(
                     &snap,
                     &self.config_cost(),
@@ -700,9 +700,9 @@ impl QueryEngine {
                     let q = ts[ti].ready.pop_front().expect("picked tenant has a head");
                     let a = &arrivals[q.arrival_index];
                     if let Some(g) = &mut group {
-                        let (plan, _) = self.plan_cached(&a.query)?;
+                        let planned = self.plan_cached(&a.query)?;
                         let before = g.stats;
-                        self.admit_to_scan_group(g, std::slice::from_ref(&plan));
+                        self.admit_to_scan_group(g, std::slice::from_ref(&planned));
                         trace.push(TraceEvent::GroupJoin {
                             at: now,
                             group: g.id(),

@@ -349,6 +349,65 @@ fn late_arrival_joins_inflight_shared_scan_group() {
 }
 
 #[test]
+fn band_answered_primaries_skip_the_shared_scan_prewarm() {
+    // Under PDC-SH every single-constraint arrival is answered from the
+    // sorted band, which reads none of the per-region artifacts a prewarm
+    // seeds: the group admits every member and prewarms nothing, and the
+    // outcomes are those of solo runs.
+    let world = build_world(40_000, 8192);
+    let tenants = open_tenants();
+    let cfg = ServiceConfig::new(tenants.clone());
+    let pool = [
+        PdcQuery::range_open(world.energy, 2.1f32, 2.2f32),
+        PdcQuery::range_open(world.energy, 2.15f32, 2.3f32),
+        PdcQuery::create(world.x, QueryOp::Gt, 300.0f32),
+        PdcQuery::range_open(world.energy, 2.1f32, 2.2f32),
+    ];
+    let arrivals: Vec<Arrival> = pool
+        .iter()
+        .enumerate()
+        .map(|(k, q)| Arrival {
+            at: SimDuration::from_micros(k as u64),
+            tenant: tenants[k % tenants.len()].name.clone(),
+            query: q.clone(),
+        })
+        .collect();
+    let eng = engine_with(&world, Strategy::SortedHistogram, None);
+    let report = eng.serve(&cfg, &arrivals).unwrap();
+    let group = report.group.expect("continuous batching must be on");
+    assert_eq!(group.members, pool.len() as u64);
+    assert_eq!(group.prewarm_regions, 0, "{group:?}");
+    assert_eq!(group.admitted_intervals, 0, "skipped predicates stay out of the ledger");
+    for s in &report.served {
+        assert!(s.outcome.sorted_hint.is_some(), "seq {}: the band answers", s.seq);
+    }
+    let oracle = engine_with(&world, Strategy::SortedHistogram, None);
+    assert_replay_identical(&report, &arrivals, &oracle, "band-only serve");
+
+    // A later conjunction point-checks the predicate an earlier arrival
+    // answered from the band: it was never admitted, so it prewarms now.
+    let filter = PdcQuery::create(world.energy, QueryOp::Gt, 1.0f32);
+    let conj = PdcQuery::create(world.x, QueryOp::Gt, 331.9f32).and(filter.clone());
+    let plan = pdc_query::QueryPlan::build(&conj, &world.odms).unwrap();
+    match &plan.root {
+        pdc_query::plan::PlanNode::Conj(cs) => {
+            assert_eq!(cs.len(), 2);
+            assert_eq!(cs[0].object, world.x, "x must be the primary for this check");
+        }
+        other => panic!("expected one conjunction, got {other:?}"),
+    }
+    let arrivals = vec![
+        Arrival { at: SimDuration::ZERO, tenant: "alice".into(), query: filter },
+        Arrival { at: SimDuration::from_micros(1), tenant: "bob".into(), query: conj },
+    ];
+    let report = eng.serve(&cfg, &arrivals).unwrap();
+    let group = report.group.expect("continuous batching must be on");
+    assert_eq!(group.admitted_intervals, 1, "only the conjunction's filter is admitted");
+    assert!(group.prewarm_regions > 0, "the filter must prewarm: {group:?}");
+    assert_replay_identical(&report, &arrivals, &oracle, "band then filter");
+}
+
+#[test]
 fn admission_control_defers_and_rejects_as_typed_outcomes() {
     // A tight budget forces deferrals; a tiny deferral queue forces
     // rejections. Everything is accounted: submitted = completed +

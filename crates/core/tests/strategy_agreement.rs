@@ -526,6 +526,7 @@ fn nan_elements_match_nothing_under_every_strategy() {
 
 #[test]
 fn sorted_slices_on_both_primitive_paths_match_full_scan() {
+    use pdc_query::OpKind;
     use pdc_types::selection::{DENSE_WORDS_PER_COORD, SORT_BELOW};
     // Every value distinct, and value order scatters coordinates over the
     // whole object: rank `(i * 7919) % n` at coordinate `i`.
@@ -536,6 +537,9 @@ fn sorted_slices_on_both_primitive_paths_match_full_scan() {
     let energy: Vec<f32> = (0..n).map(|i| value((i * 7919) % n)).collect();
     let opts = ImportOptions { region_bytes: 4096, build_sorted: true, ..Default::default() };
     let obj = odms.import_array(c, "energy", TypedVec::Float(energy), &opts).unwrap().object;
+    // A second object for conjunctions: the coordinate itself.
+    let coord: Vec<f32> = (0..n).map(|i| i as f32).collect();
+    let pos = odms.import_array(c, "pos", TypedVec::Float(coord), &opts).unwrap().object;
     // Ranks 5120..6244: sorted region 5 whole, plus the first 100 slots of
     // region 6.
     let q = PdcQuery::range_open(obj, value(5119), value(6244));
@@ -549,27 +553,53 @@ fn sorted_slices_on_both_primitive_paths_match_full_scan() {
     let (full, edge) = (&replica.perm()[5120..6144], &replica.perm()[6144..6244]);
     assert!(dense(full), "the whole region must take the bitset path");
     assert!(edge.len() >= SORT_BELOW && !dense(edge), "the edge slice must take the sort path");
+    // Ranks 2000..16500: the tail of sorted region 1, regions 2..=15
+    // whole and the head of region 16 — at least 3 band regions per
+    // server at 4 servers, so each server scatters several slices at once.
+    let wide = PdcQuery::range_open(obj, value(1999), value(16500));
+    // The same band as the primary of a conjunction: `pos` keeps 3/4 of
+    // the object, so the band stays the more selective constraint.
+    let conj = PdcQuery::range_open(obj, value(1999), value(16500))
+        .and(PdcQuery::create(pos, QueryOp::Lt, 30_000.0f32));
 
-    let expect: Vec<u64> =
-        (0..n as u64).filter(|&i| (5120..6244).contains(&((i as usize * 7919) % n))).collect();
-    let reference = QueryEngine::new(
-        Arc::clone(&odms),
-        EngineConfig { strategy: Strategy::FullScan, num_servers: 4, ..Default::default() },
-    )
-    .run(&q)
-    .unwrap();
-    assert_eq!(reference.selection.iter_coords().collect::<Vec<_>>(), expect);
-    for servers in [1, 3, 4] {
-        let out = QueryEngine::new(
+    let in_ranks = |lo: usize, hi: usize| {
+        move |&i: &u64| (lo..hi).contains(&((i as usize * 7919) % n))
+    };
+    let cases = [
+        ("two-region band", q, (0..n as u64).filter(in_ranks(5120, 6244)).collect::<Vec<_>>(), true),
+        ("wide band", wide, (0..n as u64).filter(in_ranks(2000, 16500)).collect(), true),
+        ("conjunction", conj, (0..30_000u64).filter(in_ranks(2000, 16500)).collect(), false),
+    ];
+    for (name, query, expect, single) in &cases {
+        let reference = QueryEngine::new(
             Arc::clone(&odms),
-            EngineConfig {
-                strategy: Strategy::SortedHistogram,
-                num_servers: servers,
-                ..Default::default()
-            },
+            EngineConfig { strategy: Strategy::FullScan, num_servers: 4, ..Default::default() },
         )
-        .run(&q)
+        .run(query)
         .unwrap();
-        assert_eq!(out.selection, reference.selection, "PDC-SH on {servers} servers");
+        assert_eq!(&reference.selection.iter_coords().collect::<Vec<_>>(), expect, "{name}");
+        for strategy in [Strategy::SortedHistogram, Strategy::Adaptive] {
+            for servers in [1, 3, 4] {
+                let ctx = format!("{name}: {strategy} on {servers} servers");
+                let engine = QueryEngine::new(
+                    Arc::clone(&odms),
+                    EngineConfig { strategy, num_servers: servers, ..Default::default() },
+                );
+                let (out, explain) = engine.explain(query).unwrap();
+                assert_eq!(out.selection, reference.selection, "{ctx}");
+                assert_eq!(engine.run(query).unwrap().selection, reference.selection, "{ctx}");
+                let band: Vec<_> =
+                    explain.regions.iter().filter(|r| r.op == OpKind::SortedRange).collect();
+                // PDC-A's cost model prefers the band on every case here,
+                // so both strategies take the band lane and the client's
+                // word-OR merge.
+                assert!(explain.sorted_primary, "{ctx}: the band answers the primary");
+                assert!(band.iter().all(|r| r.object == obj), "{ctx}: band rows are the primary's");
+                if *single {
+                    let hits: u64 = band.iter().map(|r| r.actual_hits.unwrap()).sum();
+                    assert_eq!(hits, out.nhits, "{ctx}: band rows must account for every hit");
+                }
+            }
+        }
     }
 }

@@ -93,25 +93,46 @@ impl Selection {
     }
 
     /// Build from arbitrary (possibly unsorted, possibly duplicated)
-    /// coordinates, such as a sorted-replica slice of the permutation.
-    ///
-    /// Two paths, chosen by density; both return the same canonical runs:
-    ///
-    /// * **dense** — `coords` span fewer than [`DENSE_WORDS_PER_COORD`] ×
-    ///   64 coordinates per element: scatter into a span-sized `u64` bitset,
-    ///   then read runs off each word with [`mask_runs`], coalescing across
-    ///   word boundaries. Linear in the slice plus the span's word count.
-    /// * **otherwise** (and every slice shorter than [`SORT_BELOW`]): copy,
-    ///   sort and dedup.
+    /// coordinates, such as a sorted-replica slice of the permutation: the
+    /// one-slice case of [`Selection::from_unsorted_slices`].
     pub fn from_unsorted_coords(coords: &[u64]) -> Self {
-        if coords.len() >= SORT_BELOW {
-            let (lo, hi) = coords.iter().fold((u64::MAX, 0), |(lo, hi), &c| (lo.min(c), hi.max(c)));
-            let dense_span = (coords.len() as u64).saturating_mul(DENSE_WORDS_PER_COORD * 64);
+        Self::from_unsorted_slices(&[coords])
+    }
+
+    /// Build from the union of several slices of arbitrary (possibly
+    /// unsorted, possibly duplicated) coordinates, such as every
+    /// sorted-replica slice one server reads for a band.
+    ///
+    /// Two paths, chosen by density over all the slices together; both
+    /// return the same canonical runs:
+    ///
+    /// * **dense** — the `n` coordinates span fewer than
+    ///   [`DENSE_WORDS_PER_COORD`] × 64 × `n`: scatter every slice into one
+    ///   span-sized `u64` bitset, then read runs off each word with
+    ///   [`mask_runs`], coalescing across word boundaries. Linear in the
+    ///   coordinates plus the span's word count, and the runs are decoded
+    ///   once, however many slices there are.
+    /// * **otherwise** (and whenever `n` is below [`SORT_BELOW`]):
+    ///   concatenate, sort and dedup.
+    pub fn from_unsorted_slices(slices: &[&[u64]]) -> Self {
+        let n: usize = slices.iter().map(|s| s.len()).sum();
+        if n >= SORT_BELOW {
+            let (lo, hi) = slices.iter().fold((u64::MAX, 0), |acc, s| {
+                s.iter().fold(acc, |(lo, hi), &c| (lo.min(c), hi.max(c)))
+            });
+            let dense_span = (n as u64).saturating_mul(DENSE_WORDS_PER_COORD * 64);
             if hi - lo < dense_span {
-                return Selection { runs: runs_by_bitset(coords, lo, hi) };
+                let mut bits = vec![0u64; ((hi - lo) / 64 + 1) as usize];
+                for slice in slices {
+                    for &c in *slice {
+                        let off = c - lo;
+                        bits[(off / 64) as usize] |= 1 << (off % 64);
+                    }
+                }
+                return Selection { runs: decode_bits(&bits, lo, n) };
             }
         }
-        let mut sorted = coords.to_vec();
+        let mut sorted = slices.concat();
         sorted.sort_unstable();
         sorted.dedup();
         Self::from_sorted_coords(sorted)
@@ -215,8 +236,11 @@ impl Selection {
     /// every fold step. The source with the smallest head copies its whole
     /// *stretch* — every run starting at or before the next source's head —
     /// before going back on the heap, so the cost is one heap operation per
-    /// source switch, not per run: the engine's per-slot results interleave
-    /// at region granularity, so one heap operation moves a region's runs.
+    /// source switch, not per run. Per-slot results of the per-region lanes
+    /// interleave at region granularity, so there one heap operation moves a
+    /// region's runs; sources that interleave run by run (a sorted band's
+    /// slots) cost one heap operation per run, and
+    /// [`Selection::union_interleaved`] merges those by words instead.
     /// The result is canonical RLE, so it is bit-identical to any fold of
     /// `union`.
     pub fn union_many<'a, I: IntoIterator<Item = &'a Selection>>(sels: I) -> Selection {
@@ -254,6 +278,40 @@ impl Selection {
             }
         }
         Selection { runs: merged }
+    }
+
+    /// Set union of selections whose runs interleave at element
+    /// granularity, such as the per-slot results of a sorted band, whose
+    /// coordinates scatter over the whole object: OR every input run into
+    /// one bitset over the inputs' `[min start, max end)`, then decode the
+    /// words once with [`mask_runs`]. The cost is linear in the input runs
+    /// plus the span's word count, independent of how often the sources
+    /// alternate.
+    ///
+    /// When the inputs hold fewer than one run per [`DENSE_WORDS_PER_COORD`]
+    /// × 64 coordinates of that span, the bitset would cost more than it
+    /// saves, and this is [`Selection::union_many`]. Either way the result
+    /// is the same canonical RLE.
+    pub fn union_interleaved<'a, I: IntoIterator<Item = &'a Selection>>(sels: I) -> Selection {
+        let sources: Vec<&Selection> = sels.into_iter().filter(|s| !s.is_empty()).collect();
+        let lo = sources.iter().map(|s| s.runs[0].start).min();
+        let hi = sources.iter().map(|s| s.runs[s.runs.len() - 1].end()).max();
+        let (Some(lo), Some(hi)) = (lo, hi) else {
+            return Selection::empty();
+        };
+        let total: usize = sources.iter().map(|s| s.runs.len()).sum();
+        if sources.len() == 1
+            || hi - lo >= (total as u64).saturating_mul(DENSE_WORDS_PER_COORD * 64)
+        {
+            return Selection::union_many(sources);
+        }
+        let mut bits = vec![0u64; ((hi - lo - 1) / 64 + 1) as usize];
+        for s in &sources {
+            for r in &s.runs {
+                fill_bits(&mut bits, r.start - lo, r.end() - lo);
+            }
+        }
+        Selection { runs: decode_bits(&bits, lo, total) }
     }
 
     /// Set intersection — the paper's AND combination.
@@ -343,9 +401,10 @@ impl Run {
 }
 
 /// Bitset words per coordinate up to which
-/// [`Selection::from_unsorted_coords`] scatters into a span bitset instead
-/// of sorting (and [`RankDirectory`] builds a bitset instead of searching
-/// runs): `n` coordinates spanning fewer than
+/// [`Selection::from_unsorted_slices`] scatters into a span bitset instead
+/// of sorting ([`Selection::union_interleaved`] ORs runs into one instead
+/// of merging them by heap, and [`RankDirectory`] builds one instead of
+/// searching runs): `n` coordinates spanning fewer than
 /// `DENSE_WORDS_PER_COORD × 64 × n` take the bitset path. The bitset pays
 /// per word of span, the sort per coordinate; on the sorted-replica slices
 /// of the `selective_catalog` benchmark the two cross at about 8 words per
@@ -422,19 +481,7 @@ impl<'a> RankDirectory<'a> {
         }
         let mut bits = vec![0u64; ((hi - lo) / 64 + 1) as usize];
         for r in runs {
-            let (s, e) = (r.start - lo, r.end() - lo);
-            let (ws, we) = ((s / 64) as usize, ((e - 1) / 64) as usize);
-            // Bits `s % 64 ..` of word `ws` through bit `(e - 1) % 64` of
-            // word `we`.
-            let head = u64::MAX << (s % 64);
-            let tail = u64::MAX >> (63 - (e - 1) % 64);
-            if ws == we {
-                bits[ws] |= head & tail;
-            } else {
-                bits[ws] |= head;
-                bits[ws + 1..we].fill(u64::MAX);
-                bits[we] |= tail;
-            }
+            fill_bits(&mut bits, r.start - lo, r.end() - lo);
         }
         let before = prefix_counts(bits.iter().map(|w| u64::from(w.count_ones())));
         RankDirectory(Ranks::Dense { lo, bits, before })
@@ -464,20 +511,32 @@ impl<'a> RankDirectory<'a> {
     }
 }
 
-/// Slices shorter than this always take the sort path of
-/// [`Selection::from_unsorted_coords`]: below it, allocating, zeroing and
+/// Fewer coordinates than this always take the sort path of
+/// [`Selection::from_unsorted_slices`]: below it, allocating, zeroing and
 /// sweeping even a small bitset costs as much as sorting the slice.
 pub const SORT_BELOW: usize = 32;
 
-/// The canonical runs of `coords`, all within `[lo, hi]`, by scattering
-/// them into a bitset over that span and decoding it word by word.
-fn runs_by_bitset(coords: &[u64], lo: u64, hi: u64) -> Vec<Run> {
-    let mut bits = vec![0u64; ((hi - lo) / 64 + 1) as usize];
-    for &c in coords {
-        let off = c - lo;
-        bits[(off / 64) as usize] |= 1 << (off % 64);
+/// Set bits `[s, e)` of `bits` (`s < e`): a head mask, whole words, and
+/// a tail mask.
+fn fill_bits(bits: &mut [u64], s: u64, e: u64) {
+    let (ws, we) = ((s / 64) as usize, ((e - 1) / 64) as usize);
+    // Bits `s % 64 ..` of word `ws` through bit `(e - 1) % 64` of word
+    // `we`.
+    let head = u64::MAX << (s % 64);
+    let tail = u64::MAX >> (63 - (e - 1) % 64);
+    if ws == we {
+        bits[ws] |= head & tail;
+    } else {
+        bits[ws] |= head;
+        bits[ws + 1..we].fill(u64::MAX);
+        bits[we] |= tail;
     }
-    let mut runs = Vec::with_capacity(coords.len());
+}
+
+/// The canonical runs of a bitset whose bit `j` of word `w` is coordinate
+/// `lo + 64w + j`, decoded word by word; `capacity` bounds the runs.
+fn decode_bits(bits: &[u64], lo: u64, capacity: usize) -> Vec<Run> {
+    let mut runs = Vec::with_capacity(capacity);
     for (w, &m) in bits.iter().enumerate() {
         mask_runs(m, lo + 64 * w as u64, &mut runs);
     }

@@ -76,7 +76,6 @@ fn union_many_skips_empty_sources() {
     assert_eq!(Selection::union_many(&sources), runs(&[(3, 7)]));
 }
 
-/// The oracle for `from_unsorted_coords`: copy, sort, dedup.
 /// The oracle for `mask_runs`: the decoder it replaced, which walks the
 /// mask with `trailing_zeros` / `trailing_ones` and coalesces each run
 /// with `out`'s tail.
@@ -127,6 +126,8 @@ fn mask_runs_edge_masks_match_the_trailing_ones_decoder() {
     }
 }
 
+/// The oracle for `from_unsorted_coords` and `from_unsorted_slices`:
+/// copy, sort, dedup.
 fn sort_dedup(coords: &[u64]) -> Selection {
     let mut v = coords.to_vec();
     v.sort_unstable();
@@ -203,6 +204,105 @@ fn from_unsorted_coords_agrees_on_both_sides_of_the_density_constant() {
             );
         }
     }
+}
+
+/// `coords` cut into `k` slices at random points (some may be empty).
+fn cut<'a>(rng: &mut TestRng, coords: &'a [u64], k: usize) -> Vec<&'a [u64]> {
+    let mut ends: Vec<usize> = (1..k).map(|_| rng.below(coords.len() + 1)).collect();
+    ends.sort_unstable();
+    ends.push(coords.len());
+    let mut start = 0;
+    ends.into_iter()
+        .map(|end| {
+            let slice = &coords[start..end];
+            start = end;
+            slice
+        })
+        .collect()
+}
+
+#[test]
+fn from_unsorted_slices_agrees_on_both_sides_of_the_density_constant() {
+    let mut rng = TestRng::new(22);
+    for n in [SORT_BELOW, 100, 4096] {
+        let w = sparse_width(n);
+        for (base, width) in [(0, w - 1), (0, w), (5 << 32, w - 1), ((5 << 32) - 3, w)] {
+            let coords = scattered(&mut rng, n, base, width);
+            for k in [1, 2, 3, 7] {
+                let slices = cut(&mut rng, &coords, k);
+                assert_eq!(
+                    Selection::from_unsorted_slices(&slices),
+                    sort_dedup(&coords),
+                    "{n} over {width} in {k} slices"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn from_unsorted_slices_decides_density_on_all_slices_together() {
+    let mut rng = TestRng::new(23);
+    // Eight slices of 64 coordinates over one width: each alone is sparse
+    // (and would sort), all eight together are dense (one bitset).
+    let (per, k) = (64, 8);
+    let width = sparse_width(per * k) - 1;
+    assert!(width >= sparse_width(per));
+    let coords: Vec<u64> = (0..k)
+        .flat_map(|_| scattered(&mut rng, per, 1000, width))
+        .collect();
+    let slices: Vec<&[u64]> = coords.chunks(per).collect();
+    assert_eq!(Selection::from_unsorted_slices(&slices), sort_dedup(&coords));
+    // Slices each shorter than the sort cutoff, together at or above it.
+    let short: Vec<u64> = (0..SORT_BELOW as u64 * 2).map(|i| 77 + (i * 5) % 61).collect();
+    let slices: Vec<&[u64]> = short.chunks(SORT_BELOW / 2 - 1).collect();
+    assert_eq!(Selection::from_unsorted_slices(&slices), sort_dedup(&short));
+    // No slices, empty slices, and empty slices around a dense one.
+    assert_eq!(Selection::from_unsorted_slices(&[]), Selection::empty());
+    assert_eq!(Selection::from_unsorted_slices(&[&[], &[]]), Selection::empty());
+    let dense = scattered(&mut rng, 300, 1 << 40, 1000);
+    assert_eq!(
+        Selection::from_unsorted_slices(&[&[], &dense, &[]]),
+        Selection::from_unsorted_coords(&dense)
+    );
+}
+
+/// `union_interleaved` against both oracles: the pairwise fold and
+/// `union_many`.
+fn check_union_interleaved(sources: &[Selection], ctx: &str) {
+    let got = Selection::union_interleaved(sources);
+    assert_eq!(got, fold_union(sources), "{ctx}: against the fold");
+    assert_eq!(got, Selection::union_many(sources), "{ctx}: against union_many");
+}
+
+#[test]
+fn union_interleaved_edge_shapes() {
+    let e = Selection::empty();
+    check_union_interleaved(&[], "no sources");
+    check_union_interleaved(&[e.clone(), e.clone()], "empty sources");
+    let a = runs(&[(3, 2), (9, 1), (70, 130)]);
+    check_union_interleaved(&[e.clone(), a.clone(), e.clone()], "one non-empty source");
+    // Element-by-element round robin over three sources: every run is one
+    // coordinate, adjacent to the next source's, and the union is a span
+    // crossing several words.
+    let rr: Vec<Selection> = (0..3u64)
+        .map(|s| Selection::from_sorted_coords((0..400).filter(|c| c % 3 == s).map(|c| c + 61)))
+        .collect();
+    check_union_interleaved(&rr, "round robin");
+    assert_eq!(Selection::union_interleaved(&rr), Selection::from_span(61, 400));
+    // Runs that end on, start on and straddle word boundaries, overlap
+    // across sources, and one run that swallows another source's runs.
+    let sources = [
+        runs(&[(0, 64), (128, 1), (190, 3), (300, 200)]),
+        runs(&[(64, 64), (129, 2), (193, 1), (320, 5), (499, 2)]),
+        e,
+        runs(&[(63, 2), (127, 2), (255, 1), (256, 1), (600, 1)]),
+    ];
+    check_union_interleaved(&sources, "word boundaries");
+    // Sparse against the span: the inputs hold fewer than one run per
+    // `DENSE_WORDS_PER_COORD` words of span, so the heap merge answers.
+    let far = [runs(&[(0, 1), (1 << 40, 3)]), runs(&[(5, 2), ((1 << 40) + 3, 1)])];
+    check_union_interleaved(&far, "sparse fallback");
 }
 
 #[test]
@@ -489,6 +589,29 @@ proptest! {
         let sources: Vec<Selection> =
             per_source.into_iter().map(Selection::from_sorted_coords).collect();
         prop_assert_eq!(Selection::union_many(&sources), fold_union(&sources));
+    }
+
+    #[test]
+    fn union_interleaved_of_element_interleaved_sources_matches_fold(seed in 0u64..u64::MAX) {
+        // A sorted band's shape: every coordinate of a random set dealt to
+        // a random one of k sources, so source results alternate element
+        // by element; the set is dense or sparse against its span.
+        let mut rng = TestRng::new(seed);
+        let k = 1 + rng.below(12);
+        let span = 1 + rng.below(20_000) as u64;
+        let base = rng.next_u64() % (1 << 40);
+        let keep = 1 + rng.below(1024) as u64;
+        let mut per_source: Vec<Vec<u64>> = vec![Vec::new(); k];
+        for c in base..base + span {
+            if rng.next_u64().is_multiple_of(keep) {
+                per_source[rng.below(k)].push(c);
+            }
+        }
+        let sources: Vec<Selection> =
+            per_source.into_iter().map(Selection::from_sorted_coords).collect();
+        let got = Selection::union_interleaved(&sources);
+        prop_assert_eq!(&got, &fold_union(&sources));
+        prop_assert_eq!(got, Selection::union_many(&sources));
     }
 
     #[test]
