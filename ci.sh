@@ -55,14 +55,15 @@ echo "== kernel + selection gate =="
 # slot results, the one- and many-slice coordinate-to-selection scatter
 # on both its bitset and sort paths, the rank directory on both its bitset
 # and binary-search paths, and the sorted-replica lookups that feed them)
-# once more optimised, and with them five pdc-query suites: get_data
+# once more optimised, and with them six pdc-query suites: get_data
 # equivalence, whose sorted path scatters values by those ranks; the
 # kernel and spill equivalence suites, which hold every strategy's point
-# checks — resident and block by block on spilled regions, through the
-# window kernel and the decoder — to the scalar reference and to
-# unbounded runs; and strategy agreement and service equivalence, which
-# hold sorted bands — one scatter per server, merged on the client by
-# the word-OR union — to full scans and to solo runs. The code is safe
+# checks — through every region's block view, the window kernel and the
+# decoder — to the scalar reference and to unbounded runs; the
+# point-check charges suite, which pins what those checks scan; and
+# strategy agreement and service equivalence, which hold sorted bands —
+# one scatter per server, merged on the client by the word-OR union — to
+# full scans and to solo runs. The code is safe
 # Rust, so this guards only against a miscompile of the vectorised loops
 # and the shift, popcount and bit-pairing arithmetic in the release
 # binaries, the word-OR merge's range-fill shifts (head and tail masks of
@@ -70,7 +71,7 @@ echo "== kernel + selection gate =="
 # the debug run of the same tests rather than replacing it.
 cargo test -q $OFFLINE --release -p pdc-types -p pdc-sorted
 cargo test -q $OFFLINE --release -p pdc-query --test get_data_equivalence \
-    --test kernel_equivalence --test spill_equivalence \
+    --test kernel_equivalence --test spill_equivalence --test point_check_charges \
     --test strategy_agreement --test service_equivalence
 
 echo "== integrity gate =="

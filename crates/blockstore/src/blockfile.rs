@@ -512,6 +512,12 @@ impl BlockReader {
         Ok(out)
     }
 
+    /// Check every block's frame — lengths, element count and checksum
+    /// over the compressed bytes — without decoding it.
+    pub fn verify_frames(&self) -> PdcResult<()> {
+        (0..self.meta.n_blocks).try_for_each(|b| self.with_block_payload(b, |_, _, _| Ok(())))
+    }
+
     /// Verify every block checksum and decode (integrity sweep); returns
     /// the uncompressed byte count.
     pub fn verify_all(&self) -> PdcResult<u64> {

@@ -89,6 +89,28 @@ fn every_bit_flip_is_detected() {
 }
 
 #[test]
+fn every_bit_flip_fails_the_frame_check() {
+    // The check a spilled region's read makes without decoding: open
+    // (header, index, footer) plus every frame's lengths and checksum.
+    let dir = tmp_dir("frames");
+    let good_path = dir.join("good.pbf");
+    write_typed(&good_path, &sample_typed(), 256).unwrap();
+    BlockReader::open(&good_path).unwrap().verify_frames().unwrap();
+    let good = std::fs::read(&good_path).unwrap();
+    let bad_path = dir.join("bad.pbf");
+    for byte in 0..good.len() {
+        let mut bad = good.clone();
+        bad[byte] ^= 1u8 << (byte % 8);
+        std::fs::write(&bad_path, &bad).unwrap();
+        assert_typed_error(
+            BlockReader::open(&bad_path).and_then(|r| r.verify_frames()),
+            &format!("bit flip at byte {byte}"),
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn raw_file_bit_flips_are_detected() {
     let dir = tmp_dir("rawflip");
     let good_path = dir.join("good.pbf");

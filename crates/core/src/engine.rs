@@ -14,8 +14,7 @@ use pdc_odms::Odms;
 use pdc_server::{FaultPlan, Placement, ServerPool};
 use pdc_sorted::SortedReplica;
 use pdc_storage::{
-    CostBreakdown, CostModel, IntegrityCounters, IoCounters, SimDuration, StoredPayload,
-    WorkCounters,
+    CostBreakdown, CostModel, IntegrityCounters, IoCounters, SimDuration, WorkCounters,
 };
 use pdc_types::selection::RankDirectory;
 use pdc_types::{
@@ -679,22 +678,22 @@ impl QueryEngine {
             }
         }
         let report = self.odms.rebuild_regions(ids.iter().copied())?;
-        // The copy materializes each slot's regions on its replica
-        // servers: seed their caches so the next query reads the
-        // replica-local copy instead of re-paying the shared-PFS read the
-        // rebuild already made.
+        // The copy lands each slot's regions on its replica servers: seed
+        // their caches by the read path's one rule (a hot slot for a
+        // resident region, a cold slot of the same footprint for a spilled
+        // one) so the next query reads the replica-local copy instead of
+        // re-paying the shared-PFS read the rebuild already made.
         let n = self.pool.num_servers();
         for rid in ids {
             let slot = rid.index % num_slots;
-            let Ok((pdc_storage::StoredPayload::Typed(payload), _)) = self.odms.store().get(rid)
-            else {
+            let Ok(view) = crate::state::open_view(&self.odms, rid, true) else {
                 continue;
             };
             for &q in p.replicas(slot) {
                 if q < n {
                     self.pool.with_server(ServerId(q), |st| {
                         if !st.is_crashed() {
-                            st.cache.put(rid, Arc::clone(&payload));
+                            st.cache.put_slot(rid, view.cache_slot());
                         }
                     });
                 }
@@ -1365,54 +1364,29 @@ impl QueryEngine {
                     if pending.is_empty() {
                         continue;
                     }
-                    // Spilled region: the operator's block-fused scan,
-                    // one decoded block (through the shared block cache)
-                    // against every pending interval, never the whole
-                    // region at once. Any unreadable block skips the
-                    // region; the per-query path handles it with full
-                    // accounting.
-                    if let Some(cold) = odms.store().cold_region(RegionId::new(*obj, r)) {
-                        if cold.len() < span.len {
-                            continue;
-                        }
-                        let Ok(sels) =
-                            crate::ops::scan_cold_whole(&cold, &pending, span.offset, span.len)
-                        else {
-                            continue;
-                        };
-                        for (iv, sel) in pending.iter().zip(sels) {
-                            st.qcache.put_scan(*obj, r, span.len, iv, sel);
-                        }
-                        count += 1;
-                        continue;
-                    }
                     // Advisory read straight from the store: no server
-                    // clocks, no fault probes, and no checksum re-derive
-                    // (every artifact is epoch-keyed, and any mutation —
-                    // including corrupt/repair — bumps the epoch, so an
-                    // unverified read can never leak into results). Skip
-                    // anything unreadable — the per-query path handles it
-                    // with full accounting.
-                    let Ok((StoredPayload::Typed(payload), _)) =
-                        odms.store().get_unverified(RegionId::new(*obj, r))
+                    // clocks, no fault probes, and no checksum re-derive of
+                    // a resident payload (every artifact is epoch-keyed,
+                    // and any mutation — including corrupt/repair — bumps
+                    // the epoch, so an unverified read can never leak into
+                    // results). The operator's whole-region loop scans
+                    // every pending interval in one pass per block. A
+                    // region shorter than the metadata span (an append
+                    // landed between the two reads) or an unreadable one is
+                    // skipped; the per-query path handles it with full
+                    // accounting. A longer one is scanned, and keyed, to
+                    // the span's extent, as a query planned at it would be.
+                    let Ok(view) = crate::state::open_view(&odms, RegionId::new(*obj, r), false)
                     else {
                         continue;
                     };
-                    // A concurrent append can have grown the stored
-                    // payload past the metadata span read above; evaluate
-                    // (and key) exactly the span's extent so the seeded
-                    // artifact matches what a query planned at this
-                    // extent computes.
-                    if (payload.len() as u64) < span.len {
+                    if view.len() < span.len {
                         continue;
                     }
-                    let payload = if (payload.len() as u64) > span.len {
-                        Arc::new(payload.slice(0, span.len as usize))
-                    } else {
-                        payload
+                    let Ok(sels) = crate::ops::scan_whole(&view, &pending, span.offset, span.len)
+                    else {
+                        continue;
                     };
-                    let sels =
-                        pdc_types::kernels::scan_intervals(&payload, &pending, span.offset);
                     for (iv, sel) in pending.iter().zip(sels) {
                         st.qcache.put_scan(*obj, r, span.len, iv, sel);
                     }
@@ -1457,18 +1431,10 @@ impl QueryEngine {
                         if r % n_slots != slot {
                             continue;
                         }
-                        // Charges identically to a materializing read,
-                        // but a spilled region stays cold (the pre-load
-                        // seeds a cold cache slot instead of pinning the
-                        // decoded payload).
-                        st.read_data_source(
-                            &odms,
-                            &cost,
-                            pdc_types::RegionId::new(obj, r),
-                            n,
-                            meta.region_span(r).len,
-                            true,
-                        )?;
+                        // Read and cache only: nothing is scanned.
+                        let rid = RegionId::new(obj, r);
+                        let len = meta.region_span(r).len;
+                        st.read_region(&odms, &cost, rid, n, len, true, |_, _| Ok(()))?;
                     }
                 }
                 Ok(st.integrity.since(&i0))
@@ -1602,26 +1568,29 @@ impl QueryEngine {
                     None => {
                         // Coordinate path: this slot gathers from its
                         // round-robin share of the regions holding hits.
+                        // Each region's hit runs are one slice of the
+                        // selection's, found with two binary searches; the
+                        // first and last may cross the region's ends and
+                        // are clipped by the gather.
                         let mut values = TypedVec::empty(ty);
                         let mut regions = Vec::new();
+                        let runs = selection.runs();
                         for r in (slot..meta.num_regions()).step_by(n_slots as usize) {
                             let span = meta.region_span(r);
-                            let mut hits = selection.runs_in_span(span.offset, span.len).peekable();
-                            if hits.peek().is_none() {
+                            let first = runs.partition_point(|x| x.end() <= span.offset);
+                            let n_hits = runs[first..].partition_point(|x| x.start < span.end());
+                            if n_hits == 0 {
                                 continue;
                             }
-                            let payload = st.read_data_region_uncached(
-                                &odms,
-                                &cost,
-                                RegionId::new(object, r),
-                                n,
-                                span.len,
-                            )?;
+                            let hits = &runs[first..first + n_hits];
+                            let rid = RegionId::new(object, r);
                             let before = values.len();
-                            for run in hits {
-                                let s = (run.start - span.offset) as usize;
-                                values.extend_from_range(&payload, s..s + run.len as usize)?;
-                            }
+                            st.read_region(&odms, &cost, rid, n, span.len, false, |_, view| {
+                                values.truncate(before);
+                                let extent = view.len().min(span.len);
+                                let offset = span.offset;
+                                crate::ops::gather_runs(view, offset, extent, hits, &mut values)
+                            })?;
                             let len = values.len() - before;
                             st.work.elements_gathered += len as u64;
                             regions.push((r, len));
@@ -1740,5 +1709,55 @@ fn scatter_by_rank(ty: PdcType, total: usize, per_slot: &[(Gathered, IoCounters)
         PdcType::UInt32 => scatter!(UInt32, u32),
         PdcType::Int64 => scatter!(Int64, i64),
         PdcType::UInt64 => scatter!(UInt64, u64),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pdc_odms::ImportOptions;
+    use pdc_storage::CacheSlot;
+
+    #[test]
+    fn a_rebuild_under_a_budget_pins_no_spilled_region_in_a_hot_slot() {
+        let odms = Arc::new(Odms::new(4));
+        let c = odms.create_container("seed");
+        let data = TypedVec::Float((0..40_000).map(|i| (i as f32 * 0.37).sin()).collect());
+        let opts = ImportOptions { region_bytes: 8192, ..Default::default() };
+        let obj = odms.import_array(c, "v", data, &opts).unwrap().object;
+        let dir = std::env::temp_dir().join(format!("pdc_engine_seed_{}", std::process::id()));
+        let engine = QueryEngine::new(
+            Arc::clone(&odms),
+            EngineConfig {
+                num_servers: 4,
+                replicas: 2,
+                memory_budget: Some(64 * 1024),
+                spill_dir: Some(dir.clone()),
+                ..Default::default()
+            },
+        );
+        assert!(engine.leave_server(0).unwrap().regions_copied > 0);
+        let n = odms.meta().get(obj).unwrap().num_regions();
+        let (mut hot, mut cold) = (0, 0);
+        engine.pool.for_each_server(|id, st| {
+            for rid in (0..n).map(|r| RegionId::new(obj, r)) {
+                let spilled = odms.store().is_spilled(rid);
+                match st.cache.get(rid) {
+                    Some(CacheSlot::Hot(_)) => {
+                        assert!(!spilled, "server {id}: spilled {rid} pinned in a hot slot");
+                        hot += 1;
+                    }
+                    Some(CacheSlot::Cold { bytes, elems }) => {
+                        assert!(spilled, "server {id}: resident {rid} in a cold slot");
+                        assert_eq!((bytes, elems), (8192, 2048));
+                        cold += 1;
+                    }
+                    None => {}
+                }
+            }
+        });
+        assert!(hot > 0 && cold > 0, "both kinds of region were seeded: {hot} hot, {cold} cold");
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -48,13 +48,14 @@ use crate::engine::{Policy, Strategy, Use};
 use crate::exec::EvalCtx;
 use crate::qcache::IntervalKey;
 use crate::snapshot::MetaSnapshot;
-use crate::state::{RegionData, ServerState};
+use crate::state::ServerState;
 use pdc_directory::JointGrid;
 use pdc_histogram::{HitBounds, Histogram};
 use pdc_sorted::SortedReplica;
-use pdc_storage::{ColdRegion, CostModel, Fnv1a, SimDuration, WorkCounters};
+use pdc_storage::{BlockView, CostModel, Fnv1a, SimDuration, WorkCounters};
 use pdc_types::{
     kernels, Interval, ObjectId, PdcError, PdcResult, RegionId, RegionSpec, Run, Selection,
+    TypedVec,
 };
 use std::sync::Arc;
 
@@ -363,47 +364,38 @@ impl PruneOp {
 /// borrowed slice of the candidate selection, so the first may start
 /// before the region and the last end after it; the operator clips them.
 ///
-/// A spilled region is scanned **block-fused**: each compressed block is
-/// decoded (through the budgeted block cache) and scanned in one pass,
-/// so the whole region is never materialized — while the simulated
-/// charges and the resulting selection are bit-identical to the resident
-/// path (blocks are scanned in ascending order into one run list and the
-/// kernels coalesce runs across block boundaries, so the result is
-/// canonical without re-sorting).
+/// The region is scanned block by block through its [`BlockView`]: a
+/// resident payload is one block, a spilled region decodes one block at a
+/// time through the budgeted block cache, never the whole region. Blocks
+/// are scanned in ascending order into one run list and the kernels
+/// coalesce runs across block boundaries, so the result is canonical
+/// without re-sorting, and the charges and the selection do not depend on
+/// where the region lives.
 pub struct ScanExactOp<'a> {
     /// Candidate runs to restrict the scan to (global coordinates), or
     /// `None` for a whole-region scan.
     pub candidates: Option<&'a [Run]>,
 }
 
-/// Block-fused whole-extent scan of a spilled region: decode one block at
-/// a time (through the block cache) and scan it against every interval,
-/// emitting one selection per interval in global coordinates.
-/// `scan_elems` clips to the plan-time snapshot's extent. The region
-/// operator passes one interval; the shared-scan prewarm passes every
-/// interval still pending on the region.
-pub(crate) fn scan_cold_whole(
-    cold: &ColdRegion,
+/// Whole-extent scan of a region: one fused kernel pass per block against
+/// every interval, emitting one selection per interval at coordinates
+/// `global_offset + index`. `scan_elems` clips to the plan-time snapshot's
+/// extent (an in-flight append can have grown the stored payload past
+/// it). The region operator passes one interval; the shared-scan prewarm
+/// passes every interval still pending on the region.
+pub(crate) fn scan_whole(
+    view: &BlockView,
     intervals: &[Interval],
     global_offset: u64,
     scan_elems: u64,
 ) -> PdcResult<Vec<Selection>> {
     let mut outs: Vec<Vec<Run>> = vec![Vec::new(); intervals.len()];
-    for b in 0..cold.n_blocks() {
-        let (start, end) = cold.block_span(b);
-        if start >= scan_elems {
-            break;
-        }
-        let hi = end.min(scan_elems);
-        let block = cold.read_block(b)?;
-        for (interval, out) in intervals.iter().zip(&mut outs) {
-            let (len, base) = ((hi - start) as usize, global_offset + start);
-            kernels::scan_range(&block, interval, 0, len, base, out);
-        }
+    for b in view.blocks_overlapping(0, scan_elems) {
+        let (start, end) = view.block_span(b);
+        let len = (end.min(scan_elems) - start) as usize;
+        let block = view.read_block(b)?;
+        kernels::scan_intervals_into(&block, intervals, len, global_offset + start, &mut outs);
     }
-    // Blocks are scanned in ascending order into one run list per
-    // interval, and the kernels coalesce a run touching the previous
-    // block's last one.
     Ok(outs.into_iter().map(Selection::from_canonical_runs).collect())
 }
 
@@ -412,52 +404,77 @@ fn len_in_span(r: &Run, span: &RegionSpec) -> u64 {
     r.end().min(span.end()) - r.start.max(span.offset)
 }
 
-/// Block-fused candidate scan of a spilled region: each block holding
-/// candidate lanes is decoded once (through the block cache) and checked
-/// in one [`kernels::filter_runs`] pass over the candidates it holds.
-/// `runs` is the region's slice of the candidate selection (see
-/// [`ScanExactOp`]). Each run's length inside `span` is added to `scanned`
-/// before the first block it overlaps is read — the order a run-by-run
-/// scan charged in — so a failed block read leaves the same partial count.
-fn scan_cold_candidates(
-    cold: &ColdRegion,
-    interval: &Interval,
-    span: &RegionSpec,
+/// Visit, in ascending order and each once, the blocks of `view` holding
+/// lanes of `runs` below `extent`: `visit(block, runs, origin, len)` gets
+/// the decoded block, whose element `i` sits at coordinate `origin + i`
+/// for `i < len`, with the runs overlapping it (the first and last may
+/// cross its ends). `runs` are sorted and disjoint in coordinates where
+/// the region starts at `offset`; the first may start before it.
+fn for_each_run_block(
+    view: &BlockView,
+    offset: u64,
+    extent: u64,
     runs: &[Run],
-    scanned: &mut u64,
-) -> PdcResult<Selection> {
-    // Only the plan-time snapshot's extent is scanned.
-    let extent = cold.len().min(span.len);
-    let mut out = Vec::new();
-    let mut charged = 0; // runs charged so far
-    let mut k = 0; // the first run not yet wholly scanned
-    let mut pos = 0; // the first unscanned element (region-local)
+    mut visit: impl FnMut(&TypedVec, &[Run], u64, usize) -> PdcResult<()>,
+) -> PdcResult<()> {
+    let mut k = 0; // the first run not yet wholly visited
+    let mut pos = 0; // the first unvisited element (region-local)
     while k < runs.len() {
-        let lo = (runs[k].start.max(span.offset) - span.offset).max(pos);
+        let lo = (runs[k].start.max(offset) - offset).max(pos);
         if lo >= extent {
             break;
         }
-        let b = cold.blocks_overlapping(lo, lo + 1).start;
-        let (bs, be) = cold.block_span(b);
+        let b = view.blocks_overlapping(lo, lo + 1).start;
+        let (bs, be) = view.block_span(b);
         let be = be.min(extent);
-        for r in &runs[charged..=k] {
-            *scanned += len_in_span(r, span);
-        }
-        charged = k + 1;
-        let block = cold.read_block(b)?;
-        let n = runs[k..].partition_point(|r| r.start < span.offset + be);
+        let n = runs[k..].partition_point(|r| r.start < offset + be);
         let in_block = &runs[k..k + n];
-        let (len, origin) = ((be - bs) as usize, span.offset + bs);
-        kernels::filter_runs(&block, interval, len, in_block, origin, &mut out);
+        visit(&*view.read_block(b)?, in_block, offset + bs, (be - bs) as usize)?;
         // A run crossing the block's end continues in the next block.
-        let carried = in_block[n - 1].end() > span.offset + be;
+        let carried = in_block[n - 1].end() > offset + be;
         k += n - usize::from(carried);
         pos = be;
     }
-    for r in &runs[charged..] {
-        *scanned += len_in_span(r, span);
-    }
+    Ok(())
+}
+
+/// Candidate scan of a region: each block holding candidate lanes below
+/// `extent` is read once and checked in one [`kernels::filter_runs`] pass
+/// over the candidates it holds (see [`for_each_run_block`] for `offset`
+/// and `runs`).
+fn scan_candidates(
+    view: &BlockView,
+    interval: &Interval,
+    offset: u64,
+    extent: u64,
+    runs: &[Run],
+) -> PdcResult<Selection> {
+    let mut out = Vec::new();
+    for_each_run_block(view, offset, extent, runs, |block, in_block, origin, len| {
+        kernels::filter_runs(block, interval, len, in_block, origin, &mut out);
+        Ok(())
+    })?;
     Ok(Selection::from_canonical_runs(out))
+}
+
+/// Copy the values at `runs` (global coordinates inside the region
+/// starting at `offset`) out of `view`, in order, onto `values` — the
+/// gather behind `get_data`.
+pub(crate) fn gather_runs(
+    view: &BlockView,
+    offset: u64,
+    extent: u64,
+    runs: &[Run],
+    values: &mut TypedVec,
+) -> PdcResult<()> {
+    for_each_run_block(view, offset, extent, runs, |block, in_block, origin, len| {
+        for r in in_block {
+            let lo = r.start.max(origin) - origin;
+            let hi = r.end().min(origin + len as u64) - origin;
+            values.extend_from_range(block, lo as usize..hi as usize)?;
+        }
+        Ok(())
+    })
 }
 
 impl ScanExactOp<'_> {
@@ -470,109 +487,60 @@ impl ScanExactOp<'_> {
     ) -> PdcResult<Selection> {
         let RegionTask { object, region, span, interval } = task;
         let before = st.work;
-        let src = st.read_data_source(
-            ctx.odms,
-            ctx.cost,
-            RegionId::new(*object, *region),
-            ctx.n_servers,
-            span.len,
-            true,
-        )?;
-        // An in-flight append can grow the stored payload past the span
-        // this query's snapshot planned against; scan exactly the
-        // snapshot's extent so the result is bit-identical to a store
-        // sealed at plan time.
-        let payload = match &src {
-            RegionData::Mem(p) if (p.len() as u64) > span.len => {
-                Some(Arc::new(p.slice(0, span.len as usize)))
-            }
-            RegionData::Mem(p) => Some(Arc::clone(p)),
-            RegionData::Cold(_) => None,
-        };
-        let sel = match self.candidates {
-            None => {
-                st.work.elements_scanned += src.len().min(span.len);
-                // The read and the scan charge above are unconditional;
-                // only the kernel invocation itself is served from the
-                // cache, so the simulated accounting of a hit equals a
-                // miss exactly.
-                let cached = if ctx.use_cache {
-                    st.qcache.get_scan(*object, *region, span.len, interval)
-                } else {
-                    None
-                };
-                match cached {
-                    Some(sel) => sel,
-                    None => {
-                        let sel = match (&payload, &src) {
-                            (Some(payload), _) => {
-                                kernels::scan_interval(payload, interval, span.offset)
-                            }
-                            (None, RegionData::Cold(cold)) => {
-                                let mut sels = scan_cold_whole(
-                                    cold,
-                                    std::slice::from_ref(interval),
-                                    span.offset,
-                                    span.len,
-                                )?;
-                                sels.swap_remove(0)
-                            }
-                            (None, RegionData::Mem(_)) => unreachable!("payload set for Mem"),
-                        };
-                        if ctx.use_cache {
-                            st.qcache.put_scan(*object, *region, span.len, interval, sel.clone());
-                        }
-                        sel
+        let rid = RegionId::new(*object, *region);
+        let (odms, cost, n) = (ctx.odms, ctx.cost, ctx.n_servers);
+        let sel = st.read_region(odms, cost, rid, n, span.len, true, |st, view| {
+            // Only the plan-time snapshot's extent is scanned: an
+            // in-flight append can grow the stored payload past the span
+            // this query planned against.
+            let extent = view.len().min(span.len);
+            match self.candidates {
+                None => {
+                    st.work.elements_scanned += extent;
+                    // The read and the scan charge are unconditional; only
+                    // the kernel invocation itself is served from the
+                    // cache, so the simulated accounting of a hit equals a
+                    // miss exactly.
+                    let cached = if ctx.use_cache {
+                        st.qcache.get_scan(*object, *region, span.len, interval)
+                    } else {
+                        None
+                    };
+                    if let Some(sel) = cached {
+                        return Ok(sel);
+                    }
+                    let intervals = std::slice::from_ref(interval);
+                    let sel = scan_whole(view, intervals, span.offset, extent)?.swap_remove(0);
+                    if ctx.use_cache {
+                        st.qcache.put_scan(*object, *region, span.len, interval, sel.clone());
+                    }
+                    Ok(sel)
+                }
+                Some(runs) => {
+                    st.work.elements_scanned +=
+                        runs.iter().map(|r| len_in_span(r, span)).sum::<u64>();
+                    // Opportunistic reuse: when some earlier query in the
+                    // batch already scanned this whole (region, interval)
+                    // pair, answer the candidates by one merge with the
+                    // cached full-region selection instead of rescanning —
+                    // the coordinate set is exactly what the scan would
+                    // emit, and the scan charge is the same. `full` lies
+                    // inside the span, so the unclipped runs intersect it
+                    // as the clipped ones would.
+                    let reused = if ctx.use_cache {
+                        st.qcache
+                            .peek_scan(*object, *region, span.len, interval)
+                            .map(|full| full.intersect_runs(runs))
+                    } else {
+                        None
+                    };
+                    match reused {
+                        Some(sel) => Ok(sel),
+                        None => scan_candidates(view, interval, span.offset, extent, runs),
                     }
                 }
             }
-            Some(runs) => {
-                // Opportunistic reuse: when some earlier query in the
-                // batch already scanned this whole (region, interval)
-                // pair, answer the candidates by one merge with the cached
-                // full-region selection instead of rescanning — the
-                // coordinate set is exactly what the scan would emit, and
-                // the scan charge is the same. `full` lies inside the
-                // span, so the unclipped runs intersect it as the clipped
-                // ones would.
-                let reused = if ctx.use_cache {
-                    st.qcache
-                        .peek_scan(*object, *region, span.len, interval)
-                        .map(|full| full.intersect_runs(runs))
-                } else {
-                    None
-                };
-                match (reused, &src, &payload) {
-                    (Some(sel), _, _) => {
-                        st.work.elements_scanned +=
-                            runs.iter().map(|r| len_in_span(r, span)).sum::<u64>();
-                        sel
-                    }
-                    (None, RegionData::Cold(cold), _) => scan_cold_candidates(
-                        cold,
-                        interval,
-                        span,
-                        runs,
-                        &mut st.work.elements_scanned,
-                    )?,
-                    (None, RegionData::Mem(_), Some(payload)) => {
-                        st.work.elements_scanned +=
-                            runs.iter().map(|r| len_in_span(r, span)).sum::<u64>();
-                        let mut out = Vec::new();
-                        kernels::filter_runs(
-                            payload,
-                            interval,
-                            payload.len(),
-                            runs,
-                            span.offset,
-                            &mut out,
-                        );
-                        Selection::from_canonical_runs(out)
-                    }
-                    (None, RegionData::Mem(_), None) => unreachable!("payload set for Mem"),
-                }
-            }
-        };
+        })?;
         st.settle_cpu(ctx.cost, &before);
         Ok(sel)
     }
@@ -631,18 +599,12 @@ impl IndexProbeOp {
         } else {
             None
         };
+        let rid = RegionId::new(*object, *region);
+        let (odms, cost, n) = (ctx.odms, ctx.cost, ctx.n_servers);
         if let Some(entry) = cached {
             if entry.needs_data_read {
-                // Replayed candidate read: only the charges matter, so a
-                // spilled region stays cold (no materialization).
-                st.read_data_source(
-                    ctx.odms,
-                    ctx.cost,
-                    RegionId::new(*object, *region),
-                    ctx.n_servers,
-                    span.len,
-                    true,
-                )?;
+                // Replayed candidate read: only the charges matter.
+                st.read_region(odms, cost, rid, n, span.len, true, |_, _| Ok(()))?;
                 st.work.elements_scanned += entry.candidates_count;
             }
             st.settle_cpu(ctx.cost, &before);
@@ -655,16 +617,13 @@ impl IndexProbeOp {
         let needs_data_read = ans.needs_candidate_check();
         let candidates_count = ans.candidates.count();
         let local = if needs_data_read {
-            // Boundary bins: read the region's data and verify candidates.
-            let payload = st.read_data_region(
-                ctx.odms,
-                ctx.cost,
-                RegionId::new(*object, *region),
-                ctx.n_servers,
-                span.len,
-            )?;
-            st.work.elements_scanned += candidates_count;
-            let confirmed = kernels::filter_selection(&payload, interval, &ans.candidates);
+            // Boundary bins: read the region's data and verify the
+            // candidates (region-local runs) block by block.
+            let candidates = ans.candidates.runs();
+            let confirmed = st.read_region(odms, cost, rid, n, span.len, true, |st, view| {
+                st.work.elements_scanned += candidates_count;
+                scan_candidates(view, interval, 0, view.len().min(span.len), candidates)
+            })?;
             ans.sure.union(&confirmed)
         } else {
             ans.sure

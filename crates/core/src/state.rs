@@ -5,44 +5,12 @@ use pdc_bitmap::BinnedBitmapIndex;
 use pdc_odms::Odms;
 use pdc_server::FaultProbe;
 use pdc_storage::{
-    CacheSlot, ColdRegion, CostModel, IntegrityCounters, IoCounters, ReadPattern, RegionCache,
+    BlockView, CacheSlot, CostModel, IntegrityCounters, IoCounters, ReadPattern, RegionCache,
     SimClock, SimDuration, StorageTier, StoredPayload, WorkCounters,
 };
-use pdc_types::{ObjectId, PdcResult, RegionId, TypedVec};
+use pdc_types::{ObjectId, PdcError, PdcResult, RegionId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-
-/// A readable view of one data region: either the whole decoded payload
-/// pinned in memory, or a block-granular handle onto a spilled region's
-/// compressed file. Operators that can stream (interval scans) consume
-/// `Cold` block by block through the budgeted block cache; everything
-/// else materializes.
-///
-/// The simulated accounting is identical for both variants — which one a
-/// read returns depends only on physical residency, which the cost model
-/// deliberately cannot see.
-#[derive(Debug, Clone)]
-pub enum RegionData {
-    /// Whole payload resident in memory.
-    Mem(Arc<TypedVec>),
-    /// Spilled region served block-wise from the out-of-core store.
-    Cold(ColdRegion),
-}
-
-impl RegionData {
-    /// Element count of the region's payload.
-    pub fn len(&self) -> u64 {
-        match self {
-            RegionData::Mem(p) => p.len() as u64,
-            RegionData::Cold(c) => c.len(),
-        }
-    }
-
-    /// Whether the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// The persistent state of one logical PDC server.
 ///
@@ -158,34 +126,79 @@ impl ServerState {
         }
     }
 
-    /// Read a data region, charging simulated time: DRAM bandwidth on a
-    /// cache hit, a PFS aggregated read on a miss (then cache it).
+    /// The one charged read of a data region: hand `scan` the region's
+    /// [`BlockView`] and return what it computes.
+    ///
+    /// Charges DRAM bandwidth on a cache hit and the tier-appropriate read
+    /// on a miss, the same for a resident and a spilled region (regions
+    /// are the unit of simulated I/O; compression is physical only). A
+    /// miss then seeds the cache with the view's slot ([`BlockView::cache_slot`],
+    /// the one seeding rule) when `cache_on_miss` is set — PDC caches regions
+    /// during *query evaluation*, not during data retrieval, which is why
+    /// `PDC-HI` pays storage reads on every `get data` (paper §VI-A) while
+    /// `PDC-H` serves them from the regions its evaluation already cached.
     ///
     /// `min_elems` is the element count the caller's plan-time snapshot
-    /// expects the region to hold (its span length; 0 when unknown): a
-    /// resident copy cached before a streaming append grew the region is
-    /// shorter than that, and serving it would silently drop the tail —
-    /// such a copy is treated as a miss and refetched from the store.
-    pub fn read_data_region(
+    /// expects the region to hold (its span length): a resident copy
+    /// cached before a streaming append grew the region is shorter than
+    /// that, and serving it would silently drop the tail — such a copy is
+    /// treated as a miss and refetched from the store.
+    ///
+    /// A miss verifies the whole region, as the store's checksum does for
+    /// a resident payload: a spilled region has every block's frame
+    /// checked. **One failure path:** a payload or block that fails its
+    /// check makes the store quarantine the region; it is repaired from
+    /// its pristine durable copy — on a miss charging one extra modelled
+    /// read to the integrity lane, plus `checksum_failures` and
+    /// `repaired_regions`; a hit was served from server memory in the
+    /// model, so its repair is host-side only — and `scan` runs again from
+    /// the work counters it started with. When no pristine copy verifies,
+    /// the typed error propagates.
+    #[allow(clippy::too_many_arguments)]
+    pub fn read_region<T>(
         &mut self,
         odms: &Odms,
         cost: &CostModel,
         rid: RegionId,
         concurrency: u32,
         min_elems: u64,
-    ) -> PdcResult<Arc<TypedVec>> {
-        match self.cache_lookup(cost, rid, min_elems)? {
-            Some(CacheSlot::Hot(p)) => Ok(p),
-            // The hit was charged identically to a hot one; the caller
-            // needs the whole payload, so decode it transiently
-            // (host-side — the store copy stays spilled and no further
-            // simulated time accrues).
-            Some(CacheSlot::Cold { .. }) => Self::materialize_whole(odms, rid),
-            None => {
-                let payload = self.read_from_tier(odms, cost, rid, concurrency)?;
-                self.cache_payload(odms, rid, &payload);
-                Ok(payload)
+        cache_on_miss: bool,
+        mut scan: impl FnMut(&mut Self, &BlockView) -> PdcResult<T>,
+    ) -> PdcResult<T> {
+        let slot = self.cache_lookup(cost, rid, min_elems)?;
+        let missed = slot.is_none();
+        if missed {
+            let bytes = odms.store().payload_size(rid).ok_or(PdcError::NoSuchRegion(rid))?;
+            self.charge_tier_read(cost, odms.store().tier_of(rid)?, bytes, concurrency);
+        }
+        let work = self.work;
+        let mut attempt = |st: &mut Self| {
+            let view = match &slot {
+                Some(CacheSlot::Hot(p)) => BlockView::from(Arc::clone(p)),
+                _ => open_view(odms, rid, true)?,
+            };
+            if missed {
+                view.check()?;
+                if cache_on_miss {
+                    st.cache.put_slot(rid, view.cache_slot());
+                }
             }
+            scan(st, &view)
+        };
+        match attempt(self) {
+            Err(_) if confirm_corrupt(odms, rid) => {
+                let bytes = odms.store().repair(rid)?;
+                if missed {
+                    self.integrity.checksum_failures += 1;
+                    self.integrity.repaired_regions += 1;
+                    let t = cost.pfs.read_cost(bytes, 1, concurrency, ReadPattern::Aggregated);
+                    self.clock.advance(t);
+                    self.integrity_time += t;
+                }
+                self.work = work;
+                attempt(self)
+            }
+            res => res,
         }
     }
 
@@ -214,138 +227,13 @@ impl ServerState {
         Ok(None)
     }
 
-    /// Insert a just-read payload into the region cache: a hot slot when
-    /// the store copy is resident, a cold slot of the same byte footprint
-    /// when it is spilled — so admission and eviction decisions are
-    /// bit-identical either way while a spilled region's decoded bytes
-    /// are not pinned.
-    fn cache_payload(&mut self, odms: &Odms, rid: RegionId, payload: &Arc<TypedVec>) {
-        if odms.store().is_spilled(rid) {
-            self.cache.put_cold(rid, payload.size_bytes(), payload.len() as u64);
-        } else {
-            self.cache.put(rid, Arc::clone(payload));
-        }
-    }
-
-    /// Decode a region's full payload host-side with no simulated
-    /// charges (the caller already charged the access).
-    fn materialize_whole(odms: &Odms, rid: RegionId) -> PdcResult<Arc<TypedVec>> {
-        let (payload, _) = odms.store().get(rid)?;
-        match payload {
-            StoredPayload::Typed(v) => Ok(v),
-            StoredPayload::Raw(_) => Err(pdc_types::PdcError::Storage(format!(
-                "region {rid} holds raw bytes, not typed data"
-            ))),
-        }
-    }
-
-    /// Read a data region as a [`RegionData`] source, charging exactly
-    /// what [`Self::read_data_region`] charges: DRAM on a cache hit, the
-    /// tier-appropriate read on a miss. The difference is purely
-    /// physical — a clean spilled region comes back as a block-granular
-    /// [`RegionData::Cold`] handle instead of a materialized payload, so
-    /// streaming consumers (interval scans, prewarm) decode one block at
-    /// a time through the budgeted block cache and never pin the whole
-    /// region.
-    ///
-    /// A quarantined spilled region takes the materializing path so its
-    /// corruption is detected and repaired with the same integrity-lane
-    /// charges as a resident one.
-    pub fn read_data_source(
-        &mut self,
-        odms: &Odms,
-        cost: &CostModel,
-        rid: RegionId,
-        concurrency: u32,
-        min_elems: u64,
-        cache_on_miss: bool,
-    ) -> PdcResult<RegionData> {
-        match self.cache_lookup(cost, rid, min_elems)? {
-            Some(CacheSlot::Hot(p)) => return Ok(RegionData::Mem(p)),
-            Some(CacheSlot::Cold { .. }) => {
-                if let Some(cold) = odms.store().cold_region(rid) {
-                    return Ok(RegionData::Cold(cold));
-                }
-                // Slot outlived the spill (the region was rewritten
-                // resident): serve the store copy. The hit is already
-                // charged, as it would be for a stale hot slot.
-                return Self::materialize_whole(odms, rid).map(RegionData::Mem);
-            }
-            None => {}
-        }
-        if !odms.store().is_quarantined(rid) {
-            if let Some(cold) = odms.store().cold_region(rid) {
-                if cold.len() >= min_elems {
-                    // Clean spilled typed region: charge the identical
-                    // tier read the materializing path would charge
-                    // (regions are the unit of simulated I/O; compression
-                    // is physical only), then hand back the streaming
-                    // handle.
-                    let bytes = cold.size_bytes();
-                    let tier = odms.store().tier_of(rid)?;
-                    self.charge_tier_read(cost, tier, bytes, concurrency);
-                    if cache_on_miss {
-                        self.cache.put_cold(rid, bytes, cold.len());
-                    }
-                    return Ok(RegionData::Cold(cold));
-                }
-            }
-        }
-        let payload = self.read_from_tier(odms, cost, rid, concurrency)?;
-        if cache_on_miss {
-            self.cache_payload(odms, rid, &payload);
-        }
-        Ok(RegionData::Mem(payload))
-    }
-
-    /// Fetch a region's payload from wherever it resides in the storage
-    /// hierarchy, charging the tier-appropriate cost: DRAM-resident
-    /// regions at memory speed, burst-buffer regions at node-local flash
-    /// speed (no cross-server contention), PFS regions through the shared
-    /// Lustre model.
-    fn read_from_tier(
-        &mut self,
-        odms: &Odms,
-        cost: &CostModel,
-        rid: RegionId,
-        concurrency: u32,
-    ) -> PdcResult<Arc<TypedVec>> {
-        let (payload, tier) = match odms.store().get(rid) {
-            Ok(pt) => pt,
-            Err(pdc_types::PdcError::CorruptRegion { .. }) => {
-                // Checksum mismatch: restore the region from its pristine
-                // durable copy (one extra modeled read, charged to the
-                // integrity lane — not the query's I/O counters) and
-                // retry. When no pristine copy verifies, the corruption
-                // is unrecoverable and the typed error propagates.
-                self.integrity.checksum_failures += 1;
-                let bytes = odms.store().repair(rid)?;
-                self.integrity.repaired_regions += 1;
-                let t = cost.pfs.read_cost(bytes, 1, concurrency, ReadPattern::Aggregated);
-                self.clock.advance(t);
-                self.integrity_time += t;
-                odms.store().get(rid)?
-            }
-            Err(e) => return Err(e),
-        };
-        let payload = match payload {
-            StoredPayload::Typed(v) => v,
-            StoredPayload::Raw(_) => {
-                return Err(pdc_types::PdcError::Storage(format!(
-                    "region {rid} holds raw bytes, not typed data"
-                )))
-            }
-        };
-        self.charge_tier_read(cost, tier, payload.size_bytes(), concurrency);
-        Ok(payload)
-    }
-
     /// Charge the tier-appropriate simulated read for `bytes` fetched
-    /// from `tier`, then consume the fault probe's injected transient
-    /// corrupt read when armed (the checksum catches it on arrival; one
-    /// re-read, charged to the integrity lane, satisfies the request).
-    /// Shared by the materializing and block-streaming miss paths so
-    /// their simulated accounting is bit-identical.
+    /// from `tier` — DRAM-resident regions at memory speed, burst-buffer
+    /// regions at node-local flash speed (no cross-server contention),
+    /// PFS regions through the shared Lustre model — then consume the
+    /// fault probe's injected transient corrupt read when armed (the
+    /// checksum catches it on arrival; one re-read, charged to the
+    /// integrity lane, satisfies the request).
     fn charge_tier_read(
         &mut self,
         cost: &CostModel,
@@ -377,26 +265,6 @@ impl ServerState {
             let t = cost.pfs.read_cost(bytes, 1, concurrency, ReadPattern::Aggregated);
             self.clock.advance(t);
             self.integrity_time += t;
-        }
-    }
-
-    /// Like [`Self::read_data_region`], but without inserting into the
-    /// cache on a miss: PDC caches regions during *query evaluation*, not
-    /// during data retrieval — which is why `PDC-HI` pays storage reads
-    /// on every `get data` (paper §VI-A) while `PDC-H` serves them from
-    /// the regions its evaluation already cached.
-    pub fn read_data_region_uncached(
-        &mut self,
-        odms: &Odms,
-        cost: &CostModel,
-        rid: RegionId,
-        concurrency: u32,
-        min_elems: u64,
-    ) -> PdcResult<Arc<TypedVec>> {
-        match self.cache_lookup(cost, rid, min_elems)? {
-            Some(CacheSlot::Hot(p)) => Ok(p),
-            Some(CacheSlot::Cold { .. }) => Self::materialize_whole(odms, rid),
-            None => self.read_from_tier(odms, cost, rid, concurrency),
         }
     }
 
@@ -480,11 +348,35 @@ impl ServerState {
     }
 }
 
+/// Open `rid`'s block view, uncharged. The store decides residency: a
+/// spilled typed region is its cold handle; anything else is the store
+/// copy as one decoded block, checksum-verified unless `verify` is off
+/// (advisory readers whose artifacts are epoch-keyed).
+pub(crate) fn open_view(odms: &Odms, rid: RegionId, verify: bool) -> PdcResult<BlockView> {
+    if let Some(cold) = odms.store().cold_region(rid) {
+        return Ok(cold.into());
+    }
+    let (payload, _) =
+        if verify { odms.store().get(rid)? } else { odms.store().get_unverified(rid)? };
+    match payload {
+        StoredPayload::Typed(v) => Ok(v.into()),
+        StoredPayload::Raw(_) => {
+            Err(PdcError::Storage(format!("region {rid} holds raw bytes, not typed data")))
+        }
+    }
+}
+
+/// Whether a failed read met a corrupt region: the store's verified read
+/// quarantines it and says so.
+fn confirm_corrupt(odms: &Odms, rid: RegionId) -> bool {
+    matches!(odms.store().verify(rid), Err(PdcError::CorruptRegion { .. }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pdc_odms::ImportOptions;
-    use pdc_types::ContainerId;
+    use pdc_types::{ContainerId, TypedVec};
 
     fn setup() -> (Odms, ObjectId) {
         let odms = Odms::new(4);
@@ -496,24 +388,94 @@ mod tests {
         (odms, obj)
     }
 
+    /// A read whose scan only reports the view's shape.
+    fn read(st: &mut ServerState, odms: &Odms, rid: RegionId, cache_on_miss: bool) -> (u64, u32) {
+        let cost = CostModel::cori_like();
+        st.read_region(odms, &cost, rid, 4, 0, cache_on_miss, |_, v| Ok((v.len(), v.n_blocks())))
+            .unwrap()
+    }
+
     #[test]
     fn data_read_miss_then_hit() {
         let (odms, obj) = setup();
-        let cost = CostModel::cori_like();
         let mut st = ServerState::new(1 << 20);
         let rid = RegionId::new(obj, 0);
 
         let t0 = st.clock.now();
-        st.read_data_region(&odms, &cost, rid, 4, 0).unwrap();
+        assert_eq!(read(&mut st, &odms, rid, true), (1024, 1), "one decoded block");
         let miss_time = st.elapsed_since(t0);
         assert_eq!(st.io.cache_misses, 1);
         assert_eq!(st.io.pfs_read_requests, 1);
 
         let t1 = st.clock.now();
-        st.read_data_region(&odms, &cost, rid, 4, 0).unwrap();
+        read(&mut st, &odms, rid, true);
         let hit_time = st.elapsed_since(t1);
         assert_eq!(st.io.cache_hits, 1);
         assert!(miss_time > hit_time * 5, "miss {miss_time} vs hit {hit_time}");
+    }
+
+    #[test]
+    fn cold_slot_hit_reads_the_spilled_view_at_dram_cost() {
+        let (odms, obj) = setup();
+        let dir = std::env::temp_dir().join(format!("pdc_state_cold_{}", std::process::id()));
+        odms.store().configure_spill(&dir, 0, 1 << 20).unwrap();
+        let rid = RegionId::new(obj, 0);
+        assert!(odms.store().is_spilled(rid));
+        let mut st = ServerState::new(1 << 20);
+        read(&mut st, &odms, rid, true);
+        assert!(matches!(st.cache.get(rid), Some(CacheSlot::Cold { bytes: 4096, elems: 1024 })));
+
+        let cost = CostModel::cori_like();
+        let t0 = st.clock.now();
+        let (len, blocks) = read(&mut st, &odms, rid, true);
+        assert_eq!((len, blocks), (1024, 1));
+        assert_eq!(st.elapsed_since(t0), cost.dram.read_cost(4096), "a hit is charged at DRAM");
+        assert_eq!((st.io.cache_hits, st.io.pfs_read_requests), (1, 1));
+        let stats = odms.store().spill_stats().unwrap();
+        assert_eq!(stats.fault_ins, 0, "no whole-region fault-in on a miss or a hit");
+        assert!(odms.store().is_spilled(rid), "the region stays spilled");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_grown_resident_payload_is_scanned_to_the_snapshot_span() {
+        let odms = Odms::new(4);
+        let c = odms.create_container("t");
+        let opts = ImportOptions { region_bytes: 4096, ..Default::default() };
+        let data = TypedVec::Float((0..1500).map(|i| i as f32).collect());
+        let obj = odms.import_array(c, "v", data, &opts).unwrap().object;
+        // Region 1 is the open tail: 476 elements at plan time, then an
+        // append lands in the store before the scan reads it.
+        let rid = RegionId::new(obj, 1);
+        let span = odms.meta().get(obj).unwrap().region_span(1);
+        assert_eq!(span.len, 476);
+        odms.store().append_typed(rid, &TypedVec::Float(vec![0.5; 100])).unwrap();
+
+        let cost = CostModel::cori_like();
+        let mut st = ServerState::new(1 << 20);
+        let every = pdc_types::Interval::open(-1.0, 1e9);
+        let (len, sel) = st
+            .read_region(&odms, &cost, rid, 4, span.len, true, |_, v| {
+                let sels = crate::ops::scan_whole(v, &[every], span.offset, span.len)?;
+                Ok((v.len(), sels.into_iter().next().unwrap()))
+            })
+            .unwrap();
+        assert_eq!(len, 576, "the view holds the grown payload");
+        assert_eq!(sel.count(), 476, "only the snapshot's extent is scanned");
+        assert_eq!(sel.runs().last().unwrap().end(), span.end());
+    }
+
+    #[test]
+    fn a_read_without_cache_on_miss_leaves_the_cache_untouched() {
+        let (odms, obj) = setup();
+        let mut st = ServerState::new(1 << 20);
+        let rid = RegionId::new(obj, 2);
+        read(&mut st, &odms, rid, false);
+        read(&mut st, &odms, rid, false);
+        assert!(st.cache.is_empty());
+        assert_eq!((st.io.cache_misses, st.io.cache_hits, st.io.pfs_read_requests), (2, 0, 2));
+        read(&mut st, &odms, rid, true);
+        assert_eq!(st.cache.len(), 1);
     }
 
     #[test]

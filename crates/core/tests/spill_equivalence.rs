@@ -374,6 +374,78 @@ fn corrupt_spilled_index_region_rebuilds_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A spilled data region corrupted at rest — with no fault plan, so no
+/// preflight sweep repairs it first — must be found by the read path
+/// itself, on every path that reads region data: whole scans, point
+/// checks, index-probe candidate checks and the `get_data` gather. The
+/// first read that misses on it quarantines it, repairs it from its
+/// pristine copy and charges the repair as the unbounded world charges a
+/// corrupt resident region; a read that hits its cold cache slot repairs
+/// it host-side, as the unbounded world's hot slot never sees the damage.
+/// Outcomes and gathered data are identical to the unbounded world's.
+#[test]
+fn corrupt_spilled_data_region_repairs_on_every_read_path() {
+    for strategy in Strategy::ALL {
+        let world_a = build_world(30_000, 8192);
+        let world_b = build_world(30_000, 8192);
+        let dir = spill_dir("corruptread");
+        let unbounded = unbounded_engine(&world_a, strategy, None);
+        let bounded = bounded_engine(&world_b, strategy, None, &dir, 32 << 20);
+        let victim = pdc_types::RegionId::new(world_b.energy, 0);
+        assert!(world_b.odms.store().is_spilled(victim), "{strategy}: the victim must be spilled");
+        let (e, x) = (world_a.energy, world_a.x);
+        let queries = [
+            // Whole scans (PDC-F/H); PDC-HI answers region 0 from the
+            // index alone and reads it in the gather.
+            PdcQuery::range_open(e, 0.5f32, 0.6f32),
+            // Off the bin edges: probe candidate checks (PDC-HI).
+            PdcQuery::range_open(e, 0.513f32, 0.587f32),
+            // `x` near its maximum is the more selective constraint, so
+            // the broad `energy` interval is point-checked in region 0.
+            PdcQuery::range_open(x, 331.0f32, 333.0f32)
+                .and(PdcQuery::range_open(e, 0.01f32, 1.7f32)),
+            // And the other way round.
+            PdcQuery::range_open(e, 0.5f32, 0.52f32)
+                .and(PdcQuery::range_open(x, 1.0f32, 330.0f32)),
+        ];
+        let mut repaired = 0;
+        for (i, q) in queries.iter().enumerate() {
+            // "miss": fresh server caches; "hit": the region sits in the
+            // caches the previous run left.
+            for phase in ["miss", "hit"] {
+                if phase == "miss" {
+                    unbounded.reset_state();
+                    bounded.reset_state();
+                }
+                let seed = 0xC0DE + i as u64;
+                assert!(world_a.odms.store().corrupt(victim, seed).unwrap());
+                assert!(world_b.odms.store().corrupt(victim, seed).unwrap());
+                let ctx = format!("{strategy}, query {i}, {phase}");
+                let a = unbounded.run(q).unwrap();
+                let b = bounded.run(q).unwrap();
+                assert_outcomes_identical(&a, &b, &ctx);
+                repaired += b.integrity.repaired_regions;
+                let ga = unbounded.get_data(&a, world_a.energy).unwrap();
+                let gb = bounded.get_data(&b, world_b.energy).unwrap();
+                assert_eq!(ga.data, gb.data, "{ctx}: gathered data");
+                assert_eq!(ga.elapsed, gb.elapsed, "{ctx}: get_data elapsed");
+                assert_eq!(ga.io, gb.io, "{ctx}: get_data io");
+                assert_eq!(ga.bytes_transferred, gb.bytes_transferred, "{ctx}: get_data bytes");
+                assert_eq!(ga.servers_involved, gb.servers_involved, "{ctx}: get_data servers");
+                let naive =
+                    b.selection.iter_coords().map(|c| world_b.raw_energy[c as usize] as f64);
+                assert!(gb.data.iter_f64().eq(naive), "{ctx}: gathered values are the data");
+            }
+        }
+        if strategy != Strategy::SortedHistogram {
+            assert!(repaired > 0, "{strategy}: a query must have read the corrupt region");
+        }
+        assert_spill_engaged(&world_b, &format!("{strategy} + corrupt spilled region"));
+        drop(bounded);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Candidate scans read a spilled region one block at a time and keep
 /// the decoded block across consecutive candidate runs. Regions of 1 MiB
 /// hold four 64 Ki-element blocks; both variables match in bands that

@@ -41,7 +41,8 @@ pub use cost::{BurstBufferModel, CostModel, CpuModel, NetworkModel, PfsModel, Re
 pub use counters::{CostBreakdown, IntegrityCounters, IoCounters, NetCounters, WorkCounters};
 pub use sim::{SimClock, SimDuration};
 pub use store::{
-    fnv1a64, payload_checksum, ColdRegion, ObjectStore, SpillStats, StorageTier, StoredPayload,
+    fnv1a64, payload_checksum, BlockView, ColdRegion, ObjectStore, SpillStats, StorageTier,
+    StoredPayload,
 };
 
 pub use bytes;

@@ -8,6 +8,7 @@
 //! *pattern* of access (aggregated vs. flat, cached vs. not) is a property
 //! of the reader, not of the store.
 
+use crate::cache::CacheSlot;
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use pdc_blockstore::{blockfile, BlockCache, BlockCacheStats, BlockReader, BulkFnv};
@@ -410,6 +411,102 @@ impl ColdRegion {
         let block = Arc::new(self.reader()?.read_typed_block(b)?);
         self.cache.put(key, Arc::clone(&block));
         Ok(block)
+    }
+}
+
+/// A typed region's data, read block by block wherever it lives. A
+/// resident payload is one already-decoded block spanning `[0, len)`; a
+/// spilled region is its [`ColdRegion`], decoding one frame-checked block
+/// at a time through the shared block cache. Readers walk blocks and never
+/// ask which of the two they hold.
+#[derive(Debug, Clone)]
+pub struct BlockView(Blocks);
+
+#[derive(Debug, Clone)]
+enum Blocks {
+    Decoded(Arc<TypedVec>),
+    Cold(ColdRegion),
+}
+
+impl From<Arc<TypedVec>> for BlockView {
+    fn from(payload: Arc<TypedVec>) -> Self {
+        BlockView(Blocks::Decoded(payload))
+    }
+}
+
+impl From<ColdRegion> for BlockView {
+    fn from(cold: ColdRegion) -> Self {
+        BlockView(Blocks::Cold(cold))
+    }
+}
+
+impl BlockView {
+    /// Element count.
+    pub fn len(&self) -> u64 {
+        match &self.0 {
+            Blocks::Decoded(p) => p.len() as u64,
+            Blocks::Cold(c) => c.len(),
+        }
+    }
+
+    /// Whether the region is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of blocks (a resident payload is one, unless empty).
+    pub fn n_blocks(&self) -> u32 {
+        match &self.0 {
+            Blocks::Decoded(p) => u32::from(!p.is_empty()),
+            Blocks::Cold(c) => c.n_blocks(),
+        }
+    }
+
+    /// Element span `[start, end)` of block `b`.
+    pub fn block_span(&self, b: u32) -> (u64, u64) {
+        match &self.0 {
+            Blocks::Decoded(p) => (0, p.len() as u64),
+            Blocks::Cold(c) => c.block_span(b),
+        }
+    }
+
+    /// Blocks whose element spans intersect `[lo, hi)`.
+    pub fn blocks_overlapping(&self, lo: u64, hi: u64) -> std::ops::Range<u32> {
+        match &self.0 {
+            Blocks::Decoded(p) => 0..u32::from(lo < hi.min(p.len() as u64)),
+            Blocks::Cold(c) => c.blocks_overlapping(lo, hi),
+        }
+    }
+
+    /// Block `b`: the resident payload itself, or a spilled block decoded
+    /// (frame-checked) through the block cache.
+    pub fn read_block(&self, b: u32) -> PdcResult<Arc<TypedVec>> {
+        match &self.0 {
+            Blocks::Decoded(p) => Ok(Arc::clone(p)),
+            Blocks::Cold(c) => c.read_block(b),
+        }
+    }
+
+    /// Check every block's frame without decoding it or touching the
+    /// block cache — with the round trip `demote` verified, a spilled
+    /// region whose frames all check holds its recorded payload. A
+    /// resident payload was checksum-verified when it was read.
+    pub fn check(&self) -> PdcResult<()> {
+        match &self.0 {
+            Blocks::Decoded(_) => Ok(()),
+            Blocks::Cold(c) => c.reader()?.verify_frames(),
+        }
+    }
+
+    /// The region-cache slot this read seeds: a resident payload pins
+    /// its decoded bytes, a spilled region takes a cold slot of the same
+    /// byte footprint and element count, so admission and eviction never
+    /// depend on residency and no decoded spilled bytes are pinned.
+    pub fn cache_slot(&self) -> CacheSlot {
+        match &self.0 {
+            Blocks::Decoded(p) => CacheSlot::Hot(Arc::clone(p)),
+            Blocks::Cold(c) => CacheSlot::Cold { bytes: c.size_bytes(), elems: c.len() },
+        }
     }
 }
 
@@ -997,8 +1094,9 @@ impl ObjectStore {
 
     /// A block-granular read handle for a spilled typed region, or `None`
     /// when the region is resident, raw, missing, or spill is disabled.
-    /// Readers that can stream (interval scans) use this to touch only
-    /// the blocks they need; everything else faults the region in whole.
+    /// Region reads open their [`BlockView`] from this and touch only the
+    /// blocks they need; whole-payload reads ([`Self::get`]) fault the
+    /// region in.
     pub fn cold_region(&self, id: RegionId) -> Option<ColdRegion> {
         let s = self.spill_state()?;
         let handle = {
@@ -1059,16 +1157,22 @@ impl ObjectStore {
         victims.sort_unstable();
         let mut demoted = 0u64;
         for (_, victim) in victims {
-            if !over_budget() || !self.demote(victim, &s)? {
-                break; // fits, or raced away; don't spin
+            if !over_budget() {
+                break;
             }
-            demoted += 1;
+            // A victim that raced away or failed its round trip stays
+            // resident; the next one is tried.
+            demoted += u64::from(self.demote(victim, &s)?);
         }
         Ok(demoted)
     }
 
     /// Demote one region to its block-compressed spill file. Only sealed,
-    /// unquarantined, pristine-free resident regions are eligible.
+    /// unquarantined, pristine-free resident regions are eligible. The
+    /// written file must decode to the recorded payload checksum before
+    /// the region turns spilled — the end-to-end check, since spilled
+    /// reads check only each block's frame — so a file that does not
+    /// round-trip is deleted and the region stays resident.
     fn demote(&self, id: RegionId, s: &SpillState) -> PdcResult<bool> {
         // Snapshot without holding the write lock across file IO.
         let (payload, checksum) = {
@@ -1097,6 +1201,10 @@ impl ObjectStore {
             }
         };
         let handle = ColdHandle { path, kind, raw_bytes: meta.raw_bytes, comp_bytes: meta.comp_bytes };
+        if !Self::materialize(&handle).is_ok_and(|p| payload_checksum(&p) == checksum) {
+            let _ = std::fs::remove_file(&handle.path);
+            return Ok(false);
+        }
         let mut map = self.regions.write();
         let still_clean = map.get(&id).is_some_and(|r| {
             matches!(r.res, Residency::Resident(_)) && r.pristine.is_none() && r.checksum == checksum
@@ -1710,6 +1818,69 @@ mod tests {
         store.put(rid(7, 1), StoredPayload::Raw(Bytes::from_static(b"idx")), StorageTier::Pfs);
         assert!(store.cold_region(rid(7, 1)).is_none());
         assert!(store.cold_region(rid(9, 9)).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn block_view_reads_a_resident_payload_as_one_block() {
+        let v = Arc::new(seeded_floats(100));
+        let view = BlockView::from(Arc::clone(&v));
+        assert_eq!((view.len(), view.n_blocks(), view.block_span(0)), (100, 1, (0, 100)));
+        let cases = [(0, 1, 0..1), (99, 100, 0..1), (0, u64::MAX, 0..1), (100, 101, 0..0)];
+        for (lo, hi, want) in cases.into_iter().chain([(5, 5, 0..0), (9, 3, 0..0)]) {
+            assert_eq!(view.blocks_overlapping(lo, hi), want, "[{lo}, {hi})");
+        }
+        assert!(Arc::ptr_eq(&view.read_block(0).unwrap(), &v), "no copy");
+        assert!(matches!(view.cache_slot(), CacheSlot::Hot(p) if Arc::ptr_eq(&p, &v)));
+        view.check().unwrap();
+        let empty = BlockView::from(Arc::new(seeded_floats(0)));
+        assert_eq!((empty.n_blocks(), empty.blocks_overlapping(0, 1)), (0, 0..0));
+
+        // A spilled region's view answers from its cold handle, and its
+        // cache slot carries the same footprint as the resident one.
+        let dir = tmp_dir("view");
+        let store = ObjectStore::new(2);
+        store.configure_spill(&dir, 0, 1 << 20).unwrap();
+        let n = blockfile::DEFAULT_BLOCK_ELEMS as usize + 7; // 2 blocks
+        store.put(rid(7, 0), StoredPayload::Typed(Arc::new(seeded_floats(n))), StorageTier::Pfs);
+        store.seal(rid(7, 0)).unwrap();
+        let cold = store.cold_region(rid(7, 0)).unwrap();
+        let view = BlockView::from(cold.clone());
+        assert_eq!((view.len(), view.n_blocks()), (n as u64, 2));
+        assert_eq!(view.block_span(1), cold.block_span(1));
+        assert_eq!(view.blocks_overlapping(n as u64 - 8, n as u64), 0..2);
+        assert!(matches!(view.cache_slot(),
+            CacheSlot::Cold { bytes, elems } if bytes == 4 * n as u64 && elems == n as u64));
+        let cache = store.spill_stats().unwrap().block_cache;
+        view.check().unwrap();
+        let after = store.spill_stats().unwrap();
+        assert_eq!((after.block_cache.hits, after.block_cache.misses), (cache.hits, cache.misses));
+        assert_eq!(after.fault_ins, 0, "no whole-region fault-in");
+        assert!(store.corrupt(rid(7, 0), 3).unwrap());
+        assert!(BlockView::from(store.cold_region(rid(7, 0)).unwrap()).check().is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn demotion_keeps_a_region_resident_when_its_file_does_not_round_trip() {
+        let dir = tmp_dir("roundtrip");
+        let store = ObjectStore::new(2);
+        store.configure_spill(&dir, 0, 1 << 20).unwrap();
+        let v = seeded_floats(5_000);
+        store.put(rid(10, 0), StoredPayload::Typed(Arc::new(v.clone())), StorageTier::Pfs);
+        // The file demotion writes decodes to the payload, which no longer
+        // matches the recorded checksum.
+        store.regions.write().get_mut(&rid(10, 0)).unwrap().checksum ^= 1;
+        store.seal(rid(10, 0)).unwrap();
+        assert!(!store.is_spilled(rid(10, 0)), "a file that does not round-trip is not trusted");
+        assert_eq!(store.spill_stats().unwrap().demotions, 0);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "the bad file is deleted");
+        // The next victim still demotes, and the round trip is no fault-in.
+        store.put(rid(10, 1), StoredPayload::Typed(Arc::new(v)), StorageTier::Pfs);
+        store.seal(rid(10, 1)).unwrap();
+        assert!(store.is_spilled(rid(10, 1)) && !store.is_spilled(rid(10, 0)));
+        let stats = store.spill_stats().unwrap();
+        assert_eq!((stats.demotions, stats.fault_ins), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

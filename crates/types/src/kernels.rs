@@ -386,26 +386,47 @@ pub fn scan_interval(tv: &TypedVec, interval: &Interval, base: u64) -> Selection
 /// [`scan_interval`] run alone, because per block the same
 /// [`block_mask`] / `mask_runs` pipeline executes per interval.
 pub fn scan_intervals(tv: &TypedVec, intervals: &[Interval], base: u64) -> Vec<Selection> {
-    crate::with_slice!(tv, xs => scan_intervals_slice(xs, intervals, base))
+    let mut outs = vec![Vec::new(); intervals.len()];
+    scan_intervals_into(tv, intervals, tv.len(), base, &mut outs);
+    outs.into_iter().map(Selection::from_canonical_runs).collect()
+}
+
+/// The fused pass of [`scan_intervals`] over `tv[..end]`, appending the
+/// runs of `intervals[k]` to `outs[k]`. A region scanned one block at a
+/// time appends every block to the same run lists, and a run touching the
+/// previous block's last one coalesces with it.
+pub fn scan_intervals_into(
+    tv: &TypedVec,
+    intervals: &[Interval],
+    end: usize,
+    base: u64,
+    outs: &mut [Vec<Run>],
+) {
+    crate::with_slice!(tv, xs => scan_intervals_slice(&xs[..end], intervals, base, outs));
 }
 
 fn scan_intervals_slice<T: ScanElem>(
     xs: &[T],
     intervals: &[Interval],
     base: u64,
-) -> Vec<Selection> {
+    outs: &mut [Vec<Run>],
+) {
     let lowered: Vec<(T, T)> = intervals.iter().map(T::lower).collect();
-    let mut outs: Vec<Vec<Run>> = vec![Vec::new(); intervals.len()];
+    // One interval takes the plain scan loop, which keeps its thresholds
+    // in registers: the fused loop measured about 7 % slower for one
+    // (32 Ki-element f32 regions, 2-vCPU x86-64 host).
+    if let ([(lo, hi)], [out]) = (&lowered[..], &mut *outs) {
+        return scan_runs(xs, *lo, *hi, base, out);
+    }
     for (bi, chunk) in xs.chunks(64).enumerate() {
         let blk_base = base + bi as u64 * 64;
-        for (k, &(lo, hi)) in lowered.iter().enumerate() {
+        for (&(lo, hi), out) in lowered.iter().zip(outs.iter_mut()) {
             let m = block_mask(chunk, lo, hi);
             if m != 0 {
-                mask_runs(m, blk_base, &mut outs[k]);
+                mask_runs(m, blk_base, out);
             }
         }
     }
-    outs.into_iter().map(Selection::from_canonical_runs).collect()
 }
 
 /// The pre-kernel reference scan: per-element enum dispatch through

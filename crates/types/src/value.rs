@@ -266,6 +266,18 @@ impl TypedVec {
         Ok(())
     }
 
+    /// Shorten to the first `len` elements (no-op when not longer).
+    pub fn truncate(&mut self, len: usize) {
+        match self {
+            TypedVec::Float(xs) => xs.truncate(len),
+            TypedVec::Double(xs) => xs.truncate(len),
+            TypedVec::Int32(xs) => xs.truncate(len),
+            TypedVec::UInt32(xs) => xs.truncate(len),
+            TypedVec::Int64(xs) => xs.truncate(len),
+            TypedVec::UInt64(xs) => xs.truncate(len),
+        }
+    }
+
     /// Sub-array `[start, start+len)` as a new owned array.
     pub fn slice(&self, start: usize, len: usize) -> TypedVec {
         match self {
