@@ -30,13 +30,15 @@ cargo test -q $OFFLINE
 # committed BENCH_<name>.json. Every recorded number is a simulated-clock
 # value, a count or an identity, so the two files must be equal byte for
 # byte: drift is a red build, not a manual regeneration. The document
-# must also satisfy a strict JSON parser.
+# must also satisfy a strict JSON parser. The regenerated files stay in
+# $CI_OUT for inspection.
+CI_OUT=$(mktemp -d)
 bench_gate() {
-    target/release/"$1" "/tmp/ci_$1.json"
-    python3 -c 'import json,sys; json.load(sys.stdin)' < "/tmp/ci_$1.json"
-    cmp -s "/tmp/ci_$1.json" "BENCH_$1.json" || {
-        echo "ci: $1 FAILED: /tmp/ci_$1.json differs from the committed BENCH_$1.json:" >&2
-        diff "BENCH_$1.json" "/tmp/ci_$1.json" >&2 || true
+    target/release/"$1" "$CI_OUT/ci_$1.json"
+    python3 -c 'import json,sys; json.load(sys.stdin)' < "$CI_OUT/ci_$1.json"
+    cmp -s "$CI_OUT/ci_$1.json" "BENCH_$1.json" || {
+        echo "ci: $1 FAILED: $CI_OUT/ci_$1.json differs from the committed BENCH_$1.json:" >&2
+        diff "BENCH_$1.json" "$CI_OUT/ci_$1.json" >&2 || true
         exit 1
     }
 }
@@ -276,6 +278,29 @@ echo "$serve_out" | grep -Eq 'tenant +flood: .*\([1-9][0-9]* rejected' || {
     exit 1
 }
 echo "$serve_out" | tail -n 1
+
+echo "== paper-figures gate =="
+# The paper's evaluation on the simulated clock — Figs. 3-6, the §V query
+# catalog, the index overheads, the design ablations and fault injection —
+# from one bin at the default scale. It fails by name where strategies,
+# baselines or fault runs disagree on a result, and records every paper
+# claim beside the paper's band (a claim out of band is recorded, not
+# failed). BENCH_paper.json and the results/*.md pages rendered from it
+# into a results/ directory beside it must equal the committed files byte
+# for byte, and no page may appear or vanish.
+bench_gate paper
+diff <(ls results) <(ls "$CI_OUT/results") >&2 || {
+    echo "ci: paper FAILED: the rendered pages differ in name from results/" >&2
+    exit 1
+}
+for page in results/*.md; do
+    cmp -s "$CI_OUT/$page" "$page" || {
+        echo "ci: paper FAILED: $CI_OUT/$page differs from the committed $page:" >&2
+        diff "$page" "$CI_OUT/$page" >&2 || true
+        exit 1
+    }
+done
+echo "paper figures: BENCH_paper.json and $(ls results | wc -l) results pages identical"
 
 echo "== clippy gate =="
 cargo clippy --release $OFFLINE --workspace --all-targets -- -D warnings

@@ -1,22 +1,13 @@
 //! # pdc-bench
 //!
-//! The reproduction harness: one binary per paper figure and one per
-//! `ci.sh` gate, all over this library — the only place a bin gets a
+//! The reproduction harness: one binary for the paper's figures and one
+//! per `ci.sh` gate, all over this library — the only place a bin gets a
 //! world ([`build_world`]), a strategy table ([`ALL_STRATEGIES`]), a JSON
 //! document ([`Json`]) or a gate verdict ([`Gates`]).
 //!
-//! | Binary | Paper artifact |
-//! |---|---|
-//! | `fig3` | Fig. 3(a–f): single-object query time vs. selectivity, per region size |
-//! | `fig4` | Fig. 4: multi-object queries at the best region size |
-//! | `fig5` | Fig. 5: metadata + data queries on the BOSS catalog |
-//! | `fig6` | Fig. 6: scaling the number of PDC servers |
-//! | `catalog` | §V: the 21-query catalog, target vs. achieved selectivity |
-//! | `overheads` | §VI: index / sorted-copy storage overheads |
-//! | `ablations` | §VII + DESIGN.md §6: design-choice ablations |
-//!
 //! | Gate binary | Writes | Gates on |
 //! |---|---|---|
+//! | `paper` | `BENCH_paper.json` + `results/*.md` beside it | Figs. 3–6, §V catalog, E6 overheads, E7 ablations, E8 faults ([`paper`]): strategies, baselines and fault runs agree; claims recorded against the paper's bands |
 //! | `throughput` | `BENCH_throughput.json` | shared reads, cache hit ratios, simulated batch ≤ Σ sequential |
 //! | `adaptive` | `BENCH_adaptive.json` | PDC-A ≤ best fixed strategy |
 //! | `ingest` | `BENCH_ingest.json` | mid-ingest queries identical to sealed reruns |
@@ -31,9 +22,9 @@
 //! measured only by the referee (`benchmark/`).
 //!
 //! The crate reads exactly four environment variables, all through
-//! [`Scale`]: `PDC_PARTICLES` (default 4,000,000 for the figure bins, a
-//! per-bin default for the gate bins), `PDC_SERVERS` (default 16; gate
-//! bins pin their own), `PDC_BOSS_OBJECTS` (default 5000), `PDC_SEED`.
+//! [`Scale`]: `PDC_PARTICLES` (default 4,000,000 for `paper`, a per-bin
+//! default for the other gate bins), `PDC_SERVERS` (default 16; the other
+//! gate bins pin their own), `PDC_BOSS_OBJECTS` (default 5000), `PDC_SEED`.
 //! An unparsable or zero value is an error (exit 2), never a silent
 //! default. The region-size sweep is scaled 1:256 against the paper
 //! (16 KB–512 KB here ↔ 4 MB–128 MB on the 466 GB Cori objects),
@@ -50,6 +41,8 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
+
+pub mod paper;
 
 /// Every evaluation strategy ([`Strategy::ALL`]), fixed ones first and
 /// `PDC-A` last.
@@ -69,7 +62,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// The figure bins' scale: `PDC_*` environment variables over
+    /// The `paper` bin's scale: `PDC_*` environment variables over
     /// defaults sized for a laptop run. Exits 2 on a bad value.
     pub fn from_env() -> Scale {
         Self::env_or_exit(4_000_000)
@@ -355,46 +348,6 @@ pub fn engine_unscaled<O>(world: &World<O>, strategy: Strategy, servers: u32) ->
     )
 }
 
-/// Markdown table printer.
-pub struct Table {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// A table with the given column headers.
-    pub fn new(header: &[&str]) -> Table {
-        Table { header: header.iter().map(|s| s.to_string()).collect(), rows: Vec::new() }
-    }
-
-    /// Append a row (must match the header arity).
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
-        self.rows.push(cells);
-    }
-
-    /// Render as GitHub-flavoured markdown.
-    pub fn print(&self) {
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let line = |cells: &[String]| {
-            let padded: Vec<String> =
-                cells.iter().enumerate().map(|(i, c)| format!("{:w$}", c, w = widths[i])).collect();
-            println!("| {} |", padded.join(" | "));
-        };
-        line(&self.header);
-        let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-        line(&sep);
-        for row in &self.rows {
-            line(row);
-        }
-    }
-}
-
 /// Format a simulated duration in seconds with fixed precision (tables
 /// align better than the adaptive `Display`).
 pub fn fmt_dur(d: SimDuration) -> String {
@@ -456,6 +409,14 @@ impl Json {
         let Json::Obj(fields) = self else { panic!("Json::set on a non-object") };
         fields.push((key.to_string(), value.into()));
         self
+    }
+
+    /// The value under `key`, if `self` is an object that has one.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
     }
 
     /// Render as an indented document ending in a newline. A container
@@ -568,6 +529,11 @@ impl Gates {
     /// Gates whose document goes to `out_path`.
     pub fn at(out_path: impl Into<PathBuf>) -> Gates {
         Gates { out_path: out_path.into(), failed: Vec::new() }
+    }
+
+    /// Where [`Gates::verdict`] writes the document.
+    pub fn path(&self) -> &Path {
+        &self.out_path
     }
 
     /// Record the named check; returns `ok` so it can be recorded in the
