@@ -97,14 +97,16 @@ echo "$corrupt_out" | grep -q '^integrity:' || {
 echo "integrity smoke: '$corrupt_hits' identical under 5% corruption"
 
 echo "== batch-throughput gate =="
-# On a 32-query overlapping series the concurrent query-series engine
-# must read every region once on behalf of the whole batch, serve >= 90%
-# of plans, artifacts and region touches from its caches, and keep the
-# simulated batch schedule within the sum of the sequential critical
-# paths, with bit-identical results (all checked inside the bin; what
-# that buys in host wall time is the referee's service.batching_gain).
-# A CLI batch smoke checks the user-facing path end to end: batched hits
-# must equal the single-run hits.
+# A closed query series is one client's trace through the service loop:
+# one tenant, every arrival at t = 0. On a 32-query overlapping series
+# the shared-scan group must prewarm each distinct predicate once per
+# region (no region scanned twice for one predicate), serve >= 90% of
+# plans, artifacts and region touches from its caches, and end within
+# the sum of the sequential critical paths, with bit-identical results
+# (all checked inside the bin; what that buys in host wall time is the
+# referee's service.batching_gain). A CLI batch smoke checks the
+# user-facing path end to end: the series' lead hits must equal the
+# single-run hits, and the service report must show all 8 members.
 cargo build --release $OFFLINE -p pdc-bench
 bench_gate throughput
 batch_out=$($PDC query "$SMOKE_Q" $SMOKE_ARGS --queries 8)
@@ -113,8 +115,8 @@ if [ "$clean_hits" != "$batch_hits" ]; then
     echo "ci: batch smoke FAILED: single '$clean_hits' vs batched '$batch_hits'" >&2
     exit 1
 fi
-echo "$batch_out" | grep -q '^batch: 8 queries' || {
-    echo "ci: batch smoke FAILED: no throughput report in batch run" >&2
+echo "$batch_out" | grep -q '^shared scan group: 8 member(s)' || {
+    echo "ci: batch smoke FAILED: no service report in batch run" >&2
     exit 1
 }
 echo "batch smoke: '$batch_hits' identical across 8-query batch"

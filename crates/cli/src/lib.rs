@@ -19,7 +19,8 @@
 
 use pdc_odms::{ImportOptions, Odms};
 use pdc_query::{
-    parse_query, Arrival, EngineConfig, ExplainPlan, QueryEngine, ServiceConfig, Strategy,
+    parse_query, Arrival, EngineConfig, ExplainPlan, QueryEngine, ServiceConfig, ServiceReport,
+    Strategy, TenantSpec,
 };
 use pdc_server::{CorruptionSpec, FaultPlan};
 use pdc_storage::{CostModel, SimDuration};
@@ -100,10 +101,10 @@ pub struct Opts {
     pub spill_dir: Option<String>,
     /// `query`: also fetch the named variable's values for the matches.
     pub get_data: Option<String>,
-    /// `query`: admit the expression this many times as one concurrent
-    /// batch (`> 1` switches to `run_batch` and prints throughput).
+    /// `query`: admit the expression this many times as one client's
+    /// closed series (`> 1` serves it and prints the service report).
     pub queries: u32,
-    /// `query`: extra expressions (one per line) admitted in the same batch.
+    /// `query`: extra expressions (one per line) served in the same series.
     pub batch_file: Option<String>,
     /// `query`: variable pair (`"A,B"`) to register a joint-bounds grid
     /// for before querying.
@@ -747,36 +748,23 @@ fn run_query(expr: &str, opts: &Opts) -> Result<String, String> {
 
     let mut explain_plan = None;
     let outcome = if series.len() > 1 {
-        let batch = engine.run_batch(&series).map_err(|e| e.to_string())?;
+        // One client's closed series: one tenant with an unbounded
+        // budget, every arrival at t = 0.
+        let cfg = ServiceConfig::new(vec![TenantSpec::new("client", 1, SimDuration::MAX, 0)]);
+        let arrivals: Vec<Arrival> = series
+            .iter()
+            .map(|q| Arrival { at: SimDuration::ZERO, tenant: "client".into(), query: q.clone() })
+            .collect();
+        let report = engine.serve(&cfg, &arrivals).map_err(|e| e.to_string())?;
         if opts.explain {
-            // Batch-mode variant: explain the lead query of the series
-            // (operator choices are pure functions of
-            // metadata/histograms/cost, so this is exactly the pipeline
-            // every admission of it ran).
+            // Explain the lead query of the series (operator choices are
+            // pure functions of metadata/histograms/cost, so this is
+            // exactly the pipeline every dispatch of it ran).
             let (_, plan) = engine.explain(&series[0]).map_err(|e| e.to_string())?;
             explain_plan = Some(plan);
         }
-        // Throughput in simulated time: the CLI's output contract is
-        // byte-identical runs for identical flags, so the report must not
-        // include host wall clock (BENCH_throughput.json records that
-        // side).
-        let sim_secs = batch.batch_elapsed.as_secs_f64().max(1e-9);
-        let s = &batch.stats;
-        out.push_str(&format!(
-            "batch: {} queries in simulated {} ({:.2} queries/simulated-s) — \
-             plan cache {}/{} hits, artifact hit ratio {:.1}%, \
-             shared reads saved {}/{}, prewarmed {} regions\n",
-            s.queries,
-            batch.batch_elapsed,
-            s.queries as f64 / sim_secs,
-            s.plan_hits,
-            s.plan_hits + s.plan_misses,
-            s.artifact_hit_ratio() * 100.0,
-            s.resident_reads,
-            s.region_touches,
-            s.prewarm_regions,
-        ));
-        batch.outcomes.into_iter().next().expect("non-empty batch")
+        out.push_str(&format_service_report(&report));
+        report.served.into_iter().next().expect("a closed series serves every arrival").outcome
     } else if opts.explain {
         let (outcome, plan) = engine.explain(&query).map_err(|e| e.to_string())?;
         explain_plan = Some(plan);
@@ -962,6 +950,39 @@ fn run_demo(opts: &Opts) -> Result<String, String> {
     Ok(out)
 }
 
+/// The service report's outcome, per-tenant and shared-scan-group lines
+/// (`pdc serve`, and `pdc query` over a series). Simulated time and
+/// counts only, so identical flags print identical bytes.
+fn format_service_report(report: &ServiceReport) -> String {
+    let mut out = format!(
+        "outcomes: {} completed, {} deferral(s), {} rejected (simulated span {})\n",
+        report.stats.completed, report.stats.deferrals, report.stats.rejected, report.end_time,
+    );
+    for t in report.tenant_summaries() {
+        out.push_str(&format!(
+            "  tenant {:>10}: {:>3}/{} done ({} rejected, {} deferred), \
+             p50 {} p95 {} p99 {}, {:.2} q/s simulated\n",
+            t.name,
+            t.completed,
+            t.submitted,
+            t.rejected,
+            t.deferred,
+            t.p50,
+            t.p95,
+            t.p99,
+            t.throughput_qps,
+        ));
+    }
+    if let Some(g) = &report.group {
+        out.push_str(&format!(
+            "shared scan group: {} member(s) over {} admission(s), {} late join(s), \
+             {} interval(s) admitted, {} region(s) prewarmed\n",
+            g.members, g.admissions, g.late_joins, g.admitted_intervals, g.prewarm_regions,
+        ));
+    }
+    out
+}
+
 fn run_serve(opts: &Opts) -> Result<String, String> {
     let trace_file = opts.trace_file.as_deref().expect("checked: serve has a trace file");
     let text = read_file("--trace-file", trace_file)?;
@@ -1068,32 +1089,7 @@ fn run_serve(opts: &Opts) -> Result<String, String> {
         cfg.quantum,
         if report.group.is_some() { "on" } else { "off" },
     ));
-    out.push_str(&format!(
-        "outcomes: {} completed, {} deferral(s), {} rejected (simulated span {})\n",
-        report.stats.completed, report.stats.deferrals, report.stats.rejected, report.end_time,
-    ));
-    for t in report.tenant_summaries() {
-        out.push_str(&format!(
-            "  tenant {:>10}: {:>3}/{} done ({} rejected, {} deferred), \
-             p50 {} p95 {} p99 {}, {:.2} q/s simulated\n",
-            t.name,
-            t.completed,
-            t.submitted,
-            t.rejected,
-            t.deferred,
-            t.p50,
-            t.p95,
-            t.p99,
-            t.throughput_qps,
-        ));
-    }
-    if let Some(g) = &report.group {
-        out.push_str(&format!(
-            "shared scan group: {} member(s) over {} admission(s), {} late join(s), \
-             {} interval(s) admitted, {} region(s) prewarmed\n",
-            g.members, g.admissions, g.late_joins, g.admitted_intervals, g.prewarm_regions,
-        ));
-    }
+    out.push_str(&format_service_report(&report));
 
     // Equivalence gate: replay the dispatch order sequentially on a twin
     // world; every served outcome must be bit-identical to its solo run
@@ -1348,7 +1344,7 @@ mod tests {
             opts: Opts { explain: true, queries: 4, ..small(50_000, 4) },
         })
         .unwrap();
-        assert!(out.contains("batch: 4 queries"), "{out}");
+        assert!(out.contains("shared scan group: 4 member(s)"), "{out}");
         assert!(out.contains("explain: strategy PDC-H"), "{out}");
     }
 
@@ -1504,13 +1500,14 @@ mod tests {
             opts: Opts { queries: 8, ..small(50_000, 4) },
         })
         .unwrap();
-        assert!(batched.contains("batch: 8 queries"), "{batched}");
-        assert!(batched.contains("queries/simulated-s"), "{batched}");
-        assert!(batched.contains("artifact hit ratio"), "{batched}");
+        assert!(batched.contains("outcomes: 8 completed, 0 deferral(s), 0 rejected"), "{batched}");
+        assert!(batched.contains("tenant     client:   8/8 done"), "{batched}");
+        assert!(batched.contains("q/s simulated"), "{batched}");
+        assert!(batched.contains("shared scan group: 8 member(s)"), "{batched}");
         // The per-query hits line is identical to the single run's.
         let line = |s: &str| s.lines().find(|l| l.contains(" hits (")).unwrap().to_string();
         assert_eq!(line(&single), line(&batched), "single: {single}\nbatched: {batched}");
-        assert!(!single.contains("batch:"), "{single}");
+        assert!(!single.contains("shared scan group"), "{single}");
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::ast::PdcQuery;
 use crate::exec::{eval_plan, EvalCtx};
 use crate::plan::{ObjConstraint, PlanNode, QueryPlan};
 use crate::qcache::{IntervalKey, SharedScanGroup};
-use crate::service::ScheduleClock;
 use crate::recover::run_slots;
 use crate::snapshot::{usable_directory, MetaSnapshot};
 use crate::state::ServerState;
@@ -400,73 +399,6 @@ pub struct GetDataOutcome {
     pub servers_involved: u32,
 }
 
-/// The result of a [`QueryEngine::run_batch`] call: every query's full
-/// outcome (bit-identical to running it alone) plus the batch-level
-/// schedule time and cache statistics.
-#[derive(Debug, Clone)]
-pub struct BatchOutcome {
-    /// Per-query outcomes, in submission order. Each is identical —
-    /// selection, counters, breakdown, per-server times — to what
-    /// [`QueryEngine::run`] returns for the same query on a fresh pool.
-    pub outcomes: Vec<QueryOutcome>,
-    /// Simulated end-to-end time of the batch under the admission
-    /// scheduler: per-query client overheads (broadcast, merge,
-    /// preflight) are serial, but server evaluation overlaps across
-    /// queries, so the evaluation contribution is the per-server
-    /// *makespan* `max_s Σ_q per_server[s]` instead of the sum of
-    /// per-query critical paths. Always ≤ the sum of the individual
-    /// `elapsed` values.
-    pub batch_elapsed: SimDuration,
-    /// Cache and shared-read statistics for the batch.
-    pub stats: BatchStats,
-}
-
-/// Cache effectiveness counters for one [`QueryEngine::run_batch`] call.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchStats {
-    /// Number of queries in the batch.
-    pub queries: u64,
-    /// Plan-cache hits (canonical query tree already planned this epoch).
-    pub plan_hits: u64,
-    /// Plan-cache misses (plans built from scratch).
-    pub plan_misses: u64,
-    /// Artifact-cache hits across all servers (prune verdicts, region
-    /// scans, index answers served without recomputation).
-    pub artifact_hits: u64,
-    /// Artifact-cache misses across all servers.
-    pub artifact_misses: u64,
-    /// Regions the shared-scan prewarm pass loaded and evaluated once
-    /// (in a fused kernel pass) on behalf of the whole batch.
-    pub prewarm_regions: u64,
-    /// Data-region reads served from already-resident copies during
-    /// evaluation (the shared reads the batch did not re-fetch).
-    pub resident_reads: u64,
-    /// Total data-region reads during evaluation (resident + fetched).
-    pub region_touches: u64,
-}
-
-impl BatchStats {
-    /// Artifact-cache hits / lookups; 0 when no lookups happened.
-    pub fn artifact_hit_ratio(&self) -> f64 {
-        let total = self.artifact_hits + self.artifact_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.artifact_hits as f64 / total as f64
-        }
-    }
-
-    /// Plan-cache hits / lookups; 0 when no lookups happened.
-    pub fn plan_hit_ratio(&self) -> f64 {
-        let total = self.plan_hits + self.plan_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.plan_hits as f64 / total as f64
-        }
-    }
-}
-
 /// The client-side canonical-plan cache: normalized query tree (by
 /// [`PdcQuery::canonical_key`]) → built, selectivity-ordered plan plus
 /// the plan-time [`MetaSnapshot`] the evaluation pins. Entries are
@@ -493,7 +425,7 @@ pub struct QueryEngine {
     /// layout). Swapped wholesale on membership changes so in-flight
     /// queries keep their own consistent snapshot.
     placement: Mutex<Arc<Placement>>,
-    /// Monotonic id source for [`SharedScanGroup`]s opened on this engine.
+    /// Monotonic id source for the shared-scan groups `serve` opens.
     scan_group_seq: std::sync::atomic::AtomicU64,
 }
 
@@ -784,9 +716,10 @@ impl QueryEngine {
         self.cfg.cost
     }
 
-    /// Whether an active fault plan injects corruption (crate-internal;
-    /// the service loop skips shared-scan prewarm under corruption for
-    /// the same reason [`Self::run_batch`] does).
+    /// Whether an active fault plan injects corruption. The service loop
+    /// then opens no shared-scan group: each query's verify-and-repair
+    /// preflight must observe the damaged state exactly as a solo run
+    /// would.
     pub(crate) fn corruption_active(&self) -> bool {
         self.cfg.fault_plan.as_ref().and_then(|p| p.corruption()).is_some()
     }
@@ -921,10 +854,10 @@ impl QueryEngine {
     }
 
     /// Shared implementation behind [`Self::run`] (cold, cache-free) and
-    /// [`Self::run_batch`] (`use_cache = true`: plans come from the
+    /// [`Self::serve`] (`use_cache = true`: plans come from the
     /// canonical-plan cache and servers may serve artifacts from their
     /// epoch-validated [`crate::qcache::QueryArtifactCache`]). Also
-    /// returns the slot-evaluation time so the batch scheduler can
+    /// returns the slot-evaluation time so the service timeline can
     /// separate it from the serial client overheads. Caching affects
     /// host wall-clock only: the returned outcome is bit-identical
     /// either way. With `explain` set, servers additionally record one
@@ -943,12 +876,11 @@ impl QueryEngine {
         // single-threaded client keeps the repair charges deterministic
         // (point checks cross slot boundaries). Skipped entirely without
         // an active corruption spec.
-        let (mut integrity, preflight_time) =
-            if self.cfg.fault_plan.as_ref().and_then(|p| p.corruption()).is_some() {
-                crate::integrity::preflight(&self.odms, &self.cfg.cost, self.cfg.num_servers)?
-            } else {
-                (IntegrityCounters::default(), SimDuration::ZERO)
-            };
+        let (mut integrity, preflight_time) = if self.corruption_active() {
+            crate::integrity::preflight(&self.odms, &self.cfg.cost, self.cfg.num_servers)?
+        } else {
+            (IntegrityCounters::default(), SimDuration::ZERO)
+        };
         let Planned { plan, snap, band } =
             if use_cache { self.plan_cached(query)? } else { self.plan_fresh(query)? };
         let sorted_hint = band.sorted_hint(&plan, &snap)?;
@@ -1151,159 +1083,72 @@ impl QueryEngine {
         ))
     }
 
-    /// Evaluate a series of queries as one admitted batch.
-    ///
-    /// Per-query results are **bit-identical** to [`Self::run`] on the
-    /// same pool state — selections, counters, cost breakdowns,
-    /// per-server times, fault and integrity reports (property-tested in
-    /// `tests/batch_equivalence.rs`). What changes is *host* work and
-    /// the batch-level schedule:
-    ///
-    /// - plans are built once per canonical query tree (plan cache);
-    /// - a prewarm pass computes, per server slot, the union of regions
-    ///   the batch touches, and evaluates every pending predicate
-    ///   against each resident typed slice in one fused kernel pass,
-    ///   seeding the per-server artifact caches (shared-scan batching);
-    /// - per-query evaluation then serves prune verdicts, scan
-    ///   selections, and index answers from the caches while replaying
-    ///   the exact simulated accounting of a cold run;
-    /// - `batch_elapsed` charges the serial client overheads per query
-    ///   but overlaps server evaluation across queries (per-server
-    ///   makespan), modelling concurrent in-flight queries.
-    ///
-    /// With an active corruption spec the prewarm pass is skipped (each
-    /// query's preflight must observe the damaged state exactly as a
-    /// sequential run would); caches still warm across the batch.
-    ///
-    /// An empty slice is a typed [`PdcError::InvalidQuery`]: a batch is
-    /// an admission decision, and admitting nothing is a caller bug that
-    /// should never be smoothed over into a zero-time no-op outcome.
-    pub fn run_batch(&self, queries: &[PdcQuery]) -> PdcResult<BatchOutcome> {
-        if queries.is_empty() {
-            return Err(PdcError::InvalidQuery(
-                "run_batch requires at least one query (empty batch)".into(),
-            ));
-        }
-        let corruption =
-            self.cfg.fault_plan.as_ref().and_then(|p| p.corruption()).is_some();
-        let (plan0, art0) = self.cache_counters();
-
-        let prewarm_regions = if corruption {
-            0
-        } else {
-            let mut plans = Vec::with_capacity(queries.len());
-            for q in queries {
-                plans.push(self.plan_cached(q)?);
-            }
-            // The closed-set batch is the degenerate continuous-batching
-            // case: open a group, admit the whole series at once (one
-            // fused pass per region), and never return to it.
-            let mut group = self.open_scan_group();
-            self.admit_to_scan_group(&mut group, &plans)
-        };
-
-        let mut outcomes = Vec::with_capacity(queries.len());
-        let mut clock = ScheduleClock::new(self.cfg.num_servers);
-        for q in queries {
-            let (outcome, eval_time, _) = self.run_impl(q, true, false)?;
-            clock.charge(outcome.elapsed, eval_time, &outcome.per_server);
-            outcomes.push(outcome);
-        }
-
-        let (plan1, art1) = self.cache_counters();
-        let mut stats = BatchStats {
-            queries: queries.len() as u64,
-            plan_hits: plan1.0 - plan0.0,
-            plan_misses: plan1.1 - plan0.1,
-            artifact_hits: art1.0 - art0.0,
-            artifact_misses: art1.1 - art0.1,
-            prewarm_regions,
-            resident_reads: 0,
-            region_touches: 0,
-        };
-        for o in &outcomes {
-            stats.resident_reads += o.io.cache_hits;
-            stats.region_touches += o.io.cache_hits + o.io.cache_misses;
-        }
-        Ok(BatchOutcome { outcomes, batch_elapsed: clock.batch_elapsed(), stats })
-    }
-
     /// Snapshot (plan-cache, artifact-cache) hit/miss totals:
     /// `((plan_hits, plan_misses), (artifact_hits, artifact_misses))`.
     pub(crate) fn cache_counters(&self) -> ((u64, u64), (u64, u64)) {
         let pc = self.plans.lock().unwrap();
         let plan = (pc.hits, pc.misses);
         drop(pc);
-        let per_server = self.pool.broadcast(|_, st| st.qcache.stats);
-        let art = per_server
-            .iter()
-            .fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses));
+        // Read on the calling thread: `serve` takes this snapshot twice
+        // per call, and a broadcast would wake the whole crew for it.
+        let mut art = (0, 0);
+        self.pool.for_each_server(|_, st| {
+            art.0 += st.qcache.stats.hits;
+            art.1 += st.qcache.stats.misses;
+        });
         (plan, art)
     }
 
-    /// Open a fresh [`SharedScanGroup`] stamped at the current store
-    /// epoch. The group is the client-side ledger of one continuous
-    /// batching window: admit any number of plans into it over time with
-    /// `Self::admit_to_scan_group`; each admission prewarms only the
-    /// predicates (and, at region granularity, only the regions) the
-    /// group has not already covered.
-    pub fn open_scan_group(&self) -> SharedScanGroup {
+    /// Open a fresh `SharedScanGroup` stamped at the current store
+    /// epoch: the client-side ledger of one continuous batching window,
+    /// which `Self::admit_to_scan_group` grows one dispatch at a time.
+    pub(crate) fn open_scan_group(&self) -> SharedScanGroup {
         let id = self.scan_group_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         SharedScanGroup::new(id, self.odms.store().epoch())
     }
 
-    /// Admit `plans` into an open shared-scan group and prewarm their
-    /// *new* predicates: intervals the group has already admitted are
-    /// skipped outright, and so is every predicate a plan's sorted band
-    /// answers as a primary (the sorted lane reads none of the per-region
-    /// artifacts a prewarm seeds) — without entering the ledger, so a
-    /// later plan that filters on the same predicate still prewarms it.
-    /// For new intervals the per-region pass skips
-    /// every region whose scan artifact is already cached (the
-    /// `peek_scan` check inside `prewarm_intervals`) — late
-    /// arrivals join the in-flight group at region granularity instead
-    /// of forcing a recompute over the closed set. A store-epoch bump
-    /// since the group opened reopens it (the artifacts it assumed
-    /// cached are invalidated anyway). Returns the number of region
-    /// passes this admission performed.
+    /// Admit one dispatched plan into an open shared-scan group and
+    /// prewarm its *new* predicates: intervals the group has already
+    /// admitted are skipped outright, and so is every predicate the
+    /// plan's sorted band answers as a primary (the sorted lane reads
+    /// none of the per-region artifacts a prewarm seeds) — without
+    /// entering the ledger, so a later plan that filters on the same
+    /// predicate still prewarms it. For new intervals the per-region pass
+    /// skips every region whose scan artifact is already cached (the
+    /// `peek_scan` check inside `prewarm_intervals`), so a member joins
+    /// the group at region granularity. A store-epoch bump since the
+    /// group opened reopens it (the artifacts it assumed cached are
+    /// invalidated anyway).
     ///
     /// Like the caches it feeds, admission is pure host work: no
     /// simulated clocks, counters, or fault probes are touched, so
     /// per-query accounting is unaffected by group membership.
-    pub(crate) fn admit_to_scan_group(&self, group: &mut SharedScanGroup, plans: &[Planned]) -> u64 {
+    pub(crate) fn admit_to_scan_group(&self, group: &mut SharedScanGroup, planned: &Planned) {
         let epoch = self.odms.store().epoch();
         if group.epoch() != epoch {
             group.reopen(epoch);
         }
-        let late = group.stats.admissions > 0;
+        group.stats.late_joins += u64::from(group.stats.admissions > 0);
         group.stats.admissions += 1;
-        group.stats.members += plans.len() as u64;
-        if late {
-            group.stats.late_joins += plans.len() as u64;
-        }
+        group.stats.members += 1;
 
         // The admission's new predicates, grouped by object.
         let mut targets: Vec<(ObjectId, Vec<Interval>)> = Vec::new();
-        for p in plans {
-            for c in p.plan.root.constraints() {
-                if c.interval.is_empty()
-                    || p.band.answers(c)
-                    || !group.try_admit(c.object, &c.interval)
-                {
-                    continue;
-                }
-                match targets.iter_mut().find(|(o, _)| *o == c.object) {
-                    Some((_, ivs)) => ivs.push(c.interval),
-                    None => targets.push((c.object, vec![c.interval])),
-                }
+        for c in planned.plan.root.constraints() {
+            if c.interval.is_empty()
+                || planned.band.answers(c)
+                || !group.try_admit(c.object, &c.interval)
+            {
+                continue;
+            }
+            match targets.iter_mut().find(|(o, _)| *o == c.object) {
+                Some((_, ivs)) => ivs.push(c.interval),
+                None => targets.push((c.object, vec![c.interval])),
             }
         }
-        if targets.is_empty() {
-            return 0;
+        if !targets.is_empty() {
+            group.stats.prewarm_regions += self.prewarm_intervals(&targets);
         }
-        let loaded = self.prewarm_intervals(&targets);
-        group.stats.prewarm_regions += loaded;
-        loaded
     }
 
     /// The shared-scan prewarm pass: for each server slot, walk the

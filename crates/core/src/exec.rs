@@ -67,7 +67,7 @@ pub struct EvalCtx<'a> {
     /// The slot this evaluation covers (`< n_slots`).
     pub server: u32,
     /// Consult the per-server [`crate::qcache::QueryArtifactCache`]
-    /// (batch mode). A hit skips host recomputation only — every
+    /// (the service loop). A hit skips host recomputation only — every
     /// simulated counter and clock charge is replayed exactly as on a
     /// miss, so results and cost breakdowns are bit-identical either
     /// way.

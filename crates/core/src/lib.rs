@@ -31,7 +31,7 @@
 //!   (the H5BOSS scenario of §VI-C).
 //! * [`qcache`] — per-server, epoch-invalidated caches of query
 //!   artifacts (prune verdicts, region-scan selections, index answers)
-//!   powering [`QueryEngine::run_batch`]'s shared-scan batching. Hits
+//!   powering [`QueryEngine::serve`]'s shared-scan batching. Hits
 //!   skip host recomputation only; simulated costs replay exactly.
 //! * [`integrity`] — data-plane integrity: deterministic corruption
 //!   injection and the client-side verify-and-repair preflight sweep;
@@ -62,18 +62,17 @@ pub mod state;
 pub use ast::PdcQuery;
 pub use parse::parse_query;
 pub use engine::{
-    BatchOutcome, BatchStats, EngineConfig, GetDataOutcome, MembershipReport, QueryEngine,
-    QueryOutcome, SortedHint, Strategy,
+    EngineConfig, GetDataOutcome, MembershipReport, QueryEngine, QueryOutcome, SortedHint,
+    Strategy,
 };
 pub use ops::{
     directory_stats, estimate_plan_cost, DirectoryStats, ExplainPhase, ExplainPlan,
     JointContext, OpKind, RegionExplain,
 };
-pub use qcache::{CacheStats, GroupStats, QueryArtifactCache, SharedScanGroup};
+pub use qcache::{CacheStats, GroupStats, QueryArtifactCache};
 pub use service::{
-    percentile, poisson_times, splitmix64, Arrival, RejectedQuery, ScheduleClock,
-    ServedQuery, ServiceConfig, ServiceReport, ServiceStats, TenantSpec, TenantSummary,
-    TraceEvent,
+    percentile, poisson_times, splitmix64, Arrival, RejectedQuery, ServedQuery, ServiceConfig,
+    ServiceReport, ServiceStats, TenantSpec, TenantSummary, TraceEvent,
 };
 pub use integrity::{apply_corruption, preflight, CorruptionReport};
 pub use multi::MetaDataQueryOutcome;

@@ -104,8 +104,8 @@ pub struct RegionTask {
 
 /// The shared prune formula: a region is eliminated when the histogram's
 /// upper hit bound for the interval is zero (subsumes the min/max test).
-/// Every lane — primary, point check, counts, batch prewarm — must agree
-/// on this verdict bit-for-bit, which is why it lives here.
+/// Every lane — primary, point check, counts, shared-scan prewarm — must
+/// agree on this verdict bit-for-bit, which is why it lives here.
 pub fn prune_verdict(h: &Histogram, interval: &Interval) -> bool {
     h.estimate_hits(interval).upper == 0
 }
@@ -520,7 +520,7 @@ impl ScanExactOp<'_> {
                     st.work.elements_scanned +=
                         runs.iter().map(|r| len_in_span(r, span)).sum::<u64>();
                     // Opportunistic reuse: when some earlier query in the
-                    // batch already scanned this whole (region, interval)
+                    // series already scanned this whole (region, interval)
                     // pair, answer the candidates by one merge with the
                     // cached full-region selection instead of rescanning —
                     // the coordinate set is exactly what the scan would

@@ -1,13 +1,13 @@
-//! Per-server cache of query-evaluation artifacts for batched query
+//! Per-server cache of query-evaluation artifacts for served query
 //! series: histogram prune verdicts, full-region scan selections, and
 //! bitmap-index answers, keyed by `(object, region, interval)`.
 //!
 //! The cache trades **host CPU** only. A hit lets the server skip
 //! recomputing a pure artifact (a kernel scan, an `estimate_hits` walk,
 //! an index probe) while the simulated accounting — reads, counters,
-//! clock charges — is replayed exactly as on a miss, so batched results
+//! clock charges — is replayed exactly as on a miss, so served results
 //! and cost breakdowns stay bit-identical to a cache-free sequential
-//! run (property-tested in `tests/batch_equivalence.rs`).
+//! run (property-tested in `tests/service_equivalence.rs`).
 //!
 //! **Invalidation** is epoch-based: [`pdc_storage::ObjectStore`] bumps a
 //! monotonic epoch on every data mutation (put / remove / migrate /
@@ -20,7 +20,7 @@
 //! The cache is **budgeted**: entries are charged by their run-list wire
 //! size and the whole cache resets when the budget would overflow (the
 //! same whole-map policy the index cache uses — entries are cheap to
-//! refill from the next batch pass).
+//! refill from the next prewarm pass).
 
 use pdc_types::{Interval, ObjectId, Selection};
 use std::collections::{HashMap, HashSet};
@@ -64,13 +64,13 @@ type Key = (ObjectId, u32, u64, IntervalKey);
 /// "no joint context" (no grids registered for the object's pairs).
 type PruneKey = (ObjectId, u32, u64, u64, IntervalKey);
 
-/// Membership statistics of one [`SharedScanGroup`].
+/// Membership statistics of one shared-scan group (`SharedScanGroup`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupStats {
     /// Plans admitted into the group (over all admission calls).
     pub members: u64,
-    /// Members admitted *after* the group's first admission — the open
-    /// continuous-batching case a closed batch can never produce.
+    /// Members admitted *after* the group's first admission (they join
+    /// a group whose earlier members' artifacts are already cached).
     pub late_joins: u64,
     /// Admission calls the group absorbed.
     pub admissions: u64,
@@ -87,23 +87,20 @@ pub struct GroupStats {
 }
 
 /// An **open** shared-scan group: the client-side membership ledger of
-/// one continuous-batching window. Where the closed `run_batch` path
-/// collects the whole series' deduplicated `(object, interval)` set up
-/// front and prewarms it once, a group stays open — each
-/// `QueryEngine::admit_to_scan_group` call folds a
-/// late arrival's *new* predicates into the set and prewarms only the
-/// regions those predicates still need (already-cached `(region,
-/// interval)` artifacts are skipped via
-/// [`QueryArtifactCache::peek_scan`], so late admission is incremental
-/// at region granularity). The group is epoch-stamped: any store
-/// mutation invalidates the per-server artifacts, so the group drops
-/// its ledger and rebuilds on the next admission.
+/// one continuous-batching window. Each
+/// `QueryEngine::admit_to_scan_group` call folds one dispatched plan's
+/// *new* predicates into the set and prewarms only the regions those
+/// predicates still need (already-cached `(region, interval)` artifacts
+/// are skipped via [`QueryArtifactCache::peek_scan`], so admission is
+/// incremental at region granularity). The group is epoch-stamped: any
+/// store mutation invalidates the per-server artifacts, so the group
+/// drops its ledger and rebuilds on the next admission.
 ///
 /// Purely host-side, like the caches it feeds: group membership changes
 /// wall-clock sharing only, never a query's selection or simulated
 /// cost breakdown.
 #[derive(Debug)]
-pub struct SharedScanGroup {
+pub(crate) struct SharedScanGroup {
     id: u64,
     epoch: u64,
     seen: HashSet<(ObjectId, IntervalKey)>,
@@ -145,11 +142,6 @@ impl SharedScanGroup {
         }
         new
     }
-
-    /// Number of distinct predicates currently in the ledger.
-    pub fn num_predicates(&self) -> usize {
-        self.seen.len()
-    }
 }
 
 /// Replay record for a region answered from its bitmap index: enough to
@@ -166,7 +158,8 @@ pub struct IndexedEntry {
     pub selection: Selection,
 }
 
-/// Hit/miss counters, reported by the batch frontend.
+/// Hit/miss counters, summed into [`crate::ServiceStats`]' artifact
+/// counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     /// Artifact lookups served from the cache.

@@ -1,7 +1,8 @@
-//! The multi-tenant, admission-controlled **service loop** (ROADMAP
-//! item 2): the front-end that turns the engine's one-shot / closed-batch
-//! execution surface into a long-running server for open-loop arrival
-//! streams.
+//! The multi-tenant, admission-controlled **service loop**, the
+//! engine's one multi-query path. It replays an arrival schedule in
+//! simulated time: an open-loop trace of timestamped arrivals from many
+//! tenants, or one client's closed series (one tenant with an unbounded
+//! budget, every arrival at t = 0).
 //!
 //! Three mechanisms, layered over the unchanged execution core:
 //!
@@ -20,13 +21,10 @@
 //!   are typed outcomes ([`TraceEvent::Defer`] / [`RejectedQuery`]),
 //!   never silent drops. A tenant with zero in-flight work always admits
 //!   its head query, so an oversized estimate cannot livelock a tenant.
-//! * **Continuous batching.** Dispatched queries are folded into an open
-//!   [`crate::qcache::SharedScanGroup`]
-//!   (`QueryEngine::admit_to_scan_group`): a late
-//!   arrival whose predicates overlap the in-flight group's prewarms only
-//!   the *regions* its new intervals still need — the fused interval-scan
-//!   group admits late members at region granularity instead of being
-//!   computed once over a closed set.
+//! * **Continuous batching.** Each dispatched query is folded into one
+//!   open shared-scan group (`QueryEngine::admit_to_scan_group`), which
+//!   prewarms only the predicates the group has not covered yet, and of
+//!   those only the *regions* whose scan artifacts are not cached yet.
 //!
 //! **The invariant scheduling must preserve**: every admitted query's
 //! `Selection` and per-query simulated `CostBreakdown` are bit-identical
@@ -38,10 +36,12 @@
 //!
 //! Time is fully simulated: the loop advances a virtual clock over
 //! arrival and completion events, modelling one serial client thread
-//! (per-query client overhead) feeding `num_servers` parallel servers
-//! (per-server busy timelines), exactly the schedule model
-//! [`QueryEngine::run_batch`] charges for a closed batch — the shared
-//! accounting lives in [`ScheduleClock`].
+//! feeding `num_servers` parallel servers. A dispatch holds the client
+//! for the query's overhead (its `elapsed` minus its server evaluation);
+//! each server then runs its share once the client is done and its own
+//! earlier work has drained. A closed series therefore ends no earlier
+//! than both its summed client overhead and its busiest server's summed
+//! work, and no later than the sum of its solo `elapsed` times.
 
 use crate::ast::PdcQuery;
 use crate::engine::{Planned, QueryEngine, QueryOutcome};
@@ -54,65 +54,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 pub use pdc_types::splitmix64;
-
-// ---------------------------------------------------------------------
-// ScheduleClock — the shared client-overhead + makespan accounting
-// ---------------------------------------------------------------------
-
-/// The closed-batch schedule accountant shared by
-/// [`QueryEngine::run_batch`] and the service loop's reports: client
-/// overheads are serial (one client thread builds, broadcasts, and
-/// aggregates each query), server evaluation overlaps across queries
-/// (per-server busy totals), so the modelled elapsed time of a series is
-/// `client_overhead + makespan` where the makespan is the largest
-/// per-server total.
-#[derive(Debug, Clone, Default)]
-pub struct ScheduleClock {
-    client_overhead: SimDuration,
-    per_server_total: Vec<SimDuration>,
-}
-
-impl ScheduleClock {
-    /// A clock for a pool of `num_servers` servers (the vector grows if
-    /// an elastic join mid-series widens an outcome).
-    pub fn new(num_servers: u32) -> Self {
-        Self {
-            client_overhead: SimDuration::ZERO,
-            per_server_total: vec![SimDuration::ZERO; num_servers as usize],
-        }
-    }
-
-    /// Charge one query: `elapsed` is the query's end-to-end simulated
-    /// time, `eval_time` the portion spent in parallel server
-    /// evaluation, `per_server` the per-server evaluation times. The
-    /// serial part (`elapsed - eval_time`) accrues to the client lane;
-    /// the parallel part folds into the per-server schedule.
-    pub fn charge(&mut self, elapsed: SimDuration, eval_time: SimDuration, per_server: &[SimDuration]) {
-        self.client_overhead += elapsed.saturating_sub(eval_time);
-        if per_server.len() > self.per_server_total.len() {
-            self.per_server_total.resize(per_server.len(), SimDuration::ZERO);
-        }
-        for (s, t) in per_server.iter().enumerate() {
-            self.per_server_total[s] += *t;
-        }
-    }
-
-    /// Total serial client-side work charged so far.
-    pub fn client_overhead(&self) -> SimDuration {
-        self.client_overhead
-    }
-
-    /// Largest per-server evaluation total (the parallel makespan).
-    pub fn makespan(&self) -> SimDuration {
-        self.per_server_total.iter().copied().max().unwrap_or(SimDuration::ZERO)
-    }
-
-    /// The modelled elapsed time of the whole series:
-    /// `client_overhead + makespan`.
-    pub fn batch_elapsed(&self) -> SimDuration {
-        self.client_overhead + self.makespan()
-    }
-}
 
 // ---------------------------------------------------------------------
 // Configuration
@@ -292,6 +233,15 @@ pub struct ServiceStats {
     pub dispatched: u64,
     /// Queries completed.
     pub completed: u64,
+    /// Plan-cache hits over the call (arrival estimates, group
+    /// admissions and evaluations all look the plan up).
+    pub plan_hits: u64,
+    /// Plan-cache misses over the call (plans built from scratch).
+    pub plan_misses: u64,
+    /// Artifact-cache hits over the call, summed across servers.
+    pub artifact_hits: u64,
+    /// Artifact-cache misses over the call, summed across servers.
+    pub artifact_misses: u64,
 }
 
 /// Per-tenant latency/throughput summary.
@@ -587,11 +537,10 @@ impl QueryEngine {
         let mut order: Vec<usize> = (0..arrivals.len()).collect();
         order.sort_by_key(|&i| arrivals[i].at);
 
-        // Continuous batching is skipped under an active corruption spec
-        // for the same reason run_batch skips prewarm: each query's
-        // verify-and-repair preflight must observe the damaged state
-        // exactly as a sequential run would.
+        // No shared-scan group under an active corruption spec (see
+        // `corruption_active`).
         let mut group = (!self.corruption_active()).then(|| self.open_scan_group());
+        let (plan0, art0) = self.cache_counters();
 
         let mut trace: Vec<TraceEvent> = Vec::new();
         let mut served: Vec<ServedQuery> = Vec::new();
@@ -700,9 +649,8 @@ impl QueryEngine {
                     let q = ts[ti].ready.pop_front().expect("picked tenant has a head");
                     let a = &arrivals[q.arrival_index];
                     if let Some(g) = &mut group {
-                        let planned = self.plan_cached(&a.query)?;
                         let before = g.stats;
-                        self.admit_to_scan_group(g, std::slice::from_ref(&planned));
+                        self.admit_to_scan_group(g, &self.plan_cached(&a.query)?);
                         trace.push(TraceEvent::GroupJoin {
                             at: now,
                             group: g.id(),
@@ -715,8 +663,7 @@ impl QueryEngine {
                     let (outcome, eval_time, _) = self.run_impl(&a.query, true, false)?;
                     // The service timeline: serial client overhead, then
                     // the per-server charges queue behind each server's
-                    // busy lane (the ScheduleClock model, unrolled over
-                    // continuous time).
+                    // busy lane.
                     let overhead = outcome.elapsed.saturating_sub(eval_time);
                     let dispatched_at = now;
                     client_free = now + overhead;
@@ -771,6 +718,9 @@ impl QueryEngine {
             .map(|s| s.completed_at)
             .max()
             .unwrap_or(SimDuration::ZERO);
+        let (plan1, art1) = self.cache_counters();
+        (stats.plan_hits, stats.plan_misses) = (plan1.0 - plan0.0, plan1.1 - plan0.1);
+        (stats.artifact_hits, stats.artifact_misses) = (art1.0 - art0.0, art1.1 - art0.1);
         Ok(ServiceReport {
             served,
             rejected,
@@ -792,32 +742,63 @@ mod tests {
     }
 
     #[test]
-    fn schedule_clock_pins_batch_elapsed_decomposition() {
-        let mut clock = ScheduleClock::new(3);
-        // Query 1: 10us elapsed, 6us eval split [4, 2, 0].
-        clock.charge(us(10), us(6), &[us(4), us(2), SimDuration::ZERO]);
-        // Query 2: 7us elapsed, 5us eval split [1, 5, 3].
-        clock.charge(us(7), us(5), &[us(1), us(5), us(3)]);
-        assert_eq!(clock.client_overhead(), us(6)); // (10-6) + (7-5)
-        assert_eq!(clock.makespan(), us(7)); // server 1: 2 + 5
-        assert_eq!(clock.batch_elapsed(), clock.client_overhead() + clock.makespan());
-        assert_eq!(clock.batch_elapsed(), us(13));
-    }
+    fn closed_series_ends_between_its_lane_totals_and_its_solo_sum() {
+        // A closed series is one tenant's trace with every arrival at
+        // t = 0. The client lane and each server lane are serial, so the
+        // series ends no earlier than the summed client overhead or the
+        // busiest server's summed work; a dispatch never waits on more
+        // than all earlier work, so it ends no later than the solo runs
+        // back to back.
+        use crate::engine::{EngineConfig, Strategy};
+        use pdc_odms::ImportOptions;
+        use pdc_types::{QueryOp, TypedVec};
+        use std::sync::Arc;
 
-    #[test]
-    fn schedule_clock_grows_for_elastic_joins() {
-        let mut clock = ScheduleClock::new(1);
-        clock.charge(us(3), us(2), &[us(2)]);
-        // A join mid-series widens the pool to 3 servers.
-        clock.charge(us(4), us(3), &[us(1), us(1), us(3)]);
-        assert_eq!(clock.makespan(), us(3));
-        assert_eq!(clock.batch_elapsed(), us(2) + us(3));
-    }
-
-    #[test]
-    fn empty_clock_is_zero() {
-        let clock = ScheduleClock::new(4);
-        assert_eq!(clock.batch_elapsed(), SimDuration::ZERO);
+        let odms = Arc::new(Odms::new(8));
+        let c = odms.create_container("series");
+        let opts = ImportOptions {
+            region_bytes: 8192,
+            build_index: true,
+            build_sorted: true,
+            ..Default::default()
+        };
+        let data = (0..40_000).map(|i| ((i as f32 * 0.37).sin() + 1.0) * 1.5).collect();
+        let e = odms.import_array(c, "energy", TypedVec::Float(data), &opts).unwrap().object;
+        let series = [
+            PdcQuery::range_open(e, 2.1f32, 2.2f32),
+            PdcQuery::range_open(e, 2.1f32, 2.2f32),
+            PdcQuery::create(e, QueryOp::Gt, 2.5f32),
+            PdcQuery::range_open(e, 0.5f32, 1.5f32),
+        ];
+        let cfg = ServiceConfig::new(vec![TenantSpec::new("client", 1, SimDuration::MAX, 0)]);
+        let arrivals: Vec<Arrival> = series
+            .iter()
+            .map(|q| Arrival { at: SimDuration::ZERO, tenant: "client".into(), query: q.clone() })
+            .collect();
+        for strategy in Strategy::ALL {
+            let engine = || {
+                let cfg = EngineConfig { strategy, num_servers: 4, ..Default::default() };
+                QueryEngine::new(Arc::clone(&odms), cfg)
+            };
+            let end = engine().serve(&cfg, &arrivals).unwrap().end_time;
+            let solo = engine();
+            let (mut overhead, mut sum) = (SimDuration::ZERO, SimDuration::ZERO);
+            let mut per_server = vec![SimDuration::ZERO; 4];
+            for q in &series {
+                let (o, eval_time, _) = solo.run_impl(q, false, false).unwrap();
+                overhead += o.elapsed.saturating_sub(eval_time);
+                sum += o.elapsed;
+                for (s, t) in o.per_server.iter().enumerate() {
+                    per_server[s] += *t;
+                }
+            }
+            let busiest = per_server.into_iter().max().unwrap();
+            assert!(busiest > SimDuration::ZERO, "{strategy}: the servers did work");
+            assert!(
+                overhead.max(busiest) <= end && end <= sum,
+                "{strategy}: end {end} outside [max({overhead}, {busiest}), {sum}]"
+            );
+        }
     }
 
     #[test]

@@ -62,8 +62,8 @@ struct ObjectView {
 
 /// The pinned metadata of every object one query plan touches, captured
 /// at plan time. Cheap to clone views out of (everything is `Arc`d);
-/// cached alongside the plan in the engine's plan cache so a batch
-/// replays the identical snapshot for the identical canonical query.
+/// cached alongside the plan in the engine's plan cache so a served
+/// series replays the identical snapshot for the identical canonical query.
 pub struct MetaSnapshot {
     epoch: u64,
     views: HashMap<ObjectId, ObjectView>,

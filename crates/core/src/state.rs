@@ -36,7 +36,7 @@ pub struct ServerState {
     /// distribution").
     pub metadata_loaded: HashSet<ObjectId>,
     /// Epoch-validated cache of query artifacts (prune verdicts, scan
-    /// selections, index answers) for batched query series. Only
+    /// selections, index answers) for served query series. Only
     /// consulted when the engine evaluates with caching enabled; skips
     /// host recomputation while the simulated accounting replays
     /// identically.

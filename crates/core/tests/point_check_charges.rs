@@ -5,15 +5,20 @@
 //! rest. The world below puts candidate runs across region boundaries, one
 //! run across three regions, runs of one to a few hundred elements, and
 //! candidates in regions the filter's prune drops. Every strategy must
-//! return the brute-force selection, a batch must reproduce the sequential
-//! outcomes (its opportunistic reuse of cached full-region scans
-//! included), and `work.elements_scanned` must equal the table below.
+//! return the brute-force selection, a closed series through `serve` must
+//! reproduce the sequential outcomes (its opportunistic reuse of cached
+//! full-region scans included), and `work.elements_scanned` must equal
+//! the table below.
 //!
 //! A change that moves a charge on purpose re-records the table: the
 //! failure message prints the new one in the table's own syntax.
 
 use pdc_odms::{ImportOptions, Odms};
-use pdc_query::{EngineConfig, PdcQuery, QueryEngine, Strategy};
+use pdc_query::{
+    Arrival, EngineConfig, PdcQuery, QueryEngine, ServiceConfig, ServiceReport, Strategy,
+    TenantSpec,
+};
+use pdc_storage::SimDuration;
 use pdc_types::{ObjectId, QueryOp, Selection, TypedVec};
 use std::sync::Arc;
 
@@ -85,12 +90,23 @@ fn engine(w: &World, strategy: Strategy, servers: u32) -> QueryEngine {
 }
 
 /// The filter alone, then the conjunction that point-checks it: in a
-/// batch, the first leaves full-region scans of `x < 300` in the server
-/// caches for the second's point check to reuse.
+/// closed series, the first leaves full-region scans of `x < 300` in the
+/// server caches for the second's point check to reuse.
 fn series(w: &World) -> Vec<PdcQuery> {
     let filter = PdcQuery::create(w.x, QueryOp::Lt, 300.0f32);
     let conj = PdcQuery::create(w.energy, QueryOp::Gt, 2.0f32).and(filter.clone());
     vec![filter, conj]
+}
+
+/// `queries` as one client's closed series: one tenant, every arrival
+/// at t = 0, served in submission order.
+fn serve_closed(eng: &QueryEngine, queries: &[PdcQuery]) -> ServiceReport {
+    let cfg = ServiceConfig::new(vec![TenantSpec::new("client", 1, SimDuration::MAX, 0)]);
+    let arrivals: Vec<Arrival> = queries
+        .iter()
+        .map(|q| Arrival { at: SimDuration::ZERO, tenant: "client".into(), query: q.clone() })
+        .collect();
+    eng.serve(&cfg, &arrivals).unwrap()
 }
 
 fn record(w: &World) -> Vec<(String, [u64; 2])> {
@@ -105,8 +121,10 @@ fn record(w: &World) -> Vec<(String, [u64; 2])> {
             let eng = engine(w, strategy, servers);
             let seq: Vec<_> = qs.iter().map(|q| eng.run(q).unwrap()).collect();
             assert_eq!(seq[1].selection, expect, "{tag}: conjunction vs brute force");
-            let batch = engine(w, strategy, servers).run_batch(&qs).unwrap();
-            for (i, (a, b)) in seq.iter().zip(&batch.outcomes).enumerate() {
+            let batch = serve_closed(&engine(w, strategy, servers), &qs);
+            assert_eq!(batch.served.len(), seq.len(), "{tag}");
+            for (i, (a, b)) in seq.iter().zip(&batch.served).enumerate() {
+                let b = &b.outcome;
                 assert_eq!(a.selection, b.selection, "{tag}: batch query {i} selection");
                 assert_eq!(a.work, b.work, "{tag}: batch query {i} work counters");
                 assert_eq!(a.breakdown, b.breakdown, "{tag}: batch query {i} breakdown");

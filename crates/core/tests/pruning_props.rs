@@ -32,9 +32,11 @@
 use pdc_directory::RegionDirectory;
 use pdc_odms::{ImportOptions, Odms};
 use pdc_query::{
-    apply_corruption, EngineConfig, MetaSnapshot, PdcQuery, QueryEngine, QueryOutcome, Strategy,
+    apply_corruption, Arrival, EngineConfig, MetaSnapshot, PdcQuery, QueryEngine, QueryOutcome,
+    ServiceConfig, ServiceReport, Strategy, TenantSpec,
 };
 use pdc_server::{CorruptionSpec, FaultPlan};
+use pdc_storage::SimDuration;
 use pdc_types::{Interval, ObjectId, QueryOp, RegionId, TypedVec};
 use std::sync::Arc;
 
@@ -332,17 +334,26 @@ fn prewarm_ignores_a_directory_shorter_than_the_metadata() {
             PdcQuery::create(w.energy, QueryOp::Gt, 2.0f32),
             PdcQuery::range_open(w.energy, 2.1f32, 2.2f32),
         ];
-        engine(w, Strategy::Histogram, None).run_batch(&queries).unwrap()
+        serve_closed(&engine(w, Strategy::Histogram, None), &queries)
     };
     let (a, b) = (batch(&full), batch(&short));
-    assert!(a.stats.prewarm_regions > 0);
-    assert_eq!(
-        a.stats.prewarm_regions, b.stats.prewarm_regions,
-        "the prewarm trusted a lagging directory"
-    );
-    for (i, (x, y)) in a.outcomes.iter().zip(&b.outcomes).enumerate() {
-        assert_outcomes_identical(x, y, &format!("batched query {i}"));
+    let prewarmed = |r: &ServiceReport| r.group.expect("continuous batching on").prewarm_regions;
+    assert!(prewarmed(&a) > 0);
+    assert_eq!(prewarmed(&a), prewarmed(&b), "the prewarm trusted a lagging directory");
+    for (i, (x, y)) in a.served.iter().zip(&b.served).enumerate() {
+        assert_outcomes_identical(&x.outcome, &y.outcome, &format!("batched query {i}"));
     }
+}
+
+/// `queries` as one client's closed series: one tenant, every arrival
+/// at t = 0, served in submission order.
+fn serve_closed(eng: &QueryEngine, queries: &[PdcQuery]) -> ServiceReport {
+    let cfg = ServiceConfig::new(vec![TenantSpec::new("client", 1, SimDuration::MAX, 0)]);
+    let arrivals: Vec<Arrival> = queries
+        .iter()
+        .map(|q| Arrival { at: SimDuration::ZERO, tenant: "client".into(), query: q.clone() })
+        .collect();
+    eng.serve(&cfg, &arrivals).unwrap()
 }
 
 #[test]

@@ -11,6 +11,13 @@
 //! k≥2 replication, and an out-of-core spill budget; plus a
 //! deterministic-given-seed scheduler-trace test and the late-join
 //! continuous-batching assertion.
+//!
+//! A closed series is the one-tenant case: every arrival at t = 0, an
+//! unbounded budget, no deferral queue. Its served outcomes must equal a
+//! sequential `run()` series in submission order for all five
+//! strategies, under kills, a seeded fault plan and corruption; and the
+//! plan and artifact caches behind it must invalidate after an aux
+//! rebuild, a streaming append and a region migration.
 
 use pdc_odms::{ImportOptions, Odms};
 use pdc_query::{
@@ -18,8 +25,8 @@ use pdc_query::{
     Strategy, TenantSpec, TraceEvent,
 };
 use pdc_server::{CorruptionSpec, FaultPlan};
-use pdc_storage::SimDuration;
-use pdc_types::{NdRegion, ObjectId, QueryOp, TypedVec};
+use pdc_storage::{SimDuration, StorageTier};
+use pdc_types::{Interval, NdRegion, ObjectId, QueryOp, RegionId, TypedVec};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -27,11 +34,14 @@ struct TestWorld {
     odms: Arc<Odms>,
     energy: ObjectId,
     x: ObjectId,
+    raw_energy: Vec<f32>,
 }
 
-/// Same VPIC-flavoured shape the batch suite uses; generation is
-/// seed-free and exact, so twin builds are logically identical (needed
-/// for the corruption comparison, which mutates the store).
+/// A smooth bulk plus clustered high-energy tails, so histogram pruning,
+/// index candidate checks, and the sorted replica all get exercised.
+/// Generation is seed-free and exact, so twin builds are logically
+/// identical (needed for the corruption comparison, which mutates the
+/// store).
 fn build_world(n: usize, region_bytes: u64) -> TestWorld {
     let odms = Arc::new(Odms::new(8));
     let c = odms.create_container("vpic");
@@ -52,9 +62,9 @@ fn build_world(n: usize, region_bytes: u64) -> TestWorld {
         build_sorted: true,
         ..Default::default()
     };
-    let e = odms.import_array(c, "energy", TypedVec::Float(energy), &opts).unwrap().object;
+    let e = odms.import_array(c, "energy", TypedVec::Float(energy.clone()), &opts).unwrap().object;
     let xo = odms.import_array(c, "x", TypedVec::Float(x), &opts).unwrap().object;
-    TestWorld { odms, energy: e, x: xo }
+    TestWorld { odms, energy: e, x: xo, raw_energy: energy }
 }
 
 fn engine_with(world: &TestWorld, strategy: Strategy, plan: Option<FaultPlan>) -> QueryEngine {
@@ -486,4 +496,293 @@ fn serve_rejects_bad_configs_with_typed_errors() {
     let report = eng.serve(&cfg, &[]).unwrap();
     assert_eq!(report.stats.submitted, 0);
     assert!(report.served.is_empty());
+}
+
+// ---------------------------------------------------------------------
+// Closed series: one tenant, every arrival at t = 0
+// ---------------------------------------------------------------------
+
+/// Serve `queries` as one client's closed series and check that the
+/// loop neither deferred nor rejected anything and dispatched in
+/// submission order.
+fn serve_closed(eng: &QueryEngine, queries: &[PdcQuery]) -> ServiceReport {
+    let cfg = ServiceConfig::new(vec![TenantSpec::new("client", 1, SimDuration::MAX, 0)]);
+    let arrivals: Vec<Arrival> = queries
+        .iter()
+        .map(|q| Arrival { at: SimDuration::ZERO, tenant: "client".into(), query: q.clone() })
+        .collect();
+    let report = eng.serve(&cfg, &arrivals).unwrap();
+    assert_eq!((report.stats.deferrals, report.stats.rejected), (0, 0));
+    assert!(
+        report.served.iter().map(|s| s.arrival_index).eq(0..queries.len()),
+        "a closed series dispatches in submission order"
+    );
+    report
+}
+
+/// Run the pool sequentially on one engine and as a closed series on
+/// another (identical config) and demand bit-identical per-query
+/// outcomes in submission order, ending within the sequential total.
+fn check_closed_equivalence(world: &TestWorld, strategy: Strategy, plan: Option<FaultPlan>) {
+    let qs = query_pool(world);
+    let sequential = engine_with(world, strategy, plan.clone());
+    let seq: Vec<QueryOutcome> = qs.iter().map(|q| sequential.run(q).unwrap()).collect();
+
+    let report = serve_closed(&engine_with(world, strategy, plan), &qs);
+    assert_eq!(report.served.len(), seq.len());
+    for (i, (a, b)) in seq.iter().zip(&report.served).enumerate() {
+        assert_outcomes_identical(a, &b.outcome, &format!("{strategy}, query {i}"));
+    }
+    let total: SimDuration = seq.iter().map(|o| o.elapsed).sum();
+    assert!(
+        report.end_time <= total,
+        "{strategy}: series end {} must not exceed sequential total {total}",
+        report.end_time,
+    );
+    assert!(report.end_time > SimDuration::ZERO, "{strategy}");
+}
+
+#[test]
+fn batch_matches_sequential_all_strategies() {
+    let world = build_world(40_000, 8192);
+    for strategy in Strategy::ALL {
+        check_closed_equivalence(&world, strategy, None);
+    }
+}
+
+#[test]
+fn batch_caches_actually_engage() {
+    let world = build_world(40_000, 8192);
+    let eng = engine_with(&world, Strategy::Histogram, None);
+    let report = serve_closed(&eng, &query_pool(&world));
+    let s = report.stats;
+    let group = report.group.expect("continuous batching must be on");
+    assert!(s.plan_hits > 0, "repeated queries must hit the plan cache: {s:?}");
+    assert!(s.artifact_hits > 0, "overlapping queries must hit the artifact cache: {s:?}");
+    assert!(group.prewarm_regions > 0, "the prewarm pass must load regions: {group:?}");
+    let resident_reads: u64 = report.served.iter().map(|q| q.outcome.io.cache_hits).sum();
+    assert!(resident_reads > 0, "later queries must be served from resident regions");
+    let artifact_hit_ratio = s.artifact_hits as f64 / (s.artifact_hits + s.artifact_misses) as f64;
+    assert!(artifact_hit_ratio > 0.0 && artifact_hit_ratio <= 1.0, "{s:?}");
+}
+
+#[test]
+fn batch_matches_sequential_under_server_kills() {
+    let world = build_world(30_000, 8192);
+    for strategy in Strategy::ALL {
+        let plan = FaultPlan::kill_count(1, 4, 0xFA11);
+        check_closed_equivalence(&world, strategy, Some(plan));
+    }
+}
+
+#[test]
+fn batch_matches_sequential_under_seeded_fault_plan() {
+    let world = build_world(30_000, 8192);
+    for strategy in [Strategy::Histogram, Strategy::HistogramIndex] {
+        let plan = FaultPlan::seeded(7, 4);
+        check_closed_equivalence(&world, strategy, Some(plan));
+    }
+}
+
+#[test]
+fn batch_matches_sequential_under_corruption() {
+    // Corruption mutates the store, so each engine gets its own
+    // deterministically-built world; generation is seed-free and exact.
+    for strategy in Strategy::ALL {
+        let plan = FaultPlan::new().with_corruption(CorruptionSpec::new(0.15, 0.15, 0xC0FFEE));
+        let world_a = build_world(25_000, 8192);
+        let world_b = build_world(25_000, 8192);
+        let qs = query_pool(&world_a);
+
+        let sequential = engine_with(&world_a, strategy, Some(plan.clone()));
+        let seq: Vec<QueryOutcome> = qs.iter().map(|q| sequential.run(q).unwrap()).collect();
+        assert!(
+            seq.iter().any(|o| o.integrity.any()),
+            "{strategy}: the corruption spec must actually damage something"
+        );
+
+        let eng = engine_with(&world_b, strategy, Some(plan));
+        let report = serve_closed(&eng, &query_pool(&world_b));
+        assert_eq!(report.served.len(), seq.len());
+        for (i, (a, b)) in seq.iter().zip(&report.served).enumerate() {
+            assert_outcomes_identical(
+                a,
+                &b.outcome,
+                &format!("{strategy} + corruption, query {i}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn single_query_batch_matches_run() {
+    let world = build_world(20_000, 8192);
+    let q = PdcQuery::range_open(world.energy, 2.1f32, 2.2f32);
+    let a = engine_with(&world, Strategy::Histogram, None).run(&q).unwrap();
+    let report =
+        serve_closed(&engine_with(&world, Strategy::Histogram, None), std::slice::from_ref(&q));
+    assert_outcomes_identical(&a, &report.served[0].outcome, "singleton series");
+    assert!(report.end_time <= a.elapsed);
+}
+
+#[test]
+fn duplicate_query_batch_matches_sequential_run() {
+    // The same query three times over: every copy must produce the
+    // bit-identical outcome (the artifact caches replay exact charges),
+    // and the shared-scan group admits its predicate exactly once.
+    let world = build_world(20_000, 8192);
+    let q = PdcQuery::range_open(world.energy, 2.1f32, 2.2f32);
+    let queries = vec![q.clone(), q.clone(), q];
+
+    let seq_eng = engine_with(&world, Strategy::Histogram, None);
+    let solo: Vec<QueryOutcome> = queries.iter().map(|q| seq_eng.run(q).unwrap()).collect();
+
+    let report = serve_closed(&engine_with(&world, Strategy::Histogram, None), &queries);
+    assert_eq!(report.served.len(), 3);
+    assert_eq!(report.group.expect("continuous batching must be on").admitted_intervals, 1);
+    for (i, (a, b)) in solo.iter().zip(&report.served).enumerate() {
+        assert_outcomes_identical(a, &b.outcome, &format!("duplicate series member {i}"));
+    }
+}
+
+/// The dedicated cache-invalidation regression test: poison one region
+/// histogram so its prune verdict (wrongly) reports "no hits", cache
+/// that verdict through a closed series, then rebuild the histogram via
+/// the epoch-bumping ODMS path. The next series MUST drop the stale
+/// verdict and recover the region's hits — if epoch invalidation ever
+/// breaks, the cached prune verdict survives and this test fails.
+#[test]
+fn prune_and_plan_caches_invalidate_after_rebuild() {
+    let world = build_world(40_000, 8192);
+    let meta = world.odms.meta().get(world.energy).unwrap();
+    let region_elems = meta.region_span(0).len;
+
+    let iv = Interval::open(2.1, 2.2);
+    let expect: Vec<u64> = (0..world.raw_energy.len() as u64)
+        .filter(|&i| iv.contains(world.raw_energy[i as usize] as f64))
+        .collect();
+    assert!(!expect.is_empty());
+    // A region that holds hits, whose histogram we poison.
+    let poisoned_region = (expect[0] / region_elems) as u32;
+
+    // Histogram built over far-away values: estimates zero hits in the
+    // queried interval, so the evaluator prunes the region.
+    let bogus = pdc_histogram::Histogram::build(
+        &vec![1000.0; region_elems as usize],
+        &pdc_histogram::HistogramConfig::default(),
+    )
+    .unwrap();
+    world.odms.meta().replace_region_histogram(world.energy, poisoned_region, bogus).unwrap();
+
+    let eng = engine_with(&world, Strategy::Histogram, None);
+    let q = PdcQuery::range_open(world.energy, 2.1f32, 2.2f32);
+    let poisoned = serve_closed(&eng, &[q.clone(), q.clone()]);
+    assert!(
+        poisoned.served[0].outcome.nhits < expect.len() as u64,
+        "the poisoned histogram must suppress some hits for this test to mean anything"
+    );
+    assert_eq!(poisoned.served[0].outcome.nhits, poisoned.served[1].outcome.nhits);
+
+    // Epoch-bumping rebuild restores the true histogram.
+    world.odms.rebuild_region_histogram(world.energy, poisoned_region).unwrap();
+
+    let healed = serve_closed(&eng, &[q.clone(), q]);
+    assert_eq!(
+        healed.served[0].outcome.selection.iter_coords().collect::<Vec<_>>(),
+        expect,
+        "stale prune verdict served after an epoch-bumping rebuild"
+    );
+    assert!(
+        healed.stats.plan_misses > 0,
+        "the epoch bump must also invalidate the plan cache: {:?}",
+        healed.stats
+    );
+}
+
+/// Streaming-ingest regression: a closed series warms the plan,
+/// prune-verdict, scan, and prewarm caches; an append then grows the
+/// primary object — including filling the partial tail region whose
+/// artifacts are cached. The next series MUST NOT serve any stale
+/// artifact: a cached "pruned" verdict or short scan selection for the
+/// old tail extent would silently drop every hit the append introduced.
+#[test]
+fn caches_invalidate_after_streaming_append() {
+    let world = build_world(40_000, 8192);
+    let eng = engine_with(&world, Strategy::Histogram, None);
+    let q = PdcQuery::range_open(world.energy, 2.1f32, 2.2f32);
+    let qs = [q.clone(), q.clone()];
+
+    let first = serve_closed(&eng, &qs);
+    let base_hits = first.served[0].outcome.nhits;
+    assert!(base_hits > 0);
+
+    // Append a chunk that lands entirely inside the queried interval:
+    // every appended element is a hit, so any stale artifact is visible
+    // as a wrong count.
+    let delta: Vec<f32> = (0..1_000).map(|i| 2.15 + (i % 7) as f32 * 0.001).collect();
+    let report = world.odms.append_array(world.energy, &TypedVec::Float(delta)).unwrap();
+    assert!(report.filled_tail.is_some(), "append must touch the cached tail region");
+
+    let second = serve_closed(&eng, &qs);
+    let (a, b) = (&second.served[0].outcome, &second.served[1].outcome);
+    assert_eq!(
+        a.nhits,
+        base_hits + 1_000,
+        "stale artifact served after a streaming append: {:?}",
+        second.stats
+    );
+    assert_eq!(a.nhits, b.nhits);
+    assert!(
+        second.stats.plan_misses > 0,
+        "the append's epoch bump must invalidate the plan cache: {:?}",
+        second.stats
+    );
+    assert!(
+        second.stats.artifact_misses > 0,
+        "the append's epoch bump must invalidate the artifact caches: {:?}",
+        second.stats
+    );
+    // Selection-level check against the naive filter over grown data.
+    let mut raw = world.raw_energy.clone();
+    raw.extend((0..1_000).map(|i| 2.15 + (i % 7) as f32 * 0.001));
+    let expect: Vec<u64> = (0..raw.len() as u64)
+        .filter(|&i| {
+            let v = raw[i as usize] as f64;
+            v > 2.1 && v < 2.2
+        })
+        .collect();
+    assert_eq!(a.selection.iter_coords().collect::<Vec<_>>(), expect);
+}
+
+#[test]
+fn caches_invalidate_after_region_migration() {
+    let world = build_world(30_000, 8192);
+    let eng = engine_with(&world, Strategy::Histogram, None);
+    let qs = query_pool(&world);
+    let prewarmed = |r: &ServiceReport| r.group.expect("continuous batching on").prewarm_regions;
+
+    let first = serve_closed(&eng, &qs);
+    // Identical follow-up series: everything is served from the caches.
+    let second = serve_closed(&eng, &qs);
+    assert_eq!(second.stats.plan_misses, 0, "{:?}", second.stats);
+    assert_eq!(second.stats.artifact_misses, 0, "{:?}", second.stats);
+    assert_eq!(prewarmed(&second), 0, "{:?}", second.group);
+    for (a, b) in first.served.iter().zip(&second.served) {
+        assert_eq!(a.outcome.selection, b.outcome.selection);
+    }
+
+    // A region migration bumps the store epoch: every cache must drop.
+    world.odms.migrate_region(RegionId::new(world.energy, 0), StorageTier::BurstBuffer).unwrap();
+    let third = serve_closed(&eng, &qs);
+    assert!(third.stats.plan_misses > 0, "plan cache survived a migration: {:?}", third.stats);
+    assert!(
+        third.stats.artifact_misses > 0,
+        "artifact caches survived a migration: {:?}",
+        third.stats
+    );
+    assert!(prewarmed(&third) > 0, "{:?}", third.group);
+    for (a, b) in first.served.iter().zip(&third.served) {
+        assert_eq!(a.outcome.selection, b.outcome.selection, "migration must never change results");
+        assert_eq!(a.outcome.nhits, b.outcome.nhits);
+    }
 }

@@ -8,8 +8,12 @@
 //! never learns where the bytes physically live.
 
 use pdc_odms::{ImportOptions, Odms};
-use pdc_query::{EngineConfig, PdcQuery, QueryEngine, QueryOutcome, Strategy};
+use pdc_query::{
+    Arrival, EngineConfig, PdcQuery, QueryEngine, QueryOutcome, ServiceConfig, ServiceReport,
+    Strategy, TenantSpec,
+};
 use pdc_server::{CorruptionSpec, FaultPlan};
+use pdc_storage::SimDuration;
 use pdc_types::{NdRegion, ObjectId, QueryOp, TypedVec};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -265,11 +269,23 @@ fn spill_matches_unbounded_under_corruption() {
     }
 }
 
+/// `queries` as one client's closed series: one tenant, every arrival
+/// at t = 0, served in submission order.
+fn serve_closed(eng: &QueryEngine, queries: &[PdcQuery]) -> ServiceReport {
+    let cfg = ServiceConfig::new(vec![TenantSpec::new("client", 1, SimDuration::MAX, 0)]);
+    let arrivals: Vec<Arrival> = queries
+        .iter()
+        .map(|q| Arrival { at: SimDuration::ZERO, tenant: "client".into(), query: q.clone() })
+        .collect();
+    eng.serve(&cfg, &arrivals).unwrap()
+}
+
 #[test]
 fn spill_batch_matches_unbounded_sequential() {
-    // `run_batch` adds the prewarm pass, which streams cold regions
-    // block-by-block into the artifact cache. Its per-query outcomes
-    // must still match a sequential unbounded run exactly.
+    // A closed series through `serve` adds the shared-scan prewarm,
+    // which streams cold regions block-by-block into the artifact cache.
+    // Its per-query outcomes must still match a sequential unbounded run
+    // exactly.
     for strategy in [Strategy::Histogram, Strategy::HistogramIndex, Strategy::Adaptive] {
         let world_a = build_world(40_000, 8192);
         let world_b = build_world(40_000, 8192);
@@ -280,10 +296,11 @@ fn spill_batch_matches_unbounded_sequential() {
         let base: Vec<QueryOutcome> = qs.iter().map(|q| unbounded.run(q).unwrap()).collect();
 
         let bounded = bounded_engine(&world_b, strategy, None, &dir, 32 << 20);
-        let batch = bounded.run_batch(&series(&world_b)).unwrap();
-        assert_eq!(batch.outcomes.len(), base.len());
-        for (i, (a, b)) in base.iter().zip(&batch.outcomes).enumerate() {
-            assert_outcomes_identical(a, b, &format!("{strategy} batch, query {i}"));
+        let batch = serve_closed(&bounded, &series(&world_b));
+        assert!(batch.group.expect("continuous batching on").prewarm_regions > 0);
+        assert_eq!(batch.served.len(), base.len());
+        for (i, (a, b)) in base.iter().zip(&batch.served).enumerate() {
+            assert_outcomes_identical(a, &b.outcome, &format!("{strategy} batch, query {i}"));
         }
         assert_spill_engaged(&world_b, &format!("{strategy} batch"));
         drop(bounded);
