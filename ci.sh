@@ -57,15 +57,21 @@ echo "== kernel + selection gate =="
 # slot results, the one- and many-slice coordinate-to-selection scatter
 # on both its bitset and sort paths, the rank directory on both its bitset
 # and binary-search paths, and the sorted-replica lookups that feed them)
-# once more optimised, and with them six pdc-query suites: get_data
+# once more optimised, and with them eight pdc-query suites: get_data
 # equivalence, whose sorted path scatters values by those ranks; the
 # kernel and spill equivalence suites, which hold every strategy's point
 # checks — through every region's block view, the window kernel and the
 # decoder — to the scalar reference and to unbounded runs; the
-# point-check charges suite, which pins what those checks scan; and
+# point-check charges suite, which pins what those checks scan;
 # strategy agreement and service equivalence, which hold sorted bands —
 # one scatter per server, merged on the client by the word-OR union — to
-# full scans and to solo runs. The code is safe
+# full scans and to solo runs; the cache properties, which hold every
+# served outcome to a cold run on a twin world while appends,
+# maintenance, corruption, migration and joint registration interleave
+# with `serve` (the caches keep artifacts across all of them, so only
+# the verified reads and span-length keys stand between a mutation and
+# a stale answer); and the metadata + data queries, which now dispatch
+# through the same preflight and slot failover as `run`. The code is safe
 # Rust, so this guards only against a miscompile of the vectorised loops
 # and the shift, popcount and bit-pairing arithmetic in the release
 # binaries, the word-OR merge's range-fill shifts (head and tail masks of
@@ -74,7 +80,8 @@ echo "== kernel + selection gate =="
 cargo test -q $OFFLINE --release -p pdc-types -p pdc-sorted
 cargo test -q $OFFLINE --release -p pdc-query --test get_data_equivalence \
     --test kernel_equivalence --test spill_equivalence --test point_check_charges \
-    --test strategy_agreement --test service_equivalence
+    --test strategy_agreement --test service_equivalence --test cache_props \
+    --test metadata_data_queries
 
 echo "== integrity gate =="
 # Corruption smoke: a run with 5% of regions corrupted must exit 0 and

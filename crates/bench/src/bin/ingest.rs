@@ -6,7 +6,8 @@
 //! fresh store imported whole at the extent the query planned against
 //! (the sealed baseline), and the simulated latency of both runs is
 //! recorded — the gap is the price of querying mid-ingest (stale sorted
-//! replica, pending tail index, cold caches after every epoch bump).
+//! replica, pending tail index, the grown tail region re-read after
+//! every append).
 //!
 //! Writes `BENCH_ingest.json` (path overridable as `argv[1]`);
 //! `PDC_PARTICLES` overrides the 1 Mi-element default. Exits non-zero if

@@ -5,8 +5,8 @@
 //! lengths 1 / 8 / 32. Results are asserted bit-identical; what the
 //! shared-scan group buys is recorded as counts — each distinct
 //! predicate prewarmed once per region, region reads served from
-//! resident copies, plans and artifacts served from the epoch-validated
-//! caches — and on the simulated clock, where the series must end within
+//! resident copies, plans and artifacts served from the plan and
+//! artifact caches — and on the simulated clock, where the series must end within
 //! the sum of the sequential critical paths. (How much host wall time
 //! that saves is the referee's `service.batching_gain`.)
 //!

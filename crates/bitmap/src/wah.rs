@@ -362,12 +362,6 @@ impl WahBitVector {
         Selection::from_canonical_runs(runs)
     }
 
-    /// Iterate over the positions of set bits in ascending order.
-    pub fn iter_set_bits(&self) -> impl Iterator<Item = u64> + '_ {
-        // Reuse the run decoding; selections iterate cheaply.
-        self.to_selection().iter_coords().collect::<Vec<_>>().into_iter()
-    }
-
     /// Test a single bit (linear scan; intended for tests and spot checks).
     pub fn get(&self, pos: u64) -> bool {
         debug_assert!(pos < self.nbits);

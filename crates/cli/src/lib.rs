@@ -870,8 +870,7 @@ fn run_ingest(expr: &str, opts: &Opts) -> Result<String, String> {
         checked += 1;
         consistent += ok as u32;
         out.push_str(&format!(
-            "  extent {extent} (epoch {}): {} hits — sealed rerun {} {}\n",
-            outcome.planned_epoch,
+            "  extent {extent}: {} hits — sealed rerun {} {}\n",
             outcome.nhits,
             sealed.nhits,
             if ok { "ok" } else { "MISMATCH" },
@@ -991,14 +990,19 @@ fn run_serve(opts: &Opts) -> Result<String, String> {
     let odms = &world.odms;
 
     // Trace grammar: '#' comments and blanks are skipped; 'tenant' lines
-    // register policies; everything else is an arrival of the form
-    // '<t_ms> <tenant> <expr>'.
+    // declare policies (a repeated name updates its policy in place);
+    // everything else is an arrival of the form '<t_ms> <tenant> <expr>'.
     struct RawArrival {
         at_ms: f64,
         tenant: String,
         expr: String,
     }
     let mut raw: Vec<RawArrival> = Vec::new();
+    let mut tenants: Vec<TenantSpec> = Vec::new();
+    let mut declare = |t: TenantSpec| match tenants.iter_mut().find(|d| d.name == t.name) {
+        Some(d) => *d = t,
+        None => tenants.push(t),
+    };
     for (idx, line) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = line.trim();
@@ -1036,7 +1040,8 @@ fn run_serve(opts: &Opts) -> Result<String, String> {
             if !budget_ms.is_finite() || budget_ms <= 0.0 {
                 return Err(format!("trace line {lineno}: budget-ms {budget_ms} must be positive"));
             }
-            odms.register_tenant(name, weight, (budget_ms * 1e6) as u64, cap);
+            let budget = SimDuration::from_nanos((budget_ms * 1e6) as u64);
+            declare(TenantSpec::new(name, weight, budget, cap));
         } else {
             let at_ms: f64 =
                 first.parse().map_err(|e| format!("trace line {lineno}: arrival time: {e}"))?;
@@ -1061,8 +1066,8 @@ fn run_serve(opts: &Opts) -> Result<String, String> {
     }
     // Tenants referenced only by arrivals get the default policy.
     for a in &raw {
-        if odms.tenant(&a.tenant).is_none() {
-            odms.register_tenant(&a.tenant, 1, 1_000_000_000, 64);
+        if !tenants.iter().any(|t| t.name == a.tenant) {
+            tenants.push(TenantSpec::new(&a.tenant, 1, SimDuration::from_millis(1_000), 64));
         }
     }
 
@@ -1077,7 +1082,7 @@ fn run_serve(opts: &Opts) -> Result<String, String> {
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let mut cfg = ServiceConfig::from_odms(odms);
+    let mut cfg = ServiceConfig::new(tenants);
     cfg.quantum = SimDuration::from_secs_f64(opts.quantum_ms / 1e3);
     let report = engine.serve(&cfg, &arrivals).map_err(|e| e.to_string())?;
 

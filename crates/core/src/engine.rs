@@ -343,9 +343,6 @@ pub struct QueryOutcome {
     /// rebuilt, regions answered by the fallback scan path. All zero on a
     /// clean run.
     pub integrity: IntegrityCounters,
-    /// The store epoch of the plan-time metadata snapshot this query
-    /// evaluated against.
-    pub planned_epoch: u64,
     /// The primary object's element count at plan time. Under streaming
     /// ingest this is the extent the query answered — a store sealed at
     /// this extent returns a bit-identical selection.
@@ -401,12 +398,13 @@ pub struct GetDataOutcome {
 
 /// The client-side canonical-plan cache: normalized query tree (by
 /// [`PdcQuery::canonical_key`]) → built, selectivity-ordered plan plus
-/// the plan-time [`MetaSnapshot`] the evaluation pins. Entries are
-/// validated against the store epoch at lookup, so any data mutation,
-/// append, or aux rebuild (which can change the histograms behind the
-/// selectivity ordering) invalidates both the plan and its snapshot.
+/// the plan-time [`MetaSnapshot`] the evaluation pins. An entry is reused
+/// only while its snapshot [`MetaSnapshot::is_current`]: an append or an
+/// aux rebuild (which can change the histograms behind the selectivity
+/// ordering) publishes new metadata and so retires both the plan and its
+/// snapshot. Data mutations that publish no metadata leave it valid.
 struct PlanCache {
-    map: HashMap<String, (u64, Planned)>,
+    map: HashMap<String, Planned>,
     hits: u64,
     misses: u64,
 }
@@ -418,7 +416,7 @@ const PLAN_CACHE_CAP: usize = 512;
 /// The parallel query service.
 pub struct QueryEngine {
     odms: Arc<Odms>,
-    pool: ServerPool<ServerState>,
+    pub(crate) pool: ServerPool<ServerState>,
     cfg: EngineConfig,
     plans: Mutex<PlanCache>,
     /// The k-way slot placement (`k = 1`: the classic single-home
@@ -518,7 +516,7 @@ impl QueryEngine {
     }
 
     /// The current placement.
-    fn placement_snapshot(&self) -> Arc<Placement> {
+    pub(crate) fn placement_snapshot(&self) -> Arc<Placement> {
         Arc::clone(&self.placement.lock().unwrap())
     }
 
@@ -618,7 +616,7 @@ impl QueryEngine {
         let n = self.pool.num_servers();
         for rid in ids {
             let slot = rid.index % num_slots;
-            let Ok(view) = crate::state::open_view(&self.odms, rid, true) else {
+            let Ok(view) = crate::state::open_view(&self.odms, rid) else {
                 continue;
             };
             for &q in p.replicas(slot) {
@@ -724,12 +722,19 @@ impl QueryEngine {
         self.cfg.fault_plan.as_ref().and_then(|p| p.corruption()).is_some()
     }
 
-    /// Broadcast a handler across the pool (crate-internal).
-    pub(crate) fn pool_broadcast<R: Send>(
-        &self,
-        f: impl Fn(pdc_types::ServerId, &mut ServerState) -> R + Sync,
-    ) -> Vec<R> {
-        self.pool.broadcast(f)
+    /// The verify-and-repair preflight every dispatch starts with, before
+    /// planning: corrupt region histograms must be rebuilt before
+    /// selectivity ordering reads the re-merged globals (and before they
+    /// prune), and repairing shared data regions on the single-threaded
+    /// client keeps the repair charges deterministic (point checks cross
+    /// slot boundaries). Skipped entirely without an active corruption
+    /// spec.
+    pub(crate) fn preflight(&self) -> PdcResult<(IntegrityCounters, SimDuration)> {
+        if self.corruption_active() {
+            crate::integrity::preflight(&self.odms, &self.cfg.cost, self.cfg.num_servers)
+        } else {
+            Ok((IntegrityCounters::default(), SimDuration::ZERO))
+        }
     }
 
     /// Number of logical servers.
@@ -770,22 +775,16 @@ impl QueryEngine {
         self.apply_planned_corruption();
     }
 
-    /// Capture the plan-time metadata snapshot of every object `plan`
-    /// touches.
-    fn snapshot_for_plan(&self, plan: &QueryPlan) -> PdcResult<Arc<MetaSnapshot>> {
-        let mut objects = Vec::new();
-        plan.root.objects(&mut objects);
-        objects.sort_unstable();
-        objects.dedup();
-        Ok(Arc::new(MetaSnapshot::capture(&self.odms, &objects)?))
-    }
-
     /// Plan `query` and resolve its sorted-lane verdicts against a fresh
-    /// snapshot, bypassing the plan cache.
+    /// snapshot, bypassing the plan cache. The snapshot is pinned before
+    /// planning, so the planner reads metadata at least as new as the
+    /// pinned views: a mutation landing in between leaves the snapshot
+    /// stale (`is_current` fails) rather than caching a plan under views
+    /// it did not read.
     fn plan_fresh(&self, query: &PdcQuery) -> PdcResult<Planned> {
+        let snap = Arc::new(MetaSnapshot::capture(&self.odms, &query.objects())?);
         let plan =
             QueryPlan::build_with_ordering(query, &self.odms, self.cfg.order_by_selectivity)?;
-        let snap = self.snapshot_for_plan(&plan)?;
         let band = BandVerdicts::resolve(
             self.cfg.strategy.policy(),
             &snap,
@@ -798,16 +797,15 @@ impl QueryEngine {
 
     /// Plan `query` through the canonical-plan cache: a hit replays the
     /// built, selectivity-ordered plan, *its plan-time metadata snapshot*
-    /// and its sorted-lane verdicts for the same canonical tree at the
-    /// same store epoch; a miss builds and admits all three. Host-work
+    /// and its sorted-lane verdicts for the same canonical tree while that
+    /// snapshot is current; a miss builds and admits all three. Host-work
     /// only — planning carries no simulated charge either way.
     pub(crate) fn plan_cached(&self, query: &PdcQuery) -> PdcResult<Planned> {
         let key = query.canonical_key();
-        let epoch = self.odms.store().epoch();
         {
             let mut pc = self.plans.lock().unwrap();
             if let Some(hit) =
-                pc.map.get(&key).and_then(|(e, planned)| (*e == epoch).then(|| planned.clone()))
+                pc.map.get(&key).filter(|p| p.snap.is_current(&self.odms)).cloned()
             {
                 pc.hits += 1;
                 return Ok(hit);
@@ -819,7 +817,7 @@ impl QueryEngine {
         if pc.map.len() >= PLAN_CACHE_CAP {
             pc.map.clear();
         }
-        pc.map.insert(key, (epoch, planned.clone()));
+        pc.map.insert(key, planned.clone());
         Ok(planned)
     }
 
@@ -856,9 +854,9 @@ impl QueryEngine {
     /// Shared implementation behind [`Self::run`] (cold, cache-free) and
     /// [`Self::serve`] (`use_cache = true`: plans come from the
     /// canonical-plan cache and servers may serve artifacts from their
-    /// epoch-validated [`crate::qcache::QueryArtifactCache`]). Also
-    /// returns the slot-evaluation time so the service timeline can
-    /// separate it from the serial client overheads. Caching affects
+    /// [`crate::qcache::QueryArtifactCache`]). Also returns the
+    /// slot-evaluation time so the service timeline can separate it from
+    /// the serial client overheads. Caching affects
     /// host wall-clock only: the returned outcome is bit-identical
     /// either way. With `explain` set, servers additionally record one
     /// [`crate::ops::RegionExplain`] row per evaluated region (host-side
@@ -870,17 +868,7 @@ impl QueryEngine {
         use_cache: bool,
         explain: bool,
     ) -> PdcResult<(QueryOutcome, SimDuration, Option<crate::ops::ExplainPlan>)> {
-        // Verify-and-repair preflight, before planning: corrupt region
-        // histograms must be rebuilt before selectivity ordering reads the
-        // re-merged globals, and repairing shared data regions on the
-        // single-threaded client keeps the repair charges deterministic
-        // (point checks cross slot boundaries). Skipped entirely without
-        // an active corruption spec.
-        let (mut integrity, preflight_time) = if self.corruption_active() {
-            crate::integrity::preflight(&self.odms, &self.cfg.cost, self.cfg.num_servers)?
-        } else {
-            (IntegrityCounters::default(), SimDuration::ZERO)
-        };
+        let (mut integrity, preflight_time) = self.preflight()?;
         let Planned { plan, snap, band } =
             if use_cache { self.plan_cached(query)? } else { self.plan_fresh(query)? };
         let sorted_hint = band.sorted_hint(&plan, &snap)?;
@@ -925,11 +913,6 @@ impl QueryEngine {
                 Vec<crate::ops::RegionExplain>,
             )| { r.0.wire_size_bytes() },
             |slot, st| {
-                if use_cache {
-                    // Epoch check at slot start: any data mutation or aux
-                    // rebuild since the artifacts were cached drops them.
-                    st.qcache.validate(odms.store().epoch());
-                }
                 let ctx = EvalCtx {
                     odms: &odms,
                     snap: &snap_eval,
@@ -1073,7 +1056,6 @@ impl QueryEngine {
                 failed_servers,
                 retry_rounds,
                 integrity,
-                planned_epoch: snap.epoch(),
                 planned_elements,
                 rebuild_regions,
                 rebuild_bytes,
@@ -1099,12 +1081,12 @@ impl QueryEngine {
         (plan, art)
     }
 
-    /// Open a fresh `SharedScanGroup` stamped at the current store
-    /// epoch: the client-side ledger of one continuous batching window,
-    /// which `Self::admit_to_scan_group` grows one dispatch at a time.
+    /// Open a fresh `SharedScanGroup`: the client-side ledger of one
+    /// continuous batching window, which `Self::admit_to_scan_group`
+    /// grows one dispatch at a time.
     pub(crate) fn open_scan_group(&self) -> SharedScanGroup {
         let id = self.scan_group_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        SharedScanGroup::new(id, self.odms.store().epoch())
+        SharedScanGroup::new(id)
     }
 
     /// Admit one dispatched plan into an open shared-scan group and
@@ -1116,18 +1098,12 @@ impl QueryEngine {
     /// predicate still prewarms it. For new intervals the per-region pass
     /// skips every region whose scan artifact is already cached (the
     /// `peek_scan` check inside `prewarm_intervals`), so a member joins
-    /// the group at region granularity. A store-epoch bump since the
-    /// group opened reopens it (the artifacts it assumed cached are
-    /// invalidated anyway).
+    /// the group at region granularity.
     ///
     /// Like the caches it feeds, admission is pure host work: no
     /// simulated clocks, counters, or fault probes are touched, so
     /// per-query accounting is unaffected by group membership.
     pub(crate) fn admit_to_scan_group(&self, group: &mut SharedScanGroup, planned: &Planned) {
-        let epoch = self.odms.store().epoch();
-        if group.epoch() != epoch {
-            group.reopen(epoch);
-        }
         group.stats.late_joins += u64::from(group.stats.admissions > 0);
         group.stats.admissions += 1;
         group.stats.members += 1;
@@ -1152,18 +1128,16 @@ impl QueryEngine {
     }
 
     /// The shared-scan prewarm pass: for each server slot, walk the
-    /// given `(object, intervals)` predicates, seed histogram prune
-    /// verdicts, and evaluate all still-pending intervals of a region in
-    /// **one fused kernel pass** over the typed slice, caching each
-    /// per-interval selection. Pure host work — no simulated clocks,
+    /// given `(object, intervals)` predicates, skip the regions their
+    /// histograms prune, and evaluate all still-pending intervals of a
+    /// region in **one fused kernel pass** over the typed slice, caching
+    /// each per-interval selection. Pure host work — no simulated clocks,
     /// counters, or fault probes are touched, so per-query accounting is
     /// unaffected. Returns the number of region passes performed.
     fn prewarm_intervals(&self, targets: &[(ObjectId, Vec<Interval>)]) -> u64 {
         let odms = Arc::clone(&self.odms);
         let n = self.cfg.num_servers;
-        let epoch = self.odms.store().epoch();
         let loaded: Vec<u64> = self.pool.broadcast(|id, st| {
-            st.qcache.validate(epoch);
             let mut count = 0u64;
             for (obj, ivs) in targets {
                 let Ok(meta) = odms.meta().get(*obj) else { continue };
@@ -1183,9 +1157,8 @@ impl QueryEngine {
                     if r % n != id.raw() {
                         continue;
                     }
-                    // Seed prune verdicts (exactly the verdict the
-                    // evaluator computes) and collect the intervals that
-                    // still need a scan of this region.
+                    // Collect the intervals the histogram does not prune
+                    // that still need a scan of this region.
                     let span = meta.region_span(r);
                     let mut pending: Vec<Interval> = Vec::new();
                     for (k, iv) in ivs.iter().enumerate() {
@@ -1194,14 +1167,10 @@ impl QueryEngine {
                                 continue;
                             }
                         }
-                        let pruned = match hists.as_ref().and_then(|h| h.get(r as usize)) {
-                            Some(h) => {
-                                st.qcache.prune_or_compute(*obj, r, span.len, iv, 0, || {
-                                    crate::ops::prune_verdict(h, iv)
-                                })
-                            }
-                            None => false,
-                        };
+                        let pruned = hists
+                            .as_ref()
+                            .and_then(|h| h.get(r as usize))
+                            .is_some_and(|h| crate::ops::prune_verdict(h, iv));
                         if !pruned && st.qcache.peek_scan(*obj, r, span.len, iv).is_none() {
                             pending.push(*iv);
                         }
@@ -1210,19 +1179,17 @@ impl QueryEngine {
                         continue;
                     }
                     // Advisory read straight from the store: no server
-                    // clocks, no fault probes, and no checksum re-derive of
-                    // a resident payload (every artifact is epoch-keyed,
-                    // and any mutation — including corrupt/repair — bumps
-                    // the epoch, so an unverified read can never leak into
-                    // results). The operator's whole-region loop scans
-                    // every pending interval in one pass per block. A
-                    // region shorter than the metadata span (an append
-                    // landed between the two reads) or an unreadable one is
-                    // skipped; the per-query path handles it with full
-                    // accounting. A longer one is scanned, and keyed, to
-                    // the span's extent, as a query planned at it would be.
-                    let Ok(view) = crate::state::open_view(&odms, RegionId::new(*obj, r), false)
-                    else {
+                    // clocks and no fault probes, but checksum-verified like
+                    // every read that produces an artifact, so a corrupt
+                    // copy never becomes one. The operator's whole-region
+                    // loop scans every pending interval in one pass per
+                    // block. A region shorter than the metadata span (an
+                    // append landed between the two reads) or an unreadable
+                    // one is skipped; the per-query path handles it with
+                    // full accounting. A longer one is scanned, and keyed,
+                    // to the span's extent, as a query planned at it would
+                    // be.
+                    let Ok(view) = crate::state::open_view(&odms, RegionId::new(*obj, r)) else {
                         continue;
                     };
                     if view.len() < span.len {

@@ -18,10 +18,11 @@
 //!   returning what it computes), the per-region planner that reads the
 //!   strategy's policy table, the admission estimate, and the
 //!   [`ops::ExplainPlan`] report.
-//! * [`snapshot`] — epoch-consistent metadata snapshots: every plan pins
-//!   the metadata/histograms/replica views of its objects at plan time,
-//!   so queries in flight during a streaming append answer exactly the
-//!   extent they planned against.
+//! * [`snapshot`] — pinned metadata snapshots: every plan pins the
+//!   metadata/histograms/replica views of its objects at plan time, so
+//!   queries in flight during a streaming append answer exactly the
+//!   extent they planned against, and a cached plan is reused only while
+//!   its snapshot is current.
 //! * [`state`] — per-logical-server state: region cache, index cache,
 //!   resident sorted regions, simulated clock and counters.
 //! * [`engine`] — the [`QueryEngine`]: broadcast, load-balanced region
@@ -29,10 +30,11 @@
 //!   `get_data` / `get_data_batch` / `get_histogram`.
 //! * [`multi`] — combined metadata + data queries over many small objects
 //!   (the H5BOSS scenario of §VI-C).
-//! * [`qcache`] — per-server, epoch-invalidated caches of query
-//!   artifacts (prune verdicts, region-scan selections, index answers)
-//!   powering [`QueryEngine::serve`]'s shared-scan batching. Hits
-//!   skip host recomputation only; simulated costs replay exactly.
+//! * [`qcache`] — per-server caches of query artifacts (region-scan
+//!   selections, index answers) powering [`QueryEngine::serve`]'s
+//!   shared-scan batching; each entry is a pure function of data that
+//!   cannot change under its key. Hits skip host recomputation only;
+//!   simulated costs replay exactly.
 //! * [`integrity`] — data-plane integrity: deterministic corruption
 //!   injection and the client-side verify-and-repair preflight sweep;
 //!   repair work is charged to the breakdown's dedicated `integrity`

@@ -8,20 +8,20 @@
 //!
 //! The flow: the metadata service instantly resolves the tag conditions
 //! (e.g. `RADEG = 153.17 AND DECDEG = 23.06`) to a set of objects; the
-//! selected objects are distributed across the servers; each server
-//! evaluates the value condition on its objects with the configured
-//! strategy ("due to the small size of the BOSS objects, each object has
-//! one region only").
+//! selected objects are distributed across the assignment slots; each
+//! slot's server evaluates the value condition on its objects with the
+//! configured strategy ("due to the small size of the BOSS objects, each
+//! object has one region only").
 
 use crate::engine::{BandVerdicts, QueryEngine};
 use crate::exec::EvalCtx;
 use crate::ops::{self, ExplainPhase, RegionTask};
+use crate::recover::run_slots;
 use crate::snapshot::MetaSnapshot;
 use crate::state::ServerState;
 use pdc_odms::MetaValue;
 use pdc_storage::{IoCounters, SimDuration};
 use pdc_types::{Interval, ObjectId, PdcResult};
-use std::sync::Arc;
 
 /// Outcome of a metadata + data query.
 #[derive(Debug, Clone)]
@@ -34,7 +34,8 @@ pub struct MetaDataQueryOutcome {
     /// Per-object hit counts (object id, hits), for callers that need
     /// them.
     pub per_object_hits: Vec<(ObjectId, u64)>,
-    /// Simulated elapsed time: metadata resolution + slowest server.
+    /// Simulated elapsed time: metadata resolution + integrity preflight
+    /// + slot evaluation (the slowest server, plus any failover rounds).
     pub elapsed: SimDuration,
     /// Time spent in the metadata lookup alone.
     pub metadata_elapsed: SimDuration,
@@ -58,6 +59,11 @@ impl QueryEngine {
 
     /// Evaluate `interval` on the values of every object matching all the
     /// metadata `conds`, returning total hits (the H5BOSS query shape).
+    ///
+    /// Dispatch is `run`'s: the integrity preflight, then one result per
+    /// assignment slot with failover. Slot `s` holds the matched objects
+    /// with `i % n_slots == s`, and a slot's result ships as `hits × 16`
+    /// bytes (one `(object, hits)` pair each).
     pub fn metadata_data_query(
         &self,
         conds: &[(&str, MetaValue)],
@@ -69,30 +75,32 @@ impl QueryEngine {
         // Metadata resolution: an in-memory inverted-index lookup on the
         // owner server — "it can locate the 1000 objects instantly".
         let (objects, metadata_elapsed) = self.query_tag(conds);
+        let (_, preflight_time) = self.preflight()?;
 
-        let odms = Arc::clone(self.odms());
+        let odms = self.odms();
         let policy = self.strategy().policy();
-        let iv = *interval;
-        // Pin the matched objects' metadata before the broadcast: every
+        // Pin the matched objects' metadata before dispatch: every
         // server evaluates the same snapshot, and an append landing
         // mid-query cannot tear the extent between servers.
-        let snap = Arc::new(MetaSnapshot::capture(&odms, &objects)?);
-        let objects_arc: Arc<Vec<ObjectId>> = Arc::new(objects);
-        let objects_for_eval = Arc::clone(&objects_arc);
+        let snap = MetaSnapshot::capture(odms, &objects)?;
+        let placement = self.placement_snapshot();
+        let n_slots = placement.num_slots();
+        let slot_of = |i: usize| i as u32 % n_slots;
+        let mut weights = vec![0u64; n_slots as usize];
+        for (i, &obj) in objects.iter().enumerate() {
+            weights[slot_of(i) as usize] += u64::from(snap.meta(obj)?.num_regions());
+        }
 
-        type ObjectHitsResult = PdcResult<(Vec<(ObjectId, u64)>, SimDuration, IoCounters)>;
-        let results: Vec<ObjectHitsResult> = self
-            .pool_broadcast(move |id, st: &mut ServerState| {
-                // Prune verdicts, scan selections, and index answers are
-                // served from the epoch-validated artifact cache across
-                // repeated metadata+data queries; all simulated charges
-                // replay unconditionally, so accounting is identical
-                // either way.
-                st.qcache.validate(odms.store().epoch());
-                let t0 = st.clock.now();
-                let io0 = st.io;
+        type SlotHits = (Vec<(ObjectId, u64)>, IoCounters);
+        let out = run_slots(
+            &self.pool,
+            &cost,
+            &placement,
+            &weights,
+            |r: &SlotHits| r.0.len() as u64 * 16,
+            |slot, st: &mut ServerState| {
                 let ctx = EvalCtx {
-                    odms: &odms,
+                    odms,
                     snap: &snap,
                     cost: &cost,
                     policy,
@@ -100,19 +108,20 @@ impl QueryEngine {
                     // filter lane; no conjunction has a primary here.
                     band: &BandVerdicts::default(),
                     n_servers: n,
-                    n_slots: n,
-                    server: id.raw(),
+                    n_slots,
+                    server: slot,
                     use_cache: true,
                 };
+                let io0 = st.io;
                 let mut hits: Vec<(ObjectId, u64)> = Vec::new();
-                for (i, &obj) in objects_for_eval.iter().enumerate() {
-                    if i as u32 % n != id.raw() {
+                for (i, &obj) in objects.iter().enumerate() {
+                    if slot_of(i) != slot {
                         continue;
                     }
                     let meta = snap.meta(obj)?;
-                    // Small objects round-robin whole objects across
-                    // servers, but each object's regions run through the
-                    // same operator pipeline as plan evaluation.
+                    // Small objects spread whole objects across slots, but
+                    // each object's regions run through the same operator
+                    // pipeline as plan evaluation.
                     let planner = ops::RegionPlanner::for_filter(&ctx, obj, None)?;
                     let mut obj_hits = 0u64;
                     for r in 0..meta.num_regions() {
@@ -120,7 +129,7 @@ impl QueryEngine {
                             object: obj,
                             region: r,
                             span: meta.region_span(r),
-                            interval: iv,
+                            interval: *interval,
                         };
                         if let Some(sel) = ops::execute_region(
                             &ctx,
@@ -135,19 +144,13 @@ impl QueryEngine {
                     }
                     hits.push((obj, obj_hits));
                 }
-                Ok((hits, st.elapsed_since(t0), st.io.since(&io0)))
-            });
+                Ok((hits, st.io.since(&io0)))
+            },
+        )?;
 
         let mut per_object_hits: Vec<(ObjectId, u64)> = Vec::new();
         let mut io = IoCounters::default();
-        let mut slowest = SimDuration::ZERO;
-        for r in results {
-            let (hits, elapsed, io_d) = r?;
-            let bytes = hits.len() as u64 * 16;
-            let total = elapsed + cost.net.transfer_cost(bytes);
-            if total > slowest {
-                slowest = total;
-            }
+        for (hits, io_d) in out.per_slot {
             io.merge(&io_d);
             per_object_hits.extend(hits);
         }
@@ -155,10 +158,10 @@ impl QueryEngine {
         let nhits = per_object_hits.iter().map(|&(_, h)| h).sum();
 
         Ok(MetaDataQueryOutcome {
-            objects_matched: objects_arc.len() as u64,
+            objects_matched: objects.len() as u64,
             nhits,
             per_object_hits,
-            elapsed: metadata_elapsed + slowest,
+            elapsed: metadata_elapsed + preflight_time + out.eval_time,
             metadata_elapsed,
             io,
         })

@@ -46,13 +46,12 @@
 
 use crate::engine::{Policy, Strategy, Use};
 use crate::exec::EvalCtx;
-use crate::qcache::IntervalKey;
 use crate::snapshot::MetaSnapshot;
 use crate::state::ServerState;
 use pdc_directory::JointGrid;
 use pdc_histogram::{HitBounds, Histogram};
 use pdc_sorted::SortedReplica;
-use pdc_storage::{BlockView, CostModel, Fnv1a, SimDuration, WorkCounters};
+use pdc_storage::{BlockView, CostModel, SimDuration, WorkCounters};
 use pdc_types::{
     kernels, Interval, ObjectId, PdcError, PdcResult, RegionId, RegionSpec, Run, Selection,
     TypedVec,
@@ -123,14 +122,10 @@ struct JointPairCtx {
 
 /// The cross-variable joint-bounds context of one constraint inside one
 /// conjunction: every registered grid pairing the constraint's object
-/// with another constrained object, plus a stable hash identifying the
-/// context for prune-verdict cache keying (`0` never occurs — an empty
-/// context is represented as no context at all).
+/// with another constrained object (an empty context is represented as
+/// no context at all).
 pub struct JointContext {
     pairs: Vec<JointPairCtx>,
-    /// Cache-key discriminator: FNV over the participating pairs and the
-    /// other-side intervals, forced nonzero.
-    pub ctx_hash: u64,
 }
 
 impl JointContext {
@@ -144,12 +139,8 @@ impl JointContext {
         constraints: &[(ObjectId, Interval)],
     ) -> Option<Arc<JointContext>> {
         let mut pairs = Vec::new();
-        // Shared streaming FNV-1a (deterministic across runs —
-        // verdict-cache keys and EXPLAIN output must not depend on
-        // hasher seeding).
-        let mut fnv = Fnv1a::new();
         // Snapshot grids are pinned in sorted pair order, so the context
-        // (and its hash) is a pure function of the conjunction.
+        // is a pure function of the conjunction.
         for grid in snap.joint_grids() {
             let (a, b) = grid.pair();
             let (self_is_a, other) = if a == object {
@@ -164,19 +155,12 @@ impl JointContext {
             else {
                 continue;
             };
-            fnv.write_u64(a.raw());
-            fnv.write_u64(b.raw());
-            fnv.write_u64(u64::from(self_is_a));
-            {
-                use std::hash::Hash;
-                IntervalKey::of(other_iv).hash(&mut fnv);
-            }
             pairs.push(JointPairCtx { grid: Arc::clone(grid), self_is_a, other_iv: *other_iv });
         }
         if pairs.is_empty() {
             return None;
         }
-        Some(Arc::new(JointContext { pairs, ctx_hash: fnv.finish() | 1 }))
+        Some(Arc::new(JointContext { pairs }))
     }
 
     /// Joint-grid cells a verdict for `(region, span_len)` examines — the
@@ -283,8 +267,8 @@ pub struct PruneOp {
 
 impl PruneOp {
     /// The deterministic work charge of one verdict: the histogram bin
-    /// walk plus the joint-grid cell walks. Charged identically on cache
-    /// hits, misses, and directory skips.
+    /// walk plus the joint-grid cell walks. Charged identically on
+    /// evaluated and directory-skipped regions.
     fn charge_verdict_work(&self, st: &mut ServerState, task: &RegionTask) {
         let h = &self.hists[task.region as usize];
         st.work.histogram_bins += h.num_bins() as u64;
@@ -293,29 +277,14 @@ impl PruneOp {
         }
     }
 
-    fn ctx_hash(&self) -> u64 {
-        self.joint.as_ref().map_or(0, |j| j.ctx_hash)
-    }
-
     /// Replay the prune pipeline for a region the directory already
-    /// proved disjoint: charges, cache seeding, and settling are
-    /// bit-identical to [`PruneOp::run`] with a `true` verdict — which
-    /// is what `run` necessarily computes, since disjoint bounds force
-    /// `estimate_hits` to zero. Only the host-side estimate walk is
-    /// skipped.
+    /// proved disjoint: charges and settling are bit-identical to
+    /// [`PruneOp::run`] with a `true` verdict — which is what `run`
+    /// necessarily computes, since disjoint bounds force `estimate_hits`
+    /// to zero. Only the host-side estimate walk is skipped.
     fn run_directory_pruned(&self, ctx: &EvalCtx, st: &mut ServerState, task: &RegionTask) {
         let before = st.work;
         self.charge_verdict_work(st, task);
-        if ctx.use_cache {
-            st.qcache.prune_or_compute(
-                task.object,
-                task.region,
-                task.span.len,
-                &task.interval,
-                self.ctx_hash(),
-                || true,
-            );
-        }
         if self.settle {
             st.settle_cpu(ctx.cost, &before);
         }
@@ -325,30 +294,13 @@ impl PruneOp {
     pub fn run(&self, ctx: &EvalCtx, st: &mut ServerState, task: &RegionTask) -> bool {
         let before = st.work;
         let h = &self.hists[task.region as usize];
-        // The bin and joint-cell walks are charged whether or not the
-        // verdict is cached — a cache hit only skips the host-side
-        // estimate walks.
         self.charge_verdict_work(st, task);
         let joint = self.joint.as_deref();
         // Non-short-circuiting `|`: the joint test runs whether or not
         // the 1-D test already pruned, so the verdict's host work is a
-        // pure function of the task — replay paths charge identically.
-        let verdict = || {
-            prune_verdict(h, &task.interval)
-                | joint.is_some_and(|j| j.proves_empty(task.region, task.span.len, &task.interval))
-        };
-        let pruned = if ctx.use_cache {
-            st.qcache.prune_or_compute(
-                task.object,
-                task.region,
-                task.span.len,
-                &task.interval,
-                self.ctx_hash(),
-                verdict,
-            )
-        } else {
-            verdict()
-        };
+        // pure function of the task.
+        let pruned = prune_verdict(h, &task.interval)
+            | joint.is_some_and(|j| j.proves_empty(task.region, task.span.len, &task.interval));
         if self.settle {
             st.settle_cpu(ctx.cost, &before);
         }
@@ -1175,11 +1127,10 @@ pub fn execute_region(
 /// the interval, which forces `estimate_hits` to zero bounds — so
 /// [`execute_region`] would necessarily take its pruned path with a
 /// `true` verdict. This fast path reproduces that outcome bit-for-bit —
-/// the same work-counter charges, cache seeding, settling, and EXPLAIN
-/// row — while skipping the host-side estimate walk and operator
-/// dispatch. Callers must only invoke it on a planner that prunes
-/// (`prune_op().is_some()`); lanes whose policy does not prune never
-/// consult the directory.
+/// the same work-counter charges, settling, and EXPLAIN row — while
+/// skipping the host-side estimate walk and operator dispatch. Callers
+/// must only invoke it on a planner that prunes (`prune_op().is_some()`);
+/// lanes whose policy does not prune never consult the directory.
 pub fn execute_region_skipped(
     ctx: &EvalCtx,
     st: &mut ServerState,

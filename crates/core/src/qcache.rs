@@ -1,21 +1,23 @@
 //! Per-server cache of query-evaluation artifacts for served query
-//! series: histogram prune verdicts, full-region scan selections, and
-//! bitmap-index answers, keyed by `(object, region, interval)`.
+//! series: full-region scan selections and bitmap-index answers, keyed by
+//! `(object, region, span length, interval)`.
 //!
 //! The cache trades **host CPU** only. A hit lets the server skip
-//! recomputing a pure artifact (a kernel scan, an `estimate_hits` walk,
-//! an index probe) while the simulated accounting — reads, counters,
-//! clock charges — is replayed exactly as on a miss, so served results
-//! and cost breakdowns stay bit-identical to a cache-free sequential
-//! run (property-tested in `tests/service_equivalence.rs`).
+//! recomputing a pure artifact (a kernel scan, an index probe) while the
+//! simulated accounting — reads, counters, clock charges — is replayed
+//! exactly as on a miss, so served results and cost breakdowns stay
+//! bit-identical to a cache-free sequential run (property-tested in
+//! `tests/service_equivalence.rs` and `tests/cache_props.rs`).
 //!
-//! **Invalidation** is epoch-based: [`pdc_storage::ObjectStore`] bumps a
-//! monotonic epoch on every data mutation (put / remove / migrate /
-//! corrupt / repair) and the ODMS bumps it on metadata-only rebuilds
-//! (region histograms, sorted replicas). [`QueryArtifactCache::validate`]
-//! clears all entries when the observed epoch moved — called at the top
-//! of every cached slot evaluation, so repairs, index rebuilds, and
-//! region migrations can never serve a stale artifact.
+//! **The key rule.** An entry is a pure function of inputs that cannot
+//! change under its key, so nothing ever invalidates it. Both artifact
+//! kinds are functions of one region's data at one span length, and that
+//! data never changes: regions are append-only (a grown region has a new
+//! span length, hence a new key), and repair, migrate and index rebuild
+//! restore the same bytes. Every read that produces an artifact is
+//! checksum-verified, so a corrupted copy never becomes one. Prune
+//! verdicts read region histograms and joint grids, which rebuilds and
+//! appends replace, so they are recomputed on every query instead.
 //!
 //! The cache is **budgeted**: entries are charged by their run-list wire
 //! size and the whole cache resets when the budget would overflow (the
@@ -47,22 +49,12 @@ impl IntervalKey {
 }
 
 /// Artifacts key on the region's span length in addition to `(object,
-/// region, interval)`: a streaming append grows a region's extent and
-/// publishes its merged histogram *before* the final epoch bump lands,
-/// so two snapshots of different extents can evaluate inside one epoch
-/// window. A prune verdict, scan selection, or index answer computed for
-/// the shorter extent must never be served for the longer one (or vice
-/// versa); the span length distinguishes exactly the artifacts the
-/// append changed (the grown tail region and the appended regions).
+/// region, interval)`: a streaming append grows a region's extent, and a
+/// scan selection or index answer computed for the shorter extent must
+/// never be served for the longer one (or vice versa). The span length
+/// distinguishes exactly the artifacts the append changed (the grown
+/// tail region and the appended regions).
 type Key = (ObjectId, u32, u64, IntervalKey);
-
-/// Prune verdicts additionally key on a **joint-context hash**: the
-/// verdict of a region folds in cross-variable joint-bounds tests, whose
-/// outcome depends on the registered grids and the *other* variables'
-/// intervals in the conjunction. Two queries with the same 1-D interval
-/// but different joint contexts must never share a verdict; `0` encodes
-/// "no joint context" (no grids registered for the object's pairs).
-type PruneKey = (ObjectId, u32, u64, u64, IntervalKey);
 
 /// Membership statistics of one shared-scan group (`SharedScanGroup`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -80,10 +72,6 @@ pub struct GroupStats {
     /// behalf (summed over admissions; late admissions only pay for
     /// regions whose pending intervals are not already cached).
     pub prewarm_regions: u64,
-    /// Times a store-epoch bump forced the group to drop its predicate
-    /// set and start over (the per-server artifact caches invalidate
-    /// on the same epoch, so a reopened group re-prewarms from scratch).
-    pub reopens: u64,
 }
 
 /// An **open** shared-scan group: the client-side membership ledger of
@@ -92,9 +80,7 @@ pub struct GroupStats {
 /// *new* predicates into the set and prewarms only the regions those
 /// predicates still need (already-cached `(region, interval)` artifacts
 /// are skipped via [`QueryArtifactCache::peek_scan`], so admission is
-/// incremental at region granularity). The group is epoch-stamped: any
-/// store mutation invalidates the per-server artifacts, so the group
-/// drops its ledger and rebuilds on the next admission.
+/// incremental at region granularity).
 ///
 /// Purely host-side, like the caches it feeds: group membership changes
 /// wall-clock sharing only, never a query's selection or simulated
@@ -102,35 +88,20 @@ pub struct GroupStats {
 #[derive(Debug)]
 pub(crate) struct SharedScanGroup {
     id: u64,
-    epoch: u64,
     seen: HashSet<(ObjectId, IntervalKey)>,
-    /// Membership counters (survive reopens).
+    /// Membership counters.
     pub stats: GroupStats,
 }
 
 impl SharedScanGroup {
-    /// An empty group stamped with the store epoch it opened at.
-    pub fn new(id: u64, epoch: u64) -> Self {
-        Self { id, epoch, seen: HashSet::new(), stats: GroupStats::default() }
+    /// An empty group.
+    pub fn new(id: u64) -> Self {
+        Self { id, seen: HashSet::new(), stats: GroupStats::default() }
     }
 
     /// The group's id (unique per engine).
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// The store epoch the current predicate ledger was built at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Drop the predicate ledger and restamp: the artifacts the old
-    /// ledger assumed cached are gone (epoch bump), so every predicate
-    /// counts as new again.
-    pub fn reopen(&mut self, epoch: u64) {
-        self.seen.clear();
-        self.epoch = epoch;
-        self.stats.reopens += 1;
     }
 
     /// Admit one `(object, interval)` predicate; `true` when it is new
@@ -168,27 +139,13 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Hits / (hits + misses); 0 when empty.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The per-server artifact cache (one per [`crate::state::ServerState`]).
 pub struct QueryArtifactCache {
-    epoch: u64,
     budget_bytes: u64,
     bytes: u64,
-    prune: HashMap<PruneKey, bool>,
     scans: HashMap<Key, Selection>,
     indexed: HashMap<Key, IndexedEntry>,
-    /// Lookup statistics (survive epoch invalidation).
+    /// Lookup statistics (survive budget resets).
     pub stats: CacheStats,
 }
 
@@ -199,29 +156,16 @@ impl QueryArtifactCache {
     /// Empty cache with the given byte budget.
     pub fn new(budget_bytes: u64) -> Self {
         Self {
-            epoch: 0,
             budget_bytes,
             bytes: 0,
-            prune: HashMap::new(),
             scans: HashMap::new(),
             indexed: HashMap::new(),
             stats: CacheStats::default(),
         }
     }
 
-    /// Drop every entry when the store epoch moved since the last call:
-    /// any put, remove, migrate, corrupt, repair, or aux rebuild
-    /// invalidates all derived artifacts.
-    pub fn validate(&mut self, epoch: u64) {
-        if self.epoch != epoch {
-            self.clear();
-            self.epoch = epoch;
-        }
-    }
-
     /// Drop all entries (budget and stats handling preserved).
     pub fn clear(&mut self) {
-        self.prune.clear();
         self.scans.clear();
         self.indexed.clear();
         self.bytes = 0;
@@ -229,7 +173,7 @@ impl QueryArtifactCache {
 
     /// Number of resident entries across all artifact kinds.
     pub fn len(&self) -> usize {
-        self.prune.len() + self.scans.len() + self.indexed.len()
+        self.scans.len() + self.indexed.len()
     }
 
     /// Whether the cache holds no entries.
@@ -242,30 +186,6 @@ impl QueryArtifactCache {
             self.clear();
         }
         self.bytes += add;
-    }
-
-    /// The cached prune verdict for `(object, region, interval)` under
-    /// the given joint-context hash (`0` = no joint context), computing
-    /// and caching it with `compute` on a miss.
-    pub fn prune_or_compute(
-        &mut self,
-        object: ObjectId,
-        region: u32,
-        span_len: u64,
-        interval: &Interval,
-        joint_ctx: u64,
-        compute: impl FnOnce() -> bool,
-    ) -> bool {
-        let key = (object, region, span_len, joint_ctx, IntervalKey::of(interval));
-        if let Some(&v) = self.prune.get(&key) {
-            self.stats.hits += 1;
-            return v;
-        }
-        self.stats.misses += 1;
-        let v = compute();
-        self.charge(ENTRY_OVERHEAD);
-        self.prune.insert(key, v);
-        v
     }
 
     /// The cached full-region scan selection, if present.
@@ -372,56 +292,6 @@ mod tests {
             IntervalKey::of(&Interval::from_op(pdc_types::QueryOp::Lt, 0.0)),
             "lo-only vs hi-only bounds must distinguish keys"
         );
-    }
-
-    #[test]
-    fn prune_hits_skip_compute() {
-        let mut c = QueryArtifactCache::new(1 << 20);
-        let obj = ObjectId(1);
-        let mut calls = 0;
-        let v1 = c.prune_or_compute(obj, 0, 10, &iv(0.0, 1.0), 0, || {
-            calls += 1;
-            true
-        });
-        let v2 = c.prune_or_compute(obj, 0, 10, &iv(0.0, 1.0), 0, || {
-            calls += 1;
-            false
-        });
-        let v3 = c.prune_or_compute(obj, 0, 10, &iv(0.0, 1.0), 77, || {
-            calls += 1;
-            false
-        });
-        assert!(!v3, "a different joint context must not share the verdict");
-        assert!(v1 && v2, "hit must replay the first verdict");
-        assert_eq!(calls, 2, "v1 and v3 compute; v2 is a hit");
-        assert_eq!(c.stats.hits, 1);
-        assert_eq!(c.stats.misses, 2);
-    }
-
-    #[test]
-    fn epoch_change_invalidates_everything() {
-        let mut c = QueryArtifactCache::new(1 << 20);
-        let obj = ObjectId(3);
-        c.validate(7);
-        c.put_scan(obj, 0, 10, &iv(0.0, 1.0), Selection::from_span(0, 10));
-        c.prune_or_compute(obj, 1, 10, &iv(0.0, 1.0), 0, || true);
-        c.put_indexed(
-            obj,
-            2,
-            10,
-            &iv(0.0, 1.0),
-            IndexedEntry {
-                needs_data_read: false,
-                candidates_count: 0,
-                selection: Selection::empty(),
-            },
-        );
-        assert_eq!(c.len(), 3);
-        c.validate(7);
-        assert_eq!(c.len(), 3, "same epoch keeps entries");
-        c.validate(8);
-        assert!(c.is_empty(), "epoch bump must clear all artifact kinds");
-        assert!(c.get_scan(obj, 0, 10, &iv(0.0, 1.0)).is_none());
     }
 
     #[test]

@@ -47,7 +47,6 @@ use crate::ast::PdcQuery;
 use crate::engine::{Planned, QueryEngine, QueryOutcome};
 use crate::ops::estimate_plan_cost;
 use crate::qcache::GroupStats;
-use pdc_odms::Odms;
 use pdc_storage::SimDuration;
 use pdc_types::{PdcError, PdcResult};
 use std::cmp::Reverse;
@@ -95,22 +94,6 @@ impl ServiceConfig {
     /// A config over `tenants` with a 5 ms quantum.
     pub fn new(tenants: Vec<TenantSpec>) -> Self {
         Self { tenants, quantum: SimDuration::from_millis(5) }
-    }
-
-    /// Build the config from the tenants registered on an [`Odms`]
-    /// (see `Odms::register_tenant`), in id order.
-    pub fn from_odms(odms: &Odms) -> Self {
-        Self::new(
-            odms.tenants()
-                .into_iter()
-                .map(|t| TenantSpec::new(
-                    &t.name,
-                    t.weight,
-                    SimDuration::from_nanos(t.cost_budget_ns),
-                    t.queue_cap,
-                ))
-                .collect(),
-        )
     }
 }
 
@@ -736,6 +719,7 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdc_odms::Odms;
 
     fn us(n: u64) -> SimDuration {
         SimDuration::from_micros(n)

@@ -1,4 +1,4 @@
-//! Epoch-consistent metadata snapshots for in-flight queries.
+//! Pinned metadata snapshots for in-flight queries.
 //!
 //! Streaming ingest ([`pdc_odms::Odms::append_array`]) can grow an
 //! object while a query is being evaluated. Servers therefore never read
@@ -9,8 +9,17 @@
 //! operator choices, the sorted-band decision — is a pure function of
 //! that snapshot. An append that lands mid-query changes what the *next*
 //! plan sees; the in-flight query answers exactly the extent it planned
-//! against, bit-identical to a store sealed at the same epoch
+//! against, bit-identical to a store sealed at the same extent
 //! (property-tested in `tests/ingest_consistency.rs`).
+//!
+//! **Currency.** The engine's plan cache reuses a plan and its snapshot
+//! only while [`MetaSnapshot::is_current`] holds: every `Arc` the
+//! snapshot pinned — metadata, region histograms, the global histogram
+//! the planner ordered by, the sorted replica, the directory, and the
+//! joint grids of its object pairs — is still the registry's, by
+//! `Arc::ptr_eq`. Every metadata mutation publishes a new `Arc`, and the
+//! snapshot keeps the pinned ones alive, so an address cannot be reused
+//! while the check depends on it.
 //!
 //! Two ingest-specific staleness rules live here:
 //!
@@ -56,8 +65,44 @@ pub(crate) fn usable_directory(
 struct ObjectView {
     meta: Arc<ObjectMeta>,
     hists: Option<Arc<Vec<Histogram>>>,
+    global: Option<Arc<Histogram>>,
     sorted: Option<Arc<SortedReplica>>,
     directory: Option<Arc<RegionDirectory>>,
+}
+
+impl ObjectView {
+    /// Read `obj`'s views from the registry. Metadata first (see module
+    /// docs: the registration order of `append_array` makes
+    /// meta-then-histograms the safe order). The directory is read after
+    /// the histograms; `append_array` publishes it *before* them, so the
+    /// pinned directory is never older than the pinned histograms — at
+    /// worst newer, i.e. wider bounds, whose candidate sets are supersets
+    /// and therefore still sound.
+    fn read(odms: &Odms, obj: ObjectId) -> PdcResult<ObjectView> {
+        let meta = odms.meta().get(obj)?;
+        let hists = odms.meta().region_histograms(obj).ok();
+        let global = odms.meta().global_histogram(obj).ok();
+        let sorted =
+            if meta.has_sorted_replica { odms.meta().sorted_replica(obj).ok() } else { None };
+        let directory = odms.meta().directory(obj);
+        Ok(ObjectView { meta, hists, global, sorted, directory })
+    }
+
+    /// Whether both views pin the same `Arc`s.
+    fn same(&self, other: &ObjectView) -> bool {
+        fn eq<T>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
+            match (a, b) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (None, None) => true,
+                _ => false,
+            }
+        }
+        Arc::ptr_eq(&self.meta, &other.meta)
+            && eq(&self.hists, &other.hists)
+            && eq(&self.global, &other.global)
+            && eq(&self.sorted, &other.sorted)
+            && eq(&self.directory, &other.directory)
+    }
 }
 
 /// The pinned metadata of every object one query plan touches, captured
@@ -65,52 +110,47 @@ struct ObjectView {
 /// cached alongside the plan in the engine's plan cache so a served
 /// series replays the identical snapshot for the identical canonical query.
 pub struct MetaSnapshot {
-    epoch: u64,
     views: HashMap<ObjectId, ObjectView>,
     joints: Vec<Arc<JointGrid>>,
 }
 
 impl MetaSnapshot {
-    /// Pin the metadata views of `objects` at the current store epoch.
+    /// Pin the metadata views of `objects`.
     pub fn capture(odms: &Odms, objects: &[ObjectId]) -> PdcResult<MetaSnapshot> {
-        let epoch = odms.store().epoch();
         let mut views = HashMap::with_capacity(objects.len());
         for &obj in objects {
-            // Metadata first (see module docs: the registration order of
-            // `append_array` makes meta-then-histograms the safe order).
-            // The directory is read after the histograms; `append_array`
-            // publishes it *before* them, so the pinned directory is
-            // never older than the pinned histograms — at worst newer,
-            // i.e. wider bounds, whose candidate sets are supersets and
-            // therefore still sound.
-            let meta = odms.meta().get(obj)?;
-            let hists = odms.meta().region_histograms(obj).ok();
-            let sorted = if meta.has_sorted_replica {
-                odms.meta().sorted_replica(obj).ok()
-            } else {
-                None
-            };
-            let directory = odms.meta().directory(obj);
-            views.insert(obj, ObjectView { meta, hists, sorted, directory });
+            views.insert(obj, ObjectView::read(odms, obj)?);
         }
-        // Joint grids whose both sides the plan touches. Grids carry
-        // their own per-region coverage rule (`rect_upper` declines when
-        // the pinned extent outruns the grid), so no staleness gate is
-        // needed here.
-        let mut joints = Vec::new();
-        for (a, b) in odms.meta().all_joint_pairs() {
-            if views.contains_key(&a) && views.contains_key(&b) {
-                if let Some(g) = odms.meta().joint_grid(a, b) {
-                    joints.push(g);
-                }
-            }
-        }
-        Ok(MetaSnapshot { epoch, views, joints })
+        let joints = Self::joint_grids_of(odms, &views);
+        Ok(MetaSnapshot { views, joints })
     }
 
-    /// The store epoch observed when the snapshot was captured.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+    /// The registered joint grids both of whose objects `views` covers,
+    /// in pair order. Grids carry their own per-region coverage rule
+    /// (`rect_upper` declines when the pinned extent outruns the grid),
+    /// so no staleness gate is needed here.
+    fn joint_grids_of(odms: &Odms, views: &HashMap<ObjectId, ObjectView>) -> Vec<Arc<JointGrid>> {
+        odms.meta()
+            .all_joint_pairs()
+            .into_iter()
+            .filter(|(a, b)| views.contains_key(a) && views.contains_key(b))
+            .filter_map(|(a, b)| odms.meta().joint_grid(a, b))
+            .collect()
+    }
+
+    /// Whether every `Arc` this snapshot pinned is still the registry's,
+    /// and no joint grid over its objects was registered since: a plan
+    /// built against the snapshot is then exactly what planning afresh
+    /// would build.
+    pub fn is_current(&self, odms: &Odms) -> bool {
+        self.views
+            .iter()
+            .all(|(&obj, view)| ObjectView::read(odms, obj).is_ok_and(|now| view.same(&now)))
+            && {
+                let joints = Self::joint_grids_of(odms, &self.views);
+                joints.len() == self.joints.len()
+                    && joints.iter().zip(&self.joints).all(|(a, b)| Arc::ptr_eq(a, b))
+            }
     }
 
     fn view(&self, object: ObjectId) -> PdcResult<&ObjectView> {
@@ -165,5 +205,46 @@ impl MetaSnapshot {
             v.meta.has_sorted_replica
                 && v.sorted.as_ref().is_some_and(|r| r.len() == v.meta.num_elements())
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pdc_odms::ImportOptions;
+    use pdc_storage::StorageTier;
+    use pdc_types::{RegionId, TypedVec};
+
+    #[test]
+    fn is_current_until_metadata_is_republished() {
+        let odms = Odms::new(4);
+        let c = odms.create_container("t");
+        let opts = ImportOptions { region_bytes: 4096, build_sorted: true, ..Default::default() };
+        let data = |k: usize| TypedVec::Float((0..8192).map(|i| ((i * k) % 97) as f32).collect());
+        let a = odms.import_array(c, "a", data(7), &opts).unwrap().object;
+        let b = odms.import_array(c, "b", data(13), &opts).unwrap().object;
+        let current = || MetaSnapshot::capture(&odms, &[a, b]).unwrap();
+
+        // Data moves and damage publish no metadata.
+        let snap = current();
+        odms.migrate_region(RegionId::new(a, 0), StorageTier::BurstBuffer).unwrap();
+        odms.store().corrupt(RegionId::new(a, 1), 3).unwrap();
+        assert!(snap.is_current(&odms));
+
+        // Each metadata publication retires the snapshot.
+        let snap = current();
+        odms.store().repair(RegionId::new(a, 1)).unwrap();
+        odms.rebuild_region_histogram(a, 0).unwrap();
+        assert!(!snap.is_current(&odms), "a rebuilt region histogram");
+        let snap = current();
+        odms.register_joint_pair(a, b).unwrap();
+        assert!(!snap.is_current(&odms), "a joint pair registered since capture");
+        let snap = current();
+        odms.append_array(b, &data(5)).unwrap();
+        assert!(!snap.is_current(&odms), "an append");
+        let snap = current();
+        odms.run_deferred_maintenance().unwrap();
+        assert!(!snap.is_current(&odms), "a republished sorted replica");
+        assert!(current().is_current(&odms));
     }
 }

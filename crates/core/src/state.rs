@@ -35,11 +35,10 @@ pub struct ServerState {
     /// ("the metadata is cached in all servers after the metadata
     /// distribution").
     pub metadata_loaded: HashSet<ObjectId>,
-    /// Epoch-validated cache of query artifacts (prune verdicts, scan
-    /// selections, index answers) for served query series. Only
-    /// consulted when the engine evaluates with caching enabled; skips
-    /// host recomputation while the simulated accounting replays
-    /// identically.
+    /// Cache of query artifacts (scan selections, index answers) for
+    /// served query series. Only consulted when the engine evaluates with
+    /// caching enabled; skips host recomputation while the simulated
+    /// accounting replays identically.
     pub qcache: QueryArtifactCache,
     /// Storage counters.
     pub io: IoCounters,
@@ -175,7 +174,7 @@ impl ServerState {
         let mut attempt = |st: &mut Self| {
             let view = match &slot {
                 Some(CacheSlot::Hot(p)) => BlockView::from(Arc::clone(p)),
-                _ => open_view(odms, rid, true)?,
+                _ => open_view(odms, rid)?,
             };
             if missed {
                 view.check()?;
@@ -350,15 +349,12 @@ impl ServerState {
 
 /// Open `rid`'s block view, uncharged. The store decides residency: a
 /// spilled typed region is its cold handle; anything else is the store
-/// copy as one decoded block, checksum-verified unless `verify` is off
-/// (advisory readers whose artifacts are epoch-keyed).
-pub(crate) fn open_view(odms: &Odms, rid: RegionId, verify: bool) -> PdcResult<BlockView> {
+/// copy as one decoded block, checksum-verified.
+pub(crate) fn open_view(odms: &Odms, rid: RegionId) -> PdcResult<BlockView> {
     if let Some(cold) = odms.store().cold_region(rid) {
         return Ok(cold.into());
     }
-    let (payload, _) =
-        if verify { odms.store().get(rid)? } else { odms.store().get_unverified(rid)? };
-    match payload {
+    match odms.store().get(rid)?.0 {
         StoredPayload::Typed(v) => Ok(v.into()),
         StoredPayload::Raw(_) => {
             Err(PdcError::Storage(format!("region {rid} holds raw bytes, not typed data")))

@@ -3,6 +3,7 @@
 
 use pdc_odms::{ImportOptions, MetaValue, Odms};
 use pdc_query::{EngineConfig, QueryEngine, Strategy};
+use pdc_server::{CorruptionSpec, FaultPlan};
 use pdc_types::{Interval, TypedVec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -43,9 +44,18 @@ fn conds() -> [(&'static str, MetaValue); 2] {
 }
 
 fn engine(odms: &Arc<Odms>, strategy: Strategy, servers: u32) -> QueryEngine {
+    faulty_engine(odms, strategy, servers, None)
+}
+
+fn faulty_engine(
+    odms: &Arc<Odms>,
+    strategy: Strategy,
+    servers: u32,
+    fault_plan: Option<FaultPlan>,
+) -> QueryEngine {
     QueryEngine::new(
         Arc::clone(odms),
-        EngineConfig { strategy, num_servers: servers, ..Default::default() },
+        EngineConfig { strategy, num_servers: servers, fault_plan, ..Default::default() },
     )
 }
 
@@ -128,4 +138,38 @@ fn metadata_resolution_reported_separately() {
     let out = eng.metadata_data_query(&conds(), &Interval::open(0.0, 10.0)).unwrap();
     assert!(out.metadata_elapsed < out.elapsed);
     assert!(out.metadata_elapsed.as_secs_f64() > 0.0);
+}
+
+/// The integrity preflight runs before dispatch, as it does for `run`:
+/// corrupt region histograms are rebuilt before they prune, and corrupt
+/// data regions are repaired on read.
+#[test]
+fn counts_are_exact_under_corruption() {
+    let iv = Interval::open(0.0, 20.0);
+    for seed in 0..8 {
+        let (odms, fluxes) = catalog(120, 60, true);
+        let expect: u64 = fluxes[..60]
+            .iter()
+            .flat_map(|f| f.iter())
+            .filter(|&&v| iv.contains(v as f64))
+            .count() as u64;
+        assert_eq!(expect, 1_524);
+        let plan = FaultPlan::new().with_corruption(CorruptionSpec::new(0.3, 0.5, seed));
+        let eng = faulty_engine(&odms, Strategy::Histogram, 4, Some(plan));
+        let out = eng.metadata_data_query(&conds(), &iv).unwrap();
+        assert_eq!(out.nhits, expect, "corruption seed {seed}");
+    }
+}
+
+/// A killed server's objects fail over to a survivor, as a `run` does.
+#[test]
+fn killed_server_fails_over() {
+    let (odms, _) = catalog(120, 60, true);
+    let iv = Interval::open(0.0, 20.0);
+    let healthy = engine(&odms, Strategy::Histogram, 4).metadata_data_query(&conds(), &iv).unwrap();
+    let eng = faulty_engine(&odms, Strategy::Histogram, 4, Some(FaultPlan::kill(&[1])));
+    let out = eng.metadata_data_query(&conds(), &iv).unwrap();
+    assert_eq!(out.nhits, healthy.nhits);
+    assert_eq!(out.per_object_hits, healthy.per_object_hits);
+    assert!(out.elapsed > healthy.elapsed, "failover costs time");
 }

@@ -15,9 +15,10 @@
 //! A closed series is the one-tenant case: every arrival at t = 0, an
 //! unbounded budget, no deferral queue. Its served outcomes must equal a
 //! sequential `run()` series in submission order for all five
-//! strategies, under kills, a seeded fault plan and corruption; and the
-//! plan and artifact caches behind it must invalidate after an aux
-//! rebuild, a streaming append and a region migration.
+//! strategies, under kills, a seeded fault plan and corruption; the plan
+//! cache behind it must drop plans after an aux rebuild and a streaming
+//! append, and both caches must survive a region migration, which
+//! changes neither metadata nor data.
 
 use pdc_odms::{ImportOptions, Odms};
 use pdc_query::{
@@ -646,11 +647,10 @@ fn duplicate_query_batch_matches_sequential_run() {
 }
 
 /// The dedicated cache-invalidation regression test: poison one region
-/// histogram so its prune verdict (wrongly) reports "no hits", cache
+/// histogram so its prune verdict (wrongly) reports "no hits", serve
 /// that verdict through a closed series, then rebuild the histogram via
-/// the epoch-bumping ODMS path. The next series MUST drop the stale
-/// verdict and recover the region's hits — if epoch invalidation ever
-/// breaks, the cached prune verdict survives and this test fails.
+/// the ODMS path. The next series MUST recover the region's hits — a
+/// plan or verdict that outlived the rebuild would fail this test.
 #[test]
 fn prune_and_plan_caches_invalidate_after_rebuild() {
     let world = build_world(40_000, 8192);
@@ -683,28 +683,28 @@ fn prune_and_plan_caches_invalidate_after_rebuild() {
     );
     assert_eq!(poisoned.served[0].outcome.nhits, poisoned.served[1].outcome.nhits);
 
-    // Epoch-bumping rebuild restores the true histogram.
+    // The rebuild publishes the true histogram.
     world.odms.rebuild_region_histogram(world.energy, poisoned_region).unwrap();
 
     let healed = serve_closed(&eng, &[q.clone(), q]);
     assert_eq!(
         healed.served[0].outcome.selection.iter_coords().collect::<Vec<_>>(),
         expect,
-        "stale prune verdict served after an epoch-bumping rebuild"
+        "stale prune verdict served after a histogram rebuild"
     );
     assert!(
         healed.stats.plan_misses > 0,
-        "the epoch bump must also invalidate the plan cache: {:?}",
+        "the rebuilt histogram must retire the cached plan: {:?}",
         healed.stats
     );
 }
 
-/// Streaming-ingest regression: a closed series warms the plan,
-/// prune-verdict, scan, and prewarm caches; an append then grows the
-/// primary object — including filling the partial tail region whose
-/// artifacts are cached. The next series MUST NOT serve any stale
-/// artifact: a cached "pruned" verdict or short scan selection for the
-/// old tail extent would silently drop every hit the append introduced.
+/// Streaming-ingest regression: a closed series warms the plan, scan,
+/// and prewarm caches; an append then grows the primary object —
+/// including filling the partial tail region whose artifacts are cached.
+/// The next series MUST NOT serve any stale artifact: a short scan
+/// selection for the old tail extent would silently drop every hit the
+/// append introduced.
 #[test]
 fn caches_invalidate_after_streaming_append() {
     let world = build_world(40_000, 8192);
@@ -734,13 +734,16 @@ fn caches_invalidate_after_streaming_append() {
     assert_eq!(a.nhits, b.nhits);
     assert!(
         second.stats.plan_misses > 0,
-        "the append's epoch bump must invalidate the plan cache: {:?}",
+        "the append's new metadata must retire the cached plan: {:?}",
         second.stats
     );
-    assert!(
-        second.stats.artifact_misses > 0,
-        "the append's epoch bump must invalidate the artifact caches: {:?}",
-        second.stats
+    // Artifacts are keyed by span length: only the regions the append
+    // grew or created need a new scan, and every other one is reused.
+    assert_eq!(
+        second.group.expect("continuous batching on").prewarm_regions,
+        1 + report.new_regions.len() as u64,
+        "{:?}",
+        second.group
     );
     // Selection-level check against the naive filter over grown data.
     let mut raw = world.raw_energy.clone();
@@ -754,35 +757,31 @@ fn caches_invalidate_after_streaming_append() {
     assert_eq!(a.selection.iter_coords().collect::<Vec<_>>(), expect);
 }
 
+/// A region migration moves bytes between tiers without changing them
+/// or any metadata, so both caches survive it: the next series is served
+/// wholly from them, and every outcome still equals a cold `run`.
 #[test]
-fn caches_invalidate_after_region_migration() {
+fn caches_survive_region_migration() {
     let world = build_world(30_000, 8192);
     let eng = engine_with(&world, Strategy::Histogram, None);
     let qs = query_pool(&world);
     let prewarmed = |r: &ServiceReport| r.group.expect("continuous batching on").prewarm_regions;
 
     let first = serve_closed(&eng, &qs);
-    // Identical follow-up series: everything is served from the caches.
+    world.odms.migrate_region(RegionId::new(world.energy, 0), StorageTier::BurstBuffer).unwrap();
+    // The cold oracle replays the same dispatch order on a fresh engine
+    // over the migrated world, so its warm-cache accounting matches.
+    let oracle = engine_with(&world, Strategy::Histogram, None);
+    for q in &qs {
+        oracle.run(q).unwrap();
+    }
     let second = serve_closed(&eng, &qs);
     assert_eq!(second.stats.plan_misses, 0, "{:?}", second.stats);
     assert_eq!(second.stats.artifact_misses, 0, "{:?}", second.stats);
     assert_eq!(prewarmed(&second), 0, "{:?}", second.group);
-    for (a, b) in first.served.iter().zip(&second.served) {
-        assert_eq!(a.outcome.selection, b.outcome.selection);
-    }
-
-    // A region migration bumps the store epoch: every cache must drop.
-    world.odms.migrate_region(RegionId::new(world.energy, 0), StorageTier::BurstBuffer).unwrap();
-    let third = serve_closed(&eng, &qs);
-    assert!(third.stats.plan_misses > 0, "plan cache survived a migration: {:?}", third.stats);
-    assert!(
-        third.stats.artifact_misses > 0,
-        "artifact caches survived a migration: {:?}",
-        third.stats
-    );
-    assert!(prewarmed(&third) > 0, "{:?}", third.group);
-    for (a, b) in first.served.iter().zip(&third.served) {
+    for (i, (a, b)) in first.served.iter().zip(&second.served).enumerate() {
         assert_eq!(a.outcome.selection, b.outcome.selection, "migration must never change results");
-        assert_eq!(a.outcome.nhits, b.outcome.nhits);
+        let cold = oracle.run(&qs[b.arrival_index]).unwrap();
+        assert_outcomes_identical(&cold, &b.outcome, &format!("query {i} after migration"));
     }
 }

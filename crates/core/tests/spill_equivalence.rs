@@ -312,7 +312,7 @@ fn spill_batch_matches_unbounded_sequential() {
 fn spill_matches_unbounded_across_streaming_appends() {
     // Interleave queries with streaming appends: appends land in the
     // unsealed tail (never demoted), sealing by growth triggers fresh
-    // demotions, and every engine plans against its epoch snapshot.
+    // demotions, and every engine plans against its metadata snapshot.
     let n = 24_000;
     let world_a = build_world(n, 8192);
     let world_b = build_world(n, 8192);

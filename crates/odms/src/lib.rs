@@ -25,6 +25,4 @@ pub use meta::{MetaValue, ObjectMeta};
 pub use movement::{MoveReport, RebuildReport};
 pub use persist::{MetadataSnapshot, SnapshotJournal};
 pub use service::MetadataService;
-pub use system::{
-    AppendReport, ImportOptions, ImportReport, MaintenanceReport, Odms, TenantRecord,
-};
+pub use system::{AppendReport, ImportOptions, ImportReport, MaintenanceReport, Odms};

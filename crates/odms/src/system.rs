@@ -126,26 +126,6 @@ struct PendingAux {
     sorted_stale: bool,
 }
 
-/// One registered tenant of the multi-tenant query service: the durable
-/// identity + scheduling parameters the service loop reads when it is
-/// configured from an [`Odms`]. Budgets are stored in simulated
-/// nanoseconds (the unit of `pdc_storage::SimDuration`) so the record
-/// stays free of the storage crate's clock types.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantRecord {
-    /// Dense registry index, assigned at first registration.
-    pub id: u32,
-    /// Unique tenant name (the registry upserts by name).
-    pub name: String,
-    /// Weighted-fair share (deficit-round-robin weight, ≥ 1).
-    pub weight: u32,
-    /// Admission budget: max in-flight estimated simulated cost, ns.
-    pub cost_budget_ns: u64,
-    /// Deferral queue capacity; an arrival past a full deferral queue is
-    /// rejected.
-    pub queue_cap: usize,
-}
-
 /// The assembled object-centric data management system.
 #[derive(Debug)]
 pub struct Odms {
@@ -158,8 +138,6 @@ pub struct Odms {
     /// wrong-extent index regions and the planner treats a stale sorted
     /// replica as unavailable.
     pending: RwLock<BTreeMap<ObjectId, PendingAux>>,
-    /// The multi-tenant registry, ordered by registration (dense ids).
-    tenants: RwLock<Vec<TenantRecord>>,
 }
 
 impl Odms {
@@ -169,47 +147,7 @@ impl Odms {
             store: Arc::new(ObjectStore::new(num_osts)),
             meta: Arc::new(MetadataService::new()),
             pending: RwLock::new(BTreeMap::new()),
-            tenants: RwLock::new(Vec::new()),
         }
-    }
-
-    /// Register (or update) a tenant by name and return its dense id.
-    /// Re-registering an existing name updates the scheduling parameters
-    /// in place and keeps the original id — tenants are durable
-    /// identities, not per-connection state.
-    pub fn register_tenant(
-        &self,
-        name: &str,
-        weight: u32,
-        cost_budget_ns: u64,
-        queue_cap: usize,
-    ) -> u32 {
-        let mut ts = self.tenants.write();
-        if let Some(t) = ts.iter_mut().find(|t| t.name == name) {
-            t.weight = weight.max(1);
-            t.cost_budget_ns = cost_budget_ns;
-            t.queue_cap = queue_cap;
-            return t.id;
-        }
-        let id = ts.len() as u32;
-        ts.push(TenantRecord {
-            id,
-            name: name.to_string(),
-            weight: weight.max(1),
-            cost_budget_ns,
-            queue_cap,
-        });
-        id
-    }
-
-    /// Look up a tenant record by name.
-    pub fn tenant(&self, name: &str) -> Option<TenantRecord> {
-        self.tenants.read().iter().find(|t| t.name == name).cloned()
-    }
-
-    /// All registered tenants, in id order.
-    pub fn tenants(&self) -> Vec<TenantRecord> {
-        self.tenants.read().clone()
     }
 
     /// The object store.
@@ -376,8 +314,8 @@ impl Odms {
     /// Ordering matters for in-flight queries: payloads land first, then
     /// histogram/index-size metadata, and the grown `ObjectMeta` is
     /// re-registered **last** — registration is the linearization point at
-    /// which the appended elements become visible to new plans. A final
-    /// epoch bump invalidates every plan/artifact cache.
+    /// which the appended elements become visible to new plans, and the
+    /// new metadata `Arc`s are what tell cached plans they are stale.
     pub fn append_array(&self, object: ObjectId, delta: &TypedVec) -> PdcResult<AppendReport> {
         let meta = self.meta.get(object)?;
         if meta.shape.0.len() != 1 {
@@ -520,11 +458,10 @@ impl Odms {
             },
         );
 
-        // 4. Publish the grown extent, then invalidate caches.
+        // 4. Publish the grown extent.
         let mut new_meta = (*meta).clone();
         new_meta.shape = pdc_types::Shape::one_d(old_n + added);
         self.meta.register_object(new_meta);
-        self.store.bump_epoch();
         Ok(report)
     }
 
@@ -655,9 +592,6 @@ impl Odms {
         })?;
         let size = hist.size_bytes();
         self.meta.replace_region_histogram(object, region, hist)?;
-        // Metadata-only mutation: no store write happens, so invalidate
-        // epoch-keyed prune/plan caches explicitly.
-        self.store.bump_epoch();
         Ok(size)
     }
 
@@ -710,8 +644,6 @@ impl Odms {
     fn publish_sorted_replica(&self, meta: &ObjectMeta, replica: SortedReplica) -> u64 {
         let size = replica.size_bytes(meta.pdc_type.size_bytes());
         self.meta.set_sorted_replica(meta.id, replica);
-        // Metadata-only mutation (see rebuild_region_histogram).
-        self.store.bump_epoch();
         size
     }
 
@@ -774,8 +706,6 @@ impl Odms {
         }
         let size = grid.size_bytes();
         self.meta.set_joint_grid(grid);
-        // Metadata-only mutation (see rebuild_region_histogram).
-        self.store.bump_epoch();
         Ok(size)
     }
 
@@ -788,8 +718,6 @@ impl Odms {
         let dir = RegionDirectory::from_bounds(&bounds);
         let size = dir.size_bytes();
         self.meta.set_directory(object, dir);
-        // Metadata-only mutation (see rebuild_region_histogram).
-        self.store.bump_epoch();
         Ok(size)
     }
 
@@ -1185,17 +1113,15 @@ mod tests {
     }
 
     #[test]
-    fn append_bumps_epoch_and_rejects_bad_input() {
+    fn append_rejects_bad_input() {
         let opts = ImportOptions { region_bytes: 4096, ..Default::default() };
         let (odms, report) = system_with_import(1000, &opts);
-        let e0 = odms.store().epoch();
         odms.append_array(report.object, &vpic_like(10)).unwrap();
-        assert!(odms.store().epoch() > e0, "append must bump the epoch");
         // empty delta is a no-op
-        let e1 = odms.store().epoch();
+        let before = odms.meta().get(report.object).unwrap();
         let ar = odms.append_array(report.object, &TypedVec::empty(pdc_types::PdcType::Float)).unwrap();
         assert_eq!(ar.appended_elems, 0);
-        assert_eq!(odms.store().epoch(), e1);
+        assert!(Arc::ptr_eq(&before, &odms.meta().get(report.object).unwrap()));
         // type mismatch
         let ints: TypedVec = vec![1i32; 4].into();
         assert!(matches!(
@@ -1268,9 +1194,7 @@ mod tests {
         assert!(odms.register_joint_pair(ra.object, ra.object).is_err());
         // Rebuild requires prior registration, then restores a valid grid.
         assert!(odms.rebuild_joint_grid(ra.object, rc.object).is_err());
-        let e0 = odms.store().epoch();
         assert!(odms.rebuild_joint_grid(ra.object, rb.object).unwrap() > 0);
-        assert!(odms.store().epoch() > e0, "rebuild must bump the epoch");
         assert!(odms.meta().joint_grid(ra.object, rb.object).unwrap().self_check());
     }
 

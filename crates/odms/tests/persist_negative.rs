@@ -84,8 +84,8 @@ fn restore_into_on_partially_written_frame_is_a_no_op() {
     let fresh = Odms::new(2);
     assert!(matches!(journal.restore_into(&fresh), Err(PdcError::SnapshotCorrupt(_))));
     assert_untouched(&fresh);
-    // The store is untouched too: no payloads, pristine epoch counter.
-    assert_eq!(fresh.store().epoch(), Odms::new(2).store().epoch());
+    // The store is untouched too: no payloads.
+    assert_eq!(fresh.store().num_regions(), 0);
 }
 
 #[test]

@@ -46,4 +46,4 @@ pub use store::{
 };
 
 pub use bytes;
-pub use pdc_blockstore::{BlockCacheStats, Fnv1a};
+pub use pdc_blockstore::BlockCacheStats;

@@ -526,14 +526,6 @@ pub struct ObjectStore {
     /// the region's life over and clear the mark.
     sealed: RwLock<HashSet<RegionId>>,
     num_osts: u32,
-    /// Monotonic data-plane epoch: bumped by every mutation that can
-    /// change what a read of any region would return (put, remove,
-    /// migrate, corrupt, repair) and by metadata-only rebuilds via
-    /// [`ObjectStore::bump_epoch`]. Caches derived from region contents
-    /// (prune verdicts, partial selections, built plans) key their
-    /// entries to the epoch they were computed at and drop them when it
-    /// moves.
-    epoch: std::sync::atomic::AtomicU64,
     /// Out-of-core spill state; `None` until
     /// [`ObjectStore::configure_spill`] enables demotion.
     spill: RwLock<Option<Arc<SpillState>>>,
@@ -547,7 +539,6 @@ impl ObjectStore {
             quarantine: RwLock::new(HashSet::new()),
             sealed: RwLock::new(HashSet::new()),
             num_osts: num_osts.max(1),
-            epoch: std::sync::atomic::AtomicU64::new(0),
             spill: RwLock::new(None),
         }
     }
@@ -572,19 +563,6 @@ impl ObjectStore {
         self.num_osts
     }
 
-    /// The current data-plane epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Advance the data-plane epoch, invalidating all epoch-keyed caches.
-    /// Called internally by every mutating store operation; exposed for
-    /// mutations that bypass the store (metadata-only histogram or
-    /// sorted-replica rebuilds).
-    pub fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-    }
-
     /// Insert (or replace) a region payload on a tier. Placement is
     /// round-robin by region index — PDC "automatically distributes the
     /// data across the parallel file system's storage devices".
@@ -607,7 +585,6 @@ impl ObjectStore {
             s.add_resident(new_bytes);
             self.touch(id);
         }
-        self.bump_epoch();
         // Best-effort: writes stay within budget as sealed regions demote.
         let _ = self.enforce_budget();
     }
@@ -679,14 +656,13 @@ impl ObjectStore {
             s.add_resident(new_bytes);
             self.touch(id);
         }
-        self.bump_epoch();
         let _ = self.enforce_budget();
         Ok(new_len)
     }
 
     /// Mark a region as sealed: its payload has reached final extent and
     /// further `append_typed` calls must fail. Sealing is idempotent and
-    /// metadata-only (no epoch bump — the readable bytes are unchanged).
+    /// metadata-only: the readable bytes are unchanged.
     pub fn seal(&self, id: RegionId) -> PdcResult<()> {
         if !self.contains(id) {
             return Err(PdcError::NoSuchRegion(id));
@@ -761,28 +737,6 @@ impl ObjectStore {
         }
     }
 
-    /// Fetch a region's payload and tier WITHOUT re-deriving its checksum.
-    /// For advisory reads only (e.g. batch prewarm seeding caches keyed by
-    /// the store epoch): skipping verification is safe there because every
-    /// mutation — including `corrupt` and repair — bumps the epoch, which
-    /// invalidates whatever the advisory reader derived. Anything that
-    /// feeds query results or durability must use [`Self::get`].
-    pub fn get_unverified(&self, id: RegionId) -> PdcResult<(StoredPayload, StorageTier)> {
-        self.touch(id);
-        let (res, tier) = self
-            .regions
-            .read()
-            .get(&id)
-            .map(|r| (r.res.clone(), r.tier))
-            .ok_or(PdcError::NoSuchRegion(id))?;
-        match res {
-            Residency::Resident(p) => Ok((p, tier)),
-            // Spilled reads are implicitly verified: every decoded frame
-            // carries its own checksum.
-            Residency::Spilled(h) => Ok((self.fault_in(id, &h, tier)?, tier)),
-        }
-    }
-
     /// Size in bytes of a region's payload, without any verification,
     /// tier charge, or access bookkeeping — a host-side metadata peek for
     /// planners ranking operators before deciding what to read.
@@ -834,9 +788,6 @@ impl ObjectStore {
             }
             s.ticks.lock().last_use.remove(&id);
         }
-        if existed {
-            self.bump_epoch();
-        }
         existed
     }
 
@@ -861,7 +812,6 @@ impl ObjectStore {
         r.tier = tier;
         let bytes = r.size_bytes();
         drop(map);
-        self.bump_epoch();
         Ok(bytes)
     }
 
@@ -881,7 +831,6 @@ impl ObjectStore {
                     }
                     r.res = Residency::Resident(bad);
                     drop(map);
-                    self.bump_epoch();
                     Ok(true)
                 }
                 None => Ok(false),
@@ -899,7 +848,6 @@ impl ObjectStore {
                 if let Some(s) = self.spill_state() {
                     s.block_cache.invalidate_region(cache_token(id));
                 }
-                self.bump_epoch();
                 Ok(true)
             }
         }
@@ -954,13 +902,11 @@ impl ObjectStore {
                     s.block_cache.invalidate_region(cache_token(id));
                 }
                 self.quarantine.write().remove(&id);
-                self.bump_epoch();
                 return Ok(bytes);
             }
         };
         drop(map);
         self.quarantine.write().remove(&id);
-        self.bump_epoch();
         Ok(bytes)
     }
 
@@ -1124,8 +1070,8 @@ impl ObjectStore {
 
     /// Demote resident sealed regions (least-recently-used first) until
     /// the resident footprint fits the budget or nothing more is
-    /// demotable. Returns the number of regions demoted. No epoch bump:
-    /// demotion is physically real but changes no readable bytes.
+    /// demotable. Returns the number of regions demoted. Demotion is
+    /// physically real but changes no readable bytes.
     pub fn enforce_budget(&self) -> PdcResult<u64> {
         let Some(s) = self.spill_state() else {
             return Ok(0);
@@ -1406,42 +1352,12 @@ mod tests {
     }
 
     #[test]
-    fn epoch_advances_on_every_data_mutation() {
-        let store = ObjectStore::new(2);
-        let v: TypedVec = vec![1.0f32; 8].into();
-        let e0 = store.epoch();
-        store.put(rid(11, 0), StoredPayload::Typed(Arc::new(v)), StorageTier::Pfs);
-        let e1 = store.epoch();
-        assert!(e1 > e0, "put must bump");
-        store.migrate(rid(11, 0), StorageTier::Dram).unwrap();
-        let e2 = store.epoch();
-        assert!(e2 > e1, "migrate must bump");
-        store.corrupt(rid(11, 0), 5).unwrap();
-        let e3 = store.epoch();
-        assert!(e3 > e2, "corrupt must bump");
-        store.repair(rid(11, 0)).unwrap();
-        let e4 = store.epoch();
-        assert!(e4 > e3, "repair must bump");
-        store.remove(rid(11, 0));
-        let e5 = store.epoch();
-        assert!(e5 > e4, "remove must bump");
-        assert_eq!(store.epoch(), e5, "reads must not bump");
-        store.bump_epoch();
-        assert_eq!(store.epoch(), e5 + 1);
-        // removing a missing region is a no-op
-        assert!(!store.remove(rid(11, 0)));
-        assert_eq!(store.epoch(), e5 + 1);
-    }
-
-    #[test]
-    fn append_grows_payload_and_bumps_epoch() {
+    fn append_grows_payload() {
         let store = ObjectStore::new(2);
         let v: TypedVec = vec![1.0f64, 2.0, 3.0].into();
         store.put(rid(12, 0), StoredPayload::Typed(Arc::new(v)), StorageTier::Pfs);
-        let e0 = store.epoch();
         let delta: TypedVec = vec![4.0f64, 5.0].into();
         assert_eq!(store.append_typed(rid(12, 0), &delta).unwrap(), 5);
-        assert!(store.epoch() > e0, "append must bump the epoch");
         let got = store.get_typed(rid(12, 0)).unwrap();
         assert_eq!(got.len(), 5);
         assert_eq!(got.to_f64_vec(), vec![1.0, 2.0, 3.0, 4.0, 5.0]);

@@ -45,9 +45,6 @@ pub const Y_MIN: f64 = -125.0;
 pub const Y_MAX: f64 = 125.0;
 pub const Z_MAX: f64 = 132.0;
 
-/// Bulk (thermal) energy decay rate: solves `P(E > 2) = 0.0529` within
-/// the truncation.
-pub const BULK_RATE: f64 = 1.47;
 /// Tail decay rate: solves the 1.30 % → 0.0004 % span over `ΔE = 1.4`.
 pub const TAIL_RATE: f64 = 5.78;
 /// Fraction of particles in the energetic tail (E ≥ 2.0).
