@@ -57,7 +57,7 @@ echo "== kernel + selection gate =="
 # slot results, the one- and many-slice coordinate-to-selection scatter
 # on both its bitset and sort paths, the rank directory on both its bitset
 # and binary-search paths, and the sorted-replica lookups that feed them)
-# once more optimised, and with them eight pdc-query suites: get_data
+# once more optimised, and with them eleven pdc-query suites: get_data
 # equivalence, whose sorted path scatters values by those ranks; the
 # kernel and spill equivalence suites, which hold every strategy's point
 # checks — through every region's block view, the window kernel and the
@@ -70,8 +70,12 @@ echo "== kernel + selection gate =="
 # maintenance, corruption, migration and joint registration interleave
 # with `serve` (the caches keep artifacts across all of them, so only
 # the verified reads and span-length keys stand between a mutation and
-# a stale answer); and the metadata + data queries, which now dispatch
-# through the same preflight and slot failover as `run`. The code is safe
+# a stale answer); the metadata + data queries, which now dispatch
+# through the same preflight and slot failover as `run`; and the ingest
+# consistency, pruning and metadata-version suites: an object's metadata
+# is published as one version swapped under one lock while readers
+# capture snapshots concurrently, and a release build is where a
+# reordering of that publication would show. The code is safe
 # Rust, so this guards only against a miscompile of the vectorised loops
 # and the shift, popcount and bit-pairing arithmetic in the release
 # binaries, the word-OR merge's range-fill shifts (head and tail masks of
@@ -81,7 +85,8 @@ cargo test -q $OFFLINE --release -p pdc-types -p pdc-sorted
 cargo test -q $OFFLINE --release -p pdc-query --test get_data_equivalence \
     --test kernel_equivalence --test spill_equivalence --test point_check_charges \
     --test strategy_agreement --test service_equivalence --test cache_props \
-    --test metadata_data_queries
+    --test metadata_data_queries --test ingest_consistency --test pruning_props \
+    --test metadata_versions
 
 echo "== integrity gate =="
 # Corruption smoke: a run with 5% of regions corrupted must exit 0 and

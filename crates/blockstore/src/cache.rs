@@ -8,10 +8,10 @@
 //! (the storage crate supplies `(object id, region index, block#)` —
 //! collision-free, never hashed down).
 
-use parking_lot::Mutex;
 use pdc_types::value::TypedVec;
+use pdc_types::Unpoison;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Cache key: an opaque region token (object id + region index) plus a
 /// block number.
@@ -73,7 +73,7 @@ impl BlockCache {
 
     /// Look up a decoded block, refreshing its recency.
     pub fn get(&self, key: BlockKey) -> Option<Arc<TypedVec>> {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unpoisoned();
         g.tick += 1;
         let tick = g.tick;
         match g.entries.get_mut(&key) {
@@ -99,7 +99,7 @@ impl BlockCache {
     /// admitted at all (it would only flush every other block).
     pub fn put(&self, key: BlockKey, block: Arc<TypedVec>) {
         let size = block.size_bytes();
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unpoisoned();
         if size > g.capacity_bytes {
             g.stats.rejected += 1;
             return;
@@ -125,7 +125,7 @@ impl BlockCache {
     /// Drop every block belonging to region `(object token, index)`
     /// (called when a region is rewritten, repaired, or removed).
     pub fn invalidate_region(&self, region: (u64, u32)) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unpoisoned();
         let victims: Vec<BlockKey> = g
             .entries
             .keys()
@@ -142,18 +142,18 @@ impl BlockCache {
 
     /// Bytes currently resident.
     pub fn used_bytes(&self) -> u64 {
-        self.inner.lock().used_bytes
+        self.inner.lock().unpoisoned().used_bytes
     }
 
     /// Cumulative statistics.
     pub fn stats(&self) -> BlockCacheStats {
-        self.inner.lock().stats
+        self.inner.lock().unpoisoned().stats
     }
 }
 
 impl std::fmt::Debug for BlockCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let g = self.inner.lock();
+        let g = self.inner.lock().unpoisoned();
         f.debug_struct("BlockCache")
             .field("capacity_bytes", &g.capacity_bytes)
             .field("used_bytes", &g.used_bytes)

@@ -231,9 +231,9 @@ impl BandVerdicts {
     ) -> PdcResult<Option<SortedHint>> {
         let PlanNode::Conj(cs) = &plan.root else { return Ok(None) };
         let Some(primary) = cs.first().filter(|c| self.answers(c)) else { return Ok(None) };
-        let replica = snap.sorted_replica(primary.object)?;
+        let (version, replica) = snap.sorted_replica(primary.object)?;
         let span = replica.matching_span(&primary.interval);
-        Ok(Some(SortedHint { object: primary.object, span, replica }))
+        Ok(Some(SortedHint { object: primary.object, span, version, replica }))
     }
 }
 
@@ -367,6 +367,8 @@ pub struct SortedHint {
     pub object: ObjectId,
     /// The matching span in sorted coordinates of `replica`.
     pub span: Run,
+    /// The version that published `replica`.
+    pub(crate) version: u64,
     /// The replica the query planned against.
     pub(crate) replica: Arc<SortedReplica>,
 }
@@ -1140,8 +1142,8 @@ impl QueryEngine {
         let loaded: Vec<u64> = self.pool.broadcast(|id, st| {
             let mut count = 0u64;
             for (obj, ivs) in targets {
-                let Ok(meta) = odms.meta().get(*obj) else { continue };
-                let hists = odms.meta().region_histograms(*obj).ok();
+                let Ok(version) = odms.meta().version(*obj) else { continue };
+                let (meta, hists) = (&version.meta, &version.region_hists);
                 // Directory candidate sets per interval: the prewarm pass
                 // only loads/evaluates regions the directory admits.
                 // Skipped regions are exactly the ones whose prune
@@ -1150,9 +1152,8 @@ impl QueryEngine {
                 // prewarming them would be pure waste. Without a usable
                 // directory (the evaluator's own rule) every region is
                 // considered.
-                let cands: Option<Vec<Vec<u32>>> =
-                    usable_directory(odms.meta().directory(*obj), &meta)
-                        .map(|d| ivs.iter().map(|iv| d.probe(iv).candidates).collect());
+                let cands: Option<Vec<Vec<u32>>> = usable_directory(&version)
+                    .map(|d| ivs.iter().map(|iv| d.probe(iv).candidates).collect());
                 for r in 0..meta.num_regions() {
                     if r % n != id.raw() {
                         continue;
@@ -1358,7 +1359,6 @@ impl QueryEngine {
                         // values are already resident from the evaluation.
                         let replica = &hint.replica;
                         let span = hint.span;
-                        let sorted_obj = ObjectId(object.raw() | 1 << 63);
                         let mut ranked: Vec<(u64, f64)> = Vec::new();
                         for (i, sr) in replica.regions_of_span(&span).iter().enumerate() {
                             if i as u32 % n_slots != slot {
@@ -1366,8 +1366,7 @@ impl QueryEngine {
                             }
                             let region = replica.region_span(*sr);
                             let bytes = region.len * (elem + 8);
-                            let rid = RegionId::new(sorted_obj, *sr);
-                            st.touch_sorted_region(&cost, rid, bytes, n)?;
+                            st.touch_sorted_region(&cost, (object, hint.version, *sr), bytes, n)?;
                             let lo = span.start.max(region.start) as usize;
                             let hi = span.end().min(region.end()) as usize;
                             let band = replica.perm()[lo..hi].iter().zip(&replica.keys()[lo..hi]);

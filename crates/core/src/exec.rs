@@ -202,7 +202,7 @@ fn eval_primary(
     // candidate set has bounds disjoint from the interval, so its prune
     // verdict is `true` by construction and it takes the charge-identical
     // skip path below; an object without a usable directory (none built,
-    // or one lagging the snapshot) walks every region instead, with
+    // or a damaged or stripped one) walks every region instead, with
     // bit-identical selections and simulated costs.
     let dir_candidates: Option<Vec<u32>> = if planner.prune_op().is_some() {
         ctx.snap.directory(c.object).map(|d| d.probe(&c.interval).candidates)
@@ -252,7 +252,7 @@ fn eval_primary_sorted(
     c: &ObjConstraint,
 ) -> PdcResult<Selection> {
     let meta = ctx.snap.meta(c.object)?;
-    let replica = ctx.snap.sorted_replica(c.object)?;
+    let (version, replica) = ctx.snap.sorted_replica(c.object)?;
     let elem_bytes = meta.pdc_type.size_bytes();
     // The global histogram narrows the span; two binary searches find it
     // exactly.
@@ -263,14 +263,8 @@ fn eval_primary_sorted(
     let touched = replica.regions_of_span(&sspan);
 
     // Sorted regions are value-partitioned; distribute the touched band
-    // round-robin across servers. (A pseudo object id derived from the
-    // data object keys the residency set.)
-    let op = ops::SortedRangeOp {
-        replica: Arc::clone(&replica),
-        sspan,
-        elem_bytes,
-        sorted_object: ObjectId(c.object.raw() | 1 << 63),
-    };
+    // round-robin across servers.
+    let op = ops::SortedRangeOp { replica: Arc::clone(&replica), version, sspan, elem_bytes };
     let mut slices: Vec<&[u64]> = Vec::new();
     for (i, &sr) in touched.iter().enumerate() {
         if i as u32 % ctx.n_slots != ctx.server {

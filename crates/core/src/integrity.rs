@@ -29,6 +29,7 @@ use pdc_odms::Odms;
 use pdc_server::CorruptionSpec;
 use pdc_storage::{CostModel, IntegrityCounters, ReadPattern, SimDuration, WorkCounters};
 use pdc_types::{mix64, PdcError, PdcResult, RegionId};
+use std::sync::Arc;
 
 /// Salts separating the victim draws of the three auxiliary structures
 /// (so damaging an object's index says nothing about its histograms).
@@ -99,34 +100,43 @@ pub fn apply_corruption(odms: &Odms, spec: &CorruptionSpec) -> PdcResult<Corrupt
                 }
             }
         }
+        // Region histograms, the sorted replica and the directory are
+        // parts of the object's version: their damage is one publication.
+        // The replica and the directory are one structure per object each,
+        // damaged on a deterministic coin at `aux_fraction`.
         let hist_victims = spec.aux_victims(n_regions, salt ^ HIST_SALT);
-        if !hist_victims.is_empty() {
-            let hists = odms.meta().region_histograms(meta.id)?;
-            for r in hist_victims {
-                let bad = hists[r].corrupted_copy(mix64(spec.seed ^ salt ^ HIST_SALT ^ r as u64));
-                odms.meta().replace_region_histogram(meta.id, r as u32, bad)?;
-                report.histograms += 1;
+        let damage_sorted =
+            meta.has_sorted_replica && unit(spec.seed ^ salt ^ SORT_SALT) < spec.aux_fraction;
+        let damage_dir = unit(spec.seed ^ salt ^ DIR_SALT) < spec.aux_fraction;
+        if hist_victims.is_empty() && !damage_sorted && !damage_dir {
+            continue;
+        }
+        odms.meta().update(meta.id, |v| {
+            if !hist_victims.is_empty() {
+                let mut hists = v.region_hists.as_deref().cloned().ok_or_else(|| {
+                    PdcError::MissingPrerequisite(format!("histograms of {}", meta.id))
+                })?;
+                for &r in &hist_victims {
+                    let z = mix64(spec.seed ^ salt ^ HIST_SALT ^ r as u64);
+                    hists[r] = hists[r].corrupted_copy(z);
+                }
+                v.set_region_histograms(hists);
+                report.histograms += hist_victims.len() as u64;
             }
-        }
-        // The sorted replica is one structure per object; a deterministic
-        // coin at `aux_fraction` decides whether it is damaged.
-        if meta.has_sorted_replica && unit(spec.seed ^ salt ^ SORT_SALT) < spec.aux_fraction {
-            let replica = odms.meta().sorted_replica(meta.id)?;
-            odms.meta()
-                .set_sorted_replica(meta.id, replica.corrupted_copy(mix64(spec.seed ^ salt)));
-            report.sorted_objects += 1;
-        }
-        // The region directory, like the replica, is one structure per
-        // object with its own deterministic coin.
-        if unit(spec.seed ^ salt ^ DIR_SALT) < spec.aux_fraction {
-            if let Some(dir) = odms.meta().directory(meta.id) {
-                odms.meta().set_directory(
-                    meta.id,
-                    dir.corrupted_copy(mix64(spec.seed ^ salt ^ DIR_SALT)),
-                );
+            if damage_sorted {
+                let (_, replica) = v.sorted.clone().ok_or_else(|| {
+                    PdcError::MissingPrerequisite(format!("sorted replica of {}", meta.id))
+                })?;
+                v.set_sorted_replica(replica.corrupted_copy(mix64(spec.seed ^ salt)));
+                report.sorted_objects += 1;
+            }
+            if let Some(dir) = v.directory.as_ref().filter(|_| damage_dir) {
+                let z = mix64(spec.seed ^ salt ^ DIR_SALT);
+                v.directory = Some(Arc::new(dir.corrupted_copy(z)));
                 report.directories += 1;
             }
-        }
+            Ok(())
+        })?;
     }
     // Joint-bounds grids are keyed by object *pair*; each gets its own
     // coin derived from both sides' ids.

@@ -619,9 +619,7 @@ impl VerifyRebuildOp {
         let rebuilt = ctx.odms.rebuild_index_region(task.object, task.region)?;
         // Drop any resident decode of the replaced index so later probes
         // pick up the rebuilt one instead of falling back forever.
-        if let Some(idx_obj) =
-            ctx.odms.meta().get(task.object).ok().and_then(|m| m.index_object)
-        {
+        if let Some(idx_obj) = ctx.snap.meta(task.object)?.index_object {
             if let Some(old) = st.index_cache.remove(&RegionId::new(idx_obj, task.region)) {
                 st.index_cache_bytes =
                     st.index_cache_bytes.saturating_sub(old.size_bytes_serialized());
@@ -649,13 +647,13 @@ impl VerifyRebuildOp {
 pub struct SortedRangeOp {
     /// The replica being sliced.
     pub replica: Arc<SortedReplica>,
+    /// The version that published `replica`.
+    pub version: u64,
     /// The binary-searched matching span (sorted coordinates).
     pub sspan: Run,
     /// Bytes per data element (keys cost `elem_bytes + 8` with the
     /// permutation word).
     pub elem_bytes: u64,
-    /// The pseudo object id keying sorted-region residency.
-    pub sorted_object: ObjectId,
 }
 
 impl SortedRangeOp {
@@ -674,7 +672,7 @@ impl SortedRangeOp {
         let bytes = (region_end - region_start) * (self.elem_bytes + 8);
         st.touch_sorted_region(
             ctx.cost,
-            RegionId::new(self.sorted_object, task.region),
+            (task.object, self.version, task.region),
             bytes,
             ctx.n_servers,
         )?;
@@ -712,8 +710,8 @@ enum Access {
     /// Per region, the probe when it dominates the scan.
     IfCheaper {
         elem_bytes: u64,
-        /// Serialized index bytes per region (store peek; `None` where
-        /// the region has no stored index payload).
+        /// Serialized index bytes per region (`None` where the index is
+        /// pending a rebuild).
         index_region_bytes: Vec<Option<u64>>,
     },
 }
@@ -734,15 +732,18 @@ impl RegionPlanner {
         let access = match (ctx.policy.probe, meta.index_object) {
             (Use::Always, Some(_)) => Access::Probe,
             (Use::Always, None) if !filter => Access::Probe,
-            // Peek the stored index sizes up front (host-side metadata
-            // lookup, no simulated charge — this is planning, like
-            // building the query plan itself).
-            (Use::IfCheaper, Some(idx_obj)) => Access::IfCheaper {
-                elem_bytes: meta.pdc_type.size_bytes(),
-                index_region_bytes: (0..meta.num_regions())
-                    .map(|r| ctx.odms.store().payload_size(RegionId::new(idx_obj, r)))
-                    .collect(),
-            },
+            // The snapshot's recorded index sizes (host-side metadata, no
+            // simulated charge — this is planning, like building the
+            // query plan itself). A recorded 0 is a pending rebuild.
+            (Use::IfCheaper, Some(_)) => {
+                let sizes = ctx.snap.version(object)?.index_sizes.clone().unwrap_or_default();
+                Access::IfCheaper {
+                    elem_bytes: meta.pdc_type.size_bytes(),
+                    index_region_bytes: (0..meta.num_regions() as usize)
+                        .map(|r| sizes.get(r).copied().filter(|&b| b > 0))
+                        .collect(),
+                }
+            }
             _ => Access::Scan,
         };
         Ok(RegionPlanner {
@@ -896,7 +897,7 @@ fn sorted_band_estimate(
     if !snap.sorted_available(object) {
         return Ok(None);
     }
-    let replica = snap.sorted_replica(object)?;
+    let (_, replica) = snap.sorted_replica(object)?;
     let sspan = replica.matching_span(interval);
     let band = replica.regions_of_span(&sspan);
     let band_bytes: u64 =

@@ -2,8 +2,8 @@
 //!
 //! Streaming ingest ([`pdc_odms::Odms::append_array`]) can grow an
 //! object while a query is being evaluated. Servers therefore never read
-//! object metadata, region histograms, or the sorted replica from the
-//! live registry during evaluation: the client captures a
+//! object metadata, region histograms, index sizes or the sorted replica
+//! from the live registry during evaluation: the client captures a
 //! [`MetaSnapshot`] of every object a plan touches at plan time, and the
 //! whole evaluation — region enumeration, prune estimates, adaptive
 //! operator choices, the sorted-band decision — is a pure function of
@@ -12,34 +12,33 @@
 //! against, bit-identical to a store sealed at the same extent
 //! (property-tested in `tests/ingest_consistency.rs`).
 //!
-//! **Currency.** The engine's plan cache reuses a plan and its snapshot
-//! only while [`MetaSnapshot::is_current`] holds: every `Arc` the
-//! snapshot pinned — metadata, region histograms, the global histogram
-//! the planner ordered by, the sorted replica, the directory, and the
-//! joint grids of its object pairs — is still the registry's, by
-//! `Arc::ptr_eq`. Every metadata mutation publishes a new `Arc`, and the
-//! snapshot keeps the pinned ones alive, so an address cannot be reused
-//! while the check depends on it.
+//! **One version per object.** The snapshot pins each object's current
+//! [`ObjectVersion`], which the metadata service publishes whole, so the
+//! metadata, histograms, directory and index sizes a query reads always
+//! describe the same regions. Two rules remain, and both are about real
+//! states, not read order:
 //!
-//! Two ingest-specific staleness rules live here:
-//!
-//! * **Capture order.** `append_array` publishes grown histograms
-//!   *before* it registers the grown metadata, so the snapshot reads the
-//!   metadata first: the histogram list read afterwards always covers at
-//!   least the metadata's regions (a concurrently-landing append can
-//!   only make it longer, and a longer list is harmless — evaluation
-//!   iterates the metadata's region count).
+//! * **Directory.** `usable_directory` refuses a directory that indexes
+//!   fewer regions than the metadata — a damaged or deliberately stripped
+//!   one — and evaluation walks every region instead.
 //! * **Sorted staleness.** A replica sorts exactly the elements that
 //!   existed when it was built. After an append it still answers the old
-//!   extent correctly, but the snapshot's metadata may already describe
-//!   the grown object; [`MetaSnapshot::sorted_available`] therefore
-//!   requires the replica to cover the snapshot's element count exactly,
+//!   extent correctly, but the version's metadata already describes the
+//!   grown object; [`MetaSnapshot::sorted_available`] therefore requires
+//!   the replica to cover the snapshot's element count exactly,
 //!   degrading `SortedHistogram`/`Adaptive` to the per-region path until
 //!   deferred maintenance rebuilds the replica.
+//!
+//! **Currency.** The engine's plan cache reuses a plan and its snapshot
+//! only while [`MetaSnapshot::is_current`] holds: every pinned version is
+//! still its object's current one, by `Arc::ptr_eq`, and the joint grids
+//! over its objects are the ones it pinned. Every metadata mutation
+//! publishes a new `Arc`, and the snapshot keeps the pinned ones alive,
+//! so an address cannot be reused while the check depends on it.
 
 use pdc_directory::{JointGrid, RegionDirectory};
 use pdc_histogram::Histogram;
-use pdc_odms::{ObjectMeta, Odms};
+use pdc_odms::{ObjectMeta, ObjectVersion, Odms};
 use pdc_sorted::SortedReplica;
 use pdc_types::{ObjectId, PdcError, PdcResult};
 use std::collections::HashMap;
@@ -47,62 +46,13 @@ use std::sync::Arc;
 
 /// The one rule for when a region directory may stand in for the
 /// region-metadata walk: it must index at least the regions `meta`
-/// describes. `append_array` publishes the grown directory before the
-/// grown metadata, so a maintained directory always passes; one that was
-/// never built, or that lags the metadata, yields `None` and both
-/// consumers — evaluation and the shared-scan prewarm — fall back to
-/// visiting every region. (The integrity preflight reads the raw
-/// directory instead: a lagging one fails its `self_check` and is
-/// rebuilt.)
-pub(crate) fn usable_directory(
-    dir: Option<Arc<RegionDirectory>>,
-    meta: &ObjectMeta,
-) -> Option<Arc<RegionDirectory>> {
-    dir.filter(|d| d.num_regions() >= meta.num_regions())
-}
-
-/// One object's pinned metadata view.
-struct ObjectView {
-    meta: Arc<ObjectMeta>,
-    hists: Option<Arc<Vec<Histogram>>>,
-    global: Option<Arc<Histogram>>,
-    sorted: Option<Arc<SortedReplica>>,
-    directory: Option<Arc<RegionDirectory>>,
-}
-
-impl ObjectView {
-    /// Read `obj`'s views from the registry. Metadata first (see module
-    /// docs: the registration order of `append_array` makes
-    /// meta-then-histograms the safe order). The directory is read after
-    /// the histograms; `append_array` publishes it *before* them, so the
-    /// pinned directory is never older than the pinned histograms — at
-    /// worst newer, i.e. wider bounds, whose candidate sets are supersets
-    /// and therefore still sound.
-    fn read(odms: &Odms, obj: ObjectId) -> PdcResult<ObjectView> {
-        let meta = odms.meta().get(obj)?;
-        let hists = odms.meta().region_histograms(obj).ok();
-        let global = odms.meta().global_histogram(obj).ok();
-        let sorted =
-            if meta.has_sorted_replica { odms.meta().sorted_replica(obj).ok() } else { None };
-        let directory = odms.meta().directory(obj);
-        Ok(ObjectView { meta, hists, global, sorted, directory })
-    }
-
-    /// Whether both views pin the same `Arc`s.
-    fn same(&self, other: &ObjectView) -> bool {
-        fn eq<T>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
-            match (a, b) {
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                (None, None) => true,
-                _ => false,
-            }
-        }
-        Arc::ptr_eq(&self.meta, &other.meta)
-            && eq(&self.hists, &other.hists)
-            && eq(&self.global, &other.global)
-            && eq(&self.sorted, &other.sorted)
-            && eq(&self.directory, &other.directory)
-    }
+/// describes. A published directory always does; a damaged or
+/// deliberately stripped one yields `None`, and both consumers —
+/// evaluation and the shared-scan prewarm — visit every region. (The
+/// integrity preflight reads the raw directory instead: a short one
+/// fails its `self_check` and is rebuilt.)
+pub(crate) fn usable_directory(version: &ObjectVersion) -> Option<Arc<RegionDirectory>> {
+    version.directory.clone().filter(|d| d.num_regions() >= version.meta.num_regions())
 }
 
 /// The pinned metadata of every object one query plan touches, captured
@@ -110,62 +60,66 @@ impl ObjectView {
 /// cached alongside the plan in the engine's plan cache so a served
 /// series replays the identical snapshot for the identical canonical query.
 pub struct MetaSnapshot {
-    views: HashMap<ObjectId, ObjectView>,
+    versions: HashMap<ObjectId, Arc<ObjectVersion>>,
     joints: Vec<Arc<JointGrid>>,
 }
 
 impl MetaSnapshot {
-    /// Pin the metadata views of `objects`.
+    /// Pin the current versions of `objects`.
     pub fn capture(odms: &Odms, objects: &[ObjectId]) -> PdcResult<MetaSnapshot> {
-        let mut views = HashMap::with_capacity(objects.len());
+        let mut versions = HashMap::with_capacity(objects.len());
         for &obj in objects {
-            views.insert(obj, ObjectView::read(odms, obj)?);
+            versions.insert(obj, odms.meta().version(obj)?);
         }
-        let joints = Self::joint_grids_of(odms, &views);
-        Ok(MetaSnapshot { views, joints })
+        let joints = Self::joint_grids_of(odms, &versions);
+        Ok(MetaSnapshot { versions, joints })
     }
 
-    /// The registered joint grids both of whose objects `views` covers,
-    /// in pair order. Grids carry their own per-region coverage rule
-    /// (`rect_upper` declines when the pinned extent outruns the grid),
-    /// so no staleness gate is needed here.
-    fn joint_grids_of(odms: &Odms, views: &HashMap<ObjectId, ObjectView>) -> Vec<Arc<JointGrid>> {
+    /// The registered joint grids both of whose objects `versions`
+    /// covers, in pair order. Grids carry their own per-region coverage
+    /// rule (`rect_upper` declines when the pinned extent outruns the
+    /// grid), so no staleness gate is needed here.
+    fn joint_grids_of(
+        odms: &Odms,
+        versions: &HashMap<ObjectId, Arc<ObjectVersion>>,
+    ) -> Vec<Arc<JointGrid>> {
         odms.meta()
             .all_joint_pairs()
             .into_iter()
-            .filter(|(a, b)| views.contains_key(a) && views.contains_key(b))
+            .filter(|(a, b)| versions.contains_key(a) && versions.contains_key(b))
             .filter_map(|(a, b)| odms.meta().joint_grid(a, b))
             .collect()
     }
 
-    /// Whether every `Arc` this snapshot pinned is still the registry's,
+    /// Whether every pinned version is still its object's current one,
     /// and no joint grid over its objects was registered since: a plan
     /// built against the snapshot is then exactly what planning afresh
     /// would build.
     pub fn is_current(&self, odms: &Odms) -> bool {
-        self.views
+        self.versions
             .iter()
-            .all(|(&obj, view)| ObjectView::read(odms, obj).is_ok_and(|now| view.same(&now)))
+            .all(|(&obj, v)| odms.meta().version(obj).is_ok_and(|now| Arc::ptr_eq(v, &now)))
             && {
-                let joints = Self::joint_grids_of(odms, &self.views);
+                let joints = Self::joint_grids_of(odms, &self.versions);
                 joints.len() == self.joints.len()
                     && joints.iter().zip(&self.joints).all(|(a, b)| Arc::ptr_eq(a, b))
             }
     }
 
-    fn view(&self, object: ObjectId) -> PdcResult<&ObjectView> {
-        self.views.get(&object).ok_or(PdcError::NoSuchObject(object))
+    /// The pinned version of `object`.
+    pub fn version(&self, object: ObjectId) -> PdcResult<&ObjectVersion> {
+        self.versions.get(&object).map(|v| &**v).ok_or(PdcError::NoSuchObject(object))
     }
 
     /// The pinned metadata of `object`.
     pub fn meta(&self, object: ObjectId) -> PdcResult<Arc<ObjectMeta>> {
-        Ok(Arc::clone(&self.view(object)?.meta))
+        Ok(Arc::clone(&self.version(object)?.meta))
     }
 
     /// The pinned per-region histograms of `object` (errors when the
     /// object carries none).
     pub fn region_histograms(&self, object: ObjectId) -> PdcResult<Arc<Vec<Histogram>>> {
-        self.view(object)?.hists.clone().ok_or_else(|| {
+        self.version(object)?.region_hists.clone().ok_or_else(|| {
             PdcError::MissingPrerequisite(format!("region histograms of {object}"))
         })
     }
@@ -173,12 +127,15 @@ impl MetaSnapshot {
     /// The pinned per-region histograms, or `None` when absent (the
     /// advisory lanes' lookup).
     pub fn region_histograms_opt(&self, object: ObjectId) -> Option<Arc<Vec<Histogram>>> {
-        self.views.get(&object).and_then(|v| v.hists.clone())
+        self.version(object).ok()?.region_hists.clone()
     }
 
-    /// The pinned sorted replica of `object`.
-    pub fn sorted_replica(&self, object: ObjectId) -> PdcResult<Arc<SortedReplica>> {
-        self.view(object)?.sorted.clone().ok_or_else(|| {
+    /// The pinned sorted replica of `object`, with the number of the
+    /// version that published it — the key of its regions' residency on
+    /// the servers.
+    pub fn sorted_replica(&self, object: ObjectId) -> PdcResult<(u64, Arc<SortedReplica>)> {
+        let v = self.version(object)?;
+        v.sorted.clone().filter(|_| v.meta.has_sorted_replica).ok_or_else(|| {
             PdcError::MissingPrerequisite(format!("sorted replica of {object}"))
         })
     }
@@ -187,8 +144,7 @@ impl MetaSnapshot {
     /// this snapshot (see `usable_directory`). `None` sends the
     /// evaluator down the full region walk.
     pub fn directory(&self, object: ObjectId) -> Option<Arc<RegionDirectory>> {
-        let v = self.views.get(&object)?;
-        usable_directory(v.directory.clone(), &v.meta)
+        usable_directory(self.version(object).ok()?)
     }
 
     /// The pinned joint-bounds grids both of whose objects this snapshot
@@ -201,9 +157,9 @@ impl MetaSnapshot {
     /// *and* covering exactly the snapshot's element count. An appended
     /// object's replica is stale until deferred maintenance rebuilds it.
     pub fn sorted_available(&self, object: ObjectId) -> bool {
-        self.views.get(&object).is_some_and(|v| {
+        self.version(object).is_ok_and(|v| {
             v.meta.has_sorted_replica
-                && v.sorted.as_ref().is_some_and(|r| r.len() == v.meta.num_elements())
+                && v.sorted.as_ref().is_some_and(|(_, r)| r.len() == v.meta.num_elements())
         })
     }
 }
@@ -219,7 +175,12 @@ mod tests {
     fn is_current_until_metadata_is_republished() {
         let odms = Odms::new(4);
         let c = odms.create_container("t");
-        let opts = ImportOptions { region_bytes: 4096, build_sorted: true, ..Default::default() };
+        let opts = ImportOptions {
+            region_bytes: 4096,
+            build_index: true,
+            build_sorted: true,
+            ..Default::default()
+        };
         let data = |k: usize| TypedVec::Float((0..8192).map(|i| ((i * k) % 97) as f32).collect());
         let a = odms.import_array(c, "a", data(7), &opts).unwrap().object;
         let b = odms.import_array(c, "b", data(13), &opts).unwrap().object;
@@ -236,6 +197,11 @@ mod tests {
         odms.store().repair(RegionId::new(a, 1)).unwrap();
         odms.rebuild_region_histogram(a, 0).unwrap();
         assert!(!snap.is_current(&odms), "a rebuilt region histogram");
+        // Evaluation reads the recorded index sizes, so a rebuilt index
+        // region retires the snapshot too.
+        let snap = current();
+        odms.rebuild_index_region(a, 0).unwrap();
+        assert!(!snap.is_current(&odms), "a rebuilt index region");
         let snap = current();
         odms.register_joint_pair(a, b).unwrap();
         assert!(!snap.is_current(&odms), "a joint pair registered since capture");

@@ -29,8 +29,10 @@ pub struct ServerState {
     pub index_cache_bytes: u64,
     /// Budget for `index_cache`.
     pub index_cache_budget: u64,
-    /// Sorted-replica regions already resident in this server's memory.
-    pub sorted_resident: HashSet<RegionId>,
+    /// Sorted-replica regions already resident in this server's memory,
+    /// as `(object, replica version, sorted region)`: a republished
+    /// replica is a new version, so its regions are read cold.
+    pub sorted_resident: HashSet<(ObjectId, u64, u32)>,
     /// Objects whose region metadata this server has already fetched
     /// ("the metadata is cached in all servers after the metadata
     /// distribution").
@@ -308,19 +310,19 @@ impl ServerState {
         Ok(idx)
     }
 
-    /// Charge the I/O for touching a sorted-replica region: PFS on first
-    /// touch, DRAM afterwards. (`bytes` = keys + permutation for the
-    /// region; the in-memory replica is the data that would have been
-    /// read.)
+    /// Charge the I/O for touching a sorted-replica region, keyed as in
+    /// `sorted_resident`: PFS on first touch, DRAM afterwards. (`bytes` =
+    /// keys + permutation for the region; the in-memory replica is the
+    /// data that would have been read.)
     pub fn touch_sorted_region(
         &mut self,
         cost: &CostModel,
-        sorted_rid: RegionId,
+        sorted_region: (ObjectId, u64, u32),
         bytes: u64,
         concurrency: u32,
     ) -> PdcResult<()> {
         self.fault_check()?;
-        if self.sorted_resident.contains(&sorted_rid) {
+        if self.sorted_resident.contains(&sorted_region) {
             self.io.cache_bytes_read += bytes;
             self.io.cache_hits += 1;
             self.clock.advance(cost.dram.read_cost(bytes));
@@ -330,7 +332,7 @@ impl ServerState {
             self.io.pfs_read_requests += 1;
             self.clock
                 .advance(cost.pfs.read_cost(bytes, 1, concurrency, ReadPattern::Aggregated));
-            self.sorted_resident.insert(sorted_rid);
+            self.sorted_resident.insert(sorted_region);
         }
         Ok(())
     }
@@ -493,12 +495,15 @@ mod tests {
     fn sorted_touch_charges_once() {
         let cost = CostModel::cori_like();
         let mut st = ServerState::new(1 << 20);
-        let rid = RegionId::new(ObjectId(42), 0);
-        st.touch_sorted_region(&cost, rid, 1 << 20, 4).unwrap();
+        let key = (ObjectId(42), 7, 0);
+        st.touch_sorted_region(&cost, key, 1 << 20, 4).unwrap();
         assert_eq!(st.io.pfs_read_requests, 1);
-        st.touch_sorted_region(&cost, rid, 1 << 20, 4).unwrap();
+        st.touch_sorted_region(&cost, key, 1 << 20, 4).unwrap();
         assert_eq!(st.io.pfs_read_requests, 1);
         assert_eq!(st.io.cache_hits, 1);
+        // A republished replica is a new version: read cold again.
+        st.touch_sorted_region(&cost, (ObjectId(42), 8, 0), 1 << 20, 4).unwrap();
+        assert_eq!(st.io.pfs_read_requests, 2);
     }
 
     #[test]

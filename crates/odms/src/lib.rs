@@ -24,5 +24,5 @@ pub mod system;
 pub use meta::{MetaValue, ObjectMeta};
 pub use movement::{MoveReport, RebuildReport};
 pub use persist::{MetadataSnapshot, SnapshotJournal};
-pub use service::MetadataService;
+pub use service::{MetadataService, ObjectVersion};
 pub use system::{AppendReport, ImportOptions, ImportReport, MaintenanceReport, Odms};

@@ -58,19 +58,7 @@ impl Odms {
     /// object into the burst buffer before a query campaign). Regions
     /// already on the target tier are visited but move no bytes.
     pub fn stage_object(&self, object: ObjectId, tier: StorageTier) -> PdcResult<MoveReport> {
-        let meta = self.meta().get(object)?;
-        let mut report = MoveReport::default();
-        for r in 0..meta.num_regions() {
-            let rid = RegionId::new(object, r);
-            let (_, current) = self.store().get(rid)?;
-            let bytes = self.store().migrate(rid, tier)?;
-            report.regions_visited += 1;
-            if current != tier {
-                report.regions_moved += 1;
-                report.bytes += bytes;
-            }
-        }
-        Ok(report)
+        self.stage_regions(object, 0..self.meta().get(object)?.num_regions(), tier)
     }
 
     /// Stage only the regions of `object` whose histogram overlaps
@@ -82,13 +70,23 @@ impl Odms {
         interval: &pdc_types::Interval,
         tier: StorageTier,
     ) -> PdcResult<MoveReport> {
-        let meta = self.meta().get(object)?;
-        let hists = self.meta().region_histograms(object)?;
+        let v = self.meta().version(object)?;
+        let hists = v.region_hists.as_deref().ok_or_else(|| {
+            pdc_types::PdcError::MissingPrerequisite(format!("histograms of {object}"))
+        })?;
+        let overlaps = |r: &u32| hists[*r as usize].estimate_hits(interval).upper > 0;
+        self.stage_regions(object, (0..v.meta.num_regions()).filter(overlaps), tier)
+    }
+
+    /// Stage `regions` of `object` onto `tier`.
+    fn stage_regions(
+        &self,
+        object: ObjectId,
+        regions: impl Iterator<Item = u32>,
+        tier: StorageTier,
+    ) -> PdcResult<MoveReport> {
         let mut report = MoveReport::default();
-        for r in 0..meta.num_regions() {
-            if hists[r as usize].estimate_hits(interval).upper == 0 {
-                continue;
-            }
+        for r in regions {
             let rid = RegionId::new(object, r);
             let (_, current) = self.store().get(rid)?;
             let bytes = self.store().migrate(rid, tier)?;

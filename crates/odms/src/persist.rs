@@ -14,10 +14,10 @@ use crate::service::MetadataService;
 use crate::system::Odms;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pdc_histogram::Histogram;
-use pdc_sorted::SortedReplica;
 use pdc_storage::fnv1a64;
 use pdc_types::{PdcError, PdcResult};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// A point-in-time serializable image of the metadata service.
 #[derive(Debug, Clone, PartialEq)]
@@ -439,25 +439,22 @@ impl SnapshotJournal {
 impl MetadataService {
     /// Capture a snapshot of everything this service owns.
     pub fn snapshot(&self) -> MetadataSnapshot {
-        let objects = self.all_objects();
-        let mut histograms = Vec::new();
-        let mut index_sizes = Vec::new();
-        let mut sorted_objects = Vec::new();
-        for meta in &objects {
-            if let Ok(hs) = self.region_histograms(meta.id) {
-                histograms.push((meta.id.raw(), hs.as_ref().clone()));
-            }
-            if let Ok(sizes) = self.index_sizes(meta.id) {
-                index_sizes.push((meta.id.raw(), sizes.as_ref().clone()));
-            }
-            if meta.has_sorted_replica {
-                sorted_objects.push(meta.id.raw());
+        // Each object's record comes from one version, so it is consistent
+        // even while appends publish.
+        let versions = self.versions();
+        let (mut histograms, mut index_sizes, mut sorted_objects) = (vec![], vec![], vec![]);
+        for v in &versions {
+            let raw = v.meta.id.raw();
+            histograms.extend(v.region_hists.as_deref().map(|h| (raw, h.clone())));
+            index_sizes.extend(v.index_sizes.as_deref().map(|s| (raw, s.clone())));
+            if v.meta.has_sorted_replica {
+                sorted_objects.push(raw);
             }
         }
         MetadataSnapshot {
             version: 1,
             containers: self.all_containers(),
-            objects,
+            objects: versions.iter().map(|v| (*v.meta).clone()).collect(),
             histograms,
             index_sizes,
             sorted_objects,
@@ -482,25 +479,23 @@ impl Odms {
         for (id, name) in &snap.containers {
             svc.restore_container(pdc_types::ContainerId(*id), name);
         }
+        let hists: HashMap<_, _> = snap.histograms.iter().map(|(id, h)| (*id, h)).collect();
+        let sizes: HashMap<_, _> = snap.index_sizes.iter().map(|(id, s)| (*id, s)).collect();
         for meta in &snap.objects {
-            svc.register_object(meta.clone());
-        }
-        for (id, hists) in &snap.histograms {
-            svc.set_region_histograms(pdc_types::ObjectId(*id), hists.clone());
-        }
-        for (id, sizes) in &snap.index_sizes {
-            svc.set_index_sizes(pdc_types::ObjectId(*id), sizes.clone());
-        }
-        for &id in &snap.sorted_objects {
-            let obj = pdc_types::ObjectId(id);
-            let meta = svc.get(obj)?;
-            // Re-derive the replica from the stored regions.
-            let mut values = Vec::with_capacity(meta.num_elements() as usize);
-            for r in 0..meta.num_regions() {
-                let payload = self.read_region(obj, r)?;
-                payload.append_f64_to(&mut values);
-            }
-            svc.set_sorted_replica(obj, SortedReplica::build(&values, meta.region_elems));
+            let raw = meta.id.raw();
+            // The replica is re-derived from the stored regions; the
+            // directory is not part of a snapshot.
+            let sorted = snap.sorted_objects.contains(&raw);
+            let replica = sorted.then(|| self.sort_stored(meta)).transpose()?;
+            svc.register_object(meta.clone(), |v| {
+                if let Some(h) = hists.get(&raw) {
+                    v.set_region_histograms((*h).clone());
+                }
+                v.index_sizes = sizes.get(&raw).map(|s| Arc::new((*s).clone()));
+                if let Some(replica) = replica {
+                    v.set_sorted_replica(replica);
+                }
+            });
         }
         Ok(())
     }

@@ -2,41 +2,69 @@
 //!
 //! In PDC, "a metadata object is managed by only one server to guarantee
 //! consistency"; metadata is small, pre-loaded, and served from memory.
-//! This service holds the object registry, the attribute (tag) inverted
-//! index used by `PDCquery_tag`-style metadata queries, the per-region
-//! local histograms, the merged **global histograms**, and the registries
-//! of derived artifacts (bitmap-index objects, sorted replicas).
+//! This service holds the object registry — one [`ObjectVersion`] per
+//! object, published whole under one lock, so a reader never sees half an
+//! update — the attribute (tag) inverted index used by `PDCquery_tag`-style
+//! metadata queries, and the joint-bounds grids of registered pairs.
 
 use crate::meta::{MetaValue, ObjectMeta};
-use parking_lot::RwLock;
 use pdc_directory::{JointGrid, RegionDirectory};
 use pdc_histogram::{merge_all, Histogram};
 use pdc_sorted::SortedReplica;
-use pdc_types::{ContainerId, ObjectId, PdcError, PdcResult, ServerId};
+use pdc_types::{ContainerId, ObjectId, PdcError, PdcResult, RegionId, ServerId, Unpoison};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
+
+/// One published state of an object: its metadata and every structure
+/// derived from its data, each an `Arc`, so publishing a version copies
+/// pointers and pinning one pins all of it.
+#[derive(Debug, Clone)]
+pub struct ObjectVersion {
+    /// This publication's number, from the service's counter.
+    pub version: u64,
+    /// The object's metadata.
+    pub meta: Arc<ObjectMeta>,
+    /// Per-region local histograms.
+    pub region_hists: Option<Arc<Vec<Histogram>>>,
+    /// The merged **global histogram**.
+    pub global_hist: Option<Arc<Histogram>>,
+    /// Serialized bitmap-index bytes per region (0: rebuild pending).
+    pub index_sizes: Option<Arc<Vec<u64>>>,
+    /// Hierarchical region directory (bin tree over region value bounds).
+    pub directory: Option<Arc<RegionDirectory>>,
+    /// The sorted replica, with the number of the version that published
+    /// it. Publications that leave the replica alone carry the pair
+    /// unchanged, so the number names the replica's contents.
+    pub sorted: Option<(u64, Arc<SortedReplica>)>,
+}
+
+impl ObjectVersion {
+    /// Record the per-region local histograms and merge them into the
+    /// global histogram.
+    pub fn set_region_histograms(&mut self, hists: Vec<Histogram>) {
+        self.global_hist = merge_all(hists.iter()).map(Arc::new);
+        self.region_hists = Some(Arc::new(hists));
+    }
+
+    /// Record `replica` as published by this version.
+    pub fn set_sorted_replica(&mut self, replica: SortedReplica) {
+        self.sorted = Some((self.version, Arc::new(replica)));
+    }
+}
 
 /// In-memory metadata service.
 #[derive(Debug, Default)]
 pub struct MetadataService {
     next_id: AtomicU64,
-    objects: RwLock<HashMap<ObjectId, Arc<ObjectMeta>>>,
+    /// The counter behind [`ObjectVersion::version`].
+    next_version: AtomicU64,
+    /// Every object's current version.
+    objects: RwLock<HashMap<ObjectId, Arc<ObjectVersion>>>,
     by_name: RwLock<HashMap<String, ObjectId>>,
     containers: RwLock<HashMap<ContainerId, String>>,
     /// Inverted attribute index: key -> value -> object ids.
     attr_index: RwLock<HashMap<String, HashMap<MetaValue, Vec<ObjectId>>>>,
-    /// Per-object, per-region local histograms.
-    region_hists: RwLock<HashMap<ObjectId, Arc<Vec<Histogram>>>>,
-    /// Per-object merged global histogram.
-    global_hists: RwLock<HashMap<ObjectId, Arc<Histogram>>>,
-    /// Per-object sorted replica.
-    sorted: RwLock<HashMap<ObjectId, Arc<SortedReplica>>>,
-    /// Per-object serialized index region sizes (bytes per region).
-    index_sizes: RwLock<HashMap<ObjectId, Arc<Vec<u64>>>>,
-    /// Per-object hierarchical region directory (bin tree over region
-    /// value bounds).
-    directories: RwLock<HashMap<ObjectId, Arc<RegionDirectory>>>,
     /// Joint-bounds grids of registered variable pairs, keyed by the
     /// pair in registration order.
     joint_grids: RwLock<HashMap<(ObjectId, ObjectId), Arc<JointGrid>>>,
@@ -56,68 +84,122 @@ impl MetadataService {
     /// Create a container.
     pub fn create_container(&self, name: &str) -> ContainerId {
         let id = ContainerId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        self.containers.write().insert(id, name.to_string());
+        self.containers.write().unpoisoned().insert(id, name.to_string());
         id
     }
 
     /// Container name lookup.
     pub fn container_name(&self, id: ContainerId) -> Option<String> {
-        self.containers.read().get(&id).cloned()
+        self.containers.read().unpoisoned().get(&id).cloned()
     }
 
-    /// Register an object's metadata (also indexes its attributes).
-    pub fn register_object(&self, meta: ObjectMeta) -> Arc<ObjectMeta> {
+    /// Register an object and index its attributes. `build` fills in the
+    /// rest of its first version, so the object becomes visible whole;
+    /// registering an id again replaces its version whole.
+    pub fn register_object(
+        &self,
+        meta: ObjectMeta,
+        build: impl FnOnce(&mut ObjectVersion),
+    ) -> Arc<ObjectMeta> {
         let meta = Arc::new(meta);
-        self.by_name.write().insert(meta.name.clone(), meta.id);
+        self.by_name.write().unpoisoned().insert(meta.name.clone(), meta.id);
         {
-            let mut idx = self.attr_index.write();
+            let mut idx = self.attr_index.write().unpoisoned();
             for (k, v) in &meta.attrs {
                 let list = idx.entry(k.clone()).or_default().entry(v.clone()).or_default();
-                // Re-registration (shape growth on append) must not leave
-                // duplicate postings behind.
+                // Re-registering an id must not leave duplicate postings.
                 if !list.contains(&meta.id) {
                     list.push(meta.id);
                 }
             }
         }
-        self.objects.write().insert(meta.id, Arc::clone(&meta));
+        let mut objects = self.objects.write().unpoisoned();
+        let mut first = ObjectVersion {
+            version: self.next_version.fetch_add(1, Ordering::Relaxed),
+            meta: Arc::clone(&meta),
+            region_hists: None,
+            global_hist: None,
+            index_sizes: None,
+            directory: None,
+            sorted: None,
+        };
+        build(&mut first);
+        objects.insert(meta.id, Arc::new(first));
         meta
+    }
+
+    /// Publish `id`'s next version: `edit` changes a copy of the current
+    /// one (its number already advanced), and the copy replaces it under
+    /// the registry's write lock, so `edit` must not call back into the
+    /// service. Nothing is published when `edit` fails.
+    pub fn update(
+        &self,
+        id: ObjectId,
+        edit: impl FnOnce(&mut ObjectVersion) -> PdcResult<()>,
+    ) -> PdcResult<()> {
+        let mut objects = self.objects.write().unpoisoned();
+        let current = objects.get(&id).ok_or(PdcError::NoSuchObject(id))?;
+        let mut next = ObjectVersion {
+            version: self.next_version.fetch_add(1, Ordering::Relaxed),
+            ..(**current).clone()
+        };
+        edit(&mut next)?;
+        objects.insert(id, Arc::new(next));
+        Ok(())
+    }
+
+    /// The current version of an object.
+    pub fn version(&self, id: ObjectId) -> PdcResult<Arc<ObjectVersion>> {
+        self.objects.read().unpoisoned().get(&id).cloned().ok_or(PdcError::NoSuchObject(id))
+    }
+
+    /// One part of an object's current version, or `MissingPrerequisite`
+    /// naming `what`.
+    fn part<T>(
+        &self,
+        id: ObjectId,
+        what: &str,
+        pick: impl FnOnce(&ObjectVersion) -> Option<Arc<T>>,
+    ) -> PdcResult<Arc<T>> {
+        self.version(id)
+            .ok()
+            .and_then(|v| pick(&v))
+            .ok_or_else(|| PdcError::MissingPrerequisite(format!("{what} of {id}")))
     }
 
     /// Fetch an object's metadata.
     pub fn get(&self, id: ObjectId) -> PdcResult<Arc<ObjectMeta>> {
-        self.objects.read().get(&id).cloned().ok_or(PdcError::NoSuchObject(id))
+        Ok(Arc::clone(&self.version(id)?.meta))
     }
 
     /// Look an object up by name.
     pub fn lookup_name(&self, name: &str) -> PdcResult<Arc<ObjectMeta>> {
-        let id = self
-            .by_name
-            .read()
-            .get(name)
-            .copied()
-            .ok_or_else(|| PdcError::NotFound(format!("object '{name}'")))?;
-        self.get(id)
+        let id = self.by_name.read().unpoisoned().get(name).copied();
+        self.get(id.ok_or_else(|| PdcError::NotFound(format!("object '{name}'")))?)
     }
 
     /// Number of registered objects.
     pub fn num_objects(&self) -> usize {
-        self.objects.read().len()
+        self.objects.read().unpoisoned().len()
     }
 
-    /// All object metadata records (cloned), ordered by id — the
-    /// persistence path's view of the registry.
-    pub fn all_objects(&self) -> Vec<ObjectMeta> {
-        let mut out: Vec<ObjectMeta> =
-            self.objects.read().values().map(|m| (**m).clone()).collect();
-        out.sort_by_key(|m| m.id);
+    /// Every object's current version, ordered by id.
+    pub fn versions(&self) -> Vec<Arc<ObjectVersion>> {
+        let mut out: Vec<_> = self.objects.read().unpoisoned().values().cloned().collect();
+        out.sort_by_key(|v| v.meta.id);
         out
+    }
+
+    /// All object metadata records (cloned), ordered by id.
+    pub fn all_objects(&self) -> Vec<ObjectMeta> {
+        self.versions().iter().map(|v| (*v.meta).clone()).collect()
     }
 
     /// All containers as `(raw id, name)`, ordered by id.
     pub fn all_containers(&self) -> Vec<(u64, String)> {
+        let containers = self.containers.read().unpoisoned();
         let mut out: Vec<(u64, String)> =
-            self.containers.read().iter().map(|(id, n)| (id.raw(), n.clone())).collect();
+            containers.iter().map(|(id, n)| (id.raw(), n.clone())).collect();
         out.sort_unstable();
         out
     }
@@ -134,7 +216,7 @@ impl MetadataService {
 
     /// Re-register a container under its original id (restore path).
     pub fn restore_container(&self, id: ContainerId, name: &str) {
-        self.containers.write().insert(id, name.to_string());
+        self.containers.write().unpoisoned().insert(id, name.to_string());
     }
 
     /// The owner server of a metadata object: consistent hashing over
@@ -152,15 +234,12 @@ impl MetadataService {
         if conds.is_empty() {
             return Vec::new();
         }
-        let idx = self.attr_index.read();
+        let idx = self.attr_index.read().unpoisoned();
+        let lists = conds.iter().map(|(k, v)| idx.get(*k).and_then(|m| m.get(v)));
+        let Some(mut lists) = lists.collect::<Option<Vec<&Vec<ObjectId>>>>() else {
+            return Vec::new();
+        };
         // Start from the rarest condition to keep the intersection cheap.
-        let mut lists: Vec<&Vec<ObjectId>> = Vec::with_capacity(conds.len());
-        for (k, v) in conds {
-            match idx.get(*k).and_then(|m| m.get(v)) {
-                Some(list) => lists.push(list),
-                None => return Vec::new(),
-            }
-        }
         lists.sort_by_key(|l| l.len());
         let mut result: Vec<ObjectId> = lists[0].clone();
         for list in &lists[1..] {
@@ -171,83 +250,15 @@ impl MetadataService {
         result
     }
 
-    /// Record the per-region local histograms of an object and merge them
-    /// into the object's global histogram.
-    pub fn set_region_histograms(&self, id: ObjectId, hists: Vec<Histogram>) {
-        let global = merge_all(hists.iter());
-        self.region_hists.write().insert(id, Arc::new(hists));
-        if let Some(g) = global {
-            self.global_hists.write().insert(id, Arc::new(g));
-        }
-    }
-
     /// The local histograms of an object's regions.
     pub fn region_histograms(&self, id: ObjectId) -> PdcResult<Arc<Vec<Histogram>>> {
-        self.region_hists
-            .read()
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| PdcError::MissingPrerequisite(format!("histograms of {id}")))
+        self.part(id, "histograms", |v| v.region_hists.clone())
     }
 
     /// The merged global histogram of an object (`PDCquery_get_histogram`):
     /// "automatically generated by the PDC system at no additional cost".
     pub fn global_histogram(&self, id: ObjectId) -> PdcResult<Arc<Histogram>> {
-        self.global_hists
-            .read()
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| PdcError::MissingPrerequisite(format!("global histogram of {id}")))
-    }
-
-    /// Register a sorted replica for an object.
-    pub fn set_sorted_replica(&self, id: ObjectId, replica: SortedReplica) {
-        self.sorted.write().insert(id, Arc::new(replica));
-    }
-
-    /// The sorted replica of an object, if built.
-    pub fn sorted_replica(&self, id: ObjectId) -> PdcResult<Arc<SortedReplica>> {
-        self.sorted
-            .read()
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| PdcError::MissingPrerequisite(format!("sorted replica of {id}")))
-    }
-
-    /// Incrementally extend an object's histograms after a streaming
-    /// append — the metadata half of the ingest path.
-    ///
-    /// * `tail` replaces the (previously partial) tail region's local
-    ///   histogram with its merged successor.
-    /// * `new_hists` are the local histograms of freshly appended regions,
-    ///   pushed in region order.
-    /// * `deltas` are the histograms of only the *appended* elements; they
-    ///   fold into the existing global histogram via
-    ///   [`Histogram::merge_in_place`] — no from-scratch re-merge of all
-    ///   region histograms, which is what keeps per-append metadata work
-    ///   O(appended regions) instead of O(total regions).
-    pub fn extend_histograms(
-        &self,
-        id: ObjectId,
-        tail: Option<(u32, Histogram)>,
-        new_hists: Vec<Histogram>,
-        deltas: Vec<Histogram>,
-    ) -> PdcResult<()> {
-        let mut hists = self.region_histograms(id)?.as_ref().clone();
-        if let Some((region, hist)) = tail {
-            let slot = hists.get_mut(region as usize).ok_or_else(|| {
-                PdcError::NotFound(format!("histogram of region {region} of {id}"))
-            })?;
-            *slot = hist;
-        }
-        hists.extend(new_hists);
-        let mut global = self.global_histogram(id)?.as_ref().clone();
-        for d in &deltas {
-            global.merge_in_place(d);
-        }
-        self.region_hists.write().insert(id, Arc::new(hists));
-        self.global_hists.write().insert(id, Arc::new(global));
-        Ok(())
+        self.part(id, "global histogram", |v| v.global_hist.clone())
     }
 
     /// Replace one region's local histogram and re-merge the object's
@@ -259,75 +270,65 @@ impl MetadataService {
         region: u32,
         hist: Histogram,
     ) -> PdcResult<()> {
-        let mut hists = self.region_histograms(id)?.as_ref().clone();
-        let slot = hists.get_mut(region as usize).ok_or_else(|| {
-            PdcError::NotFound(format!("histogram of region {region} of {id}"))
-        })?;
-        *slot = hist;
-        self.set_region_histograms(id, hists);
-        Ok(())
+        self.update(id, |v| {
+            let mut hists = v.region_hists.as_deref().cloned().unwrap_or_default();
+            let slot = hists.get_mut(region as usize);
+            *slot.ok_or(PdcError::NoSuchRegion(RegionId::new(id, region)))? = hist;
+            v.set_region_histograms(hists);
+            Ok(())
+        })
     }
 
-    /// Record the serialized per-region index sizes of an object's bitmap
-    /// index (used for I/O accounting and the E6 overhead experiment).
-    pub fn set_index_sizes(&self, data_object: ObjectId, sizes: Vec<u64>) {
-        self.index_sizes.write().insert(data_object, Arc::new(sizes));
+    /// Publish a sorted replica for a registered object.
+    pub fn set_sorted_replica(&self, id: ObjectId, replica: SortedReplica) {
+        let _ = self.update(id, |v| {
+            v.set_sorted_replica(replica);
+            Ok(())
+        });
     }
 
-    /// Update one region's recorded serialized index size after an
-    /// integrity rebuild (the rebuilt index may differ in size when the
-    /// original binning configuration was non-default).
-    pub fn update_index_size(&self, data_object: ObjectId, region: u32, size: u64) -> PdcResult<()> {
-        let mut sizes = self.index_sizes(data_object)?.as_ref().clone();
-        let slot = sizes.get_mut(region as usize).ok_or_else(|| {
-            PdcError::NotFound(format!("index size of region {region} of {data_object}"))
-        })?;
-        *slot = size;
-        self.set_index_sizes(data_object, sizes);
-        Ok(())
+    /// The sorted replica of an object, if built.
+    pub fn sorted_replica(&self, id: ObjectId) -> PdcResult<Arc<SortedReplica>> {
+        self.part(id, "sorted replica", |v| v.sorted.as_ref().map(|(_, r)| Arc::clone(r)))
     }
 
-    /// Serialized per-region index sizes.
-    pub fn index_sizes(&self, data_object: ObjectId) -> PdcResult<Arc<Vec<u64>>> {
-        self.index_sizes
-            .read()
-            .get(&data_object)
-            .cloned()
-            .ok_or_else(|| PdcError::MissingPrerequisite(format!("index of {data_object}")))
+    /// Serialized per-region index sizes (used for I/O accounting and the
+    /// E6 overhead experiment).
+    pub fn index_sizes(&self, id: ObjectId) -> PdcResult<Arc<Vec<u64>>> {
+        self.part(id, "index", |v| v.index_sizes.clone())
     }
 
-    /// Record (or replace) an object's hierarchical region directory.
+    /// Publish (or replace) a registered object's region directory.
     pub fn set_directory(&self, id: ObjectId, directory: RegionDirectory) {
-        self.directories.write().insert(id, Arc::new(directory));
+        let _ = self.update(id, |v| {
+            v.directory = Some(Arc::new(directory));
+            Ok(())
+        });
     }
 
     /// The hierarchical region directory of an object, if built. Absence
     /// is not an error: the directory is advisory and every consumer
     /// falls back to the full region-metadata walk.
     pub fn directory(&self, id: ObjectId) -> Option<Arc<RegionDirectory>> {
-        self.directories.read().get(&id).cloned()
+        self.version(id).ok()?.directory.clone()
     }
 
     /// Record (or replace) the joint-bounds grid of a variable pair.
     pub fn set_joint_grid(&self, grid: JointGrid) {
-        self.joint_grids.write().insert(grid.pair(), Arc::new(grid));
+        self.joint_grids.write().unpoisoned().insert(grid.pair(), Arc::new(grid));
     }
 
     /// The joint-bounds grid registered for exactly `(a, b)` (in
     /// registration order), if any.
     pub fn joint_grid(&self, a: ObjectId, b: ObjectId) -> Option<Arc<JointGrid>> {
-        self.joint_grids.read().get(&(a, b)).cloned()
+        self.joint_grids.read().unpoisoned().get(&(a, b)).cloned()
     }
 
     /// Every joint-bounds grid that involves `id` (either side).
     pub fn joint_grids_for(&self, id: ObjectId) -> Vec<Arc<JointGrid>> {
-        let mut out: Vec<Arc<JointGrid>> = self
-            .joint_grids
-            .read()
-            .iter()
-            .filter(|((a, b), _)| *a == id || *b == id)
-            .map(|(_, g)| Arc::clone(g))
-            .collect();
+        let grids = self.joint_grids.read().unpoisoned();
+        let mine = grids.iter().filter(|((a, b), _)| *a == id || *b == id);
+        let mut out: Vec<Arc<JointGrid>> = mine.map(|(_, g)| Arc::clone(g)).collect();
         out.sort_by_key(|g| g.pair());
         out
     }
@@ -335,7 +336,7 @@ impl MetadataService {
     /// All registered pairs, ordered — the integrity sweep's worklist.
     pub fn all_joint_pairs(&self) -> Vec<(ObjectId, ObjectId)> {
         let mut out: Vec<(ObjectId, ObjectId)> =
-            self.joint_grids.read().keys().copied().collect();
+            self.joint_grids.read().unpoisoned().keys().copied().collect();
         out.sort_unstable();
         out
     }
@@ -343,14 +344,10 @@ impl MetadataService {
     /// Total in-memory metadata footprint of the histograms (bytes) — the
     /// metadata-overhead side of the region-size trade-off.
     pub fn histogram_metadata_bytes(&self, id: ObjectId) -> u64 {
-        let mut total = 0;
-        if let Some(hs) = self.region_hists.read().get(&id) {
-            total += hs.iter().map(|h| h.size_bytes()).sum::<u64>();
-        }
-        if let Some(g) = self.global_hists.read().get(&id) {
-            total += g.size_bytes();
-        }
-        total
+        self.version(id).map_or(0, |v| {
+            let local = v.region_hists.iter().flat_map(|hs| hs.iter());
+            local.chain(v.global_hist.as_deref()).map(Histogram::size_bytes).sum()
+        })
     }
 }
 
@@ -370,7 +367,7 @@ mod tests {
             let mut attrs = BTreeMap::new();
             attrs.insert("plate".to_string(), MetaValue::from((i % 10) as i64));
             attrs.insert("ra".to_string(), MetaValue::from((i % 4) as f64 * 10.0));
-            svc.register_object(ObjectMeta {
+            let meta = ObjectMeta {
                 id,
                 container: c,
                 name: format!("obj{i}"),
@@ -380,7 +377,8 @@ mod tests {
                 attrs,
                 index_object: None,
                 has_sorted_replica: false,
-            });
+            };
+            svc.register_object(meta, |_| {});
             ids.push(id);
         }
         (svc, ids)
@@ -447,7 +445,11 @@ mod tests {
         let cfg = HistogramConfig::default();
         let h1 = Histogram::build(&[1.0, 2.0, 3.0], &cfg).unwrap();
         let h2 = Histogram::build(&[10.0, 20.0], &cfg).unwrap();
-        svc.set_region_histograms(id, vec![h1, h2]);
+        svc.update(id, |v| {
+            v.set_region_histograms(vec![h1, h2]);
+            Ok(())
+        })
+        .unwrap();
         let g = svc.global_histogram(id).unwrap();
         assert_eq!(g.total(), 5);
         assert_eq!(svc.region_histograms(id).unwrap().len(), 2);
@@ -468,7 +470,11 @@ mod tests {
     fn index_sizes_registry() {
         let (svc, ids) = svc_with_objects(1);
         assert!(svc.index_sizes(ids[0]).is_err());
-        svc.set_index_sizes(ids[0], vec![100, 200]);
+        svc.update(ids[0], |v| {
+            v.index_sizes = Some(Arc::new(vec![100, 200]));
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(*svc.index_sizes(ids[0]).unwrap(), vec![100, 200]);
     }
 }

@@ -15,16 +15,15 @@
 
 use crate::meta::{MetaValue, ObjectMeta};
 use crate::service::MetadataService;
-use parking_lot::RwLock;
 use pdc_bitmap::{BinnedBitmapIndex, BinningConfig};
 use pdc_bitmap::index::ValueDomain;
 use pdc_directory::{JointGrid, RegionDirectory};
 use pdc_histogram::{Histogram, HistogramConfig};
 use pdc_sorted::SortedReplica;
 use pdc_storage::{ObjectStore, StorageTier, StoredPayload};
-use pdc_types::{ContainerId, ObjectId, PdcResult, RegionId, TypedVec};
+use pdc_types::{ContainerId, ObjectId, PdcResult, RegionId, TypedVec, Unpoison};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Options controlling an import. Histograms and bitmap indexes are
 /// always built with the default [`HistogramConfig`] / [`BinningConfig`]
@@ -224,11 +223,11 @@ impl Odms {
         // into regions (one global sort, as the paper's reorganization).
         // Only this build widens the whole array; the copy is gone before
         // the region loop starts.
-        if opts.build_sorted {
+        let replica = opts.build_sorted.then(|| {
             let replica = SortedReplica::build(&data.to_f64_vec(), region_elems);
             report.sorted_bytes = replica.size_bytes(elem_bytes);
-            self.meta.set_sorted_replica(id, replica);
-        }
+            replica
+        });
 
         let mut hists = Vec::with_capacity(regions.len());
         let mut index_sizes = Vec::new();
@@ -277,19 +276,21 @@ impl Odms {
         }
         // Region directory: hierarchical bins over the per-region value
         // bounds the local histograms just observed — built at import
-        // time like the histograms themselves, before the object's
-        // registration makes it queryable.
+        // time like the histograms themselves. The registration publishes
+        // the object whole.
         let dir = RegionDirectory::from_bounds(
             &hists.iter().map(|h| (h.min(), h.max())).collect::<Vec<_>>(),
         );
         report.directory_bytes = dir.size_bytes();
-        self.meta.set_directory(id, dir);
-        self.meta.set_region_histograms(id, hists);
-        if index_object.is_some() {
-            self.meta.set_index_sizes(id, index_sizes);
-        }
+        self.meta.register_object(meta, |v| {
+            v.set_region_histograms(hists);
+            v.index_sizes = index_object.map(|_| Arc::new(index_sizes));
+            v.directory = Some(Arc::new(dir));
+            if let Some(replica) = replica {
+                v.set_sorted_replica(replica);
+            }
+        });
         report.histogram_bytes = self.meta.histogram_metadata_bytes(id);
-        self.meta.register_object(meta);
         Ok(report)
     }
 
@@ -300,9 +301,8 @@ impl Odms {
     /// or more **whole new regions**. Each appended slice gets a fresh
     /// Algorithm 1 delta histogram; the tail region's local histogram
     /// becomes `old ⊕ delta` and the global histogram absorbs every delta
-    /// via [`MetadataService::extend_histograms`] — incremental merges
-    /// only, never a from-scratch rebuild. Regions that reach their full
-    /// `region_elems` extent are sealed.
+    /// — incremental merges only, never a from-scratch rebuild. Regions
+    /// that reach their full `region_elems` extent are sealed.
     ///
     /// Auxiliary structures are maintained *deferred*: the (now stale)
     /// tail bitmap-index region is dropped, appended regions get no index
@@ -311,11 +311,9 @@ impl Odms {
     /// runs, query correctness rests on probe→scan fallback and on the
     /// planner treating a wrong-extent sorted replica as unavailable.
     ///
-    /// Ordering matters for in-flight queries: payloads land first, then
-    /// histogram/index-size metadata, and the grown `ObjectMeta` is
-    /// re-registered **last** — registration is the linearization point at
-    /// which the appended elements become visible to new plans, and the
-    /// new metadata `Arc`s are what tell cached plans they are stale.
+    /// Payloads and joint grids land first; then the grown object is one
+    /// publication ([`MetadataService::update`]), the point at which new
+    /// plans see the appended elements.
     pub fn append_array(&self, object: ObjectId, delta: &TypedVec) -> PdcResult<AppendReport> {
         let meta = self.meta.get(object)?;
         if meta.shape.0.len() != 1 {
@@ -386,42 +384,27 @@ impl Odms {
             consumed += take;
         }
 
-        // 2. Histogram metadata: replace the tail's local histogram with
-        // `old ⊕ delta` and fold every delta into the global, in region
-        // order — exactly the fold `merge_all` would perform.
-        let mut deltas = Vec::new();
-        let tail_replacement = match (&tail_delta_hist, report.filled_tail) {
-            (Some(dh), Some(tail_idx)) => {
-                let old_hists = self.meta.region_histograms(object)?;
-                deltas.push(dh.clone());
-                Some((tail_idx, old_hists[tail_idx as usize].merged(dh)))
+        // 2. Aux structures the append left stale. The stored tail index
+        // covers the pre-append extent; drop it so probes fall back to
+        // verified scans until rebuilt.
+        let total = old_n + added;
+        if let Some(idx_obj) = meta.index_object {
+            if let Some(tail_idx) = report.filled_tail {
+                self.store.remove(RegionId::new(idx_obj, tail_idx));
+                report.pending_index_regions.push(tail_idx);
             }
-            _ => None,
-        };
-        // Region directory, maintained incrementally like the histograms:
-        // the filled tail's bounds widen to its merged histogram's, and
-        // each appended region enters as a fresh entry — never a rebuild.
-        if let Some(dir) = self.meta.directory(object) {
-            let mut d = (*dir).clone();
-            if let Some((tail_idx, merged)) = &tail_replacement {
-                d.update_region(*tail_idx, merged.min(), merged.max());
-            }
-            for h in &new_hists {
-                d.push_region(h.min(), h.max());
-            }
-            self.meta.set_directory(object, d);
+            report.pending_index_regions.extend(report.new_regions.iter().copied());
         }
-        deltas.extend(new_hists.iter().cloned());
-        self.meta.extend_histograms(object, tail_replacement, new_hists, deltas)?;
+        report.sorted_stale = meta.has_sorted_replica;
 
-        // Registered joint grids involving this object extend to the new
-        // common coordinate extent `min(extent(a), extent(b))` — the
+        // 3. Registered joint grids involving this object extend to the
+        // new common coordinate extent `min(extent(a), extent(b))` — the
         // appended payloads are already stored, so the pair values are
-        // readable even though the grown meta is not yet published.
+        // readable even though the grown object is not yet published.
         for grid in self.meta.joint_grids_for(object) {
             let (a, b) = grid.pair();
             let extent = |o: ObjectId| -> PdcResult<u64> {
-                Ok(if o == object { old_n + added } else { self.meta.get(o)?.num_elements() })
+                Ok(if o == object { total } else { self.meta.get(o)?.num_elements() })
             };
             let target = extent(a)?.min(extent(b)?);
             if target > grid.covered() {
@@ -433,23 +416,43 @@ impl Odms {
             }
         }
 
-        // 3. Deferred aux maintenance bookkeeping.
-        if let Some(idx_obj) = meta.index_object {
-            if let Some(tail_idx) = report.filled_tail {
-                // The stored tail index covers the pre-append extent; drop
-                // it so probes fall back to verified scans until rebuilt.
-                self.store.remove(RegionId::new(idx_obj, tail_idx));
-                report.pending_index_regions.push(tail_idx);
+        // 4. Publish the grown object. The tail's local histogram becomes
+        // `old ⊕ delta` and every delta folds into the global histogram in
+        // region order — exactly the fold `merge_all` would perform. The
+        // directory is maintained the same way: the filled tail's bounds
+        // widen to its merged histogram's and each appended region enters
+        // as a fresh entry. Index sizes gain a pending (0) slot for every
+        // region whose index the append left stale.
+        let tail = report.filled_tail.zip(tail_delta_hist);
+        self.meta.update(object, |v| {
+            let missing = || {
+                pdc_types::PdcError::MissingPrerequisite(format!("histograms of {object}"))
+            };
+            let mut hists = v.region_hists.as_deref().ok_or_else(missing)?.clone();
+            let mut global = v.global_hist.as_deref().ok_or_else(missing)?.clone();
+            let mut dir = v.directory.as_deref().cloned();
+            let mut sizes = v.index_sizes.as_deref().cloned();
+            if let Some((t, delta)) = &tail {
+                let merged = hists[*t as usize].merged(delta);
+                global.merge_in_place(delta);
+                dir.iter_mut().for_each(|d| d.update_region(*t, merged.min(), merged.max()));
+                sizes.iter_mut().for_each(|s| s[*t as usize] = 0);
+                hists[*t as usize] = merged;
             }
-            report.pending_index_regions.extend(report.new_regions.iter().copied());
-            let mut sizes = self.meta.index_sizes(object)?.as_ref().clone();
-            if let Some(tail_idx) = report.filled_tail {
-                sizes[tail_idx as usize] = 0;
+            for h in &new_hists {
+                global.merge_in_place(h);
+                dir.iter_mut().for_each(|d| d.push_region(h.min(), h.max()));
             }
-            sizes.resize((old_n + added).div_ceil(re) as usize, 0);
-            self.meta.set_index_sizes(object, sizes);
-        }
-        report.sorted_stale = meta.has_sorted_replica;
+            hists.extend(new_hists);
+            sizes.iter_mut().for_each(|s| s.resize(total.div_ceil(re) as usize, 0));
+            let shape = pdc_types::Shape::one_d(total);
+            v.meta = Arc::new(ObjectMeta { shape, ..(*v.meta).clone() });
+            v.region_hists = Some(Arc::new(hists));
+            v.global_hist = Some(Arc::new(global));
+            v.directory = dir.map(Arc::new);
+            v.index_sizes = sizes.map(Arc::new);
+            Ok(())
+        })?;
         self.queue_pending(
             object,
             PendingAux {
@@ -457,18 +460,13 @@ impl Odms {
                 sorted_stale: report.sorted_stale,
             },
         );
-
-        // 4. Publish the grown extent.
-        let mut new_meta = (*meta).clone();
-        new_meta.shape = pdc_types::Shape::one_d(old_n + added);
-        self.meta.register_object(new_meta);
         Ok(report)
     }
 
     /// Add stale aux structures of `object` to the deferred-maintenance
     /// queue.
     fn queue_pending(&self, object: ObjectId, aux: PendingAux) {
-        let mut pend = self.pending.write();
+        let mut pend = self.pending.write().unpoisoned();
         let entry = pend.entry(object).or_default();
         entry.index_regions.extend(aux.index_regions);
         entry.sorted_stale |= aux.sorted_stale;
@@ -484,7 +482,7 @@ impl Odms {
     /// queue and the first error is returned, so one unreadable region
     /// never makes the rest of the queue vanish.
     pub fn run_deferred_maintenance(&self) -> PdcResult<MaintenanceReport> {
-        let drained = std::mem::take(&mut *self.pending.write());
+        let drained = std::mem::take(&mut *self.pending.write().unpoisoned());
         let mut report = MaintenanceReport::default();
         let mut first_err = None;
         for (object, aux) in drained {
@@ -525,7 +523,7 @@ impl Odms {
     /// sorted replica stale)`, ordered by object id.
     pub fn pending_maintenance(&self) -> Vec<(ObjectId, Vec<u32>, bool)> {
         self.pending
-            .read()
+            .read().unpoisoned()
             .iter()
             .map(|(id, aux)| (*id, aux.index_regions.iter().copied().collect(), aux.sorted_stale))
             .collect()
@@ -572,7 +570,14 @@ impl Odms {
         // `put` unseals its target; restore the immutable-blob seal so
         // the rebuilt index stays demotable under a memory budget.
         self.store.seal(idx_rid)?;
-        self.meta.update_index_size(data_object, region, size)?;
+        // Record the rebuilt size (a pending slot holds 0).
+        self.meta.update(data_object, |v| {
+            let mut sizes = v.index_sizes.as_deref().cloned().unwrap_or_default();
+            let slot = sizes.get_mut(region as usize);
+            *slot.ok_or(pdc_types::PdcError::NoSuchRegion(idx_rid))? = size;
+            v.index_sizes = Some(Arc::new(sizes));
+            Ok(())
+        })?;
         Ok(size)
     }
 
@@ -605,12 +610,16 @@ impl Odms {
                 "sorted replica of {object}"
             )));
         }
+        Ok(self.publish_sorted_replica(&meta, self.sort_stored(&meta)?))
+    }
+
+    /// A sorted replica of `meta`'s extent, built from its stored regions.
+    pub(crate) fn sort_stored(&self, meta: &ObjectMeta) -> PdcResult<SortedReplica> {
         let mut values = Vec::with_capacity(meta.num_elements() as usize);
         for r in 0..meta.num_regions() {
-            let payload = self.read_region(object, r)?;
-            payload.append_f64_to(&mut values);
+            self.read_region(meta.id, r)?.append_f64_to(&mut values);
         }
-        Ok(self.publish_sorted_replica(&meta, SortedReplica::build(&values, meta.region_elems)))
+        Ok(SortedReplica::build(&values, meta.region_elems))
     }
 
     /// Bring a stale sorted replica to its object's current extent. A

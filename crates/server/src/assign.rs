@@ -3,20 +3,6 @@
 //! "Upon the receipt of a query request, different regions of the queried
 //! object are assigned to the servers in a load-balanced fashion."
 
-use pdc_types::ServerId;
-
-/// Round-robin assignment of `num_items` items across `num_servers`
-/// servers: item `i` goes to server `i % num_servers`. Returns the item
-/// indices per server.
-pub fn round_robin(num_items: u32, num_servers: u32) -> Vec<Vec<u32>> {
-    let n = num_servers.max(1) as usize;
-    let mut out = vec![Vec::new(); n];
-    for i in 0..num_items {
-        out[(i as usize) % n].push(i);
-    }
-    out
-}
-
 /// Weight-balanced assignment (e.g. by region byte size, when regions are
 /// unequal): greedy longest-processing-time scheduling — items are placed
 /// heaviest-first onto the currently lightest server.
@@ -38,141 +24,9 @@ pub fn balanced_by_weight(weights: &[u64], num_servers: u32) -> Vec<Vec<u32>> {
     out
 }
 
-/// The server an item lands on under round-robin assignment.
-pub fn round_robin_owner(item: u32, num_servers: u32) -> ServerId {
-    ServerId(item % num_servers.max(1))
-}
-
-/// One item movement in a hot-spot rebalance plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Migration {
-    /// The item (region index) to move.
-    pub item: u32,
-    /// The server currently holding it.
-    pub from: ServerId,
-    /// The server that should hold it after the rebalance.
-    pub to: ServerId,
-}
-
-/// Detect a skewed per-server weight distribution and emit a migration
-/// plan relieving the hot spots.
-///
-/// `assignment[s]` lists the items currently on server `s`; `weights[i]`
-/// is item `i`'s weight (region bytes). A server is *hot* when its load
-/// exceeds the promised bound
-///
-/// ```text
-/// bound = max(threshold × mean, mean + w_max)
-/// ```
-///
-/// where `mean` is the average per-server load and `w_max` the heaviest
-/// single item. The returned plan, applied in order, guarantees:
-///
-/// * every server's final load is ≤ `bound` (the `mean + w_max` term
-///   makes that always achievable — one indivisible huge item may pin a
-///   server above `threshold × mean` no matter where it sits);
-/// * no intermediate or final load ever exceeds the original maximum
-///   (each move sends an item to a server that stays strictly below the
-///   donor's pre-move load);
-/// * the plan is a pure function of its inputs — same inputs, same plan.
-///
-/// Moves are greedy: the heaviest item on the hottest server that still
-/// fits on the coolest server, so the plan stays small (an already
-/// balanced assignment yields an empty plan).
-pub fn rebalance_hotspots(
-    weights: &[u64],
-    assignment: &[Vec<u32>],
-    threshold: f64,
-) -> Vec<Migration> {
-    let n = assignment.len();
-    if n <= 1 {
-        return Vec::new();
-    }
-    let mut held: Vec<Vec<u32>> = assignment.to_vec();
-    let mut load: Vec<u64> = held
-        .iter()
-        .map(|items| items.iter().map(|&i| weights[i as usize]).sum())
-        .collect();
-    let total: u64 = load.iter().sum();
-    let mean = total as f64 / n as f64;
-    let w_max = held.iter().flatten().map(|&i| weights[i as usize]).max().unwrap_or(0);
-    let bound = (threshold.max(1.0) * mean).max(mean + w_max as f64);
-    let mut plan = Vec::new();
-    loop {
-        // Hottest donor (smallest id on ties), coolest receiver.
-        let donor = (0..n).max_by_key(|&s| (load[s], std::cmp::Reverse(s))).unwrap();
-        if (load[donor] as f64) <= bound {
-            break;
-        }
-        let recv = (0..n).min_by_key(|&s| (load[s], s)).unwrap();
-        // Heaviest item that keeps the receiver strictly below the
-        // donor's current load — the move can never create a new maximum,
-        // and the sum of squared loads strictly decreases, so the loop
-        // terminates.
-        let pick = held[donor]
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let w = weights[i as usize];
-                w > 0 && load[recv] + w < load[donor]
-            })
-            .max_by_key(|&i| (weights[i as usize], std::cmp::Reverse(i)));
-        let Some(item) = pick else { break };
-        let w = weights[item as usize];
-        held[donor].retain(|&i| i != item);
-        held[recv].push(item);
-        load[donor] -= w;
-        load[recv] += w;
-        plan.push(Migration {
-            item,
-            from: ServerId(donor as u32),
-            to: ServerId(recv as u32),
-        });
-    }
-    plan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_robin_covers_all_items_evenly() {
-        let a = round_robin(10, 4);
-        assert_eq!(a.len(), 4);
-        let total: usize = a.iter().map(|v| v.len()).sum();
-        assert_eq!(total, 10);
-        assert_eq!(a[0], vec![0, 4, 8]);
-        assert_eq!(a[1], vec![1, 5, 9]);
-        assert_eq!(a[2], vec![2, 6]);
-        assert_eq!(a[3], vec![3, 7]);
-        // sizes differ by at most one
-        let (min, max) = (a.iter().map(|v| v.len()).min().unwrap(), a.iter().map(|v| v.len()).max().unwrap());
-        assert!(max - min <= 1);
-    }
-
-    #[test]
-    fn round_robin_more_servers_than_items() {
-        let a = round_robin(3, 8);
-        assert_eq!(a.iter().filter(|v| !v.is_empty()).count(), 3);
-    }
-
-    #[test]
-    fn round_robin_zero_servers_clamped() {
-        let a = round_robin(5, 0);
-        assert_eq!(a.len(), 1);
-        assert_eq!(a[0].len(), 5);
-    }
-
-    #[test]
-    fn owner_matches_assignment() {
-        let a = round_robin(20, 6);
-        for (s, items) in a.iter().enumerate() {
-            for &i in items {
-                assert_eq!(round_robin_owner(i, 6).raw() as usize, s);
-            }
-        }
-    }
 
     #[test]
     fn balanced_by_weight_evens_out_loads() {
@@ -210,114 +64,5 @@ mod tests {
     fn balanced_by_weight_empty_input() {
         let a = balanced_by_weight(&[], 4);
         assert!(a.iter().all(|v| v.is_empty()));
-    }
-
-    fn loads(weights: &[u64], held: &[Vec<u32>]) -> Vec<u64> {
-        held.iter().map(|items| items.iter().map(|&i| weights[i as usize]).sum()).collect()
-    }
-
-    fn apply(plan: &[Migration], held: &mut [Vec<u32>]) {
-        for m in plan {
-            let from = &mut held[m.from.raw() as usize];
-            let at = from.iter().position(|&i| i == m.item).expect("migrated item on donor");
-            from.remove(at);
-            held[m.to.raw() as usize].push(m.item);
-        }
-    }
-
-    #[test]
-    fn replication_rebalance_relieves_a_hot_spot() {
-        // Server 0 holds everything; three idle servers.
-        let weights = vec![10u64; 12];
-        let mut held = vec![(0..12).collect::<Vec<u32>>(), vec![], vec![], vec![]];
-        let plan = rebalance_hotspots(&weights, &held, 1.25);
-        assert!(!plan.is_empty());
-        apply(&plan, &mut held);
-        let after = loads(&weights, &held);
-        let mean = 120.0 / 4.0;
-        let bound = (1.25f64 * mean).max(mean + 10.0);
-        assert!(after.iter().all(|&l| l as f64 <= bound), "loads {after:?} exceed bound {bound}");
-    }
-
-    #[test]
-    fn replication_rebalance_balanced_input_is_a_no_op() {
-        let weights: Vec<u64> = (1..=24).collect();
-        let held = balanced_by_weight(&weights, 4);
-        let plan = rebalance_hotspots(&weights, &held, 1.5);
-        assert!(plan.is_empty(), "balanced assignment must not move: {plan:?}");
-    }
-
-    #[test]
-    fn replication_rebalance_indivisible_item_uses_additive_bound() {
-        // One item heavier than threshold×mean on its own: the plan can't
-        // split it, so the promise falls back to mean + w_max — and the
-        // small items still leave the hot server.
-        let mut weights = vec![1000u64];
-        weights.extend(std::iter::repeat_n(10u64, 20));
-        let mut held = vec![(0..21).collect::<Vec<u32>>(), vec![], vec![], vec![]];
-        let plan = rebalance_hotspots(&weights, &held, 1.1);
-        apply(&plan, &mut held);
-        let after = loads(&weights, &held);
-        let mean = 1200.0 / 4.0;
-        let bound = (1.1f64 * mean).max(mean + 1000.0);
-        assert!(after.iter().all(|&l| l as f64 <= bound));
-        // The huge item stays somewhere whole.
-        assert_eq!(after.iter().filter(|&&l| l >= 1000).count(), 1);
-    }
-
-    proptest::proptest! {
-        /// The plan never exceeds the bound it promises, never raises the
-        /// maximum load, and keeps every item assigned exactly once.
-        #[test]
-        fn replication_rebalance_honours_promised_bound(
-            weights in proptest::collection::vec(0u64..5000, 1..80),
-            num_servers in 1u32..12,
-            threshold in 1.0f64..3.0,
-            seed in 0u64..1000,
-        ) {
-            // A deliberately skewed starting assignment: seeded modular
-            // placement, heavy bias toward low server ids.
-            let n = num_servers as usize;
-            let mut held = vec![Vec::new(); n];
-            for (i, _) in weights.iter().enumerate() {
-                let s = ((i as u64).wrapping_mul(seed.wrapping_add(7)) % (n as u64 * 2)) as usize;
-                held[s.min(n - 1)].push(i as u32);
-            }
-            let before = loads(&weights, &held);
-            let max_before = before.iter().copied().max().unwrap();
-            let total: u64 = before.iter().sum();
-            let mean = total as f64 / n as f64;
-            let w_max = *weights.iter().max().unwrap();
-            let bound = (threshold * mean).max(mean + w_max as f64);
-
-            let plan = rebalance_hotspots(&weights, &held, threshold);
-            let mut after_held = held.clone();
-            apply(&plan, &mut after_held);
-            let after = loads(&weights, &after_held);
-
-            // Promised bound holds, and the max never grows.
-            proptest::prop_assert!(after.iter().all(|&l| l as f64 <= bound),
-                "loads {:?} exceed bound {}", after, bound);
-            proptest::prop_assert!(after.iter().copied().max().unwrap() <= max_before);
-            // Conservation: every item exactly once.
-            let mut all: Vec<u32> = after_held.iter().flatten().copied().collect();
-            all.sort_unstable();
-            proptest::prop_assert_eq!(all, (0..weights.len() as u32).collect::<Vec<_>>());
-        }
-
-        /// Same inputs ⇒ same plan (pure function, deterministic).
-        #[test]
-        fn replication_rebalance_is_deterministic(
-            weights in proptest::collection::vec(0u64..5000, 1..60),
-            num_servers in 1u32..10,
-        ) {
-            let held = round_robin(weights.len() as u32, num_servers)
-                .into_iter()
-                .map(|mut v| { v.reverse(); v })
-                .collect::<Vec<_>>();
-            let a = rebalance_hotspots(&weights, &held, 1.3);
-            let b = rebalance_hotspots(&weights, &held, 1.3);
-            proptest::prop_assert_eq!(a, b);
-        }
     }
 }

@@ -25,7 +25,7 @@ pub mod fault;
 pub mod placement;
 pub mod pool;
 
-pub use assign::{balanced_by_weight, rebalance_hotspots, round_robin, Migration};
+pub use assign::balanced_by_weight;
 pub use fault::{CorruptionSpec, FaultPlan, FaultProbe, ServerFaultSpec};
 pub use placement::{MigrationPlan, Placement, SlotChange};
 pub use pool::{ServerPanic, ServerPool};

@@ -1,11 +1,10 @@
 //! The logical server pool.
 
 use crate::crew::Crew;
-use parking_lot::{Mutex, RwLock};
-use pdc_types::ServerId;
+use pdc_types::{ServerId, Unpoison};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// A handler panic caught during [`ServerPool::try_broadcast`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,14 +55,14 @@ impl<S: Send> ServerPool<S> {
 
     /// Number of logical servers.
     pub fn num_servers(&self) -> u32 {
-        self.states.read().len() as u32
+        self.states.read().unpoisoned().len() as u32
     }
 
     /// Grow the pool by one logical server (elastic scale-out); returns
     /// the new server's id. Existing states are untouched, in-flight
     /// broadcasts on other threads keep their own snapshot of the pool.
     pub fn add_server(&self, init: impl FnOnce(ServerId) -> S) -> ServerId {
-        let mut states = self.states.write();
+        let mut states = self.states.write().unpoisoned();
         let id = ServerId(states.len() as u32);
         states.push(Arc::new(Mutex::new(init(id))));
         id
@@ -80,7 +79,7 @@ impl<S: Send> ServerPool<S> {
     /// A point-in-time snapshot of the server states (membership changes
     /// after the snapshot do not affect the broadcast using it).
     fn snapshot(&self) -> Vec<Arc<Mutex<S>>> {
-        self.states.read().clone()
+        self.states.read().unpoisoned().clone()
     }
 
     /// The one dispatch routine: run `handler` once per logical server and
@@ -113,14 +112,14 @@ impl<S: Send> ServerPool<S> {
                 break;
             }
             let r = {
-                let mut state = states[i].lock();
+                let mut state = states[i].lock().unpoisoned();
                 catch_unwind(AssertUnwindSafe(|| handler(ServerId(i as u32), &mut state)))
             };
-            *results[i].lock() = Some(r);
+            *results[i].lock().unpoisoned() = Some(r);
         });
         results
             .into_iter()
-            .map(|m| m.into_inner().expect("every server produced a result"))
+            .map(|m| m.into_inner().unpoisoned().expect("every server produced a result"))
             .collect()
     }
 
@@ -173,8 +172,8 @@ impl<S: Send> ServerPool<S> {
     /// Run `f` against one server's state (e.g. the metadata owner of an
     /// object, or test inspection).
     pub fn with_server<R>(&self, id: ServerId, f: impl FnOnce(&mut S) -> R) -> R {
-        let state = Arc::clone(&self.states.read()[id.raw() as usize]);
-        let mut state = state.lock();
+        let state = Arc::clone(&self.states.read().unpoisoned()[id.raw() as usize]);
+        let mut state = state.lock().unpoisoned();
         f(&mut state)
     }
 
@@ -183,7 +182,7 @@ impl<S: Send> ServerPool<S> {
     pub fn for_each_server(&self, mut f: impl FnMut(ServerId, &mut S)) {
         let states = self.snapshot();
         for (i, st) in states.iter().enumerate() {
-            f(ServerId(i as u32), &mut st.lock());
+            f(ServerId(i as u32), &mut st.lock().unpoisoned());
         }
     }
 }

@@ -10,12 +10,11 @@
 
 use crate::cache::CacheSlot;
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
 use pdc_blockstore::{blockfile, BlockCache, BlockCacheStats, BlockReader, BulkFnv};
-use pdc_types::{mix64, with_slice, PdcError, PdcResult, PdcType, RegionId, TypedVec};
+use pdc_types::{mix64, with_slice, PdcError, PdcResult, PdcType, RegionId, TypedVec, Unpoison};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Storage tier a region resides on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -243,11 +242,11 @@ struct SpillState {
 
 impl SpillState {
     fn add_resident(&self, bytes: u64) {
-        self.acct.lock().resident_bytes += bytes;
+        self.acct.lock().unpoisoned().resident_bytes += bytes;
     }
 
     fn sub_resident(&self, bytes: u64) {
-        let mut a = self.acct.lock();
+        let mut a = self.acct.lock().unpoisoned();
         a.resident_bytes = a.resident_bytes.saturating_sub(bytes);
     }
 
@@ -255,7 +254,7 @@ impl SpillState {
     /// enforcement, so the high-water mark reflects steady state rather
     /// than the unavoidable transient while a payload is being demoted).
     fn note_high_water(&self) {
-        let mut a = self.acct.lock();
+        let mut a = self.acct.lock().unpoisoned();
         if a.resident_bytes > a.high_water {
             a.high_water = a.resident_bytes;
         }
@@ -267,7 +266,7 @@ impl SpillState {
         let _ = std::fs::remove_file(&h.path);
         let _ = std::fs::remove_file(orig_path(&h.path));
         self.block_cache.invalidate_region(token);
-        let mut a = self.acct.lock();
+        let mut a = self.acct.lock().unpoisoned();
         a.spilled_regions = a.spilled_regions.saturating_sub(1);
         a.spilled_raw_bytes = a.spilled_raw_bytes.saturating_sub(h.raw_bytes);
         a.spilled_comp_bytes = a.spilled_comp_bytes.saturating_sub(h.comp_bytes);
@@ -392,7 +391,7 @@ impl ColdRegion {
     }
 
     fn reader(&self) -> PdcResult<Arc<BlockReader>> {
-        let mut g = self.reader.lock();
+        let mut g = self.reader.lock().unpoisoned();
         if let Some(r) = &*g {
             return Ok(Arc::clone(r));
         }
@@ -544,14 +543,14 @@ impl ObjectStore {
     }
 
     fn spill_state(&self) -> Option<Arc<SpillState>> {
-        self.spill.read().clone()
+        self.spill.read().unpoisoned().clone()
     }
 
     /// Bump the access tick used for LRU demotion ordering (no-op when
     /// spill is disabled).
     fn touch(&self, id: RegionId) {
         if let Some(s) = self.spill_state() {
-            let mut t = s.ticks.lock();
+            let mut t = s.ticks.lock().unpoisoned();
             t.tick += 1;
             let tick = t.tick;
             t.last_use.insert(id, tick);
@@ -570,12 +569,12 @@ impl ObjectStore {
         let ost = (id.index + id.object.raw() as u32) % self.num_osts;
         let checksum = payload_checksum(&payload);
         let new_bytes = payload.size_bytes();
-        let old = self.regions.write().insert(
+        let old = self.regions.write().unpoisoned().insert(
             id,
             StoredRegion { res: Residency::Resident(payload), tier, ost, checksum, pristine: None },
         );
-        self.quarantine.write().remove(&id);
-        self.sealed.write().remove(&id);
+        self.quarantine.write().unpoisoned().remove(&id);
+        self.sealed.write().unpoisoned().remove(&id);
         if let Some(s) = self.spill_state() {
             match old.map(|r| r.res) {
                 Some(Residency::Resident(p)) => s.sub_resident(p.size_bytes()),
@@ -603,7 +602,7 @@ impl ObjectStore {
         if self.is_sealed(id) {
             return Err(PdcError::Storage(format!("region {id} is sealed against appends")));
         }
-        let mut map = self.regions.write();
+        let mut map = self.regions.write().unpoisoned();
         let r = map.get_mut(&id).ok_or(PdcError::NoSuchRegion(id))?;
         let old_bytes = r.size_bytes();
         let grown = match &r.res {
@@ -618,7 +617,7 @@ impl ObjectStore {
                 if payload_checksum(&StoredPayload::Typed(Arc::clone(v))) != r.checksum {
                     let found_on = r.tier;
                     drop(map);
-                    self.quarantine.write().insert(id);
+                    self.quarantine.write().unpoisoned().insert(id);
                     return Err(PdcError::CorruptRegion {
                         region: id,
                         tier: found_on.name().into(),
@@ -667,7 +666,7 @@ impl ObjectStore {
         if !self.contains(id) {
             return Err(PdcError::NoSuchRegion(id));
         }
-        self.sealed.write().insert(id);
+        self.sealed.write().unpoisoned().insert(id);
         // Sealing makes the region demotable; spill immediately if the
         // resident footprint is over budget. The high-water mark samples
         // resident bytes here — seal boundaries are the points where the
@@ -682,7 +681,7 @@ impl ObjectStore {
 
     /// Whether a region has been sealed against appends.
     pub fn is_sealed(&self, id: RegionId) -> bool {
-        self.sealed.read().contains(&id)
+        self.sealed.read().unpoisoned().contains(&id)
     }
 
     /// Fetch a region's payload and tier, verifying the payload checksum
@@ -692,7 +691,7 @@ impl ObjectStore {
         self.touch(id);
         let (res, tier, checksum) = self
             .regions
-            .read()
+            .read().unpoisoned()
             .get(&id)
             .map(|r| (r.res.clone(), r.tier, r.checksum))
             .ok_or(PdcError::NoSuchRegion(id))?;
@@ -701,7 +700,7 @@ impl ObjectStore {
             Residency::Spilled(h) => self.fault_in(id, &h, tier)?,
         };
         if payload_checksum(&payload) != checksum {
-            self.quarantine.write().insert(id);
+            self.quarantine.write().unpoisoned().insert(id);
             return Err(PdcError::CorruptRegion { region: id, tier: tier.name().into() });
         }
         Ok((payload, tier))
@@ -716,12 +715,12 @@ impl ObjectStore {
         match Self::materialize(h) {
             Ok(p) => {
                 if let Some(s) = self.spill_state() {
-                    s.acct.lock().fault_ins += 1;
+                    s.acct.lock().unpoisoned().fault_ins += 1;
                 }
                 Ok(p)
             }
             Err(_) => {
-                self.quarantine.write().insert(id);
+                self.quarantine.write().unpoisoned().insert(id);
                 Err(PdcError::CorruptRegion { region: id, tier: tier.name().into() })
             }
         }
@@ -741,7 +740,7 @@ impl ObjectStore {
     /// tier charge, or access bookkeeping — a host-side metadata peek for
     /// planners ranking operators before deciding what to read.
     pub fn payload_size(&self, id: RegionId) -> Option<u64> {
-        self.regions.read().get(&id).map(|r| r.size_bytes())
+        self.regions.read().unpoisoned().get(&id).map(|r| r.size_bytes())
     }
 
     /// Fetch a typed-array region (most callers).
@@ -766,27 +765,27 @@ impl ObjectStore {
 
     /// The simulated OST a region is placed on.
     pub fn ost_of(&self, id: RegionId) -> PdcResult<u32> {
-        self.regions.read().get(&id).map(|r| r.ost).ok_or(PdcError::NoSuchRegion(id))
+        self.regions.read().unpoisoned().get(&id).map(|r| r.ost).ok_or(PdcError::NoSuchRegion(id))
     }
 
     /// Whether a region exists.
     pub fn contains(&self, id: RegionId) -> bool {
-        self.regions.read().contains_key(&id)
+        self.regions.read().unpoisoned().contains_key(&id)
     }
 
     /// Remove a region; returns whether it existed. Also clears any
     /// quarantine entry so a later `put` at the same id starts clean.
     pub fn remove(&self, id: RegionId) -> bool {
-        self.quarantine.write().remove(&id);
-        self.sealed.write().remove(&id);
-        let old = self.regions.write().remove(&id);
+        self.quarantine.write().unpoisoned().remove(&id);
+        self.sealed.write().unpoisoned().remove(&id);
+        let old = self.regions.write().unpoisoned().remove(&id);
         let existed = old.is_some();
         if let (Some(r), Some(s)) = (old, self.spill_state()) {
             match r.res {
                 Residency::Resident(p) => s.sub_resident(p.size_bytes()),
                 Residency::Spilled(h) => s.drop_spilled(&h, cache_token(id)),
             }
-            s.ticks.lock().last_use.remove(&id);
+            s.ticks.lock().unpoisoned().last_use.remove(&id);
         }
         existed
     }
@@ -795,7 +794,7 @@ impl ObjectStore {
     /// hierarchy). The payload is verified before it moves — migrating a
     /// corrupt copy would spread it. Returns the payload size moved.
     pub fn migrate(&self, id: RegionId, tier: StorageTier) -> PdcResult<u64> {
-        let mut map = self.regions.write();
+        let mut map = self.regions.write().unpoisoned();
         let r = map.get_mut(&id).ok_or(PdcError::NoSuchRegion(id))?;
         let verified = match &r.res {
             Residency::Resident(p) => payload_checksum(p) == r.checksum,
@@ -806,7 +805,7 @@ impl ObjectStore {
         if !verified {
             let found_on = r.tier;
             drop(map);
-            self.quarantine.write().insert(id);
+            self.quarantine.write().unpoisoned().insert(id);
             return Err(PdcError::CorruptRegion { region: id, tier: found_on.name().into() });
         }
         r.tier = tier;
@@ -820,7 +819,7 @@ impl ObjectStore {
     /// payload as the pristine durable copy for [`ObjectStore::repair`].
     /// Empty payloads are left untouched. Returns whether a bit flipped.
     pub fn corrupt(&self, id: RegionId, seed: u64) -> PdcResult<bool> {
-        let mut map = self.regions.write();
+        let mut map = self.regions.write().unpoisoned();
         let r = map.get_mut(&id).ok_or(PdcError::NoSuchRegion(id))?;
         let site_seed = seed ^ id.object.raw().rotate_left(32) ^ id.index as u64;
         match &r.res {
@@ -858,7 +857,7 @@ impl ObjectStore {
     /// quarantine mark and returns the number of bytes re-read. Errors
     /// with [`PdcError::CorruptRegion`] when no pristine copy exists.
     pub fn repair(&self, id: RegionId) -> PdcResult<u64> {
-        let mut map = self.regions.write();
+        let mut map = self.regions.write().unpoisoned();
         let r = map.get_mut(&id).ok_or(PdcError::NoSuchRegion(id))?;
         let tier = r.tier;
         let bytes = match &r.res {
@@ -901,24 +900,24 @@ impl ObjectStore {
                 if let Some(s) = self.spill_state() {
                     s.block_cache.invalidate_region(cache_token(id));
                 }
-                self.quarantine.write().remove(&id);
+                self.quarantine.write().unpoisoned().remove(&id);
                 return Ok(bytes);
             }
         };
         drop(map);
-        self.quarantine.write().remove(&id);
+        self.quarantine.write().unpoisoned().remove(&id);
         Ok(bytes)
     }
 
     /// Whether a region has failed checksum verification and not yet been
     /// repaired or replaced.
     pub fn is_quarantined(&self, id: RegionId) -> bool {
-        self.quarantine.read().contains(&id)
+        self.quarantine.read().unpoisoned().contains(&id)
     }
 
     /// All currently quarantined regions (sorted for determinism).
     pub fn quarantined(&self) -> Vec<RegionId> {
-        let mut out: Vec<RegionId> = self.quarantine.read().iter().copied().collect();
+        let mut out: Vec<RegionId> = self.quarantine.read().unpoisoned().iter().copied().collect();
         out.sort();
         out
     }
@@ -932,13 +931,13 @@ impl ObjectStore {
     /// The storage tier a region is placed on. Pure metadata — residency
     /// (resident vs spilled) never changes a region's tier.
     pub fn tier_of(&self, id: RegionId) -> PdcResult<StorageTier> {
-        self.regions.read().get(&id).map(|r| r.tier).ok_or(PdcError::NoSuchRegion(id))
+        self.regions.read().unpoisoned().get(&id).map(|r| r.tier).ok_or(PdcError::NoSuchRegion(id))
     }
 
     /// Total stored bytes per tier.
     pub fn bytes_by_tier(&self) -> HashMap<StorageTier, u64> {
         let mut out = HashMap::new();
-        for r in self.regions.read().values() {
+        for r in self.regions.read().unpoisoned().values() {
             *out.entry(r.tier).or_insert(0) += r.size_bytes();
         }
         out
@@ -946,7 +945,7 @@ impl ObjectStore {
 
     /// Number of stored regions.
     pub fn num_regions(&self) -> usize {
-        self.regions.read().len()
+        self.regions.read().unpoisoned().len()
     }
 
     // ------------------------------------------------------------------
@@ -970,7 +969,7 @@ impl ObjectStore {
             .map_err(|e| PdcError::Storage(format!("spill dir {}: {e}", dir.display())))?;
         let resident: u64 = self
             .regions
-            .read()
+            .read().unpoisoned()
             .values()
             .map(|r| match &r.res {
                 Residency::Resident(p) => p.size_bytes(),
@@ -980,12 +979,12 @@ impl ObjectStore {
         // Reconfiguring keeps cumulative counters and access recency;
         // only the budget, directory, and (fresh) block cache change.
         let prev = self.spill_state();
-        let mut acct = prev.as_ref().map(|p| *p.acct.lock()).unwrap_or_default();
+        let mut acct = prev.as_ref().map(|p| *p.acct.lock().unpoisoned()).unwrap_or_default();
         acct.resident_bytes = resident;
         acct.high_water = 0;
         let ticks = prev
             .as_ref()
-            .map(|p| std::mem::take(&mut *p.ticks.lock()))
+            .map(|p| std::mem::take(&mut *p.ticks.lock().unpoisoned()))
             .unwrap_or_default();
         let state = SpillState {
             dir: dir.to_path_buf(),
@@ -994,7 +993,7 @@ impl ObjectStore {
             acct: Mutex::new(acct),
             ticks: Mutex::new(ticks),
         };
-        *self.spill.write() = Some(Arc::new(state));
+        *self.spill.write().unpoisoned() = Some(Arc::new(state));
         self.enforce_budget()?;
         if let Some(s) = self.spill_state() {
             s.note_high_water();
@@ -1004,7 +1003,7 @@ impl ObjectStore {
 
     /// Whether out-of-core mode is enabled.
     pub fn spill_enabled(&self) -> bool {
-        self.spill.read().is_some()
+        self.spill.read().unpoisoned().is_some()
     }
 
     /// The configured memory budget, if spill is enabled.
@@ -1015,7 +1014,7 @@ impl ObjectStore {
     /// Whether a region's payload currently lives on disk.
     pub fn is_spilled(&self, id: RegionId) -> bool {
         self.regions
-            .read()
+            .read().unpoisoned()
             .get(&id)
             .map(|r| matches!(r.res, Residency::Spilled(_)))
             .unwrap_or(false)
@@ -1024,7 +1023,7 @@ impl ObjectStore {
     /// Host-side spill statistics (None when spill is disabled).
     pub fn spill_stats(&self) -> Option<SpillStats> {
         let s = self.spill_state()?;
-        let a = *s.acct.lock();
+        let a = *s.acct.lock().unpoisoned();
         Some(SpillStats {
             resident_bytes: a.resident_bytes,
             resident_high_water: a.high_water,
@@ -1046,7 +1045,7 @@ impl ObjectStore {
     pub fn cold_region(&self, id: RegionId) -> Option<ColdRegion> {
         let s = self.spill_state()?;
         let handle = {
-            let map = self.regions.read();
+            let map = self.regions.read().unpoisoned();
             match &map.get(&id)?.res {
                 Residency::Spilled(h) => h.clone(),
                 Residency::Resident(_) => return None,
@@ -1076,7 +1075,7 @@ impl ObjectStore {
         let Some(s) = self.spill_state() else {
             return Ok(0);
         };
-        let over_budget = || s.acct.lock().resident_bytes > s.memory_budget;
+        let over_budget = || s.acct.lock().unpoisoned().resident_bytes > s.memory_budget;
         if !over_budget() {
             return Ok(0);
         }
@@ -1085,10 +1084,10 @@ impl ObjectStore {
         // eligibility, so a candidate that changed since the walk is
         // refused there.
         let mut victims: Vec<(u64, RegionId)> = {
-            let map = self.regions.read();
-            let sealed = self.sealed.read();
-            let quar = self.quarantine.read();
-            let ticks = s.ticks.lock();
+            let map = self.regions.read().unpoisoned();
+            let sealed = self.sealed.read().unpoisoned();
+            let quar = self.quarantine.read().unpoisoned();
+            let ticks = s.ticks.lock().unpoisoned();
             map.iter()
                 .filter(|(id, r)| {
                     matches!(r.res, Residency::Resident(_))
@@ -1122,7 +1121,7 @@ impl ObjectStore {
     fn demote(&self, id: RegionId, s: &SpillState) -> PdcResult<bool> {
         // Snapshot without holding the write lock across file IO.
         let (payload, checksum) = {
-            let map = self.regions.read();
+            let map = self.regions.read().unpoisoned();
             let Some(r) = map.get(&id) else { return Ok(false) };
             match &r.res {
                 Residency::Resident(p) if r.pristine.is_none() => (p.clone(), r.checksum),
@@ -1151,7 +1150,7 @@ impl ObjectStore {
             let _ = std::fs::remove_file(&handle.path);
             return Ok(false);
         }
-        let mut map = self.regions.write();
+        let mut map = self.regions.write().unpoisoned();
         let still_clean = map.get(&id).is_some_and(|r| {
             matches!(r.res, Residency::Resident(_)) && r.pristine.is_none() && r.checksum == checksum
         });
@@ -1166,7 +1165,7 @@ impl ObjectStore {
         r.res = Residency::Spilled(handle);
         drop(map);
         s.sub_resident(freed);
-        let mut a = s.acct.lock();
+        let mut a = s.acct.lock().unpoisoned();
         a.demotions += 1;
         a.spilled_regions += 1;
         a.spilled_raw_bytes += raw;
@@ -1280,7 +1279,7 @@ mod tests {
         }
         assert!(store.is_quarantined(rid(4, 1)));
         assert_eq!(store.quarantined(), vec![rid(4, 1)]);
-        // Migration must refuse to spread the corrupt copy.
+        // A migrate must refuse to spread the corrupt copy.
         assert!(matches!(
             store.migrate(rid(4, 1), StorageTier::Dram),
             Err(PdcError::CorruptRegion { .. })
@@ -1325,7 +1324,7 @@ mod tests {
             let v: TypedVec = (0..128u32).collect::<Vec<u32>>().into();
             store.put(rid(8, 0), StoredPayload::Typed(Arc::new(v)), StorageTier::Pfs);
             store.corrupt(rid(8, 0), seed).unwrap();
-            let map = store.regions.read();
+            let map = store.regions.read().unpoisoned();
             match &map[&rid(8, 0)].res {
                 Residency::Resident(p) => payload_checksum(p),
                 Residency::Spilled(_) => unreachable!("spill is not enabled"),
@@ -1577,7 +1576,7 @@ mod tests {
         }
         let eligible: Vec<(u64, RegionId, u64)> = {
             let spill = store.spill_state().unwrap();
-            let ticks = spill.ticks.lock();
+            let ticks = spill.ticks.lock().unpoisoned();
             (0..n)
                 .map(|i| rid(20, i))
                 .filter(|id| store.is_sealed(*id) && store.payload_size(*id).unwrap() > 0)
@@ -1786,7 +1785,7 @@ mod tests {
         store.put(rid(10, 0), StoredPayload::Typed(Arc::new(v.clone())), StorageTier::Pfs);
         // The file demotion writes decodes to the payload, which no longer
         // matches the recorded checksum.
-        store.regions.write().get_mut(&rid(10, 0)).unwrap().checksum ^= 1;
+        store.regions.write().unpoisoned().get_mut(&rid(10, 0)).unwrap().checksum ^= 1;
         store.seal(rid(10, 0)).unwrap();
         assert!(!store.is_spilled(rid(10, 0)), "a file that does not round-trip is not trusted");
         assert_eq!(store.spill_stats().unwrap().demotions, 0);

@@ -22,6 +22,7 @@
 //! * [`PdcError`] — the common error type.
 //! * [`splitmix64`] / [`mix64`] — the deterministic mixer behind every
 //!   seeded choice in the workspace.
+//! * [`Unpoison`] — how every `std::sync` lock in the workspace is taken.
 
 pub mod error;
 pub mod ids;
@@ -41,3 +42,19 @@ pub use region::{NdRegion, RegionSpec, Shape};
 pub use selection::{Run, Selection};
 pub use splitmix::{mix64, splitmix64, unit_f64};
 pub use value::{PdcType, PdcValue, TypedVec};
+
+/// Poison-ignoring lock access, the one way the workspace takes a
+/// `std::sync` lock: `lock.read().unpoisoned()`. A panic while a lock is
+/// held leaves the data as the panicking thread left it, and the server
+/// pool isolates handler panics, so a poisoned lock is recovered rather
+/// than propagated — a failed logical server must not wedge its state.
+pub trait Unpoison<T> {
+    /// The guard (or value) whether or not the lock was poisoned.
+    fn unpoisoned(self) -> T;
+}
+
+impl<T> Unpoison<T> for std::sync::LockResult<T> {
+    fn unpoisoned(self) -> T {
+        self.unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
