@@ -18,6 +18,25 @@ fi
 echo "== build (release) =="
 cargo build --release $OFFLINE
 
+echo "== std-only library graph gate =="
+# The libraries build from std and this workspace alone: the normal
+# (non-dev) dependency tree of every crates/* package and of the facade
+# may list only packages under crates/ or the root. A registry crate or
+# a compat/ shim on a normal edge fails the build by name. Dev-only
+# shims (compat/proptest) sit on dev edges, which this does not follow.
+packages="-p pdc-suite"
+for manifest in crates/*/Cargo.toml; do
+    packages="$packages -p $(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)"
+done
+foreign=$(cargo tree $OFFLINE -e normal --prefix none $packages \
+    | grep -v -e '^$' -e "($PWD)" -e "($PWD/crates/" | sort -u || true)
+if [ -n "$foreign" ]; then
+    echo "ci: std-only graph FAILED: libraries depend on packages outside crates/:" >&2
+    echo "$foreign" >&2
+    exit 1
+fi
+echo "std-only graph: $(echo $packages | wc -w | awk '{print $1 / 2}') packages, no foreign normal edge"
+
 echo "== test suite =="
 # The workspace's default members are the facade package and every crate
 # under crates/, so this one command runs each crate's unit, integration

@@ -16,8 +16,7 @@
 use crate::binning::{bin_of, precision_edges, BinningConfig};
 use crate::wah::{WahBitVector, WahBuilder};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use pdc_types::{Interval, PdcError, PdcResult, Selection};
+use pdc_types::{ByteReader, Bytes, Interval, PdcError, PdcResult, Selection};
 
 /// The representable-value grid of the indexed data. Bin edges are round
 /// decimals in `f64`, but the indexed values come from a coarser grid
@@ -361,76 +360,57 @@ impl BinnedBitmapIndex {
     /// Serialize to a byte buffer (the on-"disk" index file format; what
     /// the simulated storage layer charges I/O for).
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(self.nbits);
-        buf.put_u8(match self.domain {
+        let mut buf = Vec::with_capacity(self.size_bytes_serialized() as usize);
+        buf.extend_from_slice(&self.nbits.to_le_bytes());
+        buf.push(match self.domain {
             ValueDomain::F64 => 0,
             ValueDomain::F32 => 1,
             ValueDomain::Integer => 2,
         });
-        buf.put_u32_le(self.edges.len() as u32);
+        buf.extend_from_slice(&(self.edges.len() as u32).to_le_bytes());
         for &e in &self.edges {
-            buf.put_f64_le(e);
+            buf.extend_from_slice(&e.to_le_bytes());
         }
-        for &h in &self.edge_hits {
-            buf.put_u8(h as u8);
-        }
-        buf.put_u32_le(self.bitmaps.len() as u32);
+        buf.extend(self.edge_hits.iter().map(|&h| h as u8));
+        buf.extend_from_slice(&(self.bitmaps.len() as u32).to_le_bytes());
         for bm in &self.bitmaps {
-            buf.put_u64_le(bm.nbits());
+            buf.extend_from_slice(&bm.nbits().to_le_bytes());
             let words = bm.words_raw();
-            buf.put_u32_le(words.len() as u32);
+            buf.extend_from_slice(&(words.len() as u32).to_le_bytes());
             for &w in words {
-                buf.put_u32_le(w);
+                buf.extend_from_slice(&w.to_le_bytes());
             }
         }
-        buf.freeze()
+        buf.into()
     }
 
-    /// Deserialize from [`Self::to_bytes`] output.
-    pub fn from_bytes(mut buf: &[u8]) -> PdcResult<BinnedBitmapIndex> {
-        let err = |w: &str| PdcError::Codec(format!("bitmap index: {w}"));
-        if buf.remaining() < 13 {
-            return Err(err("short header"));
-        }
-        let nbits = buf.get_u64_le();
-        let domain = match buf.get_u8() {
+    /// Deserialize from [`Self::to_bytes`] output. Every bitmap must be
+    /// as long as the index: a mismatched one would fail the first
+    /// combination in [`Self::query`].
+    pub fn from_bytes(buf: &[u8]) -> PdcResult<BinnedBitmapIndex> {
+        let mut r = ByteReader::new(buf, |why| PdcError::Codec(format!("bitmap index: {why}")));
+        let nbits = r.u64()?;
+        let domain = match r.u8()? {
             0 => ValueDomain::F64,
             1 => ValueDomain::F32,
             2 => ValueDomain::Integer,
-            other => return Err(err(&format!("bad domain tag {other}"))),
+            other => return Err(r.error(format!("bad domain tag {other}"))),
         };
-        let nedges = buf.get_u32_le() as usize;
-        if buf.remaining() < nedges * 9 + 4 {
-            return Err(err("short edges"));
-        }
-        let mut edges = Vec::with_capacity(nedges);
-        for _ in 0..nedges {
-            edges.push(buf.get_f64_le());
-        }
-        let mut edge_hits = Vec::with_capacity(nedges);
-        for _ in 0..nedges {
-            edge_hits.push(buf.get_u8() != 0);
-        }
-        let nbins = buf.get_u32_le() as usize;
+        let nedges = r.u32()? as usize;
+        let edges = r.vec(nedges, f64::from_le_bytes)?;
+        let edge_hits = r.bytes(nedges)?.iter().map(|&h| h != 0).collect();
+        let nbins = r.u32()? as usize;
         if nedges != nbins + 1 {
-            return Err(err("edge/bin count mismatch"));
+            return Err(r.error("edge/bin count mismatch"));
         }
         let mut bitmaps = Vec::with_capacity(nbins);
-        for _ in 0..nbins {
-            if buf.remaining() < 12 {
-                return Err(err("short bitmap header"));
+        for k in 0..nbins {
+            let bm_nbits = r.u64()?;
+            if bm_nbits != nbits {
+                return Err(r.error(format!("bin {k} holds {bm_nbits} bits, index {nbits}")));
             }
-            let bm_nbits = buf.get_u64_le();
-            let nwords = buf.get_u32_le() as usize;
-            if buf.remaining() < nwords * 4 {
-                return Err(err("short bitmap words"));
-            }
-            let mut words = Vec::with_capacity(nwords);
-            for _ in 0..nwords {
-                words.push(buf.get_u32_le());
-            }
-            bitmaps.push(WahBitVector::from_raw_parts(words, bm_nbits));
+            let nwords = r.u32()? as usize;
+            bitmaps.push(WahBitVector::from_raw_parts(r.vec(nwords, u32::from_le_bytes)?, nbits));
         }
         Ok(BinnedBitmapIndex { edges, bitmaps, domain, edge_hits, nbits })
     }
@@ -661,6 +641,21 @@ mod tests {
         let idx = BinnedBitmapIndex::build(&values, &BinningConfig::default()).unwrap();
         let bytes = idx.to_bytes();
         assert!(BinnedBitmapIndex::from_bytes(&bytes[..bytes.len() / 2]).is_err());
+    }
+
+    #[test]
+    fn from_bytes_rejects_bitmap_length_disagreeing_with_index() {
+        let values = sample_values(5000);
+        let idx = BinnedBitmapIndex::build(&values, &BinningConfig::default()).unwrap();
+        let mut bytes = idx.to_bytes().to_vec();
+        // The first bitmap's `nbits` follows the 13-byte header, the edges
+        // with their hit flags, and the 4-byte bin count.
+        let at = 13 + 9 * idx.edges().len() + 4;
+        assert_eq!(bytes[at..at + 8], 5000u64.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        // Decoded, such an index would panic in `query` when the bitmap is
+        // combined with ones of the index's length.
+        assert!(matches!(BinnedBitmapIndex::from_bytes(&bytes), Err(PdcError::Codec(_))));
     }
 
     #[test]

@@ -46,6 +46,7 @@ use crate::codec;
 use crate::fnv::{BulkFnv, Fnv1a};
 use pdc_types::error::{PdcError, PdcResult};
 use pdc_types::value::{PdcType, TypedVec};
+use pdc_types::ByteReader;
 use std::fs::File;
 // Positional reads (`read_exact_at`): no shared file cursor, so a reader
 // needs no lock. Unix-only; the crate root refuses other targets.
@@ -78,29 +79,6 @@ pub enum PayloadKind {
     Typed(PdcType),
     /// Raw index bytes; `total`/`elems` count bytes.
     Raw,
-}
-
-fn ty_tag(ty: PdcType) -> u8 {
-    match ty {
-        PdcType::Float => 0,
-        PdcType::Double => 1,
-        PdcType::Int32 => 2,
-        PdcType::UInt32 => 3,
-        PdcType::Int64 => 4,
-        PdcType::UInt64 => 5,
-    }
-}
-
-fn ty_from_tag(tag: u8) -> PdcResult<PdcType> {
-    Ok(match tag {
-        0 => PdcType::Float,
-        1 => PdcType::Double,
-        2 => PdcType::Int32,
-        3 => PdcType::UInt32,
-        4 => PdcType::Int64,
-        5 => PdcType::UInt64,
-        other => return Err(corrupt(format!("unknown element type tag {other}"))),
-    })
 }
 
 fn corrupt(msg: impl Into<String>) -> PdcError {
@@ -188,7 +166,7 @@ fn write_file(
     match kind {
         PayloadKind::Typed(ty) => {
             buf.push(0u8);
-            buf.push(ty_tag(ty));
+            buf.push(ty.tag());
         }
         PayloadKind::Raw => {
             buf.push(1u8);
@@ -299,20 +277,22 @@ impl BlockReader {
         }
         let mut header = [0u8; HEADER_LEN as usize];
         file.read_exact_at(&mut header, 0).map_err(|e| io_err("read header", e))?;
-        if header[0..4] != BLOCK_MAGIC {
+        let mut h = ByteReader::new(&header, corrupt);
+        if h.bytes(4)? != BLOCK_MAGIC {
             return Err(corrupt("bad magic"));
         }
-        let format = u32::from_le_bytes(header[4..8].try_into().unwrap());
+        let format = h.u32()?;
         if format != BLOCK_FORMAT {
             return Err(corrupt(format!("unsupported format {format}")));
         }
-        let kind = match header[8] {
-            0 => PayloadKind::Typed(ty_from_tag(header[9])?),
-            1 => PayloadKind::Raw,
+        let kind = match h.u8()? {
+            0 => PayloadKind::Typed(h.pdc_type()?),
+            1 => h.u8().map(|_| PayloadKind::Raw)?, // a raw file stores no element type
             other => return Err(corrupt(format!("unknown payload kind {other}"))),
         };
-        let total = u64::from_le_bytes(header[12..20].try_into().unwrap());
-        let block_elems = u32::from_le_bytes(header[20..24].try_into().unwrap());
+        h.bytes(2)?; // reserved
+        let total = h.u64()?;
+        let block_elems = h.u32()?;
         if block_elems == 0 {
             return Err(corrupt("zero block size"));
         }
@@ -321,12 +301,11 @@ impl BlockReader {
         let mut footer = [0u8; FOOTER_LEN as usize];
         file.read_exact_at(&mut footer, file_len - FOOTER_LEN)
             .map_err(|e| io_err("read footer", e))?;
-        if footer[20..24] != FOOTER_MAGIC {
+        let mut f = ByteReader::new(&footer, corrupt);
+        let (index_off, footer_blocks, index_fnv) = (f.u64()?, f.u32()?, f.u64()?);
+        if f.bytes(4)? != FOOTER_MAGIC {
             return Err(corrupt("bad footer magic"));
         }
-        let index_off = u64::from_le_bytes(footer[0..8].try_into().unwrap());
-        let footer_blocks = u32::from_le_bytes(footer[8..12].try_into().unwrap());
-        let index_fnv = u64::from_le_bytes(footer[12..20].try_into().unwrap());
         if footer_blocks as u64 != n_blocks {
             return Err(corrupt(format!(
                 "footer says {footer_blocks} blocks, header implies {n_blocks}"
@@ -348,9 +327,9 @@ impl BlockReader {
         let mut index = Vec::with_capacity(n_blocks as usize);
         let mut expect_off = HEADER_LEN;
         let mut seen_elems = 0u64;
-        for (i, entry) in index_bytes.chunks_exact(INDEX_ENTRY_LEN as usize).enumerate() {
-            let file_off = u64::from_le_bytes(entry[0..8].try_into().unwrap());
-            let elems = u32::from_le_bytes(entry[8..12].try_into().unwrap());
+        let mut entries = ByteReader::new(&index_bytes, corrupt);
+        for i in 0..n_blocks {
+            let (file_off, elems) = (entries.u64()?, entries.u32()?);
             if file_off != expect_off {
                 return Err(corrupt(format!(
                     "block {i}: offset {file_off} does not follow previous block (expect {expect_off})"
@@ -369,7 +348,7 @@ impl BlockReader {
             }
             let mut frame = [0u8; FRAME_LEN as usize];
             file.read_exact_at(&mut frame, file_off).map_err(|e| io_err("read frame", e))?;
-            let comp_len = u32::from_le_bytes(frame[0..4].try_into().unwrap());
+            let comp_len = ByteReader::new(&frame, corrupt).u32()?;
             expect_off = file_off
                 .checked_add(FRAME_LEN)
                 .and_then(|o| o.checked_add(comp_len as u64))
@@ -448,11 +427,8 @@ impl BlockReader {
         // extent is at least a frame header and bounded by the file size.
         let mut buf = vec![0u8; (next_off - entry.file_off) as usize];
         self.file.read_exact_at(&mut buf, entry.file_off).map_err(|e| io_err("read block", e))?;
-        let (frame, payload) = buf.split_at(FRAME_LEN as usize);
-        let comp_len = u32::from_le_bytes(frame[0..4].try_into().unwrap());
-        let elems = u32::from_le_bytes(frame[4..8].try_into().unwrap());
-        let enc = frame[8];
-        let checksum = u64::from_le_bytes(frame[9..17].try_into().unwrap());
+        let mut r = ByteReader::new(&buf, corrupt);
+        let (comp_len, elems, enc, checksum) = (r.u32()?, r.u32()?, r.u8()?, r.u64()?);
         if entry.file_off + FRAME_LEN + comp_len as u64 != next_off {
             return Err(corrupt(format!("block {i}: frame length mismatch")));
         }
@@ -462,6 +438,7 @@ impl BlockReader {
                 entry.elems
             )));
         }
+        let payload = r.bytes(comp_len as usize)?;
         if frame_sum(comp_len, elems, enc, payload) != checksum {
             return Err(corrupt(format!("block {i}: checksum mismatch")));
         }

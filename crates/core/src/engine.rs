@@ -476,6 +476,16 @@ fn fresh_placement(cfg: &EngineConfig) -> Arc<Placement> {
     ))
 }
 
+/// A fresh server state: an empty cache of the configured size and, under
+/// a fault plan, the server's fault probe armed from the start.
+fn server_state(cfg: &EngineConfig, id: ServerId) -> ServerState {
+    let mut st = ServerState::new(cfg.cache_bytes_per_server);
+    if let Some(plan) = &cfg.fault_plan {
+        st.fault = plan.probe_for(id.raw());
+    }
+    st
+}
+
 impl QueryEngine {
     /// Start a query service over an ODMS. When the fault plan carries a
     /// [`pdc_server::CorruptionSpec`], the data plane is damaged
@@ -495,15 +505,7 @@ impl QueryEngine {
                     .expect("configure out-of-core spill directory");
             }
         }
-        let cache = cfg.cache_bytes_per_server;
-        let plan = cfg.fault_plan.clone();
-        let pool = ServerPool::new(cfg.num_servers, |id| {
-            let mut st = ServerState::new(cache);
-            if let Some(p) = &plan {
-                st.fault = p.probe_for(id.raw());
-            }
-            st
-        });
+        let pool = ServerPool::new(cfg.num_servers, |id| server_state(&cfg, id));
         let placement = fresh_placement(&cfg);
         let engine = Self {
             odms,
@@ -541,15 +543,7 @@ impl QueryEngine {
     pub fn join_server(&self) -> PdcResult<MembershipReport> {
         let mut guard = self.placement.lock().unwrap();
         let mut p = (**guard).clone();
-        let cache = self.cfg.cache_bytes_per_server;
-        let plan = self.cfg.fault_plan.clone();
-        let id = self.pool.add_server(|id| {
-            let mut st = ServerState::new(cache);
-            if let Some(fp) = &plan {
-                st.fault = fp.probe_for(id.raw());
-            }
-            st
-        });
+        let id = self.pool.add_server(|id| server_state(&self.cfg, id));
         let mplan = p.join(id.raw());
         let p = Arc::new(p);
         *guard = Arc::clone(&p);
@@ -755,14 +749,7 @@ impl QueryEngine {
     /// fresh, so crashed servers come back up with their schedule rearmed;
     /// a corruption spec is re-applied, re-damaging the same sites.
     pub fn reset_state(&self) {
-        let bytes = self.cfg.cache_bytes_per_server;
-        let plan = self.cfg.fault_plan.clone();
-        self.pool.for_each_server(|id, st| {
-            *st = ServerState::new(bytes);
-            if let Some(p) = &plan {
-                st.fault = p.probe_for(id.raw());
-            }
-        });
+        self.pool.for_each_server(|id, st| *st = server_state(&self.cfg, id));
         {
             let mut pc = self.plans.lock().unwrap();
             pc.map.clear();

@@ -136,18 +136,6 @@ impl ObjectMeta {
         let len = self.region_elems.min(self.num_elements() - offset);
         RegionSpec::new(offset, len)
     }
-
-    /// The regions whose spans overlap `[start, start+len)` — used to map
-    /// a spatial query constraint to the regions it touches.
-    pub fn regions_overlapping_span(&self, start: u64, len: u64) -> Vec<u32> {
-        if len == 0 || start >= self.num_elements() {
-            return Vec::new();
-        }
-        let end = (start + len).min(self.num_elements());
-        let first = (start / self.region_elems) as u32;
-        let last = ((end - 1) / self.region_elems) as u32;
-        (first..=last).collect()
-    }
 }
 
 #[cfg(test)]
@@ -179,17 +167,6 @@ mod tests {
         assert_eq!(regions.len(), 4);
         assert_eq!(regions[3].len, 232);
         assert_eq!(m.region_span(3), regions[3]);
-    }
-
-    #[test]
-    fn regions_overlapping_span_clips() {
-        let m = meta(1000, 256);
-        assert_eq!(m.regions_overlapping_span(0, 1000), vec![0, 1, 2, 3]);
-        assert_eq!(m.regions_overlapping_span(200, 100), vec![0, 1]);
-        assert_eq!(m.regions_overlapping_span(256, 256), vec![1]);
-        assert_eq!(m.regions_overlapping_span(990, 500), vec![3]);
-        assert!(m.regions_overlapping_span(2000, 10).is_empty());
-        assert!(m.regions_overlapping_span(0, 0).is_empty());
     }
 
     #[test]

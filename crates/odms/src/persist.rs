@@ -12,10 +12,9 @@
 use crate::meta::{MetaValue, ObjectMeta};
 use crate::service::MetadataService;
 use crate::system::Odms;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pdc_histogram::Histogram;
 use pdc_storage::fnv1a64;
-use pdc_types::{PdcError, PdcResult};
+use pdc_types::{ByteReader, Bytes, PdcError, PdcResult};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -50,139 +49,69 @@ fn corrupt(why: impl Into<String>) -> PdcError {
     PdcError::SnapshotCorrupt(why.into())
 }
 
-fn put_string(b: &mut BytesMut, s: &str) {
-    b.put_u32_le(s.len() as u32);
-    b.put_slice(s.as_bytes());
+fn put_string(b: &mut Vec<u8>, s: &str) {
+    b.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    b.extend_from_slice(s.as_bytes());
 }
 
-fn put_u64s(b: &mut BytesMut, xs: &[u64]) {
-    b.put_u32_le(xs.len() as u32);
+fn put_u64s(b: &mut Vec<u8>, xs: &[u64]) {
+    b.extend_from_slice(&(xs.len() as u32).to_le_bytes());
     for &x in xs {
-        b.put_u64_le(x);
+        b.extend_from_slice(&x.to_le_bytes());
     }
 }
 
-fn pdc_type_tag(t: pdc_types::PdcType) -> u8 {
-    match t {
-        pdc_types::PdcType::Float => 0,
-        pdc_types::PdcType::Double => 1,
-        pdc_types::PdcType::Int32 => 2,
-        pdc_types::PdcType::UInt32 => 3,
-        pdc_types::PdcType::Int64 => 4,
-        pdc_types::PdcType::UInt64 => 5,
-    }
+fn string(r: &mut ByteReader<'_>) -> PdcResult<String> {
+    let n = r.u32()? as usize;
+    String::from_utf8(r.bytes(n)?.to_vec()).map_err(|_| corrupt("invalid utf-8"))
 }
 
-fn pdc_type_from_tag(tag: u8) -> PdcResult<pdc_types::PdcType> {
-    Ok(match tag {
-        0 => pdc_types::PdcType::Float,
-        1 => pdc_types::PdcType::Double,
-        2 => pdc_types::PdcType::Int32,
-        3 => pdc_types::PdcType::UInt32,
-        4 => pdc_types::PdcType::Int64,
-        5 => pdc_types::PdcType::UInt64,
-        other => return Err(corrupt(format!("bad pdc_type tag {other}"))),
-    })
+fn u64s(r: &mut ByteReader<'_>) -> PdcResult<Vec<u64>> {
+    let n = r.u32()? as usize;
+    r.vec(n, u64::from_le_bytes)
 }
 
-/// Bounds-checked little-endian reader over a snapshot payload. Every
-/// accessor verifies remaining length first, so a truncated or mangled
-/// payload yields a typed [`PdcError::SnapshotCorrupt`] — never a panic.
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl Reader<'_> {
-    fn need(&self, n: usize) -> PdcResult<()> {
-        if self.buf.len() < n {
-            return Err(corrupt("truncated payload"));
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self) -> PdcResult<u8> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
-    }
-
-    fn u32(&mut self) -> PdcResult<u32> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn u64(&mut self) -> PdcResult<u64> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    fn i64(&mut self) -> PdcResult<i64> {
-        Ok(self.u64()? as i64)
-    }
-
-    fn f64(&mut self) -> PdcResult<f64> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
-    }
-
-    fn string(&mut self) -> PdcResult<String> {
-        let n = self.u32()? as usize;
-        self.need(n)?;
-        let s =
-            String::from_utf8(self.buf[..n].to_vec()).map_err(|_| corrupt("invalid utf-8"))?;
-        self.buf.advance(n);
-        Ok(s)
-    }
-
-    fn u64s(&mut self) -> PdcResult<Vec<u64>> {
-        let n = self.u32()? as usize;
-        // Length check before allocation: a mangled count can't force an
-        // absurd reservation.
-        self.need(n.saturating_mul(8))?;
-        Ok((0..n).map(|_| self.buf.get_u64_le()).collect())
-    }
-}
-
-fn encode_meta(b: &mut BytesMut, m: &ObjectMeta) {
-    b.put_u64_le(m.id.raw());
-    b.put_u64_le(m.container.raw());
+fn encode_meta(b: &mut Vec<u8>, m: &ObjectMeta) {
+    b.extend_from_slice(&m.id.raw().to_le_bytes());
+    b.extend_from_slice(&m.container.raw().to_le_bytes());
     put_string(b, &m.name);
-    b.put_u8(pdc_type_tag(m.pdc_type));
+    b.push(m.pdc_type.tag());
     put_u64s(b, &m.shape.0);
-    b.put_u64_le(m.region_elems);
-    b.put_u32_le(m.attrs.len() as u32);
+    b.extend_from_slice(&m.region_elems.to_le_bytes());
+    b.extend_from_slice(&(m.attrs.len() as u32).to_le_bytes());
     for (k, v) in &m.attrs {
         put_string(b, k);
         match v {
             MetaValue::Str(s) => {
-                b.put_u8(0);
+                b.push(0);
                 put_string(b, s);
             }
             MetaValue::I64(i) => {
-                b.put_u8(1);
-                b.put_u64_le(*i as u64);
+                b.push(1);
+                b.extend_from_slice(&(*i as u64).to_le_bytes());
             }
             MetaValue::F64(f) => {
-                b.put_u8(2);
-                b.put_f64_le(*f);
+                b.push(2);
+                b.extend_from_slice(&f.to_le_bytes());
             }
         }
     }
     match m.index_object {
         Some(idx) => {
-            b.put_u8(1);
-            b.put_u64_le(idx.raw());
+            b.push(1);
+            b.extend_from_slice(&idx.raw().to_le_bytes());
         }
-        None => b.put_u8(0),
+        None => b.push(0),
     }
-    b.put_u8(m.has_sorted_replica as u8);
+    b.push(m.has_sorted_replica as u8);
 }
 
-fn decode_meta(r: &mut Reader<'_>) -> PdcResult<ObjectMeta> {
+fn decode_meta(r: &mut ByteReader<'_>) -> PdcResult<ObjectMeta> {
     let id = pdc_types::ObjectId(r.u64()?);
     let container = pdc_types::ContainerId(r.u64()?);
-    let name = r.string()?;
-    let pdc_type = pdc_type_from_tag(r.u8()?)?;
-    let shape = pdc_types::Shape(r.u64s()?);
+    let name = string(r)?;
+    let pdc_type = r.pdc_type()?;
+    let shape = pdc_types::Shape(u64s(r)?);
     let region_elems = r.u64()?;
     if region_elems == 0 {
         return Err(corrupt(format!("object {id} has zero region size")));
@@ -190,10 +119,10 @@ fn decode_meta(r: &mut Reader<'_>) -> PdcResult<ObjectMeta> {
     let nattrs = r.u32()? as usize;
     let mut attrs = BTreeMap::new();
     for _ in 0..nattrs {
-        let key = r.string()?;
+        let key = string(r)?;
         let value = match r.u8()? {
-            0 => MetaValue::Str(r.string()?),
-            1 => MetaValue::I64(r.i64()?),
+            0 => MetaValue::Str(string(r)?),
+            1 => MetaValue::I64(r.u64()? as i64),
             2 => MetaValue::F64(r.f64()?),
             other => return Err(corrupt(format!("bad attr tag {other}"))),
         };
@@ -218,20 +147,20 @@ fn decode_meta(r: &mut Reader<'_>) -> PdcResult<ObjectMeta> {
     })
 }
 
-fn encode_hist(b: &mut BytesMut, h: &Histogram) {
-    b.put_f64_le(h.bin_width());
-    b.put_f64_le(h.first_edge());
+fn encode_hist(b: &mut Vec<u8>, h: &Histogram) {
+    b.extend_from_slice(&h.bin_width().to_le_bytes());
+    b.extend_from_slice(&h.first_edge().to_le_bytes());
     put_u64s(b, h.counts());
-    b.put_f64_le(h.min());
-    b.put_f64_le(h.max());
-    b.put_u64_le(h.total());
-    b.put_u64_le(h.max_bins() as u64);
+    b.extend_from_slice(&h.min().to_le_bytes());
+    b.extend_from_slice(&h.max().to_le_bytes());
+    b.extend_from_slice(&h.total().to_le_bytes());
+    b.extend_from_slice(&(h.max_bins() as u64).to_le_bytes());
 }
 
-fn decode_hist(r: &mut Reader<'_>) -> PdcResult<Histogram> {
+fn decode_hist(r: &mut ByteReader<'_>) -> PdcResult<Histogram> {
     let bin_width = r.f64()?;
     let first_edge = r.f64()?;
-    let counts = r.u64s()?;
+    let counts = u64s(r)?;
     let min = r.f64()?;
     let max = r.f64()?;
     let total = r.u64()?;
@@ -246,42 +175,42 @@ impl MetadataSnapshot {
     /// by the length field, bit flips by the checksum.
     pub fn to_bytes(&self) -> Bytes {
         let payload = self.encode_payload();
-        let mut buf = BytesMut::with_capacity(payload.len() + FRAME_HEADER);
-        buf.put_slice(&SNAPSHOT_MAGIC);
-        buf.put_u32_le(SNAPSHOT_FORMAT);
-        buf.put_u64_le(payload.len() as u64);
-        buf.put_u64_le(fnv1a64(&payload));
-        buf.put_slice(&payload);
-        buf.freeze()
+        let mut buf = Vec::with_capacity(payload.len() + FRAME_HEADER);
+        buf.extend_from_slice(&SNAPSHOT_MAGIC);
+        buf.extend_from_slice(&SNAPSHOT_FORMAT.to_le_bytes());
+        buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        buf.extend_from_slice(&payload);
+        buf.into()
     }
 
-    fn encode_payload(&self) -> BytesMut {
-        let mut b = BytesMut::new();
-        b.put_u32_le(self.version);
-        b.put_u32_le(self.containers.len() as u32);
+    fn encode_payload(&self) -> Vec<u8> {
+        let mut b = Vec::new();
+        b.extend_from_slice(&self.version.to_le_bytes());
+        b.extend_from_slice(&(self.containers.len() as u32).to_le_bytes());
         for (id, name) in &self.containers {
-            b.put_u64_le(*id);
+            b.extend_from_slice(&id.to_le_bytes());
             put_string(&mut b, name);
         }
-        b.put_u32_le(self.objects.len() as u32);
+        b.extend_from_slice(&(self.objects.len() as u32).to_le_bytes());
         for m in &self.objects {
             encode_meta(&mut b, m);
         }
-        b.put_u32_le(self.histograms.len() as u32);
+        b.extend_from_slice(&(self.histograms.len() as u32).to_le_bytes());
         for (id, hists) in &self.histograms {
-            b.put_u64_le(*id);
-            b.put_u32_le(hists.len() as u32);
+            b.extend_from_slice(&id.to_le_bytes());
+            b.extend_from_slice(&(hists.len() as u32).to_le_bytes());
             for h in hists {
                 encode_hist(&mut b, h);
             }
         }
-        b.put_u32_le(self.index_sizes.len() as u32);
+        b.extend_from_slice(&(self.index_sizes.len() as u32).to_le_bytes());
         for (id, sizes) in &self.index_sizes {
-            b.put_u64_le(*id);
+            b.extend_from_slice(&id.to_le_bytes());
             put_u64s(&mut b, sizes);
         }
         put_u64s(&mut b, &self.sorted_objects);
-        b.put_u64_le(self.next_id);
+        b.extend_from_slice(&self.next_id.to_le_bytes());
         b
     }
 
@@ -290,20 +219,17 @@ impl MetadataSnapshot {
     /// malformed field — yields [`PdcError::SnapshotCorrupt`]; this
     /// function never panics on hostile input.
     pub fn from_bytes(bytes: &[u8]) -> PdcResult<MetadataSnapshot> {
-        if bytes.len() < FRAME_HEADER {
-            return Err(corrupt("frame shorter than header"));
-        }
-        if bytes[..4] != SNAPSHOT_MAGIC {
+        let mut r = ByteReader::new(bytes, PdcError::SnapshotCorrupt);
+        if r.bytes(4)? != SNAPSHOT_MAGIC {
             return Err(corrupt("bad magic"));
         }
-        let mut hdr = &bytes[4..FRAME_HEADER];
-        let format = hdr.get_u32_le();
+        let format = r.u32()?;
         if format != SNAPSHOT_FORMAT {
             return Err(corrupt(format!("unsupported frame format {format}")));
         }
-        let payload_len = hdr.get_u64_le();
-        let checksum = hdr.get_u64_le();
-        let payload = &bytes[FRAME_HEADER..];
+        let payload_len = r.u64()?;
+        let checksum = r.u64()?;
+        let payload = r.bytes(r.remaining())?;
         if payload.len() as u64 != payload_len {
             return Err(corrupt(format!(
                 "torn write: payload is {} bytes, header claims {payload_len}",
@@ -313,17 +239,16 @@ impl MetadataSnapshot {
         if fnv1a64(payload) != checksum {
             return Err(corrupt("payload checksum mismatch"));
         }
-        Self::decode_payload(payload)
+        Self::decode_payload(ByteReader::new(payload, PdcError::SnapshotCorrupt))
     }
 
-    fn decode_payload(payload: &[u8]) -> PdcResult<MetadataSnapshot> {
-        let mut r = Reader { buf: payload };
+    fn decode_payload(mut r: ByteReader<'_>) -> PdcResult<MetadataSnapshot> {
         let version = r.u32()?;
         let ncontainers = r.u32()? as usize;
         let mut containers = Vec::new();
         for _ in 0..ncontainers {
             let id = r.u64()?;
-            containers.push((id, r.string()?));
+            containers.push((id, string(&mut r)?));
         }
         let nobjects = r.u32()? as usize;
         let mut objects = Vec::new();
@@ -345,12 +270,12 @@ impl MetadataSnapshot {
         let mut index_sizes = Vec::new();
         for _ in 0..nsize_objects {
             let id = r.u64()?;
-            index_sizes.push((id, r.u64s()?));
+            index_sizes.push((id, u64s(&mut r)?));
         }
-        let sorted_objects = r.u64s()?;
+        let sorted_objects = u64s(&mut r)?;
         let next_id = r.u64()?;
-        if !r.buf.is_empty() {
-            return Err(corrupt(format!("{} trailing bytes after payload", r.buf.len())));
+        if r.remaining() > 0 {
+            return Err(corrupt(format!("{} trailing bytes after payload", r.remaining())));
         }
         Ok(MetadataSnapshot {
             version,
@@ -662,7 +587,7 @@ mod tests {
         journal.append(&odms.meta().snapshot());
         // The latest persistence write was torn mid-frame.
         let good = odms.meta().snapshot().to_bytes();
-        journal.push_raw(bytes::Bytes::from(good[..good.len() / 2].to_vec()));
+        journal.push_raw(Bytes::from(&good[..good.len() / 2]));
         let (snap, skipped) = journal.recover().unwrap();
         assert_eq!(skipped, 1);
         assert_eq!(snap.objects[0].id, obj);
@@ -684,8 +609,8 @@ mod tests {
         let journal = SnapshotJournal::new(2);
         assert!(matches!(journal.recover(), Err(PdcError::SnapshotCorrupt(_))));
         let mut journal = SnapshotJournal::new(2);
-        journal.push_raw(bytes::Bytes::from_static(b"not a snapshot at all"));
-        journal.push_raw(bytes::Bytes::from_static(b"PDCS but still garbage"));
+        journal.push_raw(Bytes::from(&b"not a snapshot at all"[..]));
+        journal.push_raw(Bytes::from(&b"PDCS but still garbage"[..]));
         assert!(matches!(journal.recover(), Err(PdcError::SnapshotCorrupt(_))));
         let fresh = Odms::new(2);
         assert!(journal.restore_into(&fresh).is_err());

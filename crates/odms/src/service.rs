@@ -11,7 +11,7 @@ use crate::meta::{MetaValue, ObjectMeta};
 use pdc_directory::{JointGrid, RegionDirectory};
 use pdc_histogram::{merge_all, Histogram};
 use pdc_sorted::SortedReplica;
-use pdc_types::{ContainerId, ObjectId, PdcError, PdcResult, RegionId, ServerId, Unpoison};
+use pdc_types::{ContainerId, ObjectId, PdcError, PdcResult, RegionId, Unpoison};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -86,11 +86,6 @@ impl MetadataService {
         let id = ContainerId(self.next_id.fetch_add(1, Ordering::Relaxed));
         self.containers.write().unpoisoned().insert(id, name.to_string());
         id
-    }
-
-    /// Container name lookup.
-    pub fn container_name(&self, id: ContainerId) -> Option<String> {
-        self.containers.read().unpoisoned().get(&id).cloned()
     }
 
     /// Register an object and index its attributes. `build` fills in the
@@ -217,14 +212,6 @@ impl MetadataService {
     /// Re-register a container under its original id (restore path).
     pub fn restore_container(&self, id: ContainerId, name: &str) {
         self.containers.write().unpoisoned().insert(id, name.to_string());
-    }
-
-    /// The owner server of a metadata object: consistent hashing over
-    /// `num_servers` ("a metadata object is managed by only one server").
-    pub fn owner(&self, id: ObjectId, num_servers: u32) -> ServerId {
-        // Fibonacci hashing spreads sequential ids evenly.
-        let h = id.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ServerId((h >> 32) as u32 % num_servers.max(1))
     }
 
     /// Metadata (tag) query: objects whose attributes match **all** the
@@ -396,13 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn container_name_roundtrip() {
-        let svc = MetadataService::new();
-        let c = svc.create_container("vpic-run-7");
-        assert_eq!(svc.container_name(c).unwrap(), "vpic-run-7");
-    }
-
-    #[test]
     fn tag_query_intersects_conditions() {
         let (svc, _ids) = svc_with_objects(40);
         // plate = 3 matches i = 3, 13, 23, 33 -> 4 objects
@@ -420,22 +400,6 @@ mod tests {
         assert!(svc.query_tags(&[("nope", MetaValue::from(1i64))]).is_empty());
         // empty conditions
         assert!(svc.query_tags(&[]).is_empty());
-    }
-
-    #[test]
-    fn owner_assignment_is_stable_and_spread() {
-        let (svc, ids) = svc_with_objects(1000);
-        let mut counts = [0u32; 8];
-        for &id in &ids {
-            let s = svc.owner(id, 8);
-            assert_eq!(s, svc.owner(id, 8), "stable");
-            counts[s.raw() as usize] += 1;
-        }
-        // roughly balanced: no server owns more than 2.5x the fair share
-        for (i, &c) in counts.iter().enumerate() {
-            assert!(c < 1000 / 8 * 5 / 2, "server {i} owns {c}");
-            assert!(c > 0, "server {i} owns nothing");
-        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use pdc_directory::{JointGrid, RegionDirectory};
 use pdc_histogram::{Histogram, HistogramConfig};
 use pdc_sorted::SortedReplica;
 use pdc_storage::{ObjectStore, StorageTier, StoredPayload};
-use pdc_types::{ContainerId, ObjectId, PdcResult, RegionId, TypedVec, Unpoison};
+use pdc_types::{Bytes, ContainerId, ObjectId, PdcResult, RegionId, TypedVec, Unpoison};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, RwLock};
 
@@ -536,7 +536,7 @@ impl Odms {
     }
 
     /// Read one region's serialized bitmap index.
-    pub fn read_index_region(&self, data_object: ObjectId, region: u32) -> PdcResult<bytes::Bytes> {
+    pub fn read_index_region(&self, data_object: ObjectId, region: u32) -> PdcResult<Bytes> {
         let meta = self.meta.get(data_object)?;
         let idx_obj = meta.index_object.ok_or_else(|| {
             pdc_types::PdcError::MissingPrerequisite(format!("index of {data_object}"))
@@ -741,21 +741,6 @@ impl Odms {
         }
         self.register_joint_pair(a, b)
     }
-
-    /// Remove one region from the system: the data payload plus the
-    /// auxiliary structures derived from it (the serialized bitmap-index
-    /// region). Quarantine marks are purged along with the payloads, so a
-    /// corrupt region that is removed rather than repaired leaves no
-    /// stale integrity state behind. Returns whether the data region
-    /// existed.
-    pub fn remove_region(&self, object: ObjectId, region: u32) -> PdcResult<bool> {
-        let meta = self.meta.get(object)?;
-        let removed = self.store.remove(RegionId::new(object, region));
-        if let Some(idx_obj) = meta.index_object {
-            self.store.remove(RegionId::new(idx_obj, region));
-        }
-        Ok(removed)
-    }
 }
 
 #[cfg(test)]
@@ -959,25 +944,6 @@ mod tests {
         let rebuilt = odms.meta().sorted_replica(report.object).unwrap();
         assert!(rebuilt.self_check(5000));
         assert_eq!(*rebuilt, *good);
-    }
-
-    #[test]
-    fn remove_region_purges_aux_and_quarantine() {
-        let opts =
-            ImportOptions { region_bytes: 4096, build_index: true, ..Default::default() };
-        let (odms, report) = system_with_import(5000, &opts);
-        let meta = odms.meta().get(report.object).unwrap();
-        let idx_obj = meta.index_object.unwrap();
-        let rid = RegionId::new(report.object, 3);
-        assert!(odms.store().corrupt(rid, 11).unwrap());
-        let _ = odms.store().get(rid); // quarantines
-        assert!(odms.store().is_quarantined(rid));
-        assert!(odms.remove_region(report.object, 3).unwrap());
-        assert!(!odms.store().is_quarantined(rid));
-        assert!(odms.store().get(rid).is_err());
-        assert!(odms.store().get_raw(RegionId::new(idx_obj, 3)).is_err());
-        // removing again reports absence
-        assert!(!odms.remove_region(report.object, 3).unwrap());
     }
 
     #[test]

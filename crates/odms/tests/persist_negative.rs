@@ -4,7 +4,7 @@
 //! leave the target system untouched.
 
 use pdc_odms::{ImportOptions, MetadataSnapshot, Odms, SnapshotJournal};
-use pdc_types::{PdcError, TypedVec};
+use pdc_types::{Bytes, PdcError, TypedVec};
 
 fn snapshot_source() -> (Odms, pdc_types::ObjectId) {
     let odms = Odms::new(4);
@@ -57,17 +57,17 @@ fn journal_with_every_frame_corrupted_is_typed_error() {
     // (checksum catch), a flipped magic byte, an empty frame, and pure
     // garbage. recover() must walk past all of them and report a typed
     // error, not panic or return a half-decoded snapshot.
-    journal.push_raw(bytes::Bytes::from(good[..7].to_vec()));
-    journal.push_raw(bytes::Bytes::from(good[..good.len() - 3].to_vec()));
+    journal.push_raw(Bytes::from(&good[..7]));
+    journal.push_raw(Bytes::from(&good[..good.len() - 3]));
     let mut flipped = good.to_vec();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x10;
-    journal.push_raw(bytes::Bytes::from(flipped));
+    journal.push_raw(Bytes::from(flipped));
     let mut bad_magic = good.to_vec();
     bad_magic[0] ^= 0xFF;
-    journal.push_raw(bytes::Bytes::from(bad_magic));
-    journal.push_raw(bytes::Bytes::new());
-    journal.push_raw(bytes::Bytes::from_static(b"PDCS followed by nonsense"));
+    journal.push_raw(Bytes::from(bad_magic));
+    journal.push_raw(Bytes::default());
+    journal.push_raw(Bytes::from(&b"PDCS followed by nonsense"[..]));
     assert_eq!(journal.len(), 6);
     assert!(matches!(journal.recover(), Err(PdcError::SnapshotCorrupt(_))));
 }
@@ -80,7 +80,7 @@ fn restore_into_on_partially_written_frame_is_a_no_op() {
     // the payload stops mid-object. The length field catches it before
     // any decoding starts, so nothing can leak into the target system.
     let mut journal = SnapshotJournal::new(2);
-    journal.push_raw(bytes::Bytes::from(good[..good.len() / 3].to_vec()));
+    journal.push_raw(Bytes::from(&good[..good.len() / 3]));
     let fresh = Odms::new(2);
     assert!(matches!(journal.restore_into(&fresh), Err(PdcError::SnapshotCorrupt(_))));
     assert_untouched(&fresh);
@@ -95,8 +95,8 @@ fn recovery_skips_corrupt_frames_but_restores_the_newest_good_one() {
     let mut journal = SnapshotJournal::new(4);
     journal.append(&good);
     let frame = good.to_bytes();
-    journal.push_raw(bytes::Bytes::from(frame[..frame.len() / 2].to_vec()));
-    journal.push_raw(bytes::Bytes::from_static(b"torn"));
+    journal.push_raw(Bytes::from(&frame[..frame.len() / 2]));
+    journal.push_raw(Bytes::from(&b"torn"[..]));
     let (snap, skipped) = journal.recover().unwrap();
     assert_eq!(skipped, 2);
     assert_eq!(snap.objects[0].id, obj);

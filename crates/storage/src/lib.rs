@@ -45,5 +45,4 @@ pub use store::{
     StoredPayload,
 };
 
-pub use bytes;
 pub use pdc_blockstore::BlockCacheStats;

@@ -9,9 +9,10 @@
 //! of the reader, not of the store.
 
 use crate::cache::CacheSlot;
-use bytes::Bytes;
 use pdc_blockstore::{blockfile, BlockCache, BlockCacheStats, BlockReader, BulkFnv};
-use pdc_types::{mix64, with_slice, PdcError, PdcResult, PdcType, RegionId, TypedVec, Unpoison};
+use pdc_types::{
+    mix64, with_slice, Bytes, PdcError, PdcResult, PdcType, RegionId, TypedVec, Unpoison,
+};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
@@ -1197,14 +1198,14 @@ mod tests {
     #[test]
     fn put_get_roundtrip_raw() {
         let store = ObjectStore::new(8);
-        store.put(rid(2, 5), StoredPayload::Raw(Bytes::from_static(b"abc")), StorageTier::Pfs);
-        assert_eq!(store.get_raw(rid(2, 5)).unwrap(), Bytes::from_static(b"abc"));
+        store.put(rid(2, 5), StoredPayload::Raw(Bytes::from(&b"abc"[..])), StorageTier::Pfs);
+        assert_eq!(store.get_raw(rid(2, 5)).unwrap(), Bytes::from(&b"abc"[..]));
     }
 
     #[test]
     fn wrong_kind_is_an_error() {
         let store = ObjectStore::new(8);
-        store.put(rid(1, 0), StoredPayload::Raw(Bytes::from_static(b"x")), StorageTier::Pfs);
+        store.put(rid(1, 0), StoredPayload::Raw(Bytes::from(&b"x"[..])), StorageTier::Pfs);
         assert!(store.get_typed(rid(1, 0)).is_err());
         let v: TypedVec = vec![1i32].into();
         store.put(rid(1, 1), StoredPayload::Typed(Arc::new(v)), StorageTier::Dram);
@@ -1392,7 +1393,7 @@ mod tests {
         assert!(store.is_sealed(rid(13, 0)));
         assert!(matches!(store.append_typed(rid(13, 0), &delta), Err(PdcError::Storage(_))));
         // raw payload
-        store.put(rid(13, 1), StoredPayload::Raw(Bytes::from_static(b"idx")), StorageTier::Pfs);
+        store.put(rid(13, 1), StoredPayload::Raw(Bytes::from(&b"idx"[..])), StorageTier::Pfs);
         assert!(matches!(store.append_typed(rid(13, 1), &delta), Err(PdcError::Storage(_))));
         // element-type mismatch
         let ints: TypedVec = vec![1i32; 4].into();
@@ -1433,7 +1434,7 @@ mod tests {
     #[test]
     fn empty_payload_cannot_be_corrupted() {
         let store = ObjectStore::new(2);
-        store.put(rid(10, 0), StoredPayload::Raw(Bytes::new()), StorageTier::Pfs);
+        store.put(rid(10, 0), StoredPayload::Raw(Bytes::default()), StorageTier::Pfs);
         assert!(!store.corrupt(rid(10, 0), 5).unwrap());
         assert!(store.get_raw(rid(10, 0)).is_ok());
     }
@@ -1730,7 +1731,7 @@ mod tests {
         let _ = cold.read_block(1).unwrap();
         assert_eq!(store.spill_stats().unwrap().block_cache.hits, before + 1);
         // Resident / raw / missing regions have no cold handle.
-        store.put(rid(7, 1), StoredPayload::Raw(Bytes::from_static(b"idx")), StorageTier::Pfs);
+        store.put(rid(7, 1), StoredPayload::Raw(Bytes::from(&b"idx"[..])), StorageTier::Pfs);
         assert!(store.cold_region(rid(7, 1)).is_none());
         assert!(store.cold_region(rid(9, 9)).is_none());
         let _ = std::fs::remove_dir_all(&dir);

@@ -23,6 +23,9 @@
 //! * [`splitmix64`] / [`mix64`] — the deterministic mixer behind every
 //!   seeded choice in the workspace.
 //! * [`Unpoison`] — how every `std::sync` lock in the workspace is taken.
+//! * [`wire`] — the bounds-checked [`ByteReader`], the [`PdcType`] tag
+//!   table and the [`Bytes`] buffer that the index file, the snapshot
+//!   frame and the block file share.
 
 pub mod error;
 pub mod ids;
@@ -33,6 +36,7 @@ pub mod region;
 pub mod selection;
 pub mod splitmix;
 pub mod value;
+pub mod wire;
 
 pub use error::{PdcError, PdcResult};
 pub use ids::{ContainerId, ObjectId, QueryId, RegionId, ServerId};
@@ -42,6 +46,7 @@ pub use region::{NdRegion, RegionSpec, Shape};
 pub use selection::{Run, Selection};
 pub use splitmix::{mix64, splitmix64, unit_f64};
 pub use value::{PdcType, PdcValue, TypedVec};
+pub use wire::{ByteReader, Bytes};
 
 /// Poison-ignoring lock access, the one way the workspace takes a
 /// `std::sync` lock: `lock.read().unpoisoned()`. A panic while a lock is

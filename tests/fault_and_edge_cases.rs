@@ -72,7 +72,7 @@ fn undecodable_index_bytes_fall_back_to_exact_scan_and_rebuild() {
     // line of defense, and the query degrades to scanning that region.
     odms.store().put(
         RegionId::new(idx_obj, 1),
-        pdc_suite::storage::StoredPayload::Raw(pdc_suite::storage::bytes::Bytes::from_static(b"garbage")),
+        pdc_suite::storage::StoredPayload::Raw(pdc_suite::types::Bytes::from(&b"garbage"[..])),
         pdc_suite::storage::StorageTier::Pfs,
     );
     let eng = engine(&odms, Strategy::HistogramIndex);

@@ -7,8 +7,7 @@
 use pdc_suite::odms::{ImportOptions, MetadataSnapshot, Odms, SnapshotJournal};
 use pdc_suite::query::{EngineConfig, PdcQuery, QueryEngine, Strategy};
 use pdc_suite::server::{CorruptionSpec, FaultPlan};
-use pdc_suite::storage::bytes::Bytes;
-use pdc_suite::types::{ObjectId, PdcError, TypedVec};
+use pdc_suite::types::{Bytes, ObjectId, PdcError, TypedVec};
 use proptest::prelude::*;
 use std::sync::Arc;
 
