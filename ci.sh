@@ -37,6 +37,21 @@ if [ -n "$foreign" ]; then
 fi
 echo "std-only graph: $(echo $packages | wc -w | awk '{print $1 / 2}') packages, no foreign normal edge"
 
+echo "== poison-ignoring lock gate =="
+# Every lock in the libraries is taken through `pdc_types::Unpoison`, so
+# a panic while one is held never turns later calls into panics. Fail,
+# naming file and line, on a `.lock().unwrap()`, `.read().unwrap()` or
+# `.write().unwrap()` before the first `#[cfg(test)]` of any source file.
+poisoned=$(awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+    live && /\.(lock|read|write)\(\)\.unwrap\(\)/ { print FILENAME ":" FNR ": " $0 }' \
+    $(find crates/*/src -name '*.rs' | sort))
+if [ -n "$poisoned" ]; then
+    echo "ci: lock gate FAILED: take these locks through pdc_types::Unpoison:" >&2
+    echo "$poisoned" >&2
+    exit 1
+fi
+echo "lock gate: no poisonable lock unwrap outside tests"
+
 echo "== test suite =="
 # The workspace's default members are the facade package and every crate
 # under crates/, so this one command runs each crate's unit, integration
@@ -130,14 +145,12 @@ echo "integrity smoke: '$corrupt_hits' identical under 5% corruption"
 echo "== batch-throughput gate =="
 # A closed query series is one client's trace through the service loop:
 # one tenant, every arrival at t = 0. On a 32-query overlapping series
-# the shared-scan group must prewarm each distinct predicate once per
-# region (no region scanned twice for one predicate), serve >= 90% of
-# plans, artifacts and region touches from its caches, and end within
-# the sum of the sequential critical paths, with bit-identical results
-# (all checked inside the bin; what that buys in host wall time is the
-# referee's service.batching_gain). A CLI batch smoke checks the
-# user-facing path end to end: the series' lead hits must equal the
-# single-run hits, and the service report must show all 8 members.
+# >= 90% of plans and region touches must come from the plan cache and
+# resident regions, and the series must end within the sum of the
+# sequential critical paths, with bit-identical results (all checked
+# inside the bin). A CLI batch smoke checks the user-facing path end to
+# end: the series' lead hits must equal the single-run hits, and the
+# service report must show all 8 queries completed.
 cargo build --release $OFFLINE -p pdc-bench
 bench_gate throughput
 batch_out=$($PDC query "$SMOKE_Q" $SMOKE_ARGS --queries 8)
@@ -146,7 +159,7 @@ if [ "$clean_hits" != "$batch_hits" ]; then
     echo "ci: batch smoke FAILED: single '$clean_hits' vs batched '$batch_hits'" >&2
     exit 1
 fi
-echo "$batch_out" | grep -q '^shared scan group: 8 member(s)' || {
+echo "$batch_out" | grep -q '^outcomes: 8 completed' || {
     echo "ci: batch smoke FAILED: no service report in batch run" >&2
     exit 1
 }
@@ -291,9 +304,9 @@ echo "== service gate =="
 # Multi-tenant service loop: the equivalence suite ran in the test suite
 # above (every admitted query bit-identical to a solo run under faults,
 # corruption, replication, and spill); here the bench bin's own gates
-# (dispatch-order replay identical, late shared-scan joins observed,
-# flood mix degrades well-behaved p99 <= 1.25x the uniform mix), and a
-# CLI smoke replaying the committed 3-tenant trace through `pdc serve`.
+# (dispatch-order replay identical, flood mix degrades well-behaved p99
+# <= 1.25x the uniform mix), and a CLI smoke replaying the committed
+# 3-tenant trace through `pdc serve`.
 bench_gate service
 serve_out=$($PDC serve --trace-file examples/service_trace.txt --particles 50000 --servers 4)
 echo "$serve_out" | grep -q 'service equivalence: PASS' || {
@@ -301,8 +314,8 @@ echo "$serve_out" | grep -q 'service equivalence: PASS' || {
     echo "$serve_out" >&2
     exit 1
 }
-echo "$serve_out" | grep -q 'late join(s)' || {
-    echo "ci: service smoke FAILED: no shared-scan-group report in serve run" >&2
+echo "$serve_out" | grep -q '^outcomes: [1-9][0-9]* completed' || {
+    echo "ci: service smoke FAILED: no service report in serve run" >&2
     exit 1
 }
 echo "$serve_out" | grep -Eq 'tenant +flood: .*\([1-9][0-9]* rejected' || {

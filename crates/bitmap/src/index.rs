@@ -410,7 +410,10 @@ impl BinnedBitmapIndex {
                 return Err(r.error(format!("bin {k} holds {bm_nbits} bits, index {nbits}")));
             }
             let nwords = r.u32()? as usize;
-            bitmaps.push(WahBitVector::from_raw_parts(r.vec(nwords, u32::from_le_bytes)?, nbits));
+            let words = r.vec(nwords, u32::from_le_bytes)?;
+            let bitmap = WahBitVector::from_raw_parts(words, nbits)
+                .ok_or_else(|| r.error(format!("bin {k}'s words do not cover {nbits} bits")))?;
+            bitmaps.push(bitmap);
         }
         Ok(BinnedBitmapIndex { edges, bitmaps, domain, edge_hits, nbits })
     }
@@ -655,6 +658,22 @@ mod tests {
         bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         // Decoded, such an index would panic in `query` when the bitmap is
         // combined with ones of the index's length.
+        assert!(matches!(BinnedBitmapIndex::from_bytes(&bytes), Err(PdcError::Codec(_))));
+    }
+
+    #[test]
+    fn from_bytes_rejects_a_word_stream_shorter_than_its_bits() {
+        let values = sample_values(5000);
+        let idx = BinnedBitmapIndex::build(&values, &BinningConfig::default()).unwrap();
+        let mut bytes = idx.to_bytes().to_vec();
+        // Empty the first bin: `nwords` 0 and its words dropped, `nbits`
+        // left at 5 000. Decoded, `query` would lose every hit of the
+        // other bins (0 sure hits and 0 candidates for -1 < v < 100).
+        let at = 13 + 9 * idx.edges().len() + 4 + 8;
+        let nwords = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        assert!(nwords > 0);
+        bytes[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+        bytes.drain(at + 4..at + 4 + 4 * nwords);
         assert!(matches!(BinnedBitmapIndex::from_bytes(&bytes), Err(PdcError::Codec(_))));
     }
 

@@ -285,9 +285,14 @@ impl WahBitVector {
     }
 
     /// Reconstruct from raw words and logical length (inverse of
-    /// [`Self::words_raw`]; the caller must supply well-formed WAH words).
-    pub fn from_raw_parts(words: Vec<u32>, nbits: u64) -> Self {
-        WahBitVector { words, nbits }
+    /// [`Self::words_raw`]). `None` when the words cover a different
+    /// number of 31-bit groups than `nbits` needs.
+    pub fn from_raw_parts(words: Vec<u32>, nbits: u64) -> Option<Self> {
+        let groups: u64 = words
+            .iter()
+            .map(|&w| if w & FILL_FLAG != 0 { u64::from(w & FILL_COUNT_MASK) } else { 1 })
+            .sum();
+        (groups == nbits.div_ceil(GROUP_BITS)).then_some(WahBitVector { words, nbits })
     }
 
     /// Number of 32-bit words in the compressed representation.

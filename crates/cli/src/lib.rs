@@ -222,9 +222,9 @@ OPTIONS:
   --leave-server <S> (query only) run the query, retire server S (its slots
                      re-home with a verified copy), and re-run — prints the
                      membership report
-  --queries <N>      (query only) admit the expression N times as one
-                     concurrent batch: shared-scan prewarm + plan/artifact
-                     caching; prints a throughput report (results are
+  --queries <N>      (query only) serve the expression N times as one
+                     client's closed series through the service loop;
+                     prints a throughput report (results are
                      bit-identical to running each query alone)
   --batch-file <P>   (query only) file of extra expressions, one per line
                      ('#' comments and blank lines skipped), admitted in
@@ -250,10 +250,10 @@ OPTIONS:
 
 The serve subcommand replays the trace through the multi-tenant service
 loop: per-tenant FIFO queues, weighted-fair deficit-round-robin dispatch,
-cost-budget admission control (deferrals and rejections are typed, never
-silent), and continuous batching into open shared-scan groups. It prints
-per-tenant p50/p95/p99 simulated latency and throughput, then replays
-the dispatch order sequentially on a twin world — the last gate line is
+and cost-budget admission control (deferrals and rejections are typed,
+never silent). It prints per-tenant p50/p95/p99 simulated latency and
+throughput, then replays the dispatch order sequentially on a twin
+world — the last gate line is
 'service equivalence: PASS' only if every served outcome is bit-identical
 to its solo run.
 
@@ -949,8 +949,8 @@ fn run_demo(opts: &Opts) -> Result<String, String> {
     Ok(out)
 }
 
-/// The service report's outcome, per-tenant and shared-scan-group lines
-/// (`pdc serve`, and `pdc query` over a series). Simulated time and
+/// The service report's outcome and per-tenant lines (`pdc serve`, and
+/// `pdc query` over a series). Simulated time and
 /// counts only, so identical flags print identical bytes.
 fn format_service_report(report: &ServiceReport) -> String {
     let mut out = format!(
@@ -970,13 +970,6 @@ fn format_service_report(report: &ServiceReport) -> String {
             t.p95,
             t.p99,
             t.throughput_qps,
-        ));
-    }
-    if let Some(g) = &report.group {
-        out.push_str(&format!(
-            "shared scan group: {} member(s) over {} admission(s), {} late join(s), \
-             {} interval(s) admitted, {} region(s) prewarmed\n",
-            g.members, g.admissions, g.late_joins, g.admitted_intervals, g.prewarm_regions,
         ));
     }
     out
@@ -1088,11 +1081,10 @@ fn run_serve(opts: &Opts) -> Result<String, String> {
 
     let mut out = String::new();
     out.push_str(&format!(
-        "serve: {} arrival(s) from {} tenant(s), quantum {}, continuous batching {}\n",
+        "serve: {} arrival(s) from {} tenant(s), quantum {}\n",
         report.stats.submitted,
         cfg.tenants.len(),
         cfg.quantum,
-        if report.group.is_some() { "on" } else { "off" },
     ));
     out.push_str(&format_service_report(&report));
 
@@ -1349,7 +1341,7 @@ mod tests {
             opts: Opts { explain: true, queries: 4, ..small(50_000, 4) },
         })
         .unwrap();
-        assert!(out.contains("shared scan group: 4 member(s)"), "{out}");
+        assert!(out.contains("outcomes: 4 completed"), "{out}");
         assert!(out.contains("explain: strategy PDC-H"), "{out}");
     }
 
@@ -1508,11 +1500,10 @@ mod tests {
         assert!(batched.contains("outcomes: 8 completed, 0 deferral(s), 0 rejected"), "{batched}");
         assert!(batched.contains("tenant     client:   8/8 done"), "{batched}");
         assert!(batched.contains("q/s simulated"), "{batched}");
-        assert!(batched.contains("shared scan group: 8 member(s)"), "{batched}");
         // The per-query hits line is identical to the single run's.
         let line = |s: &str| s.lines().find(|l| l.contains(" hits (")).unwrap().to_string();
         assert_eq!(line(&single), line(&batched), "single: {single}\nbatched: {batched}");
-        assert!(!single.contains("shared scan group"), "{single}");
+        assert!(!single.contains("outcomes:"), "{single}");
     }
 
     #[test]
@@ -1728,30 +1719,18 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("serve: 5 arrival(s) from 3 tenant(s)"), "{out}");
-        assert!(out.contains("continuous batching on"), "{out}");
         assert!(out.contains("tenant      alice"), "{out}");
         assert!(out.contains("tenant      carol"), "auto-registered tenant: {out}");
-        // The three identical t~0 arrivals must fold into one shared-scan
-        // group with late joins.
-        assert!(out.contains("shared scan group:"), "{out}");
-        let group_line = out.lines().find(|l| l.contains("late join(s)")).expect("group line");
-        let late: u64 = group_line
-            .split_whitespace()
-            .zip(group_line.split_whitespace().skip(1))
-            .find(|(_, next)| next.starts_with("late"))
-            .and_then(|(n, _)| n.parse().ok())
-            .expect("late join count");
-        assert!(late >= 1, "{out}");
         assert!(out.contains("service equivalence: PASS"), "{out}");
         // Byte-identical across runs: the output is simulated-time only.
         let body = "tenant alice weight=2 budget-ms=50 cap=16\n0.0 alice 2.1 < Energy < 2.2\n";
         let a = serve_trace("gate", body, small(20_000, 4)).unwrap();
         let b = serve_trace("gate", body, small(20_000, 4)).unwrap();
         assert_eq!(a, b);
-        // Corruption disables the shared-scan group, and the header says so.
+        // Under corruption every dispatch repairs before it plans, and the
+        // served outcomes still equal their solo runs.
         let opts = Opts { corrupt_regions: 0.1, ..small(20_000, 4) };
         let corrupt = serve_trace("gate", body, opts).unwrap();
-        assert!(corrupt.contains("continuous batching off"), "{corrupt}");
         assert!(corrupt.contains("service equivalence: PASS"), "{corrupt}");
     }
 

@@ -4,9 +4,8 @@
 use crate::ast::PdcQuery;
 use crate::exec::{eval_plan, EvalCtx};
 use crate::plan::{ObjConstraint, PlanNode, QueryPlan};
-use crate::qcache::{IntervalKey, SharedScanGroup};
 use crate::recover::run_slots;
-use crate::snapshot::{usable_directory, MetaSnapshot};
+use crate::snapshot::MetaSnapshot;
 use crate::state::ServerState;
 use pdc_histogram::Histogram;
 use pdc_odms::Odms;
@@ -18,6 +17,7 @@ use pdc_storage::{
 use pdc_types::selection::RankDirectory;
 use pdc_types::{
     Interval, ObjectId, PdcError, PdcResult, PdcType, RegionId, Run, Selection, ServerId, TypedVec,
+    Unpoison,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -132,8 +132,7 @@ impl Policy {
     /// function of metadata, histograms and the cost model, decided once
     /// per conjunction per query on the client by
     /// [`BandVerdicts::resolve`]; server slots, retries and failovers,
-    /// the shared-scan prewarm, the client merge and `sorted_hint` all
-    /// read that one verdict.
+    /// the client merge and `sorted_hint` all read that one verdict.
     fn sorted_primary(
         self,
         snap: &MetaSnapshot,
@@ -148,6 +147,26 @@ impl Policy {
                 crate::ops::adaptive_sorted_choice(snap, cost, n_servers, c.object, &c.interval)
             }
         }
+    }
+}
+
+/// Bit-exact hashable image of an [`Interval`]: raw endpoint bits plus
+/// presence/inclusivity flags. Two intervals map to the same key iff
+/// they are structurally identical (NaN payloads included), so a verdict
+/// is only ever read back for the exact predicate that produced it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct IntervalKey {
+    lo: (u64, u8),
+    hi: (u64, u8),
+}
+
+impl IntervalKey {
+    fn of(iv: &Interval) -> Self {
+        let enc = |b: Option<pdc_types::interval::Bound>| match b {
+            None => (0u64, 0u8),
+            Some(b) => (b.value.to_bits(), if b.inclusive { 2 } else { 1 }),
+        };
+        IntervalKey { lo: enc(iv.lo), hi: enc(iv.hi) }
     }
 }
 
@@ -425,8 +444,6 @@ pub struct QueryEngine {
     /// layout). Swapped wholesale on membership changes so in-flight
     /// queries keep their own consistent snapshot.
     placement: Mutex<Arc<Placement>>,
-    /// Monotonic id source for the shared-scan groups `serve` opens.
-    scan_group_seq: std::sync::atomic::AtomicU64,
 }
 
 /// What an elastic membership change did ([`QueryEngine::join_server`] /
@@ -513,7 +530,6 @@ impl QueryEngine {
             cfg,
             plans: Mutex::new(PlanCache { map: HashMap::new(), hits: 0, misses: 0 }),
             placement: Mutex::new(placement),
-            scan_group_seq: std::sync::atomic::AtomicU64::new(0),
         };
         engine.apply_planned_corruption();
         engine
@@ -521,7 +537,7 @@ impl QueryEngine {
 
     /// The current placement.
     pub(crate) fn placement_snapshot(&self) -> Arc<Placement> {
-        Arc::clone(&self.placement.lock().unwrap())
+        Arc::clone(&self.placement.lock().unpoisoned())
     }
 
     /// The ordered replica set of every assignment slot, indexed by slot.
@@ -541,7 +557,7 @@ impl QueryEngine {
     /// mover); queries running before, during, and after return
     /// bit-identical results.
     pub fn join_server(&self) -> PdcResult<MembershipReport> {
-        let mut guard = self.placement.lock().unwrap();
+        let mut guard = self.placement.lock().unpoisoned();
         let mut p = (**guard).clone();
         let id = self.pool.add_server(|id| server_state(&self.cfg, id));
         let mplan = p.join(id.raw());
@@ -564,7 +580,7 @@ impl QueryEngine {
     /// addressable (ids are stable) but no further work routes to it.
     /// The last member cannot leave.
     pub fn leave_server(&self, server: u32) -> PdcResult<MembershipReport> {
-        let mut guard = self.placement.lock().unwrap();
+        let mut guard = self.placement.lock().unpoisoned();
         if !guard.is_member(server) {
             return Err(PdcError::InvalidQuery(format!(
                 "server {server} is not a placement member"
@@ -645,7 +661,7 @@ impl QueryEngine {
         if crashed.is_empty() {
             return (0, 0);
         }
-        let mut guard = self.placement.lock().unwrap();
+        let mut guard = self.placement.lock().unpoisoned();
         let mut p = (**guard).clone();
         let mut gained: Vec<u32> = Vec::new();
         for s in crashed {
@@ -710,14 +726,6 @@ impl QueryEngine {
         self.cfg.cost
     }
 
-    /// Whether an active fault plan injects corruption. The service loop
-    /// then opens no shared-scan group: each query's verify-and-repair
-    /// preflight must observe the damaged state exactly as a solo run
-    /// would.
-    pub(crate) fn corruption_active(&self) -> bool {
-        self.cfg.fault_plan.as_ref().and_then(|p| p.corruption()).is_some()
-    }
-
     /// The verify-and-repair preflight every dispatch starts with, before
     /// planning: corrupt region histograms must be rebuilt before
     /// selectivity ordering reads the re-merged globals (and before they
@@ -726,7 +734,7 @@ impl QueryEngine {
     /// slot boundaries). Skipped entirely without an active corruption
     /// spec.
     pub(crate) fn preflight(&self) -> PdcResult<(IntegrityCounters, SimDuration)> {
-        if self.corruption_active() {
+        if self.cfg.fault_plan.as_ref().and_then(|p| p.corruption()).is_some() {
             crate::integrity::preflight(&self.odms, &self.cfg.cost, self.cfg.num_servers)
         } else {
             Ok((IntegrityCounters::default(), SimDuration::ZERO))
@@ -751,7 +759,7 @@ impl QueryEngine {
     pub fn reset_state(&self) {
         self.pool.for_each_server(|id, st| *st = server_state(&self.cfg, id));
         {
-            let mut pc = self.plans.lock().unwrap();
+            let mut pc = self.plans.lock().unpoisoned();
             pc.map.clear();
             pc.hits = 0;
             pc.misses = 0;
@@ -760,17 +768,32 @@ impl QueryEngine {
         // come back up, joins/leaves are forgotten (the pool may keep
         // extra states around — ids are stable — but no work routes to
         // non-members).
-        *self.placement.lock().unwrap() = fresh_placement(&self.cfg);
+        *self.placement.lock().unpoisoned() = fresh_placement(&self.cfg);
         self.apply_planned_corruption();
     }
 
-    /// Plan `query` and resolve its sorted-lane verdicts against a fresh
-    /// snapshot, bypassing the plan cache. The snapshot is pinned before
-    /// planning, so the planner reads metadata at least as new as the
-    /// pinned views: a mutation landing in between leaves the snapshot
-    /// stale (`is_current` fails) rather than caching a plan under views
-    /// it did not read.
-    fn plan_fresh(&self, query: &PdcQuery) -> PdcResult<Planned> {
+    /// Plan `query` through the canonical-plan cache, the one way every
+    /// dispatch plans: a hit replays the built, selectivity-ordered plan,
+    /// *its plan-time metadata snapshot* and its sorted-lane verdicts for
+    /// the same canonical tree while that snapshot is current; a miss
+    /// builds and admits all three. Host work only — planning carries no
+    /// simulated charge either way.
+    ///
+    /// On a miss the snapshot is pinned before planning, so the planner
+    /// reads metadata at least as new as the pinned views: a mutation
+    /// landing in between leaves the snapshot stale (`is_current` fails)
+    /// rather than caching a plan under views it did not read.
+    pub(crate) fn plan_cached(&self, query: &PdcQuery) -> PdcResult<Planned> {
+        let key = query.canonical_key();
+        {
+            let mut pc = self.plans.lock().unpoisoned();
+            if let Some(hit) =
+                pc.map.get(&key).filter(|p| p.snap.is_current(&self.odms)).cloned()
+            {
+                pc.hits += 1;
+                return Ok(hit);
+            }
+        }
         let snap = Arc::new(MetaSnapshot::capture(&self.odms, &query.objects())?);
         let plan =
             QueryPlan::build_with_ordering(query, &self.odms, self.cfg.order_by_selectivity)?;
@@ -781,27 +804,8 @@ impl QueryEngine {
             self.cfg.num_servers,
             &plan,
         )?;
-        Ok(Planned { plan, snap, band: Arc::new(band) })
-    }
-
-    /// Plan `query` through the canonical-plan cache: a hit replays the
-    /// built, selectivity-ordered plan, *its plan-time metadata snapshot*
-    /// and its sorted-lane verdicts for the same canonical tree while that
-    /// snapshot is current; a miss builds and admits all three. Host-work
-    /// only — planning carries no simulated charge either way.
-    pub(crate) fn plan_cached(&self, query: &PdcQuery) -> PdcResult<Planned> {
-        let key = query.canonical_key();
-        {
-            let mut pc = self.plans.lock().unwrap();
-            if let Some(hit) =
-                pc.map.get(&key).filter(|p| p.snap.is_current(&self.odms)).cloned()
-            {
-                pc.hits += 1;
-                return Ok(hit);
-            }
-        }
-        let planned = self.plan_fresh(query)?;
-        let mut pc = self.plans.lock().unwrap();
+        let planned = Planned { plan, snap, band: Arc::new(band) };
+        let mut pc = self.plans.lock().unpoisoned();
         pc.misses += 1;
         if pc.map.len() >= PLAN_CACHE_CAP {
             pc.map.clear();
@@ -827,7 +831,7 @@ impl QueryEngine {
     /// fail, their slots are re-evaluated by the survivors, so the query
     /// result is identical as long as at least one server stays alive.
     pub fn run(&self, query: &PdcQuery) -> PdcResult<QueryOutcome> {
-        self.run_impl(query, false, false).map(|(outcome, _, _)| outcome)
+        self.run_impl(query, false).map(|(outcome, _, _)| outcome)
     }
 
     /// Evaluate a query and return its per-region execution explanation
@@ -836,30 +840,24 @@ impl QueryEngine {
     /// selectivity. The outcome is bit-identical to [`Self::run`] on the
     /// same pool state — explain recording is host-side only.
     pub fn explain(&self, query: &PdcQuery) -> PdcResult<(QueryOutcome, crate::ops::ExplainPlan)> {
-        let (outcome, _, plan) = self.run_impl(query, false, true)?;
+        let (outcome, _, plan) = self.run_impl(query, true)?;
         Ok((outcome, plan.expect("explain run always produces a plan")))
     }
 
-    /// Shared implementation behind [`Self::run`] (cold, cache-free) and
-    /// [`Self::serve`] (`use_cache = true`: plans come from the
-    /// canonical-plan cache and servers may serve artifacts from their
-    /// [`crate::qcache::QueryArtifactCache`]). Also returns the
-    /// slot-evaluation time so the service timeline can separate it from
-    /// the serial client overheads. Caching affects
-    /// host wall-clock only: the returned outcome is bit-identical
-    /// either way. With `explain` set, servers additionally record one
-    /// [`crate::ops::RegionExplain`] row per evaluated region (host-side
-    /// only — accounting is unaffected) and the merged
-    /// [`crate::ops::ExplainPlan`] is returned.
+    /// The one dispatch behind [`Self::run`], [`Self::explain`] and
+    /// [`Self::serve`]: preflight, plan through the plan cache, evaluate.
+    /// Also returns the slot-evaluation time so the service timeline can
+    /// separate it from the serial client overheads. With `explain` set,
+    /// servers additionally record one [`crate::ops::RegionExplain`] row
+    /// per evaluated region (host-side only — accounting is unaffected)
+    /// and the merged [`crate::ops::ExplainPlan`] is returned.
     pub(crate) fn run_impl(
         &self,
         query: &PdcQuery,
-        use_cache: bool,
         explain: bool,
     ) -> PdcResult<(QueryOutcome, SimDuration, Option<crate::ops::ExplainPlan>)> {
         let (mut integrity, preflight_time) = self.preflight()?;
-        let Planned { plan, snap, band } =
-            if use_cache { self.plan_cached(query)? } else { self.plan_fresh(query)? };
+        let Planned { plan, snap, band } = self.plan_cached(query)?;
         let sorted_hint = band.sorted_hint(&plan, &snap)?;
         let n = self.cfg.num_servers;
         let cost = self.cfg.cost;
@@ -911,7 +909,6 @@ impl QueryEngine {
                     n_servers: n,
                     n_slots,
                     server: slot,
-                    use_cache,
                 };
                 let io0 = st.io;
                 let w0 = st.work;
@@ -1054,148 +1051,10 @@ impl QueryEngine {
         ))
     }
 
-    /// Snapshot (plan-cache, artifact-cache) hit/miss totals:
-    /// `((plan_hits, plan_misses), (artifact_hits, artifact_misses))`.
-    pub(crate) fn cache_counters(&self) -> ((u64, u64), (u64, u64)) {
-        let pc = self.plans.lock().unwrap();
-        let plan = (pc.hits, pc.misses);
-        drop(pc);
-        // Read on the calling thread: `serve` takes this snapshot twice
-        // per call, and a broadcast would wake the whole crew for it.
-        let mut art = (0, 0);
-        self.pool.for_each_server(|_, st| {
-            art.0 += st.qcache.stats.hits;
-            art.1 += st.qcache.stats.misses;
-        });
-        (plan, art)
-    }
-
-    /// Open a fresh `SharedScanGroup`: the client-side ledger of one
-    /// continuous batching window, which `Self::admit_to_scan_group`
-    /// grows one dispatch at a time.
-    pub(crate) fn open_scan_group(&self) -> SharedScanGroup {
-        let id = self.scan_group_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        SharedScanGroup::new(id)
-    }
-
-    /// Admit one dispatched plan into an open shared-scan group and
-    /// prewarm its *new* predicates: intervals the group has already
-    /// admitted are skipped outright, and so is every predicate the
-    /// plan's sorted band answers as a primary (the sorted lane reads
-    /// none of the per-region artifacts a prewarm seeds) — without
-    /// entering the ledger, so a later plan that filters on the same
-    /// predicate still prewarms it. For new intervals the per-region pass
-    /// skips every region whose scan artifact is already cached (the
-    /// `peek_scan` check inside `prewarm_intervals`), so a member joins
-    /// the group at region granularity.
-    ///
-    /// Like the caches it feeds, admission is pure host work: no
-    /// simulated clocks, counters, or fault probes are touched, so
-    /// per-query accounting is unaffected by group membership.
-    pub(crate) fn admit_to_scan_group(&self, group: &mut SharedScanGroup, planned: &Planned) {
-        group.stats.late_joins += u64::from(group.stats.admissions > 0);
-        group.stats.admissions += 1;
-        group.stats.members += 1;
-
-        // The admission's new predicates, grouped by object.
-        let mut targets: Vec<(ObjectId, Vec<Interval>)> = Vec::new();
-        for c in planned.plan.root.constraints() {
-            if c.interval.is_empty()
-                || planned.band.answers(c)
-                || !group.try_admit(c.object, &c.interval)
-            {
-                continue;
-            }
-            match targets.iter_mut().find(|(o, _)| *o == c.object) {
-                Some((_, ivs)) => ivs.push(c.interval),
-                None => targets.push((c.object, vec![c.interval])),
-            }
-        }
-        if !targets.is_empty() {
-            group.stats.prewarm_regions += self.prewarm_intervals(&targets);
-        }
-    }
-
-    /// The shared-scan prewarm pass: for each server slot, walk the
-    /// given `(object, intervals)` predicates, skip the regions their
-    /// histograms prune, and evaluate all still-pending intervals of a
-    /// region in **one fused kernel pass** over the typed slice, caching
-    /// each per-interval selection. Pure host work — no simulated clocks,
-    /// counters, or fault probes are touched, so per-query accounting is
-    /// unaffected. Returns the number of region passes performed.
-    fn prewarm_intervals(&self, targets: &[(ObjectId, Vec<Interval>)]) -> u64 {
-        let odms = Arc::clone(&self.odms);
-        let n = self.cfg.num_servers;
-        let loaded: Vec<u64> = self.pool.broadcast(|id, st| {
-            let mut count = 0u64;
-            for (obj, ivs) in targets {
-                let Ok(version) = odms.meta().version(*obj) else { continue };
-                let (meta, hists) = (&version.meta, &version.region_hists);
-                // Directory candidate sets per interval: the prewarm pass
-                // only loads/evaluates regions the directory admits.
-                // Skipped regions are exactly the ones whose prune
-                // verdict is `true` by construction (bounds disjoint), so
-                // the per-query path prunes them with full accounting —
-                // prewarming them would be pure waste. Without a usable
-                // directory (the evaluator's own rule) every region is
-                // considered.
-                let cands: Option<Vec<Vec<u32>>> = usable_directory(&version)
-                    .map(|d| ivs.iter().map(|iv| d.probe(iv).candidates).collect());
-                for r in 0..meta.num_regions() {
-                    if r % n != id.raw() {
-                        continue;
-                    }
-                    // Collect the intervals the histogram does not prune
-                    // that still need a scan of this region.
-                    let span = meta.region_span(r);
-                    let mut pending: Vec<Interval> = Vec::new();
-                    for (k, iv) in ivs.iter().enumerate() {
-                        if let Some(cs) = &cands {
-                            if cs[k].binary_search(&r).is_err() {
-                                continue;
-                            }
-                        }
-                        let pruned = hists
-                            .as_ref()
-                            .and_then(|h| h.get(r as usize))
-                            .is_some_and(|h| crate::ops::prune_verdict(h, iv));
-                        if !pruned && st.qcache.peek_scan(*obj, r, span.len, iv).is_none() {
-                            pending.push(*iv);
-                        }
-                    }
-                    if pending.is_empty() {
-                        continue;
-                    }
-                    // Advisory read straight from the store: no server
-                    // clocks and no fault probes, but checksum-verified like
-                    // every read that produces an artifact, so a corrupt
-                    // copy never becomes one. The operator's whole-region
-                    // loop scans every pending interval in one pass per
-                    // block. A region shorter than the metadata span (an
-                    // append landed between the two reads) or an unreadable
-                    // one is skipped; the per-query path handles it with
-                    // full accounting. A longer one is scanned, and keyed,
-                    // to the span's extent, as a query planned at it would
-                    // be.
-                    let Ok(view) = crate::state::open_view(&odms, RegionId::new(*obj, r)) else {
-                        continue;
-                    };
-                    if view.len() < span.len {
-                        continue;
-                    }
-                    let Ok(sels) = crate::ops::scan_whole(&view, &pending, span.offset, span.len)
-                    else {
-                        continue;
-                    };
-                    for (iv, sel) in pending.iter().zip(sels) {
-                        st.qcache.put_scan(*obj, r, span.len, iv, sel);
-                    }
-                    count += 1;
-                }
-            }
-            count
-        });
-        loaded.iter().sum()
+    /// Plan-cache hit/miss totals: `(plan_hits, plan_misses)`.
+    pub(crate) fn plan_counters(&self) -> (u64, u64) {
+        let pc = self.plans.lock().unpoisoned();
+        (pc.hits, pc.misses)
     }
 
     /// PDC-F's pre-load: read every region of every queried object into
@@ -1515,6 +1374,23 @@ mod tests {
     use super::*;
     use pdc_odms::ImportOptions;
     use pdc_storage::CacheSlot;
+
+    #[test]
+    fn interval_key_is_bit_exact() {
+        let iv = Interval::open;
+        assert_eq!(IntervalKey::of(&iv(1.0, 2.0)), IntervalKey::of(&iv(1.0, 2.0)));
+        assert_ne!(IntervalKey::of(&iv(1.0, 2.0)), IntervalKey::of(&iv(1.0, 2.5)));
+        assert_ne!(
+            IntervalKey::of(&Interval::open(1.0, 2.0)),
+            IntervalKey::of(&Interval::closed(1.0, 2.0)),
+            "inclusivity must distinguish keys"
+        );
+        assert_ne!(
+            IntervalKey::of(&Interval::from_op(pdc_types::QueryOp::Gt, 0.0)),
+            IntervalKey::of(&Interval::from_op(pdc_types::QueryOp::Lt, 0.0)),
+            "lo-only vs hi-only bounds must distinguish keys"
+        );
+    }
 
     #[test]
     fn a_rebuild_under_a_budget_pins_no_spilled_region_in_a_hot_slot() {

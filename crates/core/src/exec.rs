@@ -66,12 +66,6 @@ pub struct EvalCtx<'a> {
     pub n_slots: u32,
     /// The slot this evaluation covers (`< n_slots`).
     pub server: u32,
-    /// Consult the per-server [`crate::qcache::QueryArtifactCache`]
-    /// (the service loop). A hit skips host recomputation only — every
-    /// simulated counter and clock charge is replayed exactly as on a
-    /// miss, so results and cost breakdowns are bit-identical either
-    /// way.
-    pub use_cache: bool,
 }
 
 /// Evaluate the full plan on this server; returns the server's partial

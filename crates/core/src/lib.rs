@@ -30,22 +30,17 @@
 //!   `get_data` / `get_data_batch` / `get_histogram`.
 //! * [`multi`] — combined metadata + data queries over many small objects
 //!   (the H5BOSS scenario of §VI-C).
-//! * [`qcache`] — per-server caches of query artifacts (region-scan
-//!   selections, index answers) powering [`QueryEngine::serve`]'s
-//!   shared-scan batching; each entry is a pure function of data that
-//!   cannot change under its key. Hits skip host recomputation only;
-//!   simulated costs replay exactly.
 //! * [`integrity`] — data-plane integrity: deterministic corruption
 //!   injection and the client-side verify-and-repair preflight sweep;
 //!   repair work is charged to the breakdown's dedicated `integrity`
 //!   lane.
 //! * [`service`] — the multi-tenant, admission-controlled **service
 //!   loop** ([`QueryEngine::serve`]): per-tenant FIFO queues with
-//!   deficit-round-robin weighted-fair dispatch, cost-budget admission
-//!   control (typed defer/reject outcomes), and continuous batching
-//!   that folds dispatched queries into an open shared-scan group —
-//!   scheduling affects *when*, never *what*: per-query results and
-//!   simulated charges stay bit-identical to solo execution.
+//!   deficit-round-robin weighted-fair dispatch and cost-budget admission
+//!   control (typed defer/reject outcomes). Every dispatch plans and
+//!   evaluates as [`QueryEngine::run`] does, so scheduling affects
+//!   *when*, never *what*: per-query results and simulated charges stay
+//!   bit-identical to solo execution.
 
 pub mod ast;
 pub mod engine;
@@ -55,7 +50,6 @@ pub mod multi;
 pub mod ops;
 pub mod parse;
 pub mod plan;
-pub mod qcache;
 pub(crate) mod recover;
 pub mod service;
 pub mod snapshot;
@@ -71,10 +65,9 @@ pub use ops::{
     directory_stats, estimate_plan_cost, DirectoryStats, ExplainPhase, ExplainPlan,
     JointContext, OpKind, RegionExplain,
 };
-pub use qcache::{CacheStats, GroupStats, QueryArtifactCache};
 pub use service::{
-    percentile, poisson_times, splitmix64, Arrival, RejectedQuery, ServedQuery, ServiceConfig,
-    ServiceReport, ServiceStats, TenantSpec, TenantSummary, TraceEvent,
+    percentile, poisson_times, splitmix64, Arrival, GroupStats, RejectedQuery, ServedQuery,
+    ServiceConfig, ServiceReport, ServiceStats, TenantSpec, TenantSummary, TraceEvent,
 };
 pub use integrity::{apply_corruption, preflight, CorruptionReport};
 pub use multi::MetaDataQueryOutcome;

@@ -110,7 +110,6 @@ impl QueryEngine {
                     n_servers: n,
                     n_slots,
                     server: slot,
-                    use_cache: true,
                 };
                 let io0 = st.io;
                 let mut hits: Vec<(ObjectId, u64)> = Vec::new();

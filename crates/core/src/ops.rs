@@ -16,8 +16,7 @@
 //!
 //! [`execute_region`] drives the pipeline — prune, then the access
 //! operator chosen by a [`RegionPlanner`] — so retry/reassignment
-//! (`recover.rs`), corruption fallback, and `qcache.rs` artifact caching
-//! are written once.
+//! (`recover.rs`) and corruption fallback are written once.
 //!
 //! **Cost fidelity.** The primary lane's histogram bin walks are
 //! work-counted but never clock-settled (every recorded baseline embeds
@@ -103,7 +102,7 @@ pub struct RegionTask {
 
 /// The shared prune formula: a region is eliminated when the histogram's
 /// upper hit bound for the interval is zero (subsumes the min/max test).
-/// Every lane — primary, point check, counts, shared-scan prewarm — must
+/// Every lane — primary, point check, counts — must
 /// agree on this verdict bit-for-bit, which is why it lives here.
 pub fn prune_verdict(h: &Histogram, interval: &Interval) -> bool {
     h.estimate_hits(interval).upper == 0
@@ -329,26 +328,30 @@ pub struct ScanExactOp<'a> {
     pub candidates: Option<&'a [Run]>,
 }
 
-/// Whole-extent scan of a region: one fused kernel pass per block against
-/// every interval, emitting one selection per interval at coordinates
-/// `global_offset + index`. `scan_elems` clips to the plan-time snapshot's
-/// extent (an in-flight append can have grown the stored payload past
-/// it). The region operator passes one interval; the shared-scan prewarm
-/// passes every interval still pending on the region.
+/// Whole-extent scan of a region: one kernel pass per block, emitting the
+/// selection at coordinates `global_offset + index`. `scan_elems` clips to
+/// the plan-time snapshot's extent (an in-flight append can have grown the
+/// stored payload past it).
 pub(crate) fn scan_whole(
     view: &BlockView,
-    intervals: &[Interval],
+    interval: &Interval,
     global_offset: u64,
     scan_elems: u64,
-) -> PdcResult<Vec<Selection>> {
-    let mut outs: Vec<Vec<Run>> = vec![Vec::new(); intervals.len()];
+) -> PdcResult<Selection> {
+    let mut out: Vec<Run> = Vec::new();
     for b in view.blocks_overlapping(0, scan_elems) {
         let (start, end) = view.block_span(b);
         let len = (end.min(scan_elems) - start) as usize;
         let block = view.read_block(b)?;
-        kernels::scan_intervals_into(&block, intervals, len, global_offset + start, &mut outs);
+        kernels::scan_intervals_into(
+            &block,
+            std::slice::from_ref(interval),
+            len,
+            global_offset + start,
+            std::slice::from_mut(&mut out),
+        );
     }
-    Ok(outs.into_iter().map(Selection::from_canonical_runs).collect())
+    Ok(Selection::from_canonical_runs(out))
 }
 
 /// The length of candidate run `r` inside `span`.
@@ -449,47 +452,12 @@ impl ScanExactOp<'_> {
             match self.candidates {
                 None => {
                     st.work.elements_scanned += extent;
-                    // The read and the scan charge are unconditional; only
-                    // the kernel invocation itself is served from the
-                    // cache, so the simulated accounting of a hit equals a
-                    // miss exactly.
-                    let cached = if ctx.use_cache {
-                        st.qcache.get_scan(*object, *region, span.len, interval)
-                    } else {
-                        None
-                    };
-                    if let Some(sel) = cached {
-                        return Ok(sel);
-                    }
-                    let intervals = std::slice::from_ref(interval);
-                    let sel = scan_whole(view, intervals, span.offset, extent)?.swap_remove(0);
-                    if ctx.use_cache {
-                        st.qcache.put_scan(*object, *region, span.len, interval, sel.clone());
-                    }
-                    Ok(sel)
+                    scan_whole(view, interval, span.offset, extent)
                 }
                 Some(runs) => {
                     st.work.elements_scanned +=
                         runs.iter().map(|r| len_in_span(r, span)).sum::<u64>();
-                    // Opportunistic reuse: when some earlier query in the
-                    // series already scanned this whole (region, interval)
-                    // pair, answer the candidates by one merge with the
-                    // cached full-region selection instead of rescanning —
-                    // the coordinate set is exactly what the scan would
-                    // emit, and the scan charge is the same. `full` lies
-                    // inside the span, so the unclipped runs intersect it
-                    // as the clipped ones would.
-                    let reused = if ctx.use_cache {
-                        st.qcache
-                            .peek_scan(*object, *region, span.len, interval)
-                            .map(|full| full.intersect_runs(runs))
-                    } else {
-                        None
-                    };
-                    match reused {
-                        Some(sel) => Ok(sel),
-                        None => scan_candidates(view, interval, span.offset, extent, runs),
-                    }
+                    scan_candidates(view, interval, span.offset, extent, runs)
                 }
             }
         })?;
@@ -542,35 +510,16 @@ impl IndexProbeOp {
             Err(e) => return Err(e),
         };
         st.work.bitmap_words += idx.size_bytes_serialized() / 4;
-        // Cached replay: the index read and word charge above already
-        // happened; a hit re-issues the conditional candidate data read
-        // and its scan charge from the recorded answer, then returns the
-        // stored selection — byte-for-byte what the probe below produces.
-        let cached = if ctx.use_cache {
-            st.qcache.get_indexed(*object, *region, span.len, interval)
-        } else {
-            None
-        };
-        let rid = RegionId::new(*object, *region);
-        let (odms, cost, n) = (ctx.odms, ctx.cost, ctx.n_servers);
-        if let Some(entry) = cached {
-            if entry.needs_data_read {
-                // Replayed candidate read: only the charges matter.
-                st.read_region(odms, cost, rid, n, span.len, true, |_, _| Ok(()))?;
-                st.work.elements_scanned += entry.candidates_count;
-            }
-            st.settle_cpu(ctx.cost, &before);
-            return Ok(entry.selection);
-        }
         // The planner fuses per-object conjunction chains into one
         // interval, so this is the 1-chain case of the index's
         // conjunction API.
         let ans = idx.query_conj(std::slice::from_ref(interval));
-        let needs_data_read = ans.needs_candidate_check();
-        let candidates_count = ans.candidates.count();
-        let local = if needs_data_read {
+        let local = if ans.needs_candidate_check() {
             // Boundary bins: read the region's data and verify the
             // candidates (region-local runs) block by block.
+            let rid = RegionId::new(*object, *region);
+            let (odms, cost, n) = (ctx.odms, ctx.cost, ctx.n_servers);
+            let candidates_count = ans.candidates.count();
             let candidates = ans.candidates.runs();
             let confirmed = st.read_region(odms, cost, rid, n, span.len, true, |st, view| {
                 st.work.elements_scanned += candidates_count;
@@ -581,21 +530,7 @@ impl IndexProbeOp {
             ans.sure
         };
         st.settle_cpu(ctx.cost, &before);
-        let shifted = local.shifted(span.offset);
-        if ctx.use_cache {
-            st.qcache.put_indexed(
-                *object,
-                *region,
-                span.len,
-                interval,
-                crate::qcache::IndexedEntry {
-                    needs_data_read,
-                    candidates_count,
-                    selection: shifted.clone(),
-                },
-            );
-        }
-        Ok(shifted)
+        Ok(local.shifted(span.offset))
     }
 }
 

@@ -4,7 +4,7 @@
 //! tenants, or one client's closed series (one tenant with an unbounded
 //! budget, every arrival at t = 0).
 //!
-//! Three mechanisms, layered over the unchanged execution core:
+//! Two mechanisms, layered over the unchanged execution core:
 //!
 //! * **Per-tenant FIFO queues with weighted-fair dispatch.** Each
 //!   registered tenant owns a ready queue; the single simulated client
@@ -21,17 +21,14 @@
 //!   are typed outcomes ([`TraceEvent::Defer`] / [`RejectedQuery`]),
 //!   never silent drops. A tenant with zero in-flight work always admits
 //!   its head query, so an oversized estimate cannot livelock a tenant.
-//! * **Continuous batching.** Each dispatched query is folded into one
-//!   open shared-scan group (`QueryEngine::admit_to_scan_group`), which
-//!   prewarms only the predicates the group has not covered yet, and of
-//!   those only the *regions* whose scan artifacts are not cached yet.
 //!
-//! **The invariant scheduling must preserve**: every admitted query's
-//! `Selection` and per-query simulated `CostBreakdown` are bit-identical
-//! to running the same dispatch sequence through [`QueryEngine::run`] —
-//! scheduling affects *when* (queueing, the service timeline), never
-//! *what* (per-query results and charges). Group admission and the
-//! artifact caches are pure host work, property-tested in
+//! Every dispatch is the dispatch [`QueryEngine::run`] makes (the plan
+//! cache, then evaluation), so **the invariant scheduling must
+//! preserve** holds by construction: every admitted query's `Selection`
+//! and per-query simulated `CostBreakdown` are bit-identical to running
+//! the same dispatch sequence through [`QueryEngine::run`] — scheduling
+//! affects *when* (queueing, the service timeline), never *what*
+//! (per-query results and charges). Property-tested in
 //! `tests/service_equivalence.rs`.
 //!
 //! Time is fully simulated: the loop advances a virtual clock over
@@ -46,7 +43,6 @@
 use crate::ast::PdcQuery;
 use crate::engine::{Planned, QueryEngine, QueryOutcome};
 use crate::ops::estimate_plan_cost;
-use crate::qcache::GroupStats;
 use pdc_storage::SimDuration;
 use pdc_types::{PdcError, PdcResult};
 use std::cmp::Reverse;
@@ -127,11 +123,6 @@ pub enum TraceEvent {
     Defer { at: SimDuration, tenant: u32, seq: u64, est: SimDuration },
     /// Budget exceeded and the deferral queue is full: rejected.
     Reject { at: SimDuration, tenant: u32, seq: u64, est: SimDuration },
-    /// The dispatch joined the open shared-scan group; `late` marks a
-    /// join into a group that already had admissions in flight, and
-    /// `new_intervals` counts the predicates the group had not already
-    /// covered (0 = fully shared with earlier members).
-    GroupJoin { at: SimDuration, group: u64, seq: u64, new_intervals: u64, late: bool },
     /// The client began executing the query.
     Dispatch { at: SimDuration, tenant: u32, seq: u64 },
     /// The last server lane finished the query.
@@ -146,7 +137,6 @@ impl TraceEvent {
             | TraceEvent::Admit { at, .. }
             | TraceEvent::Defer { at, .. }
             | TraceEvent::Reject { at, .. }
-            | TraceEvent::GroupJoin { at, .. }
             | TraceEvent::Dispatch { at, .. }
             | TraceEvent::Complete { at, .. } => at,
         }
@@ -216,15 +206,25 @@ pub struct ServiceStats {
     pub dispatched: u64,
     /// Queries completed.
     pub completed: u64,
-    /// Plan-cache hits over the call (arrival estimates, group
-    /// admissions and evaluations all look the plan up).
+    /// Plan-cache hits over the call (arrival estimates and dispatches
+    /// both look the plan up).
     pub plan_hits: u64,
     /// Plan-cache misses over the call (plans built from scratch).
     pub plan_misses: u64,
-    /// Artifact-cache hits over the call, summed across servers.
-    pub artifact_hits: u64,
-    /// Artifact-cache misses over the call, summed across servers.
-    pub artifact_misses: u64,
+}
+
+/// Membership counters of a shared-scan group. `serve` opens no such
+/// group (every dispatch evaluates as [`QueryEngine::run`] does), so
+/// [`ServiceReport::group`] is always `None`; the type stays for callers
+/// that read the field.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GroupStats {
+    /// Plans admitted into the group.
+    pub members: u64,
+    /// Members admitted after the group's first admission.
+    pub late_joins: u64,
+    /// Region passes performed on the group's behalf.
+    pub prewarm_regions: u64,
 }
 
 /// Per-tenant latency/throughput summary.
@@ -264,8 +264,7 @@ pub struct ServiceReport {
     pub trace: Vec<TraceEvent>,
     /// Aggregate counters.
     pub stats: ServiceStats,
-    /// Shared-scan group counters (`None` when an active corruption spec
-    /// disabled continuous batching).
+    /// Shared-scan group counters: always `None` (see [`GroupStats`]).
     pub group: Option<GroupStats>,
     /// Echo of the tenant specs (for summaries).
     pub tenants: Vec<TenantSpec>,
@@ -480,8 +479,7 @@ fn drr_pick(ts: &mut [TenantState], ptr: &mut usize, quantum: SimDuration) -> Op
 }
 
 impl QueryEngine {
-    /// Run the admission-controlled, weighted-fair, continuously-batched
-    /// service loop over an open-loop arrival schedule, entirely in
+    /// Run the admission-controlled, weighted-fair service loop over an open-loop arrival schedule, entirely in
     /// simulated time. See the module docs for the scheduling model; see
     /// `tests/service_equivalence.rs` for the bit-identity property the
     /// loop preserves.
@@ -520,10 +518,7 @@ impl QueryEngine {
         let mut order: Vec<usize> = (0..arrivals.len()).collect();
         order.sort_by_key(|&i| arrivals[i].at);
 
-        // No shared-scan group under an active corruption spec (see
-        // `corruption_active`).
-        let mut group = (!self.corruption_active()).then(|| self.open_scan_group());
-        let (plan0, art0) = self.cache_counters();
+        let plan0 = self.plan_counters();
 
         let mut trace: Vec<TraceEvent> = Vec::new();
         let mut served: Vec<ServedQuery> = Vec::new();
@@ -631,19 +626,7 @@ impl QueryEngine {
                 if let Some(ti) = drr_pick(&mut ts, &mut ptr, quantum) {
                     let q = ts[ti].ready.pop_front().expect("picked tenant has a head");
                     let a = &arrivals[q.arrival_index];
-                    if let Some(g) = &mut group {
-                        let before = g.stats;
-                        self.admit_to_scan_group(g, &self.plan_cached(&a.query)?);
-                        trace.push(TraceEvent::GroupJoin {
-                            at: now,
-                            group: g.id(),
-                            seq: q.seq,
-                            new_intervals: g.stats.admitted_intervals
-                                - before.admitted_intervals,
-                            late: before.admissions > 0,
-                        });
-                    }
-                    let (outcome, eval_time, _) = self.run_impl(&a.query, true, false)?;
+                    let (outcome, eval_time, _) = self.run_impl(&a.query, false)?;
                     // The service timeline: serial client overhead, then
                     // the per-server charges queue behind each server's
                     // busy lane.
@@ -701,15 +684,14 @@ impl QueryEngine {
             .map(|s| s.completed_at)
             .max()
             .unwrap_or(SimDuration::ZERO);
-        let (plan1, art1) = self.cache_counters();
+        let plan1 = self.plan_counters();
         (stats.plan_hits, stats.plan_misses) = (plan1.0 - plan0.0, plan1.1 - plan0.1);
-        (stats.artifact_hits, stats.artifact_misses) = (art1.0 - art0.0, art1.1 - art0.1);
         Ok(ServiceReport {
             served,
             rejected,
             trace,
             stats,
-            group: group.map(|g| g.stats),
+            group: None,
             tenants: cfg.tenants.clone(),
             end_time,
         })
@@ -769,7 +751,7 @@ mod tests {
             let (mut overhead, mut sum) = (SimDuration::ZERO, SimDuration::ZERO);
             let mut per_server = vec![SimDuration::ZERO; 4];
             for q in &series {
-                let (o, eval_time, _) = solo.run_impl(q, false, false).unwrap();
+                let (o, eval_time, _) = solo.run_impl(q, false).unwrap();
                 overhead += o.elapsed.saturating_sub(eval_time);
                 sum += o.elapsed;
                 for (s, t) in o.per_server.iter().enumerate() {

@@ -18,9 +18,9 @@
 //! describe the same regions. Two rules remain, and both are about real
 //! states, not read order:
 //!
-//! * **Directory.** `usable_directory` refuses a directory that indexes
-//!   fewer regions than the metadata — a damaged or deliberately stripped
-//!   one — and evaluation walks every region instead.
+//! * **Directory.** [`MetaSnapshot::directory`] refuses a directory that
+//!   indexes fewer regions than the metadata — a damaged or deliberately
+//!   stripped one — and evaluation walks every region instead.
 //! * **Sorted staleness.** A replica sorts exactly the elements that
 //!   existed when it was built. After an append it still answers the old
 //!   extent correctly, but the version's metadata already describes the
@@ -43,17 +43,6 @@ use pdc_sorted::SortedReplica;
 use pdc_types::{ObjectId, PdcError, PdcResult};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// The one rule for when a region directory may stand in for the
-/// region-metadata walk: it must index at least the regions `meta`
-/// describes. A published directory always does; a damaged or
-/// deliberately stripped one yields `None`, and both consumers —
-/// evaluation and the shared-scan prewarm — visit every region. (The
-/// integrity preflight reads the raw directory instead: a short one
-/// fails its `self_check` and is rebuilt.)
-pub(crate) fn usable_directory(version: &ObjectVersion) -> Option<Arc<RegionDirectory>> {
-    version.directory.clone().filter(|d| d.num_regions() >= version.meta.num_regions())
-}
 
 /// The pinned metadata of every object one query plan touches, captured
 /// at plan time. Cheap to clone views out of (everything is `Arc`d);
@@ -140,11 +129,16 @@ impl MetaSnapshot {
         })
     }
 
-    /// The pinned region directory of `object`, when it can answer for
-    /// this snapshot (see `usable_directory`). `None` sends the
-    /// evaluator down the full region walk.
+    /// The pinned region directory of `object`, when it may stand in for
+    /// the region-metadata walk: it must index at least the regions the
+    /// pinned metadata describes. A published directory always does; a
+    /// damaged or deliberately stripped one yields `None`, which sends
+    /// the evaluator down the full region walk. (The integrity preflight
+    /// reads the raw directory instead: a short one fails its
+    /// `self_check` and is rebuilt.)
     pub fn directory(&self, object: ObjectId) -> Option<Arc<RegionDirectory>> {
-        usable_directory(self.version(object).ok()?)
+        let v = self.version(object).ok()?;
+        v.directory.clone().filter(|d| d.num_regions() >= v.meta.num_regions())
     }
 
     /// The pinned joint-bounds grids both of whose objects this snapshot

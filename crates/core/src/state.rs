@@ -1,6 +1,5 @@
 //! Per-logical-server state: caches, clock, counters.
 
-use crate::qcache::QueryArtifactCache;
 use pdc_bitmap::BinnedBitmapIndex;
 use pdc_odms::Odms;
 use pdc_server::FaultProbe;
@@ -37,11 +36,6 @@ pub struct ServerState {
     /// ("the metadata is cached in all servers after the metadata
     /// distribution").
     pub metadata_loaded: HashSet<ObjectId>,
-    /// Cache of query artifacts (scan selections, index answers) for
-    /// served query series. Only consulted when the engine evaluates with
-    /// caching enabled; skips host recomputation while the simulated
-    /// accounting replays identically.
-    pub qcache: QueryArtifactCache,
     /// Storage counters.
     pub io: IoCounters,
     /// Evaluation-work counters.
@@ -77,7 +71,6 @@ impl ServerState {
             index_cache_budget: cache_bytes / 4,
             sorted_resident: HashSet::new(),
             metadata_loaded: HashSet::new(),
-            qcache: QueryArtifactCache::new(cache_bytes / 4),
             io: IoCounters::default(),
             work: WorkCounters::default(),
             integrity: IntegrityCounters::default(),
@@ -454,8 +447,7 @@ mod tests {
         let every = pdc_types::Interval::open(-1.0, 1e9);
         let (len, sel) = st
             .read_region(&odms, &cost, rid, 4, span.len, true, |_, v| {
-                let sels = crate::ops::scan_whole(v, &[every], span.offset, span.len)?;
-                Ok((v.len(), sels.into_iter().next().unwrap()))
+                Ok((v.len(), crate::ops::scan_whole(v, &every, span.offset, span.len)?))
             })
             .unwrap();
         assert_eq!(len, 576, "the view holds the grown payload");

@@ -1,18 +1,15 @@
 //! The caches behind `serve` keep only what cannot go stale.
 //!
 //! The plan cache reuses a plan while its snapshot is current, and the
-//! per-server artifact cache keeps scan selections and index answers,
-//! each a function of one region's data at one span length. Two checks
+//! servers' region caches hold verified copies of region data. Two checks
 //! hold that rule:
 //!
 //! 1. **Property.** Appends, deferred maintenance, corruption, region
 //!    migration and joint-pair registration interleave with `serve`
 //!    calls. Every served outcome must equal a cold `run` on a twin world
 //!    given the same mutations, in the same order.
-//! 2. **Regression.** A region corrupted after the servers cached it
-//!    must not poison the shared-scan prewarm: the prewarm's read is
-//!    checksum-verified, so it skips the damaged copy and the query
-//!    answers from the servers' clean one.
+//! 2. **Regression.** A region corrupted in the store after the servers
+//!    cached it: the query answers from the servers' clean copy.
 
 use pdc_odms::{ImportOptions, Odms};
 use pdc_query::{
@@ -207,11 +204,10 @@ proptest! {
 }
 
 /// A region corrupted after the servers cached it: `serve` must return
-/// the 64 hits `run` and a brute-force count return. The prewarm read
-/// the damaged store copy unverified, and the poisoned scan artifact
-/// dropped element 578.
+/// the 64 hits `run` and a brute-force count return. (An unverified read
+/// of the damaged store copy would drop element 578.)
 #[test]
-fn corrupt_region_does_not_poison_the_prewarm() {
+fn corrupt_store_copy_after_caching_is_not_served() {
     let values: Vec<f32> = (0..64_000).map(|i| ((i * 7919) % 1000) as f32 / 100.0).collect();
     let odms = Arc::new(Odms::new(8));
     let c = odms.create_container("poison");
@@ -230,6 +226,6 @@ fn corrupt_region_does_not_poison_the_prewarm() {
     let expect = values.iter().filter(|&&v| v > 1.819 && v < 1.821).count() as u64;
     assert_eq!(expect, 64);
     let report = serve_closed(&eng, std::slice::from_ref(&q));
-    assert_eq!(report.served[0].outcome.nhits, expect, "poisoned scan artifact served");
+    assert_eq!(report.served[0].outcome.nhits, expect, "damaged store copy served");
     assert_eq!(eng.run(&q).unwrap().nhits, expect);
 }

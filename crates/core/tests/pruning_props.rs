@@ -32,11 +32,9 @@
 use pdc_directory::RegionDirectory;
 use pdc_odms::{ImportOptions, Odms};
 use pdc_query::{
-    apply_corruption, Arrival, EngineConfig, MetaSnapshot, PdcQuery, QueryEngine, QueryOutcome,
-    ServiceConfig, ServiceReport, Strategy, TenantSpec,
+    apply_corruption, EngineConfig, MetaSnapshot, PdcQuery, QueryEngine, QueryOutcome, Strategy,
 };
 use pdc_server::{CorruptionSpec, FaultPlan};
-use pdc_storage::SimDuration;
 use pdc_types::{Interval, ObjectId, QueryOp, RegionId, TypedVec};
 use std::sync::Arc;
 
@@ -314,46 +312,6 @@ fn directory_on_off_bit_identical_after_appends_and_maintenance() {
         );
         assert_outcomes_identical(&a, &b, &format!("{strategy} appended"));
     }
-}
-
-#[test]
-fn prewarm_ignores_a_directory_shorter_than_the_metadata() {
-    // A directory covering only the first half of the regions. Trusting
-    // it would make the shared-scan prewarm skip every region past its
-    // extent; evaluation already refuses it, and the prewarm must agree.
-    let (full, short) = (build_world(), build_world());
-    let hists = short.odms.meta().region_histograms(short.energy).unwrap();
-    let half: Vec<(f64, f64)> =
-        hists[..hists.len() / 2].iter().map(|h| (h.min(), h.max())).collect();
-    short
-        .odms
-        .meta()
-        .set_directory(short.energy, RegionDirectory::from_bounds(&half));
-    let batch = |w: &World| {
-        let queries = [
-            PdcQuery::create(w.energy, QueryOp::Gt, 2.0f32),
-            PdcQuery::range_open(w.energy, 2.1f32, 2.2f32),
-        ];
-        serve_closed(&engine(w, Strategy::Histogram, None), &queries)
-    };
-    let (a, b) = (batch(&full), batch(&short));
-    let prewarmed = |r: &ServiceReport| r.group.expect("continuous batching on").prewarm_regions;
-    assert!(prewarmed(&a) > 0);
-    assert_eq!(prewarmed(&a), prewarmed(&b), "the prewarm trusted a lagging directory");
-    for (i, (x, y)) in a.served.iter().zip(&b.served).enumerate() {
-        assert_outcomes_identical(&x.outcome, &y.outcome, &format!("batched query {i}"));
-    }
-}
-
-/// `queries` as one client's closed series: one tenant, every arrival
-/// at t = 0, served in submission order.
-fn serve_closed(eng: &QueryEngine, queries: &[PdcQuery]) -> ServiceReport {
-    let cfg = ServiceConfig::new(vec![TenantSpec::new("client", 1, SimDuration::MAX, 0)]);
-    let arrivals: Vec<Arrival> = queries
-        .iter()
-        .map(|q| Arrival { at: SimDuration::ZERO, tenant: "client".into(), query: q.clone() })
-        .collect();
-    eng.serve(&cfg, &arrivals).unwrap()
 }
 
 #[test]

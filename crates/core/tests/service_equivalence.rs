@@ -1,7 +1,7 @@
 //! The tentpole invariant of the multi-tenant service loop:
 //! [`QueryEngine::serve`] is **scheduling only**. Admission control,
-//! weighted-fair dispatch, deferral, and continuous shared-scan batching
-//! decide *when* each query runs — never *what* it computes or charges.
+//! weighted-fair dispatch and deferral decide *when* each query runs —
+//! never *what* it computes or charges.
 //! For every admitted query, the `Selection` and simulated
 //! `CostBreakdown` must be bit-identical to executing the service's
 //! dispatch sequence through plain [`QueryEngine::run`] on an
@@ -9,21 +9,20 @@
 //! dependent, so the oracle replays the same order). Verified across
 //! tenant mixes and interleavings, under seeded faults, 20% corruption,
 //! k≥2 replication, and an out-of-core spill budget; plus a
-//! deterministic-given-seed scheduler-trace test and the late-join
-//! continuous-batching assertion.
+//! deterministic-given-seed scheduler-trace test.
 //!
 //! A closed series is the one-tenant case: every arrival at t = 0, an
 //! unbounded budget, no deferral queue. Its served outcomes must equal a
 //! sequential `run()` series in submission order for all five
-//! strategies, under kills, a seeded fault plan and corruption; the plan
-//! cache behind it must drop plans after an aux rebuild and a streaming
-//! append, and both caches must survive a region migration, which
-//! changes neither metadata nor data.
+//! strategies, under kills, a seeded fault plan and corruption. The plan
+//! cache every dispatch goes through — `run`'s as well as `serve`'s —
+//! must drop plans after an aux rebuild and a streaming append, and must
+//! survive a region migration, which changes neither metadata nor data.
 
 use pdc_odms::{ImportOptions, Odms};
 use pdc_query::{
     Arrival, EngineConfig, PdcQuery, QueryEngine, QueryOutcome, ServiceConfig, ServiceReport,
-    Strategy, TenantSpec, TraceEvent,
+    Strategy, TenantSpec,
 };
 use pdc_server::{CorruptionSpec, FaultPlan};
 use pdc_storage::{SimDuration, StorageTier};
@@ -108,8 +107,7 @@ fn query_pool(world: &TestWorld) -> Vec<PdcQuery> {
 }
 
 /// Three tenants with generous budgets: every arrival admits directly,
-/// so the mix exercises fair dispatch and continuous batching without
-/// deferrals.
+/// so the mix exercises fair dispatch without deferrals.
 fn open_tenants() -> Vec<TenantSpec> {
     vec![
         TenantSpec::new("alice", 1, SimDuration::from_secs_f64(1e6), 64),
@@ -216,10 +214,6 @@ fn serve_matches_replay_under_20pct_corruption() {
         let eng = engine_with(&world_a, strategy, Some(plan.clone()));
         let report = eng.serve(&cfg, &arrivals_a).unwrap();
         assert!(
-            report.group.is_none(),
-            "{strategy}: continuous batching must be disabled under corruption"
-        );
-        assert!(
             report.served.iter().any(|s| s.outcome.integrity.any()),
             "{strategy}: the corruption spec must actually damage something"
         );
@@ -284,7 +278,7 @@ fn serve_matches_replay_with_replication_and_spill() {
 fn scheduler_trace_is_deterministic_given_the_schedule() {
     // Two identically-configured engines over twin worlds must produce
     // the *exact same* scheduler trace for the same arrival schedule —
-    // every Arrive/Admit/Dispatch/GroupJoin/Complete event, timestamps
+    // every Arrive/Admit/Dispatch/Complete event, timestamps
     // included. A different schedule must produce a different trace.
     let world_a = build_world(30_000, 8192);
     let world_b = build_world(30_000, 8192);
@@ -317,54 +311,35 @@ fn scheduler_trace_is_deterministic_given_the_schedule() {
 }
 
 #[test]
-fn late_arrival_joins_inflight_shared_scan_group() {
-    // One early query opens the group; an identical query arrives while
-    // the first is still being served. The late join must be visible in
-    // the group stats and trace, and its predicates — already admitted
-    // by the first member — must add zero new intervals.
+fn late_identical_arrivals_replay_their_solo_runs() {
+    // One early query; two identical ones arrive while the client is
+    // still mid-overhead on it. They queue behind it, plan from the
+    // cache the first arrival filled, and replay their solo runs.
     let world = build_world(40_000, 8192);
     let tenants = open_tenants();
     let cfg = ServiceConfig::new(tenants.clone());
     let q = PdcQuery::range_open(world.energy, 2.1f32, 2.2f32);
     let arrivals = vec![
         Arrival { at: SimDuration::ZERO, tenant: "alice".into(), query: q.clone() },
-        // Arrives 1us later: the client is still mid-overhead on query 0,
-        // so this joins the group the first dispatch opened.
         Arrival { at: SimDuration::from_micros(1), tenant: "bob".into(), query: q.clone() },
         Arrival { at: SimDuration::from_micros(2), tenant: "carol".into(), query: q },
     ];
     let eng = engine_with(&world, Strategy::Histogram, None);
     let report = eng.serve(&cfg, &arrivals).unwrap();
-    let group = report.group.expect("continuous batching must be on");
-    assert_eq!(group.members, 3);
-    assert_eq!(group.admissions, 3, "one admission per dispatch");
-    assert!(group.late_joins >= 2, "later dispatches must join the open group: {group:?}");
-    assert!(group.prewarm_regions > 0, "the first admission must prewarm regions");
-
-    let late_joins: Vec<_> = report
-        .trace
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::GroupJoin { late: true, new_intervals, .. } => Some(*new_intervals),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(late_joins.len(), 2, "trace must record the late joins");
-    assert!(
-        late_joins.iter().all(|&n| n == 0),
-        "identical predicates must already be covered by the group: {late_joins:?}"
-    );
-    // And the invariant still holds.
+    assert_eq!(report.served.len(), 3);
+    assert!(report.served[1].dispatched_at > report.served[1].arrival, "the late ones queue");
+    assert_eq!(report.stats.plan_misses, 1, "{:?}", report.stats);
+    assert!(report.group.is_none(), "serve opens no shared-scan group");
     let oracle = engine_with(&world, Strategy::Histogram, None);
-    assert_replay_identical(&report, &arrivals, &oracle, "late-join");
+    assert_replay_identical(&report, &arrivals, &oracle, "late arrivals");
 }
 
 #[test]
-fn band_answered_primaries_skip_the_shared_scan_prewarm() {
+fn band_answered_primaries_replay_their_solo_runs() {
     // Under PDC-SH every single-constraint arrival is answered from the
-    // sorted band, which reads none of the per-region artifacts a prewarm
-    // seeds: the group admits every member and prewarms nothing, and the
-    // outcomes are those of solo runs.
+    // sorted band, and the outcomes are those of solo runs; so are those
+    // of a later conjunction that point-checks a predicate an earlier
+    // arrival answered from the band.
     let world = build_world(40_000, 8192);
     let tenants = open_tenants();
     let cfg = ServiceConfig::new(tenants.clone());
@@ -385,18 +360,13 @@ fn band_answered_primaries_skip_the_shared_scan_prewarm() {
         .collect();
     let eng = engine_with(&world, Strategy::SortedHistogram, None);
     let report = eng.serve(&cfg, &arrivals).unwrap();
-    let group = report.group.expect("continuous batching must be on");
-    assert_eq!(group.members, pool.len() as u64);
-    assert_eq!(group.prewarm_regions, 0, "{group:?}");
-    assert_eq!(group.admitted_intervals, 0, "skipped predicates stay out of the ledger");
+    assert_eq!(report.served.len(), pool.len());
     for s in &report.served {
         assert!(s.outcome.sorted_hint.is_some(), "seq {}: the band answers", s.seq);
     }
     let oracle = engine_with(&world, Strategy::SortedHistogram, None);
     assert_replay_identical(&report, &arrivals, &oracle, "band-only serve");
 
-    // A later conjunction point-checks the predicate an earlier arrival
-    // answered from the band: it was never admitted, so it prewarms now.
     let filter = PdcQuery::create(world.energy, QueryOp::Gt, 1.0f32);
     let conj = PdcQuery::create(world.x, QueryOp::Gt, 331.9f32).and(filter.clone());
     let plan = pdc_query::QueryPlan::build(&conj, &world.odms).unwrap();
@@ -412,9 +382,7 @@ fn band_answered_primaries_skip_the_shared_scan_prewarm() {
         Arrival { at: SimDuration::from_micros(1), tenant: "bob".into(), query: conj },
     ];
     let report = eng.serve(&cfg, &arrivals).unwrap();
-    let group = report.group.expect("continuous batching must be on");
-    assert_eq!(group.admitted_intervals, 1, "only the conjunction's filter is admitted");
-    assert!(group.prewarm_regions > 0, "the filter must prewarm: {group:?}");
+    assert!(report.served[0].outcome.sorted_hint.is_some(), "the filter alone is a band");
     assert_replay_identical(&report, &arrivals, &oracle, "band then filter");
 }
 
@@ -557,14 +525,9 @@ fn batch_caches_actually_engage() {
     let eng = engine_with(&world, Strategy::Histogram, None);
     let report = serve_closed(&eng, &query_pool(&world));
     let s = report.stats;
-    let group = report.group.expect("continuous batching must be on");
     assert!(s.plan_hits > 0, "repeated queries must hit the plan cache: {s:?}");
-    assert!(s.artifact_hits > 0, "overlapping queries must hit the artifact cache: {s:?}");
-    assert!(group.prewarm_regions > 0, "the prewarm pass must load regions: {group:?}");
     let resident_reads: u64 = report.served.iter().map(|q| q.outcome.io.cache_hits).sum();
     assert!(resident_reads > 0, "later queries must be served from resident regions");
-    let artifact_hit_ratio = s.artifact_hits as f64 / (s.artifact_hits + s.artifact_misses) as f64;
-    assert!(artifact_hit_ratio > 0.0 && artifact_hit_ratio <= 1.0, "{s:?}");
 }
 
 #[test]
@@ -629,8 +592,7 @@ fn single_query_batch_matches_run() {
 #[test]
 fn duplicate_query_batch_matches_sequential_run() {
     // The same query three times over: every copy must produce the
-    // bit-identical outcome (the artifact caches replay exact charges),
-    // and the shared-scan group admits its predicate exactly once.
+    // bit-identical outcome, and only the first builds a plan.
     let world = build_world(20_000, 8192);
     let q = PdcQuery::range_open(world.energy, 2.1f32, 2.2f32);
     let queries = vec![q.clone(), q.clone(), q];
@@ -640,7 +602,7 @@ fn duplicate_query_batch_matches_sequential_run() {
 
     let report = serve_closed(&engine_with(&world, Strategy::Histogram, None), &queries);
     assert_eq!(report.served.len(), 3);
-    assert_eq!(report.group.expect("continuous batching must be on").admitted_intervals, 1);
+    assert_eq!((report.stats.plan_misses, report.stats.plan_hits), (1, 5), "{:?}", report.stats);
     for (i, (a, b)) in solo.iter().zip(&report.served).enumerate() {
         assert_outcomes_identical(a, &b.outcome, &format!("duplicate series member {i}"));
     }
@@ -699,12 +661,12 @@ fn prune_and_plan_caches_invalidate_after_rebuild() {
     );
 }
 
-/// Streaming-ingest regression: a closed series warms the plan, scan,
-/// and prewarm caches; an append then grows the primary object —
-/// including filling the partial tail region whose artifacts are cached.
-/// The next series MUST NOT serve any stale artifact: a short scan
-/// selection for the old tail extent would silently drop every hit the
-/// append introduced.
+/// Streaming-ingest regression: a closed series warms the plan cache and
+/// the region caches; an append then grows the primary object —
+/// including filling the partial tail region the servers hold resident.
+/// The next series MUST NOT answer the old extent: a plan or a read
+/// clipped to the old tail would silently drop every hit the append
+/// introduced.
 #[test]
 fn caches_invalidate_after_streaming_append() {
     let world = build_world(40_000, 8192);
@@ -717,7 +679,7 @@ fn caches_invalidate_after_streaming_append() {
     assert!(base_hits > 0);
 
     // Append a chunk that lands entirely inside the queried interval:
-    // every appended element is a hit, so any stale artifact is visible
+    // every appended element is a hit, so any stale answer is visible
     // as a wrong count.
     let delta: Vec<f32> = (0..1_000).map(|i| 2.15 + (i % 7) as f32 * 0.001).collect();
     let report = world.odms.append_array(world.energy, &TypedVec::Float(delta)).unwrap();
@@ -728,7 +690,7 @@ fn caches_invalidate_after_streaming_append() {
     assert_eq!(
         a.nhits,
         base_hits + 1_000,
-        "stale artifact served after a streaming append: {:?}",
+        "old extent answered after a streaming append: {:?}",
         second.stats
     );
     assert_eq!(a.nhits, b.nhits);
@@ -736,14 +698,6 @@ fn caches_invalidate_after_streaming_append() {
         second.stats.plan_misses > 0,
         "the append's new metadata must retire the cached plan: {:?}",
         second.stats
-    );
-    // Artifacts are keyed by span length: only the regions the append
-    // grew or created need a new scan, and every other one is reused.
-    assert_eq!(
-        second.group.expect("continuous batching on").prewarm_regions,
-        1 + report.new_regions.len() as u64,
-        "{:?}",
-        second.group
     );
     // Selection-level check against the naive filter over grown data.
     let mut raw = world.raw_energy.clone();
@@ -758,14 +712,13 @@ fn caches_invalidate_after_streaming_append() {
 }
 
 /// A region migration moves bytes between tiers without changing them
-/// or any metadata, so both caches survive it: the next series is served
-/// wholly from them, and every outcome still equals a cold `run`.
+/// or any metadata, so the plan cache survives it: the next series plans
+/// wholly from it, and every outcome still equals a cold `run`.
 #[test]
 fn caches_survive_region_migration() {
     let world = build_world(30_000, 8192);
     let eng = engine_with(&world, Strategy::Histogram, None);
     let qs = query_pool(&world);
-    let prewarmed = |r: &ServiceReport| r.group.expect("continuous batching on").prewarm_regions;
 
     let first = serve_closed(&eng, &qs);
     world.odms.migrate_region(RegionId::new(world.energy, 0), StorageTier::BurstBuffer).unwrap();
@@ -777,11 +730,41 @@ fn caches_survive_region_migration() {
     }
     let second = serve_closed(&eng, &qs);
     assert_eq!(second.stats.plan_misses, 0, "{:?}", second.stats);
-    assert_eq!(second.stats.artifact_misses, 0, "{:?}", second.stats);
-    assert_eq!(prewarmed(&second), 0, "{:?}", second.group);
     for (i, (a, b)) in first.served.iter().zip(&second.served).enumerate() {
         assert_eq!(a.outcome.selection, b.outcome.selection, "migration must never change results");
         let cold = oracle.run(&qs[b.arrival_index]).unwrap();
         assert_outcomes_identical(&cold, &b.outcome, &format!("query {i} after migration"));
+    }
+}
+
+/// `run` plans through the same cache as `serve`: a query `run` planned
+/// is a plan hit for `serve`, and an append plus deferred maintenance
+/// retires that plan exactly once. Every outcome equals a twin engine's
+/// `run` over the same history, and every selection a fresh engine's.
+#[test]
+fn run_and_serve_plan_through_one_cache() {
+    for strategy in Strategy::ALL {
+        let world = build_world(30_000, 8192);
+        let eng = engine_with(&world, strategy, None);
+        let twin = engine_with(&world, strategy, None);
+        let q = PdcQuery::range_open(world.energy, 2.1f32, 2.2f32);
+        let check = |o: &QueryOutcome, step: &str| {
+            let ctx = format!("{strategy}: {step}");
+            assert_outcomes_identical(&twin.run(&q).unwrap(), o, &ctx);
+            let fresh = engine_with(&world, strategy, None).run(&q).unwrap();
+            assert_eq!(fresh.selection, o.selection, "{ctx}");
+        };
+
+        check(&eng.run(&q).unwrap(), "run");
+        let served = serve_closed(&eng, std::slice::from_ref(&q));
+        assert_eq!(served.stats.plan_misses, 0, "{strategy}: {:?}", served.stats);
+        check(&served.served[0].outcome, "serve after run");
+
+        let delta: Vec<f32> = (0..500).map(|i| 2.15 + (i % 5) as f32 * 0.001).collect();
+        world.odms.append_array(world.energy, &TypedVec::Float(delta)).unwrap();
+        world.odms.run_deferred_maintenance().unwrap();
+        let served = serve_closed(&eng, std::slice::from_ref(&q));
+        assert_eq!(served.stats.plan_misses, 1, "{strategy}: {:?}", served.stats);
+        check(&served.served[0].outcome, "serve after append + maintenance");
     }
 }
