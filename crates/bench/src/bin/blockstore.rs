@@ -11,7 +11,11 @@
 //!    are bit-identical to an unbounded world's.
 //!
 //! (Cold-read speed is a wall-clock number: the referee's
-//! `blockstore.decode_mb_per_s` and the `spill_cold` workload.)
+//! `blockstore.decode_mb_per_s` and the `spill_cold` workload.) The run
+//! also records how many spill files the bounded store opened
+//! (`block_file_opens`): each file is opened once by its demotion's
+//! round-trip check and once by its first read, so the count is fixed,
+//! and a block read that opened its file again would move it.
 //!
 //! Writes `BENCH_blockstore.json` (path overridable as `argv[1]`);
 //! `PDC_PARTICLES` overrides the 4 Mi-element default. Exits non-zero if
@@ -131,10 +135,11 @@ fn main() -> ExitCode {
     // printed but not recorded.
     println!(
         "budget: resident high-water {} B of {budget} B, {} demotion(s), {} fault-in(s), \
-         {} region(s) spilled at {spill_ratio:.2}x, block cache {:.1}% hits",
+         {} block-file open(s), {} region(s) spilled at {spill_ratio:.2}x, block cache {:.1}% hits",
         stats.resident_high_water,
         stats.demotions,
         stats.fault_ins,
+        stats.block_file_opens,
         stats.spilled_regions,
         stats.block_cache.hit_rate() * 100.0,
     );
@@ -151,6 +156,7 @@ fn main() -> ExitCode {
         .set("budget_gate", pass_fail(budget_pass))
         .set("demotions", stats.demotions)
         .set("fault_ins", stats.fault_ins)
+        .set("block_file_opens", stats.block_file_opens)
         .set("spilled_regions", stats.spilled_regions)
         .set("spill_compression", Json::fixed(spill_ratio, 3))
         .set("identical_to_unbounded", all_match)

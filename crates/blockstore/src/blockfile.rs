@@ -47,6 +47,7 @@ use crate::fnv::{BulkFnv, Fnv1a};
 use pdc_types::error::{PdcError, PdcResult};
 use pdc_types::value::{PdcType, TypedVec};
 use pdc_types::ByteReader;
+use std::cell::RefCell;
 use std::fs::File;
 // Positional reads (`read_exact_at`): no shared file cursor, so a reader
 // needs no lock. Unix-only; the crate root refuses other targets.
@@ -246,6 +247,11 @@ pub fn write_raw(path: &Path, bytes: &[u8], block_bytes: u32) -> PdcResult<Block
 // Reader
 // ---------------------------------------------------------------------------
 
+thread_local! {
+    /// Each thread's buffer for the frame of the block it is reading.
+    static FRAME: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
 #[derive(Debug, Clone, Copy)]
 struct IndexEntry {
     file_off: u64,
@@ -408,7 +414,9 @@ impl BlockReader {
     }
 
     /// Read and verify block `i`, then hand `(encoding, elems, payload)`
-    /// to `decode`.
+    /// to `decode`. The frame lands in this thread's reused frame buffer,
+    /// so a block read allocates nothing once the thread has read a frame
+    /// as large.
     fn with_block_payload<R>(
         &self,
         i: u32,
@@ -423,26 +431,29 @@ impl BlockReader {
             .get(i as usize + 1)
             .map(|e| e.file_off)
             .unwrap_or(self.index_off);
-        // `open` verified that frames tile `[HEADER_LEN, index_off)`, so the
-        // extent is at least a frame header and bounded by the file size.
-        let mut buf = vec![0u8; (next_off - entry.file_off) as usize];
-        self.file.read_exact_at(&mut buf, entry.file_off).map_err(|e| io_err("read block", e))?;
-        let mut r = ByteReader::new(&buf, corrupt);
-        let (comp_len, elems, enc, checksum) = (r.u32()?, r.u32()?, r.u8()?, r.u64()?);
-        if entry.file_off + FRAME_LEN + comp_len as u64 != next_off {
-            return Err(corrupt(format!("block {i}: frame length mismatch")));
-        }
-        if elems != entry.elems {
-            return Err(corrupt(format!(
-                "block {i}: frame says {elems} elements, index says {}",
-                entry.elems
-            )));
-        }
-        let payload = r.bytes(comp_len as usize)?;
-        if frame_sum(comp_len, elems, enc, payload) != checksum {
-            return Err(corrupt(format!("block {i}: checksum mismatch")));
-        }
-        decode(enc, elems as usize, payload)
+        FRAME.with_borrow_mut(|buf| {
+            // `open` verified that frames tile `[HEADER_LEN, index_off)`, so
+            // the extent is at least a frame header and bounded by the file
+            // size.
+            buf.resize((next_off - entry.file_off) as usize, 0);
+            self.file.read_exact_at(buf, entry.file_off).map_err(|e| io_err("read block", e))?;
+            let mut r = ByteReader::new(&buf[..], corrupt);
+            let (comp_len, elems, enc, checksum) = (r.u32()?, r.u32()?, r.u8()?, r.u64()?);
+            if entry.file_off + FRAME_LEN + comp_len as u64 != next_off {
+                return Err(corrupt(format!("block {i}: frame length mismatch")));
+            }
+            if elems != entry.elems {
+                return Err(corrupt(format!(
+                    "block {i}: frame says {elems} elements, index says {}",
+                    entry.elems
+                )));
+            }
+            let payload = r.bytes(comp_len as usize)?;
+            if frame_sum(comp_len, elems, enc, payload) != checksum {
+                return Err(corrupt(format!("block {i}: checksum mismatch")));
+            }
+            decode(enc, elems as usize, payload)
+        })
     }
 
     /// Read and decode one typed block.

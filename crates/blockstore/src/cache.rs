@@ -96,9 +96,12 @@ impl BlockCache {
     /// Insert a decoded block, evicting LRU entries until it fits.
     ///
     /// Admission control: a block larger than the entire budget is not
-    /// admitted at all (it would only flush every other block).
+    /// admitted at all (it would only flush every other block). Evicted
+    /// blocks are freed after the lock is released, so freeing a block
+    /// never holds up another thread's lookup.
     pub fn put(&self, key: BlockKey, block: Arc<TypedVec>) {
         let size = block.size_bytes();
+        let mut evicted = Vec::new();
         let mut g = self.inner.lock().unpoisoned();
         if size > g.capacity_bytes {
             g.stats.rejected += 1;
@@ -107,12 +110,14 @@ impl BlockCache {
         if let Some((old, last)) = g.entries.remove(&key) {
             g.used_bytes -= old.size_bytes();
             g.recency.remove(&last);
+            evicted.push(old);
         }
         while g.used_bytes + size > g.capacity_bytes {
             let Some((_, victim)) = g.recency.pop_first() else { break };
             if let Some((old, _)) = g.entries.remove(&victim) {
                 g.used_bytes -= old.size_bytes();
                 g.stats.evictions += 1;
+                evicted.push(old);
             }
         }
         g.tick += 1;
@@ -120,6 +125,8 @@ impl BlockCache {
         g.used_bytes += size;
         g.entries.insert(key, (block, tick));
         g.recency.insert(tick, key);
+        drop(g);
+        drop(evicted);
     }
 
     /// Drop every block belonging to region `(object token, index)`

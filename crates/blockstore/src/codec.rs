@@ -26,6 +26,7 @@
 
 use pdc_types::error::{PdcError, PdcResult};
 use pdc_types::value::{PdcType, TypedVec};
+use std::cell::RefCell;
 
 /// Encoding tag: little-endian element bytes.
 pub const ENC_RAW: u8 = 0;
@@ -99,42 +100,104 @@ pub fn packbits_encode(src: &[u8]) -> Vec<u8> {
 
 /// PackBits-decode `src` into exactly `expect` bytes.
 pub fn packbits_decode(src: &[u8], expect: usize) -> PdcResult<Vec<u8>> {
-    let mut out = Vec::with_capacity(expect);
-    let mut i = 0;
+    let mut out = Vec::new();
+    packbits_decode_into(src, expect, &mut out)?;
+    Ok(out)
+}
+
+/// The most bytes one PackBits packet moves: a literal copies at most 128
+/// bytes, a run repeats one byte at most 128 times.
+const WINDOW: usize = 128;
+
+/// PackBits-decode `src` into `out`, which is `expect` bytes long on
+/// success. `out`'s allocation is reused: only bytes beyond its current
+/// length are zeroed, and every byte below `expect` is overwritten.
+///
+/// While a whole window of input follows the control byte and a whole
+/// window of output remains, each packet copies (literal) or fills (run) a
+/// fixed 128-byte window — a constant-size move the compiler emits as a few
+/// vector stores — and advances by the packet's true length; the packets
+/// that follow overwrite the window's excess, since the output is
+/// contiguous. Such a packet can neither be truncated nor overrun
+/// `expect`, so the fast loop checks only the reserved control byte. The
+/// checked loop decodes the tail with the same checks, in the same order,
+/// as a packet-at-a-time decoder, so a hostile stream gets the same error.
+fn packbits_decode_into(src: &[u8], expect: usize, out: &mut Vec<u8>) -> PdcResult<()> {
+    // A run packet turns two input bytes into at most 128 output bytes, so
+    // after `i` input bytes at most `64 * i` bytes are out: a hostile
+    // `expect` never sizes the buffer beyond what `src` can fill.
+    out.resize(expect.min(src.len().saturating_mul(64)), 0);
+    let buf = &mut out[..];
+    let (mut i, mut o) = (0usize, 0usize);
+    while i + WINDOW < src.len() && o + WINDOW <= buf.len() {
+        let c = src[i];
+        if c < 128 {
+            buf[o..o + WINDOW].copy_from_slice(&src[i + 1..i + 1 + WINDOW]);
+            i += c as usize + 2;
+            o += c as usize + 1;
+        } else if c > 128 {
+            buf[o..o + WINDOW].fill(src[i + 1]);
+            i += 2;
+            o += 257 - c as usize;
+        } else {
+            return Err(corrupt("packbits: reserved control byte 128"));
+        }
+    }
     while i < src.len() {
         let c = src[i];
         i += 1;
+        // Truncation is checked before overrun, as a decoder that appends
+        // each packet and then compares its length would report it. The
+        // bound on `o` above keeps every write below `buf.len()`.
         if c < 128 {
             let len = c as usize + 1;
-            let end = i.checked_add(len).ok_or_else(|| corrupt("packbits: literal overflow"))?;
-            if end > src.len() {
+            if i + len > src.len() {
                 return Err(corrupt("packbits: truncated literal packet"));
             }
-            out.extend_from_slice(&src[i..end]);
-            i = end;
+            if o + len > expect {
+                return Err(overrun(expect));
+            }
+            buf[o..o + len].copy_from_slice(&src[i..i + len]);
+            i += len;
+            o += len;
         } else if c > 128 {
             if i >= src.len() {
                 return Err(corrupt("packbits: truncated run packet"));
             }
             let count = 257 - c as usize;
-            out.extend(std::iter::repeat_n(src[i], count));
+            if o + count > expect {
+                return Err(overrun(expect));
+            }
+            buf[o..o + count].fill(src[i]);
             i += 1;
+            o += count;
         } else {
             return Err(corrupt("packbits: reserved control byte 128"));
         }
-        if out.len() > expect {
-            return Err(corrupt(format!(
-                "packbits: output overruns expected {expect} bytes"
-            )));
-        }
     }
-    if out.len() != expect {
-        return Err(corrupt(format!(
-            "packbits: decoded {} bytes, expected {expect}",
-            out.len()
-        )));
+    if o != expect {
+        return Err(corrupt(format!("packbits: decoded {o} bytes, expected {expect}")));
     }
-    Ok(out)
+    Ok(())
+}
+
+fn overrun(expect: usize) -> PdcError {
+    corrupt(format!("packbits: output overruns expected {expect} bytes"))
+}
+
+thread_local! {
+    /// Each thread's PackBits output for [`decode_block`]: reused, so a
+    /// block decode allocates only the decoded block itself.
+    static PLANES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// PackBits-decode `payload` (`expect` bytes of byte planes) into this
+/// thread's plane buffer and hand the planes to `gather`.
+fn with_planes<R>(payload: &[u8], expect: usize, gather: impl FnOnce(&[u8]) -> R) -> PdcResult<R> {
+    PLANES.with_borrow_mut(|planes| {
+        packbits_decode_into(payload, expect, planes)?;
+        Ok(gather(planes))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -511,7 +574,7 @@ pub fn decode_block(ty: PdcType, encoding: u8, elems: usize, payload: &[u8]) -> 
             }
             Ok(typed_from_le(ty, payload))
         }
-        ENC_SHUFFLE => Ok(typed_from_planes(ty, &packbits_decode(payload, raw_len)?, elems)),
+        ENC_SHUFFLE => with_planes(payload, raw_len, |planes| typed_from_planes(ty, planes, elems)),
         ENC_FOR_PACK => typed_from_bits64(ty, for_unpack_bits(payload, elems)?),
         ENC_DELTA_FOR_PACK => typed_from_bits64(ty, delta_for_unpack_bits(payload, elems)?),
         ENC_F64_AS_F32 => {
@@ -519,8 +582,9 @@ pub fn decode_block(ty: PdcType, encoding: u8, elems: usize, payload: &[u8]) -> 
                 return Err(corrupt("decode: f64-as-f32 tag on non-double payload"));
             }
             // `elems * 4 <= raw_len`, which was overflow-checked above.
-            let narrow = packbits_decode(payload, elems * 4)?;
-            Ok(TypedVec::Double(gather4(&narrow, elems, |b| f32::from_le_bytes(b) as f64)))
+            with_planes(payload, elems * 4, |narrow| {
+                TypedVec::Double(gather4(narrow, elems, |b| f32::from_le_bytes(b) as f64))
+            })
         }
         other => Err(corrupt(format!("decode: unknown encoding tag {other}"))),
     }
@@ -913,6 +977,177 @@ mod tests {
         assert!(decode_block(PdcType::Double, ENC_FOR_PACK, 1, &[0; 9]).is_err());
         // Empty for-pack header.
         assert!(for_unpack_bits(&[1, 2], 1).is_err());
+    }
+
+    /// The packet-at-a-time decoder the window fast path replaced (append
+    /// each packet, then compare the length), kept as the reference
+    /// `packbits_decode` is checked against, error messages included.
+    fn packbits_decode_oracle(src: &[u8], expect: usize) -> PdcResult<Vec<u8>> {
+        let mut out = Vec::with_capacity(expect);
+        let mut i = 0;
+        while i < src.len() {
+            let c = src[i];
+            i += 1;
+            if c < 128 {
+                let end = i + c as usize + 1;
+                if end > src.len() {
+                    return Err(corrupt("packbits: truncated literal packet"));
+                }
+                out.extend_from_slice(&src[i..end]);
+                i = end;
+            } else if c > 128 {
+                if i >= src.len() {
+                    return Err(corrupt("packbits: truncated run packet"));
+                }
+                out.extend(std::iter::repeat_n(src[i], 257 - c as usize));
+                i += 1;
+            } else {
+                return Err(corrupt("packbits: reserved control byte 128"));
+            }
+            if out.len() > expect {
+                return Err(corrupt(format!("packbits: output overruns expected {expect} bytes")));
+            }
+        }
+        if out.len() != expect {
+            return Err(corrupt(format!("packbits: decoded {} bytes, expected {expect}", out.len())));
+        }
+        Ok(out)
+    }
+
+    /// A literal packet carrying `bytes` (1..=128 of them).
+    fn literal(bytes: &[u8]) -> Vec<u8> {
+        assert!((1..=WINDOW).contains(&bytes.len()));
+        [&[bytes.len() as u8 - 1][..], bytes].concat()
+    }
+
+    /// A run packet repeating `b` `count` (2..=128) times.
+    fn run(b: u8, count: usize) -> Vec<u8> {
+        assert!((2..=WINDOW).contains(&count));
+        vec![(257 - count) as u8, b]
+    }
+
+    fn distinct(len: usize, salt: u8) -> Vec<u8> {
+        (0..len).map(|k| (k as u8).wrapping_mul(31).wrapping_add(salt)).collect()
+    }
+
+    /// `packbits_decode`, and the fast path over a reused buffer holding
+    /// stale bytes, agree with the oracle: the same bytes or the same error.
+    fn assert_packbits_agree(src: &[u8], expect: usize) {
+        let want = format!("{:?}", packbits_decode_oracle(src, expect));
+        let ctx = format!("{} input bytes, expect {expect}", src.len());
+        assert_eq!(format!("{:?}", packbits_decode(src, expect)), want, "{ctx}");
+        for stale in [0, expect / 2, expect + 300] {
+            let mut buf = vec![0xa5u8; stale];
+            let got = packbits_decode_into(src, expect, &mut buf).map(|()| buf);
+            assert_eq!(format!("{got:?}"), want, "{ctx}, {stale} stale bytes");
+        }
+    }
+
+    /// The bytes the packets of `stream` decode to, counting a cut-short
+    /// last packet as whole.
+    fn decoded_len(stream: &[u8]) -> usize {
+        let (mut i, mut n) = (0, 0);
+        while i < stream.len() {
+            let c = stream[i] as usize;
+            (i, n) = if c < 128 { (i + c + 2, n + c + 1) } else { (i + 2, n + 257 - c) };
+        }
+        n
+    }
+
+    /// `stream` checked at `expect` one below, at and one above its
+    /// decoded length, whole and cut one byte short.
+    fn assert_stream_agrees(stream: &[u8]) {
+        let len = decoded_len(stream);
+        for expect in [len.saturating_sub(1), len, len + 1] {
+            assert_packbits_agree(stream, expect);
+            assert_packbits_agree(&stream[..stream.len() - 1], expect);
+        }
+    }
+
+    #[test]
+    fn packbits_window_edges_match_the_oracle() {
+        // A filler of literal packets moves the last packet's start across
+        // the point where a whole window of input no longer follows it, and
+        // the decoded length across the point where a whole window of
+        // output no longer remains.
+        let lasts = [literal(&distinct(128, 3)), literal(&[9]), run(7, 128), run(7, 2)];
+        for filler in 0..=262usize {
+            let mut head = Vec::new();
+            for (k, chunk) in distinct(filler, 11).chunks(WINDOW).enumerate() {
+                head.extend(if k % 2 == 0 { literal(chunk) } else { run(chunk[0], chunk.len().max(2)) });
+            }
+            for last in &lasts {
+                assert_stream_agrees(&[&head[..], last].concat());
+            }
+        }
+        // One 128-byte literal: the packet ends exactly at the window limit
+        // (129 input bytes), one byte short of it, and one byte past it.
+        let lit = literal(&distinct(128, 5));
+        for stream in [&lit[..128], &lit[..], &[&lit[..], &[4]].concat()[..]] {
+            for expect in [0, 1, 127, 128, 129, 256] {
+                assert_packbits_agree(stream, expect);
+            }
+        }
+        // 128-byte literals and 128-byte runs back to back, at `expect`
+        // below 128, exactly 128 and the full length.
+        let mixed: Vec<u8> = (0..6u8)
+            .flat_map(|k| if k % 2 == 0 { literal(&distinct(128, k)) } else { run(k, 128) })
+            .collect();
+        for expect in [5, 127, 128, 129, 6 * 128 - 1, 6 * 128, 6 * 128 + 1] {
+            assert_packbits_agree(&mixed, expect);
+        }
+    }
+
+    #[test]
+    fn hostile_packbits_streams_fail_as_before() {
+        let body: Vec<u8> = (0..4u8).flat_map(|k| literal(&distinct(128, k))).collect();
+        let cases: Vec<(Vec<u8>, usize)> = vec![
+            // The reserved control byte 128 deep inside the fast region.
+            ([&literal(&[1, 2, 3])[..], &[128], &body[..]].concat(), 4 * 128 + 3),
+            ([&body[..129], &[128], &body[129..]].concat(), 4 * 128),
+            // A literal cut short, inside a long stream and alone.
+            (body[..body.len() - 1].to_vec(), 4 * 128),
+            (literal(&distinct(100, 1))[..60].to_vec(), 100),
+            // A run packet with no byte to repeat.
+            ([&body[..], &[200]].concat(), 4 * 128 + 57),
+            // Output past `expect`, decided in the fast region's tail.
+            ([&body[..], &run(1, 128)[..]].concat(), 4 * 128 + 127),
+            (body.clone(), 4 * 128 - 1),
+            // Output short of `expect`.
+            (body.clone(), 4 * 128 + 1),
+            (run(0, 128), 129),
+        ];
+        for (stream, expect) in cases {
+            assert!(matches!(packbits_decode(&stream, expect), Err(PdcError::Codec(_))));
+            assert_packbits_agree(&stream, expect);
+        }
+        // A hostile `expect` is never allocated: the buffer is bounded by
+        // what the stream can decode to.
+        let mut buf = Vec::new();
+        let err = packbits_decode_into(&run(7, 128), 1 << 40, &mut buf).unwrap_err();
+        assert_eq!(err.to_string(), corrupt(format!("packbits: decoded 128 bytes, expected {}", 1u64 << 40)).to_string());
+        assert!(buf.capacity() < 1 << 20, "{} bytes reserved", buf.capacity());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn packbits_fast_path_equals_oracle_on_random_streams(
+            packets in prop::collection::vec((any::<bool>(), 1usize..129, any::<u8>()), 0..12),
+            cut in 0usize..3,
+            slack in 0usize..3,
+        ) {
+            let stream: Vec<u8> = packets
+                .iter()
+                .flat_map(|&(lit, n, b)| if lit { literal(&distinct(n, b)) } else { run(b, n.max(2)) })
+                .collect();
+            let stream = &stream[..stream.len().saturating_sub(cut)];
+            let full = decoded_len(stream);
+            for expect in [full.saturating_sub(slack), full + slack] {
+                assert_packbits_agree(stream, expect);
+            }
+        }
     }
 
     #[test]

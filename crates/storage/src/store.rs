@@ -15,7 +15,22 @@ use pdc_types::{
 };
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
+
+/// The most spill-file readers a store keeps open. Reaching it drops every
+/// cached reader at once (a whole-map reset, like the servers' index
+/// cache), so open descriptors stay bounded by this constant however many
+/// regions spill; the `spill_cold` workload spills about 106 regions and
+/// E15 412, so neither ever resets.
+const MAX_OPEN_SPILL_FILES: usize = 512;
+
+/// Numbers every spill file written in this process: a file's readers are
+/// cached under its number, never its path, so the file that replaces a
+/// region's spilled payload at the same path is never read through its
+/// predecessor's reader. `Relaxed` suffices: the number publishes no other
+/// data, and `fetch_add` alone makes it unique.
+static NEXT_SPILL_FILE: AtomicU64 = AtomicU64::new(0);
 
 /// Storage tier a region resides on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,6 +114,19 @@ fn flipped_payload(payload: &StoredPayload, seed: u64) -> Option<StoredPayload> 
     }
 }
 
+/// The seed that picks the flip site when [`ObjectStore::corrupt`] is
+/// called on `id` with `seed`.
+fn site_seed(id: RegionId, seed: u64) -> u64 {
+    seed ^ id.object.raw().rotate_left(32) ^ id.index as u64
+}
+
+/// The byte offset (below `len`) and bit that [`corrupt_block_file`] flips
+/// for `seed`.
+fn flip_site(seed: u64, len: usize) -> (usize, u32) {
+    let r0 = mix64(seed);
+    ((r0 % len as u64) as usize, (mix64(r0) % 8) as u32)
+}
+
 /// Deterministically flip one bit of a spilled region's block file,
 /// stashing a pristine sibling copy first (the on-disk analogue of the
 /// in-memory `pristine` stash). The flip site can land anywhere in the
@@ -114,10 +142,8 @@ fn corrupt_block_file(path: &Path, seed: u64) -> PdcResult<()> {
     if !orig.exists() {
         std::fs::copy(path, &orig).map_err(io)?;
     }
-    let r0 = mix64(seed);
-    let r1 = mix64(r0);
-    let idx = (r0 % bytes.len() as u64) as usize;
-    bytes[idx] ^= 1 << (r1 % 8);
+    let (idx, bit) = flip_site(seed, bytes.len());
+    bytes[idx] ^= 1 << bit;
     std::fs::write(path, &bytes).map_err(io)?;
     Ok(())
 }
@@ -166,6 +192,9 @@ enum ColdKind {
 #[derive(Debug, Clone)]
 struct ColdHandle {
     path: PathBuf,
+    /// The file's number from `NEXT_SPILL_FILE`: the key of its cached
+    /// reader.
+    file: u64,
     kind: ColdKind,
     /// Uncompressed payload bytes — the size every simulated charge and
     /// capacity decision keeps using after demotion.
@@ -210,6 +239,15 @@ fn cache_token(id: RegionId) -> (u64, u32) {
     (id.object.raw(), id.index)
 }
 
+/// Decode a spilled payload in full (transient — the store copy stays
+/// cold and the block cache is not populated by whole-region reads).
+fn decode_whole(reader: &BlockReader, kind: ColdKind) -> PdcResult<StoredPayload> {
+    match kind {
+        ColdKind::Typed { .. } => Ok(StoredPayload::Typed(Arc::new(reader.read_all_typed()?))),
+        ColdKind::Raw => Ok(StoredPayload::Raw(Bytes::from(reader.read_all_raw()?))),
+    }
+}
+
 /// Host-side accounting for the spill subsystem.
 #[derive(Debug, Default, Clone, Copy)]
 struct SpillAcct {
@@ -220,6 +258,7 @@ struct SpillAcct {
     spilled_regions: u64,
     spilled_raw_bytes: u64,
     spilled_comp_bytes: u64,
+    file_opens: u64,
 }
 
 #[derive(Debug, Default)]
@@ -235,6 +274,10 @@ struct SpillState {
     dir: PathBuf,
     memory_budget: u64,
     block_cache: Arc<BlockCache>,
+    /// The opened, header- and index-verified reader of each spill file
+    /// read since its last change, keyed by `ColdHandle::file`; at most
+    /// [`MAX_OPEN_SPILL_FILES`] of them.
+    readers: Mutex<HashMap<u64, Arc<BlockReader>>>,
     acct: Mutex<SpillAcct>,
     /// Access recency driving LRU demotion order (separate from the
     /// region map so reads only take this one small lock).
@@ -261,12 +304,43 @@ impl SpillState {
         }
     }
 
-    /// Forget a spilled region: delete its files, drop its cached blocks,
-    /// and roll its bytes out of the spill accounting.
+    /// Open a spill file, counting the open.
+    fn open(&self, path: &Path) -> PdcResult<BlockReader> {
+        self.acct.lock().unpoisoned().file_opens += 1;
+        BlockReader::open(path)
+    }
+
+    /// The reader of `h`'s file: opened and verified on the first read,
+    /// then shared by every later read until [`Self::forget`] (or the
+    /// bound's reset) drops it. The open happens under the table's lock,
+    /// so concurrent first reads open the file once.
+    fn reader(&self, h: &ColdHandle) -> PdcResult<Arc<BlockReader>> {
+        let mut readers = self.readers.lock().unpoisoned();
+        if let Some(r) = readers.get(&h.file) {
+            return Ok(Arc::clone(r));
+        }
+        let r = Arc::new(self.open(&h.path)?);
+        if readers.len() >= MAX_OPEN_SPILL_FILES {
+            readers.clear();
+        }
+        readers.insert(h.file, Arc::clone(&r));
+        Ok(r)
+    }
+
+    /// Drop the decoded blocks and the reader of a spilled region whose
+    /// file changed (`corrupt`, `repair`) or is gone (`put`, `remove`), so
+    /// its next read opens and verifies the file afresh.
+    fn forget(&self, h: &ColdHandle, token: (u64, u32)) {
+        self.block_cache.invalidate_region(token);
+        self.readers.lock().unpoisoned().remove(&h.file);
+    }
+
+    /// Forget a spilled region: delete its files, drop its cached blocks
+    /// and reader, and roll its bytes out of the spill accounting.
     fn drop_spilled(&self, h: &ColdHandle, token: (u64, u32)) {
         let _ = std::fs::remove_file(&h.path);
         let _ = std::fs::remove_file(orig_path(&h.path));
-        self.block_cache.invalidate_region(token);
+        self.forget(h, token);
         let mut a = self.acct.lock().unpoisoned();
         a.spilled_regions = a.spilled_regions.saturating_sub(1);
         a.spilled_raw_bytes = a.spilled_raw_bytes.saturating_sub(h.raw_bytes);
@@ -295,6 +369,9 @@ pub struct SpillStats {
     pub block_cache: BlockCacheStats,
     /// Decoded-block cache residency in bytes.
     pub block_cache_bytes: u64,
+    /// Spill files opened: once by each demotion's round-trip check, then
+    /// once by the first read after the file was written or changed.
+    pub block_file_opens: u64,
 }
 
 impl SpillStats {
@@ -316,22 +393,20 @@ impl SpillStats {
 #[derive(Clone)]
 pub struct ColdRegion {
     id: RegionId,
-    path: PathBuf,
+    handle: ColdHandle,
     ty: PdcType,
     elems: u64,
     block_elems: u32,
-    raw_bytes: u64,
-    cache: Arc<BlockCache>,
-    /// Lazily opened, shared across clones so repeated block reads pay
-    /// the open+index-verify cost once.
-    reader: Arc<Mutex<Option<Arc<BlockReader>>>>,
+    /// The store's spill state: its block cache, and the reader the store
+    /// keeps open for this file, which every handle on the file shares.
+    spill: Arc<SpillState>,
 }
 
 impl std::fmt::Debug for ColdRegion {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ColdRegion")
             .field("id", &self.id)
-            .field("path", &self.path)
+            .field("path", &self.handle.path)
             .field("ty", &self.ty)
             .field("elems", &self.elems)
             .field("block_elems", &self.block_elems)
@@ -362,7 +437,7 @@ impl ColdRegion {
 
     /// Uncompressed payload size in bytes.
     pub fn size_bytes(&self) -> u64 {
-        self.raw_bytes
+        self.handle.raw_bytes
     }
 
     /// Elements per block (last block may be short).
@@ -392,24 +467,18 @@ impl ColdRegion {
     }
 
     fn reader(&self) -> PdcResult<Arc<BlockReader>> {
-        let mut g = self.reader.lock().unpoisoned();
-        if let Some(r) = &*g {
-            return Ok(Arc::clone(r));
-        }
-        let r = Arc::new(BlockReader::open(&self.path)?);
-        *g = Some(Arc::clone(&r));
-        Ok(r)
+        self.spill.reader(&self.handle)
     }
 
     /// Decode block `b`, serving from the shared block cache when hot.
     /// Every decoded frame is checksum-verified by the block reader.
     pub fn read_block(&self, b: u32) -> PdcResult<Arc<TypedVec>> {
         let key = (self.id.object.raw(), self.id.index, b);
-        if let Some(hit) = self.cache.get(key) {
+        if let Some(hit) = self.spill.block_cache.get(key) {
             return Ok(hit);
         }
         let block = Arc::new(self.reader()?.read_typed_block(b)?);
-        self.cache.put(key, Arc::clone(&block));
+        self.spill.block_cache.put(key, Arc::clone(&block));
         Ok(block)
     }
 }
@@ -713,7 +782,7 @@ impl ObjectStore {
     /// resident checksum mismatch, so the verify-and-fallback repair lane
     /// handles both identically.
     fn fault_in(&self, id: RegionId, h: &ColdHandle, tier: StorageTier) -> PdcResult<StoredPayload> {
-        match Self::materialize(h) {
+        match self.materialize(h) {
             Ok(p) => {
                 if let Some(s) = self.spill_state() {
                     s.acct.lock().unpoisoned().fault_ins += 1;
@@ -727,14 +796,10 @@ impl ObjectStore {
         }
     }
 
-    /// Decode a spilled payload in full (transient — the store copy stays
-    /// cold and the block cache is not populated by whole-region reads).
-    fn materialize(h: &ColdHandle) -> PdcResult<StoredPayload> {
-        let reader = BlockReader::open(&h.path)?;
-        match h.kind {
-            ColdKind::Typed { .. } => Ok(StoredPayload::Typed(Arc::new(reader.read_all_typed()?))),
-            ColdKind::Raw => Ok(StoredPayload::Raw(Bytes::from(reader.read_all_raw()?))),
-        }
+    /// Decode a spilled payload in full through its file's cached reader.
+    fn materialize(&self, h: &ColdHandle) -> PdcResult<StoredPayload> {
+        let s = self.spill_state().ok_or_else(|| PdcError::Storage("spill is off".into()))?;
+        decode_whole(&*s.reader(h)?, h.kind)
     }
 
     /// Size in bytes of a region's payload, without any verification,
@@ -799,7 +864,8 @@ impl ObjectStore {
         let r = map.get_mut(&id).ok_or(PdcError::NoSuchRegion(id))?;
         let verified = match &r.res {
             Residency::Resident(p) => payload_checksum(p) == r.checksum,
-            Residency::Spilled(h) => Self::materialize(h)
+            Residency::Spilled(h) => self
+                .materialize(h)
                 .map(|p| payload_checksum(&p) == r.checksum)
                 .unwrap_or(false),
         };
@@ -822,9 +888,9 @@ impl ObjectStore {
     pub fn corrupt(&self, id: RegionId, seed: u64) -> PdcResult<bool> {
         let mut map = self.regions.write().unpoisoned();
         let r = map.get_mut(&id).ok_or(PdcError::NoSuchRegion(id))?;
-        let site_seed = seed ^ id.object.raw().rotate_left(32) ^ id.index as u64;
+        let site = site_seed(id, seed);
         match &r.res {
-            Residency::Resident(p) => match flipped_payload(p, site_seed) {
+            Residency::Resident(p) => match flipped_payload(p, site) {
                 Some(bad) => {
                     if r.pristine.is_none() {
                         r.pristine = Some(p.clone());
@@ -842,11 +908,11 @@ impl ObjectStore {
                 if h.raw_bytes == 0 {
                     return Ok(false);
                 }
-                let path = h.path.clone();
-                corrupt_block_file(&path, site_seed)?;
+                let h = h.clone();
+                corrupt_block_file(&h.path, site)?;
                 drop(map);
                 if let Some(s) = self.spill_state() {
-                    s.block_cache.invalidate_region(cache_token(id));
+                    s.forget(&h, cache_token(id));
                 }
                 Ok(true)
             }
@@ -885,10 +951,15 @@ impl ObjectStore {
                 std::fs::copy(&orig, &h.path).map_err(|e| {
                     PdcError::Storage(format!("spill repair {}: {e}", h.path.display()))
                 })?;
+                // The restored bytes are read through a fresh open.
+                if let Some(s) = self.spill_state() {
+                    s.forget(h, cache_token(id));
+                }
                 // Verify the restored file decodes to the recorded
                 // checksum; if not, leave the `.orig` marker in place and
                 // stay quarantined.
-                let ok = Self::materialize(h)
+                let ok = self
+                    .materialize(h)
                     .map(|p| payload_checksum(&p) == r.checksum)
                     .unwrap_or(false);
                 if !ok {
@@ -898,9 +969,6 @@ impl ObjectStore {
                 let _ = std::fs::remove_file(&orig);
                 let bytes = h.raw_bytes;
                 drop(map);
-                if let Some(s) = self.spill_state() {
-                    s.block_cache.invalidate_region(cache_token(id));
-                }
                 self.quarantine.write().unpoisoned().remove(&id);
                 return Ok(bytes);
             }
@@ -991,6 +1059,7 @@ impl ObjectStore {
             dir: dir.to_path_buf(),
             memory_budget,
             block_cache: Arc::new(BlockCache::new(block_cache_bytes)),
+            readers: Mutex::new(HashMap::new()),
             acct: Mutex::new(acct),
             ticks: Mutex::new(ticks),
         };
@@ -1035,6 +1104,7 @@ impl ObjectStore {
             spilled_comp_bytes: a.spilled_comp_bytes,
             block_cache: s.block_cache.stats(),
             block_cache_bytes: s.block_cache.used_bytes(),
+            block_file_opens: a.file_opens,
         })
     }
 
@@ -1056,16 +1126,7 @@ impl ObjectStore {
             return None;
         };
         self.touch(id);
-        Some(ColdRegion {
-            id,
-            path: handle.path,
-            ty,
-            elems,
-            block_elems,
-            raw_bytes: handle.raw_bytes,
-            cache: Arc::clone(&s.block_cache),
-            reader: Arc::new(Mutex::new(None)),
-        })
+        Some(ColdRegion { id, handle, ty, elems, block_elems, spill: s })
     }
 
     /// Demote resident sealed regions (least-recently-used first) until
@@ -1146,8 +1207,14 @@ impl ObjectStore {
                 (blockfile::write_raw(&path, b, blockfile::DEFAULT_BLOCK_ELEMS)?, ColdKind::Raw)
             }
         };
-        let handle = ColdHandle { path, kind, raw_bytes: meta.raw_bytes, comp_bytes: meta.comp_bytes };
-        if !Self::materialize(&handle).is_ok_and(|p| payload_checksum(&p) == checksum) {
+        let file = NEXT_SPILL_FILE.fetch_add(1, Ordering::Relaxed);
+        let handle =
+            ColdHandle { path, file, kind, raw_bytes: meta.raw_bytes, comp_bytes: meta.comp_bytes };
+        let round_trips = s
+            .open(&handle.path)
+            .and_then(|reader| decode_whole(&reader, kind))
+            .is_ok_and(|p| payload_checksum(&p) == checksum);
+        if !round_trips {
             let _ = std::fs::remove_file(&handle.path);
             return Ok(false);
         }
@@ -1713,7 +1780,7 @@ mod tests {
         assert_eq!(cold.blocks_overlapping(5, 5), 0..0);
         // The handle and the reader of its file answer from one
         // implementation: empty, boundary and past-the-end ranges agree.
-        let reader = BlockReader::open(&cold.path).unwrap();
+        let reader = BlockReader::open(&cold.handle.path).unwrap();
         let n64 = n as u64;
         for (lo, hi) in [(0, 0), (be, be), (be - 1, be), (be, be + 1), (0, n64), (0, u64::MAX),
             (n64 - 1, n64 + 9), (n64, n64 + 1), (3 * be, u64::MAX), (9, 3)]
@@ -1734,6 +1801,153 @@ mod tests {
         store.put(rid(7, 1), StoredPayload::Raw(Bytes::from(&b"idx"[..])), StorageTier::Pfs);
         assert!(store.cold_region(rid(7, 1)).is_none());
         assert!(store.cold_region(rid(9, 9)).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn opens(store: &ObjectStore) -> u64 {
+        store.spill_stats().unwrap().block_file_opens
+    }
+
+    fn open_readers(store: &ObjectStore) -> usize {
+        store.spill_state().unwrap().readers.lock().unpoisoned().len()
+    }
+
+    /// Every block of a spilled region, read through a fresh cold handle,
+    /// concatenated.
+    fn read_cold(store: &ObjectStore, id: RegionId) -> PdcResult<Vec<f64>> {
+        let cold = store.cold_region(id).expect("a spilled typed region");
+        let mut out = Vec::new();
+        for b in 0..cold.n_blocks() {
+            out.extend(cold.read_block(b)?.to_f64_vec());
+        }
+        Ok(out)
+    }
+
+    fn spilled_path(store: &ObjectStore, id: RegionId) -> PathBuf {
+        match &store.regions.read().unpoisoned()[&id].res {
+            Residency::Spilled(h) => h.path.clone(),
+            Residency::Resident(_) => panic!("{id} is resident"),
+        }
+    }
+
+    /// The byte ranges of a block file's header, first frame payload,
+    /// block index and footer.
+    fn file_sections(path: &Path) -> [(&'static str, std::ops::Range<usize>); 4] {
+        let bytes = std::fs::read(path).unwrap();
+        let footer = bytes.len() - blockfile::FOOTER_LEN as usize;
+        let index_off = u64::from_le_bytes(bytes[footer..footer + 8].try_into().unwrap()) as usize;
+        let header = blockfile::HEADER_LEN as usize;
+        let comp_len = u32::from_le_bytes(bytes[header..header + 4].try_into().unwrap()) as usize;
+        let payload = header + blockfile::FRAME_LEN as usize;
+        [
+            ("header", 0..header),
+            ("frame payload", payload..payload + comp_len),
+            ("block index", index_off..footer),
+            ("footer", footer..bytes.len()),
+        ]
+    }
+
+    #[test]
+    fn a_cached_reader_never_hides_damage() {
+        let n = blockfile::DEFAULT_BLOCK_ELEMS as usize + 100; // 2 blocks
+        let v = seeded_floats(n);
+        let id = rid(11, 0);
+        let spilled = |tag: &str| {
+            let dir = tmp_dir(tag);
+            let store = ObjectStore::new(2);
+            store.configure_spill(&dir, 0, 1 << 20).unwrap();
+            store.put(id, StoredPayload::Typed(Arc::new(v.clone())), StorageTier::Pfs);
+            store.seal(id).unwrap();
+            (store, dir)
+        };
+        // What each read path makes of the damage, then of the repair.
+        let outcome = |store: &ObjectStore| -> Vec<String> {
+            let cold = store.cold_region(id).unwrap();
+            let mut out: Vec<String> =
+                (0..2).map(|b| format!("{:?}", cold.read_block(b).map(|x| x.len()))).collect();
+            out.push(format!("{:?}", BlockView::from(cold).check()));
+            out.push(format!("{:?}", store.get(id).map(|_| ())));
+            out.push(format!("{:?}", store.quarantined()));
+            out.push(format!("{:?}", store.repair(id)));
+            out.push(format!("{:?}", read_cold(store, id).map(|xs| xs == v.to_f64_vec())));
+            out.push(format!("{:?}", store.get_typed(id).map(|p| *p == v)));
+            out
+        };
+        let (probe, probe_dir) = spilled("cached_probe");
+        let path = spilled_path(&probe, id);
+        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+        for (section, range) in file_sections(&path) {
+            let seed = (0u64..)
+                .find(|&seed| range.contains(&flip_site(site_seed(id, seed), file_len).0))
+                .unwrap();
+            // Warm: the reader is cached by the first read and reused.
+            let (warm, warm_dir) = spilled("cached_warm");
+            let before = opens(&warm);
+            assert_eq!(read_cold(&warm, id).unwrap(), v.to_f64_vec());
+            assert_eq!(opens(&warm), before + 1, "{section}: the first read opens the file");
+            warm.get_typed(id).unwrap();
+            BlockView::from(warm.cold_region(id).unwrap()).check().unwrap();
+            assert_eq!(opens(&warm), before + 1, "{section}: later reads reuse the reader");
+            // Fresh: the file is damaged before anything opened it.
+            let (fresh, fresh_dir) = spilled("cached_fresh");
+            assert!(warm.corrupt(id, seed).unwrap() && fresh.corrupt(id, seed).unwrap());
+            let (w, f) = (outcome(&warm), outcome(&fresh));
+            assert_eq!(w, f, "{section}: a cached reader reads damage as a fresh open does");
+            assert!(w[3].starts_with("Err(CorruptRegion"), "{section}: damage undetected: {w:?}");
+            assert_eq!(w[4], format!("{:?}", vec![id]), "{section}");
+            let repaired = format!("Ok({})", v.size_bytes());
+            assert_eq!(&w[5..], [repaired.as_str(), "Ok(true)", "Ok(true)"], "{section}");
+            let _ = std::fs::remove_dir_all(&warm_dir);
+            let _ = std::fs::remove_dir_all(&fresh_dir);
+        }
+
+        // `put` and `remove` replace the file at the same path; a read
+        // after either never sees the old bytes.
+        let store = &probe;
+        read_cold(store, id).unwrap();
+        let v2: TypedVec = (0..n).map(|i| i as f32).collect::<Vec<f32>>().into();
+        store.put(id, StoredPayload::Typed(Arc::new(v2.clone())), StorageTier::Pfs);
+        store.seal(id).unwrap();
+        assert_eq!(spilled_path(store, id), path, "the new file takes the old path");
+        assert_eq!(read_cold(store, id).unwrap(), v2.to_f64_vec());
+        assert_eq!(&*store.get_typed(id).unwrap(), &v2);
+        assert!(store.remove(id));
+        assert!(store.cold_region(id).is_none());
+        assert!(matches!(store.get(id), Err(PdcError::NoSuchRegion(_))));
+        assert_eq!(open_readers(store), 0, "remove drops the reader");
+        let v3: TypedVec = (0..n).map(|i| -(i as f32)).collect::<Vec<f32>>().into();
+        store.put(id, StoredPayload::Typed(Arc::new(v3.clone())), StorageTier::Pfs);
+        store.seal(id).unwrap();
+        assert_eq!(read_cold(store, id).unwrap(), v3.to_f64_vec());
+        assert_eq!(open_readers(store), 1);
+        let _ = std::fs::remove_dir_all(&probe_dir);
+    }
+
+    #[test]
+    fn reading_more_spilled_regions_than_the_reader_bound_stays_correct() {
+        let dir = tmp_dir("reader_bound");
+        let store = ObjectStore::new(2);
+        store.configure_spill(&dir, 0, 1 << 20).unwrap();
+        let n = MAX_OPEN_SPILL_FILES as u32 + 40;
+        let payload = |i: u32| seeded_floats(16 + i as usize % 7);
+        for i in 0..n {
+            store.put(rid(12, i), StoredPayload::Typed(Arc::new(payload(i))), StorageTier::Pfs);
+            store.seal(rid(12, i)).unwrap();
+        }
+        assert_eq!(store.spill_stats().unwrap().spilled_regions, n as u64);
+        // Demotion's round-trip checks open every file once and keep none.
+        assert_eq!((opens(&store), open_readers(&store)), (n as u64, 0));
+        // Block reads, then whole-region reads, of every region: the table
+        // resets whenever it fills, and every read returns its payload.
+        for i in 0..n {
+            assert_eq!(read_cold(&store, rid(12, i)).unwrap(), payload(i).to_f64_vec(), "region {i}");
+            assert!(open_readers(&store) <= MAX_OPEN_SPILL_FILES);
+        }
+        assert_eq!(opens(&store), 2 * n as u64, "one open per file for the first read");
+        for i in 0..n {
+            assert_eq!(&*store.get_typed(rid(12, i)).unwrap(), &payload(i), "region {i}");
+            assert!(open_readers(&store) <= MAX_OPEN_SPILL_FILES);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
