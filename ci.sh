@@ -87,10 +87,11 @@ cargo test -q $OFFLINE --release -p pdc-server
 echo "== kernel + selection gate =="
 # pdc-types' and pdc-sorted's own tests (scan kernels, mask packing, the
 # 64-lane candidate-window kernel, the start/end-bit mask decoder,
-# selection algebra, the k-way union, the word-OR union of interleaved
-# slot results, the one- and many-slice coordinate-to-selection scatter
-# on both its bitset and sort paths, the rank directory on both its bitset
-# and binary-search paths, and the sorted-replica lookups that feed them)
+# selection algebra, the k-way union, the band merge that ORs slot words
+# and fills slot runs into one bitset, the one- and many-slice scatter on
+# both its word and sort paths with its popcount run count, the rank
+# directory on both its bitset and binary-search paths, and the
+# sorted-replica lookups that feed them)
 # once more optimised, and with them eleven pdc-query suites: get_data
 # equivalence, whose sorted path scatters values by those ranks; the
 # kernel and spill equivalence suites, which hold every strategy's point
@@ -98,8 +99,9 @@ echo "== kernel + selection gate =="
 # decoder — to the scalar reference and to unbounded runs; the
 # point-check charges suite, which pins what those checks scan;
 # strategy agreement and service equivalence, which hold sorted bands —
-# one scatter per server, merged on the client by the word-OR union — to
-# full scans and to solo runs; the cache properties, which hold every
+# one scatter per server, shipped as words or runs and ORed once on the
+# client, at the charges of servers that decoded — to full scans and to
+# solo runs; the cache properties, which hold every
 # served outcome to a cold run on a twin world while appends,
 # maintenance, corruption, migration and joint registration interleave
 # with `serve` (the caches keep artifacts across all of them, so only
@@ -112,8 +114,9 @@ echo "== kernel + selection gate =="
 # reordering of that publication would show. The code is safe
 # Rust, so this guards only against a miscompile of the vectorised loops
 # and the shift, popcount and bit-pairing arithmetic in the release
-# binaries, the word-OR merge's range-fill shifts (head and tail masks of
-# each run) among them; debug assertions are off here, so it complements
+# binaries, the band merge's word OR and range-fill shifts (head and tail
+# masks of each run) and the scatter's carry-and-popcount run count among
+# them; debug assertions are off here, so it complements
 # the debug run of the same tests rather than replacing it.
 cargo test -q $OFFLINE --release -p pdc-types -p pdc-sorted
 cargo test -q $OFFLINE --release -p pdc-query --test get_data_equivalence \

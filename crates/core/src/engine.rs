@@ -14,7 +14,7 @@ use pdc_sorted::SortedReplica;
 use pdc_storage::{
     CostBreakdown, CostModel, IntegrityCounters, IoCounters, SimDuration, WorkCounters,
 };
-use pdc_types::selection::RankDirectory;
+use pdc_types::selection::{PartialSelection, RankDirectory};
 use pdc_types::{
     Interval, ObjectId, PdcError, PdcResult, PdcType, RegionId, Run, Selection, ServerId, TypedVec,
     Unpoison,
@@ -892,7 +892,7 @@ impl QueryEngine {
             &placement,
             &weights,
             |r: &(
-                Selection,
+                PartialSelection,
                 IoCounters,
                 WorkCounters,
                 IntegrityCounters,
@@ -946,13 +946,14 @@ impl QueryEngine {
         // per-region lanes' slot results interleave region by region, and
         // one k-way heap merge moves a region's runs per heap operation.
         // A band's slot results interleave element by element, so when the
-        // band answered the root primary they are ORed into one bitset
-        // and decoded once. Both return the same canonical RLE.
-        let slot_sels = out.per_slot.iter().map(|t| &t.0);
+        // band answered the root primary they are ORed into one bitset,
+        // the slots' words as they arrived, and decoded once. Both return
+        // the same canonical RLE. Only a band-answered root ships words.
+        let parts = out.per_slot.iter().map(|t| &t.0);
         let selection = if sorted_hint.is_some() {
-            Selection::union_interleaved(slot_sels)
+            Selection::union_partials(parts)
         } else {
-            Selection::union_many(slot_sels)
+            Selection::union_many(parts.filter_map(PartialSelection::as_runs))
         };
         // Client-side aggregation cost (background thread merging runs).
         let merge_cpu =

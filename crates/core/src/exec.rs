@@ -35,7 +35,7 @@ use crate::snapshot::MetaSnapshot;
 use crate::state::ServerState;
 use pdc_odms::Odms;
 use pdc_storage::CostModel;
-use pdc_types::selection::append_runs;
+use pdc_types::selection::{append_runs, PartialSelection};
 use pdc_types::{Interval, NdRegion, ObjectId, PdcResult, Run, Selection};
 use std::sync::Arc;
 
@@ -69,8 +69,15 @@ pub struct EvalCtx<'a> {
 }
 
 /// Evaluate the full plan on this server; returns the server's partial
-/// selection in global coordinates.
-pub fn eval_plan(ctx: &EvalCtx, state: &mut ServerState, plan: &QueryPlan) -> PdcResult<Selection> {
+/// selection in global coordinates. When the band answers the root
+/// conjunction's only constraint and there is no spatial region, the
+/// band's scatter is the whole answer and travels as it is, words
+/// included; every other plan returns runs.
+pub fn eval_plan(
+    ctx: &EvalCtx,
+    state: &mut ServerState,
+    plan: &QueryPlan,
+) -> PdcResult<PartialSelection> {
     // Metadata distribution: each server fetches the metadata (offsets,
     // sizes, histograms) of its assigned regions for every object in the
     // query; cached for the server's lifetime afterwards.
@@ -83,7 +90,15 @@ pub fn eval_plan(ctx: &EvalCtx, state: &mut ServerState, plan: &QueryPlan) -> Pd
         let assigned = u64::from(meta.num_regions()).div_ceil(u64::from(ctx.n_servers));
         state.charge_metadata_distribution(ctx.cost, obj, assigned);
     }
-    eval_node(ctx, state, &plan.root, plan.region.as_ref(), None)
+    // An empty interval answers nothing and charges nothing (`eval_conj`).
+    match (&plan.root, &plan.region) {
+        (PlanNode::Conj(cs), None)
+            if cs.len() == 1 && !cs[0].interval.is_empty() && ctx.band.answers(&cs[0]) =>
+        {
+            eval_primary_sorted(ctx, state, &cs[0])
+        }
+        _ => eval_node(ctx, state, &plan.root, plan.region.as_ref(), None).map(Into::into),
+    }
 }
 
 fn eval_node(
@@ -184,7 +199,8 @@ fn eval_primary(
     joint: Option<Arc<ops::JointContext>>,
 ) -> PdcResult<Selection> {
     if ctx.band.answers(c) {
-        return eval_primary_sorted(ctx, state, c);
+        // Point checks and the region filter need runs.
+        return eval_primary_sorted(ctx, state, c).map(PartialSelection::into_selection);
     }
     let meta = ctx.snap.meta(c.object)?;
     // 1-D spatial constraints narrow the candidate region set up front.
@@ -238,13 +254,12 @@ fn eval_primary(
 /// (SortedHistogram strategy, and Adaptive when the band wins — the
 /// client's once-per-query verdict in `ctx.band`). Each of the slot's band
 /// regions is charged by its [`ops::SortedRangeOp`], which hands back its
-/// permutation slice; the slot's selection is built from all of them in
-/// one scatter, so its runs are decoded once.
+/// permutation slice; the slot's answer is all of them in one scatter.
 fn eval_primary_sorted(
     ctx: &EvalCtx,
     state: &mut ServerState,
     c: &ObjConstraint,
-) -> PdcResult<Selection> {
+) -> PdcResult<PartialSelection> {
     let meta = ctx.snap.meta(c.object)?;
     let (version, replica) = ctx.snap.sorted_replica(c.object)?;
     let elem_bytes = meta.pdc_type.size_bytes();
@@ -296,7 +311,7 @@ fn eval_primary_sorted(
         }
         slices.push(slice);
     }
-    Ok(Selection::from_unsorted_slices(&slices))
+    Ok(PartialSelection::scatter(&slices))
 }
 
 /// Check `interval` on `object` only at already-selected locations:

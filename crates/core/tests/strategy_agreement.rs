@@ -524,32 +524,51 @@ fn nan_elements_match_nothing_under_every_strategy() {
     }
 }
 
+/// Elements of the rank world: every value distinct, and value order
+/// scatters coordinates over the whole object, rank `(i * 7919) % n` at
+/// coordinate `i`; sorted regions hold 1 024 ranks each.
+const RANK_WORLD: usize = 40_000;
+
+/// The value of rank `rank` in the rank world.
+fn rank_value(rank: usize) -> f32 {
+    rank as f32 * 0.00025
+}
+
+/// The rank world: the ranked object and a second object for
+/// conjunctions, the coordinate itself.
+fn rank_world() -> (Arc<Odms>, ObjectId, ObjectId) {
+    let n = RANK_WORLD;
+    let odms = Arc::new(Odms::new(8));
+    let c = odms.create_container("paths");
+    let energy: Vec<f32> = (0..n).map(|i| rank_value((i * 7919) % n)).collect();
+    let opts = ImportOptions { region_bytes: 4096, build_sorted: true, ..Default::default() };
+    let obj = odms.import_array(c, "energy", TypedVec::Float(energy), &opts).unwrap().object;
+    let coord: Vec<f32> = (0..n).map(|i| i as f32).collect();
+    let pos = odms.import_array(c, "pos", TypedVec::Float(coord), &opts).unwrap().object;
+    (odms, obj, pos)
+}
+
+/// Whether a server scatters `slice` alone into words (the density rule of
+/// `PartialSelection::scatter`) rather than sorting it.
+fn scatters_to_words(slice: &[u64]) -> bool {
+    use pdc_types::selection::{DENSE_WORDS_PER_COORD, SORT_BELOW};
+    let (lo, hi) = (slice.iter().min().unwrap(), slice.iter().max().unwrap());
+    slice.len() >= SORT_BELOW && hi - lo < slice.len() as u64 * DENSE_WORDS_PER_COORD * 64
+}
+
 #[test]
 fn sorted_slices_on_both_primitive_paths_match_full_scan() {
     use pdc_query::OpKind;
-    use pdc_types::selection::{DENSE_WORDS_PER_COORD, SORT_BELOW};
-    // Every value distinct, and value order scatters coordinates over the
-    // whole object: rank `(i * 7919) % n` at coordinate `i`.
-    let n = 40_000usize;
-    let odms = Arc::new(Odms::new(8));
-    let c = odms.create_container("paths");
-    let value = |rank: usize| rank as f32 * 0.00025;
-    let energy: Vec<f32> = (0..n).map(|i| value((i * 7919) % n)).collect();
-    let opts = ImportOptions { region_bytes: 4096, build_sorted: true, ..Default::default() };
-    let obj = odms.import_array(c, "energy", TypedVec::Float(energy), &opts).unwrap().object;
-    // A second object for conjunctions: the coordinate itself.
-    let coord: Vec<f32> = (0..n).map(|i| i as f32).collect();
-    let pos = odms.import_array(c, "pos", TypedVec::Float(coord), &opts).unwrap().object;
+    use pdc_types::selection::SORT_BELOW;
+    let (n, value) = (RANK_WORLD, rank_value);
+    let (odms, obj, pos) = rank_world();
     // Ranks 5120..6244: sorted region 5 whole, plus the first 100 slots of
     // region 6.
     let q = PdcQuery::range_open(obj, value(5119), value(6244));
     let replica = odms.meta().sorted_replica(obj).unwrap();
     let span = replica.matching_span(&Interval::open(value(5119) as f64, value(6244) as f64));
     assert_eq!((span.start, span.len), (5120, 1124));
-    let dense = |slice: &[u64]| {
-        let (lo, hi) = (slice.iter().min().unwrap(), slice.iter().max().unwrap());
-        hi - lo < slice.len() as u64 * DENSE_WORDS_PER_COORD * 64
-    };
+    let dense = scatters_to_words;
     let (full, edge) = (&replica.perm()[5120..6144], &replica.perm()[6144..6244]);
     assert!(dense(full), "the whole region must take the bitset path");
     assert!(edge.len() >= SORT_BELOW && !dense(edge), "the edge slice must take the sort path");
@@ -601,5 +620,50 @@ fn sorted_slices_on_both_primitive_paths_match_full_scan() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn band_word_slots_and_a_sorted_edge_slot_merge_at_unchanged_charges() {
+    let (n, value) = (RANK_WORLD, rank_value);
+    let (odms, obj, _) = rank_world();
+    // Ranks 4096..7268: sorted regions 4, 5 and 6 whole and the first 100
+    // ranks of region 7, one band region per server at 4 servers. Servers
+    // 0–2 ship their region's scatter as words; server 3's 100 ranks are
+    // too sparse and ship as sorted runs. The band answers the root
+    // conjunction's only constraint, so the client ORs the three word
+    // slots and the run slot into one bitset.
+    let q = PdcQuery::range_open(obj, value(4095), value(7268));
+    let replica = odms.meta().sorted_replica(obj).unwrap();
+    let span = replica.matching_span(&Interval::open(value(4095) as f64, value(7268) as f64));
+    assert_eq!((span.start, span.len), (4096, 3172));
+    let perm = replica.perm();
+    for r in 4..7 {
+        assert!(scatters_to_words(&perm[r * 1024..(r + 1) * 1024]), "region {r} ships words");
+    }
+    assert!(!scatters_to_words(&perm[7168..7268]), "the edge slot ships runs");
+    let expect: Vec<u64> =
+        (0..n as u64).filter(|&i| (4096..7268).contains(&((i as usize * 7919) % n))).collect();
+    let reference = QueryEngine::new(
+        Arc::clone(&odms),
+        EngineConfig { strategy: Strategy::FullScan, num_servers: 4, ..Default::default() },
+    )
+    .run(&q)
+    .unwrap();
+    assert_eq!(reference.selection.iter_coords().collect::<Vec<_>>(), expect);
+    for strategy in [Strategy::SortedHistogram, Strategy::Adaptive] {
+        let engine = QueryEngine::new(
+            Arc::clone(&odms),
+            EngineConfig { strategy, num_servers: 4, ..Default::default() },
+        );
+        let out = engine.run(&q).unwrap();
+        assert!(out.sorted_hint.is_some(), "{strategy}: the band must answer");
+        assert_eq!(out.selection, reference.selection, "{strategy}");
+        // Simulated charges recorded from the parent of the word-shipping
+        // merge, where every slot decoded its runs before returning them:
+        // the return transfer is still charged by the decoded runs.
+        let per_server: Vec<u64> = out.per_server.iter().map(|d| d.as_nanos()).collect();
+        assert_eq!(out.elapsed.as_nanos(), 2_962_513, "{strategy}: elapsed");
+        assert_eq!(per_server, [2_839_063, 2_839_063, 2_839_063, 2_836_660], "{strategy}");
     }
 }

@@ -8,6 +8,7 @@
 //! merges; the paper's "merge sort to remove duplicates" for OR corresponds
 //! to [`Selection::union`].
 
+use std::borrow::Cow;
 
 /// A maximal contiguous run of selected coordinates `[start, start+len)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,41 +102,10 @@ impl Selection {
 
     /// Build from the union of several slices of arbitrary (possibly
     /// unsorted, possibly duplicated) coordinates, such as every
-    /// sorted-replica slice one server reads for a band.
-    ///
-    /// Two paths, chosen by density over all the slices together; both
-    /// return the same canonical runs:
-    ///
-    /// * **dense** — the `n` coordinates span fewer than
-    ///   [`DENSE_WORDS_PER_COORD`] × 64 × `n`: scatter every slice into one
-    ///   span-sized `u64` bitset, then read runs off each word with
-    ///   [`mask_runs`], coalescing across word boundaries. Linear in the
-    ///   coordinates plus the span's word count, and the runs are decoded
-    ///   once, however many slices there are.
-    /// * **otherwise** (and whenever `n` is below [`SORT_BELOW`]):
-    ///   concatenate, sort and dedup.
+    /// sorted-replica slice one server reads for a band: the one
+    /// [`PartialSelection::scatter`] (to words, or sorted), decoded once.
     pub fn from_unsorted_slices(slices: &[&[u64]]) -> Self {
-        let n: usize = slices.iter().map(|s| s.len()).sum();
-        if n >= SORT_BELOW {
-            let (lo, hi) = slices.iter().fold((u64::MAX, 0), |acc, s| {
-                s.iter().fold(acc, |(lo, hi), &c| (lo.min(c), hi.max(c)))
-            });
-            let dense_span = (n as u64).saturating_mul(DENSE_WORDS_PER_COORD * 64);
-            if hi - lo < dense_span {
-                let mut bits = vec![0u64; ((hi - lo) / 64 + 1) as usize];
-                for slice in slices {
-                    for &c in *slice {
-                        let off = c - lo;
-                        bits[(off / 64) as usize] |= 1 << (off % 64);
-                    }
-                }
-                return Selection { runs: decode_bits(&bits, lo, n) };
-            }
-        }
-        let mut sorted = slices.concat();
-        sorted.sort_unstable();
-        sorted.dedup();
-        Self::from_sorted_coords(sorted)
+        PartialSelection::scatter(slices).into_selection()
     }
 
     /// Build from runs that are already sorted, disjoint and non-adjacent.
@@ -240,7 +210,7 @@ impl Selection {
     /// interleave at region granularity, so there one heap operation moves a
     /// region's runs; sources that interleave run by run (a sorted band's
     /// slots) cost one heap operation per run, and
-    /// [`Selection::union_interleaved`] merges those by words instead.
+    /// [`Selection::union_partials`] merges those by words instead.
     /// The result is canonical RLE, so it is bit-identical to any fold of
     /// `union`.
     pub fn union_many<'a, I: IntoIterator<Item = &'a Selection>>(sels: I) -> Selection {
@@ -280,38 +250,52 @@ impl Selection {
         Selection { runs: merged }
     }
 
-    /// Set union of selections whose runs interleave at element
-    /// granularity, such as the per-slot results of a sorted band, whose
-    /// coordinates scatter over the whole object: OR every input run into
-    /// one bitset over the inputs' `[min start, max end)`, then decode the
-    /// words once with [`mask_runs`]. The cost is linear in the input runs
-    /// plus the span's word count, independent of how often the sources
+    /// Set union of servers' partial selections whose coordinates
+    /// interleave element by element, such as the per-slot answers of a
+    /// sorted band, which scatter over the whole object: OR every part into
+    /// one bitset on the global 64-coordinate word grid over the parts'
+    /// span — a scattered part word for word, a part of runs by filling
+    /// them — then decode it once with [`mask_runs`], reserving the parts'
+    /// summed run count. The cost is linear in the parts' words and runs
+    /// plus the span's word count, independent of how often the parts
     /// alternate.
     ///
-    /// When the inputs hold fewer than one run per [`DENSE_WORDS_PER_COORD`]
-    /// × 64 coordinates of that span, the bitset would cost more than it
-    /// saves, and this is [`Selection::union_many`]. Either way the result
-    /// is the same canonical RLE.
-    pub fn union_interleaved<'a, I: IntoIterator<Item = &'a Selection>>(sels: I) -> Selection {
-        let sources: Vec<&Selection> = sels.into_iter().filter(|s| !s.is_empty()).collect();
-        let lo = sources.iter().map(|s| s.runs[0].start).min();
-        let hi = sources.iter().map(|s| s.runs[s.runs.len() - 1].end()).max();
+    /// A single part, or parts holding fewer runs than their span has
+    /// [`DENSE_WORDS_PER_COORD`] × 64-coordinate stretches (the bitset
+    /// would cost more than it saves), are decoded one by one and merged
+    /// by [`Selection::union_many`]. Either way the result is the same
+    /// canonical RLE.
+    pub fn union_partials<'a, I: IntoIterator<Item = &'a PartialSelection>>(parts: I) -> Selection {
+        let parts: Vec<&Part> =
+            parts.into_iter().map(|p| &p.0).filter(|p| p.num_runs() > 0).collect();
+        let lo = parts.iter().map(|p| p.bounds().0).min();
+        let hi = parts.iter().map(|p| p.bounds().1).max();
         let (Some(lo), Some(hi)) = (lo, hi) else {
             return Selection::empty();
         };
-        let total: usize = sources.iter().map(|s| s.runs.len()).sum();
-        if sources.len() == 1
-            || hi - lo >= (total as u64).saturating_mul(DENSE_WORDS_PER_COORD * 64)
-        {
-            return Selection::union_many(sources);
+        let total: usize = parts.iter().map(|p| p.num_runs()).sum();
+        if parts.len() == 1 || !is_dense(lo, hi, total as u64) {
+            let sels: Vec<Cow<'_, Selection>> = parts.iter().map(|p| p.decoded()).collect();
+            return Selection::union_many(sels.iter().map(|s| &**s));
         }
-        let mut bits = vec![0u64; ((hi - lo - 1) / 64 + 1) as usize];
-        for s in &sources {
-            for r in &s.runs {
-                fill_bits(&mut bits, r.start - lo, r.end() - lo);
+        let base_word = lo / 64;
+        let mut bits = vec![0u64; (hi / 64 - base_word + 1) as usize];
+        for p in parts {
+            match p {
+                Part::Words { base_word: at, words, .. } => {
+                    let at = (at - base_word) as usize;
+                    for (acc, &m) in bits[at..at + words.len()].iter_mut().zip(words) {
+                        *acc |= m;
+                    }
+                }
+                Part::Runs(s) => {
+                    for r in &s.runs {
+                        fill_bits(&mut bits, r.start - 64 * base_word, r.end() - 64 * base_word);
+                    }
+                }
             }
         }
-        Selection { runs: decode_bits(&bits, lo, total) }
+        Selection { runs: decode_bits(&bits, 64 * base_word, total) }
     }
 
     /// Set intersection — the paper's AND combination.
@@ -380,7 +364,7 @@ impl Selection {
     /// Serialized size estimate in bytes (for the simulated network:
     /// selections are shipped server → client).
     pub fn wire_size_bytes(&self) -> u64 {
-        16 * self.runs.len() as u64 + 8
+        wire_size(self.runs.len())
     }
 
     /// The selected locations as N-dimensional array coordinates under
@@ -392,6 +376,11 @@ impl Selection {
     }
 }
 
+/// Serialized size of `runs` runs: 16 bytes each plus an 8-byte count.
+fn wire_size(runs: usize) -> u64 {
+    16 * runs as u64 + 8
+}
+
 impl Run {
     /// Whether the run contains coordinate `c`.
     #[inline]
@@ -400,17 +389,161 @@ impl Run {
     }
 }
 
-/// Bitset words per coordinate up to which
-/// [`Selection::from_unsorted_slices`] scatters into a span bitset instead
-/// of sorting ([`Selection::union_interleaved`] ORs runs into one instead
-/// of merging them by heap, and [`RankDirectory`] builds one instead of
-/// searching runs): `n` coordinates spanning fewer than
+/// Bitset words per coordinate up to which [`PartialSelection::scatter`]
+/// scatters into a span bitset instead of sorting
+/// ([`Selection::union_partials`] ORs parts into one instead of merging
+/// them by heap, and [`RankDirectory`] builds one instead of searching
+/// runs): `n` coordinates spanning fewer than
 /// `DENSE_WORDS_PER_COORD × 64 × n` take the bitset path. The bitset pays
 /// per word of span, the sort per coordinate; on the sorted-replica slices
 /// of the `selective_catalog` benchmark the two cross at about 8 words per
 /// coordinate, on uniformly scattered coordinates between 2 and 4
 /// (DESIGN.md, "The sorted path").
 pub const DENSE_WORDS_PER_COORD: u64 = 4;
+
+/// The density rule of [`DENSE_WORDS_PER_COORD`]: whether `placed`
+/// coordinates (or runs) spanning `[lo, hi]` take the bitset path.
+fn is_dense(lo: u64, hi: u64, placed: u64) -> bool {
+    hi - lo < placed.saturating_mul(DENSE_WORDS_PER_COORD * 64)
+}
+
+/// One server's share of a union, in the form it travels to the client,
+/// where [`Selection::union_partials`] merges the shares: the bitset its
+/// coordinates were scattered into when they were dense, its canonical
+/// runs otherwise.
+///
+/// ```
+/// use pdc_types::selection::PartialSelection;
+/// use pdc_types::Selection;
+/// let coords: Vec<u64> = (0..100).map(|i| (i * 37) % 200).collect();
+/// let part = PartialSelection::scatter(&[&coords]);
+/// assert!(part.as_runs().is_none()); // dense: shipped as words
+/// assert_eq!(part.num_runs(), Selection::from_unsorted_coords(&coords).num_runs());
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PartialSelection(Part);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Part {
+    /// Bit `j` of `words[i]` is coordinate `64 × (base_word + i) + j`, on
+    /// the global 64-coordinate word grid; the first and last words are
+    /// non-zero, and `runs` is the number of canonical runs they decode to.
+    Words { base_word: u64, words: Vec<u64>, runs: usize },
+    Runs(Selection),
+}
+
+impl PartialSelection {
+    /// The union of several slices of arbitrary (possibly unsorted,
+    /// possibly duplicated) coordinates, such as every sorted-replica slice
+    /// one server reads for a band. Two forms, chosen by density over all
+    /// the slices together:
+    ///
+    /// * **dense** — the `n` coordinates span fewer than
+    ///   [`DENSE_WORDS_PER_COORD`] × 64 × `n`: scatter every slice into
+    ///   one `u64` bitset on the word grid over their span, and count its
+    ///   canonical runs in one popcount pass (a run starts at each set bit
+    ///   whose lower neighbour, across word ends too, is clear). Linear in
+    ///   the coordinates plus the span's word count; nothing is decoded.
+    /// * **otherwise** (and whenever `n` is below [`SORT_BELOW`]):
+    ///   concatenate, sort and dedup into runs.
+    pub fn scatter(slices: &[&[u64]]) -> Self {
+        let n: usize = slices.iter().map(|s| s.len()).sum();
+        if n >= SORT_BELOW {
+            let (lo, hi) = slices.iter().fold((u64::MAX, 0), |acc, s| {
+                s.iter().fold(acc, |(lo, hi), &c| (lo.min(c), hi.max(c)))
+            });
+            if is_dense(lo, hi, n as u64) {
+                let base_word = lo / 64;
+                let mut words = vec![0u64; (hi / 64 - base_word + 1) as usize];
+                for slice in slices {
+                    for &c in *slice {
+                        words[(c / 64 - base_word) as usize] |= 1 << (c % 64);
+                    }
+                }
+                let mut carry = 0;
+                let runs = words
+                    .iter()
+                    .map(|&m| {
+                        let starts = m & !((m << 1) | carry);
+                        carry = m >> 63;
+                        starts.count_ones() as usize
+                    })
+                    .sum();
+                return PartialSelection(Part::Words { base_word, words, runs });
+            }
+        }
+        let mut sorted = slices.concat();
+        sorted.sort_unstable();
+        sorted.dedup();
+        PartialSelection(Part::Runs(Selection::from_sorted_coords(sorted)))
+    }
+
+    /// Number of canonical runs the part decodes to.
+    pub fn num_runs(&self) -> usize {
+        self.0.num_runs()
+    }
+
+    /// [`Selection::wire_size_bytes`] of the decoded part, without
+    /// decoding it.
+    pub fn wire_size_bytes(&self) -> u64 {
+        wire_size(self.num_runs())
+    }
+
+    /// The part's runs, unless it travels as words.
+    pub fn as_runs(&self) -> Option<&Selection> {
+        match &self.0 {
+            Part::Runs(s) => Some(s),
+            Part::Words { .. } => None,
+        }
+    }
+
+    /// The part as a selection: a scattered part is decoded once, into
+    /// exactly its run count.
+    pub fn into_selection(self) -> Selection {
+        match self.0 {
+            Part::Runs(s) => s,
+            Part::Words { .. } => self.0.decoded().into_owned(),
+        }
+    }
+}
+
+impl From<Selection> for PartialSelection {
+    fn from(sel: Selection) -> Self {
+        PartialSelection(Part::Runs(sel))
+    }
+}
+
+impl Part {
+    fn num_runs(&self) -> usize {
+        match self {
+            Part::Words { runs, .. } => *runs,
+            Part::Runs(s) => s.num_runs(),
+        }
+    }
+
+    /// First and last selected coordinate of a non-empty part.
+    fn bounds(&self) -> (u64, u64) {
+        match self {
+            Part::Words { base_word, words, .. } => {
+                let last_word = base_word + (words.len() - 1) as u64;
+                (
+                    64 * base_word + u64::from(words[0].trailing_zeros()),
+                    64 * last_word + 63 - u64::from(words[words.len() - 1].leading_zeros()),
+                )
+            }
+            Part::Runs(s) => (s.runs[0].start, s.runs[s.runs.len() - 1].end() - 1),
+        }
+    }
+
+    fn decoded(&self) -> Cow<'_, Selection> {
+        match self {
+            Part::Words { base_word, words, runs } => {
+                Cow::Owned(Selection { runs: decode_bits(words, 64 * base_word, *runs) })
+            }
+            Part::Runs(s) => Cow::Borrowed(s),
+        }
+    }
+}
 
 /// The position of each selected coordinate in ascending order:
 /// [`RankDirectory::rank`] maps `c` to its index in
@@ -419,7 +552,7 @@ pub const DENSE_WORDS_PER_COORD: u64 = 4;
 /// straight into coordinate order, without a sort.
 ///
 /// Two layouts, chosen by the density rule of
-/// [`Selection::from_unsorted_coords`], where the coordinates to place are
+/// [`PartialSelection::scatter`], where the coordinates to place are
 /// the selected ones plus the `probes` the caller expects to look up (the
 /// bitset pays per word of span, the binary search per probe):
 ///
@@ -475,7 +608,7 @@ impl<'a> RankDirectory<'a> {
         };
         let (lo, hi) = (first.start, last.end() - 1);
         let placed = sel.count().saturating_add(probes);
-        if hi - lo >= placed.saturating_mul(DENSE_WORDS_PER_COORD * 64) {
+        if !is_dense(lo, hi, placed) {
             let before = prefix_counts(runs.iter().map(|r| r.len));
             return RankDirectory(Ranks::Sparse { runs, before });
         }
@@ -512,7 +645,7 @@ impl<'a> RankDirectory<'a> {
 }
 
 /// Fewer coordinates than this always take the sort path of
-/// [`Selection::from_unsorted_slices`]: below it, allocating, zeroing and
+/// [`PartialSelection::scatter`]: below it, allocating, zeroing and
 /// sweeping even a small bitset costs as much as sorting the slice.
 pub const SORT_BELOW: usize = 32;
 
@@ -534,7 +667,8 @@ fn fill_bits(bits: &mut [u64], s: u64, e: u64) {
 }
 
 /// The canonical runs of a bitset whose bit `j` of word `w` is coordinate
-/// `lo + 64w + j`, decoded word by word; `capacity` bounds the runs.
+/// `lo + 64w + j`, decoded word by word into `capacity` reserved runs (the
+/// exact count, or an upper bound on it).
 fn decode_bits(bits: &[u64], lo: u64, capacity: usize) -> Vec<Run> {
     let mut runs = Vec::with_capacity(capacity);
     for (w, &m) in bits.iter().enumerate() {

@@ -2,7 +2,9 @@
 //! algebra must agree with a naive `BTreeSet` model, and interval algebra
 //! must agree with direct predicate evaluation.
 
-use pdc_types::selection::{mask_runs, RankDirectory, DENSE_WORDS_PER_COORD, SORT_BELOW};
+use pdc_types::selection::{
+    mask_runs, PartialSelection, RankDirectory, DENSE_WORDS_PER_COORD, SORT_BELOW,
+};
 use pdc_types::{Interval, QueryOp, Run, Selection};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -267,29 +269,51 @@ fn from_unsorted_slices_decides_density_on_all_slices_together() {
     );
 }
 
-/// `union_interleaved` against both oracles: the pairwise fold and
-/// `union_many`.
-fn check_union_interleaved(sources: &[Selection], ctx: &str) {
-    let got = Selection::union_interleaved(sources);
-    assert_eq!(got, fold_union(sources), "{ctx}: against the fold");
-    assert_eq!(got, Selection::union_many(sources), "{ctx}: against union_many");
+/// Scatter `slices` and hold the part to the parent's
+/// `from_unsorted_slices` result, which is the sort + dedup oracle: its
+/// popcount run count is the decoded selection's `num_runs`, its wire size
+/// the oracle's, and it decodes to the oracle.
+fn check_scatter(slices: &[&[u64]], ctx: &str) -> PartialSelection {
+    let part = PartialSelection::scatter(slices);
+    let oracle = sort_dedup(&slices.concat());
+    let decoded = part.clone().into_selection();
+    assert_eq!(part.num_runs(), decoded.num_runs(), "{ctx}: popcount run count");
+    assert_eq!(part.wire_size_bytes(), oracle.wire_size_bytes(), "{ctx}: wire size");
+    assert_eq!(decoded, oracle, "{ctx}: decoded");
+    assert_eq!(Selection::from_unsorted_slices(slices), oracle, "{ctx}: from_unsorted_slices");
+    part
+}
+
+/// `union_partials` against the pairwise fold of the decoded parts and
+/// against sort + dedup of every coordinate the parts hold.
+fn check_union_partials(parts: &[PartialSelection], ctx: &str) {
+    let decoded: Vec<Selection> =
+        parts.iter().cloned().map(PartialSelection::into_selection).collect();
+    let coords: Vec<u64> = decoded.iter().flat_map(|s| s.iter_coords()).collect();
+    let got = Selection::union_partials(parts);
+    assert_eq!(got, fold_union(&decoded), "{ctx}: against the fold");
+    assert_eq!(got, sort_dedup(&coords), "{ctx}: against sort + dedup");
+}
+
+fn run_parts(sources: &[Selection]) -> Vec<PartialSelection> {
+    sources.iter().cloned().map(PartialSelection::from).collect()
 }
 
 #[test]
-fn union_interleaved_edge_shapes() {
+fn union_partials_edge_shapes() {
     let e = Selection::empty();
-    check_union_interleaved(&[], "no sources");
-    check_union_interleaved(&[e.clone(), e.clone()], "empty sources");
+    check_union_partials(&[], "no sources");
+    check_union_partials(&run_parts(&[e.clone(), e.clone()]), "empty sources");
     let a = runs(&[(3, 2), (9, 1), (70, 130)]);
-    check_union_interleaved(&[e.clone(), a.clone(), e.clone()], "one non-empty source");
+    check_union_partials(&run_parts(&[e.clone(), a.clone(), e.clone()]), "one non-empty source");
     // Element-by-element round robin over three sources: every run is one
     // coordinate, adjacent to the next source's, and the union is a span
     // crossing several words.
     let rr: Vec<Selection> = (0..3u64)
         .map(|s| Selection::from_sorted_coords((0..400).filter(|c| c % 3 == s).map(|c| c + 61)))
         .collect();
-    check_union_interleaved(&rr, "round robin");
-    assert_eq!(Selection::union_interleaved(&rr), Selection::from_span(61, 400));
+    check_union_partials(&run_parts(&rr), "round robin");
+    assert_eq!(Selection::union_partials(&run_parts(&rr)), Selection::from_span(61, 400));
     // Runs that end on, start on and straddle word boundaries, overlap
     // across sources, and one run that swallows another source's runs.
     let sources = [
@@ -298,11 +322,77 @@ fn union_interleaved_edge_shapes() {
         e,
         runs(&[(63, 2), (127, 2), (255, 1), (256, 1), (600, 1)]),
     ];
-    check_union_interleaved(&sources, "word boundaries");
+    check_union_partials(&run_parts(&sources), "word boundaries");
     // Sparse against the span: the inputs hold fewer than one run per
     // `DENSE_WORDS_PER_COORD` words of span, so the heap merge answers.
     let far = [runs(&[(0, 1), (1 << 40, 3)]), runs(&[(5, 2), ((1 << 40) + 3, 1)])];
-    check_union_interleaved(&far, "sparse fallback");
+    check_union_partials(&run_parts(&far), "sparse fallback");
+}
+
+#[test]
+fn scattered_parts_merge_with_run_parts_at_word_edges() {
+    let words = |coords: &[u64], ctx: &str| {
+        let part = check_scatter(&[coords], ctx);
+        assert!(part.as_runs().is_none(), "{ctx}: must take the word path");
+        part
+    };
+    // One run ending at coordinate 63 (base word 0) and one starting at 64
+    // (base word 1): the merge must coalesce them across the word end.
+    let to_63: Vec<u64> = (32..64).rev().collect();
+    let from_64: Vec<u64> = (64..96).rev().collect();
+    let (a, b) = (words(&to_63, "to 63"), words(&from_64, "from 64"));
+    check_union_partials(&[a.clone(), b.clone()], "63 | 64");
+    assert_eq!(Selection::union_partials(&[b.clone(), a.clone()]), Selection::from_span(32, 64));
+    // Above 2^32, at base words 2^26 + 3 and + 5, with a run part bridging
+    // them and an empty part and an empty scatter beside them.
+    let hi = 1u64 << 32;
+    let low: Vec<u64> = (0..40).map(|i| hi + 192 + (i * 7) % 64).collect();
+    let high: Vec<u64> = (0..40).map(|i| hi + 320 + (i * 5) % 64).collect();
+    let bridge = PartialSelection::from(runs(&[(hi + 250, 80), (hi + 500, 1)]));
+    let parts = [
+        words(&low, "low"),
+        PartialSelection::from(Selection::empty()),
+        bridge.clone(),
+        check_scatter(&[&[], &[]], "all-empty scatter"),
+        words(&high, "high"),
+    ];
+    check_union_partials(&parts, "above 2^32");
+    // At the top of the coordinate range: the last word is the grid's.
+    let top: Vec<u64> = (0..40).map(|i| u64::MAX - 1 - (i * 3) % 100).collect();
+    let below_top = PartialSelection::from(runs(&[(u64::MAX - 120, 10)]));
+    check_union_partials(&[words(&top, "top"), below_top], "top of the range");
+    // One part alone, words or runs.
+    check_union_partials(std::slice::from_ref(&a), "one word part");
+    check_union_partials(std::slice::from_ref(&bridge), "one run part");
+    // Word parts far apart: too few runs for their span, so each part is
+    // decoded on its own and the heap merges them.
+    let far: Vec<u64> = from_64.iter().map(|c| c + (1 << 40)).collect();
+    check_union_partials(&[a, words(&far, "far"), b], "sparse parts with words");
+}
+
+#[test]
+fn scatter_forms_on_both_sides_of_the_density_constant() {
+    let mut rng = TestRng::new(24);
+    for n in [SORT_BELOW, 100, 4096] {
+        let w = sparse_width(n);
+        for (base, width) in [(0, w - 1), (0, w), (63, w - 1), (64, w), ((5 << 32) - 3, w - 1)] {
+            let coords = scattered(&mut rng, n, base, width);
+            let part = check_scatter(&cut(&mut rng, &coords, 3), &format!("{n} over {width}"));
+            assert_eq!(part.as_runs().is_none(), width < w, "{n} over {width}: form");
+        }
+    }
+    // Below the sort cutoff even a packed slice sorts.
+    let packed: Vec<u64> = (0..SORT_BELOW as u64 - 1).collect();
+    assert!(check_scatter(&[&packed], "below the cutoff").as_runs().is_some());
+    // Runs-only merges on both sides of the constant: `k` single-coordinate
+    // runs whose span is one short of, and exactly, `k` stretches.
+    for k in [2u64, 40] {
+        for width in [sparse_width(k as usize) - 1, sparse_width(k as usize)] {
+            let sources: Vec<Selection> =
+                (0..k).map(|i| runs(&[(i * width / (k - 1), 1)])).collect();
+            check_union_partials(&run_parts(&sources), &format!("{k} runs over {width}"));
+        }
+    }
 }
 
 #[test]
@@ -592,10 +682,12 @@ proptest! {
     }
 
     #[test]
-    fn union_interleaved_of_element_interleaved_sources_matches_fold(seed in 0u64..u64::MAX) {
+    fn union_partials_of_element_interleaved_sources_matches_fold(seed in 0u64..u64::MAX) {
         // A sorted band's shape: every coordinate of a random set dealt to
         // a random one of k sources, so source results alternate element
-        // by element; the set is dense or sparse against its span.
+        // by element; the set is dense or sparse against its span. Each
+        // source ships its scatter of a shuffled copy cut into slices
+        // (words where dense) or its runs.
         let mut rng = TestRng::new(seed);
         let k = 1 + rng.below(12);
         let span = 1 + rng.below(20_000) as u64;
@@ -607,11 +699,41 @@ proptest! {
                 per_source[rng.below(k)].push(c);
             }
         }
-        let sources: Vec<Selection> =
-            per_source.into_iter().map(Selection::from_sorted_coords).collect();
-        let got = Selection::union_interleaved(&sources);
-        prop_assert_eq!(&got, &fold_union(&sources));
-        prop_assert_eq!(got, Selection::union_many(&sources));
+        let parts: Vec<PartialSelection> = per_source
+            .into_iter()
+            .map(|mut coords| {
+                if rng.below(3) == 0 {
+                    return Selection::from_sorted_coords(coords).into();
+                }
+                for i in (1..coords.len()).rev() {
+                    coords.swap(i, rng.below(i + 1));
+                }
+                let pieces = 1 + rng.below(4);
+                check_scatter(&cut(&mut rng, &coords, pieces), "source")
+            })
+            .collect();
+        check_union_partials(&parts, &format!("seed {seed}"));
+    }
+
+    #[test]
+    fn scatter_run_count_and_wire_size_match_the_decoded_runs(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::new(seed);
+        let n = SORT_BELOW + rng.below(3000);
+        // Packed into a few words, around the constant, and far sparser;
+        // near 0, above 2^32 and at the top of the coordinate range.
+        let width = match rng.below(3) {
+            0 => rng.below(2 * n + 2) as u64,
+            1 => sparse_width(n) - 1 + rng.below(3) as u64 - 1,
+            _ => rng.next_u64() % (4 * sparse_width(n)),
+        };
+        let base = match rng.below(3) {
+            0 => rng.next_u64() % 1000,
+            1 => (1 << 32) + rng.next_u64() % (1 << 36),
+            _ => u64::MAX - 1 - width - rng.below(64) as u64,
+        };
+        let coords = scattered(&mut rng, n, base, width);
+        let pieces = 1 + rng.below(5);
+        check_scatter(&cut(&mut rng, &coords, pieces), &format!("{n} over {width}"));
     }
 
     #[test]
