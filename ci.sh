@@ -86,22 +86,27 @@ cargo test -q $OFFLINE --release -p pdc-server
 
 echo "== kernel + selection gate =="
 # pdc-types' and pdc-sorted's own tests (scan kernels, mask packing, the
-# 64-lane candidate-window kernel, the start/end-bit mask decoder,
-# selection algebra, the k-way union, the band merge that ORs slot words
-# and fills slot runs into one bitset, the one- and many-slice scatter on
-# both its word and sort paths with its popcount run count, the rank
-# directory on both its bitset and binary-search paths, and the
-# sorted-replica lookups that feed them)
-# once more optimised, and with them eleven pdc-query suites: get_data
-# equivalence, whose sorted path scatters values by those ranks; the
-# kernel and spill equivalence suites, which hold every strategy's point
-# checks — through every region's block view, the window kernel and the
-# decoder — to the scalar reference and to unbounded runs; the
-# point-check charges suite, which pins what those checks scan;
-# strategy agreement and service equivalence, which hold sorted bands —
-# one scatter per server, shipped as words or runs and ORed once on the
-# client, at the charges of servers that decoded — to full scans and to
-# solo runs; the cache properties, which hold every
+# 64-lane candidate-window kernel, the gather check a sorted band's
+# coordinates are point-checked with and the counting pass that buckets
+# them by region, the start/end-bit mask decoder, selection algebra, the
+# k-way union, the band merge that ORs slot words and fills slot runs into
+# one bitset, the one- and many-slice scatter on both its word and sort
+# paths with its popcount run count, the rank directory on both its bitset
+# and binary-search paths, and the sorted-replica lookups that feed them)
+# once more optimised, and with them twelve pdc-query suites: get_data
+# equivalence, whose sorted path scatters values by those ranks; band
+# conjunctions, where a band that a conjunction point-checks travels as
+# `(coordinate, band position)` pairs bucketed by region rather than as
+# decoded runs, and `get_data` reads only the survivors' band positions —
+# held to full scans and to pinned outcomes and gathers, spilled, corrupt,
+# after a kill and after a join; the kernel and spill equivalence suites,
+# which hold every strategy's point checks — through every region's block
+# view, the window kernel and the decoder — to the scalar reference and to
+# unbounded runs; the point-check charges suite, which pins what those
+# checks scan; strategy agreement and service equivalence, which hold
+# sorted bands — one scatter per server, shipped as words or runs and ORed
+# once on the client, at the charges of servers that decoded — to full
+# scans and to solo runs; the cache properties, which hold every
 # served outcome to a cold run on a twin world while appends,
 # maintenance, corruption, migration and joint registration interleave
 # with `serve` (the caches keep artifacts across all of them, so only
@@ -115,11 +120,13 @@ echo "== kernel + selection gate =="
 # Rust, so this guards only against a miscompile of the vectorised loops
 # and the shift, popcount and bit-pairing arithmetic in the release
 # binaries, the band merge's word OR and range-fill shifts (head and tail
-# masks of each run) and the scatter's carry-and-popcount run count among
-# them; debug assertions are off here, so it complements
-# the debug run of the same tests rather than replacing it.
+# masks of each run), the scatter's carry-and-popcount run count and the
+# gather check's branch-free compaction among them; debug assertions are
+# off here, so it complements the debug run of the same tests rather than
+# replacing it.
 cargo test -q $OFFLINE --release -p pdc-types -p pdc-sorted
 cargo test -q $OFFLINE --release -p pdc-query --test get_data_equivalence \
+    --test band_conjunctions \
     --test kernel_equivalence --test spill_equivalence --test point_check_charges \
     --test strategy_agreement --test service_equivalence --test cache_props \
     --test metadata_data_queries --test ingest_consistency --test pruning_props \

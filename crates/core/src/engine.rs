@@ -2,7 +2,7 @@
 //! `PDCquery_get_*` result API of Fig. 1.
 
 use crate::ast::PdcQuery;
-use crate::exec::{eval_plan, EvalCtx};
+use crate::exec::{eval_plan, EvalCtx, SlotAnswer};
 use crate::plan::{ObjConstraint, PlanNode, QueryPlan};
 use crate::recover::run_slots;
 use crate::snapshot::MetaSnapshot;
@@ -252,7 +252,7 @@ impl BandVerdicts {
         let Some(primary) = cs.first().filter(|c| self.answers(c)) else { return Ok(None) };
         let (version, replica) = snap.sorted_replica(primary.object)?;
         let span = replica.matching_span(&primary.interval);
-        Ok(Some(SortedHint { object: primary.object, span, version, replica }))
+        Ok(Some(SortedHint { object: primary.object, span, version, replica, positions: None }))
     }
 }
 
@@ -390,6 +390,9 @@ pub struct SortedHint {
     pub(crate) version: u64,
     /// The replica the query planned against.
     pub(crate) replica: Arc<SortedReplica>,
+    /// The selected elements' positions in `span`, ascending, when the
+    /// query narrowed the band; `None` when it selects the whole span.
+    pub(crate) positions: Option<Arc<[usize]>>,
 }
 
 impl std::fmt::Debug for SortedHint {
@@ -858,7 +861,7 @@ impl QueryEngine {
     ) -> PdcResult<(QueryOutcome, SimDuration, Option<crate::ops::ExplainPlan>)> {
         let (mut integrity, preflight_time) = self.preflight()?;
         let Planned { plan, snap, band } = self.plan_cached(query)?;
-        let sorted_hint = band.sorted_hint(&plan, &snap)?;
+        let mut sorted_hint = band.sorted_hint(&plan, &snap)?;
         let n = self.cfg.num_servers;
         let cost = self.cfg.cost;
         // Snapshot the placement once per query: membership changes land
@@ -892,13 +895,13 @@ impl QueryEngine {
             &placement,
             &weights,
             |r: &(
-                PartialSelection,
+                SlotAnswer,
                 IoCounters,
                 WorkCounters,
                 IntegrityCounters,
                 SimDuration,
                 Vec<crate::ops::RegionExplain>,
-            )| { r.0.wire_size_bytes() },
+            )| { r.0 .0.wire_size_bytes() },
             |slot, st| {
                 let ctx = EvalCtx {
                     odms: &odms,
@@ -921,9 +924,9 @@ impl QueryEngine {
                 // Disarm before propagating errors so a failed/retried
                 // slot attempt can't leak partial rows into a later one.
                 let rows = st.explain.take().unwrap_or_default();
-                let sel = res?;
+                let answer = res?;
                 Ok((
-                    sel,
+                    answer,
                     st.io.since(&io0),
                     st.work.since(&w0),
                     st.integrity.since(&i0),
@@ -949,12 +952,23 @@ impl QueryEngine {
         // band answered the root primary they are ORed into one bitset,
         // the slots' words as they arrived, and decoded once. Both return
         // the same canonical RLE. Only a band-answered root ships words.
-        let parts = out.per_slot.iter().map(|t| &t.0);
+        let parts = out.per_slot.iter().map(|t| &t.0 .0);
         let selection = if sorted_hint.is_some() {
             Selection::union_partials(parts)
         } else {
             Selection::union_many(parts.filter_map(PartialSelection::as_runs))
         };
+        // The slots of a narrowed root band name their survivors' band
+        // positions; sorted, they let `get_data` visit only those.
+        if let Some(hint) = sorted_hint.as_mut() {
+            let positions: Option<Vec<&[usize]>> =
+                out.per_slot.iter().map(|t| t.0 .1.as_deref()).collect();
+            hint.positions = positions.map(|ps| {
+                let mut ps = ps.concat();
+                ps.sort_unstable();
+                ps.into()
+            });
+        }
         // Client-side aggregation cost (background thread merging runs).
         let merge_cpu =
             SimDuration::from_secs_f64(selection.num_runs() as f64 * 20.0 / 1e9);
@@ -1182,9 +1196,10 @@ impl QueryEngine {
         let odms = Arc::clone(&self.odms);
         let elem = ty.size_bytes();
 
-        let sorted = sorted_hint
-            .filter(|h| h.object == object)
-            .map(|h| (h, RankDirectory::new(selection, h.span.len)));
+        let sorted = sorted_hint.filter(|h| h.object == object).map(|h| {
+            let probes = h.positions.as_ref().map_or(h.span.len, |p| p.len() as u64);
+            (h, RankDirectory::new(selection, probes))
+        });
         let snap = Arc::new(MetaSnapshot::capture(&self.odms, &[object])?);
         let placement = self.placement_snapshot();
         let n_slots = placement.num_slots();
@@ -1202,10 +1217,11 @@ impl QueryEngine {
                 let gathered = match &sorted {
                     Some((hint, ranks)) => {
                         // Serve straight from the sorted replica: this slot
-                        // walks its share of the matching sorted band;
+                        // visits the selected positions of its band share;
                         // values are already resident from the evaluation.
-                        let replica = &hint.replica;
-                        let span = hint.span;
+                        let (replica, span) = (&hint.replica, hint.span);
+                        let (perm, keys) = (replica.perm(), replica.keys());
+                        let at = |p: usize| Some((ranks.rank(perm[p])?, keys[p]));
                         let mut ranked: Vec<(u64, f64)> = Vec::new();
                         for (i, sr) in replica.regions_of_span(&span).iter().enumerate() {
                             if i as u32 % n_slots != slot {
@@ -1216,9 +1232,15 @@ impl QueryEngine {
                             st.touch_sorted_region(&cost, (object, hint.version, *sr), bytes, n)?;
                             let lo = span.start.max(region.start) as usize;
                             let hi = span.end().min(region.end()) as usize;
-                            let band = replica.perm()[lo..hi].iter().zip(&replica.keys()[lo..hi]);
                             let before = ranked.len();
-                            ranked.extend(band.filter_map(|(&c, &k)| Some((ranks.rank(c)?, k))));
+                            match &hint.positions {
+                                None => ranked.extend((lo..hi).filter_map(at)),
+                                Some(ps) => {
+                                    let from = ps.partition_point(|&p| p < lo);
+                                    let ps = ps[from..].iter().take_while(|&&p| p < hi);
+                                    ranked.extend(ps.filter_map(|&p| at(p)));
+                                }
+                            }
                             st.work.elements_gathered += (ranked.len() - before) as u64;
                         }
                         Gathered::Ranked(ranked)

@@ -25,8 +25,10 @@
 //!
 //! Conjunctions evaluate the most-selective constraint first and
 //! point-check the remaining constraints only at already-matching
-//! locations; disjunctions union their children with duplicate removal
-//! (paper §III-C).
+//! locations (a sorted band's as `(coordinate, band position)` pairs,
+//! bucketed by region per check; the root conjunction also returns the
+//! survivors' band positions for `get_data`); disjunctions union their
+//! children with duplicate removal (paper §III-C).
 
 use crate::engine::{BandVerdicts, Policy};
 use crate::ops::{self, ExplainPhase, RegionTask};
@@ -34,9 +36,11 @@ use crate::plan::{ObjConstraint, PlanNode, QueryPlan};
 use crate::snapshot::MetaSnapshot;
 use crate::state::ServerState;
 use pdc_odms::Odms;
+use pdc_sorted::SortedReplica;
 use pdc_storage::CostModel;
 use pdc_types::selection::{append_runs, PartialSelection};
-use pdc_types::{Interval, NdRegion, ObjectId, PdcResult, Run, Selection};
+use pdc_types::{kernels, Interval, NdRegion, ObjectId, PdcResult, Run, Selection};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Everything a server needs to evaluate a plan.
@@ -68,16 +72,20 @@ pub struct EvalCtx<'a> {
     pub server: u32,
 }
 
+/// A slot's answer: its partial selection and, for a narrowed root band,
+/// the selected band positions (unsorted).
+pub type SlotAnswer = (PartialSelection, Option<Vec<usize>>);
+
 /// Evaluate the full plan on this server; returns the server's partial
-/// selection in global coordinates. When the band answers the root
-/// conjunction's only constraint and there is no spatial region, the
-/// band's scatter is the whole answer and travels as it is, words
-/// included; every other plan returns runs.
+/// selection in global coordinates, and its band positions when the band
+/// answers a narrowed root conjunction. When it answers the root's only
+/// constraint and there is no spatial region, the band's scatter is the
+/// whole answer and travels as it is, words included; else runs travel.
 pub fn eval_plan(
     ctx: &EvalCtx,
     state: &mut ServerState,
     plan: &QueryPlan,
-) -> PdcResult<PartialSelection> {
+) -> PdcResult<SlotAnswer> {
     // Metadata distribution: each server fetches the metadata (offsets,
     // sizes, histograms) of its assigned regions for every object in the
     // query; cached for the server's lifetime afterwards.
@@ -95,9 +103,16 @@ pub fn eval_plan(
         (PlanNode::Conj(cs), None)
             if cs.len() == 1 && !cs[0].interval.is_empty() && ctx.band.answers(&cs[0]) =>
         {
-            eval_primary_sorted(ctx, state, &cs[0])
+            let (replica, share) = band_share(ctx, state, &cs[0])?;
+            let slices: Vec<&[u64]> = share.into_iter().map(|r| &replica.perm()[r]).collect();
+            Ok((PartialSelection::scatter(&slices), None))
         }
-        _ => eval_node(ctx, state, &plan.root, plan.region.as_ref(), None).map(Into::into),
+        (PlanNode::Conj(cs), region) if ctx.band.answers(&cs[0]) => {
+            let mut positions = Vec::new();
+            let sel = eval_conj(ctx, state, cs, region.as_ref(), None, Some(&mut positions))?;
+            Ok((sel.into(), Some(positions)))
+        }
+        _ => Ok((eval_node(ctx, state, &plan.root, plan.region.as_ref(), None)?.into(), None)),
     }
 }
 
@@ -109,7 +124,7 @@ fn eval_node(
     candidates: Option<&Selection>,
 ) -> PdcResult<Selection> {
     match node {
-        PlanNode::Conj(constraints) => eval_conj(ctx, state, constraints, region, candidates),
+        PlanNode::Conj(cs) => eval_conj(ctx, state, cs, region, candidates, None),
         PlanNode::Or(children) => {
             // Union with duplicate removal ("merge sort" in the paper):
             // one k-way run merge over all children instead of a
@@ -138,12 +153,16 @@ fn eval_node(
     }
 }
 
+/// Evaluate one conjunction. A band-answered primary stays `(coordinate,
+/// band position)` pairs through the point checks and the spatial
+/// filter; `positions`, when given, receives the survivors' positions.
 fn eval_conj(
     ctx: &EvalCtx,
     state: &mut ServerState,
     constraints: &[ObjConstraint],
     region: Option<&NdRegion>,
     candidates: Option<&Selection>,
+    positions: Option<&mut Vec<usize>>,
 ) -> PdcResult<Selection> {
     if constraints.iter().any(|c| c.interval.is_empty()) {
         return Ok(Selection::empty());
@@ -167,6 +186,29 @@ fn eval_conj(
                 sel = point_check(ctx, state, c.object, &c.interval, &sel, joint_for(c.object))?;
             }
             sel
+        }
+        None if ctx.band.answers(&constraints[0]) => {
+            let (replica, share) = band_share(ctx, state, &constraints[0])?;
+            let perm = replica.perm();
+            let mut band: Vec<(u64, usize)> =
+                share.into_iter().flat_map(|r| r.map(|p| (perm[p], p))).collect();
+            for c in &constraints[1..] {
+                if band.is_empty() {
+                    break;
+                }
+                let joint = joint_for(c.object);
+                band = point_check_band(ctx, state, c.object, &c.interval, &band, joint)?;
+            }
+            if let Some(r) = region {
+                let (shape, span) = (&ctx.snap.meta(constraints[0].object)?.shape, r.as_1d_span());
+                let keep = |c| span.map_or_else(|| r.contains_linear(shape, c), |s| s.contains(c));
+                band.retain(|&(c, _)| keep(c));
+            }
+            let (coords, survivors): (Vec<u64>, Vec<usize>) = band.into_iter().unzip();
+            if let Some(p) = positions {
+                *p = survivors;
+            }
+            return Ok(Selection::from_unsorted_coords(&coords));
         }
         None => {
             let primary = &constraints[0];
@@ -198,10 +240,6 @@ fn eval_primary(
     region: Option<&NdRegion>,
     joint: Option<Arc<ops::JointContext>>,
 ) -> PdcResult<Selection> {
-    if ctx.band.answers(c) {
-        // Point checks and the region filter need runs.
-        return eval_primary_sorted(ctx, state, c).map(PartialSelection::into_selection);
-    }
     let meta = ctx.snap.meta(c.object)?;
     // 1-D spatial constraints narrow the candidate region set up front.
     let span_limit = region.and_then(|r| r.as_1d_span());
@@ -241,25 +279,24 @@ fn eval_primary(
                 continue;
             }
         }
-        if let Some(sel) =
-            ops::execute_region(ctx, state, &planner, &task, ExplainPhase::Primary, None)?
-        {
+        let phase = ExplainPhase::Primary;
+        if let Some(sel) = ops::execute_region(ctx, state, &planner, &task, phase)? {
             append_runs(&mut out, sel.runs());
         }
     }
     Ok(Selection::from_canonical_runs(out))
 }
 
-/// Answer the primary constraint from the value-sorted replica
-/// (SortedHistogram strategy, and Adaptive when the band wins — the
+/// The slot's share of the sorted band answering the primary constraint
+/// `c` (SortedHistogram strategy, and Adaptive when the band wins — the
 /// client's once-per-query verdict in `ctx.band`). Each of the slot's band
-/// regions is charged by its [`ops::SortedRangeOp`], which hands back its
-/// permutation slice; the slot's answer is all of them in one scatter.
-fn eval_primary_sorted(
+/// regions is charged by its [`ops::SortedRangeOp`], which hands back the
+/// band positions it matched; returns the replica and those ranges.
+fn band_share(
     ctx: &EvalCtx,
     state: &mut ServerState,
     c: &ObjConstraint,
-) -> PdcResult<PartialSelection> {
+) -> PdcResult<(Arc<SortedReplica>, Vec<Range<usize>>)> {
     let meta = ctx.snap.meta(c.object)?;
     let (version, replica) = ctx.snap.sorted_replica(c.object)?;
     let elem_bytes = meta.pdc_type.size_bytes();
@@ -273,8 +310,8 @@ fn eval_primary_sorted(
 
     // Sorted regions are value-partitioned; distribute the touched band
     // round-robin across servers.
-    let op = ops::SortedRangeOp { replica: Arc::clone(&replica), version, sspan, elem_bytes };
-    let mut slices: Vec<&[u64]> = Vec::new();
+    let op = ops::SortedRangeOp { replica, version, sspan, elem_bytes };
+    let mut share = Vec::new();
     for (i, &sr) in touched.iter().enumerate() {
         if i as u32 % ctx.n_slots != ctx.server {
             continue;
@@ -286,7 +323,7 @@ fn eval_primary_sorted(
             span: pdc_types::RegionSpec::new(rspan.start, rspan.len),
             interval: c.interval,
         };
-        let slice = op.run(ctx, state, &task)?;
+        let matched = op.run(ctx, state, &task)?;
         if state.explain.is_some() {
             let overlap =
                 sspan.end().min(rspan.end()).saturating_sub(sspan.start.max(rspan.start));
@@ -301,25 +338,25 @@ fn eval_primary_sorted(
                     span_len: rspan.len,
                     est: Some(pdc_histogram::HitBounds { lower: overlap, upper: overlap }),
                     // The permutation holds each coordinate once, so the
-                    // slice length is the region's hit count.
-                    actual_hits: Some(slice.len() as u64),
+                    // matched positions are the region's hits.
+                    actual_hits: Some(matched.len() as u64),
                     // Sorted replicas are in-memory structures, never
                     // spilled.
                     cold: false,
                 },
             );
         }
-        slices.push(slice);
+        share.push(matched);
     }
-    Ok(PartialSelection::scatter(&slices))
+    Ok((op.replica, share))
 }
 
 /// Check `interval` on `object` only at already-selected locations:
 /// the paper's AND optimization. Regions are the unit of I/O — a touched
 /// region is read wholly (and cached); untouched regions cost nothing,
 /// which is why evaluating the most selective constraint first wins.
-/// Routed through the same operator pipeline as the primary pass (prune,
-/// then a candidate-restricted [`ops::ScanExactOp`]).
+/// Each region holding candidates runs `ops::check_region`'s pipeline
+/// (prune, then a scan of only the candidate lanes).
 pub fn point_check(
     ctx: &EvalCtx,
     state: &mut ServerState,
@@ -335,7 +372,7 @@ pub fn point_check(
     // borrowed slice of the ascending candidate runs: `rest` starts at the
     // first run not yet wholly checked, and one `partition_point` finds
     // where the region's runs end. A run crossing a region's end belongs to
-    // both regions' slices; the scan operator clips each to its span.
+    // both regions' slices; the scan clips each to its span.
     let mut rest = candidates.runs();
     for r in 0..meta.num_regions() {
         let Some(first) = rest.first() else { break };
@@ -347,15 +384,65 @@ pub fn point_check(
         let n = rest.partition_point(|run| run.start < span.end());
         let in_region = &rest[..n];
         let task = RegionTask { object, region: r, span, interval: *interval };
-        if let Some(sel) =
-            ops::execute_region(ctx, state, &planner, &task, ExplainPhase::Filter, Some(in_region))?
-        {
+        let in_span = |run: &Run| run.end().min(span.end()) - run.start.max(span.offset);
+        let lanes = in_region.iter().map(in_span).sum();
+        let mut sel = None;
+        ops::check_region(ctx, state, &planner, &task, lanes, |view, extent| {
+            let s = ops::scan_candidates(view, interval, span.offset, extent, in_region)?;
+            Ok(sel.insert(s).count())
+        })?;
+        if let Some(sel) = sel {
             append_runs(&mut out, sel.runs());
         }
         let carried = in_region[n - 1].end() > span.end();
         rest = &rest[n - usize::from(carried)..];
     }
     Ok(Selection::from_canonical_runs(out))
+}
+
+/// [`point_check`] of a sorted band's `(coordinate, band position)` pairs,
+/// in value order: one counting pass buckets them by the object's regions
+/// (a coordinate past the planned extent matches nothing), and each region
+/// holding candidates, in ascending order, runs the same pipeline, checking
+/// its bucket block by block with a gather kernel. Returns the survivors.
+fn point_check_band(
+    ctx: &EvalCtx,
+    state: &mut ServerState,
+    object: ObjectId,
+    interval: &Interval,
+    candidates: &[(u64, usize)],
+    joint: Option<Arc<ops::JointContext>>,
+) -> PdcResult<Vec<(u64, usize)>> {
+    let meta = ctx.snap.meta(object)?;
+    let planner = ops::RegionPlanner::for_filter(ctx, object, joint)?;
+    let n_regions = meta.num_regions();
+    let (extent, region_elems) = (meta.num_elements(), meta.region_elems);
+    let (bucketed, starts) = kernels::bucket_by(candidates, n_regions as usize, |&(c, _)| {
+        if c < extent { (c / region_elems) as usize } else { usize::MAX }
+    });
+    let mut out = Vec::new();
+    for r in 0..n_regions {
+        let in_region = &bucketed[starts[r as usize]..starts[r as usize + 1]];
+        if in_region.is_empty() {
+            continue;
+        }
+        let span = meta.region_span(r);
+        let task = RegionTask { object, region: r, span, interval: *interval };
+        let before = out.len();
+        ops::check_region(ctx, state, &planner, &task, in_region.len() as u64, |view, extent| {
+            out.truncate(before); // a repaired region is checked afresh
+            for b in view.blocks_overlapping(0, extent) {
+                let (bs, be) = view.block_span(b);
+                let origin = span.offset + bs;
+                if in_region.iter().any(|&(c, _)| c >= origin && c < span.offset + be) {
+                    let (block, len) = (view.read_block(b)?, (be.min(extent) - bs) as usize);
+                    kernels::check_coords(&block, interval, len, origin, in_region, &mut out);
+                }
+            }
+            Ok((out.len() - before) as u64)
+        })?;
+    }
+    Ok(out)
 }
 
 /// Exact spatial filtering for `PDCquery_set_region`.

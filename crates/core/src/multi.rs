@@ -130,14 +130,9 @@ impl QueryEngine {
                             span: meta.region_span(r),
                             interval: *interval,
                         };
-                        if let Some(sel) = ops::execute_region(
-                            &ctx,
-                            st,
-                            &planner,
-                            &task,
-                            ExplainPhase::Filter,
-                            None,
-                        )? {
+                        if let Some(sel) =
+                            ops::execute_region(&ctx, st, &planner, &task, ExplainPhase::Filter)?
+                        {
                             obj_hits += sel.count();
                         }
                     }

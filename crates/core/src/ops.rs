@@ -4,19 +4,19 @@
 //!
 //! * [`PruneOp`] — histogram min/max region elimination (the paper's
 //!   pruning use of the per-region histogram);
-//! * [`ScanExactOp`] — the fused-kernel exact scan, whole-region or
-//!   restricted to candidate runs (the point-check mode);
+//! * [`ScanExactOp`] — the fused-kernel exact scan of a whole region;
 //! * [`IndexProbeOp`] — WAH bitmap probe with a conditional candidate
 //!   check against the raw data;
-//! * [`SortedRangeOp`] — the contiguous slice of one sorted-replica
-//!   region overlapping a binary-searched span;
+//! * [`SortedRangeOp`] — the contiguous band positions of one
+//!   sorted-replica region inside a binary-searched span;
 //! * [`VerifyRebuildOp`] — the integrity fallback: answer a region whose
 //!   index failed validation by the exact scan, then rebuild and rewrite
 //!   the index (charged to the `integrity` lane).
 //!
 //! [`execute_region`] drives the pipeline — prune, then the access
 //! operator chosen by a [`RegionPlanner`] — so retry/reassignment
-//! (`recover.rs`) and corruption fallback are written once.
+//! (`recover.rs`) and corruption fallback are written once; every point
+//! check, of runs or of a band's coordinates, runs `check_region`.
 //!
 //! **Cost fidelity.** The primary lane's histogram bin walks are
 //! work-counted but never clock-settled (every recorded baseline embeds
@@ -308,12 +308,6 @@ impl PruneOp {
 }
 
 /// Exact scan of one region's data through the fused kernel layer.
-/// `candidates: None` scans the whole region; `Some(runs)` is the
-/// point-check mode — the region is still read wholly (regions are the
-/// unit of I/O) but only the candidate lanes are scanned, and each run is
-/// charged its length inside the region. The runs are the region's
-/// borrowed slice of the candidate selection, so the first may start
-/// before the region and the last end after it; the operator clips them.
 ///
 /// The region is scanned block by block through its [`BlockView`]: a
 /// resident payload is one block, a spilled region decodes one block at a
@@ -322,11 +316,7 @@ impl PruneOp {
 /// coalesce runs across block boundaries, so the result is canonical
 /// without re-sorting, and the charges and the selection do not depend on
 /// where the region lives.
-pub struct ScanExactOp<'a> {
-    /// Candidate runs to restrict the scan to (global coordinates), or
-    /// `None` for a whole-region scan.
-    pub candidates: Option<&'a [Run]>,
-}
+pub struct ScanExactOp;
 
 /// Whole-extent scan of a region: one kernel pass per block, emitting the
 /// selection at coordinates `global_offset + index`. `scan_elems` clips to
@@ -352,11 +342,6 @@ pub(crate) fn scan_whole(
         );
     }
     Ok(Selection::from_canonical_runs(out))
-}
-
-/// The length of candidate run `r` inside `span`.
-fn len_in_span(r: &Run, span: &RegionSpec) -> u64 {
-    r.end().min(span.end()) - r.start.max(span.offset)
 }
 
 /// Visit, in ascending order and each once, the blocks of `view` holding
@@ -397,7 +382,7 @@ fn for_each_run_block(
 /// `extent` is read once and checked in one [`kernels::filter_runs`] pass
 /// over the candidates it holds (see [`for_each_run_block`] for `offset`
 /// and `runs`).
-fn scan_candidates(
+pub(crate) fn scan_candidates(
     view: &BlockView,
     interval: &Interval,
     offset: u64,
@@ -432,7 +417,7 @@ pub(crate) fn gather_runs(
     })
 }
 
-impl ScanExactOp<'_> {
+impl ScanExactOp {
     /// The region's matching locations, in global coordinates.
     pub fn run(
         &self,
@@ -449,17 +434,8 @@ impl ScanExactOp<'_> {
             // in-flight append can grow the stored payload past the span
             // this query planned against.
             let extent = view.len().min(span.len);
-            match self.candidates {
-                None => {
-                    st.work.elements_scanned += extent;
-                    scan_whole(view, interval, span.offset, extent)
-                }
-                Some(runs) => {
-                    st.work.elements_scanned +=
-                        runs.iter().map(|r| len_in_span(r, span)).sum::<u64>();
-                    scan_candidates(view, interval, span.offset, extent, runs)
-                }
-            }
+            st.work.elements_scanned += extent;
+            scan_whole(view, interval, span.offset, extent)
         })?;
         st.settle_cpu(ctx.cost, &before);
         Ok(sel)
@@ -550,7 +526,7 @@ impl VerifyRebuildOp {
         st: &mut ServerState,
         task: &RegionTask,
     ) -> PdcResult<Selection> {
-        let out = ScanExactOp { candidates: None }.run(ctx, st, task)?;
+        let out = ScanExactOp.run(ctx, st, task)?;
         let rebuilt = ctx.odms.rebuild_index_region(task.object, task.region)?;
         // Drop any resident decode of the replaced index so later probes
         // pick up the rebuilt one instead of falling back forever.
@@ -572,12 +548,12 @@ impl VerifyRebuildOp {
     }
 }
 
-/// The contiguous matching slice of one value-partitioned sorted-replica
-/// region. The task's `region`/`span` are in *sorted* coordinates; the
-/// operator charges the region's read and scan and returns the slice of
-/// the permutation — the matching elements' global coordinates, in value
-/// order. The caller (`exec::eval_primary_sorted`) builds one selection
-/// from all of a slot's slices. Runs only for primaries the client's
+/// The contiguous matching band positions of one value-partitioned
+/// sorted-replica region. The task's `region`/`span` are in *sorted*
+/// coordinates; the operator charges the region's read and scan and
+/// returns the positions, whose permutation entries are the matching
+/// elements' global coordinates, in value order (`exec::band_share`
+/// collects a slot's ranges). Runs only for primaries the client's
 /// once-per-query verdict gave to the band.
 pub struct SortedRangeOp {
     /// The replica being sliced.
@@ -592,14 +568,13 @@ pub struct SortedRangeOp {
 }
 
 impl SortedRangeOp {
-    /// Charge the region, and return the matching slice's global
-    /// coordinates (unsorted, each at most once).
+    /// Charge the region, and return its matching band positions.
     pub fn run(
         &self,
         ctx: &EvalCtx,
         st: &mut ServerState,
         task: &RegionTask,
-    ) -> PdcResult<&[u64]> {
+    ) -> PdcResult<std::ops::Range<usize>> {
         let before = st.work;
         let region_start = task.span.offset;
         let region_end = task.span.end();
@@ -611,17 +586,12 @@ impl SortedRangeOp {
             bytes,
             ctx.n_servers,
         )?;
-        // The matching slice inside this region is contiguous.
+        // The matching positions inside this region are contiguous.
         let lo = self.sspan.start.max(region_start);
-        let hi = self.sspan.end().min(region_end);
-        let slice: &[u64] = if lo < hi {
-            st.work.elements_scanned += hi - lo;
-            &self.replica.perm()[lo as usize..hi as usize]
-        } else {
-            &[]
-        };
+        let hi = self.sspan.end().min(region_end).max(lo);
+        st.work.elements_scanned += hi - lo;
         st.settle_cpu(ctx.cost, &before);
-        Ok(slice)
+        Ok(lo as usize..hi as usize)
     }
 }
 
@@ -1019,23 +989,17 @@ pub(crate) fn record_explain(st: &mut ServerState, entry: RegionExplain) {
 }
 
 /// Run one region through its operator pipeline: prune (when the lane
-/// carries histograms), then the access operator the planner chose — or
-/// the candidate-restricted scan when `candidates` is given (the
-/// point-check lanes always scan). Records an EXPLAIN row when capture
-/// is armed. `None` when the prune operator eliminated the region.
+/// carries histograms), then the access operator the planner chose.
+/// Records an EXPLAIN row when capture is armed. `None` when the prune
+/// operator eliminated the region.
 pub fn execute_region(
     ctx: &EvalCtx,
     st: &mut ServerState,
     planner: &RegionPlanner,
     task: &RegionTask,
     phase: ExplainPhase,
-    candidates: Option<&[Run]>,
 ) -> PdcResult<Option<Selection>> {
-    let chosen = if candidates.is_some() {
-        OpKind::ScanExact
-    } else {
-        planner.access_for(ctx, task)
-    };
+    let chosen = planner.access_for(ctx, task);
     if let Some(p) = planner.prune_op() {
         if p.run(ctx, st, task) {
             explain_region(ctx, st, planner, task, phase, chosen, None);
@@ -1043,9 +1007,9 @@ pub fn execute_region(
         }
     }
     let fallbacks_before = st.integrity.fallback_regions;
-    let sel = match (candidates, chosen) {
-        (None, OpKind::IndexProbe) => IndexProbeOp.run(ctx, st, task)?,
-        (candidates, _) => ScanExactOp { candidates }.run(ctx, st, task)?,
+    let sel = match chosen {
+        OpKind::IndexProbe => IndexProbeOp.run(ctx, st, task)?,
+        _ => ScanExactOp.run(ctx, st, task)?,
     };
     // A probe that fell back to the integrity path reports the operator
     // that actually answered the region.
@@ -1054,8 +1018,38 @@ pub fn execute_region(
     } else {
         chosen
     };
-    explain_region(ctx, st, planner, task, phase, op, Some(&sel));
+    explain_region(ctx, st, planner, task, phase, op, Some(sel.count()));
     Ok(Some(sel))
+}
+
+/// The point-check pipeline of one region holding `candidates` candidates:
+/// the prune verdict, then a read of the region, charged `candidates`
+/// elements scanned, in which `check(view, extent)` returns how many
+/// candidates below the planned `extent` match; an EXPLAIN row either way.
+/// After a corrupt copy is repaired `check` runs again, from scratch.
+pub(crate) fn check_region(
+    ctx: &EvalCtx,
+    st: &mut ServerState,
+    planner: &RegionPlanner,
+    task: &RegionTask,
+    candidates: u64,
+    mut check: impl FnMut(&BlockView, u64) -> PdcResult<u64>,
+) -> PdcResult<()> {
+    let (phase, op) = (ExplainPhase::Filter, OpKind::ScanExact);
+    if planner.prune_op().is_some_and(|p| p.run(ctx, st, task)) {
+        explain_region(ctx, st, planner, task, phase, op, None);
+        return Ok(());
+    }
+    let before = st.work;
+    let rid = RegionId::new(task.object, task.region);
+    let span_len = task.span.len;
+    let hits = st.read_region(ctx.odms, ctx.cost, rid, ctx.n_servers, span_len, true, |st, view| {
+        st.work.elements_scanned += candidates;
+        check(view, view.len().min(span_len))
+    })?;
+    st.settle_cpu(ctx.cost, &before);
+    explain_region(ctx, st, planner, task, phase, op, Some(hits));
+    Ok(())
 }
 
 /// Replay the pipeline for a region the directory excluded from the
@@ -1082,8 +1076,8 @@ pub fn execute_region_skipped(
     }
 }
 
-/// Record one region's EXPLAIN row when capture is armed. `sel` is the
-/// region's answer, `None` when it was pruned.
+/// Record one region's EXPLAIN row when capture is armed. `hits` is the
+/// region's hit count, `None` when it was pruned.
 fn explain_region(
     ctx: &EvalCtx,
     st: &mut ServerState,
@@ -1091,7 +1085,7 @@ fn explain_region(
     task: &RegionTask,
     phase: ExplainPhase,
     op: OpKind,
-    sel: Option<&Selection>,
+    hits: Option<u64>,
 ) {
     if st.explain.is_none() {
         return;
@@ -1101,10 +1095,10 @@ fn explain_region(
         region: task.region,
         phase,
         op,
-        pruned: sel.is_none(),
+        pruned: hits.is_none(),
         span_len: task.span.len,
         est: planner.estimate_for(task),
-        actual_hits: sel.map(Selection::count),
+        actual_hits: hits,
         cold: task_cold(ctx, task),
     };
     record_explain(st, row);

@@ -360,6 +360,35 @@ pub fn scan_candidates<T: ScanElem>(
     }
 }
 
+/// Keep the candidates whose element passes lowered thresholds: `(c,
+/// tag)` names element `c - origin` of `xs`, and a coordinate outside
+/// `[origin, origin + xs.len())` matches nothing. Survivors are appended
+/// to `out` in candidate order. The candidates may come in any order (a
+/// sorted band's coordinates arrive in value order): each is read where
+/// it lies, written to the output's next slot, and kept by advancing the
+/// slot on its verdict, so the loop has no data-dependent branch.
+pub fn gather_check<T: ScanElem, P: Copy>(
+    xs: &[T],
+    lo: T,
+    hi: T,
+    origin: u64,
+    cands: &[(u64, P)],
+    out: &mut Vec<(u64, P)>,
+) {
+    let Some(&first) = cands.first() else { return };
+    let mut k = out.len();
+    out.resize(k + cands.len(), first);
+    for &(c, tag) in cands {
+        let hit = usize::try_from(c.wrapping_sub(origin))
+            .ok()
+            .and_then(|i| xs.get(i))
+            .is_some_and(|x| x.accept(lo, hi));
+        out[k] = (c, tag);
+        k += usize::from(hit);
+    }
+    out.truncate(k);
+}
+
 /// Count the elements of `xs` matching `interval`.
 pub fn count_slice<T: ScanElem>(xs: &[T], interval: &Interval) -> u64 {
     let (lo, hi) = T::lower(interval);
@@ -478,6 +507,57 @@ pub fn filter_runs(
     crate::with_slice!(tv, xs => {
         let (lo, hi) = ScanElem::lower(interval);
         scan_candidates(&xs[..end], lo, hi, runs, origin, out);
+    });
+}
+
+/// Partition `items` into `n` buckets by `bucket(item)` in one counting
+/// pass, keeping each bucket's order: returns the items bucket after
+/// bucket and the `n + 1` bucket starts (bucket `b` is
+/// `items[starts[b]..starts[b + 1]]`). Items whose bucket is `n` or more
+/// are dropped.
+pub fn bucket_by<T: Copy>(
+    items: &[T],
+    n: usize,
+    bucket: impl Fn(&T) -> usize,
+) -> (Vec<T>, Vec<usize>) {
+    let mut starts = vec![0usize; n + 1];
+    for item in items {
+        let b = bucket(item);
+        if b < n {
+            starts[b + 1] += 1;
+        }
+    }
+    for b in 1..=n {
+        starts[b] += starts[b - 1];
+    }
+    let Some(&fill) = items.first() else { return (Vec::new(), starts) };
+    let mut out = vec![fill; starts[n]];
+    let mut next = starts.clone();
+    for item in items {
+        let b = bucket(item);
+        if b < n {
+            out[next[b]] = *item;
+            next[b] += 1;
+        }
+    }
+    (out, starts)
+}
+
+/// Check `interval` at the candidate coordinates of `cands` inside
+/// `tv[..end]`, whose element `i` sits at global coordinate `origin + i`,
+/// appending the survivors to `out` (the point check of a sorted band's
+/// coordinates; see [`gather_check`]).
+pub fn check_coords<P: Copy>(
+    tv: &TypedVec,
+    interval: &Interval,
+    end: usize,
+    origin: u64,
+    cands: &[(u64, P)],
+    out: &mut Vec<(u64, P)>,
+) {
+    crate::with_slice!(tv, xs => {
+        let (lo, hi) = ScanElem::lower(interval);
+        gather_check(&xs[..end], lo, hi, origin, cands, out);
     });
 }
 
@@ -988,6 +1068,53 @@ mod tests {
                     let want = candidates_by_run(xs, lo, hi, &runs, origin);
                     prop_assert_eq!(&got, &want, "type {}", ty);
                 });
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_by_keeps_order_and_drops_overflow() {
+        let items = [(9u64, 0), (3, 1), (12, 2), (4, 3), (30, 4), (0, 5), (11, 6)];
+        let (got, starts) = bucket_by(&items, 3, |&(c, _)| (c / 5) as usize);
+        assert_eq!(got, [(3, 1), (4, 3), (0, 5), (9, 0), (12, 2), (11, 6)]);
+        assert_eq!(starts, [0, 3, 4, 6]);
+        let (none, starts) = bucket_by(&[] as &[u64], 2, |_| 0);
+        assert!(none.is_empty());
+        assert_eq!(starts, [0, 0, 0]);
+        let (all_dropped, starts) = bucket_by(&[7u64, 8], 2, |_| 2);
+        assert!(all_dropped.is_empty());
+        assert_eq!(starts, [0, 0, 0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 150, ..ProptestConfig::default() })]
+        #[test]
+        fn gather_check_agrees_with_contains_per_element(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            let len = rng.below(300);
+            let origin = if rng.below(4) == 0 { 0 } else { rng.next_u64() % (1 << 40) };
+            let mut iv = gen_interval(&mut rng, 25.0);
+            if rng.below(4) == 0 {
+                // A signed-zero bound: -0.0 and 0.0 compare equal.
+                let zero = Some(Bound { value: -0.0, inclusive: rng.below(2) == 0 });
+                if rng.below(2) == 0 { iv.lo = zero } else { iv.hi = zero }
+            }
+            // Candidates in any order, some before `origin` and some past
+            // the end; the tag is the candidate's index.
+            let cands: Vec<(u64, usize)> = (0..rng.below(400))
+                .map(|k| (origin.wrapping_add(rng.below(len + 80) as u64).wrapping_sub(40), k))
+                .collect();
+            for ty in 0..6 {
+                let tv = gen_data(&mut rng, ty, len);
+                let mut got = vec![(7, usize::MAX)];
+                check_coords(&tv, &iv, len, origin, &cands, &mut got);
+                let want: Vec<(u64, usize)> = std::iter::once((7, usize::MAX))
+                    .chain(cands.iter().copied().filter(|&(c, _)| {
+                        let i = c.wrapping_sub(origin);
+                        i < len as u64 && iv.contains(tv.get_f64(i as usize))
+                    }))
+                    .collect();
+                prop_assert_eq!(&got, &want, "type {}", ty);
             }
         }
     }

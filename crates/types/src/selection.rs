@@ -102,10 +102,18 @@ impl Selection {
 
     /// Build from the union of several slices of arbitrary (possibly
     /// unsorted, possibly duplicated) coordinates, such as every
-    /// sorted-replica slice one server reads for a band: the one
-    /// [`PartialSelection::scatter`] (to words, or sorted), decoded once.
+    /// sorted-replica slice one server reads for a band: the scatter of
+    /// [`PartialSelection::scatter`] (to words, or sorted), decoded once
+    /// into at most one run per coordinate reserved, without counting the
+    /// runs first.
     pub fn from_unsorted_slices(slices: &[&[u64]]) -> Self {
-        PartialSelection::scatter(slices).into_selection()
+        match scatter_words(slices) {
+            Ok((base_word, words)) => {
+                let n = slices.iter().map(|s| s.len()).sum();
+                Selection { runs: decode_bits(&words, 64 * base_word, n) }
+            }
+            Err(sorted) => sorted,
+        }
     }
 
     /// Build from runs that are already sorted, disjoint and non-adjacent.
@@ -447,19 +455,8 @@ impl PartialSelection {
     /// * **otherwise** (and whenever `n` is below [`SORT_BELOW`]):
     ///   concatenate, sort and dedup into runs.
     pub fn scatter(slices: &[&[u64]]) -> Self {
-        let n: usize = slices.iter().map(|s| s.len()).sum();
-        if n >= SORT_BELOW {
-            let (lo, hi) = slices.iter().fold((u64::MAX, 0), |acc, s| {
-                s.iter().fold(acc, |(lo, hi), &c| (lo.min(c), hi.max(c)))
-            });
-            if is_dense(lo, hi, n as u64) {
-                let base_word = lo / 64;
-                let mut words = vec![0u64; (hi / 64 - base_word + 1) as usize];
-                for slice in slices {
-                    for &c in *slice {
-                        words[(c / 64 - base_word) as usize] |= 1 << (c % 64);
-                    }
-                }
+        match scatter_words(slices) {
+            Ok((base_word, words)) => {
                 let mut carry = 0;
                 let runs = words
                     .iter()
@@ -469,13 +466,10 @@ impl PartialSelection {
                         starts.count_ones() as usize
                     })
                     .sum();
-                return PartialSelection(Part::Words { base_word, words, runs });
+                PartialSelection(Part::Words { base_word, words, runs })
             }
+            Err(sorted) => PartialSelection(Part::Runs(sorted)),
         }
-        let mut sorted = slices.concat();
-        sorted.sort_unstable();
-        sorted.dedup();
-        PartialSelection(Part::Runs(Selection::from_sorted_coords(sorted)))
     }
 
     /// Number of canonical runs the part decodes to.
@@ -505,6 +499,32 @@ impl PartialSelection {
             Part::Words { .. } => self.0.decoded().into_owned(),
         }
     }
+}
+
+/// The scatter of [`PartialSelection::scatter`]: dense coordinates as
+/// `(base_word, words)` on the global word grid, any others sorted and
+/// deduplicated into runs.
+fn scatter_words(slices: &[&[u64]]) -> Result<(u64, Vec<u64>), Selection> {
+    let n: usize = slices.iter().map(|s| s.len()).sum();
+    if n >= SORT_BELOW {
+        let (lo, hi) = slices.iter().fold((u64::MAX, 0), |acc, s| {
+            s.iter().fold(acc, |(lo, hi), &c| (lo.min(c), hi.max(c)))
+        });
+        if is_dense(lo, hi, n as u64) {
+            let base_word = lo / 64;
+            let mut words = vec![0u64; (hi / 64 - base_word + 1) as usize];
+            for slice in slices {
+                for &c in *slice {
+                    words[(c / 64 - base_word) as usize] |= 1 << (c % 64);
+                }
+            }
+            return Ok((base_word, words));
+        }
+    }
+    let mut sorted = slices.concat();
+    sorted.sort_unstable();
+    sorted.dedup();
+    Err(Selection::from_sorted_coords(sorted))
 }
 
 impl From<Selection> for PartialSelection {
