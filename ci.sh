@@ -52,6 +52,62 @@ if [ -n "$poisoned" ]; then
 fi
 echo "lock gate: no poisonable lock unwrap outside tests"
 
+echo "== dead public item gate =="
+# Every public function, type, const, static and trait in the libraries
+# has a caller. The code read is every file of crates/*/src up to its
+# first `#[cfg(test)]`, plus src/, examples/ and benchmark/src, without
+# its comment lines. An item declared `pub` under crates/*/src is dead
+# when its name, as a whole word, is on no line of that code except a
+# declaration (`fn name`, `struct name`, ...). Fail, naming file and
+# line, on a dead item missing from the allowlist below, and on an
+# allowlisted item that is no longer dead. A name shared with a live item
+# hides a dead one, so this is a floor; fields are not covered.
+#
+# Allowlist: file, item, why it stays public without a caller.
+dead_allow='
+crates/core/src/engine.rs get_nhits paper API: PDCquery_get_nhits (§III)
+crates/core/src/engine.rs get_data_batch paper API: PDCquery_get_data_batch (§III)
+crates/core/src/ast.rs set_region paper API: PDCquery_set_region (§III)
+crates/types/src/kernels.rs scan_interval_scalar the scalar oracle of kernel_equivalence.rs (benchmark/API_SURFACE.md)
+crates/server/src/fault.rs with_spec the only way a test places one chosen fault on one server
+crates/server/src/pool.rs with_worker_threads pins the crew size, so crew tests run helpers on any host
+crates/odms/src/persist.rs restore_into the snapshot journal recovery entry point (README failure modes)
+'
+scan=$(printf '%s\n' "$dead_allow" | awk '
+    NR == FNR { if (NF) allow[$1 " " $2] = 1; next }
+    FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+    !live || /^[ \t]*\/\// { next }
+    FILENAME ~ /^crates\// &&
+      match($0, /^[ \t]*pub[ \t]+((const|unsafe|async)[ \t]+)*(fn|struct|enum|const|static|type|trait)[ \t]+[A-Za-z_][A-Za-z0-9_]*/) {
+        name = substr($0, RSTART, RLENGTH); sub(/.*[ \t]/, "", name)
+        n++; item[n] = name; key[n] = FILENAME " " name; site[n] = FILENAME ":" FNR ": " name
+    }
+    {
+        line = $0
+        gsub(/(^|[^A-Za-z0-9_])fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/, " ", line)
+        gsub(/(^|[^A-Za-z0-9_'"'"'])(struct|enum|trait|type|const|static)[ \t]+[A-Za-z_][A-Za-z0-9_]*/, " ", line)
+        k = split(line, w, /[^A-Za-z0-9_]+/)
+        for (i = 1; i <= k; i++) used[w[i]] = 1
+    }
+    END {
+        for (i = 1; i <= n; i++) {
+            if (key[i] in allow) {
+                declared[key[i]] = 1
+                print (item[i] in used) ? site[i] " has a caller: drop it from the allowlist" : "allowed " site[i]
+            } else if (!(item[i] in used)) print site[i]
+        }
+        for (k in allow) if (!(k in declared)) print k ": allowlisted but not declared there"
+        print "items " n
+    }' - $(find crates/*/src src examples benchmark/src -name '*.rs' | sort))
+dead=$(echo "$scan" | grep -v -e '^allowed ' -e '^items ' || true)
+if [ -n "$dead" ]; then
+    echo "ci: dead public item gate FAILED: delete these items (or allowlist one with a reason):" >&2
+    echo "$dead" >&2
+    exit 1
+fi
+echo "dead public item gate: $(echo "$scan" | sed -n 's/^items //p') public items, all named outside tests but these allowlisted:"
+echo "$scan" | sed -n 's/^allowed /  /p'
+
 echo "== test suite =="
 # The workspace's default members are the facade package and every crate
 # under crates/, so this one command runs each crate's unit, integration
@@ -109,9 +165,10 @@ echo "== kernel + selection gate =="
 # scans and to solo runs; the cache properties, which hold every
 # served outcome to a cold run on a twin world while appends,
 # maintenance, corruption, migration and joint registration interleave
-# with `serve` (the caches keep artifacts across all of them, so only
-# the verified reads and span-length keys stand between a mutation and
-# a stale answer); the metadata + data queries, which now dispatch
+# with `serve` (a plan lives only while its metadata snapshot is
+# current, and the servers' region caches hold verified copies of region
+# data, so those two rules stand between a mutation and a stale answer);
+# the metadata + data queries, which now dispatch
 # through the same preflight and slot failover as `run`; and the ingest
 # consistency, pruning and metadata-version suites: an object's metadata
 # is published as one version swapped under one lock while readers
@@ -280,7 +337,7 @@ echo "== out-of-core gate =="
 # Spill tier: block files must roundtrip bit-exact and fail typed on
 # damage, and a memory-budgeted store must answer every strategy
 # bit-identically to an unbounded one (incl. simulated costs) across
-# faults, corruption, batches, and streaming appends.
+# faults, corruption, `serve` series and streaming appends.
 # pdc-storage's unit tests hold the spill, quarantine and payload-checksum
 # logic. Both crates run once more in release: the word-parallel
 # checksum and the plane-gather decode are the loops optimisation levels

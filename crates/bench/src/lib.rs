@@ -141,7 +141,7 @@ pub const REGION_SWEEP: [(u64, &str); 6] = [
 pub const BEST_REGION: (u64, &str) = (128 << 10, "32MB");
 
 /// Ratio between the paper's region sizes and ours (4 MB : 16 KB).
-pub const REGION_SCALE: f64 = 256.0;
+const REGION_SCALE: f64 = 256.0;
 
 /// Human-readable bytes.
 pub fn fmt_bytes(b: u64) -> String {

@@ -8,10 +8,14 @@
 //!   (possible only when a query constant does not fall on a bin
 //!   boundary); their members must be checked against the raw data.
 //!
-//! With the paper's `precision = 2` binning, the evaluated queries align
-//! with bin boundaries and the candidate set is empty — which is exactly
-//! why the paper can answer `PDC-HI` queries "without the need to read the
-//! region's data".
+//! The paper's `precision = 2` binning puts its decimal query constants
+//! on bin boundaries, which is why the paper can answer `PDC-HI` queries
+//! "without the need to read the region's data". Here the constants are
+//! `f32`, and an upper constant that rounds below its decimal (`2.3f32` is
+//! 2.29999995, the top domain value of bin [2.2, 2.3)) leaves that bin
+//! partial: 6 of the 15 Fig. 3 windows still check candidates
+//! (`results/ablations.md` §3 reads "6/15"). ROADMAP item 12 settles
+//! such bounds in the index.
 
 use crate::binning::{bin_of, precision_edges, BinningConfig};
 use crate::wah::{WahBitVector, WahBuilder};

@@ -25,9 +25,10 @@ const MAX_FILL_GROUPS: u64 = FILL_COUNT_MASK as u64;
 ///
 /// ```
 /// use pdc_bitmap::WahBitVector;
-/// use pdc_types::Selection;
-/// let a = WahBitVector::from_selection(1_000_000, &Selection::from_span(100, 500));
-/// let b = WahBitVector::from_selection(1_000_000, &Selection::from_span(400, 500));
+/// use pdc_types::{Run, Selection};
+/// let (a, b) = (Run::new(100, 500), Run::new(400, 500));
+/// let a = WahBitVector::from_selection(1_000_000, &Selection::from_runs(vec![a]));
+/// let b = WahBitVector::from_selection(1_000_000, &Selection::from_runs(vec![b]));
 /// assert_eq!(a.and(&b).count_ones(), 200);
 /// assert!(a.num_words() < 10); // a few words for a million bits
 /// ```
@@ -124,16 +125,10 @@ impl WahBuilder {
         }
     }
 
-    /// Append a single bit.
-    pub fn append_bit(&mut self, bit: bool) {
-        self.append_bits(bit, 1);
-    }
-
     /// Append the low `nbits` (≤ 64) bits of `mask` (bit `j` of `mask` is
     /// logical bit `j`), decomposed into same-value runs so fills still
     /// coalesce. This is how the scan kernels' 64-element hit masks feed
-    /// index construction without a per-bool [`WahBuilder::append_bit`]
-    /// round trip.
+    /// index construction without a per-bit round trip.
     pub fn append_mask_bits(&mut self, mask: u64, nbits: u32) {
         debug_assert!(nbits <= 64);
         let mut pos = 0u32;
@@ -231,32 +226,6 @@ impl WahBitVector {
     pub fn ones(nbits: u64) -> Self {
         let mut b = WahBuilder::new();
         b.append_bits(true, nbits);
-        b.finish()
-    }
-
-    /// Build from a plain bool slice.
-    pub fn from_bools(bits: &[bool]) -> Self {
-        let mut b = WahBuilder::new();
-        for &bit in bits {
-            b.append_bit(bit);
-        }
-        b.finish()
-    }
-
-    /// Build from 64-bit mask blocks: bit `j` of `blocks[k]` is logical
-    /// bit `64k + j`. Mask bits at or beyond `nbits` are ignored.
-    pub fn from_mask_blocks(nbits: u64, blocks: &[u64]) -> Self {
-        debug_assert!(blocks.len() as u64 * 64 >= nbits);
-        let mut b = WahBuilder::new();
-        let mut remaining = nbits;
-        for &m in blocks {
-            if remaining == 0 {
-                break;
-            }
-            let take = remaining.min(64) as u32;
-            b.append_mask_bits(m, take);
-            remaining -= take as u64;
-        }
         b.finish()
     }
 
@@ -509,11 +478,6 @@ impl WahBitVector {
         self.binary_op(other, |a, b| a | b)
     }
 
-    /// Bitwise XOR.
-    pub fn xor(&self, other: &WahBitVector) -> WahBitVector {
-        self.binary_op(other, |a, b| a ^ b)
-    }
-
     /// Bitwise NOT (within the logical length).
     pub fn not(&self) -> WahBitVector {
         let mut out = WahBuilder::new();
@@ -597,6 +561,18 @@ impl WahBitVector {
 mod tests {
     use super::*;
 
+    fn from_bools(bits: &[bool]) -> WahBitVector {
+        let mut b = WahBuilder::new();
+        for &bit in bits {
+            b.append_bits(bit, 1);
+        }
+        b.finish()
+    }
+
+    fn span(start: u64, len: u64) -> Selection {
+        Selection::from_runs(vec![Run::new(start, len)])
+    }
+
     fn naive(bits: &[bool]) -> Vec<u64> {
         bits.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i as u64).collect()
     }
@@ -614,7 +590,7 @@ mod tests {
             (0..200).map(|i| i % 3 == 0).collect::<Vec<_>>(),
             (0..1000).map(|i| i % 97 < 5).collect::<Vec<_>>(),
         ] {
-            let v = WahBitVector::from_bools(&pattern);
+            let v = from_bools(&pattern);
             assert_eq!(v.nbits(), pattern.len() as u64);
             assert_eq!(
                 v.to_selection().iter_coords().collect::<Vec<_>>(),
@@ -629,7 +605,7 @@ mod tests {
     #[test]
     fn get_matches_bools() {
         let pattern: Vec<bool> = (0..500).map(|i| (i * 7) % 13 < 4).collect();
-        let v = WahBitVector::from_bools(&pattern);
+        let v = from_bools(&pattern);
         for (i, &b) in pattern.iter().enumerate() {
             assert_eq!(v.get(i as u64), b, "bit {i}");
         }
@@ -660,23 +636,21 @@ mod tests {
     fn and_or_xor_match_naive() {
         let a_bits: Vec<bool> = (0..937).map(|i| (i * 11) % 17 < 6).collect();
         let b_bits: Vec<bool> = (0..937).map(|i| (i * 5) % 23 < 9).collect();
-        let a = WahBitVector::from_bools(&a_bits);
-        let b = WahBitVector::from_bools(&b_bits);
+        let a = from_bools(&a_bits);
+        let b = from_bools(&b_bits);
 
         let and_expect: Vec<u64> = (0..937).filter(|&i| a_bits[i] && b_bits[i]).map(|i| i as u64).collect();
         let or_expect: Vec<u64> = (0..937).filter(|&i| a_bits[i] || b_bits[i]).map(|i| i as u64).collect();
-        let xor_expect: Vec<u64> = (0..937).filter(|&i| a_bits[i] ^ b_bits[i]).map(|i| i as u64).collect();
 
         assert_eq!(a.and(&b).to_selection().iter_coords().collect::<Vec<_>>(), and_expect);
         assert_eq!(a.or(&b).to_selection().iter_coords().collect::<Vec<_>>(), or_expect);
-        assert_eq!(a.xor(&b).to_selection().iter_coords().collect::<Vec<_>>(), xor_expect);
         assert_eq!(a.and(&b).nbits(), 937);
     }
 
     #[test]
     fn not_respects_logical_length() {
         let bits: Vec<bool> = (0..100).map(|i| i % 2 == 0).collect();
-        let v = WahBitVector::from_bools(&bits);
+        let v = from_bools(&bits);
         let n = v.not();
         assert_eq!(n.nbits(), 100);
         assert_eq!(n.count_ones(), 50);
@@ -702,6 +676,19 @@ mod tests {
         assert_eq!(v.count_ones(), 106);
     }
 
+    /// Bit `j` of `blocks[k]` is logical bit `64k + j`; mask bits at or
+    /// beyond `nbits` are ignored.
+    fn from_mask_blocks(nbits: u64, blocks: &[u64]) -> WahBitVector {
+        let mut b = WahBuilder::new();
+        let mut remaining = nbits;
+        for &m in blocks {
+            let take = remaining.min(64) as u32;
+            b.append_mask_bits(m, take);
+            remaining -= take as u64;
+        }
+        b.finish()
+    }
+
     #[test]
     fn mask_blocks_match_bools() {
         for n in [0usize, 1, 31, 63, 64, 65, 128, 200, 313] {
@@ -712,11 +699,11 @@ mod tests {
                     blocks[i / 64] |= 1 << (i % 64);
                 }
             }
-            let v = WahBitVector::from_mask_blocks(n as u64, &blocks);
-            assert_eq!(v, WahBitVector::from_bools(&pattern), "n = {n}");
+            let v = from_mask_blocks(n as u64, &blocks);
+            assert_eq!(v, from_bools(&pattern), "n = {n}");
         }
         // set bits beyond nbits are ignored
-        let v = WahBitVector::from_mask_blocks(10, &[u64::MAX]);
+        let v = from_mask_blocks(10, &[u64::MAX]);
         assert_eq!(v.count_ones(), 10);
     }
 
@@ -734,25 +721,25 @@ mod tests {
 
     #[test]
     fn or_many_unions() {
-        let a = WahBitVector::from_selection(100, &Selection::from_span(0, 10));
-        let b = WahBitVector::from_selection(100, &Selection::from_span(50, 10));
-        let c = WahBitVector::from_selection(100, &Selection::from_span(5, 10));
+        let a = WahBitVector::from_selection(100, &span(0, 10));
+        let b = WahBitVector::from_selection(100, &span(50, 10));
+        let c = WahBitVector::from_selection(100, &span(5, 10));
         let u = WahBitVector::or_many(100, [&a, &b, &c]);
         assert_eq!(u.count_ones(), 25);
     }
 
     #[test]
     fn and_many_intersects_and_matches_pairwise() {
-        let a = WahBitVector::from_selection(100, &Selection::from_span(0, 60));
-        let b = WahBitVector::from_selection(100, &Selection::from_span(40, 60));
-        let c = WahBitVector::from_selection(100, &Selection::from_span(50, 10));
+        let a = WahBitVector::from_selection(100, &span(0, 60));
+        let b = WahBitVector::from_selection(100, &span(40, 60));
+        let c = WahBitVector::from_selection(100, &span(50, 10));
         let m = WahBitVector::and_many(100, [&a, &b, &c]);
         assert_eq!(m.to_selection(), a.and(&b).and(&c).to_selection());
         assert_eq!(m.count_ones(), 10);
         // empty conjunction is the identity (all ones)
         assert_eq!(WahBitVector::and_many(100, []).count_ones(), 100);
         // disjoint inputs short-circuit to zero
-        let d = WahBitVector::from_selection(100, &Selection::from_span(90, 5));
+        let d = WahBitVector::from_selection(100, &span(90, 5));
         assert_eq!(WahBitVector::and_many(100, [&a, &d, &b]).count_ones(), 0);
     }
 
@@ -760,8 +747,8 @@ mod tests {
     fn assign_ops_recycle_buffers_and_match_pure_ops() {
         let bits_a: Vec<bool> = (0..937).map(|i| (i * 11) % 17 < 6).collect();
         let bits_b: Vec<bool> = (0..937).map(|i| (i * 5) % 23 < 9).collect();
-        let a = WahBitVector::from_bools(&bits_a);
-        let b = WahBitVector::from_bools(&bits_b);
+        let a = from_bools(&bits_a);
+        let b = from_bools(&bits_b);
         let mut scratch = Vec::new();
         let mut x = a.clone();
         x.and_assign(&b, &mut scratch);
@@ -784,7 +771,7 @@ mod tests {
     #[test]
     fn clustered_data_compresses_much_better_than_scattered() {
         let n = 310_000u64;
-        let clustered = WahBitVector::from_selection(n, &Selection::from_span(1000, 30_000));
+        let clustered = WahBitVector::from_selection(n, &span(1000, 30_000));
         let scattered = WahBitVector::from_selection(
             n,
             &Selection::from_sorted_coords((0..30_000u64).map(|i| i * 10)),

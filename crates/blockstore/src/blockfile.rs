@@ -55,19 +55,19 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 /// File magic for block files.
-pub const BLOCK_MAGIC: [u8; 4] = *b"PDCB";
+const BLOCK_MAGIC: [u8; 4] = *b"PDCB";
 /// Footer magic.
-pub const FOOTER_MAGIC: [u8; 4] = *b"PDCE";
+const FOOTER_MAGIC: [u8; 4] = *b"PDCE";
 /// Format version (2: block frames carry the word-parallel checksum).
-pub const BLOCK_FORMAT: u32 = 2;
+const BLOCK_FORMAT: u32 = 2;
 /// Header size in bytes.
-pub const HEADER_LEN: u64 = 24;
+const HEADER_LEN: u64 = 24;
 /// Per-block frame header size in bytes.
-pub const FRAME_LEN: u64 = 17;
+const FRAME_LEN: u64 = 17;
 /// Per-entry index size in bytes.
-pub const INDEX_ENTRY_LEN: u64 = 12;
+const INDEX_ENTRY_LEN: u64 = 12;
 /// Footer size in bytes.
-pub const FOOTER_LEN: u64 = 24;
+const FOOTER_LEN: u64 = 24;
 /// Default elements per block (64 Ki — a multiple of the kernels' 64-wide
 /// chunks, so per-block scans see the same chunk alignment as whole-region
 /// scans).
@@ -505,15 +505,6 @@ impl BlockReader {
     pub fn verify_frames(&self) -> PdcResult<()> {
         (0..self.meta.n_blocks).try_for_each(|b| self.with_block_payload(b, |_, _, _| Ok(())))
     }
-
-    /// Verify every block checksum and decode (integrity sweep); returns
-    /// the uncompressed byte count.
-    pub fn verify_all(&self) -> PdcResult<u64> {
-        match self.meta.kind {
-            PayloadKind::Typed(_) => Ok(self.read_all_typed()?.size_bytes()),
-            PayloadKind::Raw => Ok(self.read_all_raw()?.len() as u64),
-        }
-    }
 }
 
 impl std::fmt::Debug for BlockReader {
@@ -658,9 +649,12 @@ mod tests {
     fn verify_all_counts_uncompressed_bytes() {
         let tv = TypedVec::Float(vec![1.0; 300]);
         let path = tmp_path("verify");
-        write_typed(&path, &tv, 128).unwrap();
+        let meta = write_typed(&path, &tv, 128).unwrap();
         let r = BlockReader::open(&path).unwrap();
-        assert_eq!(r.verify_all().unwrap(), 1200);
+        // Decoding every block yields the uncompressed size the writer
+        // recorded.
+        assert_eq!(meta.raw_bytes, 1200);
+        assert_eq!(r.read_all_typed().unwrap().size_bytes(), 1200);
         std::fs::remove_file(&path).unwrap();
     }
 }

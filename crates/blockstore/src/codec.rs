@@ -29,18 +29,18 @@ use pdc_types::value::{PdcType, TypedVec};
 use std::cell::RefCell;
 
 /// Encoding tag: little-endian element bytes.
-pub const ENC_RAW: u8 = 0;
+const ENC_RAW: u8 = 0;
 /// Encoding tag: byte-shuffle + PackBits.
-pub const ENC_SHUFFLE: u8 = 1;
+const ENC_SHUFFLE: u8 = 1;
 /// Encoding tag: frame-of-reference bit-packing.
-pub const ENC_FOR_PACK: u8 = 2;
+const ENC_FOR_PACK: u8 = 2;
 /// Encoding tag: delta + frame-of-reference bit-packing.
-pub const ENC_DELTA_FOR_PACK: u8 = 3;
+const ENC_DELTA_FOR_PACK: u8 = 3;
 /// Encoding tag: PackBits over raw bytes.
-pub const ENC_RLE_BYTES: u8 = 4;
+const ENC_RLE_BYTES: u8 = 4;
 /// Encoding tag: doubles that are exactly `f32`-representable stored as
 /// byte-shuffled + PackBits `f32` bit patterns (width reduction).
-pub const ENC_F64_AS_F32: u8 = 5;
+const ENC_F64_AS_F32: u8 = 5;
 
 fn corrupt(msg: impl Into<String>) -> PdcError {
     PdcError::Codec(msg.into())

@@ -77,12 +77,6 @@ impl Fnv1a {
         self
     }
 
-    /// Absorb a `u64` as its 8 little-endian bytes.
-    #[inline]
-    pub fn write_u64(&mut self, w: u64) {
-        self.update(&w.to_le_bytes());
-    }
-
     /// The current hash value.
     #[inline]
     pub const fn finish(&self) -> u64 {
@@ -301,14 +295,6 @@ mod tests {
                 .finish();
             assert_eq!(streamed, fnv1a64(data), "split at {split}");
         }
-    }
-
-    #[test]
-    fn write_u64_equals_le_bytes() {
-        let mut a = Fnv1a::new();
-        a.write_u64(0xdead_beef_0bad_f00d);
-        let b = fnv1a64(&0xdead_beef_0bad_f00du64.to_le_bytes());
-        assert_eq!(a.finish(), b);
     }
 
     /// Deterministic filler with no short period.

@@ -291,14 +291,25 @@ fn verify_all_agrees_with_full_decode() {
     let p = dir.join("v.pbf");
     let tv = sample_typed();
     write_typed(&p, &tv, 256).unwrap();
+    // Every block read and verified one by one, as value bits.
+    let every_block = |r: &BlockReader| -> Result<Vec<u64>, PdcError> {
+        let mut out = Vec::new();
+        for b in 0..r.n_blocks() {
+            out.extend(r.read_typed_block(b)?.iter_f64().map(f64::to_bits));
+        }
+        Ok(out)
+    };
     let r = BlockReader::open(&p).unwrap();
-    assert_eq!(r.verify_all().unwrap(), tv.size_bytes());
+    let whole: Vec<u64> = r.read_all_typed().unwrap().iter_f64().map(f64::to_bits).collect();
+    assert_eq!(every_block(&r).unwrap(), whole);
+    assert_eq!(whole, tv.iter_f64().map(f64::to_bits).collect::<Vec<_>>());
     let good = std::fs::read(&p).unwrap();
-    // Flip one payload bit: verify_all must report it just like read.
+    // Flip one payload bit: the block sweep must report it just like read.
     let mut bad = good.clone();
     bad[100] ^= 0x40;
     std::fs::write(&p, &bad).unwrap();
     let r = BlockReader::open(&p).unwrap();
-    assert!(r.verify_all().is_err());
+    assert!(every_block(&r).is_err());
+    assert!(r.read_all_typed().is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1362,7 +1362,7 @@ mod tests {
                 assert_eq!(opts.fault_seed, Some(42));
                 assert_eq!(opts.kill_servers, 3);
                 let plan = fault_plan(&opts).unwrap();
-                assert_eq!(plan.crashed_servers().len(), 3);
+                assert_eq!(plan, FaultPlan::kill_count(3, 8, 42));
             }
             other => panic!("{other:?}"),
         }

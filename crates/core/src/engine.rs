@@ -484,18 +484,6 @@ fn slot_spread(replicas: u32, num_servers: u32) -> u32 {
 /// gives the same replica sets on every host.
 const PLACEMENT_SEED: u64 = 0x5EED;
 
-/// The k-way placement a fresh pool starts from (at `k = 1`, one slot
-/// per server on its own anchor).
-fn fresh_placement(cfg: &EngineConfig) -> Arc<Placement> {
-    let spread = slot_spread(cfg.replicas, cfg.num_servers);
-    Arc::new(Placement::new(
-        cfg.num_servers * spread,
-        cfg.num_servers,
-        cfg.replicas,
-        PLACEMENT_SEED,
-    ))
-}
-
 /// A fresh server state: an empty cache of the configured size and, under
 /// a fault plan, the server's fault probe armed from the start.
 fn server_state(cfg: &EngineConfig, id: ServerId) -> ServerState {
@@ -526,16 +514,28 @@ impl QueryEngine {
             }
         }
         let pool = ServerPool::new(cfg.num_servers, |id| server_state(&cfg, id));
-        let placement = fresh_placement(&cfg);
-        let engine = Self {
+        // The k-way placement a fresh pool starts from (at `k = 1`, one
+        // slot per server on its own anchor).
+        let spread = slot_spread(cfg.replicas, cfg.num_servers);
+        let placement = Arc::new(Placement::new(
+            cfg.num_servers * spread,
+            cfg.num_servers,
+            cfg.replicas,
+            PLACEMENT_SEED,
+        ));
+        // The corruption spec only addresses objects already in the
+        // registry, so failure here is an internal invariant breach.
+        if let Some(spec) = cfg.fault_plan.as_ref().and_then(|p| p.corruption()) {
+            crate::integrity::apply_corruption(&odms, spec)
+                .expect("corruption spec addresses only registered objects");
+        }
+        Self {
             odms,
             pool,
             cfg,
             plans: Mutex::new(PlanCache { map: HashMap::new(), hits: 0, misses: 0 }),
             placement: Mutex::new(placement),
-        };
-        engine.apply_planned_corruption();
-        engine
+        }
     }
 
     /// The current placement.
@@ -683,16 +683,6 @@ impl QueryEngine {
         self.copy_slot_regions(&p, &gained).unwrap_or((0, 0))
     }
 
-    /// Damage the store and aux structures per the fault plan's corruption
-    /// spec (no-op without one). The spec only addresses objects already
-    /// in the registry, so failure here is an internal invariant breach.
-    fn apply_planned_corruption(&self) {
-        if let Some(spec) = self.cfg.fault_plan.as_ref().and_then(|p| p.corruption()) {
-            crate::integrity::apply_corruption(&self.odms, spec)
-                .expect("corruption spec addresses only registered objects");
-        }
-    }
-
     /// Per-slot region counts for the plan's objects: slot `s` owns the
     /// regions with `r % num_slots == s`, so its weight is a closed
     /// form of each object's region count (at the plan-time snapshot).
@@ -753,26 +743,6 @@ impl QueryEngine {
     /// automatically at import.
     pub fn get_histogram(&self, object: ObjectId) -> PdcResult<Arc<Histogram>> {
         self.odms.meta().global_histogram(object)
-    }
-
-    /// Reset all per-server state (caches, clocks, counters) — used
-    /// between experiment configurations. Fault probes are reinstalled
-    /// fresh, so crashed servers come back up with their schedule rearmed;
-    /// a corruption spec is re-applied, re-damaging the same sites.
-    pub fn reset_state(&self) {
-        self.pool.for_each_server(|id, st| *st = server_state(&self.cfg, id));
-        {
-            let mut pc = self.plans.lock().unpoisoned();
-            pc.map.clear();
-            pc.hits = 0;
-            pc.misses = 0;
-        }
-        // Membership resets with the servers: crashed-and-evicted members
-        // come back up, joins/leaves are forgotten (the pool may keep
-        // extra states around — ids are stable — but no work routes to
-        // non-members).
-        *self.placement.lock().unpoisoned() = fresh_placement(&self.cfg);
-        self.apply_planned_corruption();
     }
 
     /// Plan `query` through the canonical-plan cache, the one way every

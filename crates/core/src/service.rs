@@ -312,11 +312,6 @@ impl ServiceReport {
             })
             .collect()
     }
-
-    /// Summary for one tenant by name.
-    pub fn tenant_summary(&self, name: &str) -> Option<TenantSummary> {
-        self.tenant_summaries().into_iter().find(|t| t.name == name)
-    }
 }
 
 /// Nearest-rank percentile of an ascending-sorted latency slice.

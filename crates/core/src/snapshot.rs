@@ -182,7 +182,7 @@ mod tests {
 
         // Data moves and damage publish no metadata.
         let snap = current();
-        odms.migrate_region(RegionId::new(a, 0), StorageTier::BurstBuffer).unwrap();
+        odms.store().migrate(RegionId::new(a, 0), StorageTier::BurstBuffer).unwrap();
         odms.store().corrupt(RegionId::new(a, 1), 3).unwrap();
         assert!(snap.is_current(&odms));
 

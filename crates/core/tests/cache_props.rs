@@ -158,7 +158,7 @@ fn mutate(world: &World, s: Step) -> bool {
         }
         Step::Migrate { energy, pick, burst } => {
             let tier = if burst { StorageTier::BurstBuffer } else { StorageTier::Dram };
-            world.odms.migrate_region(full_region(energy, pick), tier).is_ok()
+            world.odms.store().migrate(full_region(energy, pick), tier).is_ok()
         }
         Step::RegisterJoint => world.odms.register_joint_pair(world.energy, world.x).is_ok(),
     }

@@ -119,11 +119,15 @@ fn query(w: &World, name: &str) -> PdcQuery {
 
 /// The naive gather: the raw values at the selection's coordinates.
 fn naive_gather(raw: &TypedVec, sel: &Selection) -> TypedVec {
-    let mut out = TypedVec::empty(raw.pdc_type());
-    for c in sel.iter_coords() {
-        out.push_from(raw, c as usize).unwrap();
+    let coords = sel.iter_coords().map(|c| c as usize);
+    match raw {
+        TypedVec::Float(xs) => TypedVec::Float(coords.map(|c| xs[c]).collect()),
+        TypedVec::Double(xs) => TypedVec::Double(coords.map(|c| xs[c]).collect()),
+        TypedVec::Int32(xs) => TypedVec::Int32(coords.map(|c| xs[c]).collect()),
+        TypedVec::UInt32(xs) => TypedVec::UInt32(coords.map(|c| xs[c]).collect()),
+        TypedVec::Int64(xs) => TypedVec::Int64(coords.map(|c| xs[c]).collect()),
+        TypedVec::UInt64(xs) => TypedVec::UInt64(coords.map(|c| xs[c]).collect()),
     }
-    out
 }
 
 fn spill_dir(tag: &str) -> PathBuf {

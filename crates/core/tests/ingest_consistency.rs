@@ -15,7 +15,7 @@
 //!    rebuilds) never changes Selections, before or after it runs.
 
 use pdc_histogram::merge_all;
-use pdc_odms::{ImportOptions, Odms};
+use pdc_odms::{ImportOptions, MaintenanceReport, Odms};
 use pdc_query::{EngineConfig, PdcQuery, QueryEngine, Strategy};
 use pdc_server::{CorruptionSpec, FaultPlan};
 use pdc_types::{ObjectId, TypedVec};
@@ -242,15 +242,20 @@ fn deferred_maintenance_never_changes_selections() {
                 let hi = PREFIX + (k + 1) * CHUNK;
                 odms.append_array(obj, &TypedVec::Float(data[lo..hi].to_vec())).unwrap();
             }
-            assert!(!odms.pending_maintenance().is_empty());
             let eng = engine(&odms, strategy, plan.clone());
             let q = query(obj);
             let before = eng.run(&q).unwrap();
             let report = odms.run_deferred_maintenance().unwrap();
-            assert!(odms.pending_maintenance().is_empty());
             // The lazy probe-time rebuilds may have beaten the drain to
             // some regions, but the sorted replica is always stale here.
             assert!(report.sorted_replicas_rebuilt >= 1, "{strategy}: {report:?}");
+            // The drain emptied the queue: a second one has nothing to do.
+            let again = odms.run_deferred_maintenance().unwrap();
+            assert_eq!(
+                format!("{again:?}"),
+                format!("{:?}", MaintenanceReport::default()),
+                "{strategy}: maintenance left work queued"
+            );
             let after = eng.run(&q).unwrap();
             assert_eq!(
                 before.selection, after.selection,

@@ -430,7 +430,7 @@ fn admission_control_defers_and_rejects_as_typed_outcomes() {
         "deferred queries must eventually dispatch"
     );
     // The well-behaved tenant is untouched by the flood's rejections.
-    let well = report.tenant_summary("well").unwrap();
+    let well = report.tenant_summaries().into_iter().find(|t| t.name == "well").unwrap();
     assert_eq!(well.completed, 1);
     assert_eq!(well.rejected, 0);
     // Typed rejections carry the flood tenant's identity.
@@ -721,7 +721,7 @@ fn caches_survive_region_migration() {
     let qs = query_pool(&world);
 
     let first = serve_closed(&eng, &qs);
-    world.odms.migrate_region(RegionId::new(world.energy, 0), StorageTier::BurstBuffer).unwrap();
+    world.odms.store().migrate(RegionId::new(world.energy, 0), StorageTier::BurstBuffer).unwrap();
     // The cold oracle replays the same dispatch order on a fresh engine
     // over the migrated world, so its warm-cache accounting matches.
     let oracle = engine_with(&world, Strategy::Histogram, None);

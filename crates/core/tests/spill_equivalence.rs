@@ -403,8 +403,8 @@ fn corrupt_spilled_data_region_repairs_on_every_read_path() {
         let world_a = build_world(30_000, 8192);
         let world_b = build_world(30_000, 8192);
         let dir = spill_dir("corruptread");
-        let unbounded = unbounded_engine(&world_a, strategy, None);
-        let bounded = bounded_engine(&world_b, strategy, None, &dir, 32 << 20);
+        let mut unbounded = unbounded_engine(&world_a, strategy, None);
+        let mut bounded = bounded_engine(&world_b, strategy, None, &dir, 32 << 20);
         let victim = pdc_types::RegionId::new(world_b.energy, 0);
         assert!(world_b.odms.store().is_spilled(victim), "{strategy}: the victim must be spilled");
         let (e, x) = (world_a.energy, world_a.x);
@@ -424,13 +424,13 @@ fn corrupt_spilled_data_region_repairs_on_every_read_path() {
         ];
         let mut repaired = 0;
         for (i, q) in queries.iter().enumerate() {
-            // "miss": fresh server caches; "hit": the region sits in the
-            // caches the previous run left.
+            // "miss": fresh engines, so fresh server caches; "hit": the
+            // region sits in the caches the previous run left.
+            if i > 0 {
+                unbounded = unbounded_engine(&world_a, strategy, None);
+                bounded = bounded_engine(&world_b, strategy, None, &dir, 32 << 20);
+            }
             for phase in ["miss", "hit"] {
-                if phase == "miss" {
-                    unbounded.reset_state();
-                    bounded.reset_state();
-                }
                 let seed = 0xC0DE + i as u64;
                 assert!(world_a.odms.store().corrupt(victim, seed).unwrap());
                 assert!(world_b.odms.store().corrupt(victim, seed).unwrap());
@@ -545,7 +545,7 @@ fn candidate_runs_straddling_blocks_match_unbounded() {
         let cold = (0..3)
             .find_map(|r| odms_b.store().cold_region(pdc_types::RegionId::new(a, r)))
             .expect("a full data region of `a` is spilled");
-        assert_eq!((cold.n_blocks(), cold.block_elems() as usize), (4, BLOCK), "{strategy}");
+        assert_eq!((cold.n_blocks(), cold.block_span(0).1 as usize), (4, BLOCK), "{strategy}");
         assert!(
             stats.block_cache.evictions > 0,
             "{strategy}: a one-block cache must evict while scans cross blocks: {stats:?}"

@@ -137,11 +137,6 @@ impl JointGrid {
         self.covered
     }
 
-    /// Elements per full region.
-    pub fn region_elems(&self) -> u64 {
-        self.region_elems
-    }
-
     /// Regions with at least one element folded in.
     pub fn num_regions(&self) -> u32 {
         self.regions.len() as u32

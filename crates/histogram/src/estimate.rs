@@ -27,11 +27,6 @@ pub struct HitBounds {
 impl HitBounds {
     /// Zero hits on both bounds.
     pub const ZERO: HitBounds = HitBounds { lower: 0, upper: 0 };
-
-    /// Midpoint estimate, the planner's scalar ordering key.
-    pub fn midpoint(&self) -> f64 {
-        (self.lower + self.upper) as f64 / 2.0
-    }
 }
 
 impl Histogram {
@@ -155,13 +150,8 @@ mod tests {
         let h = Histogram::build(&data, &HistogramConfig::default()).unwrap();
         let narrow = h.estimate_hits(&Interval::open(5.0, 5.05));
         let wide = h.estimate_hits(&Interval::open(1.0, 9.0));
-        assert!(narrow.midpoint() < wide.midpoint());
-    }
-
-    #[test]
-    fn midpoint_is_average() {
-        let hb = HitBounds { lower: 10, upper: 20 };
-        assert_eq!(hb.midpoint(), 15.0);
+        // Compare midpoints, doubled.
+        assert!(narrow.lower + narrow.upper < wide.lower + wide.upper);
     }
 
     #[test]

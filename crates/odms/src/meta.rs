@@ -115,11 +115,6 @@ impl ObjectMeta {
         self.num_elements() * self.pdc_type.size_bytes()
     }
 
-    /// Region size in bytes.
-    pub fn region_bytes(&self) -> u64 {
-        self.region_elems * self.pdc_type.size_bytes()
-    }
-
     /// The 1-D spans of this object's regions.
     pub fn regions(&self) -> Vec<RegionSpec> {
         RegionSpec::partition(self.num_elements(), self.region_elems)
@@ -161,7 +156,6 @@ mod tests {
         let m = meta(1000, 256);
         assert_eq!(m.num_elements(), 1000);
         assert_eq!(m.size_bytes(), 4000);
-        assert_eq!(m.region_bytes(), 1024);
         assert_eq!(m.num_regions(), 4);
         let regions = m.regions();
         assert_eq!(regions.len(), 4);

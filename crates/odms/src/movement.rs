@@ -49,44 +49,12 @@ impl RebuildReport {
 }
 
 impl Odms {
-    /// Move one region to `tier`; returns the bytes moved.
-    pub fn migrate_region(&self, region: RegionId, tier: StorageTier) -> PdcResult<u64> {
-        self.store().migrate(region, tier)
-    }
-
     /// Stage every region of `object` onto `tier` (e.g. pre-load an
     /// object into the burst buffer before a query campaign). Regions
     /// already on the target tier are visited but move no bytes.
     pub fn stage_object(&self, object: ObjectId, tier: StorageTier) -> PdcResult<MoveReport> {
-        self.stage_regions(object, 0..self.meta().get(object)?.num_regions(), tier)
-    }
-
-    /// Stage only the regions of `object` whose histogram overlaps
-    /// `interval` — selective staging guided by the same metadata the
-    /// query planner uses.
-    pub fn stage_matching_regions(
-        &self,
-        object: ObjectId,
-        interval: &pdc_types::Interval,
-        tier: StorageTier,
-    ) -> PdcResult<MoveReport> {
-        let v = self.meta().version(object)?;
-        let hists = v.region_hists.as_deref().ok_or_else(|| {
-            pdc_types::PdcError::MissingPrerequisite(format!("histograms of {object}"))
-        })?;
-        let overlaps = |r: &u32| hists[*r as usize].estimate_hits(interval).upper > 0;
-        self.stage_regions(object, (0..v.meta.num_regions()).filter(overlaps), tier)
-    }
-
-    /// Stage `regions` of `object` onto `tier`.
-    fn stage_regions(
-        &self,
-        object: ObjectId,
-        regions: impl Iterator<Item = u32>,
-        tier: StorageTier,
-    ) -> PdcResult<MoveReport> {
         let mut report = MoveReport::default();
-        for r in regions {
+        for r in 0..self.meta().get(object)?.num_regions() {
             let rid = RegionId::new(object, r);
             let (_, current) = self.store().get(rid)?;
             let bytes = self.store().migrate(rid, tier)?;
@@ -122,7 +90,7 @@ impl Odms {
 mod tests {
     use super::*;
     use crate::system::ImportOptions;
-    use pdc_types::{Interval, TypedVec};
+    use pdc_types::TypedVec;
 
     fn world() -> (Odms, ObjectId) {
         let odms = Odms::new(4);
@@ -146,27 +114,10 @@ mod tests {
         assert_eq!(again.regions_visited, 10);
         assert_eq!(again.regions_moved, 0);
         assert_eq!(again.bytes, 0);
-        let by_tier = odms.store().bytes_by_tier();
-        assert_eq!(by_tier.get(&StorageTier::BurstBuffer), Some(&40_000));
-    }
-
-    #[test]
-    fn selective_staging_honours_histograms() {
-        let (odms, obj) = world();
-        // values cycle 0..100 per 1024-element region, so every region
-        // overlaps (5, 10); a disjoint interval stages nothing.
-        let hot = odms
-            .stage_matching_regions(obj, &Interval::open(5.0, 10.0), StorageTier::BurstBuffer)
-            .unwrap();
-        assert_eq!(hot.regions_visited, 10);
-        assert_eq!(hot.regions_moved, 10);
-        let (odms2, obj2) = world();
-        let none = odms2
-            .stage_matching_regions(obj2, &Interval::open(500.0, 600.0), StorageTier::Dram)
-            .unwrap();
-        assert_eq!(none.regions_visited, 0);
-        assert_eq!(none.regions_moved, 0);
-        assert_eq!(none.bytes, 0);
+        for r in 0..10 {
+            let tier = odms.store().tier_of(RegionId::new(obj, r)).unwrap();
+            assert_eq!(tier, StorageTier::BurstBuffer, "region {r}");
+        }
     }
 
     #[test]
@@ -175,7 +126,7 @@ mod tests {
         // Pre-stage regions 0..5; a full staging pass then visits all 10
         // but moves only the other 5.
         for r in 0..5 {
-            odms.migrate_region(RegionId::new(obj, r), StorageTier::BurstBuffer).unwrap();
+            odms.store().migrate(RegionId::new(obj, r), StorageTier::BurstBuffer).unwrap();
         }
         let report = odms.stage_object(obj, StorageTier::BurstBuffer).unwrap();
         assert_eq!(report.regions_visited, 10);
@@ -188,7 +139,7 @@ mod tests {
     #[test]
     fn migrate_single_region() {
         let (odms, obj) = world();
-        let moved = odms.migrate_region(RegionId::new(obj, 3), StorageTier::Dram).unwrap();
+        let moved = odms.store().migrate(RegionId::new(obj, 3), StorageTier::Dram).unwrap();
         assert_eq!(moved, 4096);
         assert_eq!(odms.store().get(RegionId::new(obj, 3)).unwrap().1, StorageTier::Dram);
         assert_eq!(odms.store().get(RegionId::new(obj, 4)).unwrap().1, StorageTier::Pfs);

@@ -333,11 +333,6 @@ impl SnapshotJournal {
         self.entries.is_empty()
     }
 
-    /// The newest frame, if any.
-    pub fn latest(&self) -> Option<&Bytes> {
-        self.entries.last()
-    }
-
     /// Decode the newest frame that verifies. Returns the snapshot and
     /// the number of newer frames that failed verification and were
     /// skipped; [`PdcError::SnapshotCorrupt`] when no frame verifies.

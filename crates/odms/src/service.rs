@@ -173,11 +173,6 @@ impl MetadataService {
         self.get(id.ok_or_else(|| PdcError::NotFound(format!("object '{name}'")))?)
     }
 
-    /// Number of registered objects.
-    pub fn num_objects(&self) -> usize {
-        self.objects.read().unpoisoned().len()
-    }
-
     /// Every object's current version, ordered by id.
     pub fn versions(&self) -> Vec<Arc<ObjectVersion>> {
         let mut out: Vec<_> = self.objects.read().unpoisoned().values().cloned().collect();
@@ -374,7 +369,7 @@ mod tests {
     #[test]
     fn register_and_lookup() {
         let (svc, ids) = svc_with_objects(5);
-        assert_eq!(svc.num_objects(), 5);
+        assert_eq!(svc.versions().len(), 5);
         let m = svc.get(ids[2]).unwrap();
         assert_eq!(m.name, "obj2");
         assert_eq!(svc.lookup_name("obj4").unwrap().id, ids[4]);

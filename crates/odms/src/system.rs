@@ -519,16 +519,6 @@ impl Odms {
         first_err.map_or(Ok(report), Err)
     }
 
-    /// The deferred-maintenance queue as `(object, stale index regions,
-    /// sorted replica stale)`, ordered by object id.
-    pub fn pending_maintenance(&self) -> Vec<(ObjectId, Vec<u32>, bool)> {
-        self.pending
-            .read().unpoisoned()
-            .iter()
-            .map(|(id, aux)| (*id, aux.index_regions.iter().copied().collect(), aux.sorted_stale))
-            .collect()
-    }
-
     /// Read one region's typed payload (time-free; callers charge their
     /// own clocks via the cost model).
     pub fn read_region(&self, object: ObjectId, region: u32) -> PdcResult<Arc<TypedVec>> {
@@ -749,6 +739,17 @@ mod tests {
 
     fn vpic_like(n: usize) -> TypedVec {
         TypedVec::Float((0..n).map(|i| ((i * 13) % 997) as f32 / 100.0).collect())
+    }
+
+    /// The deferred-maintenance queue as `(object, stale index regions,
+    /// sorted replica stale)`, ordered by object id.
+    fn pending(odms: &Odms) -> Vec<(ObjectId, Vec<u32>, bool)> {
+        odms.pending
+            .read()
+            .unpoisoned()
+            .iter()
+            .map(|(id, aux)| (*id, aux.index_regions.iter().copied().collect(), aux.sorted_stale))
+            .collect()
     }
 
     fn system_with_import(n: usize, opts: &ImportOptions) -> (Odms, ImportReport) {
@@ -1008,7 +1009,7 @@ mod tests {
         // sorted replica still at the pre-append extent
         assert_eq!(odms.meta().sorted_replica(report.object).unwrap().len(), 2500);
         assert_eq!(
-            odms.pending_maintenance(),
+            pending(&odms),
             vec![(report.object, vec![2, 3, 4], true)]
         );
         // index-size slots cover the new region count
@@ -1019,7 +1020,7 @@ mod tests {
         assert_eq!(mr.sorted_replicas_rebuilt, 1);
         assert_eq!(mr.sorted_elems_merged, 2000, "only the appended elements are merged");
         assert!(mr.bytes_written > 0);
-        assert!(odms.pending_maintenance().is_empty());
+        assert!(pending(&odms).is_empty());
         // every region's index is readable and covers its current extent
         let meta = odms.meta().get(report.object).unwrap();
         for r in 0..meta.num_regions() {
@@ -1074,7 +1075,7 @@ mod tests {
         assert!(odms.store().remove(lost));
         assert!(odms.run_deferred_maintenance().is_err());
         assert_eq!(
-            odms.pending_maintenance(),
+            pending(&odms),
             vec![(a, vec![3], true)],
             "what failed stays queued; everything else — including all of `b` — was done"
         );
@@ -1083,7 +1084,7 @@ mod tests {
         odms.store().put(lost, StoredPayload::Typed(payload), StorageTier::Pfs);
         let mr = odms.run_deferred_maintenance().unwrap();
         assert_eq!((mr.index_regions_rebuilt, mr.sorted_elems_merged), (1, 2000));
-        assert!(odms.pending_maintenance().is_empty());
+        assert!(pending(&odms).is_empty());
         assert!(odms.meta().sorted_replica(a).unwrap().self_check(4500));
     }
 

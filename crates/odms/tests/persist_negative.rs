@@ -23,7 +23,7 @@ fn snapshot_source() -> (Odms, pdc_types::ObjectId) {
 /// No metadata, no containers, a fresh id watermark: the shape a system
 /// has before any restore touched it.
 fn assert_untouched(odms: &Odms) {
-    assert_eq!(odms.meta().num_objects(), 0);
+    assert!(odms.meta().versions().is_empty());
     assert!(odms.meta().all_containers().is_empty());
     assert_eq!(odms.meta().next_id_watermark(), Odms::new(1).meta().next_id_watermark());
 }

@@ -205,19 +205,6 @@ impl FaultPlan {
         plan
     }
 
-    /// [`FaultPlan::seeded`] plus an at-rest [`CorruptionSpec`] derived
-    /// from the same seed, so one `--fault-seed` value replays the whole
-    /// failure *and* corruption scenario.
-    pub fn seeded_with_corruption(
-        seed: u64,
-        num_servers: u32,
-        data_fraction: f64,
-        aux_fraction: f64,
-    ) -> Self {
-        Self::seeded(seed, num_servers)
-            .with_corruption(CorruptionSpec::new(data_fraction, aux_fraction, seed))
-    }
-
     /// Attach an at-rest corruption spec (builder style).
     pub fn with_corruption(mut self, spec: CorruptionSpec) -> Self {
         self.corruption = Some(spec);
@@ -227,12 +214,6 @@ impl FaultPlan {
     /// The plan's at-rest corruption spec, if any.
     pub fn corruption(&self) -> Option<&CorruptionSpec> {
         self.corruption.as_ref()
-    }
-
-    /// This plan with the corruption spec stripped (per-server faults
-    /// only).
-    pub fn clone_without_corruption(&self) -> Self {
-        Self { specs: self.specs.clone(), corruption: None }
     }
 
     /// The probe to install on `server` (`None` if the server is healthy
@@ -250,15 +231,6 @@ impl FaultPlan {
             corrupt_left: spec.corrupt_reads,
             crashed: false,
         })
-    }
-
-    /// Servers this plan crashes outright (not slowdowns/transients).
-    pub fn crashed_servers(&self) -> Vec<u32> {
-        self.specs
-            .iter()
-            .filter(|(_, s)| s.crash_at_access.is_some())
-            .map(|(&id, _)| id)
-            .collect()
     }
 
     /// Whether the plan contains no faults (and no corruption) at all.
@@ -379,16 +351,25 @@ mod tests {
         assert!(p.on_access().is_ok());
     }
 
+    /// Servers `plan` crashes outright (not slowdowns/transients).
+    fn crashed_servers(plan: &FaultPlan) -> Vec<u32> {
+        plan.specs
+            .iter()
+            .filter(|(_, s)| s.crash_at_access.is_some())
+            .map(|(&id, _)| id)
+            .collect()
+    }
+
     #[test]
     fn kill_count_is_deterministic_and_bounded() {
         let a = FaultPlan::kill_count(3, 8, 42);
         let b = FaultPlan::kill_count(3, 8, 42);
         assert_eq!(a, b);
-        assert_eq!(a.crashed_servers().len(), 3);
+        assert_eq!(crashed_servers(&a).len(), 3);
         let c = FaultPlan::kill_count(3, 8, 43);
-        assert!(a != c || a.crashed_servers() == c.crashed_servers());
+        assert!(a != c || crashed_servers(&a) == crashed_servers(&c));
         // Never more victims than servers.
-        assert_eq!(FaultPlan::kill_count(99, 4, 1).crashed_servers().len(), 4);
+        assert_eq!(crashed_servers(&FaultPlan::kill_count(99, 4, 1)).len(), 4);
     }
 
     #[test]
@@ -397,7 +378,7 @@ mod tests {
             for n in 1..10 {
                 let plan = FaultPlan::seeded(seed, n);
                 assert!(
-                    (plan.crashed_servers().len() as u32) < n.max(1),
+                    (crashed_servers(&plan).len() as u32) < n.max(1),
                     "seed {seed} n {n} crashed everything"
                 );
             }
@@ -448,8 +429,8 @@ mod tests {
 
     #[test]
     fn seeded_with_corruption_replays() {
-        let a = FaultPlan::seeded_with_corruption(9, 8, 0.1, 0.2);
-        let b = FaultPlan::seeded_with_corruption(9, 8, 0.1, 0.2);
+        let plan = || FaultPlan::seeded(9, 8).with_corruption(CorruptionSpec::new(0.1, 0.2, 9));
+        let (a, b) = (plan(), plan());
         assert_eq!(a, b);
         assert!(!a.is_empty());
         let spec = a.corruption().unwrap();
@@ -457,6 +438,6 @@ mod tests {
         assert_eq!(spec.data_fraction, 0.1);
         // The per-server arm of `seeded` is unchanged by the corruption
         // attachment.
-        assert_eq!(FaultPlan::seeded(9, 8), a.clone_without_corruption());
+        assert_eq!(FaultPlan::seeded(9, 8).specs, a.specs);
     }
 }

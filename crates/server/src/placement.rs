@@ -34,7 +34,7 @@ use pdc_types::{mix64, PdcError, PdcResult};
 use std::collections::HashMap;
 
 /// Servers per rack in the pseudo-topology (`rack = server / RACK_SIZE`).
-pub const RACK_SIZE: u32 = 4;
+const RACK_SIZE: u32 = 4;
 
 /// One slot's replica-set change produced by a membership transition.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -100,11 +100,6 @@ impl Placement {
         };
         p.rebuild();
         p
-    }
-
-    /// Replicas per slot this placement targets.
-    pub fn k(&self) -> u32 {
-        self.k
     }
 
     /// Number of assignment slots.

@@ -11,17 +11,17 @@
 //! A [`SortedReplica`] is a full copy of one object's values ordered by
 //! value, together with the permutation mapping each sorted slot back to
 //! its original array coordinate. The replica is partitioned into regions
-//! like any PDC object; each sorted region carries a `[min, max]` range so
-//! a range query touches only the contiguous band of regions overlapping
-//! the query interval — that contiguity is the whole point of the
+//! like any PDC object; a sorted region's `[min, max]` is its first and
+//! last key, so a range query touches only the contiguous band of regions
+//! overlapping the query interval — that contiguity is the whole point of the
 //! reorganization. The replica costs a full copy of the object's storage
 //! ("the sorted copy requires a full copy of the data"), which the
 //! overhead experiment (E6) accounts for.
 
-use pdc_types::{Interval, RegionSpec, Run, Selection};
+use pdc_types::{Interval, Run, Selection};
 
 /// A value-sorted copy of one object, with the original-coordinate
-/// permutation and per-region value ranges.
+/// permutation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SortedReplica {
     /// Values in ascending order.
@@ -30,9 +30,6 @@ pub struct SortedReplica {
     perm: Vec<u64>,
     /// Elements per region of the sorted replica.
     region_len: u64,
-    /// Per-region `[min, max]` of the sorted keys (redundant with `keys`
-    /// but kept as region metadata, mirroring PDC's histogram-min/max).
-    region_ranges: Vec<(f64, f64)>,
 }
 
 /// The answer to a range lookup on a sorted replica.
@@ -81,9 +78,7 @@ impl SortedReplica {
     /// `region_len` elements: the empty replica extended by `values`.
     pub fn build(values: &[f64], region_len: u64) -> SortedReplica {
         assert!(region_len > 0, "region length must be positive");
-        let empty =
-            SortedReplica { keys: Vec::new(), perm: Vec::new(), region_len, region_ranges: Vec::new() };
-        empty.extended(values)
+        SortedReplica { keys: Vec::new(), perm: Vec::new(), region_len }.extended(values)
     }
 
     /// The replica of this replica's object grown by `delta` (appended at
@@ -115,12 +110,7 @@ impl SortedReplica {
         }
         keys.extend_from_slice(&self.keys[old..]);
         perm.extend_from_slice(&self.perm[old..]);
-
-        let region_ranges = RegionSpec::partition(n as u64, self.region_len)
-            .into_iter()
-            .map(|r| (keys[r.offset as usize], keys[(r.end() - 1) as usize]))
-            .collect();
-        SortedReplica { keys, perm, region_len: self.region_len, region_ranges }
+        SortedReplica { keys, perm, region_len: self.region_len }
     }
 
     /// Number of elements.
@@ -135,17 +125,12 @@ impl SortedReplica {
 
     /// Number of regions in the sorted replica.
     pub fn num_regions(&self) -> u32 {
-        self.region_ranges.len() as u32
+        self.len().div_ceil(self.region_len) as u32
     }
 
     /// Elements per region.
     pub fn region_len(&self) -> u64 {
         self.region_len
-    }
-
-    /// `[min, max]` of sorted region `r`.
-    pub fn region_range(&self, r: u32) -> (f64, f64) {
-        self.region_ranges[r as usize]
     }
 
     /// The sorted keys (ascending).
@@ -281,11 +266,7 @@ mod tests {
         });
         let keys: Vec<f64> = pairs.iter().map(|p| p.0).collect();
         let perm: Vec<u64> = pairs.iter().map(|p| p.1).collect();
-        let region_ranges = RegionSpec::partition(keys.len() as u64, region_len)
-            .into_iter()
-            .map(|r| (keys[r.offset as usize], keys[(r.end() - 1) as usize]))
-            .collect();
-        SortedReplica { keys, perm, region_len, region_ranges }
+        SortedReplica { keys, perm, region_len }
     }
 
     #[test]
@@ -454,13 +435,22 @@ mod tests {
 
     #[test]
     fn region_ranges_cover_and_order() {
+        // Regions tile the sorted keys in `region_len` chunks, the last
+        // one short: empty, an exact multiple, and remainders.
+        for (n, regions) in [(0, 0), (5120, 10), (5000, 10), (5121, 11)] {
+            let r = SortedReplica::build(&sample(n), 512);
+            assert_eq!(r.num_regions(), regions, "n = {n}");
+            assert_eq!(r.keys().chunks(512).count(), regions as usize, "n = {n}");
+        }
+        // Each region's range is ordered and starts at or above the
+        // previous region's end.
         let r = SortedReplica::build(&sample(5000), 512);
-        assert_eq!(r.num_regions(), 10);
-        for i in 0..r.num_regions() {
-            let (lo, hi) = r.region_range(i);
+        let ranges: Vec<(f64, f64)> =
+            r.keys().chunks(512).map(|c| (c[0], c[c.len() - 1])).collect();
+        for (i, &(lo, hi)) in ranges.iter().enumerate() {
             assert!(lo <= hi);
             if i > 0 {
-                assert!(r.region_range(i - 1).1 <= lo);
+                assert!(ranges[i - 1].1 <= lo);
             }
         }
     }

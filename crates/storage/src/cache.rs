@@ -63,8 +63,6 @@ pub struct RegionCache {
     entries: HashMap<RegionId, (CacheSlot, u64)>, // slot, last-use tick
     recency: BTreeMap<u64, RegionId>,             // last-use tick -> region
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl RegionCache {
@@ -76,14 +74,7 @@ impl RegionCache {
             entries: HashMap::new(),
             recency: BTreeMap::new(),
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
-    }
-
-    /// Byte budget.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
     }
 
     /// Bytes currently cached.
@@ -101,16 +92,6 @@ impl RegionCache {
         self.entries.is_empty()
     }
 
-    /// Cache hits since creation.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses since creation.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Look up a region, refreshing its recency on hit.
     pub fn get(&mut self, id: RegionId) -> Option<CacheSlot> {
         self.tick += 1;
@@ -120,13 +101,9 @@ impl RegionCache {
                 self.recency.remove(last);
                 self.recency.insert(tick, id);
                 *last = tick;
-                self.hits += 1;
                 Some(slot.clone())
             }
-            None => {
-                self.misses += 1;
-                None
-            }
+            None => None,
         }
     }
 
@@ -138,12 +115,6 @@ impl RegionCache {
     /// Insert a hot (decoded, pinned) region.
     pub fn put(&mut self, id: RegionId, payload: Arc<TypedVec>) {
         self.put_slot(id, CacheSlot::Hot(payload));
-    }
-
-    /// Insert a cold slot for a spilled region: same capacity charge and
-    /// LRU behavior as a hot entry of `bytes`, no pinned payload.
-    pub fn put_cold(&mut self, id: RegionId, bytes: u64, elems: u64) {
-        self.put_slot(id, CacheSlot::Cold { bytes, elems });
     }
 
     /// Insert a slot, evicting least-recently-used entries as needed.
@@ -197,8 +168,6 @@ mod tests {
         assert!(c.get(rid(0)).is_none());
         c.put(rid(0), payload(10)); // 40 bytes
         assert!(c.get(rid(0)).is_some());
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
         assert_eq!(c.used_bytes(), 40);
         assert_eq!(c.len(), 1);
     }
@@ -283,13 +252,13 @@ mod tests {
         let mut cold = RegionCache::new(120);
         for i in 0..3 {
             hot.put(rid(i), payload(10)); // 40 bytes each
-            cold.put_cold(rid(i), 40, 10);
+            cold.put_slot(rid(i), CacheSlot::Cold { bytes: 40, elems: 10 });
         }
         assert_eq!(hot.used_bytes(), cold.used_bytes());
         assert!(matches!(cold.get(rid(0)), Some(CacheSlot::Cold { bytes: 40, elems: 10 })));
         assert!(hot.get(rid(0)).is_some());
         hot.put(rid(3), payload(10)); // evicts 1 in both
-        cold.put_cold(rid(3), 40, 10);
+        cold.put_slot(rid(3), CacheSlot::Cold { bytes: 40, elems: 10 });
         for i in 0..4 {
             assert_eq!(hot.contains(rid(i)), cold.contains(rid(i)), "slot {i}");
         }

@@ -238,11 +238,11 @@ mod tests {
             failover: SimDuration::from_millis(7),
             integrity: SimDuration::from_millis(0),
         };
-        assert_eq!(b.total().as_millis_f64(), 15.0);
+        assert_eq!(b.total(), SimDuration::from_millis(15));
         let mut c = CostBreakdown::default();
         c.merge(&b);
         c.merge(&b);
-        assert_eq!(c.total().as_millis_f64(), 30.0);
-        assert_eq!(c.failover.as_millis_f64(), 14.0);
+        assert_eq!(c.total(), SimDuration::from_millis(30));
+        assert_eq!(c.failover, SimDuration::from_millis(14));
     }
 }

@@ -15,7 +15,7 @@
 //!   placement efficiency), plus DRAM/burst-buffer tiers, a CPU model for
 //!   scan/index/sort work, and a network model for client↔server traffic.
 //! * [`store`] — the object store holding region payloads (typed arrays or
-//!   raw index bytes) on a storage tier, with striped OST placement.
+//!   raw index bytes) on a storage tier.
 //! * [`cache`] — the per-server region cache with a byte budget (the
 //!   paper's 64 GB per-server memory limit), which produces the paper's
 //!   observed speedup across sequentially evaluated queries.

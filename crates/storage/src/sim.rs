@@ -54,11 +54,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
@@ -149,19 +144,6 @@ impl SimClock {
     pub fn advance(&mut self, d: SimDuration) {
         self.now += d;
     }
-
-    /// Synchronize forward to `t` (no-op if already past it) — used when a
-    /// server waits for a broadcast or barrier.
-    pub fn sync_to(&mut self, t: SimDuration) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    /// Reset to zero.
-    pub fn reset(&mut self) {
-        self.now = SimDuration::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -180,15 +162,15 @@ mod tests {
     fn arithmetic() {
         let a = SimDuration::from_millis(10);
         let b = SimDuration::from_millis(3);
-        assert_eq!((a + b).as_millis_f64(), 13.0);
-        assert_eq!((a - b).as_millis_f64(), 7.0);
+        assert_eq!(a + b, SimDuration::from_millis(13));
+        assert_eq!(a - b, SimDuration::from_millis(7));
         assert_eq!((b - a), SimDuration::ZERO); // saturating
-        assert_eq!((a * 3).as_millis_f64(), 30.0);
-        assert_eq!((a * 0.5).as_millis_f64(), 5.0);
-        assert_eq!((a / 2).as_millis_f64(), 5.0);
-        assert_eq!((a / 0).as_millis_f64(), 10.0); // clamped divisor
+        assert_eq!(a * 3, SimDuration::from_millis(30));
+        assert_eq!(a * 0.5, SimDuration::from_millis(5));
+        assert_eq!(a / 2, SimDuration::from_millis(5));
+        assert_eq!(a / 0, SimDuration::from_millis(10)); // clamped divisor
         let total: SimDuration = vec![a, b, b].into_iter().sum();
-        assert_eq!(total.as_millis_f64(), 16.0);
+        assert_eq!(total, SimDuration::from_millis(16));
     }
 
     #[test]
@@ -228,13 +210,9 @@ mod tests {
     #[test]
     fn clock_advances_and_syncs() {
         let mut c = SimClock::new();
-        c.advance(SimDuration::from_millis(5));
-        assert_eq!(c.now().as_millis_f64(), 5.0);
-        c.sync_to(SimDuration::from_millis(3)); // already past: no-op
-        assert_eq!(c.now().as_millis_f64(), 5.0);
-        c.sync_to(SimDuration::from_millis(9));
-        assert_eq!(c.now().as_millis_f64(), 9.0);
-        c.reset();
         assert_eq!(c.now(), SimDuration::ZERO);
+        c.advance(SimDuration::from_millis(5));
+        c.advance(SimDuration::from_millis(4));
+        assert_eq!(c.now(), SimDuration::from_millis(9));
     }
 }

@@ -207,7 +207,6 @@ struct ColdHandle {
 struct StoredRegion {
     res: Residency,
     tier: StorageTier,
-    ost: u32,
     /// [`payload_checksum`] of the payload, computed at `put` time.
     checksum: u64,
     /// The last-known-good payload, stashed when corruption is injected.
@@ -440,11 +439,6 @@ impl ColdRegion {
         self.handle.raw_bytes
     }
 
-    /// Elements per block (last block may be short).
-    pub fn block_elems(&self) -> u32 {
-        self.block_elems
-    }
-
     /// Number of blocks.
     pub fn n_blocks(&self) -> u32 {
         if self.elems == 0 {
@@ -601,7 +595,7 @@ pub struct ObjectStore {
 }
 
 impl ObjectStore {
-    /// A store striped over `num_osts` simulated OSTs.
+    /// A store over `num_osts` simulated OSTs.
     pub fn new(num_osts: u32) -> Self {
         Self {
             regions: RwLock::new(HashMap::new()),
@@ -632,16 +626,13 @@ impl ObjectStore {
         self.num_osts
     }
 
-    /// Insert (or replace) a region payload on a tier. Placement is
-    /// round-robin by region index — PDC "automatically distributes the
-    /// data across the parallel file system's storage devices".
+    /// Insert (or replace) a region payload on a tier.
     pub fn put(&self, id: RegionId, payload: StoredPayload, tier: StorageTier) {
-        let ost = (id.index + id.object.raw() as u32) % self.num_osts;
         let checksum = payload_checksum(&payload);
         let new_bytes = payload.size_bytes();
         let old = self.regions.write().unpoisoned().insert(
             id,
-            StoredRegion { res: Residency::Resident(payload), tier, ost, checksum, pristine: None },
+            StoredRegion { res: Residency::Resident(payload), tier, checksum, pristine: None },
         );
         self.quarantine.write().unpoisoned().remove(&id);
         self.sealed.write().unpoisoned().remove(&id);
@@ -829,11 +820,6 @@ impl ObjectStore {
         }
     }
 
-    /// The simulated OST a region is placed on.
-    pub fn ost_of(&self, id: RegionId) -> PdcResult<u32> {
-        self.regions.read().unpoisoned().get(&id).map(|r| r.ost).ok_or(PdcError::NoSuchRegion(id))
-    }
-
     /// Whether a region exists.
     pub fn contains(&self, id: RegionId) -> bool {
         self.regions.read().unpoisoned().contains_key(&id)
@@ -984,13 +970,6 @@ impl ObjectStore {
         self.quarantine.read().unpoisoned().contains(&id)
     }
 
-    /// All currently quarantined regions (sorted for determinism).
-    pub fn quarantined(&self) -> Vec<RegionId> {
-        let mut out: Vec<RegionId> = self.quarantine.read().unpoisoned().iter().copied().collect();
-        out.sort();
-        out
-    }
-
     /// Re-derive and verify a region's checksum without returning the
     /// payload. Quarantines on mismatch, like [`ObjectStore::get`].
     pub fn verify(&self, id: RegionId) -> PdcResult<()> {
@@ -1001,15 +980,6 @@ impl ObjectStore {
     /// (resident vs spilled) never changes a region's tier.
     pub fn tier_of(&self, id: RegionId) -> PdcResult<StorageTier> {
         self.regions.read().unpoisoned().get(&id).map(|r| r.tier).ok_or(PdcError::NoSuchRegion(id))
-    }
-
-    /// Total stored bytes per tier.
-    pub fn bytes_by_tier(&self) -> HashMap<StorageTier, u64> {
-        let mut out = HashMap::new();
-        for r in self.regions.read().unpoisoned().values() {
-            *out.entry(r.tier).or_insert(0) += r.size_bytes();
-        }
-        out
     }
 
     /// Number of stored regions.
@@ -1074,11 +1044,6 @@ impl ObjectStore {
     /// Whether out-of-core mode is enabled.
     pub fn spill_enabled(&self) -> bool {
         self.spill.read().unpoisoned().is_some()
-    }
-
-    /// The configured memory budget, if spill is enabled.
-    pub fn memory_budget(&self) -> Option<u64> {
-        self.spill_state().map(|s| s.memory_budget)
     }
 
     /// Whether a region's payload currently lives on disk.
@@ -1287,20 +1252,6 @@ mod tests {
     }
 
     #[test]
-    fn placement_spreads_across_osts() {
-        let store = ObjectStore::new(4);
-        for i in 0..16 {
-            let v: TypedVec = vec![0.0f32].into();
-            store.put(rid(1, i), StoredPayload::Typed(Arc::new(v)), StorageTier::Pfs);
-        }
-        let mut used = std::collections::HashSet::new();
-        for i in 0..16 {
-            used.insert(store.ost_of(rid(1, i)).unwrap());
-        }
-        assert_eq!(used.len(), 4, "round-robin should hit every OST");
-    }
-
-    #[test]
     fn migrate_changes_tier() {
         let store = ObjectStore::new(2);
         let v: TypedVec = vec![1.0f64; 100].into();
@@ -1317,9 +1268,14 @@ mod tests {
         store.put(rid(1, 0), StoredPayload::Typed(Arc::new(v.clone())), StorageTier::Pfs);
         store.put(rid(1, 1), StoredPayload::Typed(Arc::new(v)), StorageTier::Dram);
         store.put(rid(1, 2), StoredPayload::Raw(Bytes::from(vec![0u8; 7])), StorageTier::Pfs);
-        let by_tier = store.bytes_by_tier();
-        assert_eq!(by_tier[&StorageTier::Pfs], 47);
-        assert_eq!(by_tier[&StorageTier::Dram], 40);
+        let on = |tier| -> u64 {
+            (0..3)
+                .filter(|&i| store.tier_of(rid(1, i)).unwrap() == tier)
+                .map(|i| store.payload_size(rid(1, i)).unwrap())
+                .sum()
+        };
+        assert_eq!(on(StorageTier::Pfs), 47);
+        assert_eq!(on(StorageTier::Dram), 40);
         assert_eq!(store.num_regions(), 3);
     }
 
@@ -1346,7 +1302,6 @@ mod tests {
             other => panic!("expected CorruptRegion, got {other:?}"),
         }
         assert!(store.is_quarantined(rid(4, 1)));
-        assert_eq!(store.quarantined(), vec![rid(4, 1)]);
         // A migrate must refuse to spread the corrupt copy.
         assert!(matches!(
             store.migrate(rid(4, 1), StorageTier::Dram),
@@ -1831,14 +1786,15 @@ mod tests {
     }
 
     /// The byte ranges of a block file's header, first frame payload,
-    /// block index and footer.
+    /// block index and footer. The lengths are format 2's: a 24-byte
+    /// header, 17-byte frames and a 24-byte footer.
     fn file_sections(path: &Path) -> [(&'static str, std::ops::Range<usize>); 4] {
         let bytes = std::fs::read(path).unwrap();
-        let footer = bytes.len() - blockfile::FOOTER_LEN as usize;
+        let footer = bytes.len() - 24;
         let index_off = u64::from_le_bytes(bytes[footer..footer + 8].try_into().unwrap()) as usize;
-        let header = blockfile::HEADER_LEN as usize;
+        let header = 24;
         let comp_len = u32::from_le_bytes(bytes[header..header + 4].try_into().unwrap()) as usize;
-        let payload = header + blockfile::FRAME_LEN as usize;
+        let payload = header + 17;
         [
             ("header", 0..header),
             ("frame payload", payload..payload + comp_len),
@@ -1867,7 +1823,7 @@ mod tests {
                 (0..2).map(|b| format!("{:?}", cold.read_block(b).map(|x| x.len()))).collect();
             out.push(format!("{:?}", BlockView::from(cold).check()));
             out.push(format!("{:?}", store.get(id).map(|_| ())));
-            out.push(format!("{:?}", store.quarantined()));
+            out.push(format!("{:?}", store.is_quarantined(id)));
             out.push(format!("{:?}", store.repair(id)));
             out.push(format!("{:?}", read_cold(store, id).map(|xs| xs == v.to_f64_vec())));
             out.push(format!("{:?}", store.get_typed(id).map(|p| *p == v)));
@@ -1894,7 +1850,7 @@ mod tests {
             let (w, f) = (outcome(&warm), outcome(&fresh));
             assert_eq!(w, f, "{section}: a cached reader reads damage as a fresh open does");
             assert!(w[3].starts_with("Err(CorruptRegion"), "{section}: damage undetected: {w:?}");
-            assert_eq!(w[4], format!("{:?}", vec![id]), "{section}");
+            assert_eq!(w[4], "true", "{section}");
             let repaired = format!("Ok({})", v.size_bytes());
             assert_eq!(&w[5..], [repaired.as_str(), "Ok(true)", "Ok(true)"], "{section}");
             let _ = std::fs::remove_dir_all(&warm_dir);

@@ -41,16 +41,6 @@ impl Shape {
         }
         idx
     }
-
-    /// Convert per-dimension indices into a linear coordinate (row-major).
-    pub fn ravel(&self, idx: &[u64]) -> u64 {
-        debug_assert_eq!(idx.len(), self.0.len());
-        let mut linear = 0u64;
-        for (&dim, &i) in self.0.iter().zip(idx.iter()) {
-            linear = linear * dim + i;
-        }
-        linear
-    }
 }
 
 /// A contiguous 1-D span of elements within an object: one storage region.
@@ -167,7 +157,7 @@ mod tests {
         assert_eq!(shape.num_elements(), 120);
         for linear in [0u64, 1, 59, 119] {
             let idx = shape.unravel(linear);
-            assert_eq!(shape.ravel(&idx), linear);
+            assert_eq!(idx[0] * 30 + idx[1] * 6 + idx[2], linear);
         }
         assert_eq!(shape.unravel(0), vec![0, 0, 0]);
         assert_eq!(shape.unravel(119), vec![3, 4, 5]);

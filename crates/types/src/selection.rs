@@ -39,9 +39,9 @@ impl Run {
 /// non-adjacent (adjacent runs are coalesced).
 ///
 /// ```
-/// use pdc_types::Selection;
+/// use pdc_types::{Run, Selection};
 /// let a = Selection::from_unsorted_coords(&[5, 3, 4, 10]);
-/// let b = Selection::from_span(4, 3); // {4, 5, 6}
+/// let b = Selection::from_runs(vec![Run::new(4, 3)]); // {4, 5, 6}
 /// assert_eq!(a.union(&b).count(), 5); // {3, 4, 5, 6, 10}
 /// assert_eq!(a.intersect(&b).iter_coords().collect::<Vec<_>>(), vec![4, 5]);
 /// assert_eq!(a.num_runs(), 2); // {3,4,5} and {10}
@@ -63,15 +63,6 @@ impl Selection {
             Selection::empty()
         } else {
             Selection { runs: vec![Run::new(0, n)] }
-        }
-    }
-
-    /// Selection of a single contiguous span.
-    pub fn from_span(start: u64, len: u64) -> Self {
-        if len == 0 {
-            Selection::empty()
-        } else {
-            Selection { runs: vec![Run::new(start, len)] }
         }
     }
 
@@ -374,14 +365,6 @@ impl Selection {
     pub fn wire_size_bytes(&self) -> u64 {
         wire_size(self.runs.len())
     }
-
-    /// The selected locations as N-dimensional array coordinates under
-    /// `shape` — the form `PDCquery_get_selection` reports for
-    /// multi-dimensional objects ("the locations (array coordinates) of
-    /// the matching elements").
-    pub fn to_nd_coords(&self, shape: &crate::region::Shape) -> Vec<Vec<u64>> {
-        self.iter_coords().map(|c| shape.unravel(c)).collect()
-    }
 }
 
 /// Serialized size of `runs` runs: 16 bytes each plus an 8-byte count.
@@ -488,15 +471,6 @@ impl PartialSelection {
         match &self.0 {
             Part::Runs(s) => Some(s),
             Part::Words { .. } => None,
-        }
-    }
-
-    /// The part as a selection: a scattered part is decoded once, into
-    /// exactly its run count.
-    pub fn into_selection(self) -> Selection {
-        match self.0 {
-            Part::Runs(s) => s,
-            Part::Words { .. } => self.0.decoded().into_owned(),
         }
     }
 }
@@ -814,7 +788,7 @@ mod tests {
             sel(&[1, 2, 3, 10]),
             sel(&[3, 4, 5, 20]),
             Selection::empty(),
-            Selection::from_span(9, 3), // bridges 10 and introduces 9, 11
+            Selection::from_runs(vec![Run::new(9, 3)]), // bridges 10 and introduces 9, 11
             sel(&[0, 21]),              // adjacent to 1 and 20
         ];
         let folded = inputs.iter().fold(Selection::empty(), |acc, s| acc.union(s));
@@ -865,8 +839,8 @@ mod tests {
 
     #[test]
     fn intersect_disjoint_is_empty() {
-        let a = Selection::from_span(0, 10);
-        let b = Selection::from_span(10, 10);
+        let a = Selection::from_runs(vec![Run::new(0, 10)]);
+        let b = Selection::from_runs(vec![Run::new(10, 10)]);
         assert!(a.intersect(&b).is_empty());
     }
 
@@ -876,7 +850,7 @@ mod tests {
         assert_eq!(all.count(), 100);
         assert_eq!(all.num_runs(), 1);
         assert!(Selection::all(0).is_empty());
-        assert!(Selection::from_span(5, 0).is_empty());
+        assert!(Selection::from_runs(vec![Run::new(5, 0)]).is_empty());
     }
 
     #[test]
@@ -890,7 +864,7 @@ mod tests {
 
     #[test]
     fn shifted_translates() {
-        let s = Selection::from_span(0, 3).shifted(100);
+        let s = Selection::from_runs(vec![Run::new(0, 3)]).shifted(100);
         assert_eq!(s.runs(), &[Run::new(100, 3)]);
     }
 
@@ -906,14 +880,14 @@ mod tests {
         let shape = crate::region::Shape(vec![3, 4]);
         let s = sel(&[0, 5, 11]);
         assert_eq!(
-            s.to_nd_coords(&shape),
+            s.iter_coords().map(|c| shape.unravel(c)).collect::<Vec<_>>(),
             vec![vec![0, 0], vec![1, 1], vec![2, 3]]
         );
     }
 
     #[test]
     fn wire_size_grows_with_fragmentation() {
-        let contiguous = Selection::from_span(0, 1000);
+        let contiguous = Selection::from_runs(vec![Run::new(0, 1000)]);
         let fragmented = Selection::from_sorted_coords((0..1000).map(|i| i * 2));
         assert!(fragmented.wire_size_bytes() > contiguous.wire_size_bytes());
     }

@@ -36,12 +36,6 @@ impl PdcType {
             PdcType::Double | PdcType::Int64 | PdcType::UInt64 => 8,
         }
     }
-
-    /// Whether the type is a floating-point type.
-    #[inline]
-    pub const fn is_float(self) -> bool {
-        matches!(self, PdcType::Float | PdcType::Double)
-    }
 }
 
 /// A tagged scalar value, the Rust equivalent of the C API's
@@ -224,25 +218,6 @@ impl TypedVec {
         }
     }
 
-    /// Append element `i` of `src` (which must have the same type tag).
-    pub fn push_from(&mut self, src: &TypedVec, i: usize) -> PdcResult<()> {
-        match (self, src) {
-            (TypedVec::Float(dst), TypedVec::Float(xs)) => dst.push(xs[i]),
-            (TypedVec::Double(dst), TypedVec::Double(xs)) => dst.push(xs[i]),
-            (TypedVec::Int32(dst), TypedVec::Int32(xs)) => dst.push(xs[i]),
-            (TypedVec::UInt32(dst), TypedVec::UInt32(xs)) => dst.push(xs[i]),
-            (TypedVec::Int64(dst), TypedVec::Int64(xs)) => dst.push(xs[i]),
-            (TypedVec::UInt64(dst), TypedVec::UInt64(xs)) => dst.push(xs[i]),
-            (dst, src) => {
-                return Err(PdcError::TypeMismatch {
-                    expected: dst.pdc_type(),
-                    got: src.pdc_type(),
-                })
-            }
-        }
-        Ok(())
-    }
-
     /// Append elements `range` of `src` (same type tag required).
     pub fn extend_from_range(
         &mut self,
@@ -323,30 +298,6 @@ impl TypedVec {
         self.append_f64_to(&mut out);
         out
     }
-
-    /// Minimum and maximum of the array widened to `f64`, or `None` if empty.
-    pub fn min_max_f64(&self) -> Option<(f64, f64)> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        #[allow(clippy::unnecessary_cast)] // the Double arm casts f64->f64
-        {
-            with_slice!(self, xs => {
-                for &v in xs.iter() {
-                    let v = v as f64;
-                    if v < lo {
-                        lo = v;
-                    }
-                    if v > hi {
-                        hi = v;
-                    }
-                }
-            });
-        }
-        Some((lo, hi))
-    }
 }
 
 macro_rules! impl_from_vec {
@@ -367,8 +318,6 @@ mod tests {
         assert_eq!(PdcType::Float.size_bytes(), 4);
         assert_eq!(PdcType::Double.size_bytes(), 8);
         assert_eq!(PdcType::Int64.size_bytes(), 8);
-        assert!(PdcType::Double.is_float());
-        assert!(!PdcType::UInt32.is_float());
     }
 
     #[test]
@@ -387,7 +336,6 @@ mod tests {
         assert_eq!(tv.size_bytes(), 12);
         assert_eq!(tv.get_f64(1), 2.0);
         assert_eq!(tv.get_value(2), PdcValue::Float(3.0));
-        assert_eq!(tv.min_max_f64(), Some((1.0, 3.0)));
         assert!(!tv.is_empty());
         assert!(TypedVec::empty(PdcType::Int32).is_empty());
     }
@@ -401,16 +349,14 @@ mod tests {
         let mut dst = TypedVec::empty(PdcType::Int32);
         dst.extend_from_range(&tv, 2..4).unwrap();
         assert_eq!(dst, TypedVec::Int32(vec![30, 40]));
-        dst.push_from(&tv, 0).unwrap();
-        assert_eq!(dst.len(), 3);
+        dst.extend_from_range(&tv, 0..1).unwrap();
+        assert_eq!(dst, TypedVec::Int32(vec![30, 40, 10]));
     }
 
     #[test]
     fn type_mismatch_is_reported() {
         let mut dst = TypedVec::empty(PdcType::Float);
         let src: TypedVec = vec![1i32].into();
-        let err = dst.push_from(&src, 0).unwrap_err();
-        assert!(matches!(err, PdcError::TypeMismatch { .. }));
         let err = dst.extend_from_range(&src, 0..1).unwrap_err();
         assert!(matches!(err, PdcError::TypeMismatch { .. }));
     }
@@ -448,11 +394,5 @@ mod tests {
             tv.append_f64_to(&mut appended);
             assert_eq!(appended[1..], expect[..], "variant {:?}", tv.pdc_type());
         }
-    }
-
-    #[test]
-    fn min_max_handles_negative_values() {
-        let tv: TypedVec = vec![-5.0f64, 3.0, -10.0, 2.0].into();
-        assert_eq!(tv.min_max_f64(), Some((-10.0, 3.0)));
     }
 }

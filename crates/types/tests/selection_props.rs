@@ -64,7 +64,7 @@ fn union_many_coalesces_adjacency_across_sources() {
     ];
     let got = Selection::union_many(&sources);
     assert_eq!(got, fold_union(&sources));
-    assert_eq!(got, Selection::from_span(0, 53));
+    assert_eq!(got, Selection::from_runs(vec![Run::new(0, 53)]));
 }
 
 #[test]
@@ -276,7 +276,7 @@ fn from_unsorted_slices_decides_density_on_all_slices_together() {
 fn check_scatter(slices: &[&[u64]], ctx: &str) -> PartialSelection {
     let part = PartialSelection::scatter(slices);
     let oracle = sort_dedup(&slices.concat());
-    let decoded = part.clone().into_selection();
+    let decoded = Selection::union_partials(std::slice::from_ref(&part));
     assert_eq!(part.num_runs(), decoded.num_runs(), "{ctx}: popcount run count");
     assert_eq!(part.wire_size_bytes(), oracle.wire_size_bytes(), "{ctx}: wire size");
     assert_eq!(decoded, oracle, "{ctx}: decoded");
@@ -288,7 +288,7 @@ fn check_scatter(slices: &[&[u64]], ctx: &str) -> PartialSelection {
 /// against sort + dedup of every coordinate the parts hold.
 fn check_union_partials(parts: &[PartialSelection], ctx: &str) {
     let decoded: Vec<Selection> =
-        parts.iter().cloned().map(PartialSelection::into_selection).collect();
+        parts.iter().map(|p| Selection::union_partials(std::slice::from_ref(p))).collect();
     let coords: Vec<u64> = decoded.iter().flat_map(|s| s.iter_coords()).collect();
     let got = Selection::union_partials(parts);
     assert_eq!(got, fold_union(&decoded), "{ctx}: against the fold");
@@ -313,7 +313,10 @@ fn union_partials_edge_shapes() {
         .map(|s| Selection::from_sorted_coords((0..400).filter(|c| c % 3 == s).map(|c| c + 61)))
         .collect();
     check_union_partials(&run_parts(&rr), "round robin");
-    assert_eq!(Selection::union_partials(&run_parts(&rr)), Selection::from_span(61, 400));
+    assert_eq!(
+        Selection::union_partials(&run_parts(&rr)),
+        Selection::from_runs(vec![Run::new(61, 400)])
+    );
     // Runs that end on, start on and straddle word boundaries, overlap
     // across sources, and one run that swallows another source's runs.
     let sources = [
@@ -342,7 +345,10 @@ fn scattered_parts_merge_with_run_parts_at_word_edges() {
     let from_64: Vec<u64> = (64..96).rev().collect();
     let (a, b) = (words(&to_63, "to 63"), words(&from_64, "from 64"));
     check_union_partials(&[a.clone(), b.clone()], "63 | 64");
-    assert_eq!(Selection::union_partials(&[b.clone(), a.clone()]), Selection::from_span(32, 64));
+    assert_eq!(
+        Selection::union_partials(&[b.clone(), a.clone()]),
+        Selection::from_runs(vec![Run::new(32, 64)])
+    );
     // Above 2^32, at base words 2^26 + 3 and + 5, with a run part bridging
     // them and an empty part and an empty scatter beside them.
     let hi = 1u64 << 32;

@@ -14,11 +14,11 @@ use pdc_types::{ObjectId, PdcResult, TypedVec};
 use std::collections::BTreeMap;
 
 /// The paper's metadata query constants.
-pub const TARGET_RADEG: f64 = 153.17;
+const TARGET_RADEG: f64 = 153.17;
 /// See [`TARGET_RADEG`].
-pub const TARGET_DECDEG: f64 = 23.06;
+const TARGET_DECDEG: f64 = 23.06;
 /// Mean of the flux exponential distribution.
-pub const FLUX_MEAN: f64 = 15.0;
+const FLUX_MEAN: f64 = 15.0;
 
 /// Generator parameters.
 #[derive(Debug, Clone, Copy)]

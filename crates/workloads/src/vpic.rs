@@ -43,31 +43,31 @@ impl Default for VpicConfig {
 pub const X_MAX: f64 = 332.0;
 pub const Y_MIN: f64 = -125.0;
 pub const Y_MAX: f64 = 125.0;
-pub const Z_MAX: f64 = 132.0;
+const Z_MAX: f64 = 132.0;
 
 /// Tail decay rate: solves the 1.30 % → 0.0004 % span over `ΔE = 1.4`.
-pub const TAIL_RATE: f64 = 5.78;
+const TAIL_RATE: f64 = 5.78;
 /// Fraction of particles in the energetic tail (E ≥ 2.0).
-pub const TAIL_MASS: f64 = 0.0529;
+const TAIL_MASS: f64 = 0.0529;
 /// Fraction of tail particles inside the reconnection region. Stray
 /// energetic particles outside it are rare enough that most regions keep
 /// prunable (tail-free) min/max ranges — as in the real VPIC data.
-pub const TAIL_CONCENTRATION: f64 = 0.998;
+const TAIL_CONCENTRATION: f64 = 0.998;
 
 /// Index-block size for tail energy draws (particles accelerated in the
 /// same burst share a narrow energy band).
-pub const TAIL_BLOCK: usize = 64;
+const TAIL_BLOCK: usize = 64;
 
 /// Fraction of all particles inside the reconnection ("hot") region:
 /// `P(x > 0.62·X_MAX) · P(y > 0.25·Y_MAX)` ≈ 0.38 · 0.375.
-pub const HOT_FRACTION: f64 = 0.1425;
+const HOT_FRACTION: f64 = 0.1425;
 
 /// Cycles of the bulk temperature field along the particle array; slow
 /// relative to region sizes, so bulk energies are locally narrow — the
 /// property that makes per-region histograms informative and WAH bitmap
 /// bins compressible (thermal plasma: nearby particles share a local
 /// temperature).
-pub const TEMPERATURE_CYCLES: f64 = 23.0;
+const TEMPERATURE_CYCLES: f64 = 23.0;
 
 /// The seven VPIC variables.
 #[derive(Debug, Clone)]

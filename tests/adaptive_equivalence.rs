@@ -127,7 +127,8 @@ proptest! {
         prop_assert_eq!(&corrupted.selection, &clean.selection,
             "corruption seed {}", seed);
 
-        let stressed_plan = FaultPlan::seeded_with_corruption(seed, servers, 0.1, 0.3);
+        let stressed_plan = FaultPlan::seeded(seed, servers)
+            .with_corruption(CorruptionSpec::new(0.1, 0.3, seed));
         let stressed = engine(&odms, Strategy::Adaptive, servers, Some(stressed_plan))
             .run(&q)
             .unwrap_or_else(|e| panic!("fault seed {seed}: {e}"));

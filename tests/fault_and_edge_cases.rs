@@ -268,9 +268,9 @@ fn kill_count_reports_failures_and_recovers() {
     let out = fault_engine(&odms, Strategy::Histogram, n, plan.clone()).run(&q).unwrap();
     assert_eq!(out.nhits, healthy.nhits);
     assert_eq!(out.selection, healthy.selection);
-    let mut expect_failed = plan.crashed_servers();
-    expect_failed.sort_unstable();
-    assert_eq!(out.failed_servers, expect_failed);
+    // Exactly the plan's n - 1 victims failed.
+    assert_eq!(out.failed_servers.len(), (n - 1) as usize);
+    assert_eq!(FaultPlan::kill(&out.failed_servers), plan);
     assert!(out.retry_rounds >= 1, "dead servers must force a retry round");
     assert!(out.breakdown.failover > SimDuration::ZERO);
     assert_eq!(out.breakdown.total(), healthy.breakdown.total() + out.breakdown.failover);
@@ -329,8 +329,8 @@ fn killing_all_servers_is_a_typed_error() {
 }
 
 /// A crashed server stays dead for subsequent queries (no retry rounds
-/// needed: it left the membership and its slot was re-homed) until
-/// `reset_state` rearms the fault schedule and restores the membership.
+/// needed: it left the membership and its slot was re-homed) for the
+/// engine's life; a new engine arms the crash schedule afresh.
 #[test]
 fn crashed_servers_stay_dead_until_reset() {
     let (odms, obj, _) = small_world();
@@ -342,10 +342,10 @@ fn crashed_servers_stay_dead_until_reset() {
     let second = eng.run(&q).unwrap();
     assert_eq!(second.nhits, first.nhits);
     assert_eq!(second.retry_rounds, 0, "already-dead server needs no new retry");
-    eng.reset_state();
-    let third = eng.run(&q).unwrap();
+    let fresh = fault_engine(&odms, Strategy::Histogram, 4, FaultPlan::kill(&[1]));
+    let third = fresh.run(&q).unwrap();
     assert_eq!(third.nhits, first.nhits);
-    assert_eq!(third.failed_servers, vec![1], "reset rearms the crash schedule");
+    assert_eq!(third.failed_servers, vec![1], "a new engine arms the crash schedule");
     assert!(third.retry_rounds >= 1);
 }
 

@@ -113,7 +113,8 @@ proptest! {
     ) {
         let (odms, obj, _) = build_world(world_seed);
         let q = PdcQuery::range_open(obj, 2.0f32, 6.0f32);
-        let plan = FaultPlan::seeded_with_corruption(seed, servers, 0.1, 0.3);
+        let plan = FaultPlan::seeded(seed, servers)
+            .with_corruption(CorruptionSpec::new(0.1, 0.3, seed));
         for strategy in Strategy::ALL {
             let clean = engine(&odms, strategy, servers, None).run(&q).unwrap();
             let stressed = engine(&odms, strategy, servers, Some(plan.clone()))

@@ -53,24 +53,6 @@ fn tier_ladder_orders_simulated_cost() {
 }
 
 #[test]
-fn selective_staging_speeds_up_only_matching_queries() {
-    let (odms, obj, _) = world();
-    let hot = pdc_suite::types::Interval::open(0.0, 10.0);
-    odms.stage_matching_regions(obj, &hot, StorageTier::BurstBuffer).unwrap();
-    // Values cycle 0..40 within each region, so every region matches the
-    // hot interval; a cold interval query is unaffected only if its
-    // regions were not staged — here all were, so both get the benefit.
-    // Use two fresh worlds to compare a staged vs. unstaged cold query.
-    let (odms2, obj2, _) = world();
-    let q = PdcQuery::create(obj, QueryOp::Lt, 5.0f32);
-    let q2 = PdcQuery::create(obj2, QueryOp::Lt, 5.0f32);
-    let staged = engine(&odms).run(&q).unwrap();
-    let unstaged = engine(&odms2).run(&q2).unwrap();
-    assert_eq!(staged.nhits, unstaged.nhits);
-    assert!(staged.elapsed < unstaged.elapsed);
-}
-
-#[test]
 fn metadata_snapshot_survives_engine_restart() {
     // Snapshot, rebuild a "restarted" system over the same store, and
     // answer queries identically — the §II fault-tolerance story.
