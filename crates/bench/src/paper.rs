@@ -598,8 +598,11 @@ impl Paper<'_> {
             "precision | index bytes | % of data | queries needing checks",
             rows.into(),
             "precision 1 is small but its decade-wide bins force raw-data candidate checks\n\
-             on the paper's 0.1-wide windows; precision 2 answers them index-only; precision\n\
-             3 pays more space for nothing the catalog needs — the paper's default.",
+             on the paper's 0.1-wide windows. At precision 2, a window whose `f32` upper\n\
+             constant rounds below its decimal (`2.3f32` is 2.29999995) still checks\n\
+             candidates: that value tops its bin, so the exclusive bound leaves the bin\n\
+             partial (ROADMAP item 12). Precision 3 pays far more space; the paper's\n\
+             default is precision 2.",
         )
     }
 

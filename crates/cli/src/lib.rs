@@ -525,11 +525,6 @@ impl Drop for World {
 fn format_spill_report(odms: &Odms, opts: &Opts) -> Option<String> {
     let stats = odms.store().spill_stats()?;
     let budget = opts.memory_budget.unwrap_or(0);
-    let ratio = if stats.spilled_comp_bytes > 0 {
-        stats.spilled_raw_bytes as f64 / stats.spilled_comp_bytes as f64
-    } else {
-        1.0
-    };
     Some(format!(
         "out-of-core: resident high-water {} B of {} B budget, {} region(s) spilled \
          ({} B as {} B on disk, {:.2}x), block cache {:.1}% hits, \
@@ -539,7 +534,7 @@ fn format_spill_report(odms: &Odms, opts: &Opts) -> Option<String> {
         stats.spilled_regions,
         stats.spilled_raw_bytes,
         stats.spilled_comp_bytes,
-        ratio,
+        stats.compression_ratio(),
         stats.block_cache.hit_rate() * 100.0,
         stats.demotions,
         stats.fault_ins,

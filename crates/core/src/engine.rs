@@ -130,9 +130,10 @@ impl Policy {
     /// (stale after an append, pending deferred maintenance) is
     /// unavailable, and the constraint takes the per-region path. A pure
     /// function of metadata, histograms and the cost model, decided once
-    /// per conjunction per query on the client by
-    /// [`BandVerdicts::resolve`]; server slots, retries and failovers,
-    /// the client merge and `sorted_hint` all read that one verdict.
+    /// per conjunction per plan on the client and marked on the
+    /// constraint (`ObjConstraint::band`); server slots, retries and
+    /// failovers, the client merge and `sorted_hint` all read that one
+    /// verdict.
     fn sorted_primary(
         self,
         snap: &MetaSnapshot,
@@ -150,120 +151,54 @@ impl Policy {
     }
 }
 
-/// Bit-exact hashable image of an [`Interval`]: raw endpoint bits plus
-/// presence/inclusivity flags. Two intervals map to the same key iff
-/// they are structurally identical (NaN payloads included), so a verdict
-/// is only ever read back for the exact predicate that produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct IntervalKey {
-    lo: (u64, u8),
-    hi: (u64, u8),
-}
-
-impl IntervalKey {
-    fn of(iv: &Interval) -> Self {
-        let enc = |b: Option<pdc_types::interval::Bound>| match b {
-            None => (0u64, 0u8),
-            Some(b) => (b.value.to_bits(), if b.inclusive { 2 } else { 1 }),
-        };
-        IntervalKey { lo: enc(iv.lo), hi: enc(iv.hi) }
-    }
-}
-
-/// The client's sorted-lane verdicts for one plan: the conjunction
-/// primaries the value-sorted replica answers. [`Self::resolve`] walks the
-/// plan as the evaluator does and asks [`Policy::sorted_primary`] once for
-/// every conjunction evaluated without incoming candidates (the root, OR
-/// children, the first child of an AND); the plan cache keeps the result
-/// beside the plan and its snapshot, so a query asks once per plan-cache
-/// entry.
-#[derive(Debug, Default)]
-pub(crate) struct BandVerdicts {
-    /// `(object, interval)` of every band-answered primary. A verdict is a
-    /// function of the pair (under one snapshot, cost model and pool
-    /// size), so the pair names it wherever it recurs in the plan.
-    band: Vec<(ObjectId, IntervalKey)>,
-}
-
-impl BandVerdicts {
-    /// Resolve every conjunction primary of `plan` under `policy`.
-    pub(crate) fn resolve(
-        policy: Policy,
-        snap: &MetaSnapshot,
-        cost: &CostModel,
-        n_servers: u32,
-        plan: &QueryPlan,
-    ) -> PdcResult<Self> {
-        let mut out = BandVerdicts::default();
-        if policy.sorted != Use::Never {
-            let decide = |c: &ObjConstraint| policy.sorted_primary(snap, cost, n_servers, c);
-            out.collect(&plan.root, false, &decide)?;
-        }
-        Ok(out)
-    }
-
-    /// Mirror `exec::eval_node`: a conjunction reached with candidates
-    /// point-checks every constraint and has no primary.
-    fn collect(
-        &mut self,
-        node: &PlanNode,
-        candidates: bool,
-        decide: &dyn Fn(&ObjConstraint) -> PdcResult<bool>,
-    ) -> PdcResult<()> {
-        match node {
-            PlanNode::Conj(cs) => {
-                if let Some(c) = cs.first().filter(|_| !candidates) {
-                    if decide(c)? {
-                        self.band.push((c.object, IntervalKey::of(&c.interval)));
-                    }
-                }
-            }
-            PlanNode::Or(children) => {
-                for child in children {
-                    self.collect(child, candidates, decide)?;
-                }
-            }
-            PlanNode::And(children) => {
-                for (i, child) in children.iter().enumerate() {
-                    self.collect(child, candidates || i > 0, decide)?;
-                }
+/// Mark the sorted-lane verdict `decide` gives on every conjunction
+/// primary `exec::eval_node` evaluates without incoming candidates (the
+/// root, OR children, the first child of an AND). A conjunction reached
+/// with candidates point-checks every constraint and has no primary.
+fn mark_band(
+    node: &mut PlanNode,
+    candidates: bool,
+    decide: &dyn Fn(&ObjConstraint) -> PdcResult<bool>,
+) -> PdcResult<()> {
+    match node {
+        PlanNode::Conj(cs) => {
+            if let Some(c) = cs.first_mut().filter(|_| !candidates) {
+                c.band = decide(c)?;
             }
         }
-        Ok(())
+        PlanNode::Or(children) => {
+            for child in children {
+                mark_band(child, candidates, decide)?;
+            }
+        }
+        PlanNode::And(children) => {
+            for (i, child) in children.iter_mut().enumerate() {
+                mark_band(child, candidates || i > 0, decide)?;
+            }
+        }
     }
-
-    /// Whether the sorted replica answers `c` as a conjunction's primary.
-    pub(crate) fn answers(&self, c: &ObjConstraint) -> bool {
-        let key = IntervalKey::of(&c.interval);
-        self.band.iter().any(|&(o, k)| o == c.object && k == key)
-    }
-
-    /// When the band answers the root conjunction's primary
-    /// (SortedHistogram always; Adaptive when the band wins), the sort
-    /// object, the matching sorted span and the snapshot's replica. Then
-    /// every slot result is a slice of one band, interleaved with the
-    /// others element by element.
-    pub(crate) fn sorted_hint(
-        &self,
-        plan: &QueryPlan,
-        snap: &MetaSnapshot,
-    ) -> PdcResult<Option<SortedHint>> {
-        let PlanNode::Conj(cs) = &plan.root else { return Ok(None) };
-        let Some(primary) = cs.first().filter(|c| self.answers(c)) else { return Ok(None) };
-        let (version, replica) = snap.sorted_replica(primary.object)?;
-        let span = replica.matching_span(&primary.interval);
-        Ok(Some(SortedHint { object: primary.object, span, version, replica, positions: None }))
-    }
+    Ok(())
 }
 
-/// A plan with its plan-time metadata snapshot and its sorted-lane
-/// verdicts: what the plan cache keeps, and everything an evaluation of
+/// When the band answers the root conjunction's primary (SortedHistogram
+/// always; Adaptive when the band wins), the sort object, the matching
+/// sorted span and the snapshot's replica. Then every slot result is a
+/// slice of one band, interleaved with the others element by element.
+fn sorted_hint(plan: &QueryPlan, snap: &MetaSnapshot) -> PdcResult<Option<SortedHint>> {
+    let PlanNode::Conj(cs) = &plan.root else { return Ok(None) };
+    let Some(primary) = cs.first().filter(|c| c.band) else { return Ok(None) };
+    let (version, replica) = snap.sorted_replica(primary.object)?;
+    let span = replica.matching_span(&primary.interval);
+    Ok(Some(SortedHint { object: primary.object, span, version, replica, positions: None }))
+}
+
+/// A plan, its sorted-lane verdicts marked, with its plan-time metadata
+/// snapshot: what the plan cache keeps, and everything an evaluation of
 /// the query reads from planning.
 #[derive(Clone)]
 pub(crate) struct Planned {
     pub plan: QueryPlan,
     pub snap: Arc<MetaSnapshot>,
-    pub band: Arc<BandVerdicts>,
 }
 
 /// Engine configuration. Failure handling is not configurable: a failed
@@ -747,9 +682,9 @@ impl QueryEngine {
 
     /// Plan `query` through the canonical-plan cache, the one way every
     /// dispatch plans: a hit replays the built, selectivity-ordered plan,
-    /// *its plan-time metadata snapshot* and its sorted-lane verdicts for
-    /// the same canonical tree while that snapshot is current; a miss
-    /// builds and admits all three. Host work only — planning carries no
+    /// its sorted-lane verdicts marked, and *its plan-time metadata
+    /// snapshot* for the same canonical tree while that snapshot is
+    /// current; a miss builds and admits both. Host work only — planning carries no
     /// simulated charge either way.
     ///
     /// On a miss the snapshot is pinned before planning, so the planner
@@ -768,16 +703,11 @@ impl QueryEngine {
             }
         }
         let snap = Arc::new(MetaSnapshot::capture(&self.odms, &query.objects())?);
-        let plan =
+        let mut plan =
             QueryPlan::build_with_ordering(query, &self.odms, self.cfg.order_by_selectivity)?;
-        let band = BandVerdicts::resolve(
-            self.cfg.strategy.policy(),
-            &snap,
-            &self.cfg.cost,
-            self.cfg.num_servers,
-            &plan,
-        )?;
-        let planned = Planned { plan, snap, band: Arc::new(band) };
+        let (policy, cost, n) = (self.cfg.strategy.policy(), &self.cfg.cost, self.cfg.num_servers);
+        mark_band(&mut plan.root, false, &|c| policy.sorted_primary(&snap, cost, n, c))?;
+        let planned = Planned { plan, snap };
         let mut pc = self.plans.lock().unpoisoned();
         pc.misses += 1;
         if pc.map.len() >= PLAN_CACHE_CAP {
@@ -830,26 +760,22 @@ impl QueryEngine {
         explain: bool,
     ) -> PdcResult<(QueryOutcome, SimDuration, Option<crate::ops::ExplainPlan>)> {
         let (mut integrity, preflight_time) = self.preflight()?;
-        let Planned { plan, snap, band } = self.plan_cached(query)?;
-        let mut sorted_hint = band.sorted_hint(&plan, &snap)?;
+        let Planned { plan, snap } = self.plan_cached(query)?;
+        let mut sorted_hint = sorted_hint(&plan, &snap)?;
         let n = self.cfg.num_servers;
         let cost = self.cfg.cost;
         // Snapshot the placement once per query: membership changes land
         // between queries, never mid-broadcast.
         let placement = self.placement_snapshot();
         let n_slots = placement.num_slots();
-        let mut objects = Vec::new();
-        plan.root.objects(&mut objects);
-        objects.sort_unstable();
-        objects.dedup();
-        let weights = self.slot_weights_for_objects(&snap, &objects, n_slots)?;
+        let weights = self.slot_weights_for_objects(&snap, &plan.objects, n_slots)?;
 
         // PDC-F pre-loads all data of every queried object. Failures
         // during the pre-load recover the same way evaluation does; they
         // are carried into the outcome's fault report.
         let policy = self.cfg.strategy.policy();
         let preload = if policy.preload {
-            Some(self.preload_objects(&snap, &objects, &weights, &placement)?)
+            Some(self.preload_objects(&snap, &plan.objects, &weights, &placement)?)
         } else {
             None
         };
@@ -878,7 +804,6 @@ impl QueryEngine {
                     snap: &snap_eval,
                     cost: &cost,
                     policy,
-                    band: &band,
                     n_servers: n,
                     n_slots,
                     server: slot,
@@ -1368,21 +1293,49 @@ mod tests {
     use pdc_odms::ImportOptions;
     use pdc_storage::CacheSlot;
 
+    /// A hand-built conjunction with one unmarked constraint per object.
+    fn conj(objects: &[u64]) -> PlanNode {
+        let c = |o| ObjConstraint {
+            object: ObjectId(o),
+            interval: Interval::open(0.0, 1.0),
+            est_selectivity: None,
+            band: false,
+        };
+        PlanNode::Conj(objects.iter().map(|&o| c(o)).collect())
+    }
+
+    /// The objects of the marked constraints, in evaluation order.
+    fn marked(node: &PlanNode) -> Vec<u64> {
+        node.constraints().filter(|c| c.band).map(|c| c.object.0).collect()
+    }
+
     #[test]
-    fn interval_key_is_bit_exact() {
-        let iv = Interval::open;
-        assert_eq!(IntervalKey::of(&iv(1.0, 2.0)), IntervalKey::of(&iv(1.0, 2.0)));
-        assert_ne!(IntervalKey::of(&iv(1.0, 2.0)), IntervalKey::of(&iv(1.0, 2.5)));
-        assert_ne!(
-            IntervalKey::of(&Interval::open(1.0, 2.0)),
-            IntervalKey::of(&Interval::closed(1.0, 2.0)),
-            "inclusivity must distinguish keys"
-        );
-        assert_ne!(
-            IntervalKey::of(&Interval::from_op(pdc_types::QueryOp::Gt, 0.0)),
-            IntervalKey::of(&Interval::from_op(pdc_types::QueryOp::Lt, 0.0)),
-            "lo-only vs hi-only bounds must distinguish keys"
-        );
+    fn band_marks_only_primaries_reached_without_candidates() {
+        let yes = |_: &ObjConstraint| Ok(true);
+        let mut or = PlanNode::Or(vec![conj(&[1, 2]), conj(&[3, 4])]);
+        mark_band(&mut or, false, &yes).unwrap();
+        assert_eq!(marked(&or), [1, 3], "both OR children's primaries");
+        let mut and = PlanNode::And(vec![conj(&[1, 2]), PlanNode::Or(vec![conj(&[3, 4])])]);
+        mark_band(&mut and, false, &yes).unwrap();
+        assert_eq!(marked(&and), [1], "an AND's later children run on candidates");
+
+        let odms = Arc::new(Odms::new(4));
+        let c = odms.create_container("t");
+        let data = TypedVec::Float((0..20_000).map(|i| i as f32).collect());
+        let opts = ImportOptions { region_bytes: 8192, build_sorted: true, ..Default::default() };
+        let obj = odms.import_array(c, "v", data, &opts).unwrap().object;
+        let q = PdcQuery::range_open(obj, 10.0f32, 20.0f32)
+            .or(PdcQuery::range_open(obj, 500.0f32, 600.0f32));
+        assert!(marked(&QueryPlan::build(&q, &odms).unwrap().root).is_empty());
+        let planned = |strategy| {
+            let engine = QueryEngine::new(
+                Arc::clone(&odms),
+                EngineConfig { strategy, ..Default::default() },
+            );
+            marked(&engine.plan_cached(&q).unwrap().plan.root)
+        };
+        assert_eq!(planned(Strategy::SortedHistogram), [obj.0, obj.0]);
+        assert!(planned(Strategy::Histogram).is_empty(), "PDC-H never reads the replica");
     }
 
     #[test]

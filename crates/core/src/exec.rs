@@ -30,7 +30,7 @@
 //! survivors' band positions for `get_data`); disjunctions union their
 //! children with duplicate removal (paper §III-C).
 
-use crate::engine::{BandVerdicts, Policy};
+use crate::engine::Policy;
 use crate::ops::{self, ExplainPhase, RegionTask};
 use crate::plan::{ObjConstraint, PlanNode, QueryPlan};
 use crate::snapshot::MetaSnapshot;
@@ -55,10 +55,6 @@ pub struct EvalCtx<'a> {
     pub cost: &'a CostModel,
     /// The evaluation strategy's decisions.
     pub(crate) policy: Policy,
-    /// Which conjunction primaries the sorted replica answers, decided
-    /// once per query on the client: every slot, retry and failover reads
-    /// the same verdicts.
-    pub(crate) band: &'a BandVerdicts,
     /// Number of servers participating (= read concurrency).
     pub n_servers: u32,
     /// Number of assignment slots work is partitioned into. Equal to
@@ -89,11 +85,7 @@ pub fn eval_plan(
     // Metadata distribution: each server fetches the metadata (offsets,
     // sizes, histograms) of its assigned regions for every object in the
     // query; cached for the server's lifetime afterwards.
-    let mut objects = Vec::new();
-    plan.root.objects(&mut objects);
-    objects.sort_unstable();
-    objects.dedup();
-    for obj in objects {
+    for &obj in &plan.objects {
         let meta = ctx.snap.meta(obj)?;
         let assigned = u64::from(meta.num_regions()).div_ceil(u64::from(ctx.n_servers));
         state.charge_metadata_distribution(ctx.cost, obj, assigned);
@@ -101,13 +93,13 @@ pub fn eval_plan(
     // An empty interval answers nothing and charges nothing (`eval_conj`).
     match (&plan.root, &plan.region) {
         (PlanNode::Conj(cs), None)
-            if cs.len() == 1 && !cs[0].interval.is_empty() && ctx.band.answers(&cs[0]) =>
+            if cs.len() == 1 && !cs[0].interval.is_empty() && cs[0].band =>
         {
             let (replica, share) = band_share(ctx, state, &cs[0])?;
             let slices: Vec<&[u64]> = share.into_iter().map(|r| &replica.perm()[r]).collect();
             Ok((PartialSelection::scatter(&slices), None))
         }
-        (PlanNode::Conj(cs), region) if ctx.band.answers(&cs[0]) => {
+        (PlanNode::Conj(cs), region) if cs[0].band => {
             let mut positions = Vec::new();
             let sel = eval_conj(ctx, state, cs, region.as_ref(), None, Some(&mut positions))?;
             Ok((sel.into(), Some(positions)))
@@ -187,7 +179,7 @@ fn eval_conj(
             }
             sel
         }
-        None if ctx.band.answers(&constraints[0]) => {
+        None if constraints[0].band => {
             let (replica, share) = band_share(ctx, state, &constraints[0])?;
             let perm = replica.perm();
             let mut band: Vec<(u64, usize)> =
@@ -289,7 +281,7 @@ fn eval_primary(
 
 /// The slot's share of the sorted band answering the primary constraint
 /// `c` (SortedHistogram strategy, and Adaptive when the band wins — the
-/// client's once-per-query verdict in `ctx.band`). Each of the slot's band
+/// client's once-per-plan verdict marked on `c`). Each of the slot's band
 /// regions is charged by its [`ops::SortedRangeOp`], which hands back the
 /// band positions it matched; returns the replica and those ranges.
 fn band_share(

@@ -13,7 +13,7 @@
 //! configured strategy ("due to the small size of the BOSS objects, each
 //! object has one region only").
 
-use crate::engine::{BandVerdicts, QueryEngine};
+use crate::engine::QueryEngine;
 use crate::exec::EvalCtx;
 use crate::ops::{self, ExplainPhase, RegionTask};
 use crate::recover::run_slots;
@@ -104,9 +104,6 @@ impl QueryEngine {
                     snap: &snap,
                     cost: &cost,
                     policy,
-                    // Each object's regions run through the per-region
-                    // filter lane; no conjunction has a primary here.
-                    band: &BandVerdicts::default(),
                     n_servers: n,
                     n_slots,
                     server: slot,

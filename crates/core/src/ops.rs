@@ -38,10 +38,10 @@
 //! data region, so a probe with predicted boundary bins can never win.
 //! `IfCheaper` sorted answers compare the sorted band against the
 //! per-region alternative; that verdict is taken once per conjunction per
-//! query on the client (`BandVerdicts` in `engine.rs`) and read by every
-//! slot. Every decision is a pure function of metadata, histograms, and
-//! the cost model — independent of cache residency — so retried and
-//! reassigned slots always agree.
+//! plan on the client, marked on the constraint (`ObjConstraint::band`)
+//! and read by every slot. Every decision is a pure function of metadata,
+//! histograms, and the cost model — independent of cache residency — so
+//! retried and reassigned slots always agree.
 
 use crate::engine::{Policy, Strategy, Use};
 use crate::exec::EvalCtx;
@@ -615,9 +615,9 @@ enum Access {
     /// Per region, the probe when it dominates the scan.
     IfCheaper {
         elem_bytes: u64,
-        /// Serialized index bytes per region (`None` where the index is
-        /// pending a rebuild).
-        index_region_bytes: Vec<Option<u64>>,
+        /// The snapshot's serialized index bytes per region (a recorded
+        /// 0, or no entry, is a pending rebuild).
+        index_sizes: Arc<Vec<u64>>,
     },
 }
 
@@ -641,13 +641,8 @@ impl RegionPlanner {
             // simulated charge — this is planning, like building the
             // query plan itself). A recorded 0 is a pending rebuild.
             (Use::IfCheaper, Some(_)) => {
-                let sizes = ctx.snap.version(object)?.index_sizes.clone().unwrap_or_default();
-                Access::IfCheaper {
-                    elem_bytes: meta.pdc_type.size_bytes(),
-                    index_region_bytes: (0..meta.num_regions() as usize)
-                        .map(|r| sizes.get(r).copied().filter(|&b| b > 0))
-                        .collect(),
-                }
+                let index_sizes = ctx.snap.version(object)?.index_sizes.clone().unwrap_or_default();
+                Access::IfCheaper { elem_bytes: meta.pdc_type.size_bytes(), index_sizes }
             }
             _ => Access::Scan,
         };
@@ -727,8 +722,9 @@ impl RegionPlanner {
         match &self.access {
             Access::Scan => OpKind::ScanExact,
             Access::Probe => OpKind::IndexProbe,
-            Access::IfCheaper { elem_bytes, index_region_bytes } => {
-                let index_bytes = index_region_bytes[task.region as usize];
+            Access::IfCheaper { elem_bytes, index_sizes } => {
+                let index_bytes =
+                    index_sizes.get(task.region as usize).copied().filter(|&b| b > 0);
                 self.adaptive_choice(ctx, task, *elem_bytes, index_bytes)
             }
         }

@@ -24,6 +24,12 @@ pub struct ObjConstraint {
     /// Estimated selectivity (midpoint of the global-histogram bounds),
     /// used for ordering; `None` when no histogram exists.
     pub est_selectivity: Option<f64>,
+    /// The client's sorted-lane verdict: the value-sorted replica answers
+    /// this constraint as its conjunction's primary. Set once per plan by
+    /// the engine's plan cache (only on primaries evaluated without
+    /// incoming candidates); `false` on every plan [`QueryPlan::build`]
+    /// returns.
+    pub(crate) band: bool,
 }
 
 /// A normalized plan node.
@@ -47,6 +53,8 @@ pub struct QueryPlan {
     pub root: PlanNode,
     /// Optional spatial constraint carried over from the query.
     pub region: Option<NdRegion>,
+    /// Every object the plan constrains, sorted and deduplicated.
+    pub(crate) objects: Vec<ObjectId>,
 }
 
 impl PlanNode {
@@ -83,11 +91,6 @@ impl PlanNode {
                 }
             }
         })
-    }
-
-    /// All objects referenced by the node.
-    pub fn objects(&self, out: &mut Vec<ObjectId>) {
-        out.extend(self.constraints().map(|c| c.object));
     }
 
     /// Whether any constraint interval is empty (the whole conjunction
@@ -144,7 +147,7 @@ impl QueryPlan {
         check_types(&query.root, odms)?;
 
         let root = normalize(&query.root, odms, order_by_selectivity);
-        Ok(QueryPlan { root, region: query.region.clone() })
+        Ok(QueryPlan { root, region: query.region.clone(), objects })
     }
 
     /// The primary object of the plan: the first-evaluated constraint's
@@ -223,7 +226,7 @@ fn normalize(node: &QueryNode, odms: &Odms, order: bool) -> PlanNode {
 fn constraint(object: ObjectId, interval: Interval, odms: &Odms) -> ObjConstraint {
     let hist = odms.meta().global_histogram(object).ok();
     let est = estimate(hist.as_deref(), &interval);
-    ObjConstraint { object, interval, est_selectivity: est }
+    ObjConstraint { object, interval, est_selectivity: est, band: false }
 }
 
 fn flatten_or(node: PlanNode, out: &mut Vec<PlanNode>) {

@@ -140,10 +140,12 @@ pub struct Odms {
 }
 
 impl Odms {
-    /// A new system with `num_osts` simulated storage targets.
-    pub fn new(num_osts: u32) -> Self {
+    /// A new, empty system. The store does not model the number of
+    /// storage targets (OSTs) the argument names; OST contention lives in
+    /// the cost model ([`pdc_storage::CostModel`]).
+    pub fn new(_num_osts: u32) -> Self {
         Self {
-            store: Arc::new(ObjectStore::new(num_osts)),
+            store: Arc::new(ObjectStore::default()),
             meta: Arc::new(MetadataService::new()),
             pending: RwLock::new(BTreeMap::new()),
         }

@@ -2,11 +2,11 @@
 //!
 //! PDC regions "can reside on any layer of the memory/storage hierarchy".
 //! The store keeps each region's payload (a typed array for data regions,
-//! raw bytes for index files) together with its tier and striped placement
-//! across simulated OSTs. The store itself is time-free — callers charge
-//! their own [`crate::sim::SimClock`] via the cost model, because the
-//! *pattern* of access (aggregated vs. flat, cached vs. not) is a property
-//! of the reader, not of the store.
+//! raw bytes for index files) together with its tier; OST placement and
+//! contention live in the cost model. The store itself is time-free —
+//! callers charge their own [`crate::sim::SimClock`] via the cost model,
+//! because the *pattern* of access (aggregated vs. flat, cached vs. not)
+//! is a property of the reader, not of the store.
 
 use crate::cache::CacheSlot;
 use pdc_blockstore::{blockfile, BlockCache, BlockCacheStats, BlockReader, BulkFnv};
@@ -588,24 +588,12 @@ pub struct ObjectStore {
     /// sealed region, while `put` (a wholesale rewrite) and `remove` start
     /// the region's life over and clear the mark.
     sealed: RwLock<HashSet<RegionId>>,
-    num_osts: u32,
     /// Out-of-core spill state; `None` until
     /// [`ObjectStore::configure_spill`] enables demotion.
     spill: RwLock<Option<Arc<SpillState>>>,
 }
 
 impl ObjectStore {
-    /// A store over `num_osts` simulated OSTs.
-    pub fn new(num_osts: u32) -> Self {
-        Self {
-            regions: RwLock::new(HashMap::new()),
-            quarantine: RwLock::new(HashSet::new()),
-            sealed: RwLock::new(HashSet::new()),
-            num_osts: num_osts.max(1),
-            spill: RwLock::new(None),
-        }
-    }
-
     fn spill_state(&self) -> Option<Arc<SpillState>> {
         self.spill.read().unpoisoned().clone()
     }
@@ -619,11 +607,6 @@ impl ObjectStore {
             let tick = t.tick;
             t.last_use.insert(id, tick);
         }
-    }
-
-    /// Number of simulated OSTs.
-    pub fn num_osts(&self) -> u32 {
-        self.num_osts
     }
 
     /// Insert (or replace) a region payload on a tier.
@@ -1218,7 +1201,7 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip_typed() {
-        let store = ObjectStore::new(8);
+        let store = ObjectStore::default();
         let v: TypedVec = vec![1.0f32, 2.0, 3.0].into();
         store.put(rid(1, 0), StoredPayload::Typed(Arc::new(v.clone())), StorageTier::Pfs);
         let got = store.get_typed(rid(1, 0)).unwrap();
@@ -1229,14 +1212,14 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip_raw() {
-        let store = ObjectStore::new(8);
+        let store = ObjectStore::default();
         store.put(rid(2, 5), StoredPayload::Raw(Bytes::from(&b"abc"[..])), StorageTier::Pfs);
         assert_eq!(store.get_raw(rid(2, 5)).unwrap(), Bytes::from(&b"abc"[..]));
     }
 
     #[test]
     fn wrong_kind_is_an_error() {
-        let store = ObjectStore::new(8);
+        let store = ObjectStore::default();
         store.put(rid(1, 0), StoredPayload::Raw(Bytes::from(&b"x"[..])), StorageTier::Pfs);
         assert!(store.get_typed(rid(1, 0)).is_err());
         let v: TypedVec = vec![1i32].into();
@@ -1246,14 +1229,14 @@ mod tests {
 
     #[test]
     fn missing_region_is_an_error() {
-        let store = ObjectStore::new(8);
+        let store = ObjectStore::default();
         assert!(matches!(store.get(rid(9, 9)), Err(PdcError::NoSuchRegion(_))));
         assert!(!store.contains(rid(9, 9)));
     }
 
     #[test]
     fn migrate_changes_tier() {
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         let v: TypedVec = vec![1.0f64; 100].into();
         store.put(rid(3, 0), StoredPayload::Typed(Arc::new(v)), StorageTier::Pfs);
         let moved = store.migrate(rid(3, 0), StorageTier::Dram).unwrap();
@@ -1263,7 +1246,7 @@ mod tests {
 
     #[test]
     fn bytes_by_tier_accounts() {
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         let v: TypedVec = vec![0u32; 10].into(); // 40 bytes
         store.put(rid(1, 0), StoredPayload::Typed(Arc::new(v.clone())), StorageTier::Pfs);
         store.put(rid(1, 1), StoredPayload::Typed(Arc::new(v)), StorageTier::Dram);
@@ -1281,7 +1264,7 @@ mod tests {
 
     #[test]
     fn remove_region() {
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         let v: TypedVec = vec![0u32; 1].into();
         store.put(rid(1, 0), StoredPayload::Typed(Arc::new(v)), StorageTier::Pfs);
         assert!(store.remove(rid(1, 0)));
@@ -1290,7 +1273,7 @@ mod tests {
 
     #[test]
     fn corrupt_get_reports_tier_and_quarantines() {
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         let v: TypedVec = vec![1.0f64; 16].into();
         store.put(rid(4, 1), StoredPayload::Typed(Arc::new(v)), StorageTier::BurstBuffer);
         assert!(store.corrupt(rid(4, 1), 7).unwrap());
@@ -1311,7 +1294,7 @@ mod tests {
 
     #[test]
     fn repair_restores_pristine_copy() {
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         let v: TypedVec = vec![3.5f32; 8].into();
         store.put(rid(5, 0), StoredPayload::Typed(Arc::new(v.clone())), StorageTier::Pfs);
         store.corrupt(rid(5, 0), 99).unwrap();
@@ -1324,7 +1307,7 @@ mod tests {
 
     #[test]
     fn repair_without_pristine_is_typed_error() {
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         let v: TypedVec = vec![0i64; 4].into();
         store.put(rid(6, 0), StoredPayload::Typed(Arc::new(v)), StorageTier::Pfs);
         assert!(matches!(store.repair(rid(6, 0)), Err(PdcError::CorruptRegion { .. })));
@@ -1332,7 +1315,7 @@ mod tests {
 
     #[test]
     fn corrupt_raw_payload_detected() {
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         store.put(rid(7, 2), StoredPayload::Raw(Bytes::from(vec![9u8; 64])), StorageTier::Pfs);
         assert!(store.corrupt(rid(7, 2), 1).unwrap());
         assert!(matches!(store.get_raw(rid(7, 2)), Err(PdcError::CorruptRegion { .. })));
@@ -1343,7 +1326,7 @@ mod tests {
     #[test]
     fn corruption_site_is_seed_deterministic() {
         let make = |seed: u64| {
-            let store = ObjectStore::new(2);
+            let store = ObjectStore::default();
             let v: TypedVec = (0..128u32).collect::<Vec<u32>>().into();
             store.put(rid(8, 0), StoredPayload::Typed(Arc::new(v)), StorageTier::Pfs);
             store.corrupt(rid(8, 0), seed).unwrap();
@@ -1359,7 +1342,7 @@ mod tests {
 
     #[test]
     fn put_and_remove_clear_quarantine() {
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         let v: TypedVec = vec![1u32; 8].into();
         store.put(rid(9, 0), StoredPayload::Typed(Arc::new(v.clone())), StorageTier::Pfs);
         store.corrupt(rid(9, 0), 3).unwrap();
@@ -1375,7 +1358,7 @@ mod tests {
 
     #[test]
     fn append_grows_payload() {
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         let v: TypedVec = vec![1.0f64, 2.0, 3.0].into();
         store.put(rid(12, 0), StoredPayload::Typed(Arc::new(v)), StorageTier::Pfs);
         let delta: TypedVec = vec![4.0f64, 5.0].into();
@@ -1387,7 +1370,7 @@ mod tests {
 
     #[test]
     fn append_preserves_prefix_bytes() {
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         let v: TypedVec = vec![9u32, 8, 7].into();
         store.put(rid(12, 1), StoredPayload::Typed(Arc::new(v.clone())), StorageTier::Pfs);
         let delta: TypedVec = vec![6u32].into();
@@ -1404,7 +1387,7 @@ mod tests {
 
     #[test]
     fn append_refuses_sealed_missing_raw_and_mismatched() {
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         let delta: TypedVec = vec![1.0f64].into();
         // missing
         assert!(matches!(store.append_typed(rid(13, 0), &delta), Err(PdcError::NoSuchRegion(_))));
@@ -1427,7 +1410,7 @@ mod tests {
 
     #[test]
     fn append_to_corrupt_region_quarantines() {
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         let v: TypedVec = vec![1.0f64; 16].into();
         store.put(rid(14, 0), StoredPayload::Typed(Arc::new(v)), StorageTier::Pfs);
         store.corrupt(rid(14, 0), 11).unwrap();
@@ -1441,7 +1424,7 @@ mod tests {
 
     #[test]
     fn put_and_remove_clear_seal_mark() {
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         let v: TypedVec = vec![1u64; 2].into();
         store.put(rid(15, 0), StoredPayload::Typed(Arc::new(v.clone())), StorageTier::Pfs);
         store.seal(rid(15, 0)).unwrap();
@@ -1455,7 +1438,7 @@ mod tests {
 
     #[test]
     fn empty_payload_cannot_be_corrupted() {
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         store.put(rid(10, 0), StoredPayload::Raw(Bytes::default()), StorageTier::Pfs);
         assert!(!store.corrupt(rid(10, 0), 5).unwrap());
         assert!(store.get_raw(rid(10, 0)).is_ok());
@@ -1482,7 +1465,7 @@ mod tests {
     #[test]
     fn sealed_regions_demote_under_budget_and_fault_back_in() {
         let dir = tmp_dir("demote");
-        let store = ObjectStore::new(4);
+        let store = ObjectStore::default();
         store.configure_spill(&dir, 10_000, 1 << 20).unwrap();
         // Four sealed 40 KB regions against a 10 KB budget.
         let mut originals = Vec::new();
@@ -1510,7 +1493,7 @@ mod tests {
     #[test]
     fn unsealed_regions_never_demote() {
         let dir = tmp_dir("unsealed");
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         store.configure_spill(&dir, 100, 1 << 20).unwrap();
         store.put(rid(2, 0), StoredPayload::Typed(Arc::new(seeded_floats(1000))), StorageTier::Pfs);
         assert!(!store.is_spilled(rid(2, 0)));
@@ -1526,7 +1509,7 @@ mod tests {
     #[test]
     fn lru_order_picks_least_recently_used_victim() {
         let dir = tmp_dir("lru");
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         // Budget fits exactly three 400-byte regions.
         store.configure_spill(&dir, 1200, 1 << 20).unwrap();
         for i in 0..3 {
@@ -1575,7 +1558,7 @@ mod tests {
         // regions of varying size with a scrambled access order, leave
         // some ineligible (unsealed, empty), then enable the budget.
         let dir = tmp_dir("bulkdemote");
-        let store = ObjectStore::new(4);
+        let store = ObjectStore::default();
         // Recency must exist before the budget does: spill enabled with
         // room for everything, so `touch` records ticks but nothing
         // demotes.
@@ -1659,7 +1642,7 @@ mod tests {
     #[test]
     fn spilled_corrupt_detects_quarantines_and_repairs() {
         let dir = tmp_dir("corrupt");
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         store.configure_spill(&dir, 0, 1 << 20).unwrap();
         let v = seeded_floats(5_000);
         store.put(rid(4, 0), StoredPayload::Typed(Arc::new(v.clone())), StorageTier::Pfs);
@@ -1684,7 +1667,7 @@ mod tests {
     #[test]
     fn spilled_corrupt_site_is_seed_deterministic_and_repair_without_corruption_errors() {
         let dir = tmp_dir("corrupt_det");
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         store.configure_spill(&dir, 0, 1 << 20).unwrap();
         store.put(rid(5, 0), StoredPayload::Typed(Arc::new(seeded_floats(1000))), StorageTier::Pfs);
         store.seal(rid(5, 0)).unwrap();
@@ -1700,7 +1683,7 @@ mod tests {
     #[test]
     fn spilled_raw_region_roundtrips_and_repairs() {
         let dir = tmp_dir("raw");
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         store.configure_spill(&dir, 0, 1 << 20).unwrap();
         let bytes: Vec<u8> = (0..4096u32).map(|i| (i % 7) as u8).collect();
         store.put(rid(6, 0), StoredPayload::Raw(Bytes::from(bytes.clone())), StorageTier::Pfs);
@@ -1717,7 +1700,7 @@ mod tests {
     #[test]
     fn cold_region_streams_blocks_through_cache() {
         let dir = tmp_dir("cold");
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         store.configure_spill(&dir, 0, 1 << 20).unwrap();
         let n = blockfile::DEFAULT_BLOCK_ELEMS as usize * 2 + 100; // 3 blocks
         let v = seeded_floats(n);
@@ -1810,7 +1793,7 @@ mod tests {
         let id = rid(11, 0);
         let spilled = |tag: &str| {
             let dir = tmp_dir(tag);
-            let store = ObjectStore::new(2);
+            let store = ObjectStore::default();
             store.configure_spill(&dir, 0, 1 << 20).unwrap();
             store.put(id, StoredPayload::Typed(Arc::new(v.clone())), StorageTier::Pfs);
             store.seal(id).unwrap();
@@ -1882,7 +1865,7 @@ mod tests {
     #[test]
     fn reading_more_spilled_regions_than_the_reader_bound_stays_correct() {
         let dir = tmp_dir("reader_bound");
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         store.configure_spill(&dir, 0, 1 << 20).unwrap();
         let n = MAX_OPEN_SPILL_FILES as u32 + 40;
         let payload = |i: u32| seeded_floats(16 + i as usize % 7);
@@ -1925,7 +1908,7 @@ mod tests {
         // A spilled region's view answers from its cold handle, and its
         // cache slot carries the same footprint as the resident one.
         let dir = tmp_dir("view");
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         store.configure_spill(&dir, 0, 1 << 20).unwrap();
         let n = blockfile::DEFAULT_BLOCK_ELEMS as usize + 7; // 2 blocks
         store.put(rid(7, 0), StoredPayload::Typed(Arc::new(seeded_floats(n))), StorageTier::Pfs);
@@ -1950,7 +1933,7 @@ mod tests {
     #[test]
     fn demotion_keeps_a_region_resident_when_its_file_does_not_round_trip() {
         let dir = tmp_dir("roundtrip");
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         store.configure_spill(&dir, 0, 1 << 20).unwrap();
         let v = seeded_floats(5_000);
         store.put(rid(10, 0), StoredPayload::Typed(Arc::new(v.clone())), StorageTier::Pfs);
@@ -1973,7 +1956,7 @@ mod tests {
     #[test]
     fn put_and_remove_clean_up_spill_files() {
         let dir = tmp_dir("cleanup");
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         store.configure_spill(&dir, 0, 1 << 20).unwrap();
         let v = seeded_floats(1000);
         store.put(rid(8, 0), StoredPayload::Typed(Arc::new(v.clone())), StorageTier::Pfs);
@@ -2000,7 +1983,7 @@ mod tests {
     #[test]
     fn spill_compresses_and_migrate_verifies_cold_payloads() {
         let dir = tmp_dir("ratio");
-        let store = ObjectStore::new(2);
+        let store = ObjectStore::default();
         store.configure_spill(&dir, 0, 1 << 20).unwrap();
         // Monotone ints delta-pack far below raw size.
         let v: TypedVec = (0..100_000i64).collect::<Vec<i64>>().into();
